@@ -17,7 +17,7 @@ evaluated literally on the explored window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .adl import model_digest
 from .ftpl import (
@@ -33,8 +33,10 @@ from .ftpl import (
     formula_events,
     print_cp,
 )
-from .model import ComponentModel, ConfigProperty, erase_param_values, eval_cp, \
-    model_equal, validate_model
+# the walk compiles properties instead of calling eval_cp; the name stays
+# importable because perfbench/tracer.py rebinds it in this module
+from .model import CompiledCp, ComponentModel, ConfigProperty, compile_cp, \
+    erase_param_values, eval_cp, model_equal, validate_model  # noqa: F401
 from .oracle import (
     ConcreteLasso,
     LassoStep,
@@ -137,11 +139,18 @@ class Verdict:
 
 
 class _Violation(Exception):
-    def __init__(self, steps: tuple[WitnessStep, ...], index: int, violated: str):
+    """A violation at position ``index`` of the run from the initial state.
+
+    Every path is deterministic, so the witness is the run's first
+    ``length`` configurations (``index + 1`` unless given): the walk keeps
+    no models or digests for it, and ``check`` replays them on demand.
+    """
+
+    def __init__(self, index: int, violated: str, length: Optional[int] = None):
         super().__init__(violated)
-        self.steps = steps
         self.index = index
         self.violated = violated
+        self.length = index + 1 if length is None else length
 
 
 class _Budget(Exception):
@@ -168,6 +177,9 @@ class _Walk:
     operators) to parameter-erased comparison — the right notion when the
     cycle was admitted through the erased idempotence gate, in which case
     the formula cannot observe parameter values anyway.
+
+    Properties are compiled on first use and kept for the walk only, so a
+    compiled closure lives exactly as long as one check.
     """
 
     def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
@@ -179,12 +191,10 @@ class _Walk:
         self.transitions = 0
         self.cp_evals = 0
         self.max_instance = 0
+        self.compiled: dict[ConfigProperty, CompiledCp] = {}
 
     def pair_key(self, m: ComponentModel) -> ComponentModel:
         return erase_param_values(m) if self.pair_erased else m
-
-    def new_instance(self, start: int) -> _Instance:
-        return _Instance(start)
 
     def apply(self, inst: _Instance, q: int, c: ComponentModel):
         nxt = self.a.succ(q)
@@ -208,7 +218,10 @@ class _Walk:
 
     def eval_cp(self, cp: ConfigProperty, c: ComponentModel) -> bool:
         self.cp_evals += 1
-        return eval_cp(cp, c)
+        test = self.compiled.get(cp)
+        if test is None:
+            test = self.compiled[cp] = compile_cp(cp)
+        return test(c, {})
 
     def stats(self) -> CheckStats:
         return CheckStats(self.transitions, self.cp_evals, self.max_instance)
@@ -230,9 +243,8 @@ def is_suffix_monotone(f: FtplFormula) -> bool:
     return True
 
 
-def _after_loop(e: EventSpec,
-                on_fire: Callable[[int, ComponentModel, tuple[WitnessStep, ...]], bool],
-                walk: _Walk, q: int, c: ComponentModel,
+def _after_loop(e: EventSpec, on_fire: Callable[[int, ComponentModel, int], bool],
+                walk: _Walk, q: int, c: ComponentModel, pos: int,
                 marks: dict[int, Mark], collect_all: bool) -> bool:
     """Scan for occurrences of ``e``, dispatching ``on_fire`` at each one.
 
@@ -241,12 +253,12 @@ def _after_loop(e: EventSpec,
     otherwise every occurrence met during two traversals is checked.  Two
     traversals are needed because an operation that changed the model on
     the first pass can become the identity on the next (and vice versa),
-    flipping which modality its transitions satisfy.
+    flipping which modality its transitions satisfy.  ``pos`` is the run
+    position of (q, c); ``on_fire`` receives the state, configuration and
+    position after each occurrence.
     """
-    inst = walk.new_instance(q)
-    steps: list[WitnessStep] = []
-    pending: list[tuple[int, ComponentModel, tuple[WitnessStep, ...]]] = []
-    pos = 0
+    inst = _Instance(q)
+    pending: list[tuple[int, ComponentModel, int]] = []
     while True:
         if walk.a.succ(q) is None:
             break  # finite path exhausted: no further occurrence possible
@@ -259,32 +271,29 @@ def _after_loop(e: EventSpec,
         marks[q] = Mark.AGAIN if mk is Mark.UNCHECKED else Mark.CHECKED
         label, q2, c2 = walk.apply(inst, q, c)
         pos += 1
-        steps.append(WitnessStep(q2, label, model_digest(c2)))
         if event_holds(c, c2, label, e, pos):
             if not collect_all:
-                return on_fire(q2, c2, tuple(steps))
-            pending.append((q2, c2, tuple(steps)))
+                return on_fire(q2, c2, pos)
+            pending.append((q2, c2, pos))
         q, c = q2, c2
-    for q2, c2, st in pending:
-        if not on_fire(q2, c2, st):
+    for q2, c2, pos2 in pending:
+        if not on_fire(q2, c2, pos2):
             return False
     return True  # event never occurs (or every occurrence passed): vacuous truth
 
 
 def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
-                 marks: dict[int, Mark], trail: tuple[WitnessStep, ...]) -> bool:
+                 pos: int, marks: dict[int, Mark]) -> bool:
     """Check ``cp`` on every configuration from (q, c) onwards.
 
     The walk re-enters the cycle once: intermediate configurations of the
     second traversal are exactly the ones repeated forever afterwards
     (given the idempotence gate), so two passes cover the whole suffix.
     """
-    inst = walk.new_instance(q)
-    steps: list[WitnessStep] = []
+    inst = _Instance(q)
     while True:
         if not walk.eval_cp(cp, c):
-            raise _Violation(trail + tuple(steps), len(trail) + len(steps) - 1,
-                             f"always [{print_cp(cp)}] violated")
+            raise _Violation(pos, f"always [{print_cp(cp)}] violated")
         nxt = walk.a.succ(q)
         if nxt is None or marks[q] is Mark.CHECKED:
             return True
@@ -292,34 +301,32 @@ def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
             assert all(marks[j] is not Mark.UNCHECKED for j in range(q)), \
                 "always invariant: all earlier states marked again or checked"
         marks[q] = Mark.AGAIN if marks[q] is Mark.UNCHECKED else Mark.CHECKED
-        label, q2, c2 = walk.apply(inst, q, c)
-        steps.append(WitnessStep(q2, label, model_digest(c2)))
-        q, c = q2, c2
+        _label, q, c = walk.apply(inst, q, c)
+        pos += 1
 
 
 def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
-                     trail: tuple[WitnessStep, ...]) -> bool:
+                     pos: int) -> bool:
     """True as soon as one reachable configuration satisfies ``cp``.
 
     Unfolds until the (state, model) pair repeats or the path ends; each
     state is applied at most twice on the way.
     """
-    inst = walk.new_instance(q)
-    steps: list[WitnessStep] = []
+    inst = _Instance(q)
     if walk.eval_cp(cp, c):
         return True
     seen: dict[int, list[ComponentModel]] = {q: [walk.pair_key(c)]}
     while True:
         nxt = walk.a.succ(q)
         if nxt is None:
-            raise _Violation(trail + tuple(steps), len(trail) + len(steps) - 1,
-                             f"eventually [{print_cp(cp)}] never satisfied on the finite path")
-        label, q2, c2 = walk.apply(inst, q, c)
+            raise _Violation(pos, f"eventually [{print_cp(cp)}] never satisfied "
+                                  f"on the finite path")
+        _label, q2, c2 = walk.apply(inst, q, c)
         k2 = walk.pair_key(c2)
         if any(model_equal(prev, k2) for prev in seen.get(q2, ())):
-            raise _Violation(trail + tuple(steps), len(trail) + len(steps) - 1,
-                             f"eventually [{print_cp(cp)}] never satisfied (cycle stabilized)")
-        steps.append(WitnessStep(q2, label, model_digest(c2)))
+            raise _Violation(pos, f"eventually [{print_cp(cp)}] never satisfied "
+                                  f"(cycle stabilized)")
+        pos += 1
         seen.setdefault(q2, []).append(k2)
         if walk.eval_cp(cp, c2):
             return True
@@ -327,7 +334,7 @@ def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
 
 
 def _unfold_instrumented(walk: _Walk, q: int, c: ComponentModel) -> ConcreteLasso:
-    inst = walk.new_instance(q)
+    inst = _Instance(q)
     entries: list[LassoStep] = [LassoStep(q, c, None)]
     keys = [walk.pair_key(c)]
     by_state: dict[int, list[int]] = {q: [0]}
@@ -347,7 +354,7 @@ def _unfold_instrumented(walk: _Walk, q: int, c: ComponentModel) -> ConcreteLass
 
 
 def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
-                  c: ComponentModel, trail: tuple[WitnessStep, ...]) -> bool:
+                  c: ComponentModel, pos: int) -> bool:
     """Every occurrence of ``e`` must be preceded by a segment satisfying
     the trace property.
 
@@ -361,32 +368,27 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
     if value is True:
         return True
     assert value is False, "stabilized unfolding must determine a before-property"
-    steps = trail + tuple(
-        WitnessStep(s.state, s.incoming_label or "", model_digest(s.model))
-        for s in lasso.entries[1:])
     idx, desc = info
-    return _raise_at(steps, len(trail) - 1 + idx, desc)
-
-
-def _raise_at(steps: tuple[WitnessStep, ...], index: int, desc: str) -> bool:
-    raise _Violation(steps, index, desc)
+    # the witness runs through the whole unfolded window
+    raise _Violation(pos + idx, desc, length=pos + len(lasso.entries))
 
 
 def _eval_formula(f: FtplFormula, walk: _Walk, q: int, c: ComponentModel,
-                  trail: tuple[WitnessStep, ...]) -> bool:
-    """Evaluate with a fresh mark map per operator node; violations raise."""
+                  pos: int) -> bool:
+    """Evaluate at run position ``pos`` with a fresh mark map per operator
+    node; violations raise."""
     if isinstance(f, After):
-        def on_fire(q2: int, c2: ComponentModel, st: tuple[WitnessStep, ...]) -> bool:
-            return _eval_formula(f.inner, walk, q2, c2, trail + st)
+        def on_fire(q2: int, c2: ComponentModel, pos2: int) -> bool:
+            return _eval_formula(f.inner, walk, q2, c2, pos2)
 
-        return _after_loop(f.event, on_fire, walk, q, c, fresh_marks(walk.a),
+        return _after_loop(f.event, on_fire, walk, q, c, pos, fresh_marks(walk.a),
                            collect_all=not is_suffix_monotone(f.inner))
     if isinstance(f, Before):
-        return _before_check(f.event, f.trace, walk, q, c, trail)
+        return _before_check(f.event, f.trace, walk, q, c, pos)
     if isinstance(f, Always):
-        return _always_loop(f.cp, walk, q, c, fresh_marks(walk.a), trail)
+        return _always_loop(f.cp, walk, q, c, pos, fresh_marks(walk.a))
     if isinstance(f, Eventually):
-        return _eventually_scan(f.cp, walk, q, c, trail)
+        return _eventually_scan(f.cp, walk, q, c, pos)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -403,8 +405,8 @@ def check_after(e: EventSpec, check_f: Callable[[int, ComponentModel], bool],
     walk = _Walk(a, ops, None)
     if marks is None:
         marks = fresh_marks(a)
-    return _after_loop(e, lambda q2, c2, _st: bool(check_f(q2, c2)),
-                       walk, q, c, marks, collect_all=False)
+    return _after_loop(e, lambda q2, c2, _pos: bool(check_f(q2, c2)),
+                       walk, q, c, 0, marks, collect_all=False)
 
 
 def check_always(cp: ConfigProperty, a: PathAutomaton,
@@ -414,9 +416,8 @@ def check_always(cp: ConfigProperty, a: PathAutomaton,
     walk = _Walk(a, ops, None)
     if marks is None:
         marks = fresh_marks(a)
-    trail = (WitnessStep(q, "", model_digest(c)),)
     try:
-        return _always_loop(cp, walk, q, c, marks, trail)
+        return _always_loop(cp, walk, q, c, 0, marks)
     except _Violation:
         return False
 
@@ -431,9 +432,8 @@ def check_eventually(cp: ConfigProperty, a: PathAutomaton,
     """
     walk = _Walk(a, ops, None,
                  pair_erased=erasure_invariant(Eventually(cp), ops))
-    trail = (WitnessStep(q, "", model_digest(c0)),)
     try:
-        return _eventually_scan(cp, walk, q, c0, trail)
+        return _eventually_scan(cp, walk, q, c0, 0)
     except _Violation:
         return False
 
@@ -444,9 +444,8 @@ def check_before(e: EventSpec, tr: TraceProperty, a: PathAutomaton,
     """Is every occurrence of ``e`` preceded by a segment satisfying ``tr``?"""
     walk = _Walk(a, ops, None,
                  pair_erased=erasure_invariant(Before(e, tr), ops))
-    trail = (WitnessStep(q, "", model_digest(c0)),)
     try:
-        return _before_check(e, tr, walk, q, c0, trail)
+        return _before_check(e, tr, walk, q, c0, 0)
     except _Violation:
         return False
 
@@ -464,6 +463,25 @@ def formula_effective_ignore_params(f: FtplFormula, opts: CheckOptions,
 def cycle_entry_model(a: PathAutomaton, c0: ComponentModel,
                       ops: Mapping[str, EvolutionOperation]) -> ComponentModel:
     return apply_sequence([ops[l] for l in a.prefix_labels()], c0)
+
+
+def _replay(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
+            c0: ComponentModel, length: int) -> Iterator[tuple[int, str, ComponentModel]]:
+    """The first ``length`` (state, incoming label, configuration) triples of
+    the run from the initial state; operations are pure, so this rebuilds
+    exactly the configurations the walk saw."""
+    q, c = 0, c0
+    yield q, "", c
+    for _ in range(length - 1):
+        label, q = a.succ(q)
+        c = apply_evolution(ops[label], c).result
+        yield q, label, c
+
+
+def _witness(configs: Iterable[tuple[int, str, ComponentModel]], index: int,
+             violated: str) -> TraceWitness:
+    steps = tuple(WitnessStep(q, label, model_digest(c)) for q, label, c in configs)
+    return TraceWitness(steps, index, violated)
 
 
 def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
@@ -506,13 +524,12 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
 
     if gate_ok:
         walk = _Walk(a, ops, opts.max_steps, pair_erased=effective_ignore)
-        trail = (WitnessStep(0, "", model_digest(c0)),)
         try:
-            _eval_formula(f, walk, 0, c0, trail)
+            _eval_formula(f, walk, 0, c0, 0)
             verdict = Verdict.holds(walk.stats())
         except _Violation as v:
-            verdict = Verdict.fails(TraceWitness(v.steps, v.index, v.violated),
-                                    walk.stats())
+            witness = _witness(_replay(a, ops, c0, v.length), v.index, v.violated)
+            verdict = Verdict.fails(witness, walk.stats())
         except _Budget as b:
             verdict = Verdict.unknown(REASON_BUDGET, residual=residual_from(a, b.state),
                                       reached=b.model, stats=walk.stats())
@@ -527,11 +544,10 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         if value is True:
             verdict = Verdict.holds(stats)
         elif value is False:
-            steps = (WitnessStep(0, "", model_digest(c0)),) + tuple(
-                WitnessStep(s.state, s.incoming_label or "", model_digest(s.model))
-                for s in lasso.entries[1:])
             idx, desc = info
-            verdict = Verdict.fails(TraceWitness(steps, idx, desc), stats)
+            witness = _witness(((s.state, s.incoming_label or "", s.model)
+                                for s in lasso.entries), idx, desc)
+            verdict = Verdict.fails(witness, stats)
         else:
             last = lasso.entries[-1]
             verdict = Verdict.unknown(REASON_BUDGET,

@@ -8,7 +8,10 @@ Four batch commands tie the file formats together:
 * ``idempotence`` report whether the path's cycle is idempotent
 * ``validate``    run the structural validator on a model
 
-Exit codes 3 and 4 flag parse/usage errors and invalid models.
+Exit codes 3 and 4 flag parse/usage errors and invalid models.  A property
+that cannot be evaluated (an unknown identifier in an attribute atom) and
+input nested too deeply to process are reported as exit 3, never as
+"fails".
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .adl import (
 )
 from .checker import CheckError, CheckOptions, Verdict, check, cycle_entry_model
 from .ftpl import FtplSyntaxError, parse_formula, print_formula
-from .model import ComponentModel, validate_model
+from .model import ComponentModel, CpEvalError, validate_model
 from .pathspec import PathSyntaxError, build_automaton, parse_path, print_path
 from .reconfig import apply_evolution, is_idempotent_sequence
 
@@ -260,8 +263,11 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     except (AdlSyntaxError, PathSyntaxError, FtplSyntaxError, _UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CheckError as exc:
+    except (CheckError, CpEvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return EXIT_USAGE
 
 

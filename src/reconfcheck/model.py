@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 STARTED = "started"
 STOPPED = "stopped"
@@ -85,9 +85,12 @@ def erase_param_values(m: ComponentModel) -> ComponentModel:
     """Copy of ``m`` with every parameter value blanked (class kept).
 
     Used to compare models while ignoring parameter-updating operations.
+    Components without parameters are shared with ``m``, so comparing two
+    erased models of one path mostly compares components by identity.
     """
     comps = {
         cid: replace(c, params={p: Param(pv.cls, None) for p, pv in c.params.items()})
+        if c.params else c
         for cid, c in m.components.items()
     }
     return replace(m, components=comps)
@@ -387,6 +390,122 @@ def eval_cp(cp: ConfigProperty, m: ComponentModel, env: Optional[_Env] = None) -
             return val in m.components
         return val in m.bindings
     raise CpEvalError(f"unknown property node {cp!r}")
+
+
+# a compiled property: its truth value on a model under a variable environment
+CompiledCp = Callable[[ComponentModel, _Env], bool]
+
+
+def compile_cp(cp: ConfigProperty) -> CompiledCp:
+    """Closure ``fn`` with ``fn(m, env) == eval_cp(cp, m, env)``.
+
+    The dispatch on node types happens once, here, instead of on every
+    evaluation.  Iteration order, short-circuiting and every
+    :class:`CpEvalError` message are those of :func:`eval_cp`, and errors
+    are raised when evaluating, never when compiling, so an ill-formed
+    subproperty that short-circuiting skips stays harmless.
+    """
+    if isinstance(cp, TrueAtom):
+        return lambda m, env: True
+    if isinstance(cp, FalseAtom):
+        return lambda m, env: False
+    if isinstance(cp, ComponentPresent):
+        cid = cp.id
+        return lambda m, env: cid in m.components
+    if isinstance(cp, Started):
+        return _compile_started(cp.id)
+    if isinstance(cp, Bound):
+        b = Binding(cp.out_component, cp.out_port, cp.in_component, cp.in_port)
+        return lambda m, env: b in m.bindings
+    if isinstance(cp, Subcomponent):
+        return _compile_subcomponent(cp.child, cp.parent)
+    if isinstance(cp, ParamCmp):
+        return lambda m, env: _eval_param_cmp(cp, m)
+    if isinstance(cp, Not):
+        inner = compile_cp(cp.inner)
+        return lambda m, env: not inner(m, env)
+    if isinstance(cp, And):
+        left, right = compile_cp(cp.left), compile_cp(cp.right)
+        return lambda m, env: left(m, env) and right(m, env)
+    if isinstance(cp, Or):
+        left, right = compile_cp(cp.left), compile_cp(cp.right)
+        return lambda m, env: left(m, env) or right(m, env)
+    if isinstance(cp, Implies):
+        left, right = compile_cp(cp.left), compile_cp(cp.right)
+        return lambda m, env: (not left(m, env)) or right(m, env)
+    if isinstance(cp, (ForAll, Exists)):
+        return _compile_quantifier(cp.var, cp.domain, compile_cp(cp.body),
+                                   universal=isinstance(cp, ForAll))
+    if isinstance(cp, VarClassIs):
+        return _compile_var_class_is(cp.var, cp.cls)
+    if isinstance(cp, VarPresent):
+        return _compile_var_present(cp.var)
+    return _compile_raise(f"unknown property node {cp!r}")
+
+
+def _compile_started(cid: str) -> CompiledCp:
+    def started(m: ComponentModel, env: _Env) -> bool:
+        c = m.components.get(cid)
+        if c is None:
+            raise CpEvalError(f"started(): unknown component '{cid}'")
+        return c.state == STARTED
+    return started
+
+
+def _compile_subcomponent(child: str, parent_id: str) -> CompiledCp:
+    def subcomponent(m: ComponentModel, env: _Env) -> bool:
+        parent = m.components.get(parent_id)
+        return parent is not None and child in parent.contains
+    return subcomponent
+
+
+def _compile_quantifier(var: str, domain: str, body: CompiledCp,
+                        universal: bool) -> CompiledCp:
+    # one scope per evaluation, rebound per value: no compiled body keeps env
+    def forall(m: ComponentModel, env: _Env) -> bool:
+        scope = dict(env)
+        for v in _domain_values(m, domain):
+            scope[var] = v
+            if not body(m, scope):
+                return False
+        return True
+
+    def exists(m: ComponentModel, env: _Env) -> bool:
+        scope = dict(env)
+        for v in _domain_values(m, domain):
+            scope[var] = v
+            if body(m, scope):
+                return True
+        return False
+
+    return forall if universal else exists
+
+
+def _compile_var_class_is(var: str, cls: str) -> CompiledCp:
+    def var_class_is(m: ComponentModel, env: _Env) -> bool:
+        kind, val = _lookup_var(env, var)
+        if kind != "component":
+            raise CpEvalError(f"class({var}): variable is not component-typed")
+        c = m.components.get(val)
+        if c is None:
+            raise CpEvalError(f"class({var}): component '{val}' not in model")
+        return c.cls == cls
+    return var_class_is
+
+
+def _compile_var_present(var: str) -> CompiledCp:
+    def var_present(m: ComponentModel, env: _Env) -> bool:
+        kind, val = _lookup_var(env, var)
+        if kind == "component":
+            return val in m.components
+        return val in m.bindings
+    return var_present
+
+
+def _compile_raise(message: str) -> CompiledCp:
+    def ill_formed(m: ComponentModel, env: _Env) -> bool:
+        raise CpEvalError(message)
+    return ill_formed
 
 
 def _lookup_var(env: _Env, var: str) -> tuple:

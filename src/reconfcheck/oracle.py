@@ -139,6 +139,9 @@ class _Sigma:
     def event(self, i: int, e: EventSpec) -> bool:
         if i <= 0:
             return False
+        label = self.label(i)
+        if label != e.op_name:
+            return False  # as event_holds would say, without erasing first
         prev, nxt = self.cfg(i - 1), self.cfg(i)
         if self.erased:
             # the suffix repeats only up to parameter values, so a wrapped
@@ -146,7 +149,7 @@ class _Sigma:
             # parameters; erase both sides so the changed/unchanged verdict
             # is the true one for parameter-free operations
             prev, nxt = erase_param_values(prev), erase_param_values(nxt)
-        return event_holds(prev, nxt, self.label(i), e, i)
+        return event_holds(prev, nxt, label, e, i)
 
     @property
     def determinate(self) -> bool:

@@ -234,6 +234,32 @@ def _gen_cp_atom(rng: random.Random, m: ComponentModel, bound_vars: tuple):
     return ParamCmp("Core", target, relop, rng.randint(0, 30))
 
 
+def gen_ill_formed_cp(rng: random.Random, m: ComponentModel):
+    """A generated property with an atom that cannot be evaluated inside it:
+    an unknown identifier, an ill-sorted comparison, an unbound or mistyped
+    variable, or an unknown quantifier domain.  Whether evaluation reaches
+    that atom depends on short-circuiting."""
+    bad = rng.choice((
+        Started("Ghost"),
+        ParamCmp("Ghost", "p", "<", 1),
+        ParamCmp("Core", "nope", "=", 1),
+        ParamCmp("Core", "p", "=", "red"),
+        VarClassIs("free", "Alpha"),
+        VarPresent("free"),
+        Exists("b", "bindings", VarClassIs("b", "Alpha")),
+        ForAll("v", "ports", TrueAtom()),
+    ))
+    other = gen_cp(rng, m)
+    roll = rng.random()
+    if roll < 0.2:
+        return Not(bad)
+    if roll < 0.7:
+        ctor = rng.choice((And, Or, Implies))
+        return ctor(other, bad) if rng.random() < 0.5 else ctor(bad, other)
+    ctor = rng.choice((ForAll, Exists))
+    return ctor("w", rng.choice(("components", "bindings")), Or(other, bad))
+
+
 def gen_trace(rng: random.Random, m: ComponentModel):
     ctor = Always if rng.random() < 0.6 else Eventually
     return ctor(gen_cp(rng, m))

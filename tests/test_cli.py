@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from reconfcheck import parse_formula, parse_model, parse_path, print_model, \
     print_path
@@ -112,6 +115,48 @@ def test_usage_error_exit_three(samples_dir, capsys):
                     "--path", str(samples_dir / "server.rp"),
                     "--formula", "always [true]"])
     assert code == 3
+
+
+@pytest.mark.parametrize("formula", [
+    "always [started(Nope)]",                     # property cannot be evaluated
+    "always [" + "not " * 3000 + "true]",         # nested beyond the recursion limit
+    "after run normal " * 3000 + "always [true]",
+])
+def test_unevaluable_or_too_deep_formula_exit_three(samples_dir, capsys, formula):
+    code = run_cli(_check_args(samples_dir, "--formula", formula))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+Q1_PATH = ("run (RemoveCacheHandler AddCacheHandler MemorySizeUp run "
+           "AddFileServer DurationValidityUp DeleteFileServer)+")
+
+
+@pytest.mark.parametrize("formula, witness_steps", [
+    (FORMULA, 10),  # up to the violation
+    # a before-witness runs through the whole unfolded window
+    ("before AddFileServer normal always [component(CacheHandler)]", 9),
+])
+def test_witness_digests_match_simulate_dumps(samples_dir, tmp_path, capsys, formula,
+                                              witness_steps):
+    bad = tmp_path / "q1.rp"
+    bad.write_text(Q1_PATH)
+    args = ["--model", str(samples_dir / "http.arch"),
+            "--ops", str(samples_dir / "http.ops"), "--path", str(bad)]
+    assert run_cli(["check", *args, "--formula", formula]) == 1
+    text = re.findall(r"^  step (\d+): q\d+ \S+ \[(\w+)\]", capsys.readouterr().out, re.M)
+    assert run_cli(["check", *args, "--formula", formula, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    digests = [s["digest"] for s in report["witness"]["steps"]]
+    assert len(digests) == witness_steps
+    assert [int(i) for i, _ in text] == list(range(len(digests)))
+    assert [d for _, d in text] == digests
+    assert run_cli(["simulate", *args, "--steps", str(len(digests) - 1),
+                    "--dump-dir", str(tmp_path / "dump")]) == 0
+    simulated = re.findall(r"^step \d+: .*\[(\w+)\]$", capsys.readouterr().out, re.M)
+    assert simulated == digests
 
 
 def test_validate_ok(samples_dir, capsys):

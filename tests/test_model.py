@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reconfcheck import (
     Binding,
@@ -33,8 +34,10 @@ from reconfcheck.model import (
     TrueAtom,
     VarClassIs,
     VarPresent,
+    compile_cp,
 )
-from reconfcheck.reconfig import IntLiteral
+from reconfcheck.reconfig import BinOp, Bind, IntLiteral, ParamRef, Unbind, \
+    is_idempotent_sequence
 
 import generators
 
@@ -134,6 +137,31 @@ def test_erase_param_values_keeps_classes(http_model):
     handler = erased.components["RequestHandler"]
     assert handler.params["deviation"] == Param("int", None)
     assert not model_equal(http_model, erased)
+
+
+def test_erasure_shares_components_without_parameters(http_model):
+    erased = erase_param_values(http_model)
+    for cid, c in http_model.components.items():
+        assert (erased.components[cid] is c) is (not c.params)
+    assert erased.components["RequestHandler"] is not \
+        http_model.components["RequestHandler"]
+
+
+def test_erased_gate_passes_drift_and_refuses_topological_change():
+    core = Component(id="Core", cls="K", params={"p": Param("int", 0)},
+                     outputs={"out": "T1"})
+    a = Component(id="A", cls="Alpha", outputs={"out": "T1"})
+    b = Component(id="B", cls="Beta", inputs={"in1": "T1"})
+    old = Binding("A", "out", "B", "in1")
+    m = ComponentModel(name="M", components={"Core": core, "A": a, "B": b},
+                       bindings=frozenset({old}))
+    bump = SetParam("Core", "p", BinOp("+", ParamRef("Core", "p"), IntLiteral(1)))
+    assert not is_idempotent_sequence([bump], m)
+    assert is_idempotent_sequence([bump], m, ignore_params=True)
+    # the bind is refused while B.in1 is taken and succeeds on the second
+    # application, after the unbind freed it: the topology keeps changing
+    rebind = [Bind(Binding("Core", "out", "B", "in1")), Unbind(old), bump]
+    assert not is_idempotent_sequence(rebind, m, ignore_params=True)
 
 
 def cache_connected():
@@ -260,3 +288,39 @@ def test_validation_closure_under_random_operations():
             from reconfcheck import apply_evolution
             current = apply_evolution(ops[name], current).result
             assert validate_model(current) == []
+
+
+def _outcome(evaluate):
+    try:
+        value = evaluate()
+    except CpEvalError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_properties_agree_with_eval_cp(seed):
+    rng = random.Random(seed)
+    m = generators.gen_model(rng)
+    props = [
+        generators.gen_cp(rng, m, depth=3),
+        ForAll("w", "components", Or(VarClassIs("w", "Alpha"), generators.gen_cp(rng, m))),
+        Exists("w", "bindings", And(VarPresent("w"), generators.gen_cp(rng, m))),
+        generators.gen_ill_formed_cp(rng, m),
+    ]
+    for cp in props:
+        assert _outcome(lambda: compile_cp(cp)(m, {})) == _outcome(lambda: eval_cp(cp, m))
+
+
+def test_compiled_properties_raise_like_eval_cp(http_model):
+    ghost_env = {"x": ("component", "Ghost")}
+    cases = [
+        (VarClassIs("x", "Alpha"), ghost_env),
+        (VarClassIs("x", "Alpha"), {"x": ("binding", None)}),
+        (And(TrueAtom(), "not a property node"), {}),
+    ]
+    for cp, env in cases:
+        expected = _outcome(lambda: eval_cp(cp, http_model, env))
+        assert expected[0] == "error"
+        assert _outcome(lambda: compile_cp(cp)(http_model, env)) == expected
