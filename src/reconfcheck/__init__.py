@@ -6,6 +6,12 @@ temporal properties are verified over them by a mark-based traversal,
 cross-validated against a brute-force semantic oracle.
 """
 
+import sys
+
+if sys.version_info < (3, 11):
+    # the lexer's patterns use possessive quantifiers, new in Python 3.11
+    raise ImportError("reconfcheck needs Python 3.11 or later")
+
 from .adl import (
     AdlSyntaxError,
     AdlValidationError,

@@ -10,6 +10,7 @@ lexicographically — so equal models print byte-identical text.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,10 +55,27 @@ class AdlValidationError(ValueError):
 
 
 # --- lexer ---------------------------------------------------------------------
+#
+# Lexical grammar: whitespace is ' ', tab, CR and LF; a comment runs from
+# '//' to the end of the line.  An identifier starts with a letter
+# (str.isalpha) or '_' and goes on with str.isalnum characters and '_'; an
+# integer is a run of str.isdigit characters; a string is double-quoted on
+# one line, where only \" and \\ are escapes (any other backslash stands
+# for itself).  Punctuation is one of _PUNCT.
 
 # longest first so ':=' wins over ':' and '->' over '-'
 _PUNCT = (":=", "->", "<=", ">=", "!=", "{", "}", "(", ")", "[", "]",
           ":", ".", ",", "+", "-", "*", "=", "<", ">")
+
+_SKIP = r"(?:[ \t\r\n]++|//[^\n]*+)*+"
+_LEXEME = (r'[^\W\d]\w*+|\d++|"(?:[^"\\\n]++|\\["\\]?)*+"|'
+           + "|".join(re.escape(p) for p in _PUNCT))
+# one possessive match over the whole text: where it stops is the first
+# character no lexeme can start with (or an unterminated string), and its
+# group ends with the last lexeme
+_VALID_RE = re.compile(f"((?:{_SKIP}(?:{_LEXEME}))*+){_SKIP}")
+_TOKEN_RE = re.compile(f"{_SKIP}({_LEXEME})")
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 @dataclass(frozen=True)
@@ -68,132 +86,193 @@ class Token:
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
+def _kind(lex: str) -> str:
+    c = lex[:1]
+    if c == '"':
+        return "string"
+    if c.isdigit():
+        return "int"
+    if c.isalpha() or c == "_":
+        return "ident"
+    return "punct" if c else "eof"
+
+
+def _value(lex: str) -> str:
+    """A token's value: a string lexeme loses its quotes and escapes."""
+    if lex[:1] != '"':
+        return lex
+    body = lex[1:-1]
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _located(text: str, end: int) -> list[tuple[str, int]]:
+    """Lexemes of ``text[:end]`` with their offsets.
+
+    Outside ASCII ``[^\\W\\d]`` and ``\\d`` are wider and narrower than the
+    grammar's "letter" (``str.isalpha``) and "digit" (``str.isdigit``): a
+    word the pattern reads as an identifier starting with a digit such as
+    '²' is an integer that may run on from the lexeme before it, and one
+    starting with a numeral such as 'Ⅻ' is an error.
+    """
+    out: list[tuple[str, int]] = []
+    for m in _TOKEN_RE.finditer(text, 0, end):
+        lex, at = m.group(1), m.start(1)
+        c = lex[0]
+        if c.isascii() or c.isalpha() or c.isdecimal() or not c.isalnum():
+            out.append((lex, at))
             continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
-                    out.append(text[j + 1])
-                    j += 2
-                elif text[j] == "\n":
-                    raise AdlSyntaxError("unterminated string", line, col)
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise AdlSyntaxError("unterminated string", line, col)
-            tokens.append(Token("string", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+        k = 0
+        while k < len(lex) and lex[k].isdigit():
+            k += 1
+        if k < len(lex) and not (lex[k].isalpha() or lex[k] == "_"):
+            raise AdlSyntaxError(f"unexpected character {lex[k]!r}", *_line_col(text, at + k))
+        prev, prev_at = out[-1] if out else ("", 0)
+        if prev[:1].isdigit() and prev_at + len(prev) == at:
+            out[-1] = (prev + lex[:k], prev_at)
         else:
-            raise AdlSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            out.append((lex[:k], at))
+        if k < len(lex):
+            out.append((lex[k:], at + k))
+    return out
+
+
+def _lexemes(text: str) -> list[str]:
+    """The lexemes of ``text`` followed by ``""`` for end of input."""
+    m = _VALID_RE.match(text)
+    if text.isascii():
+        lexemes = _TOKEN_RE.findall(text, 0, m.end(1))
+    else:
+        lexemes = [lex for lex, _ in _located(text, m.end(1))]
+    if m.end() < len(text):
+        ch = text[m.end()]
+        message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+        raise AdlSyntaxError(message, *_line_col(text, m.end()))
+    lexemes.append("")
+    return lexemes
+
+
+def _offsets(text: str) -> list[int]:
+    """Offsets of the lexemes of a valid text, then of its end of input,
+    which does not move over a comment on the last line."""
+    last_end = _VALID_RE.match(text).end(1)
+    comment = text.find("//", max(last_end, text.rfind("\n") + 1))
+    return ([at for _, at in _located(text, last_end)]
+            + [comment if comment >= 0 else len(text)])
+
+
+def tokenize(text: str) -> list[Token]:
+    """Every token with its kind, value and 1-based line and column, ending
+    with an ``eof`` token; the parsers read lexemes through TokenStream."""
+    lexemes = _lexemes(text)
+    tokens: list[Token] = []
+    line, line_start, prev = 1, -1, 0
+    for lex, at in zip(lexemes, _offsets(text)):
+        newlines = text.count("\n", prev, at)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", prev, at)
+        tokens.append(Token(_kind(lex), _value(lex), line, at - line_start))
+        prev = at
     return tokens
 
 
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._toks = tokens
+    """Cursor over the lexemes of one text.
+
+    Keywords and punctuation are compared as plain strings (a string
+    lexeme keeps its quotes, so it never equals either); a lexeme's kind
+    follows from its first character.  Line and column are worked out
+    only for an error.
+    """
+
+    def __init__(self, text: str):
+        self._lex = _lexemes(text)
+        self._text = text
+        self._offsets: Optional[list[int]] = None
         self._pos = 0
 
-    def peek(self) -> Token:
-        return self._toks[self._pos]
+    def _where(self, index: int) -> tuple[int, int]:
+        if self._offsets is None:
+            self._offsets = _offsets(self._text)
+        return _line_col(self._text, self._offsets[index])
 
-    def next(self) -> Token:
-        tok = self._toks[self._pos]
-        if tok.kind != "eof":
+    def kind(self) -> str:
+        return _kind(self._lex[self._pos])
+
+    def next(self) -> str:
+        lex = self._lex[self._pos]
+        if lex:
             self._pos += 1
-        return tok
+        return lex
+
+    def next_int(self) -> int:
+        """Consume an integer lexeme; one ``int`` refuses is a syntax error."""
+        lex = self._lex[self._pos]
+        try:
+            value = int(lex)
+        except ValueError:
+            shown = repr(lex) if len(lex) <= 32 else f"of {len(lex)} digits"
+            raise self.error(f"invalid integer literal {shown}") from None
+        self._pos += 1
+        return value
+
+    def next_string(self) -> str:
+        return _value(self.next())
 
     def error(self, message: str) -> AdlSyntaxError:
-        tok = self.peek()
-        return AdlSyntaxError(message, tok.line, tok.col)
+        return AdlSyntaxError(message, *self._where(self._pos))
 
-    def expect_punct(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            raise self.error(f"expected '{value}', found {tok.value or 'end of input'!r}")
-        return self.next()
+    def found(self) -> str:
+        """The current token for an error message, quoted."""
+        return repr(_value(self._lex[self._pos]) or "end of input")
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.value or 'end of input'!r}")
-        return self.next()
+    def expect_punct(self, value: str) -> str:
+        if self._lex[self._pos] != value:
+            raise self.error(f"expected '{value}', found {self.found()}")
+        self._pos += 1
+        return value
+
+    def expect_ident(self, what: str = "identifier") -> str:
+        lex = self._lex[self._pos]
+        c = lex[:1]
+        if not (c.isalpha() or c == "_"):
+            raise self.error(f"expected {what}, found {self.found()}")
+        self._pos += 1
+        return lex
 
     def expect_keyword(self, *words: str) -> str:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.value in words:
-            self.next()
-            return tok.value
+        lex = self._lex[self._pos]
+        if lex in words:
+            self._pos += 1
+            return lex
         raise self.error(f"expected {' or '.join(repr(w) for w in words)}, "
-                         f"found {tok.value or 'end of input'!r}")
+                         f"found {self.found()}")
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value in words
+        return self._lex[self._pos] in words
 
     def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+        return self._lex[self._pos] == value
 
 
 def _parse_literal(ts: TokenStream, cls: str):
-    tok = ts.peek()
     if cls == "int":
         neg = False
         if ts.at_punct("-"):
             ts.next()
             neg = True
-        tok = ts.peek()
-        if tok.kind != "int":
+        if ts.kind() != "int":
             raise ts.error("expected integer literal")
-        ts.next()
-        return -int(tok.value) if neg else int(tok.value)
+        value = ts.next_int()
+        return -value if neg else value
     if cls == "string":
-        if tok.kind != "string":
+        if ts.kind() != "string":
             raise ts.error("expected string literal")
-        ts.next()
-        return tok.value
+        return ts.next_string()
     if cls == "bool":
         word = ts.expect_keyword("true", "false")
         return word == "true"
@@ -204,7 +283,7 @@ def _parse_literal(ts: TokenStream, cls: str):
 
 def _parse_component_block(ts: TokenStream) -> Component:
     ts.expect_keyword("component", "composite")
-    cid = ts.expect_ident("component name").value
+    cid = ts.expect_ident("component name")
     ts.expect_punct("{")
     cls: Optional[str] = None
     params: dict[str, Param] = {}
@@ -217,17 +296,17 @@ def _parse_component_block(ts: TokenStream) -> Component:
         if word == "class":
             if cls is not None:
                 raise ts.error(f"component '{cid}' declares class twice")
-            cls = ts.expect_ident("class name").value
+            cls = ts.expect_ident("class name")
         elif word in ("input", "output"):
-            port = ts.expect_ident("port name").value
+            port = ts.expect_ident("port name")
             ts.expect_punct(":")
-            pcls = ts.expect_ident("port class").value
+            pcls = ts.expect_ident("port class")
             target = inputs if word == "input" else outputs
             if port in target:
                 raise ts.error(f"duplicate {word} port '{port}' on '{cid}'")
             target[port] = pcls
         elif word == "param":
-            name = ts.expect_ident("parameter name").value
+            name = ts.expect_ident("parameter name")
             ts.expect_punct(":")
             pcls = ts.expect_keyword("int", "string", "bool")
             ts.expect_punct("=")
@@ -236,7 +315,7 @@ def _parse_component_block(ts: TokenStream) -> Component:
                 raise ts.error(f"duplicate parameter '{name}' on '{cid}'")
             params[name] = Param(pcls, value)
         elif word == "contains":
-            child = ts.expect_ident("component name").value
+            child = ts.expect_ident("component name")
             if child in contains:
                 raise ts.error(f"duplicate contains '{child}' on '{cid}'")
             contains.append(child)
@@ -252,13 +331,13 @@ def _parse_component_block(ts: TokenStream) -> Component:
 
 
 def _parse_endpoint_pair(ts: TokenStream) -> tuple[str, str, str, str]:
-    a = ts.expect_ident("component name").value
+    a = ts.expect_ident("component name")
     ts.expect_punct(".")
-    ap = ts.expect_ident("port name").value
+    ap = ts.expect_ident("port name")
     ts.expect_punct("->")
-    b = ts.expect_ident("component name").value
+    b = ts.expect_ident("component name")
     ts.expect_punct(".")
-    bp = ts.expect_ident("port name").value
+    bp = ts.expect_ident("port name")
     return a, ap, b, bp
 
 
@@ -269,9 +348,9 @@ def parse_model(text: str, validate: bool = True) -> ComponentModel:
     ``validate`` is left on, :class:`AdlValidationError` listing every
     structural violation.
     """
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     ts.expect_keyword("model")
-    name = ts.expect_ident("model name").value
+    name = ts.expect_ident("model name")
     ts.expect_punct("{")
     components: dict[str, Component] = {}
     bindings: set[Binding] = set()
@@ -299,7 +378,7 @@ def parse_model(text: str, validate: bool = True) -> ComponentModel:
         else:
             raise ts.error("expected component, composite, bind or delegate")
     ts.expect_punct("}")
-    if ts.peek().kind != "eof":
+    if ts.kind() != "eof":
         raise ts.error("trailing input after model")
     m = ComponentModel(name=name, components=components,
                        bindings=frozenset(bindings), delegations=frozenset(delegations))
@@ -376,7 +455,7 @@ class RecipeSet:
 def _parse_int_expr(ts: TokenStream) -> IntExpr:
     expr = _parse_int_term(ts)
     while ts.at_punct("+") or ts.at_punct("-"):
-        op = ts.next().value
+        op = ts.next()
         expr = BinOp(op, expr, _parse_int_term(ts))
     return expr
 
@@ -404,15 +483,13 @@ def _parse_int_factor(ts: TokenStream) -> IntExpr:
     if ts.at_keyword("param"):
         ts.next()
         ts.expect_punct("(")
-        comp = ts.expect_ident("component name").value
+        comp = ts.expect_ident("component name")
         ts.expect_punct(".")
-        name = ts.expect_ident("parameter name").value
+        name = ts.expect_ident("parameter name")
         ts.expect_punct(")")
         return ParamRef(comp, name)
-    tok = ts.peek()
-    if tok.kind == "int":
-        ts.next()
-        return IntLiteral(int(tok.value))
+    if ts.kind() == "int":
+        return IntLiteral(ts.next_int())
     raise ts.error("expected integer expression")
 
 
@@ -422,29 +499,29 @@ def _parse_step(ts: TokenStream) -> Primitive:
         return AddComponent(_parse_component_block(ts))
     if word == "remove":
         ts.expect_keyword("component")
-        return RemoveComponent(ts.expect_ident("component name").value)
+        return RemoveComponent(ts.expect_ident("component name"))
     if word in ("bind", "unbind"):
         a, ap, b, bp = _parse_endpoint_pair(ts)
         binding = Binding(a, ap, b, bp)
         return Bind(binding) if word == "bind" else Unbind(binding)
     if word == "set":
-        comp = ts.expect_ident("component name").value
+        comp = ts.expect_ident("component name")
         ts.expect_punct(".")
-        name = ts.expect_ident("parameter name").value
+        name = ts.expect_ident("parameter name")
         ts.expect_punct(":=")
         return SetParam(comp, name, _parse_int_expr(ts))
     if word == "stop":
-        return Stop(ts.expect_ident("component name").value)
-    return Start(ts.expect_ident("component name").value)
+        return Stop(ts.expect_ident("component name"))
+    return Start(ts.expect_ident("component name"))
 
 
 def parse_recipes(text: str) -> RecipeSet:
     """Parse an ``.ops`` file into a RecipeSet; one entry per ``op`` block."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     recipes: dict[str, tuple[Primitive, ...]] = {}
-    while ts.peek().kind != "eof":
+    while ts.kind() != "eof":
         ts.expect_keyword("op")
-        name = ts.expect_ident("recipe name").value
+        name = ts.expect_ident("recipe name")
         if name == RUN_NAME:
             raise ts.error(f"recipe name '{RUN_NAME}' is reserved")
         if name in recipes:

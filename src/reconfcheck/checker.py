@@ -37,13 +37,7 @@ from .ftpl import (
 # importable because perfbench/tracer.py rebinds it in this module
 from .model import CompiledCp, ComponentModel, ConfigProperty, compile_cp, \
     erase_param_values, eval_cp, model_equal, validate_model  # noqa: F401
-from .oracle import (
-    ConcreteLasso,
-    LassoStep,
-    _unfold,
-    oracle_eval_detailed,
-    oracle_verdict,
-)
+from .oracle import _unfold, oracle_eval_detailed, oracle_verdict
 from .pathspec import Mark, PathAutomaton, PathExpr, as_path_expr, fresh_marks, \
     residual_from
 from .reconfig import EvolutionOperation, apply_evolution, apply_sequence, \
@@ -265,9 +259,9 @@ def _after_loop(e: EventSpec, on_fire: Callable[[int, ComponentModel, int], bool
         mk = marks[q]
         if mk is Mark.CHECKED:
             break  # both passes scanned
-        if __debug__ and inst.start == 0 and mk is Mark.UNCHECKED:
-            assert all(marks[j] is Mark.AGAIN for j in range(q)), \
-                "first-pass invariant: all earlier states marked again"
+        if inst.start == 0 and mk is Mark.UNCHECKED and \
+                any(marks[j] is not Mark.AGAIN for j in range(q)):
+            raise AssertionError("first-pass invariant: all earlier states marked again")
         marks[q] = Mark.AGAIN if mk is Mark.UNCHECKED else Mark.CHECKED
         label, q2, c2 = walk.apply(inst, q, c)
         pos += 1
@@ -297,9 +291,9 @@ def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
         nxt = walk.a.succ(q)
         if nxt is None or marks[q] is Mark.CHECKED:
             return True
-        if __debug__ and inst.start == 0:
-            assert all(marks[j] is not Mark.UNCHECKED for j in range(q)), \
-                "always invariant: all earlier states marked again or checked"
+        if inst.start == 0 and any(marks[j] is Mark.UNCHECKED for j in range(q)):
+            raise AssertionError(
+                "always invariant: all earlier states marked again or checked")
         marks[q] = Mark.AGAIN if marks[q] is Mark.UNCHECKED else Mark.CHECKED
         _label, q, c = walk.apply(inst, q, c)
         pos += 1
@@ -333,23 +327,28 @@ def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
         q, c = q2, c2
 
 
-def _unfold_instrumented(walk: _Walk, q: int, c: ComponentModel) -> ConcreteLasso:
+def _unfold_instrumented(walk: _Walk, q: int, c: ComponentModel) \
+        -> tuple[list[int], list[ComponentModel], list[ComponentModel], Optional[int]]:
+    """States, models and comparison keys (parameter-erased models when
+    ``walk.pair_erased``) from (q, c) until the (state, key) pair repeats,
+    with the index where the repeated suffix begins, or until the path
+    ends, with None."""
     inst = _Instance(q)
-    entries: list[LassoStep] = [LassoStep(q, c, None)]
-    keys = [walk.pair_key(c)]
+    states, models, keys = [q], [c], [walk.pair_key(c)]
     by_state: dict[int, list[int]] = {q: [0]}
     while True:
         nxt = walk.a.succ(q)
         if nxt is None:
-            return ConcreteLasso(walk.a, tuple(entries), None, True, walk.pair_erased)
-        label, q2, c2 = walk.apply(inst, q, c)
+            return states, models, keys, None
+        _label, q2, c2 = walk.apply(inst, q, c)
         k2 = walk.pair_key(c2)
         for idx in by_state.get(q2, ()):
             if model_equal(keys[idx], k2):
-                return ConcreteLasso(walk.a, tuple(entries), idx, False, walk.pair_erased)
-        entries.append(LassoStep(q2, c2, label))
+                return states, models, keys, idx
+        states.append(q2)
+        models.append(c2)
         keys.append(k2)
-        by_state.setdefault(q2, []).append(len(entries) - 1)
+        by_state.setdefault(q2, []).append(len(models) - 1)
         q, c = q2, c2
 
 
@@ -358,19 +357,53 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
     """Every occurrence of ``e`` must be preceded by a segment satisfying
     the trace property.
 
-    Evaluated on the stabilized concrete sequence: the unfolded window plus
-    wrap-around indexing covers every occurrence whose preceding segment is
-    still growing in new configurations; later occurrences only repeat
-    already-checked segment contents.
+    Judged on the stabilized window of ``n`` configurations with
+    wrap-around indexing: occurrences ``1..n-1`` on a finite path, and
+    ``1..n+2t`` past a period of length ``t``, beyond which every
+    segment's contents repeat an examined one.  The segments of successive
+    occurrences are nested prefixes of the run, so one forward scan
+    decides: ``always`` fails at the first falsifying configuration once
+    an occurrence follows it, ``eventually`` holds from the first
+    satisfying one on and fails at an occurrence that comes before it.
+    Each window configuration is evaluated at most once.  When the window
+    was cut on parameter-erased models, the changed/unchanged test of an
+    event compares erased models too, as a wrapped representative may
+    differ from the true configuration in its parameters.
     """
-    lasso = _unfold_instrumented(walk, q, c)
-    value, info = oracle_eval_detailed(Before(e, tr), lasso)
-    if value is True:
-        return True
-    assert value is False, "stabilized unfolding must determine a before-property"
-    idx, desc = info
-    # the witness runs through the whole unfolded window
-    raise _Violation(pos + idx, desc, length=pos + len(lasso.entries))
+    states, models, keys, ps = _unfold_instrumented(walk, q, c)
+    n = len(models)
+    t = 0 if ps is None else n - ps
+    last = n - 1 if ps is None else n + 2 * t
+    labels = walk.a.labels
+    is_always = isinstance(tr, Always)
+    evaluated = 0  # configurations [0, evaluated) are known to pass
+    for i in range(1, last + 1):
+        prev = i - 1 if i - 1 < n else ps + (i - 1 - ps) % t
+        label = labels[states[prev]]
+        if label != e.op_name:
+            continue
+        cur = i if i < n else ps + (i - ps) % t
+        if not event_holds(keys[prev], keys[cur], label, e, i):
+            continue
+        # the occurrence's segment is [0, i-1]; indices from n on repeat earlier ones
+        while evaluated < min(i, n):
+            holds = walk.eval_cp(tr.cp, models[evaluated])
+            if holds and not is_always:
+                return True  # and so in every later segment
+            if not holds and is_always:
+                raise _Violation(pos + evaluated,
+                                 f"before {e.op_name} {e.modality}: always "
+                                 f"[{print_cp(tr.cp)}] violated in preceding segment",
+                                 length=pos + n)
+            evaluated += 1
+        if not is_always:
+            raise _Violation(pos + cur,
+                             f"before {e.op_name} {e.modality}: eventually "
+                             f"[{print_cp(tr.cp)}] unsatisfied in preceding segment",
+                             length=pos + n)
+        if evaluated == n:
+            return True  # every configuration passed: so does every later segment
+    return True
 
 
 def _eval_formula(f: FtplFormula, walk: _Walk, q: int, c: ComponentModel,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .adl import TokenStream, tokenize
+from .adl import TokenStream
 from .model import (
     And,
     Bound,
@@ -105,8 +105,7 @@ _CP_RELOPS = ("<", "<=", "=", "!=", ">=", ">")
 
 
 def _cp_error(ts: TokenStream, message: str) -> FtplSyntaxError:
-    tok = ts.peek()
-    return FtplSyntaxError(f"{tok.line}:{tok.col}: {message}")
+    return FtplSyntaxError(str(ts.error(message)))
 
 
 def _parse_cp(ts: TokenStream, bound_vars: frozenset[str]) -> ConfigProperty:
@@ -138,8 +137,8 @@ def _parse_cp_unary(ts: TokenStream, bound_vars) -> ConfigProperty:
         ts.next()
         return Not(_parse_cp_unary(ts, bound_vars))
     if ts.at_keyword("forall", "exists"):
-        kind = ts.next().value
-        var = ts.expect_ident("variable name").value
+        kind = ts.next()
+        var = ts.expect_ident("variable name")
         ts.expect_keyword("in")
         domain = ts.expect_keyword(*QUANTIFIER_DOMAINS)
         ts.expect_punct("(")
@@ -152,20 +151,16 @@ def _parse_cp_unary(ts: TokenStream, bound_vars) -> ConfigProperty:
 def _cp_literal(ts: TokenStream):
     if ts.at_punct("-"):
         ts.next()
-        tok = ts.peek()
-        if tok.kind != "int":
+        if ts.kind() != "int":
             raise _cp_error(ts, "expected integer after '-'")
-        ts.next()
-        return -int(tok.value)
-    tok = ts.peek()
-    if tok.kind == "int":
-        ts.next()
-        return int(tok.value)
-    if tok.kind == "string":
-        ts.next()
-        return tok.value
+        return -ts.next_int()
+    kind = ts.kind()
+    if kind == "int":
+        return ts.next_int()
+    if kind == "string":
+        return ts.next_string()
     if ts.at_keyword("true", "false"):
-        return ts.next().value == "true"
+        return ts.next() == "true"
     raise _cp_error(ts, "expected literal")
 
 
@@ -182,9 +177,9 @@ def _parse_cp_atom(ts: TokenStream, bound_vars) -> ConfigProperty:
         ts.next()
         return FalseAtom()
     if ts.at_keyword("component", "started", "present"):
-        kind = ts.next().value
+        kind = ts.next()
         ts.expect_punct("(")
-        name = ts.expect_ident().value
+        name = ts.expect_ident()
         ts.expect_punct(")")
         if kind == "component":
             return ComponentPresent(name)
@@ -196,57 +191,56 @@ def _parse_cp_atom(ts: TokenStream, bound_vars) -> ConfigProperty:
     if ts.at_keyword("class"):
         ts.next()
         ts.expect_punct("(")
-        var = ts.expect_ident("variable name").value
+        var = ts.expect_ident("variable name")
         ts.expect_punct(")")
         ts.expect_punct("=")
-        cls = ts.expect_ident("class name").value
+        cls = ts.expect_ident("class name")
         if var not in bound_vars:
             raise _cp_error(ts, f"class(): unbound variable '{var}'")
         return VarClassIs(var, cls)
     if ts.at_keyword("bound"):
         ts.next()
         ts.expect_punct("(")
-        a = ts.expect_ident().value
+        a = ts.expect_ident()
         ts.expect_punct(".")
-        ap = ts.expect_ident().value
+        ap = ts.expect_ident()
         ts.expect_punct(",")
-        b = ts.expect_ident().value
+        b = ts.expect_ident()
         ts.expect_punct(".")
-        bp = ts.expect_ident().value
+        bp = ts.expect_ident()
         ts.expect_punct(")")
         return Bound(a, ap, b, bp)
     if ts.at_keyword("subcomponent"):
         ts.next()
         ts.expect_punct("(")
-        child = ts.expect_ident().value
+        child = ts.expect_ident()
         ts.expect_punct(",")
-        parent = ts.expect_ident().value
+        parent = ts.expect_ident()
         ts.expect_punct(")")
         return Subcomponent(child, parent)
     # parameter comparison: Component.param RELOP literal
-    tok = ts.peek()
-    if tok.kind == "ident":
-        comp = ts.next().value
+    if ts.kind() == "ident":
+        comp = ts.next()
         ts.expect_punct(".")
-        param = ts.expect_ident("parameter name").value
+        param = ts.expect_ident("parameter name")
         for op in ("<=", ">=", "!=", "<", ">", "="):
             if ts.at_punct(op):
                 ts.next()
                 return ParamCmp(comp, param, op, _cp_literal(ts))
         raise _cp_error(ts, "expected comparison operator")
-    raise _cp_error(ts, f"expected property atom, found {tok.value or 'end of input'!r}")
+    raise _cp_error(ts, f"expected property atom, found {ts.found()}")
 
 
 def parse_cp(text: str) -> ConfigProperty:
     """Parse a standalone configuration property."""
     try:
-        ts = TokenStream(tokenize(text))
+        ts = TokenStream(text)
         cp = _parse_cp(ts, frozenset())
     except FtplSyntaxError:
         raise
     except ValueError as exc:
         raise FtplSyntaxError(str(exc)) from None
-    if ts.peek().kind != "eof":
+    if ts.kind() != "eof":
         raise _cp_error(ts, "trailing input after property")
     return cp
 
@@ -296,7 +290,7 @@ def _is_atom(cp: ConfigProperty) -> bool:
 # --- formula concrete syntax ------------------------------------------------------
 
 def _parse_event(ts: TokenStream, known_ops) -> EventSpec:
-    name = ts.expect_ident("operation name").value
+    name = ts.expect_ident("operation name")
     modality = ts.expect_keyword(*MODALITIES)
     if known_ops is not None and name not in known_ops:
         raise FtplSyntaxError(f"unknown operation name '{name}' in event")
@@ -334,13 +328,13 @@ def parse_formula(text: str, known_ops: Optional[Iterable[str]] = None) -> FtplF
     """
     known = set(known_ops) if known_ops is not None else None
     try:
-        ts = TokenStream(tokenize(text))
+        ts = TokenStream(text)
         f = _parse_formula(ts, known)
     except FtplSyntaxError:
         raise
     except ValueError as exc:
         raise FtplSyntaxError(str(exc)) from None
-    if ts.peek().kind != "eof":
+    if ts.kind() != "eof":
         raise _cp_error(ts, "trailing input after formula")
     return f
 

@@ -1,11 +1,17 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from reconfcheck import build_automaton, parse_formula, parse_model, parse_path, \
     parse_recipes
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+# the same examples on every run, and no per-example deadline: a slow or
+# shared machine must not turn a passing property into a flaky failure
+settings.register_profile("reconfcheck", derandomize=True, deadline=None)
+settings.load_profile("reconfcheck")
 
 
 @pytest.fixture(scope="session")

@@ -172,3 +172,26 @@ def test_print_model_requires_nothing_but_reparses(http_model, http_ops):
     # a model transformed by the engine still prints and reparses
     evolved = apply_evolution(http_ops["AddFileServer"], http_model).result
     assert model_equal(parse_model(print_model(evolved)), evolved)
+
+
+def test_bad_integer_literals_are_positioned_syntax_errors():
+    # '²' lexes as an integer (str.isdigit) that int() refuses; a literal
+    # past int()'s digit limit is refused too
+    with pytest.raises(AdlSyntaxError) as err:
+        parse_model("model M { component C { class K\n  param p : int = ² } }")
+    assert (err.value.line, err.value.col) == (2, 19)
+    assert "invalid integer literal '²'" in str(err.value)
+    with pytest.raises(AdlSyntaxError) as err:
+        parse_model("model M { component C { class K param p : int = -" + "9" * 5000 + " } }")
+    assert (err.value.line, err.value.col) == (1, 50)
+    with pytest.raises(AdlSyntaxError) as err:
+        parse_recipes("op O {\n  set C.p := 1 + ²³ }")
+    assert (err.value.line, err.value.col) == (2, 18)
+
+
+def test_error_messages_show_a_string_token_by_its_value():
+    with pytest.raises(AdlSyntaxError, match=r"""^1:7: expected model name, found 'M"'$"""):
+        parse_model('model "M\\"" { }')
+    with pytest.raises(AdlSyntaxError, match=r"^1:13: expected component name, "
+                                             r"found 'end of input'$"):
+        parse_recipes('op O { stop "" }')

@@ -1,4 +1,11 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reconfcheck import (
     Always,
@@ -18,18 +25,27 @@ from reconfcheck import (
     check_always,
     check_before,
     check_eventually,
+    erasure_invariant,
+    is_idempotent_sequence,
     is_suffix_monotone,
     model_equal,
     oracle_verdict,
     parse_cp,
     parse_formula,
+    parse_model,
     parse_path,
     parse_recipes,
     print_path,
+    unfold_to_lasso,
 )
-from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE
+from reconfcheck import checker
+from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE, \
+    cycle_entry_model
 from reconfcheck.ftpl import After, Before
 from reconfcheck.model import Bound, ComponentPresent, FalseAtom, TrueAtom
+from reconfcheck.oracle import oracle_eval_detailed
+
+import generators
 
 Q1_VARIANT = ("run (RemoveCacheHandler AddCacheHandler MemorySizeUp run "
               "AddFileServer DurationValidityUp DeleteFileServer)+")
@@ -313,3 +329,135 @@ def test_empty_path_checks_initial_configuration(http_model, http_ops):
     assert check(Eventually(FalseAtom()), a, http_model, http_ops).is_fails
     assert check(parse_formula("after run normal always [false]"), a,
                  http_model, http_ops).is_holds  # no transitions: vacuous
+
+
+def _before_case(seed: int, nested: bool):
+    rng = random.Random(seed)
+    model = generators.gen_model(rng)
+    ops = generators.gen_recipes(rng, model).operation_table()
+    names = sorted(name for name in ops if name != "run")
+    automaton = build_automaton(generators.gen_path(rng, names))
+
+    def event():
+        return EventSpec(rng.choice(names + ["run"]), rng.choice(generators.MODALITIES))
+
+    f = Before(event(), generators.gen_trace(rng, model))
+    if nested:
+        f = After(event(), f)
+    return f, automaton, model, ops
+
+
+def _wrap(lasso, i: int) -> int:
+    n = len(lasso.entries)
+    return i if i < n else lasso.period_start + (i - lasso.period_start) % lasso.period
+
+
+@settings(max_examples=400)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@example(seed=34, nested=False)  # its only occurrence is the wrap-around transition
+def test_before_agrees_with_the_oracle_clause(seed, nested):
+    """The checker's one-scan ``before`` against the oracle's ``Before``
+    clause on the same unfolded window, in value, violation index and
+    description.  About half the gated cycles are cut on parameter-erased
+    models (the formula cannot observe parameters), some of them with
+    parameter drift that only the erased gate admits."""
+    f, a, c0, ops = _before_case(seed, nested)
+    erased = a.has_cycle and erasure_invariant(f, ops)
+    try:
+        assume(not a.has_cycle or is_idempotent_sequence(
+            [ops[label] for label in a.cycle_labels()], cycle_entry_model(a, c0, ops),
+            ignore_params=erased))
+        verdict = check(f, a, c0, ops)
+    except CpEvalError:
+        assume(False)
+    lasso = unfold_to_lasso(a, c0, ops, compare_erased=erased)
+    value, info = oracle_eval_detailed(f, lasso)
+    assert verdict.is_holds is value
+    if not nested:
+        assert verdict.stats.cp_evaluations <= len(lasso.entries)
+    if value is False:
+        index, description = info
+        assert verdict.witness.violated == description
+        if nested:
+            # the inner window starts at the occurrence, so its index may lie
+            # whole periods past the oracle's representative
+            assert _wrap(lasso, verdict.witness.violation_index) == index
+        else:
+            assert verdict.witness.violation_index == index
+            assert len(verdict.witness.steps) == len(lasso.entries)
+
+
+def test_before_counts_occurrences_past_the_window():
+    # the window is c0 -A-> c1 -B-> c2 and back to c0: the occurrence of A
+    # that follows the violation at c2 exists only past the window's end
+    c0 = parse_model("model M { component X { class K } component Y { class K state stopped } }")
+    ops = parse_recipes("op A { start Y } op B { stop X } op C { start X stop Y }") \
+        .operation_table()
+    a = build_automaton(parse_path("(A B C)+"))
+    verdict = check(parse_formula("before A normal always [started(X)]"), a, c0, ops,
+                    CheckOptions(oracle_crosscheck=True))
+    assert verdict.is_fails
+    assert verdict.witness.violation_index == 2
+    assert len(verdict.witness.steps) == 3
+    assert verdict.stats.cp_evaluations == 3
+
+
+@pytest.mark.parametrize("text", [
+    "before AddCacheHandler normal always [bound(CacheHandler.cache, RequestHandler.getCache)]",
+    "before DeleteFileServer normal always [component(RequestHandler)]",
+    "before AddCacheHandler normal eventually [component(FileServer2)]",
+    "before AddFileServer normal eventually [component(CacheHandler)]",
+    "after RemoveCacheHandler normal before AddCacheHandler normal eventually [false]",
+])
+def test_check_judges_before_without_the_oracle_evaluator(
+        text, http_model, http_ops, base_automaton, monkeypatch):
+    import reconfcheck.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle evaluator was called")
+
+    monkeypatch.setattr(checker, "oracle_eval_detailed", refuse)
+    monkeypatch.setattr(oracle, "_ev", refuse)
+    verdict = check(parse_formula(text), base_automaton, http_model, http_ops)
+    assert verdict.status in ("holds", "fails")
+
+
+_CORRUPTED_MARKS = """
+from reconfcheck import Mark, build_automaton, fresh_marks, parse_model, parse_path, \\
+    parse_recipes
+from reconfcheck.checker import check_after, check_always
+from reconfcheck.ftpl import EventSpec
+from reconfcheck.model import TrueAtom
+
+class Forgetful(dict):
+    # a marks map that loses every mark of state 0
+    def __setitem__(self, state, mark):
+        if state != 0:
+            super().__setitem__(state, mark)
+
+a = build_automaton(parse_path("run run run"))
+ops = parse_recipes("").operation_table()
+c0 = parse_model("model M { component A { class X } }")
+for name, call in [
+    ("always", lambda: check_always(TrueAtom(), a, ops, 0, c0, Forgetful(fresh_marks(a)))),
+    ("after", lambda: check_after(EventSpec("run", "normal"), lambda q, c: True, a, ops,
+                                  0, c0, {**fresh_marks(a), 0: Mark.AGAIN})),
+]:
+    try:
+        call()
+        print(name, "passed")
+    except AssertionError as exc:
+        print(name, "raised:", exc)
+"""
+
+
+def test_mark_order_invariants_hold_under_optimize():
+    src = Path(checker.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_MARKS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "always raised: always invariant: all earlier states marked again or checked",
+        "after raised: first-pass invariant: all earlier states marked again",
+    ]

@@ -95,6 +95,13 @@ def test_parse_cp_param_comparison():
     assert parse_cp("A.b != false") == ParamCmp("A", "b", "!=", False)
 
 
+def test_bad_integer_literals_are_positioned_syntax_errors():
+    with pytest.raises(FtplSyntaxError, match=r"^1:15: invalid integer literal '²'$"):
+        parse_formula("always [C.p = ²]")
+    with pytest.raises(FtplSyntaxError, match=r"^1:9: invalid integer literal '²'$"):
+        parse_cp("C.p <= -²")
+
+
 def test_event_holds_normal_vs_exceptional(http_model, http_ops):
     removed = apply_evolution(http_ops["RemoveCacheHandler"], http_model).result
     added = apply_evolution(http_ops["AddCacheHandler"], removed).result
