@@ -97,6 +97,7 @@ from .reconfig import (
     Start,
     Stop,
     Unbind,
+    Unfolding,
     apply_evolution,
     apply_primitive,
     apply_sequence,

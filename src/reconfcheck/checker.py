@@ -17,6 +17,7 @@ evaluated literally on the explored window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .adl import model_digest
@@ -33,14 +34,14 @@ from .ftpl import (
     formula_events,
     print_cp,
 )
-# the walk compiles properties instead of calling eval_cp; the name stays
-# importable because perfbench/tracer.py rebinds it in this module
+# the walk compiles properties and the unfolder erases parameter values; the
+# names stay importable because perfbench/tracer.py rebinds them in this module
 from .model import CompiledCp, ComponentModel, ConfigProperty, compile_cp, \
-    erase_param_values, eval_cp, model_equal, validate_model  # noqa: F401
-from .oracle import _unfold, oracle_eval_detailed, oracle_verdict
+    erase_param_values, eval_cp, validate_model  # noqa: F401
+from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict
 from .pathspec import Mark, PathAutomaton, PathExpr, as_path_expr, fresh_marks, \
     residual_from
-from .reconfig import EvolutionOperation, apply_evolution, apply_sequence, \
+from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
     is_idempotent_sequence
 
 HOLDS = "holds"
@@ -52,8 +53,12 @@ REASON_CYCLE = "non-idempotent-cycle"
 
 
 class CheckError(Exception):
-    """Unresolvable inputs: unknown operation names, invalid initial model,
-    or an oracle cross-check disagreement."""
+    """Unresolvable inputs: unknown operation names or an invalid initial
+    model; or, as :class:`OracleDisagreement`, a failed cross-check."""
+
+
+class OracleDisagreement(CheckError):
+    """The brute-force oracle reached the opposite verdict."""
 
 
 @dataclass(frozen=True)
@@ -80,15 +85,9 @@ class CheckStats:
 @dataclass(frozen=True)
 class CheckOptions:
     """max_steps bounds the total transitions applied while exploring (the
-    idempotence gate's own applications are not charged against it).
-
-    ignore_params forces the erased idempotence gate; that is only sound
-    for formulas that cannot observe parameter values, which the checker
-    otherwise establishes itself before selecting the erased comparison.
-    """
+    idempotence gate's own applications are not charged against it)."""
 
     max_steps: Optional[int] = None
-    ignore_params: bool = False
     oracle_crosscheck: bool = False
 
     def __post_init__(self):
@@ -167,7 +166,7 @@ class _Instance:
 class _Walk:
     """Shared walk context: applies transitions, charges budgets and counters.
 
-    ``pair_erased`` switches stabilization detection (in the unfolding
+    ``erased`` switches stabilization detection (in the unfolding
     operators) to parameter-erased comparison — the right notion when the
     cycle was admitted through the erased idempotence gate, in which case
     the formula cannot observe parameter values anyway.
@@ -177,27 +176,28 @@ class _Walk:
     """
 
     def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
-                 max_steps: Optional[int], pair_erased: bool = False):
+                 max_steps: Optional[int], erased: bool = False):
         self.a = a
         self.ops = ops
         self.remaining = max_steps
-        self.pair_erased = pair_erased
+        self.erased = erased
         self.transitions = 0
         self.cp_evals = 0
         self.max_instance = 0
         self.compiled: dict[ConfigProperty, CompiledCp] = {}
 
-    def pair_key(self, m: ComponentModel) -> ComponentModel:
-        return erase_param_values(m) if self.pair_erased else m
-
-    def apply(self, inst: _Instance, q: int, c: ComponentModel):
-        nxt = self.a.succ(q)
-        assert nxt is not None, "apply() at a terminal state"
+    def step(self, q: int, c: ComponentModel) -> tuple[str, int, ComponentModel]:
+        """The transition leaving ``q``, charged against the step budget."""
         if self.remaining is not None:
             if self.remaining == 0:
                 raise _Budget(q, c)
             self.remaining -= 1
-        label, q2 = nxt
+        label, q2 = self.a.succ(q)
+        return label, q2, apply_evolution(self.ops[label], c).result
+
+    def apply(self, inst: _Instance, q: int, c: ComponentModel):
+        """:meth:`step`, counted for ``inst`` and held to its 2·|Q| bound."""
+        label, q2, c2 = self.step(q, c)
         inst.transitions += 1
         self.transitions += 1
         if inst.transitions > self.max_instance:
@@ -207,8 +207,12 @@ class _Walk:
             raise AssertionError(
                 f"operator instance applied {inst.transitions} transitions, "
                 f"exceeding 2*|Q| = {2 * self.a.n_states}")
-        c2 = apply_evolution(self.ops[label], c).result
         return label, q2, c2
+
+    def unfold(self, q: int, c: ComponentModel) -> Unfolding:
+        """The run from (q, c) as one operator instance walks it."""
+        return Unfolding(self.a, q, c, erased=self.erased,
+                         step=partial(self.apply, _Instance(q)))
 
     def eval_cp(self, cp: ConfigProperty, c: ComponentModel) -> bool:
         self.cp_evals += 1
@@ -306,50 +310,12 @@ def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
     Unfolds until the (state, model) pair repeats or the path ends; each
     state is applied at most twice on the way.
     """
-    inst = _Instance(q)
-    if walk.eval_cp(cp, c):
-        return True
-    seen: dict[int, list[ComponentModel]] = {q: [walk.pair_key(c)]}
-    while True:
-        nxt = walk.a.succ(q)
-        if nxt is None:
-            raise _Violation(pos, f"eventually [{print_cp(cp)}] never satisfied "
-                                  f"on the finite path")
-        _label, q2, c2 = walk.apply(inst, q, c)
-        k2 = walk.pair_key(c2)
-        if any(model_equal(prev, k2) for prev in seen.get(q2, ())):
-            raise _Violation(pos, f"eventually [{print_cp(cp)}] never satisfied "
-                                  f"(cycle stabilized)")
-        pos += 1
-        seen.setdefault(q2, []).append(k2)
-        if walk.eval_cp(cp, c2):
+    run = walk.unfold(q, c)
+    for i, (_q, _label, c) in enumerate(run):
+        if walk.eval_cp(cp, c):
             return True
-        q, c = q2, c2
-
-
-def _unfold_instrumented(walk: _Walk, q: int, c: ComponentModel) \
-        -> tuple[list[int], list[ComponentModel], list[ComponentModel], Optional[int]]:
-    """States, models and comparison keys (parameter-erased models when
-    ``walk.pair_erased``) from (q, c) until the (state, key) pair repeats,
-    with the index where the repeated suffix begins, or until the path
-    ends, with None."""
-    inst = _Instance(q)
-    states, models, keys = [q], [c], [walk.pair_key(c)]
-    by_state: dict[int, list[int]] = {q: [0]}
-    while True:
-        nxt = walk.a.succ(q)
-        if nxt is None:
-            return states, models, keys, None
-        _label, q2, c2 = walk.apply(inst, q, c)
-        k2 = walk.pair_key(c2)
-        for idx in by_state.get(q2, ()):
-            if model_equal(keys[idx], k2):
-                return states, models, keys, idx
-        states.append(q2)
-        models.append(c2)
-        keys.append(k2)
-        by_state.setdefault(q2, []).append(len(models) - 1)
-        q, c = q2, c2
+    how = "on the finite path" if run.complete else "(cycle stabilized)"
+    raise _Violation(pos + i, f"eventually [{print_cp(cp)}] never satisfied {how}")
 
 
 def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
@@ -370,8 +336,9 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
     event compares erased models too, as a wrapped representative may
     differ from the true configuration in its parameters.
     """
-    states, models, keys, ps = _unfold_instrumented(walk, q, c)
-    n = len(models)
+    run = walk.unfold(q, c)
+    states, _labels, models = zip(*run)
+    keys, ps, n = run.keys, run.period_start, len(models)
     t = 0 if ps is None else n - ps
     last = n - 1 if ps is None else n + 2 * t
     labels = walk.a.labels
@@ -463,8 +430,7 @@ def check_eventually(cp: ConfigProperty, a: PathAutomaton,
     Stabilization is detected up to parameter erasure when ``cp`` never
     reads a parameter, mirroring the idempotence gate's comparison mode.
     """
-    walk = _Walk(a, ops, None,
-                 pair_erased=erasure_invariant(Eventually(cp), ops))
+    walk = _Walk(a, ops, None, erased=erasure_invariant(Eventually(cp), ops))
     try:
         return _eventually_scan(cp, walk, q, c0, 0)
     except _Violation:
@@ -475,8 +441,7 @@ def check_before(e: EventSpec, tr: TraceProperty, a: PathAutomaton,
                  ops: Mapping[str, EvolutionOperation], c0: ComponentModel,
                  q: int = 0) -> bool:
     """Is every occurrence of ``e`` preceded by a segment satisfying ``tr``?"""
-    walk = _Walk(a, ops, None,
-                 pair_erased=erasure_invariant(Before(e, tr), ops))
+    walk = _Walk(a, ops, None, erased=erasure_invariant(Before(e, tr), ops))
     try:
         return _before_check(e, tr, walk, q, c0, 0)
     except _Violation:
@@ -484,14 +449,6 @@ def check_before(e: EventSpec, tr: TraceProperty, a: PathAutomaton,
 
 
 # --- the checker entry point -------------------------------------------------------
-
-def formula_effective_ignore_params(f: FtplFormula, opts: CheckOptions,
-                                    ops: Mapping[str, EvolutionOperation]) -> bool:
-    # formulas that cannot observe parameter values (neither through
-    # property leaves nor through events on parameter-updating operations)
-    # may ignore parameter drift when judging cycle idempotence
-    return opts.ignore_params or erasure_invariant(f, ops)
-
 
 def cycle_entry_model(a: PathAutomaton, c0: ComponentModel,
                       ops: Mapping[str, EvolutionOperation]) -> ComponentModel:
@@ -509,6 +466,21 @@ def _replay(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
         label, q = a.succ(q)
         c = apply_evolution(ops[label], c).result
         yield q, label, c
+
+
+def _unfold(a: PathAutomaton, c0: ComponentModel,
+            ops: Mapping[str, EvolutionOperation], max_steps: int) -> ConcreteLasso:
+    """The window of a lasso the gate refused: the run from the initial
+    state for at most ``max_steps`` transitions, cut short at the path's
+    end or before an exact (state, model) repeat."""
+    run = Unfolding(a, 0, c0, step=_Walk(a, ops, max_steps).step)
+    entries = []
+    try:
+        for q, label, c in run:
+            entries.append(LassoStep(q, c, label))
+    except _Budget:
+        pass
+    return ConcreteLasso(a, tuple(entries), run.period_start, run.complete)
 
 
 def _witness(configs: Iterable[tuple[int, str, ComponentModel]], index: int,
@@ -541,14 +513,15 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         if event.op_name not in ops:
             raise CheckError(f"event operation '{event.op_name}' is not a known operation")
 
+    # a formula that cannot observe parameter values (neither through
+    # property leaves nor through events on parameter-updating operations)
+    # may ignore parameter drift when judging cycle idempotence
+    erased = a.has_cycle and erasure_invariant(f, ops)
     gate_ok = True
-    effective_ignore = False
     if a.has_cycle:
-        effective_ignore = formula_effective_ignore_params(f, opts, ops)
         entry = cycle_entry_model(a, c0, ops)
         cycle_ops = [ops[l] for l in a.cycle_labels()]
-        gate_ok = is_idempotent_sequence(cycle_ops, entry,
-                                         ignore_params=effective_ignore)
+        gate_ok = is_idempotent_sequence(cycle_ops, entry, ignore_params=erased)
 
     if not gate_ok and opts.max_steps is None:
         # nothing was explored: the residual is the whole path
@@ -556,7 +529,7 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
                                stats=CheckStats(0, 0, 0))
 
     if gate_ok:
-        walk = _Walk(a, ops, opts.max_steps, pair_erased=effective_ignore)
+        walk = _Walk(a, ops, opts.max_steps, erased=erased)
         try:
             _eval_formula(f, walk, 0, c0, 0)
             verdict = Verdict.holds(walk.stats())
@@ -569,8 +542,7 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     else:
         # bounded checking over a non-idempotent cycle: unroll up to the
         # budget and evaluate the defining semantics on the explored window
-        lasso = _unfold(a, c0, ops, max_transitions=opts.max_steps,
-                        max_rounds=opts.max_steps + 1)
+        lasso = _unfold(a, c0, ops, opts.max_steps)
         applied = len(lasso.entries) - 1
         stats = CheckStats(applied, 0, applied)
         value, info = oracle_eval_detailed(f, lasso)
@@ -590,7 +562,7 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     if opts.oracle_crosscheck and verdict.status in (HOLDS, FAILS):
         reference = oracle_verdict(f, a, c0, ops)
         if reference is not None and reference != verdict.is_holds:
-            raise CheckError(
+            raise OracleDisagreement(
                 f"oracle cross-check disagreement: checker says {verdict.status}, "
                 f"oracle says {'holds' if reference else 'fails'}")
     return verdict

@@ -8,10 +8,10 @@ Four batch commands tie the file formats together:
 * ``idempotence`` report whether the path's cycle is idempotent
 * ``validate``    run the structural validator on a model
 
-Exit codes 3 and 4 flag parse/usage errors and invalid models.  A property
-that cannot be evaluated (an unknown identifier in an attribute atom) and
-input nested too deeply to process are reported as exit 3, never as
-"fails".
+Exit codes 3 and 4 flag parse/usage errors and invalid models, and 5 a
+verdict the ``--oracle`` cross-check contradicts.  A property that cannot
+be evaluated (an unknown identifier in an attribute atom) and input nested
+too deeply to process are reported as exit 3, never as "fails".
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .adl import (
     parse_recipes,
     print_model,
 )
-from .checker import CheckError, CheckOptions, Verdict, check, cycle_entry_model
+from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, check, \
+    cycle_entry_model
 from .ftpl import FtplSyntaxError, parse_formula, print_formula
 from .model import ComponentModel, CpEvalError, validate_model
 from .pathspec import PathSyntaxError, build_automaton, parse_path, print_path
@@ -42,6 +43,7 @@ EXIT_FAILS = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 EXIT_INVALID_MODEL = 4
+EXIT_DISAGREEMENT = 5
 
 _VERDICT_EXITS = {"holds": EXIT_HOLDS, "fails": EXIT_FAILS, "unknown": EXIT_UNKNOWN}
 
@@ -136,8 +138,7 @@ def _cmd_check(args) -> int:
     formula_text = _formula_text(args).strip()
     formula = parse_formula(formula_text, known_ops=recipes.names())
     automaton = build_automaton(path)
-    opts = CheckOptions(max_steps=args.max_steps, ignore_params=args.ignore_params,
-                        oracle_crosscheck=args.oracle)
+    opts = CheckOptions(max_steps=args.max_steps, oracle_crosscheck=args.oracle)
     verdict = check(formula, automaton, model, recipes.operation_table(), opts)
     code = _print_verdict(verdict, print_formula(formula), args.json)
     if args.dump_dir and verdict.reached is not None:
@@ -219,8 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula-file", help="formula file (.ftpl)")
     p_check.add_argument("--max-steps", type=int, default=None,
                          help="bound on explored transitions (bounded checking)")
-    p_check.add_argument("--ignore-params", action="store_true",
-                         help="judge cycle idempotence with parameter values erased")
     p_check.add_argument("--oracle", action="store_true",
                          help="cross-check the verdict against the brute-force oracle")
     p_check.add_argument("--dump-dir", help="directory for the reached model on unknown")
@@ -263,6 +262,9 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     except (AdlSyntaxError, PathSyntaxError, FtplSyntaxError, _UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OracleDisagreement as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
     except (CheckError, CpEvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,7 +33,6 @@ from .model import (
     VarClassIs,
     VarPresent,
     cp_mentions_params,
-    model_equal,
 )
 
 MODALITIES = ("normal", "exceptional", "terminates")
@@ -91,7 +90,7 @@ def event_holds(prev: ComponentModel, nxt: ComponentModel, label: str,
         return False
     if e.modality == "terminates":
         return True
-    changed = not model_equal(prev, nxt)
+    changed = prev != nxt
     if e.modality == "normal":
         return changed
     if e.modality == "exceptional":

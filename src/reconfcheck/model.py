@@ -103,6 +103,24 @@ def parent_of(m: ComponentModel, cid: str) -> Optional[str]:
     return None
 
 
+def component_type_errors(cid: str, c: Component) -> Iterator[str]:
+    """The typing rules of one component: disjoint parameter, input and
+    output names; composites without parameters; each parameter value of
+    its class (or None, in erased models)."""
+    names = [set(c.params), set(c.inputs), set(c.outputs)]
+    for i, j, what in ((0, 1, "param/input"), (0, 2, "param/output"), (1, 2, "input/output")):
+        shared = names[i] & names[j]
+        if shared:
+            yield f"component '{cid}' reuses {what} names {sorted(shared)}"
+    for pname, pv in c.params.items():
+        if pv.cls not in PARAM_CLASSES:
+            yield f"component '{cid}' param '{pname}' has unknown class '{pv.cls}'"
+        elif pv.value is not None and type(pv.value) is not _PY_TYPES[pv.cls]:
+            yield f"component '{cid}' param '{pname}' value does not match class {pv.cls}"
+    if c.contains and c.params:
+        yield f"composite '{cid}' has parameters"
+
+
 def validate_model(m: ComponentModel) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
@@ -117,18 +135,7 @@ def validate_model(m: ComponentModel) -> list[str]:
             errs.append(f"component keyed '{cid}' carries id '{c.id}'")
         if c.state not in (STARTED, STOPPED):
             errs.append(f"component '{cid}' has unknown lifecycle state '{c.state}'")
-        names = [set(c.params), set(c.inputs), set(c.outputs)]
-        for i, j, what in ((0, 1, "param/input"), (0, 2, "param/output"), (1, 2, "input/output")):
-            shared = names[i] & names[j]
-            if shared:
-                errs.append(f"component '{cid}' reuses {what} names {sorted(shared)}")
-        for pname, pv in c.params.items():
-            if pv.cls not in PARAM_CLASSES:
-                errs.append(f"component '{cid}' param '{pname}' has unknown class '{pv.cls}'")
-            elif pv.value is not None and type(pv.value) is not _PY_TYPES[pv.cls]:
-                errs.append(f"component '{cid}' param '{pname}' value does not match class {pv.cls}")
-        if c.contains and c.params:
-            errs.append(f"composite '{cid}' has parameters")
+        errs.extend(component_type_errors(cid, c))
         for child in c.contains:
             if child not in comps:
                 errs.append(f"component '{cid}' contains unknown component '{child}'")

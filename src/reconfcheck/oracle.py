@@ -16,9 +16,10 @@ from typing import Mapping, Optional
 
 from .ftpl import After, Always, Before, Eventually, EventSpec, FtplFormula, \
     TraceProperty, erasure_invariant, event_holds, print_cp
-from .model import ComponentModel, erase_param_values, eval_cp, model_equal
+from .model import ComponentModel, erase_param_values, eval_cp
 from .pathspec import PathAutomaton
-from .reconfig import EvolutionOperation, apply_evolution
+# apply_evolution stays importable because perfbench/tracer.py rebinds it here
+from .reconfig import EvolutionOperation, Unfolding, apply_evolution  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -65,42 +66,17 @@ def unfold_to_lasso(a: PathAutomaton, c0: ComponentModel,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    return _unfold(a, c0, ops, start=0, max_rounds=max_rounds,
-                   compare_erased=compare_erased)
-
-
-def _unfold(a: PathAutomaton, c0: ComponentModel,
-            ops: Mapping[str, EvolutionOperation], start: int = 0,
-            max_rounds: int = 64, max_transitions: Optional[int] = None,
-            compare_erased: bool = False) -> ConcreteLasso:
-    key = erase_param_values if compare_erased else (lambda m: m)
-    entries: list[LassoStep] = [LassoStep(start, c0, None)]
-    keys = [key(c0)]
-    by_state: dict[int, list[int]] = {start: [0]}
-    q, c = start, c0
+    unfolding = Unfolding(a, 0, c0, ops, erased=compare_erased)
+    entries: list[LassoStep] = []
     rounds = 0
-    applied = 0
-    while True:
-        nxt = a.succ(q)
-        if nxt is None:
-            return ConcreteLasso(a, tuple(entries), None, True, compare_erased)
-        if max_transitions is not None and applied >= max_transitions:
-            return ConcreteLasso(a, tuple(entries), None, False, compare_erased)
-        label, q2 = nxt
-        c2 = apply_evolution(ops[label], c).result
-        k2 = key(c2)
-        applied += 1
-        if q == a.q_max:
-            rounds += 1
-        for idx in by_state.get(q2, ()):
-            if model_equal(keys[idx], k2):
-                return ConcreteLasso(a, tuple(entries), idx, False, compare_erased)
-        entries.append(LassoStep(q2, c2, label))
-        keys.append(k2)
-        by_state.setdefault(q2, []).append(len(entries) - 1)
-        q, c = q2, c2
+    for q, label, c in unfolding:
+        if entries and entries[-1].state == a.q_max:
+            rounds += 1  # the entry came in over the back edge
+        entries.append(LassoStep(q, c, label))
         if rounds >= max_rounds:
-            return ConcreteLasso(a, tuple(entries), None, False, compare_erased)
+            break
+    return ConcreteLasso(a, tuple(entries), unfolding.period_start, unfolding.complete,
+                         compare_erased)
 
 
 # --- literal evaluation ------------------------------------------------------------

@@ -177,9 +177,6 @@ class Mark(enum.Enum):
     CHECKED = "checked"
 
 
-MarkMap = dict
-
-
 def fresh_marks(a: PathAutomaton) -> dict[int, Mark]:
     """All states unchecked: the initial marking before any exploration."""
     return {q: Mark.UNCHECKED for q in range(a.n_states)}

@@ -11,7 +11,7 @@ idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     STOPPED,
@@ -20,10 +20,11 @@ from .model import (
     Component,
     ComponentModel,
     Param,
+    component_type_errors,
     erase_param_values,
-    model_equal,
     parent_of,
 )
+from .pathspec import PathAutomaton
 
 RUN_NAME = "run"
 
@@ -152,17 +153,11 @@ def _unchanged(m: ComponentModel) -> ApplicationOutcome:
 
 
 def _template_ok(t: Component, m: ComponentModel) -> bool:
-    if t.id in m.components:
+    # validate_model's typing rules, but a blank (None) value is for erased models
+    if t.id in m.components or any(component_type_errors(t.id, t)):
         return False
-    names = (set(t.params), set(t.inputs), set(t.outputs))
-    if names[0] & names[1] or names[0] & names[2] or names[1] & names[2]:
+    if any(pv.value is None for pv in t.params.values()):
         return False
-    if t.contains and t.params:
-        return False  # composites cannot have parameters
-    for pname, pv in t.params.items():
-        expected = {"int": int, "string": str, "bool": bool}.get(pv.cls)
-        if expected is None or type(pv.value) is not expected:
-            return False
     for child in t.contains:
         if child not in m.components or parent_of(m, child) is not None:
             return False
@@ -282,12 +277,12 @@ def apply_evolution(op: EvolutionOperation, m: ComponentModel) -> ApplicationOut
         comps = {cid: (replace(c, state=STARTED) if c.state != STARTED else c)
                  for cid, c in m.components.items()}
         result = replace(m, components=comps)
-        return ApplicationOutcome(result, not model_equal(m, result))
+        return ApplicationOutcome(result, m != result)
     if isinstance(op, Composite):
         cur = m
         for step in op.steps:
             cur = apply_primitive(step, cur).result
-        return ApplicationOutcome(cur, not model_equal(m, cur))
+        return ApplicationOutcome(cur, m != cur)
     return apply_primitive(op, m)
 
 
@@ -311,7 +306,56 @@ def is_idempotent_sequence(ops: Sequence[EvolutionOperation], m: ComponentModel,
     if ignore_params:
         once = erase_param_values(once)
         twice = erase_param_values(twice)
-    return model_equal(once, twice)
+    return once == twice
+
+
+class Unfolding:
+    """The run of a path automaton from (q, c), unfolded only as far as asked.
+
+    Iterating it, once, yields the run's (state, incoming label,
+    configuration) entries, the first with label None, applying a transition
+    only when the next entry is asked for.  The run ends at a terminal
+    state, setting ``complete``, or just before a (state, key) pair repeats,
+    setting ``period_start`` to the index of the earlier entry.  ``keys``
+    holds the keys of the entries handed out: the configurations, or with
+    ``erased`` their ``erase_param_values`` copies.  ``step(q, c)`` returns
+    the (label, target, configuration) of the transition leaving q; by
+    default it applies the labelled operation of ``ops``.
+    """
+
+    def __init__(self, a: PathAutomaton, q: int, c: ComponentModel,
+                 ops: Optional[Mapping[str, EvolutionOperation]] = None, erased: bool = False,
+                 step: Optional[Callable[[int, ComponentModel], tuple]] = None):
+        if step is None:
+            def step(q: int, c: ComponentModel) -> tuple[str, int, ComponentModel]:
+                label, q2 = a.succ(q)
+                return label, q2, apply_evolution(ops[label], c).result
+        self.keys: list[ComponentModel] = []
+        self.period_start: Optional[int] = None
+        self.complete = False
+        self._run = self._unfold(a, q, c, erased, step)
+
+    def __iter__(self) -> Iterator[tuple[int, Optional[str], ComponentModel]]:
+        # handed out once: the generator refers to self, so keeping it here would
+        # hold an abandoned run's models until the cyclic collector runs
+        run, self._run = self._run, iter(())
+        return run
+
+    def _unfold(self, a: PathAutomaton, q: int, c: ComponentModel, erased: bool, step):
+        yield q, None, c
+        self.keys.append(erase_param_values(c) if erased else c)
+        by_state: dict[int, list[int]] = {q: [0]}
+        while a.succ(q) is not None:
+            label, q, c = step(q, c)
+            k = erase_param_values(c) if erased else c
+            for j in by_state.get(q, ()):
+                if self.keys[j] == k:
+                    self.period_start = j
+                    return
+            by_state.setdefault(q, []).append(len(self.keys))
+            self.keys.append(k)
+            yield q, label, c
+        self.complete = True
 
 
 def operation_table(recipes: Mapping[str, Sequence[Primitive]]) -> dict[str, EvolutionOperation]:

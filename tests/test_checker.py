@@ -41,6 +41,7 @@ from reconfcheck import (
 from reconfcheck import checker
 from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE, \
     cycle_entry_model
+from reconfcheck.cli import run_cli
 from reconfcheck.ftpl import After, Before
 from reconfcheck.model import Bound, ComponentPresent, FalseAtom, TrueAtom
 from reconfcheck.oracle import oracle_eval_detailed
@@ -216,15 +217,21 @@ def test_oracle_crosscheck_option(http_model, http_ops, base_automaton, cache_fo
     assert verdict.is_holds
 
 
-def test_ignore_params_override(http_model, http_ops, base_automaton):
-    # reads a growing parameter: the structural gate rejects the cycle
-    f = parse_formula("after AddCacheHandler normal "
-                      "always [CacheHandler.memorySize >= 100]")
-    assert check(f, base_automaton, http_model, http_ops).is_unknown
-    # forcing erased idempotence lets the walk conclude (values only grow)
-    verdict = check(f, base_automaton, http_model, http_ops,
-                    CheckOptions(ignore_params=True))
-    assert verdict.is_holds
+def test_parameter_drift_is_never_gated_as_idempotent(samples_dir, tmp_path, capsys):
+    # the property reads a parameter the cycle keeps raising, so only the
+    # structural gate applies; erasing the drift would report "holds" for a
+    # property that fails at step 50
+    path = tmp_path / "deviation.rp"
+    path.write_text("(DeviationUp)+")
+    args = ["check", "--model", str(samples_dir / "http.arch"),
+            "--ops", str(samples_dir / "http.ops"), "--path", str(path),
+            "--formula", "always [RequestHandler.deviation < 100]"]
+    assert run_cli(args) == 2
+    out = capsys.readouterr().out
+    assert "verdict: unknown" in out
+    assert "reason: non-idempotent-cycle" in out
+    # the option that forced the erased gate is gone
+    assert run_cli(args + ["--ignore-params"]) == 3
 
 
 def test_suffix_monotonicity_classification():

@@ -57,6 +57,19 @@ def test_check_with_oracle_crosscheck(samples_dir, capsys):
     assert code == 0
 
 
+def test_oracle_disagreement_exit_five(samples_dir, capsys, monkeypatch):
+    from reconfcheck import checker
+
+    monkeypatch.setattr(checker, "oracle_verdict", lambda *args, **kwargs: False)
+    code = run_cli(_check_args(samples_dir, "--formula", FORMULA, "--oracle"))
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err.startswith("error: oracle cross-check disagreement: "
+                                   "checker says holds, oracle says fails")
+    # without the cross-check the same verdict stands
+    assert run_cli(_check_args(samples_dir, "--formula", FORMULA)) == 0
+
+
 def test_json_report_round_trips(samples_dir, capsys):
     code = run_cli(_check_args(samples_dir, "--formula", FORMULA,
                                "--max-steps", "4", "--json"))

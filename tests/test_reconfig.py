@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from reconfcheck import (
     AddComponent,
     Bind,
@@ -68,6 +70,35 @@ def test_add_rejects_bad_templates(http_model):
     # contains pointing at a component that already has a parent
     grab = Component(id="Probe", cls="X", contains=frozenset({"CacheHandler"}))
     assert not apply_primitive(AddComponent(grab), http_model).changed
+
+
+@pytest.mark.parametrize("template", [
+    Component(id="CacheHandler", cls="X"),  # the id is taken
+    Component(id="Probe", cls="X", params={"n": Param("int", 1)}, outputs={"n": "T1"}),
+    Component(id="Probe", cls="X", inputs={"n": "T1"}, outputs={"n": "T1"}),
+    Component(id="Probe", cls="X", params={"n": Param("int", 1)},
+              contains=frozenset({"FileServer1"})),  # a composite with a parameter
+    Component(id="Probe", cls="X", params={"n": Param("int", "1")}),
+    Component(id="Probe", cls="X", params={"n": Param("bool", 1)}),
+    Component(id="Probe", cls="X", params={"n": Param("float", 1.0)}),
+    Component(id="Probe", cls="X", params={"n": Param("int", None)}),  # erased value
+    Component(id="Probe", cls="X", contains=frozenset({"Nope"})),
+], ids=["taken-id", "param-output", "input-output", "composite-param", "string-as-int",
+        "int-as-bool", "unknown-class", "erased-value", "unknown-child"])
+def test_add_refuses_each_ill_typed_template(http_model, template):
+    # without HttpServer every other component is a root, free to be contained
+    roots = apply_primitive(RemoveComponent("HttpServer"), http_model).result
+    assert not apply_primitive(AddComponent(template), roots).changed
+
+
+def test_add_ignores_the_template_state(http_model):
+    roots = apply_primitive(RemoveComponent("HttpServer"), http_model).result
+    template = Component(id="Probe", cls="X", contains=frozenset({"FileServer1"}),
+                         state="paused")
+    out = apply_primitive(AddComponent(template), roots)
+    assert out.changed
+    assert out.result.components["Probe"].state == STOPPED
+    assert validate_model(out.result) == []
 
 
 def test_bind_preconditions(http_model):
