@@ -30,10 +30,6 @@ from .checker import (
     Verdict,
     WitnessStep,
     check,
-    check_after,
-    check_always,
-    check_before,
-    check_eventually,
     is_suffix_monotone,
 )
 from .ftpl import (
@@ -63,19 +59,16 @@ from .model import (
     STOPPED,
     erase_param_values,
     eval_cp,
-    model_equal,
     validate_model,
 )
 from .oracle import ConcreteLasso, LassoStep, oracle_eval, oracle_verdict, \
     unfold_to_lasso
 from .pathspec import (
-    Mark,
     PathAutomaton,
     PathExpr,
     PathSyntaxError,
     as_path_expr,
     build_automaton,
-    fresh_marks,
     parse_path,
     print_path,
     residual_from,

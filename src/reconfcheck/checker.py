@@ -16,9 +16,11 @@ evaluated literally on the explored window.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .adl import model_digest
 from .ftpl import (
@@ -39,8 +41,7 @@ from .ftpl import (
 from .model import CompiledCp, ComponentModel, ConfigProperty, compile_cp, \
     erase_param_values, eval_cp, validate_model  # noqa: F401
 from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict
-from .pathspec import Mark, PathAutomaton, PathExpr, as_path_expr, fresh_marks, \
-    residual_from
+from .pathspec import PathAutomaton, PathExpr, as_path_expr, residual_from
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
     is_idempotent_sequence
 
@@ -156,11 +157,21 @@ class _Budget(Exception):
 class _Instance:
     """Per-operator bookkeeping for the termination instrumentation."""
 
-    __slots__ = ("transitions", "start")
+    __slots__ = ("transitions",)
 
-    def __init__(self, start: int):
+    def __init__(self):
         self.transitions = 0
-        self.start = start
+
+
+class _Mark(enum.Enum):
+    UNCHECKED = "unchecked"
+    AGAIN = "again"
+    CHECKED = "checked"
+
+
+def _fresh_marks(a: PathAutomaton) -> list[_Mark]:
+    """All states unchecked: one operator instance's marks before it walks."""
+    return [_Mark.UNCHECKED] * a.n_states
 
 
 class _Walk:
@@ -212,7 +223,7 @@ class _Walk:
     def unfold(self, q: int, c: ComponentModel) -> Unfolding:
         """The run from (q, c) as one operator instance walks it."""
         return Unfolding(self.a, q, c, erased=self.erased,
-                         step=partial(self.apply, _Instance(q)))
+                         step=partial(self.apply, _Instance()))
 
     def eval_cp(self, cp: ConfigProperty, c: ComponentModel) -> bool:
         self.cp_evals += 1
@@ -241,66 +252,63 @@ def is_suffix_monotone(f: FtplFormula) -> bool:
     return True
 
 
-def _after_loop(e: EventSpec, on_fire: Callable[[int, ComponentModel, int], bool],
-                walk: _Walk, q: int, c: ComponentModel, pos: int,
-                marks: dict[int, Mark], collect_all: bool) -> bool:
-    """Scan for occurrences of ``e``, dispatching ``on_fire`` at each one.
+def _marked_run(walk: _Walk, q: int,
+                c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
+    """The transitions one operator instance takes from (q, c), as
+    (label, target, configuration).
 
-    With ``collect_all`` false the first occurrence decides (the classic
-    first-occurrence rule, valid for suffix-monotone continuations);
-    otherwise every occurrence met during two traversals is checked.  Two
-    traversals are needed because an operation that changed the model on
-    the first pass can become the identity on the next (and vice versa),
-    flipping which modality its transitions satisfy.  ``pos`` is the run
-    position of (q, c); ``on_fire`` receives the state, configuration and
-    position after each occurrence.
+    Each state is marked ``unchecked -> again -> checked`` as its
+    transition is taken, so the run ends at a terminal state or at a
+    state it has left twice.  Two traversals are needed because an operation
+    that changed the model on the first pass can become the identity on
+    the next (and vice versa), and because intermediate configurations of
+    the second traversal are exactly the ones repeated forever afterwards
+    (given the idempotence gate).
     """
-    inst = _Instance(q)
-    pending: list[tuple[int, ComponentModel, int]] = []
-    while True:
-        if walk.a.succ(q) is None:
-            break  # finite path exhausted: no further occurrence possible
+    marks = _fresh_marks(walk.a)
+    start, inst = q, _Instance()
+    while walk.a.succ(q) is not None:
         mk = marks[q]
-        if mk is Mark.CHECKED:
-            break  # both passes scanned
-        if inst.start == 0 and mk is Mark.UNCHECKED and \
-                any(marks[j] is not Mark.AGAIN for j in range(q)):
-            raise AssertionError("first-pass invariant: all earlier states marked again")
-        marks[q] = Mark.AGAIN if mk is Mark.UNCHECKED else Mark.CHECKED
-        label, q2, c2 = walk.apply(inst, q, c)
-        pos += 1
-        if event_holds(c, c2, label, e, pos):
+        if mk is _Mark.CHECKED:
+            return  # both passes taken
+        # from the initial state, every earlier state is left before this one,
+        # and none is left twice before this one is left once
+        earlier = marks[:q] if start == 0 else ()
+        if _Mark.UNCHECKED in earlier or mk is _Mark.UNCHECKED and _Mark.CHECKED in earlier:
+            raise AssertionError("mark-order invariant: an earlier state is unchecked, "
+                                 "or checked while this one is unchecked")
+        marks[q] = _Mark.AGAIN if mk is _Mark.UNCHECKED else _Mark.CHECKED
+        label, q, c = walk.apply(inst, q, c)
+        yield label, q, c
+
+
+def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int) -> bool:
+    """Check ``f.inner`` after occurrences of ``f.event`` from (q, c).
+
+    When ``f.inner`` is suffix-monotone the first occurrence decides (the
+    classic first-occurrence rule); otherwise every occurrence met during
+    the marked run is checked.  ``pos`` is the run position of (q, c).
+    """
+    collect_all = not is_suffix_monotone(f.inner)
+    pending: list[tuple[int, ComponentModel, int]] = []
+    for pos, (label, q2, c2) in enumerate(_marked_run(walk, q, c), pos + 1):
+        if event_holds(c, c2, label, f.event, pos):
             if not collect_all:
-                return on_fire(q2, c2, pos)
+                return _eval_formula(f.inner, walk, q2, c2, pos)
             pending.append((q2, c2, pos))
-        q, c = q2, c2
-    for q2, c2, pos2 in pending:
-        if not on_fire(q2, c2, pos2):
-            return False
-    return True  # event never occurs (or every occurrence passed): vacuous truth
+        c = c2
+    # the event never occurs (vacuous truth), or every occurrence must pass
+    return all(_eval_formula(f.inner, walk, q2, c2, pos2) for q2, c2, pos2 in pending)
 
 
 def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
-                 pos: int, marks: dict[int, Mark]) -> bool:
-    """Check ``cp`` on every configuration from (q, c) onwards.
-
-    The walk re-enters the cycle once: intermediate configurations of the
-    second traversal are exactly the ones repeated forever afterwards
-    (given the idempotence gate), so two passes cover the whole suffix.
-    """
-    inst = _Instance(q)
-    while True:
+                 pos: int) -> bool:
+    """Check ``cp`` on (q, c) and on every configuration of its marked run."""
+    run = (c2 for _label, _q, c2 in _marked_run(walk, q, c))
+    for pos, c in enumerate(chain([c], run), pos):
         if not walk.eval_cp(cp, c):
             raise _Violation(pos, f"always [{print_cp(cp)}] violated")
-        nxt = walk.a.succ(q)
-        if nxt is None or marks[q] is Mark.CHECKED:
-            return True
-        if inst.start == 0 and any(marks[j] is Mark.UNCHECKED for j in range(q)):
-            raise AssertionError(
-                "always invariant: all earlier states marked again or checked")
-        marks[q] = Mark.AGAIN if marks[q] is Mark.UNCHECKED else Mark.CHECKED
-        _label, q, c = walk.apply(inst, q, c)
-        pos += 1
+    return True
 
 
 def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
@@ -378,74 +386,14 @@ def _eval_formula(f: FtplFormula, walk: _Walk, q: int, c: ComponentModel,
     """Evaluate at run position ``pos`` with a fresh mark map per operator
     node; violations raise."""
     if isinstance(f, After):
-        def on_fire(q2: int, c2: ComponentModel, pos2: int) -> bool:
-            return _eval_formula(f.inner, walk, q2, c2, pos2)
-
-        return _after_loop(f.event, on_fire, walk, q, c, pos, fresh_marks(walk.a),
-                           collect_all=not is_suffix_monotone(f.inner))
+        return _after_loop(f, walk, q, c, pos)
     if isinstance(f, Before):
         return _before_check(f.event, f.trace, walk, q, c, pos)
     if isinstance(f, Always):
-        return _always_loop(f.cp, walk, q, c, pos, fresh_marks(walk.a))
+        return _always_loop(f.cp, walk, q, c, pos)
     if isinstance(f, Eventually):
         return _eventually_scan(f.cp, walk, q, c, pos)
     raise TypeError(f"not a formula node: {f!r}")
-
-
-# --- public operator functions (continuation style, no step budgets) --------------
-
-def check_after(e: EventSpec, check_f: Callable[[int, ComponentModel], bool],
-                a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
-                q: int, c: ComponentModel,
-                marks: Optional[dict[int, Mark]] = None) -> bool:
-    """Dispatch ``check_f`` at the first occurrence of ``e`` from (q, c).
-
-    Returns vacuous truth when the event never occurs on the lasso.
-    """
-    walk = _Walk(a, ops, None)
-    if marks is None:
-        marks = fresh_marks(a)
-    return _after_loop(e, lambda q2, c2, _pos: bool(check_f(q2, c2)),
-                       walk, q, c, 0, marks, collect_all=False)
-
-
-def check_always(cp: ConfigProperty, a: PathAutomaton,
-                 ops: Mapping[str, EvolutionOperation], q: int, c: ComponentModel,
-                 marks: Optional[dict[int, Mark]] = None) -> bool:
-    """Does ``cp`` hold on every configuration reachable from (q, c)?"""
-    walk = _Walk(a, ops, None)
-    if marks is None:
-        marks = fresh_marks(a)
-    try:
-        return _always_loop(cp, walk, q, c, 0, marks)
-    except _Violation:
-        return False
-
-
-def check_eventually(cp: ConfigProperty, a: PathAutomaton,
-                     ops: Mapping[str, EvolutionOperation], c0: ComponentModel,
-                     q: int = 0) -> bool:
-    """Does some configuration of the (stabilized) path satisfy ``cp``?
-
-    Stabilization is detected up to parameter erasure when ``cp`` never
-    reads a parameter, mirroring the idempotence gate's comparison mode.
-    """
-    walk = _Walk(a, ops, None, erased=erasure_invariant(Eventually(cp), ops))
-    try:
-        return _eventually_scan(cp, walk, q, c0, 0)
-    except _Violation:
-        return False
-
-
-def check_before(e: EventSpec, tr: TraceProperty, a: PathAutomaton,
-                 ops: Mapping[str, EvolutionOperation], c0: ComponentModel,
-                 q: int = 0) -> bool:
-    """Is every occurrence of ``e`` preceded by a segment satisfying ``tr``?"""
-    walk = _Walk(a, ops, None, erased=erasure_invariant(Before(e, tr), ops))
-    try:
-        return _before_check(e, tr, walk, q, c0, 0)
-    except _Violation:
-        return False
 
 
 # --- the checker entry point -------------------------------------------------------

@@ -10,7 +10,7 @@ operation fell back to the identity) or ``terminates`` (either).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .adl import TokenStream
 from .model import (
@@ -34,6 +34,7 @@ from .model import (
     VarPresent,
     cp_mentions_params,
 )
+from .reconfig import Composite, EvolutionOperation, SetParam
 
 MODALITIES = ("normal", "exceptional", "terminates")
 
@@ -367,21 +368,18 @@ def mentions_params(f: FtplFormula) -> bool:
     return cp_mentions_params(f.cp)
 
 
-def erasure_invariant(f: FtplFormula, ops) -> bool:
+def erasure_invariant(f: FtplFormula, ops: Mapping[str, EvolutionOperation]) -> bool:
     """Is the formula's truth unchanged when parameter values are erased?
 
     Requires parameter-free property leaves and, because an event's
     normal/exceptional status hinges on whether the application changed the
     model, event operations that never update a parameter.
     """
-    from .reconfig import Composite, SetParam
-
     if mentions_params(f):
         return False
     for event in formula_events(f):
-        op = ops.get(event.op_name) if hasattr(ops, "get") else None
-        if isinstance(op, SetParam):
-            return False
-        if isinstance(op, Composite) and any(isinstance(s, SetParam) for s in op.steps):
+        op = ops.get(event.op_name)
+        steps = op.steps if isinstance(op, Composite) else (op,)
+        if any(isinstance(s, SetParam) for s in steps):
             return False
     return True

@@ -72,15 +72,6 @@ class ComponentModel:
     delegations: frozenset[Delegation] = frozenset()
 
 
-def model_equal(a: ComponentModel, b: ComponentModel) -> bool:
-    """Structural equality up to set/map ordering.
-
-    Parameter values and lifecycle states participate; dict and frozenset
-    comparison makes the ordering irrelevance automatic.
-    """
-    return a == b
-
-
 def erase_param_values(m: ComponentModel) -> ComponentModel:
     """Copy of ``m`` with every parameter value blanked (class kept).
 

@@ -10,7 +10,6 @@ q-max.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -169,14 +168,3 @@ def residual_from(a: PathAutomaton, q: int) -> PathExpr:
     if q == a.back_target:
         return PathExpr((), a.labels[a.back_target:])
     return PathExpr(a.labels[q:], a.labels[a.back_target:])
-
-
-class Mark(enum.Enum):
-    UNCHECKED = "unchecked"
-    AGAIN = "again"
-    CHECKED = "checked"
-
-
-def fresh_marks(a: PathAutomaton) -> dict[int, Mark]:
-    """All states unchecked: the initial marking before any exploration."""
-    return {q: Mark.UNCHECKED for q in range(a.n_states)}

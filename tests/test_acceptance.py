@@ -17,7 +17,6 @@ from reconfcheck import (
     check,
     erasure_invariant,
     is_idempotent_sequence,
-    model_equal,
     oracle_eval,
     oracle_verdict,
     parse_formula,
@@ -114,7 +113,7 @@ def test_criterion_5_idempotence_suite():
         per_kind[type(step)] += 1
         once = apply_primitive(step, m).result
         twice = apply_primitive(step, once).result
-        if not model_equal(once, twice):
+        if once != twice:
             failures += 1
     ok = failures == 0
     _report(5, f"topological idempotence, {sum(per_kind.values())} samples "
@@ -132,11 +131,11 @@ def test_criterion_5_idempotence_suite():
             continue
         fg = apply_primitive(g, apply_primitive(f, m).result).result
         gf = apply_primitive(f, apply_primitive(g, m).result).result
-        if not model_equal(fg, gf):
+        if fg != gf:
             continue
         pairs += 1
         again = apply_primitive(g, apply_primitive(f, fg).result).result
-        if not model_equal(again, fg):
+        if again != fg:
             lemma_failures += 1
     _report(5, f"commuting-composition lemma, {pairs} commuting pairs",
             lemma_failures == 0)
@@ -194,7 +193,7 @@ def test_criterion_8_round_trips():
     ok_models = ok_recipes = ok_paths = ok_formulas = 0
     for _ in range(500):
         m = generators.gen_model(rng)
-        if model_equal(parse_model(print_model(m)), m):
+        if parse_model(print_model(m)) == m:
             ok_models += 1
         rs = generators.gen_recipes(rng, m)
         if parse_recipes(_print_recipes(rs)) == rs:

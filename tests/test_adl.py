@@ -6,7 +6,6 @@ from reconfcheck import (
     AdlSyntaxError,
     AdlValidationError,
     apply_evolution,
-    model_equal,
     parse_model,
     parse_recipes,
     print_model,
@@ -64,14 +63,14 @@ def test_parse_validation_failure():
 
 
 def test_model_round_trip_http(http_model):
-    assert model_equal(parse_model(print_model(http_model)), http_model)
+    assert parse_model(print_model(http_model)) == http_model
 
 
 def test_round_trip_generated_models():
     rng = random.Random(21)
     for _ in range(100):
         m = generators.gen_model(rng)
-        assert model_equal(parse_model(print_model(m)), m)
+        assert parse_model(print_model(m)) == m
 
 
 def test_canonical_printing_is_order_insensitive():
@@ -89,7 +88,7 @@ def test_canonical_printing_is_order_insensitive():
       component B { class Beta input i : T1 }
     }
     """)
-    assert model_equal(a, b)
+    assert a == b
     assert print_model(a) == print_model(b)
     assert model_digest(a) == model_digest(b)
 
@@ -97,7 +96,7 @@ def test_canonical_printing_is_order_insensitive():
 def test_string_param_escaping_round_trip():
     m = parse_model('model M { component A { class X param s : string = "a \\"b\\" \\\\ c" } }')
     assert m.components["A"].params["s"].value == 'a "b" \\ c'
-    assert model_equal(parse_model(print_model(m)), m)
+    assert parse_model(print_model(m)) == m
 
 
 def test_recipes_single_step(http_recipes):
@@ -171,7 +170,7 @@ def test_fuzzed_mutations_only_raise_syntax_errors(samples_dir):
 def test_print_model_requires_nothing_but_reparses(http_model, http_ops):
     # a model transformed by the engine still prints and reparses
     evolved = apply_evolution(http_ops["AddFileServer"], http_model).result
-    assert model_equal(parse_model(print_model(evolved)), evolved)
+    assert parse_model(print_model(evolved)) == evolved
 
 
 def test_bad_integer_literals_are_positioned_syntax_errors():

@@ -21,14 +21,9 @@ from reconfcheck import (
     apply_sequence,
     build_automaton,
     check,
-    check_after,
-    check_always,
-    check_before,
-    check_eventually,
     erasure_invariant,
     is_idempotent_sequence,
     is_suffix_monotone,
-    model_equal,
     oracle_verdict,
     parse_cp,
     parse_formula,
@@ -36,6 +31,7 @@ from reconfcheck import (
     parse_path,
     parse_recipes,
     print_path,
+    residual_from,
     unfold_to_lasso,
 )
 from reconfcheck import checker
@@ -91,7 +87,7 @@ def test_non_idempotent_cycle_unknown(http_model, http_ops):
     assert verdict.is_unknown
     assert verdict.reason == REASON_CYCLE
     assert print_path(verdict.residual) == "(DeviationUp)+"
-    assert model_equal(verdict.reached, http_model)
+    assert verdict.reached == http_model
 
 
 def test_bounded_check_finds_deviation_violation(http_model, http_ops):
@@ -100,6 +96,30 @@ def test_bounded_check_finds_deviation_violation(http_model, http_ops):
     verdict = check(f, a, http_model, http_ops, CheckOptions(max_steps=55))
     assert verdict.is_fails
     assert verdict.witness.violation_index == 50  # deviation reaches 100 there
+
+
+# the four formulas fail (or hold) within a few laps of the drift cycle
+# deviation++ from 50, which the idempotence gate refuses
+DRIFT_CASES = [
+    ("always [RequestHandler.deviation < 53]", "fails"),
+    ("eventually [RequestHandler.deviation = 55]", "holds"),
+    ("before DeviationUp normal always [RequestHandler.deviation < 53]", "fails"),
+    ("after DeviationUp normal always [RequestHandler.deviation < 53]", "fails"),
+]
+
+
+@pytest.mark.parametrize("text, status", DRIFT_CASES)
+def test_drift_cycle_is_never_judged_by_two_passes(text, status, http_model, http_ops):
+    a = build_automaton(parse_path("(DeviationUp)+"))
+    f = parse_formula(text)
+    unbounded = check(f, a, http_model, http_ops)
+    assert (unbounded.status, unbounded.reason) == ("unknown", REASON_CYCLE)
+    bounded = check(f, a, http_model, http_ops,
+                    CheckOptions(max_steps=8, oracle_crosscheck=True))
+    assert bounded.status == status
+    if status == "fails":
+        assert bounded.witness.violation_index == 3
+    assert oracle_verdict(f, a, http_model, http_ops) is (status == "holds")
 
 
 def test_bounded_check_budget_exhaustion_residual(http_model, http_ops):
@@ -148,43 +168,49 @@ def test_vacuous_exceptional_modality(http_model, http_ops, base_automaton):
 
 
 def test_after_dispatches_at_first_occurrence(http_model, http_ops, base_automaton):
-    seen = []
-
-    def probe(q, c):
-        seen.append((q, "CacheHandler" in c.components))
-        return True
-
-    assert check_after(EventSpec("AddCacheHandler", "normal"), probe,
-                       base_automaton, http_ops, 0, http_model) is True
-    assert seen == [(3, True)]  # fired once, at the post-add state
+    # the inner property is judged from the post-add configuration at state 3
+    for inner in ("false", "not component(CacheHandler)"):
+        f = parse_formula(f"after AddCacheHandler normal always [{inner}]")
+        verdict = check(f, base_automaton, http_model, http_ops)
+        assert verdict.is_fails
+        w = verdict.witness
+        assert w.violation_index == 3
+        assert (w.steps[3].state, w.steps[3].label) == (3, "AddCacheHandler")
 
 
 def test_check_always_started_mid_cycle(http_model, http_ops, base_automaton):
+    # a mid-path start is a check of the residual path from the configuration there
     entry = apply_sequence([http_ops[l] for l in base_automaton.prefix_labels()],
                            http_model)
-    assert check_always(cache_connected(), base_automaton, http_ops, 3, entry) is True
-    assert check_always(FalseAtom(), base_automaton, http_ops, 3, entry) is False
+    a = build_automaton(residual_from(base_automaton, 3))
+    assert check(Always(cache_connected()), a, entry, http_ops).is_holds
+    verdict = check(Always(FalseAtom()), a, entry, http_ops)
+    assert verdict.is_fails
+    assert verdict.witness.violation_index == 0
 
 
 def test_check_eventually_examples(http_model, http_ops, base_automaton):
-    assert check_eventually(cache_connected(), base_automaton, http_ops,
-                            http_model) is True  # true at the initial model already
-    assert check_eventually(FalseAtom(), base_automaton, http_ops, http_model) is False
-    assert check_eventually(ComponentPresent("FileServer2"), base_automaton,
-                            http_ops, http_model) is True
+    def verdict(cp):
+        return check(Eventually(cp), base_automaton, http_model, http_ops).status
+
+    assert verdict(cache_connected()) == "holds"  # true at the initial model already
+    assert verdict(FalseAtom()) == "fails"
+    assert verdict(ComponentPresent("FileServer2")) == "holds"
 
 
 def test_check_before_examples(http_model, http_ops, base_automaton):
-    assert check_before(EventSpec("DeleteFileServer", "normal"),
-                        Always(ComponentPresent("RequestHandler")),
-                        base_automaton, http_ops, http_model) is True
-    assert check_before(EventSpec("NeverUsed", "normal"), Always(FalseAtom()),
-                        base_automaton, http_ops, http_model) is True  # vacuous
+    def verdict(event, trace):
+        return check(Before(event, trace), base_automaton, http_model, http_ops).status
+
+    assert verdict(EventSpec("DeleteFileServer", "normal"),
+                   Always(ComponentPresent("RequestHandler"))) == "holds"
+    # the add always succeeds on this path: the event never occurs
+    assert verdict(EventSpec("AddCacheHandler", "exceptional"),
+                   Always(FalseAtom())) == "holds"
     # the segment before the AddCacheHandler event contains the configuration
     # where the cache handler has been removed
-    assert check_before(EventSpec("AddCacheHandler", "normal"),
-                        Always(cache_connected()),
-                        base_automaton, http_ops, http_model) is False
+    assert verdict(EventSpec("AddCacheHandler", "normal"),
+                   Always(cache_connected())) == "fails"
 
 
 def test_before_verdicts_through_check(http_model, http_ops, base_automaton):
@@ -430,28 +456,28 @@ def test_check_judges_before_without_the_oracle_evaluator(
 
 
 _CORRUPTED_MARKS = """
-from reconfcheck import Mark, build_automaton, fresh_marks, parse_model, parse_path, \\
+from reconfcheck import build_automaton, check, parse_formula, parse_model, parse_path, \\
     parse_recipes
-from reconfcheck.checker import check_after, check_always
-from reconfcheck.ftpl import EventSpec
-from reconfcheck.model import TrueAtom
+from reconfcheck import checker
 
-class Forgetful(dict):
-    # a marks map that loses every mark of state 0
+class Forgetful(list):
+    # a mark map that loses every mark of state 0
     def __setitem__(self, state, mark):
         if state != 0:
             super().__setitem__(state, mark)
 
+fresh = checker._fresh_marks
 a = build_automaton(parse_path("run run run"))
 ops = parse_recipes("").operation_table()
 c0 = parse_model("model M { component A { class X } }")
-for name, call in [
-    ("always", lambda: check_always(TrueAtom(), a, ops, 0, c0, Forgetful(fresh_marks(a)))),
-    ("after", lambda: check_after(EventSpec("run", "normal"), lambda q, c: True, a, ops,
-                                  0, c0, {**fresh_marks(a), 0: Mark.AGAIN})),
+for name, text, corrupt in [
+    ("always", "always [true]", lambda a: Forgetful(fresh(a))),
+    ("after", "after run normal always [true]",
+     lambda a: [checker._Mark.AGAIN] + fresh(a)[1:]),
 ]:
+    checker._fresh_marks = corrupt
     try:
-        call()
+        check(parse_formula(text), a, c0, ops)
         print(name, "passed")
     except AssertionError as exc:
         print(name, "raised:", exc)
@@ -464,7 +490,7 @@ def test_mark_order_invariants_hold_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_MARKS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "always raised: always invariant: all earlier states marked again or checked",
-        "after raised: first-pass invariant: all earlier states marked again",
-    ]
+    invariant = ("mark-order invariant: an earlier state is unchecked, "
+                 "or checked while this one is unchecked")
+    assert proc.stdout.splitlines() == [f"always raised: {invariant}",
+                                        f"after raised: {invariant}"]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from reconfcheck import (
     apply_primitive,
     erase_param_values,
     eval_cp,
-    model_equal,
     validate_model,
 )
 from reconfcheck.model import (
@@ -102,12 +102,15 @@ def test_validate_flags_containment_cycle_and_double_parent():
 
 
 def test_model_equal_reflexive(http_model):
-    assert model_equal(http_model, http_model)
+    assert http_model == http_model
+    # equality is structural: the order of components does not matter
+    reordered = dict(reversed(list(http_model.components.items())))
+    assert replace(http_model, components=reordered) == http_model
 
 
 def test_model_equal_after_removing_absent_component(http_model):
     outcome = apply_primitive(RemoveComponent("NotThere"), http_model)
-    assert model_equal(http_model, outcome.result)
+    assert http_model == outcome.result
     assert not outcome.changed
 
 
@@ -115,28 +118,28 @@ def test_model_equal_distinguishes_param_update(http_model):
     outcome = apply_primitive(
         SetParam("RequestHandler", "deviation", IntLiteral(51)), http_model)
     assert outcome.changed
-    assert not model_equal(http_model, outcome.result)
+    assert http_model != outcome.result
 
 
 def test_model_equal_is_equivalence_relation():
     rng = random.Random(7)
     models = [generators.gen_model(rng) for _ in range(30)]
     for m in models:
-        assert model_equal(m, m)
+        assert m == m
     for a in models[:10]:
         for b in models[:10]:
-            assert model_equal(a, b) == model_equal(b, a)
-            if model_equal(a, b):
+            assert (a == b) == (b == a)
+            if a == b:
                 for c in models[:10]:
-                    if model_equal(b, c):
-                        assert model_equal(a, c)
+                    if b == c:
+                        assert a == c
 
 
 def test_erase_param_values_keeps_classes(http_model):
     erased = erase_param_values(http_model)
     handler = erased.components["RequestHandler"]
     assert handler.params["deviation"] == Param("int", None)
-    assert not model_equal(http_model, erased)
+    assert http_model != erased
 
 
 def test_erasure_shares_components_without_parameters(http_model):

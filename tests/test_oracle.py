@@ -7,7 +7,6 @@ from reconfcheck import (
     build_automaton,
     eval_cp,
     is_idempotent_sequence,
-    model_equal,
     oracle_eval,
     oracle_verdict,
     parse_formula,
@@ -147,6 +146,6 @@ def test_event_wrap_at_period_boundary(http_model, http_ops):
 def test_oracle_entry_model_matches_engine(http_model, http_ops, base_automaton):
     entry = cycle_entry_model(base_automaton, http_model, http_ops)
     l = unfold_to_lasso(base_automaton, http_model, http_ops, compare_erased=True)
-    assert model_equal(l.entries[3].model, entry)
+    assert l.entries[3].model == entry
     cycle_ops = [http_ops[n] for n in base_automaton.cycle_labels()]
     assert is_idempotent_sequence(cycle_ops, entry, ignore_params=True)

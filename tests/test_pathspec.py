@@ -3,12 +3,10 @@ import random
 import pytest
 
 from reconfcheck import (
-    Mark,
     PathExpr,
     PathSyntaxError,
     as_path_expr,
     build_automaton,
-    fresh_marks,
     parse_path,
     print_path,
     residual_from,
@@ -94,13 +92,6 @@ def test_variant_back_targets():
     assert a.n_states == 8
     assert a.back_target == 1
     assert a.succ(a.q_max) == ("DeleteFileServer", 1)
-
-
-def test_marks_start_unchecked():
-    a = build_automaton(parse_path(SECTION31))
-    marks = fresh_marks(a)
-    assert set(marks) == set(range(8))
-    assert all(m is Mark.UNCHECKED for m in marks.values())
 
 
 def test_as_path_expr_inverts_build():

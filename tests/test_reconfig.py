@@ -20,7 +20,6 @@ from reconfcheck import (
     apply_sequence,
     eval_cp,
     is_idempotent_sequence,
-    model_equal,
     validate_model,
 )
 from reconfcheck.model import Bound
@@ -53,7 +52,7 @@ def test_add_twice_is_idempotent(http_model):
     assert once.result.components["Probe"].state == STOPPED
     twice = apply_primitive(AddComponent(template), once.result)
     assert not twice.changed
-    assert model_equal(once.result, twice.result)
+    assert once.result == twice.result
 
 
 def test_add_forces_stopped_state(http_model):
@@ -112,7 +111,7 @@ def test_bind_preconditions(http_model):
     out = apply_primitive(Unbind(existing), http_model)
     rebound = apply_primitive(Bind(existing), out.result)
     assert rebound.changed
-    assert model_equal(rebound.result, http_model)
+    assert rebound.result == http_model
 
 
 def test_unbind_absent_is_identity(http_model):
@@ -141,7 +140,7 @@ def test_stop_start_run(http_model):
     assert not again.changed
     ran = apply_evolution(RUN, stopped.result)
     assert ran.changed
-    assert model_equal(ran.result, http_model)
+    assert ran.result == http_model
     ran_again = apply_evolution(RUN, ran.result)
     assert not ran_again.changed  # all started already: identity
 
@@ -189,7 +188,7 @@ def test_topological_primitives_idempotent_property():
         op = _random_topological_primitive(rng, m)
         once = apply_primitive(op, m).result
         twice = apply_primitive(op, once).result
-        assert model_equal(once, twice)
+        assert once == twice
 
 
 def test_commuting_idempotent_pairs_compose_idempotently():
@@ -201,17 +200,17 @@ def test_commuting_idempotent_pairs_compose_idempotently():
         g = _random_topological_primitive(rng, m)
         fg = apply_primitive(g, apply_primitive(f, m).result).result
         gf = apply_primitive(f, apply_primitive(g, m).result).result
-        if not model_equal(fg, gf):
+        if fg != gf:
             continue
         found += 1
-        assert model_equal(apply_primitive(g, apply_primitive(f, fg).result).result, fg)
+        assert apply_primitive(g, apply_primitive(f, fg).result).result == fg
 
 
 def test_add_then_delete_file_server_cancels(http_model, http_ops):
     # on a model without the second file server, the pair acts as identity
     after = apply_sequence([http_ops["AddFileServer"], http_ops["DeleteFileServer"]],
                            http_model)
-    assert model_equal(after, http_model)
+    assert after == http_model
 
 
 def test_closure_under_evolution():
@@ -222,6 +221,6 @@ def test_closure_under_evolution():
         current = m
         for _ in range(10):
             outcome = apply_evolution(ops[rng.choice(list(ops))], current)
-            assert outcome.changed == (not model_equal(current, outcome.result))
+            assert outcome.changed == (current != outcome.result)
             current = outcome.result
             assert validate_model(current) == []

@@ -23,7 +23,6 @@ from reconfcheck import (
     apply_sequence,
     build_automaton,
     erase_param_values,
-    model_equal,
     parse_model,
     parse_path,
     parse_recipes,
@@ -59,7 +58,7 @@ def reference_unfold(a: PathAutomaton, c0: ComponentModel,
         if q == a.q_max:
             rounds += 1
         for idx in by_state.get(q2, ()):
-            if model_equal(keys[idx], k2):
+            if keys[idx] == k2:
                 return ConcreteLasso(a, tuple(entries), idx, False, compare_erased)
         entries.append(LassoStep(q2, c2, label))
         keys.append(k2)
