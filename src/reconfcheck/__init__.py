@@ -67,7 +67,6 @@ from .pathspec import (
     PathAutomaton,
     PathExpr,
     PathSyntaxError,
-    as_path_expr,
     build_automaton,
     parse_path,
     print_path,

@@ -38,6 +38,7 @@ from .reconfig import (
     Start,
     Stop,
     Unbind,
+    operation_table,
 )
 
 
@@ -445,7 +446,6 @@ class RecipeSet:
     recipes: dict[str, tuple[Primitive, ...]] = field(default_factory=dict)
 
     def operation_table(self):
-        from .reconfig import operation_table
         return operation_table(self.recipes)
 
     def names(self) -> list[str]:

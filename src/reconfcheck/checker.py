@@ -17,6 +17,7 @@ evaluated literally on the explored window.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -41,7 +42,7 @@ from .ftpl import (
 from .model import CompiledCp, ComponentModel, ConfigProperty, compile_cp, \
     erase_param_values, eval_cp, validate_model  # noqa: F401
 from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict
-from .pathspec import PathAutomaton, PathExpr, as_path_expr, residual_from
+from .pathspec import PathAutomaton, PathExpr, residual_from
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
     is_idempotent_sequence
 
@@ -104,20 +105,6 @@ class Verdict:
     residual: Optional[PathExpr] = None
     reached: Optional[ComponentModel] = None
     stats: Optional[CheckStats] = None
-
-    @classmethod
-    def holds(cls, stats: CheckStats) -> "Verdict":
-        return cls(HOLDS, stats=stats)
-
-    @classmethod
-    def fails(cls, witness: TraceWitness, stats: CheckStats) -> "Verdict":
-        return cls(FAILS, witness=witness, stats=stats)
-
-    @classmethod
-    def unknown(cls, reason: str, residual: PathExpr, reached: ComponentModel,
-                stats: CheckStats) -> "Verdict":
-        return cls(UNKNOWN, reason=reason, residual=residual, reached=reached,
-                   stats=stats)
 
     @property
     def is_holds(self) -> bool:
@@ -267,18 +254,23 @@ def _marked_run(walk: _Walk, q: int,
     """
     marks = _fresh_marks(walk.a)
     start, inst = q, _Instance()
+    earlier = Counter()  # the marks of the states before q
     while walk.a.succ(q) is not None:
         mk = marks[q]
         if mk is _Mark.CHECKED:
             return  # both passes taken
         # from the initial state, every earlier state is left before this one,
         # and none is left twice before this one is left once
-        earlier = marks[:q] if start == 0 else ()
-        if _Mark.UNCHECKED in earlier or mk is _Mark.UNCHECKED and _Mark.CHECKED in earlier:
+        if start == 0 and (earlier[_Mark.UNCHECKED]
+                           or mk is _Mark.UNCHECKED and earlier[_Mark.CHECKED]):
             raise AssertionError("mark-order invariant: an earlier state is unchecked, "
                                  "or checked while this one is unchecked")
         marks[q] = _Mark.AGAIN if mk is _Mark.UNCHECKED else _Mark.CHECKED
-        label, q, c = walk.apply(inst, q, c)
+        earlier[marks[q]] += 1  # as stored, so a lost write is seen
+        label, q2, c = walk.apply(inst, q, c)
+        if q2 <= q:  # the back edge: recount once per lap
+            earlier = Counter(marks[:q2])
+        q = q2
         yield label, q, c
 
 
@@ -473,20 +465,21 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
 
     if not gate_ok and opts.max_steps is None:
         # nothing was explored: the residual is the whole path
-        return Verdict.unknown(REASON_CYCLE, residual=as_path_expr(a), reached=c0,
-                               stats=CheckStats(0, 0, 0))
+        return Verdict(UNKNOWN, reason=REASON_CYCLE, residual=residual_from(a, 0),
+                       reached=c0, stats=CheckStats(0, 0, 0))
 
     if gate_ok:
         walk = _Walk(a, ops, opts.max_steps, erased=erased)
         try:
             _eval_formula(f, walk, 0, c0, 0)
-            verdict = Verdict.holds(walk.stats())
+            verdict = Verdict(HOLDS, stats=walk.stats())
         except _Violation as v:
             witness = _witness(_replay(a, ops, c0, v.length), v.index, v.violated)
-            verdict = Verdict.fails(witness, walk.stats())
+            verdict = Verdict(FAILS, witness=witness, stats=walk.stats())
         except _Budget as b:
-            verdict = Verdict.unknown(REASON_BUDGET, residual=residual_from(a, b.state),
-                                      reached=b.model, stats=walk.stats())
+            verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
+                              residual=residual_from(a, b.state), reached=b.model,
+                              stats=walk.stats())
     else:
         # bounded checking over a non-idempotent cycle: unroll up to the
         # budget and evaluate the defining semantics on the explored window
@@ -495,17 +488,17 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         stats = CheckStats(applied, 0, applied)
         value, info = oracle_eval_detailed(f, lasso)
         if value is True:
-            verdict = Verdict.holds(stats)
+            verdict = Verdict(HOLDS, stats=stats)
         elif value is False:
             idx, desc = info
             witness = _witness(((s.state, s.incoming_label or "", s.model)
                                 for s in lasso.entries), idx, desc)
-            verdict = Verdict.fails(witness, stats)
+            verdict = Verdict(FAILS, witness=witness, stats=stats)
         else:
             last = lasso.entries[-1]
-            verdict = Verdict.unknown(REASON_BUDGET,
-                                      residual=residual_from(a, last.state),
-                                      reached=last.model, stats=stats)
+            verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
+                              residual=residual_from(a, last.state), reached=last.model,
+                              stats=stats)
 
     if opts.oracle_crosscheck and verdict.status in (HOLDS, FAILS):
         reference = oracle_verdict(f, a, c0, ops)

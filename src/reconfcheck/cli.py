@@ -34,7 +34,7 @@ from .adl import (
 from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, check, \
     cycle_entry_model
 from .ftpl import FtplSyntaxError, parse_formula, print_formula
-from .model import ComponentModel, CpEvalError, validate_model
+from .model import CpEvalError, validate_model
 from .pathspec import PathSyntaxError, build_automaton, parse_path, print_path
 from .reconfig import apply_evolution, is_idempotent_sequence
 
@@ -59,17 +59,9 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_model(path: str) -> ComponentModel:
-    return parse_model(_read(path))
-
-
-def _load_recipes(path: str) -> RecipeSet:
-    return parse_recipes(_read(path))
-
-
 def _load_inputs(args):
-    model = _load_model(args.model)
-    recipes = _load_recipes(args.ops) if args.ops else RecipeSet({})
+    model = parse_model(_read(args.model))
+    recipes = parse_recipes(_read(args.ops)) if args.ops else RecipeSet({})
     path = parse_path(_read(args.path), known_ops=recipes.names())
     return model, recipes, path
 

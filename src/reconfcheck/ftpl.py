@@ -101,9 +101,6 @@ def event_holds(prev: ComponentModel, nxt: ComponentModel, label: str,
 
 # --- configuration property concrete syntax --------------------------------------
 
-_CP_RELOPS = ("<", "<=", "=", "!=", ">=", ">")
-
-
 def _cp_error(ts: TokenStream, message: str) -> FtplSyntaxError:
     return FtplSyntaxError(str(ts.error(message)))
 

@@ -39,10 +39,6 @@ class Component:
     contains: frozenset[str] = frozenset()
     state: str = STARTED
 
-    @property
-    def is_composite(self) -> bool:
-        return bool(self.contains)
-
 
 @dataclass(frozen=True)
 class Binding:

@@ -228,16 +228,15 @@ def oracle_eval(f: FtplFormula, l: ConcreteLasso) -> Optional[bool]:
 
 def oracle_eval_detailed(f: FtplFormula, l: ConcreteLasso) -> _EvalResult:
     """Like :func:`oracle_eval` but with the first violation's location."""
-    value, info = _ev(f, _Sigma(l), 0)
+    sig = _Sigma(l)
+    value, info = _ev(f, sig, 0)
     if info is not None:
-        sig = _Sigma(l)
         info = (sig.wrap(info[0]), info[1])
     return value, info
 
 
 def oracle_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
-                   ops: Mapping[str, EvolutionOperation],
-                   max_rounds: int = 64) -> Optional[bool]:
+                   ops: Mapping[str, EvolutionOperation]) -> Optional[bool]:
     """Unfold and evaluate, falling back to parameter-erased repetition
     detection when the formula cannot observe parameter values.
 
@@ -245,8 +244,7 @@ def oracle_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     the formula (structural idempotence in general, idempotence up to
     parameter erasure for erasure-invariant formulas).
     """
-    value = oracle_eval(f, unfold_to_lasso(a, c0, ops, max_rounds))
+    value = oracle_eval(f, unfold_to_lasso(a, c0, ops))
     if value is None and erasure_invariant(f, ops):
-        value = oracle_eval(f, unfold_to_lasso(a, c0, ops, max_rounds,
-                                               compare_erased=True))
+        value = oracle_eval(f, unfold_to_lasso(a, c0, ops, compare_erased=True))
     return value

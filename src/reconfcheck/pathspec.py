@@ -104,10 +104,6 @@ class PathAutomaton:
     back_target: Optional[int]
 
     @property
-    def q0(self) -> int:
-        return 0
-
-    @property
     def q_max(self) -> int:
         return self.n_states - 1
 
@@ -146,12 +142,6 @@ def build_automaton(p: PathExpr) -> PathAutomaton:
                          back_target=len(p.prefix))
 
 
-def as_path_expr(a: PathAutomaton) -> PathExpr:
-    if a.back_target is None:
-        return PathExpr(a.labels, None)
-    return PathExpr(a.labels[:a.back_target], a.labels[a.back_target:])
-
-
 def residual_from(a: PathAutomaton, q: int) -> PathExpr:
     """The unexplored remainder of the path when standing at state ``q``.
 
@@ -163,8 +153,6 @@ def residual_from(a: PathAutomaton, q: int) -> PathExpr:
         raise ValueError(f"unknown state {q}")
     if a.back_target is None:
         return PathExpr(a.labels[q:], None)
-    if q < a.back_target:
+    if q <= a.back_target:
         return PathExpr(a.labels[q:a.back_target], a.labels[a.back_target:])
-    if q == a.back_target:
-        return PathExpr((), a.labels[a.back_target:])
     return PathExpr(a.labels[q:], a.labels[a.back_target:])

@@ -120,8 +120,6 @@ class Start:
 
 Primitive = Union[AddComponent, RemoveComponent, Bind, Unbind, SetParam, Stop, Start]
 
-TOPOLOGICAL_KINDS = (AddComponent, RemoveComponent, Bind, Unbind)
-
 
 @dataclass(frozen=True)
 class Run:

@@ -23,7 +23,7 @@ def test_http_model_parses(http_model):
     assert len(http_model.bindings) == 4
     assert len(http_model.delegations) == 1
     server = http_model.components["HttpServer"]
-    assert server.is_composite
+    assert server.contains
     assert "CacheHandler" in server.contains
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -228,6 +229,14 @@ def test_unknown_operation_raises(http_model, http_ops):
     with pytest.raises(CheckError):
         check(parse_formula("after Mystery normal always [true]"),
               build_automaton(parse_path("run")), http_model, http_ops)
+
+
+def test_invalid_initial_model_raises(http_ops):
+    bad = ComponentModel("M", {"A": Component("B", "X")})
+    a = build_automaton(parse_path("run"))
+    with pytest.raises(CheckError, match="^invalid initial model: component keyed 'A' "
+                                         "carries id 'B'$"):
+        check(parse_formula("always [true]"), a, bad, http_ops)
 
 
 def test_cp_resolution_error_propagates(http_model, http_ops):
@@ -494,3 +503,102 @@ def test_mark_order_invariants_hold_under_optimize():
                  "or checked while this one is unchecked")
     assert proc.stdout.splitlines() == [f"always raised: {invariant}",
                                         f"after raised: {invariant}"]
+
+
+_INVARIANT = ("mark-order invariant: an earlier state is unchecked, "
+              "or checked while this one is unchecked")
+
+
+def _slice_marked_run(walk, q, c):
+    """``checker._marked_run`` testing the invariant against ``marks[:q]``
+    on every step: the reference for the counted form."""
+    marks = checker._fresh_marks(walk.a)
+    start, inst = q, checker._Instance()
+    while walk.a.succ(q) is not None:
+        mk = marks[q]
+        if mk is checker._Mark.CHECKED:
+            return
+        earlier = marks[:q] if start == 0 else ()
+        if checker._Mark.UNCHECKED in earlier \
+                or mk is checker._Mark.UNCHECKED and checker._Mark.CHECKED in earlier:
+            raise AssertionError(_INVARIANT)
+        marks[q] = checker._Mark.AGAIN if mk is checker._Mark.UNCHECKED \
+            else checker._Mark.CHECKED
+        label, q, c = walk.apply(inst, q, c)
+        yield label, q, c
+
+
+def _corrupted_mark_lists(n):
+    """Every list over the three marks, and fresh lists that drop the write
+    at one index."""
+    for marks in itertools.product(list(checker._Mark), repeat=n):
+        yield lambda a, marks=marks: list(marks)
+
+    class Forgetful(list):
+        def __setitem__(self, state, mark):
+            if state != self.lost:
+                super().__setitem__(state, mark)
+
+    for lost in range(n):
+        def make(a, lost=lost):
+            marks = Forgetful([checker._Mark.UNCHECKED] * a.n_states)
+            marks.lost = lost
+            return marks
+        yield make
+
+
+def test_counted_mark_order_invariant_matches_the_slice_form(monkeypatch):
+    ops = parse_recipes("").operation_table()
+    c0 = parse_model("model M { component A { class X } }")
+    formulas = [parse_formula(t) for t in ("always [true]", "after run normal always [true]",
+                                           "after run terminates always [true]")]
+    counted = checker._marked_run
+    compared = raised = 0
+    for n_prefix, n_cycle in itertools.product(range(3), range(4)):
+        if n_prefix == n_cycle == 0:
+            continue
+        text = " ".join(["run"] * n_prefix)
+        if n_cycle:
+            text += " (" + " ".join(["run"] * n_cycle) + ")+"
+        a = build_automaton(parse_path(text))
+        for fresh in _corrupted_mark_lists(a.n_states):
+            monkeypatch.setattr(checker, "_fresh_marks", fresh)
+            for f in formulas:
+                outcomes = []
+                for marked_run in (counted, _slice_marked_run):
+                    monkeypatch.setattr(checker, "_marked_run", marked_run)
+                    try:
+                        v = check(f, a, c0, ops)
+                        outcomes.append((v.status, v.stats))
+                    except AssertionError as exc:
+                        outcomes.append(("raised", str(exc)))
+                assert outcomes[0] == outcomes[1], (text, f, outcomes)
+                compared += 1
+                raised += outcomes[0] == ("raised", _INVARIANT)
+    assert compared == 1725
+    assert raised > 0
+
+
+def test_mark_order_invariant_reads_each_mark_a_bounded_number_of_times(monkeypatch):
+    class CountingMarks(list):
+        reads = 0
+
+        def __getitem__(self, key):
+            CountingMarks.reads += len(range(*key.indices(len(self)))) \
+                if isinstance(key, slice) else 1
+            return super().__getitem__(key)
+
+        def __iter__(self):
+            CountingMarks.reads += len(self)
+            return super().__iter__()
+
+    monkeypatch.setattr(checker, "_fresh_marks",
+                        lambda a: CountingMarks([checker._Mark.UNCHECKED] * a.n_states))
+    n = 2000
+    a = build_automaton(parse_path("(" + " ".join(["run"] * n) + ")+"))
+    verdict = check(parse_formula("always [true]"), a,
+                    parse_model("model M { component A { class X } }"),
+                    parse_recipes("").operation_table())
+    assert verdict.is_holds
+    assert verdict.stats.transitions_applied == 2 * n
+    assert 0 < CountingMarks.reads <= 5 * a.n_states

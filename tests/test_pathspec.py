@@ -5,7 +5,6 @@ import pytest
 from reconfcheck import (
     PathExpr,
     PathSyntaxError,
-    as_path_expr,
     build_automaton,
     parse_path,
     print_path,
@@ -98,7 +97,7 @@ def test_as_path_expr_inverts_build():
     rng = random.Random(11)
     for _ in range(100):
         p = generators.gen_path(rng, ["A", "B", "C"])
-        assert as_path_expr(build_automaton(p)) == p
+        assert residual_from(build_automaton(p), 0) == p
 
 
 def test_residuals():
@@ -114,6 +113,14 @@ def test_residuals():
                        "DurationValidityUp", "DeleteFileServer")
     fin = build_automaton(parse_path("a b c", known_ops={"a", "b", "c"}))
     assert residual_from(fin, 3) == PathExpr((), None)
+
+
+def test_residual_at_the_cycle_entry_after_a_prefix():
+    a = build_automaton(parse_path(SECTION31))
+    assert a.back_target == 3
+    # the prefix is used up and the cycle has not started: the full cycle remains
+    assert residual_from(a, 3) == PathExpr(
+        (), ("MemorySizeUp", "run", "AddFileServer", "DurationValidityUp", "DeleteFileServer"))
 
 
 def test_path_round_trip():
