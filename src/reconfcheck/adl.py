@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import (
     STARTED,
@@ -53,6 +54,17 @@ class AdlValidationError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("invalid model: " + "; ".join(violations))
         self.violations = violations
+
+
+# How deep a parsed expression may nest: an integer expression in a recipe,
+# or a formula with its properties.  Its syntax tree may be this many levels
+# high, and its brackets may nest this deep.  Code that walks the tree
+# (evaluation, printing, hashing) recurses once per level and the parsers
+# once per bracket, so deeper input is a syntax error rather than a
+# RecursionError.  A left-associated chain such as ``1 + 1 + 1`` is one level
+# higher per operator.  The printers open at most one bracket per level of
+# the tree, so printed text parses again.
+MAX_NESTING = 100
 
 
 # --- lexer ---------------------------------------------------------------------
@@ -195,6 +207,7 @@ class TokenStream:
         self._text = text
         self._offsets: Optional[list[int]] = None
         self._pos = 0
+        self._brackets = 0  # open brackets taken by open_bracket
 
     def _where(self, index: int) -> tuple[int, int]:
         if self._offsets is None:
@@ -258,6 +271,26 @@ class TokenStream:
 
     def at_punct(self, value: str) -> bool:
         return self._lex[self._pos] == value
+
+    def nested(self, height: int) -> int:
+        """``height``, of a syntax tree just parsed, checked against
+        :data:`MAX_NESTING` (an error here when it goes past)."""
+        if height > MAX_NESTING:
+            raise self.error(f"nested more than {MAX_NESTING} levels deep")
+        return height
+
+    def open_bracket(self, value: str) -> None:
+        """Consume the opening bracket ``value``, of which at most
+        :data:`MAX_NESTING` may be open; a parser recursing at a bracket
+        pairs this with :meth:`close_bracket`."""
+        if self._brackets == MAX_NESTING and self._lex[self._pos] == value:
+            raise self.error(f"brackets nested more than {MAX_NESTING} deep")
+        self.expect_punct(value)
+        self._brackets += 1
+
+    def close_bracket(self, value: str) -> None:
+        self.expect_punct(value)
+        self._brackets -= 1
 
 
 def _parse_literal(ts: TokenStream, cls: str):
@@ -417,24 +450,85 @@ def _format_component(c: Component, indent: str) -> list[str]:
     return lines
 
 
-def print_model(m: ComponentModel) -> str:
-    """Canonical text for a model; reparses to an equal model."""
-    lines = [f"model {m.name} {{"]
-    for cid in sorted(m.components):
-        lines.extend(_format_component(m.components[cid], "  "))
-    for b in sorted(m.bindings, key=lambda b: (b.out_component, b.out_port,
-                                               b.in_component, b.in_port)):
-        lines.append(f"  bind {b.out_component}.{b.out_port} -> {b.in_component}.{b.in_port}")
+def _component_text(c: Component) -> str:
+    return "\n".join(_format_component(c, "  ")) + "\n"
+
+
+def _binding_key(b: Binding) -> tuple[str, str, str, str]:
+    return b.out_component, b.out_port, b.in_component, b.in_port
+
+
+def _binding_line(b: Binding) -> str:
+    return f"  bind {b.out_component}.{b.out_port} -> {b.in_component}.{b.in_port}\n"
+
+
+def _binding_lines(bindings: frozenset[Binding]) -> list[str]:
+    return [_binding_line(b) for b in sorted(bindings, key=_binding_key)]
+
+
+def _model_text(m: ComponentModel, component_text: Callable[[Component], str],
+                binding_lines: Callable[[frozenset[Binding]], list[str]]) -> str:
+    parts = [f"model {m.name} {{\n"]
+    parts += [component_text(m.components[cid]) for cid in sorted(m.components)]
+    parts += binding_lines(m.bindings)
     for d in sorted(m.delegations, key=lambda d: (d.composite, d.composite_port,
                                                   d.inner, d.inner_port)):
-        lines.append(f"  delegate {d.composite}.{d.composite_port} -> {d.inner}.{d.inner_port}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        parts.append(f"  delegate {d.composite}.{d.composite_port} -> {d.inner}.{d.inner_port}\n")
+    parts.append("}\n")
+    return "".join(parts)
+
+
+def print_model(m: ComponentModel) -> str:
+    """Canonical text for a model; reparses to an equal model."""
+    return _model_text(m, _component_text, _binding_lines)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def model_digest(m: ComponentModel) -> str:
     """Short content hash of the canonical text; used in witness reports."""
-    return hashlib.sha256(print_model(m).encode()).hexdigest()[:12]
+    return _digest(print_model(m))
+
+
+def model_digester() -> Callable[[ComponentModel], str]:
+    """A :func:`model_digest` for the models of one run.
+
+    An operation shares every component it does not touch with its input,
+    so successive configurations share most of their component objects.
+    The returned function formats each component object once and keeps the
+    text, keyed by ``id`` and held with the component itself (so the id
+    cannot be reused while the text is kept); its digests equal
+    :func:`model_digest`'s.  The sorted binding lines of the last model are
+    kept too, and patched with the bindings the next model adds or drops.
+    """
+    texts: dict[int, tuple[Component, str]] = {}
+    before: frozenset[Binding] = frozenset()  # the last binding set, held
+    keys: list[tuple[str, str, str, str]] = []  # its sort keys, in order
+    lines: list[str] = []  # and its lines
+
+    def component_text(c: Component) -> str:
+        kept = texts.get(id(c))
+        if kept is None or kept[0] is not c:
+            kept = texts[id(c)] = (c, _component_text(c))
+        return kept[1]
+
+    def binding_lines(bindings: frozenset[Binding]) -> list[str]:
+        nonlocal before
+        if bindings is not before:
+            for b in before - bindings:
+                i = bisect_left(keys, _binding_key(b))
+                del keys[i], lines[i]
+            for b in bindings - before:
+                key = _binding_key(b)
+                i = bisect_left(keys, key)
+                keys.insert(i, key)
+                lines.insert(i, _binding_line(b))
+            before = bindings
+        return lines
+
+    return lambda m: _digest(_model_text(m, component_text, binding_lines))
 
 
 # --- recipe files (.ops) ---------------------------------------------------------
@@ -452,34 +546,47 @@ class RecipeSet:
         return sorted(self.recipes) + [RUN_NAME]
 
 
-def _parse_int_expr(ts: TokenStream) -> IntExpr:
-    expr = _parse_int_term(ts)
+# Each subtree comes back with the height of its syntax tree, checked with
+# TokenStream.nested; the parser recurses only at brackets, which
+# TokenStream.open_bracket counts, and reads a run of unary minus in a loop.
+def _parse_int_expr(ts: TokenStream) -> tuple[IntExpr, int]:
+    expr, h = _parse_int_term(ts)
     while ts.at_punct("+") or ts.at_punct("-"):
         op = ts.next()
-        expr = BinOp(op, expr, _parse_int_term(ts))
-    return expr
+        right, hr = _parse_int_term(ts)
+        expr, h = BinOp(op, expr, right), ts.nested(max(h, hr) + 1)
+    return expr, h
 
 
-def _parse_int_term(ts: TokenStream) -> IntExpr:
-    expr = _parse_int_factor(ts)
+def _parse_int_term(ts: TokenStream) -> tuple[IntExpr, int]:
+    expr, h = _parse_int_factor(ts)
     while ts.at_punct("*"):
         ts.next()
-        expr = BinOp("*", expr, _parse_int_factor(ts))
-    return expr
+        right, hr = _parse_int_factor(ts)
+        expr, h = BinOp("*", expr, right), ts.nested(max(h, hr) + 1)
+    return expr, h
 
 
-def _parse_int_factor(ts: TokenStream) -> IntExpr:
+def _parse_int_factor(ts: TokenStream) -> tuple[IntExpr, int]:
+    negations = 0
+    while ts.at_punct("-"):
+        ts.next()
+        negations += 1
     if ts.at_punct("("):
-        ts.next()
-        expr = _parse_int_expr(ts)
-        ts.expect_punct(")")
-        return expr
-    if ts.at_punct("-"):
-        ts.next()
-        inner = _parse_int_factor(ts)
-        if isinstance(inner, IntLiteral):
-            return IntLiteral(-inner.value)
-        return BinOp("-", IntLiteral(0), inner)
+        ts.open_bracket("(")
+        expr, h = _parse_int_expr(ts)
+        ts.close_bracket(")")
+    else:
+        expr, h = _parse_int_leaf(ts), 1
+    for _ in range(negations):  # innermost first, as written
+        if isinstance(expr, IntLiteral):
+            expr = IntLiteral(-expr.value)
+        else:
+            expr, h = BinOp("-", IntLiteral(0), expr), ts.nested(h + 1)
+    return expr, h
+
+
+def _parse_int_leaf(ts: TokenStream) -> IntExpr:
     if ts.at_keyword("param"):
         ts.next()
         ts.expect_punct("(")
@@ -509,14 +616,18 @@ def _parse_step(ts: TokenStream) -> Primitive:
         ts.expect_punct(".")
         name = ts.expect_ident("parameter name")
         ts.expect_punct(":=")
-        return SetParam(comp, name, _parse_int_expr(ts))
+        expr, _height = _parse_int_expr(ts)
+        return SetParam(comp, name, expr)
     if word == "stop":
         return Stop(ts.expect_ident("component name"))
     return Start(ts.expect_ident("component name"))
 
 
 def parse_recipes(text: str) -> RecipeSet:
-    """Parse an ``.ops`` file into a RecipeSet; one entry per ``op`` block."""
+    """Parse an ``.ops`` file into a RecipeSet; one entry per ``op`` block.
+
+    An integer expression deeper than :data:`MAX_NESTING` (its syntax tree,
+    or its brackets) is an :class:`AdlSyntaxError`."""
     ts = TokenStream(text)
     recipes: dict[str, tuple[Primitive, ...]] = {}
     while ts.kind() != "eof":

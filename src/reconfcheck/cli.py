@@ -8,10 +8,10 @@ Four batch commands tie the file formats together:
 * ``idempotence`` report whether the path's cycle is idempotent
 * ``validate``    run the structural validator on a model
 
-Exit codes 3 and 4 flag parse/usage errors and invalid models, and 5 a
-verdict the ``--oracle`` cross-check contradicts.  A property that cannot
-be evaluated (an unknown identifier in an attribute atom) and input nested
-too deeply to process are reported as exit 3, never as "fails".
+Exit codes 3 and 4 flag parse/usage errors (input nested too deeply
+included) and invalid models, 5 a verdict the ``--oracle`` cross-check
+contradicts, and 6 a property that cannot be evaluated (an unknown
+identifier in an attribute atom); none of these is reported as "fails".
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 EXIT_INVALID_MODEL = 4
 EXIT_DISAGREEMENT = 5
+EXIT_ILL_FORMED_PROPERTY = 6
 
 _VERDICT_EXITS = {"holds": EXIT_HOLDS, "fails": EXIT_FAILS, "unknown": EXIT_UNKNOWN}
 
@@ -257,9 +258,12 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     except OracleDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
-    except (CheckError, CpEvalError) as exc:
+    except CheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CpEvalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ILL_FORMED_PROPERTY
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return EXIT_USAGE

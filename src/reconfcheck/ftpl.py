@@ -105,44 +105,60 @@ def _cp_error(ts: TokenStream, message: str) -> FtplSyntaxError:
     return FtplSyntaxError(str(ts.error(message)))
 
 
-def _parse_cp(ts: TokenStream, bound_vars: frozenset[str]) -> ConfigProperty:
-    left = _parse_cp_or(ts, bound_vars)
-    if ts.at_keyword("implies"):
+# Each subtree comes back with the height of its syntax tree, checked with
+# TokenStream.nested.  The parser recurses only at brackets, which
+# TokenStream.open_bracket counts; chains of prefix operators and of
+# ``implies`` are read in loops.  parse_cp and parse_formula report the
+# TokenStream's syntax errors as FtplSyntaxError.
+def _parse_cp(ts: TokenStream, bound_vars: frozenset[str]) -> tuple[ConfigProperty, int]:
+    operands = [_parse_cp_or(ts, bound_vars)]
+    while ts.at_keyword("implies"):
         ts.next()
-        return Implies(left, _parse_cp(ts, bound_vars))  # right associative
-    return left
+        operands.append(_parse_cp_or(ts, bound_vars))
+    cp, h = operands.pop()
+    while operands:  # right associative
+        left, hl = operands.pop()
+        cp, h = Implies(left, cp), ts.nested(max(hl, h) + 1)
+    return cp, h
 
 
-def _parse_cp_or(ts: TokenStream, bound_vars) -> ConfigProperty:
-    left = _parse_cp_and(ts, bound_vars)
+def _parse_cp_or(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
+    left, h = _parse_cp_and(ts, bound_vars)
     while ts.at_keyword("or"):
         ts.next()
-        left = Or(left, _parse_cp_and(ts, bound_vars))
-    return left
+        right, hr = _parse_cp_and(ts, bound_vars)
+        left, h = Or(left, right), ts.nested(max(h, hr) + 1)
+    return left, h
 
 
-def _parse_cp_and(ts: TokenStream, bound_vars) -> ConfigProperty:
-    left = _parse_cp_unary(ts, bound_vars)
+def _parse_cp_and(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
+    left, h = _parse_cp_unary(ts, bound_vars)
     while ts.at_keyword("and"):
         ts.next()
-        left = And(left, _parse_cp_unary(ts, bound_vars))
-    return left
+        right, hr = _parse_cp_unary(ts, bound_vars)
+        left, h = And(left, right), ts.nested(max(h, hr) + 1)
+    return left, h
 
 
-def _parse_cp_unary(ts: TokenStream, bound_vars) -> ConfigProperty:
-    if ts.at_keyword("not"):
+def _parse_cp_unary(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
+    negations = 0
+    while ts.at_keyword("not"):
         ts.next()
-        return Not(_parse_cp_unary(ts, bound_vars))
+        negations += 1
     if ts.at_keyword("forall", "exists"):
         kind = ts.next()
         var = ts.expect_ident("variable name")
         ts.expect_keyword("in")
         domain = ts.expect_keyword(*QUANTIFIER_DOMAINS)
-        ts.expect_punct("(")
-        body = _parse_cp(ts, bound_vars | {var})
-        ts.expect_punct(")")
-        return (ForAll if kind == "forall" else Exists)(var, domain, body)
-    return _parse_cp_atom(ts, bound_vars)
+        ts.open_bracket("(")
+        body, h = _parse_cp(ts, bound_vars | {var})
+        ts.close_bracket(")")
+        cp, h = (ForAll if kind == "forall" else Exists)(var, domain, body), ts.nested(h + 1)
+    else:
+        cp, h = _parse_cp_atom(ts, bound_vars)
+    for _ in range(negations):
+        cp, h = Not(cp), ts.nested(h + 1)
+    return cp, h
 
 
 def _cp_literal(ts: TokenStream):
@@ -161,12 +177,16 @@ def _cp_literal(ts: TokenStream):
     raise _cp_error(ts, "expected literal")
 
 
-def _parse_cp_atom(ts: TokenStream, bound_vars) -> ConfigProperty:
+def _parse_cp_atom(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
     if ts.at_punct("("):
-        ts.next()
-        inner = _parse_cp(ts, bound_vars)
-        ts.expect_punct(")")
-        return inner
+        ts.open_bracket("(")
+        inner, h = _parse_cp(ts, bound_vars)
+        ts.close_bracket(")")
+        return inner, h
+    return _parse_cp_leaf(ts, bound_vars), 1
+
+
+def _parse_cp_leaf(ts: TokenStream, bound_vars) -> ConfigProperty:
     if ts.at_keyword("true"):
         ts.next()
         return TrueAtom()
@@ -232,7 +252,7 @@ def parse_cp(text: str) -> ConfigProperty:
     """Parse a standalone configuration property."""
     try:
         ts = TokenStream(text)
-        cp = _parse_cp(ts, frozenset())
+        cp, _height = _parse_cp(ts, frozenset())
     except FtplSyntaxError:
         raise
     except ValueError as exc:
@@ -294,24 +314,29 @@ def _parse_event(ts: TokenStream, known_ops) -> EventSpec:
     return EventSpec(name, modality)
 
 
-def _parse_trace(ts: TokenStream) -> TraceProperty:
+def _parse_trace(ts: TokenStream) -> tuple[TraceProperty, int]:
     word = ts.expect_keyword("always", "eventually")
-    ts.expect_punct("[")
-    cp = _parse_cp(ts, frozenset())
-    ts.expect_punct("]")
-    return Always(cp) if word == "always" else Eventually(cp)
+    ts.open_bracket("[")
+    cp, h = _parse_cp(ts, frozenset())
+    ts.close_bracket("]")
+    return (Always(cp) if word == "always" else Eventually(cp)), ts.nested(h + 1)
 
 
 def _parse_formula(ts: TokenStream, known_ops) -> FtplFormula:
-    if ts.at_keyword("after"):
+    events = []
+    while ts.at_keyword("after"):
         ts.next()
-        event = _parse_event(ts, known_ops)
-        return After(event, _parse_formula(ts, known_ops))
+        events.append(_parse_event(ts, known_ops))
     if ts.at_keyword("before"):
         ts.next()
         event = _parse_event(ts, known_ops)
-        return Before(event, _parse_trace(ts))
-    return _parse_trace(ts)
+        trace, h = _parse_trace(ts)
+        f, h = Before(event, trace), ts.nested(h + 1)
+    else:
+        f, h = _parse_trace(ts)
+    for event in reversed(events):
+        f, h = After(event, f), ts.nested(h + 1)
+    return f
 
 
 def parse_formula(text: str, known_ops: Optional[Iterable[str]] = None) -> FtplFormula:
@@ -322,6 +347,9 @@ def parse_formula(text: str, known_ops: Optional[Iterable[str]] = None) -> FtplF
         formula := "after" EVENT formula | "before" EVENT trace | trace
         trace   := ("always" | "eventually") "[" cp "]"
         EVENT   := NAME ("normal" | "exceptional" | "terminates")
+
+    A formula deeper than ``adl.MAX_NESTING`` (its syntax tree, or its
+    brackets) is an :class:`FtplSyntaxError`, as for :func:`parse_cp`.
     """
     known = set(known_ops) if known_ops is not None else None
     try:

@@ -3,16 +3,20 @@
 The automaton is unrolled into the concrete configuration sequence until a
 (state, model) pair recurs — the sequence is then ultimately periodic and
 every quantifier ranges over finitely many behaviour classes — or until
-the path ends or the round budget runs out.  Evaluation follows the
+the path ends or 64 laps of the cycle are unrolled.  Evaluation follows the
 defining clauses of the temporal operators directly, with a third
 "undetermined" outcome when a truncated unfolding cannot settle the
-answer.  Deliberately naive; being obviously correct is its entire job.
+answer.  The verdict looks at the unrolled window after 2, 4, 8, 16 and 32
+laps too, and stops at the first that settles it: a truncated window
+settles only through a violation or a witness it contains, and every longer
+window contains them too.  Deliberately naive; being obviously correct is
+its entire job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .ftpl import After, Always, Before, Eventually, EventSpec, FtplFormula, \
     TraceProperty, erasure_invariant, event_holds, print_cp
@@ -54,9 +58,36 @@ class ConcreteLasso:
         return len(self.entries) - self.period_start
 
 
+# the laps after which a still unfinished unfolding is evaluated, and its length
+_LOOKS = (2, 4, 8, 16, 32)
+_MAX_ROUNDS = 64
+
+
+def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOperation],
+             max_rounds: int, compare_erased: bool,
+             looks: tuple[int, ...] = ()) -> Iterator[ConcreteLasso]:
+    """The unfolding from the initial state as windows of one lazy run: the
+    first ``r`` laps for each ``r`` in ``looks`` the run lasts, then the
+    whole of it, as :func:`unfold_to_lasso` returns it."""
+    unfolding = Unfolding(a, 0, c0, ops, erased=compare_erased)
+    entries: list[LassoStep] = []
+    rounds = 0
+    for q, label, c in unfolding:
+        lap = bool(entries) and entries[-1].state == a.q_max  # in over the back edge
+        if lap:
+            rounds += 1
+        entries.append(LassoStep(q, c, label))
+        if rounds >= max_rounds:
+            break
+        if lap and rounds in looks:
+            yield ConcreteLasso(a, tuple(entries), None, False, compare_erased)
+    yield ConcreteLasso(a, tuple(entries), unfolding.period_start, unfolding.complete,
+                        compare_erased)
+
+
 def unfold_to_lasso(a: PathAutomaton, c0: ComponentModel,
                     ops: Mapping[str, EvolutionOperation],
-                    max_rounds: int = 64, compare_erased: bool = False) -> ConcreteLasso:
+                    max_rounds: int = _MAX_ROUNDS, compare_erased: bool = False) -> ConcreteLasso:
     """Apply transitions from the initial state, recording every configuration.
 
     Stops at a terminal state, when a (state, model) pair repeats, or after
@@ -66,17 +97,7 @@ def unfold_to_lasso(a: PathAutomaton, c0: ComponentModel,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    unfolding = Unfolding(a, 0, c0, ops, erased=compare_erased)
-    entries: list[LassoStep] = []
-    rounds = 0
-    for q, label, c in unfolding:
-        if entries and entries[-1].state == a.q_max:
-            rounds += 1  # the entry came in over the back edge
-        entries.append(LassoStep(q, c, label))
-        if rounds >= max_rounds:
-            break
-    return ConcreteLasso(a, tuple(entries), unfolding.period_start, unfolding.complete,
-                         compare_erased)
+    return next(_windows(a, c0, ops, max_rounds, compare_erased))
 
 
 # --- literal evaluation ------------------------------------------------------------
@@ -235,16 +256,31 @@ def oracle_eval_detailed(f: FtplFormula, l: ConcreteLasso) -> _EvalResult:
     return value, info
 
 
+def _pass_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
+                  ops: Mapping[str, EvolutionOperation], compare_erased: bool) -> Optional[bool]:
+    """The first determined value on the windows of one unfolding."""
+    for lasso in _windows(a, c0, ops, _MAX_ROUNDS, compare_erased, _LOOKS):
+        value = oracle_eval(f, lasso)
+        if value is not None:
+            return value
+    return None
+
+
 def oracle_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
                    ops: Mapping[str, EvolutionOperation]) -> Optional[bool]:
     """Unfold and evaluate, falling back to parameter-erased repetition
     detection when the formula cannot observe parameter values.
 
+    Each pass evaluates its unfolding after 2, 4, 8, 16 and 32 laps while
+    it lasts, and at its end.  A window decides only through a violation or
+    an ``eventually`` witness it contains, which every longer window
+    contains too, so the first determined value is the whole unfolding's.
+
     Total on every lasso whose cycle is idempotent in the sense matching
     the formula (structural idempotence in general, idempotence up to
     parameter erasure for erasure-invariant formulas).
     """
-    value = oracle_eval(f, unfold_to_lasso(a, c0, ops))
+    value = _pass_verdict(f, a, c0, ops, compare_erased=False)
     if value is None and erasure_invariant(f, ops):
-        value = oracle_eval(f, unfold_to_lasso(a, c0, ops, compare_erased=True))
+        value = _pass_verdict(f, a, c0, ops, compare_erased=True)
     return value

@@ -5,13 +5,20 @@ import pytest
 from reconfcheck import (
     AdlSyntaxError,
     AdlValidationError,
+    Binding,
+    Component,
+    ComponentModel,
+    Param,
     apply_evolution,
+    build_automaton,
     parse_model,
+    parse_path,
     parse_recipes,
     print_model,
     validate_model,
 )
-from reconfcheck.adl import model_digest, print_recipes
+from reconfcheck import adl
+from reconfcheck.adl import MAX_NESTING, model_digest, model_digester, print_recipes
 from reconfcheck.reconfig import BinOp, IntLiteral, ParamRef, SetParam
 
 import generators
@@ -194,3 +201,128 @@ def test_error_messages_show_a_string_token_by_its_value():
     with pytest.raises(AdlSyntaxError, match=r"^1:13: expected component name, "
                                              r"found 'end of input'$"):
         parse_recipes('op O { stop "" }')
+
+
+def _run(a, ops, c0, n):
+    """The first ``n`` configurations of the run from the initial state."""
+    q, c, out = 0, c0, [c0]
+    for _ in range(n - 1):
+        label, q = a.succ(q)
+        c = apply_evolution(ops[label], c).result
+        out.append(c)
+    return out
+
+
+def test_digester_formats_each_shared_component_once(http_model, http_ops, monkeypatch):
+    a = build_automaton(parse_path("run (RemoveCacheHandler AddCacheHandler MemorySizeUp "
+                                   "run AddFileServer DurationValidityUp DeleteFileServer)+"))
+    models = _run(a, http_ops, http_model, 30)
+    expected = [model_digest(m) for m in models]
+    objects = {id(c) for m in models for c in m.components.values()}
+    assert len(objects) < sum(len(m.components) for m in models) / 2  # mostly shared
+    formatted = []
+    plain = adl._component_text
+    monkeypatch.setattr(adl, "_component_text", lambda c: formatted.append(c) or plain(c))
+    digest = model_digester()
+    assert [digest(m) for m in models] == expected
+    assert len(formatted) == len(objects)
+
+
+def test_digester_on_generated_runs():
+    rng = random.Random(41)
+    for _ in range(60):
+        m = generators.gen_model(rng)
+        rs = generators.gen_recipes(rng, m)
+        a = build_automaton(generators.gen_path(rng, sorted(rs.recipes)))
+        models = _run(a, rs.operation_table(), m, 2 * a.n_states + 3) if a.has_cycle \
+            else _run(a, rs.operation_table(), m, a.n_states)
+        digest = model_digester()
+        assert [digest(c) for c in models] == [model_digest(c) for c in models]
+
+
+def test_digester_on_equal_but_distinct_components():
+    def model(value):
+        return ComponentModel("M", {"A": Component("A", "K", params={"p": Param("int", value)}),
+                                    "B": Component("B", "K")})
+    first = model(1)
+    copy = ComponentModel("M", {**first.components, "A": model(1).components["A"]})
+    changed = ComponentModel("M", {**first.components, "A": model(2).components["A"]})
+    assert copy == first and copy.components["A"] is not first.components["A"]
+    digest = model_digester()
+    assert [digest(m) for m in (first, copy, changed, first)] == \
+        [model_digest(m) for m in (first, copy, changed, first)]
+
+
+def test_digester_patches_the_binding_lines_of_the_last_model():
+    rng = random.Random(12)
+    pool = [Binding(f"C{i}", "o", f"C{j}", p) for i in range(4) for j in range(4)
+            for p in ("a", "b")]
+    components = {f"C{i}": Component(f"C{i}", "K") for i in range(4)}
+    sets = [frozenset()]
+    for _ in range(150):
+        roll = rng.random()
+        if roll < 0.2:
+            sets.append(sets[-1])  # the same set object
+        elif roll < 0.3:
+            sets.append(frozenset(sets[rng.randrange(len(sets))]))  # an equal copy
+        else:
+            changed = set(sets[-1]) ^ set(rng.sample(pool, rng.randint(1, 4)))
+            sets.append(frozenset(changed))
+    models = [ComponentModel("M", components, bindings) for bindings in sets]
+    digest = model_digester()
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
+
+
+def test_digester_keeps_a_freed_components_id_from_being_reused():
+    # each model, and with it its one component, is freed once digested, so
+    # the next component may be allocated at the same address (the same id)
+    def fresh_models():
+        for value in range(200):
+            yield ComponentModel("M", {"A": Component("A", "K",
+                                                      params={"p": Param("int", value)})})
+    digest = model_digester()
+    assert [digest(m) for m in fresh_models()] == [model_digest(m) for m in fresh_models()]
+
+
+def _deep(expr: str) -> str:
+    return "op Deep { set Cache.size := " + expr + " }"
+
+
+# integer expressions whose syntax tree is n levels high: a chain of n - 1
+# operators, and n - 1 negations of a parameter (those of a literal fold)
+NESTED_INT = {
+    "sum": lambda n: " + ".join(["1"] * n),
+    "minus": lambda n: "-" * (n - 1) + "param(Cache.size)",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_INT))
+def test_integer_expressions_nest_at_most_max_nesting_levels(shape):
+    expr = NESTED_INT[shape]
+    model = parse_model("model M { component Cache { class C param size : int = 1 } }")
+    at_limit = parse_recipes(_deep(expr(MAX_NESTING)))
+    size = apply_evolution(at_limit.operation_table()["Deep"], model).result \
+        .components["Cache"].params["size"].value
+    assert size == (MAX_NESTING if shape == "sum" else (-1) ** (MAX_NESTING - 1))
+    assert parse_recipes(print_recipes(at_limit)) == at_limit
+    with pytest.raises(AdlSyntaxError, match=f"nested more than {MAX_NESTING} levels deep$") \
+            as err:
+        parse_recipes(_deep(expr(MAX_NESTING + 1)))
+    # reported where the expression that got too high ends
+    assert (err.value.line, err.value.col) == \
+        (1, len(_deep(expr(MAX_NESTING + 1))))
+
+
+def test_integer_brackets_nest_at_most_max_nesting_deep():
+    def expr(n):
+        return "(" * n + "-1" + ")" * n
+    assert parse_recipes(_deep(expr(MAX_NESTING))) == parse_recipes(_deep("-1"))
+    with pytest.raises(AdlSyntaxError, match=f"^1:{29 + MAX_NESTING}: brackets nested "
+                                             f"more than {MAX_NESTING} deep$"):
+        parse_recipes(_deep(expr(MAX_NESTING + 1)))
+
+
+@pytest.mark.parametrize("expr", [" + ".join(["1"] * 5000), "(" * 5000 + "1" + ")" * 5000])
+def test_deep_integer_expressions_are_syntax_errors_not_recursion_errors(expr):
+    with pytest.raises(AdlSyntaxError, match="nested more than"):
+        parse_recipes(_deep(expr))

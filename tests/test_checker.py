@@ -19,6 +19,7 @@ from reconfcheck import (
     Param,
     STARTED,
     STOPPED,
+    apply_evolution,
     apply_sequence,
     build_automaton,
     check,
@@ -36,6 +37,7 @@ from reconfcheck import (
     unfold_to_lasso,
 )
 from reconfcheck import checker
+from reconfcheck.adl import model_digest
 from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE, \
     cycle_entry_model
 from reconfcheck.cli import run_cli
@@ -121,6 +123,59 @@ def test_drift_cycle_is_never_judged_by_two_passes(text, status, http_model, htt
     if status == "fails":
         assert bounded.witness.violation_index == 3
     assert oracle_verdict(f, a, http_model, http_ops) is (status == "holds")
+
+
+def _assert_witness_is_the_replayed_run(verdict, a, c0, ops):
+    """Each witness step names the state and the plain digest of the run's
+    configuration at its position."""
+    q, c = 0, c0
+    for i, step in enumerate(verdict.witness.steps):
+        if i:
+            label, q = a.succ(q)
+            c = apply_evolution(ops[label], c).result
+            assert step.label == label
+        assert (step.state, step.digest) == (q, model_digest(c))
+
+
+@pytest.mark.parametrize("path, text, max_steps", [
+    (Q1_VARIANT, "after AddCacheHandler normal always "
+                 "[bound(CacheHandler.cache, RequestHandler.getCache)]", None),
+    (Q1_VARIANT, "before AddFileServer normal always [component(CacheHandler)]", None),
+    # windows of the bounded, gate-refused branch
+    ("(DeviationUp)+", "always [RequestHandler.deviation < 100]", 55),
+    *(("(DeviationUp)+", text, 8) for text, status in DRIFT_CASES if status == "fails"),
+])
+def test_witness_digests_are_the_plain_digests(path, text, max_steps, http_model, http_ops):
+    a = build_automaton(parse_path(path))
+    verdict = check(parse_formula(text), a, http_model, http_ops,
+                    CheckOptions(max_steps=max_steps))
+    assert verdict.is_fails
+    _assert_witness_is_the_replayed_run(verdict, a, http_model, http_ops)
+
+
+def test_witness_digests_on_generated_runs():
+    rng = random.Random(808)
+    gated = refused = 0
+    for _ in range(300):
+        model = generators.gen_model(rng)
+        recipes = generators.gen_recipes(rng, model)
+        ops = recipes.operation_table()
+        a = build_automaton(generators.gen_path(rng, sorted(recipes.recipes)))
+        f = generators.gen_formula(rng, model, sorted(recipes.recipes))
+        for max_steps in (None, *range(1, 2 * a.n_states + 1)):
+            try:
+                verdict = check(f, a, model, ops, CheckOptions(max_steps=max_steps))
+            except CpEvalError:
+                break
+            if max_steps is None:
+                gate_refused = verdict.reason == REASON_CYCLE
+            if verdict.is_fails:
+                _assert_witness_is_the_replayed_run(verdict, a, model, ops)
+                if gate_refused:
+                    refused += 1
+                else:
+                    gated += 1
+    assert gated > 100 and refused > 10
 
 
 def test_bounded_check_budget_exhaustion_residual(http_model, http_ops):

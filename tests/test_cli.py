@@ -130,16 +130,24 @@ def test_usage_error_exit_three(samples_dir, capsys):
     assert code == 3
 
 
+def test_unevaluable_property_exit_six(samples_dir, capsys):
+    code = run_cli(_check_args(samples_dir, "--formula", "always [started(Nope)]"))
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.err.startswith("error: started(): unknown component 'Nope'")
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("formula", [
-    "always [started(Nope)]",                     # property cannot be evaluated
-    "always [" + "not " * 3000 + "true]",         # nested beyond the recursion limit
+    "always [" + "not " * 3000 + "true]",
     "after run normal " * 3000 + "always [true]",
-])
-def test_unevaluable_or_too_deep_formula_exit_three(samples_dir, capsys, formula):
+], ids=["not-x3000", "after-x3000"])
+def test_too_deep_formula_exit_three(samples_dir, capsys, formula):
     code = run_cli(_check_args(samples_dir, "--formula", formula))
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: ")
+    assert "nested more than 100 levels deep" in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -12,14 +12,19 @@ from reconfcheck import (
     RemoveComponent,
     apply_evolution,
     apply_primitive,
+    build_automaton,
+    check,
     erasure_invariant,
     event_holds,
     mentions_params,
     parse_cp,
     parse_formula,
+    parse_path,
     print_cp,
     print_formula,
 )
+from reconfcheck.adl import MAX_NESTING
+from reconfcheck.checker import CheckOptions
 from reconfcheck.model import (
     And,
     Bound,
@@ -173,3 +178,60 @@ def test_cp_round_trip_generated():
         m = generators.gen_model(rng)
         cp = generators.gen_cp(rng, m, depth=3)
         assert parse_cp(print_cp(cp)) == cp
+
+
+# formulas whose syntax tree is n levels high: every node is a level, so a
+# chain of k binary operators adds k (brackets are no level of their own)
+NESTED_FORMULAS = {
+    "not": lambda n: "always [" + "not " * (n - 2) + "true]",
+    "after": lambda n: "after run normal " * (n - 2) + "always [true]",
+    "and": lambda n: "always [" + " and ".join(["true"] * (n - 1)) + "]",
+    "or": lambda n: "eventually [" + " or ".join(["false"] * (n - 2) + ["true"]) + "]",
+    "implies": lambda n: "always [" + " implies ".join(["true"] * (n - 1)) + "]",
+    "exists": lambda n: "before run normal eventually ["
+                        + "exists x in components (" * (n - 3) + "true" + ")" * (n - 3) + "]",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_FORMULAS))
+def test_formulas_nest_at_most_max_nesting_levels(shape, http_model, http_ops):
+    text = NESTED_FORMULAS[shape]
+    f = parse_formula(text(MAX_NESTING), known_ops=http_ops)
+    # everything that walks the tree gets through it
+    a = build_automaton(parse_path("run (MemorySizeUp run)+"))
+    verdict = check(f, a, http_model, http_ops, CheckOptions(oracle_crosscheck=True))
+    assert verdict.status in ("holds", "fails")
+    # printed text brackets no deeper than its tree is high
+    assert parse_formula(print_formula(f)) == f
+    assert hash(f) == hash(parse_formula(text(MAX_NESTING)))
+    with pytest.raises(FtplSyntaxError, match=rf"^1:\d+: nested more than {MAX_NESTING} "
+                                              r"levels deep$"):
+        parse_formula(text(MAX_NESTING + 1))
+
+
+def test_properties_nest_at_most_max_nesting_levels():
+    assert parse_cp("not " * (MAX_NESTING - 1) + "true") is not None
+    # reported where the property that got too high ends
+    at = len("not " * MAX_NESTING + "true") + 1
+    with pytest.raises(FtplSyntaxError, match=rf"^1:{at}: nested more than"):
+        parse_cp("not " * MAX_NESTING + "true")
+
+
+def test_brackets_nest_at_most_max_nesting_deep():
+    def text(n):  # n brackets, the trace's included
+        return "always [" + "(" * (n - 1) + "true" + ")" * (n - 1) + "]"
+    assert parse_formula(text(MAX_NESTING)) == parse_formula("always [true]")
+    at = len("always [") + MAX_NESTING  # the first bracket too many
+    with pytest.raises(FtplSyntaxError, match=rf"^1:{at}: brackets nested more than "
+                                              rf"{MAX_NESTING} deep$"):
+        parse_formula(text(MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("text", [
+    "always [" + "not (" * 3000 + "true" + ")" * 3000 + "]",
+    "after run normal " * 3000 + "always [true]",
+    "always [" + "not " * 3000 + "true]",
+])
+def test_deep_formulas_are_syntax_errors_not_recursion_errors(text):
+    with pytest.raises(FtplSyntaxError, match="nested more than"):
+        parse_formula(text)

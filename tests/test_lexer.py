@@ -125,9 +125,9 @@ class ReferenceStream(adl.TokenStream):
     """The parsers' cursor fed by the reference scanner's tokens."""
 
     def __init__(self, text: str):
+        super().__init__("")  # the cursor's own state, then the reference's lexemes
         self._tokens = scalar_tokenize(text)
         self._lex = [self._lexeme(tok) for tok in self._tokens]
-        self._pos = 0
 
     @staticmethod
     def _lexeme(tok: Token) -> str:

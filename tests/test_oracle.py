@@ -1,23 +1,47 @@
 import random
 
+from hypothesis import assume, given, settings, strategies as st
+
 from reconfcheck import (
     Always,
     EventSpec,
     After,
     build_automaton,
+    erasure_invariant,
     eval_cp,
     is_idempotent_sequence,
     oracle_eval,
     oracle_verdict,
     parse_formula,
+    parse_model,
     parse_path,
+    parse_recipes,
     unfold_to_lasso,
 )
+from reconfcheck import oracle, reconfig
 from reconfcheck.checker import cycle_entry_model
 from reconfcheck.model import CpEvalError, TrueAtom
 from reconfcheck.oracle import _Sigma
 
 import generators
+
+
+def reference_oracle_verdict(f, a, c0, ops):
+    """``oracle_verdict`` as it was before it looked at windows: each pass
+    unfolds to its end, then evaluates once."""
+    value = oracle_eval(f, unfold_to_lasso(a, c0, ops))
+    if value is None and erasure_invariant(f, ops):
+        value = oracle_eval(f, unfold_to_lasso(a, c0, ops, compare_erased=True))
+    return value
+
+
+def _generated_case(seed: int):
+    rng = random.Random(seed)
+    model = generators.gen_model(rng)
+    recipes = generators.gen_recipes(rng, model)
+    names = sorted(recipes.recipes)
+    a = build_automaton(generators.gen_path(rng, names))
+    return generators.gen_formula(rng, model, names), a, model, recipes.operation_table()
 
 
 def test_finite_path_unfolds_completely(http_model, http_ops):
@@ -149,3 +173,132 @@ def test_oracle_entry_model_matches_engine(http_model, http_ops, base_automaton)
     assert l.entries[3].model == entry
     cycle_ops = [http_ops[n] for n in base_automaton.cycle_labels()]
     assert is_idempotent_sequence(cycle_ops, entry, ignore_params=True)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_windowed_verdict_equals_the_two_pass_reference(seed):
+    f, a, c0, ops = _generated_case(seed)
+    try:
+        expected = reference_oracle_verdict(f, a, c0, ops)
+    except CpEvalError:
+        assume(False)
+    assert oracle_verdict(f, a, c0, ops) is expected
+
+
+def test_generated_verdicts_are_decided_by_truncated_windows_too(monkeypatch):
+    # the differential above means something only if the 2..32-lap windows
+    # decide some generated cases
+    seen = []
+    evaluate = oracle.oracle_eval
+
+    def recorded(f, lasso):
+        value = evaluate(f, lasso)
+        seen.append((lasso.erased_compare, lasso.period_start is None and not lasso.complete,
+                     value))
+        return value
+
+    monkeypatch.setattr(oracle, "oracle_eval", recorded)
+    early = 0
+    for seed in range(300):
+        f, a, c0, ops = _generated_case(seed)
+        seen.clear()
+        try:
+            oracle_verdict(f, a, c0, ops)
+        except CpEvalError:
+            continue
+        erased, truncated, value = seen[-1]
+        windows = sum(1 for e, _t, _v in seen if e == erased)
+        early += truncated and value is not None and windows < 6
+    assert early >= 10
+
+
+def _drift_lasso(n: int, k: int):
+    """A drift lasso as the scaled benchmark builds it: ``run (Bump AddX0 run
+    RmX0 ... AddX<k-1> run RmX<k-1>)+``, where ``Bump`` raises ``Hub.level``
+    by one per lap."""
+    hub = "component Hub { class Hub param level : int = 0 input head : TW " + \
+        " ".join(f"input in{j} : TX" for j in range(k)) + " }"
+    workers = " ".join(f"component W{i} {{ class Worker input i : TW output o : TW }}"
+                       for i in range(n))
+    binds = " ".join(f"bind W{i}.o -> W{i + 1}.i" for i in range(n - 1))
+    model = parse_model(f"model Scaled {{ {hub} {workers} {binds} bind W{n - 1}.o -> Hub.head }}")
+    recipes = parse_recipes("op Bump { set Hub.level := param(Hub.level) + 1 } " + " ".join(
+        f"op AddX{j} {{ add component X{j} {{ class Extra output feed : TX }} "
+        f"bind X{j}.feed -> Hub.in{j} }} op RmX{j} {{ remove component X{j} }}"
+        for j in range(k)))
+    cycle = " ".join(f"AddX{j} run RmX{j}" for j in range(k))
+    a = build_automaton(parse_path(f"run (Bump {cycle})+"))
+    return a, model, recipes.operation_table()
+
+
+def _counted_applications(monkeypatch) -> list:
+    applied = []
+    apply = reconfig.apply_evolution
+    monkeypatch.setattr(reconfig, "apply_evolution",
+                        lambda op, m: applied.append(op) or apply(op, m))
+    return applied
+
+
+def test_oracle_stops_at_the_first_window_that_decides(monkeypatch):
+    a, c0, ops = _drift_lasso(4, 10)
+    f = parse_formula("always [Hub.level < 2]")  # violated at index 33, in lap 2
+    applied = _counted_applications(monkeypatch)
+    assert oracle_verdict(f, a, c0, ops) is False
+    # the prefix and two laps of 31 operations: 64 entries
+    assert len(applied) == 1 + 2 * 31
+    applied.clear()
+    assert reference_oracle_verdict(f, a, c0, ops) is False
+    assert len(applied) == 1 + 64 * 31  # 1,986 entries
+
+
+def _top_level_evaluations(monkeypatch) -> list:
+    """The windows ``_ev`` is called on from outside itself, by whether
+    they were cut on parameter-erased models."""
+    calls, depth = [], [0]
+    ev = oracle._ev
+
+    def counted(f, sig, s):
+        if depth[0] == 0:
+            calls.append(sig.erased)
+        depth[0] += 1
+        try:
+            return ev(f, sig, s)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle, "_ev", counted)
+    return calls
+
+
+def test_the_pass_matching_the_gate_evaluates_once(monkeypatch):
+    calls = _top_level_evaluations(monkeypatch)
+    passes = {False: 0, True: 0}
+    for seed in range(600):
+        f, a, c0, ops = _generated_case(seed)
+        if not a.has_cycle:
+            continue
+        entry = cycle_entry_model(a, c0, ops)
+        cycle = [ops[label] for label in a.cycle_labels()]
+        calls.clear()
+        try:
+            value = oracle_verdict(f, a, c0, ops)
+        except CpEvalError:
+            continue
+        if is_idempotent_sequence(cycle, entry):
+            assert calls == [False], seed  # the exact pass ends before its 2-lap window
+            passes[False] += 1
+        elif is_idempotent_sequence(cycle, entry, ignore_params=True) and \
+                erasure_invariant(f, ops) and True in calls:
+            assert calls.count(True) == 1, seed
+            assert value is not None
+            passes[True] += 1
+    assert passes[False] > 100 and passes[True] > 5
+
+
+def test_windows_are_the_truncated_unfoldings(http_model, http_ops):
+    a = build_automaton(parse_path("run (DeviationUp MemorySizeUp)+"))
+    looks = (2, 4, 8, 16, 32)
+    windows = list(oracle._windows(a, http_model, http_ops, 64, False, looks))
+    assert windows == [unfold_to_lasso(a, http_model, http_ops, max_rounds=laps)
+                       for laps in (*looks, 64)]
