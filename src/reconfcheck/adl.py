@@ -23,6 +23,7 @@ from .model import (
     ComponentModel,
     Delegation,
     Param,
+    binding_key,
     validate_model,
 )
 from .reconfig import (
@@ -423,13 +424,18 @@ def parse_model(text: str, validate: bool = True) -> ComponentModel:
     return m
 
 
-def _format_literal(pv: Param) -> str:
+def format_literal(pv: Param) -> str:
+    """A parameter value as the file formats spell it, integers of any length."""
     if pv.cls == "string":
         escaped = str(pv.value).replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     if pv.cls == "bool":
         return "true" if pv.value else "false"
-    return str(pv.value)
+    try:
+        return str(pv.value)
+    except ValueError:  # past Python's digit limit for int-to-str conversion
+        from decimal import Decimal  # imported for such integers only
+        return str(Decimal(pv.value))
 
 
 def _format_component(c: Component, indent: str) -> list[str]:
@@ -438,7 +444,7 @@ def _format_component(c: Component, indent: str) -> list[str]:
     lines = [f"{indent}{keyword} {c.id} {{", f"{inner}class {c.cls}"]
     for name in sorted(c.params):
         lines.append(f"{inner}param {name} : {c.params[name].cls} = "
-                     f"{_format_literal(c.params[name])}")
+                     f"{format_literal(c.params[name])}")
     for port in sorted(c.inputs):
         lines.append(f"{inner}input {port} : {c.inputs[port]}")
     for port in sorted(c.outputs):
@@ -454,16 +460,12 @@ def _component_text(c: Component) -> str:
     return "\n".join(_format_component(c, "  ")) + "\n"
 
 
-def _binding_key(b: Binding) -> tuple[str, str, str, str]:
-    return b.out_component, b.out_port, b.in_component, b.in_port
-
-
 def _binding_line(b: Binding) -> str:
     return f"  bind {b.out_component}.{b.out_port} -> {b.in_component}.{b.in_port}\n"
 
 
 def _binding_lines(bindings: frozenset[Binding]) -> list[str]:
-    return [_binding_line(b) for b in sorted(bindings, key=_binding_key)]
+    return [_binding_line(b) for b in sorted(bindings, key=binding_key)]
 
 
 def _model_text(m: ComponentModel, component_text: Callable[[Component], str],
@@ -518,10 +520,10 @@ def model_digester() -> Callable[[ComponentModel], str]:
         nonlocal before
         if bindings is not before:
             for b in before - bindings:
-                i = bisect_left(keys, _binding_key(b))
+                i = bisect_left(keys, binding_key(b))
                 del keys[i], lines[i]
             for b in bindings - before:
-                key = _binding_key(b)
+                key = binding_key(b)
                 i = bisect_left(keys, key)
                 keys.insert(i, key)
                 lines.insert(i, _binding_line(b))

@@ -275,7 +275,7 @@ def _marked_run(walk: _Walk, q: int,
         yield label, q, c
 
 
-def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int) -> bool:
+def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int):
     """Check ``f.inner`` after occurrences of ``f.event`` from (q, c).
 
     When ``f.inner`` is suffix-monotone the first occurrence decides (the
@@ -286,27 +286,25 @@ def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int) -> b
     pending: list[tuple[int, ComponentModel, int]] = []
     for pos, (label, q2, c2) in enumerate(_marked_run(walk, q, c), pos + 1):
         if event_holds(c, c2, label, f.event, pos):
-            if not collect_all:
-                return _eval_formula(f.inner, walk, q2, c2, pos)
             pending.append((q2, c2, pos))
+            if not collect_all:
+                break
         c = c2
-    # the event never occurs (vacuous truth), or every occurrence must pass
-    return all(_eval_formula(f.inner, walk, q2, c2, pos2) for q2, c2, pos2 in pending)
+    # every occurrence kept must pass; none at all is vacuous truth
+    for q2, c2, pos2 in pending:
+        _eval_formula(f.inner, walk, q2, c2, pos2)
 
 
-def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
-                 pos: int) -> bool:
+def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos: int):
     """Check ``cp`` on (q, c) and on every configuration of its marked run."""
     run = (c2 for _label, _q, c2 in _marked_run(walk, q, c))
     for pos, c in enumerate(chain([c], run), pos):
         if not walk.eval_cp(cp, c):
             raise _Violation(pos, f"always [{print_cp(cp)}] violated")
-    return True
 
 
-def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
-                     pos: int) -> bool:
-    """True as soon as one reachable configuration satisfies ``cp``.
+def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos: int):
+    """Passes as soon as one reachable configuration satisfies ``cp``.
 
     Unfolds until the (state, model) pair repeats or the path ends; each
     state is applied at most twice on the way.
@@ -314,13 +312,13 @@ def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
     run = walk.unfold(q, c)
     for i, (_q, _label, c) in enumerate(run):
         if walk.eval_cp(cp, c):
-            return True
+            return
     how = "on the finite path" if run.complete else "(cycle stabilized)"
     raise _Violation(pos + i, f"eventually [{print_cp(cp)}] never satisfied {how}")
 
 
 def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
-                  c: ComponentModel, pos: int) -> bool:
+                  c: ComponentModel, pos: int):
     """Every occurrence of ``e`` must be preceded by a segment satisfying
     the trace property.
 
@@ -357,7 +355,7 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
         while evaluated < min(i, n):
             holds = walk.eval_cp(tr.cp, models[evaluated])
             if holds and not is_always:
-                return True  # and so in every later segment
+                return  # and so in every later segment
             if not holds and is_always:
                 raise _Violation(pos + evaluated,
                                  f"before {e.op_name} {e.modality}: always "
@@ -370,23 +368,22 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
                              f"[{print_cp(tr.cp)}] unsatisfied in preceding segment",
                              length=pos + n)
         if evaluated == n:
-            return True  # every configuration passed: so does every later segment
-    return True
+            return  # every configuration passed: so does every later segment
 
 
-def _eval_formula(f: FtplFormula, walk: _Walk, q: int, c: ComponentModel,
-                  pos: int) -> bool:
-    """Evaluate at run position ``pos`` with a fresh mark map per operator
-    node; violations raise."""
+def _eval_formula(f: FtplFormula, walk: _Walk, q: int, c: ComponentModel, pos: int):
+    """Check ``f`` at run position ``pos`` with a fresh mark map per operator
+    node; a violation raises :class:`_Violation`."""
     if isinstance(f, After):
-        return _after_loop(f, walk, q, c, pos)
-    if isinstance(f, Before):
-        return _before_check(f.event, f.trace, walk, q, c, pos)
-    if isinstance(f, Always):
-        return _always_loop(f.cp, walk, q, c, pos)
-    if isinstance(f, Eventually):
-        return _eventually_scan(f.cp, walk, q, c, pos)
-    raise TypeError(f"not a formula node: {f!r}")
+        _after_loop(f, walk, q, c, pos)
+    elif isinstance(f, Before):
+        _before_check(f.event, f.trace, walk, q, c, pos)
+    elif isinstance(f, Always):
+        _always_loop(f.cp, walk, q, c, pos)
+    elif isinstance(f, Eventually):
+        _eventually_scan(f.cp, walk, q, c, pos)
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
 
 
 # --- the checker entry point -------------------------------------------------------

@@ -200,11 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Check temporal properties of component reconfiguration paths.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_path=True):
+    def add_common(p):
         p.add_argument("--model", required=True, help="architecture file (.arch)")
         p.add_argument("--ops", help="recipe file (.ops)")
-        if with_path:
-            p.add_argument("--path", required=True, help="reconfiguration path file (.rp)")
+        p.add_argument("--path", required=True, help="reconfiguration path file (.rp)")
 
     p_check = sub.add_parser("check", help="check a formula along a path")
     add_common(p_check)

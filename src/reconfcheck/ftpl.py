@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .adl import TokenStream
+from .adl import TokenStream, format_literal
 from .model import (
     And,
     Bound,
@@ -25,6 +25,7 @@ from .model import (
     Implies,
     Not,
     Or,
+    Param,
     ParamCmp,
     QUANTIFIER_DOMAINS,
     Started,
@@ -281,13 +282,9 @@ def print_cp(cp: ConfigProperty) -> str:
     if isinstance(cp, Subcomponent):
         return f"subcomponent({cp.child}, {cp.parent})"
     if isinstance(cp, ParamCmp):
-        if isinstance(cp.literal, bool):
-            lit = "true" if cp.literal else "false"
-        elif isinstance(cp.literal, str):
-            lit = '"' + cp.literal.replace("\\", "\\\\").replace('"', '\\"') + '"'
-        else:
-            lit = str(cp.literal)
-        return f"{cp.component}.{cp.param} {cp.relop} {lit}"
+        cls = "bool" if isinstance(cp.literal, bool) else \
+            "string" if isinstance(cp.literal, str) else "int"
+        return f"{cp.component}.{cp.param} {cp.relop} {format_literal(Param(cls, cp.literal))}"
     if isinstance(cp, Not):
         return f"not {print_cp(cp.inner)}" if _is_atom(cp.inner) \
             else f"not ({print_cp(cp.inner)})"

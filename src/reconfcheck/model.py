@@ -317,13 +317,17 @@ QUANTIFIER_DOMAINS = ("components", "bindings")
 _Env = Mapping[str, tuple]
 
 
+def binding_key(b: Binding) -> tuple[str, str, str, str]:
+    """The order in which bindings are printed and quantified over."""
+    return b.out_component, b.out_port, b.in_component, b.in_port
+
+
 def _domain_values(m: ComponentModel, domain: str) -> Iterator[tuple]:
     if domain == "components":
         for cid in sorted(m.components):
             yield ("component", cid)
     elif domain == "bindings":
-        for b in sorted(m.bindings, key=lambda b: (b.out_component, b.out_port,
-                                                   b.in_component, b.in_port)):
+        for b in sorted(m.bindings, key=binding_key):
             yield ("binding", b)
     else:
         raise CpEvalError(f"unknown quantifier domain '{domain}'")

@@ -1,11 +1,10 @@
 """Evolution operations: primitive and composite reconfigurations plus run.
 
 Every operation is robust: when its precondition is not satisfiable on the
-input model it behaves like the identity function and the outcome reports
-``changed=False``.  There is no error channel by design — a failed
-reconfiguration *is* the identity reconfiguration.  A consequence is that
-the topological primitives (component/binding addition and removal) are
-idempotent.
+input model it behaves like the identity function and returns its input.
+There is no error channel by design — a failed reconfiguration *is* the
+identity reconfiguration.  A consequence is that the topological
+primitives (component/binding addition and removal) are idempotent.
 """
 
 from __future__ import annotations
@@ -142,12 +141,14 @@ EvolutionOperation = Union[Run, Primitive, Composite]
 
 @dataclass(frozen=True)
 class ApplicationOutcome:
+    source: ComponentModel
     result: ComponentModel
-    changed: bool
 
-
-def _unchanged(m: ComponentModel) -> ApplicationOutcome:
-    return ApplicationOutcome(m, False)
+    @property
+    def changed(self) -> bool:
+        """Did the application change the configuration?  Compared when read,
+        as ``ftpl.event_holds`` compares the models around a step."""
+        return self.result != self.source
 
 
 def _template_ok(t: Component, m: ComponentModel) -> bool:
@@ -162,18 +163,18 @@ def _template_ok(t: Component, m: ComponentModel) -> bool:
     return True
 
 
-def _apply_add(op: AddComponent, m: ComponentModel) -> ApplicationOutcome:
+def _apply_add(op: AddComponent, m: ComponentModel) -> ComponentModel:
     if not _template_ok(op.template, m):
-        return _unchanged(m)
+        return m
     fresh = replace(op.template, state=STOPPED)
     comps = dict(m.components)
     comps[fresh.id] = fresh
-    return ApplicationOutcome(replace(m, components=comps), True)
+    return replace(m, components=comps)
 
 
-def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ApplicationOutcome:
+def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
     if op.id not in m.components:
-        return _unchanged(m)
+        return m
     # the target is (implicitly) stopped first, then all bindings and
     # delegations touching it disappear with it; children become roots
     comps = {}
@@ -185,68 +186,63 @@ def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ApplicationOutcome:
                          if op.id not in (b.out_component, b.in_component))
     delegations = frozenset(d for d in m.delegations
                             if op.id not in (d.composite, d.inner))
-    return ApplicationOutcome(
-        replace(m, components=comps, bindings=bindings, delegations=delegations), True)
+    return replace(m, components=comps, bindings=bindings, delegations=delegations)
 
 
-def _apply_bind(op: Bind, m: ComponentModel) -> ApplicationOutcome:
+def _apply_bind(op: Bind, m: ComponentModel) -> ComponentModel:
     b = op.binding
     src = m.components.get(b.out_component)
     dst = m.components.get(b.in_component)
     if src is None or dst is None:
-        return _unchanged(m)
+        return m
     if b.out_port not in src.outputs or b.in_port not in dst.inputs:
-        return _unchanged(m)
+        return m
     if src.outputs[b.out_port] != dst.inputs[b.in_port]:
-        return _unchanged(m)
+        return m
     if b in m.bindings:
-        return _unchanged(m)
+        return m
     if any(x.in_component == b.in_component and x.in_port == b.in_port
            for x in m.bindings):
-        return _unchanged(m)  # one binding per input endpoint
-    return ApplicationOutcome(replace(m, bindings=m.bindings | {b}), True)
+        return m  # one binding per input endpoint
+    return replace(m, bindings=m.bindings | {b})
 
 
-def _apply_unbind(op: Unbind, m: ComponentModel) -> ApplicationOutcome:
+def _apply_unbind(op: Unbind, m: ComponentModel) -> ComponentModel:
     if op.binding not in m.bindings:
-        return _unchanged(m)
-    return ApplicationOutcome(replace(m, bindings=m.bindings - {op.binding}), True)
+        return m
+    return replace(m, bindings=m.bindings - {op.binding})
 
 
-def _apply_set_param(op: SetParam, m: ComponentModel) -> ApplicationOutcome:
+def _apply_set_param(op: SetParam, m: ComponentModel) -> ComponentModel:
     c = m.components.get(op.component)
     if c is None:
-        return _unchanged(m)
+        return m
     pv = c.params.get(op.param)
     if pv is None or pv.cls != "int":
-        return _unchanged(m)
+        return m
     value = eval_int_expr(op.expr, m)
-    if value is None:
-        return _unchanged(m)
-    if value == pv.value:
-        return _unchanged(m)
+    if value is None or value == pv.value:
+        return m
     comps = dict(m.components)
     comps[op.component] = replace(c, params={**c.params, op.param: Param("int", value)})
-    return ApplicationOutcome(replace(m, components=comps), True)
+    return replace(m, components=comps)
 
 
-def _apply_lifecycle(cid: str, state: str, m: ComponentModel) -> ApplicationOutcome:
+def _apply_lifecycle(cid: str, state: str, m: ComponentModel) -> ComponentModel:
     c = m.components.get(cid)
-    if c is None:
-        return _unchanged(m)
-    if c.state == state:
-        return _unchanged(m)
+    if c is None or c.state == state:
+        return m
     comps = dict(m.components)
     comps[cid] = replace(c, state=state)
-    return ApplicationOutcome(replace(m, components=comps), True)
+    return replace(m, components=comps)
 
 
-def apply_primitive(op: Primitive, m: ComponentModel) -> ApplicationOutcome:
+def apply_primitive(op: Primitive, m: ComponentModel) -> ComponentModel:
     """Apply one primitive with robustness semantics.
 
     Unsatisfiable preconditions (adding an existing id, removing an absent
     one, duplicate or type-mismatched binds, updates of missing parameters)
-    return the input model unchanged.
+    return the input model itself.
     """
     if isinstance(op, AddComponent):
         return _apply_add(op, m)
@@ -268,20 +264,20 @@ def apply_primitive(op: Primitive, m: ComponentModel) -> ApplicationOutcome:
 def apply_evolution(op: EvolutionOperation, m: ComponentModel) -> ApplicationOutcome:
     """Apply run, a primitive, or a composite recipe.
 
-    ``changed`` is always computed against the original model, so a
+    ``changed`` compares the result with the original model, so a
     composite whose steps cancel out reports ``changed=False``.
     """
     if isinstance(op, Run):
         comps = {cid: (replace(c, state=STARTED) if c.state != STARTED else c)
                  for cid, c in m.components.items()}
         result = replace(m, components=comps)
-        return ApplicationOutcome(result, m != result)
-    if isinstance(op, Composite):
-        cur = m
+    elif isinstance(op, Composite):
+        result = m
         for step in op.steps:
-            cur = apply_primitive(step, cur).result
-        return ApplicationOutcome(cur, m != cur)
-    return apply_primitive(op, m)
+            result = apply_primitive(step, result)
+    else:
+        result = apply_primitive(op, m)
+    return ApplicationOutcome(m, result)
 
 
 def apply_sequence(ops: Sequence[EvolutionOperation], m: ComponentModel) -> ComponentModel:

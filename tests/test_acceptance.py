@@ -111,8 +111,8 @@ def test_criterion_5_idempotence_suite():
         if not isinstance(step, kinds):
             continue
         per_kind[type(step)] += 1
-        once = apply_primitive(step, m).result
-        twice = apply_primitive(step, once).result
+        once = apply_primitive(step, m)
+        twice = apply_primitive(step, once)
         if once != twice:
             failures += 1
     ok = failures == 0
@@ -129,12 +129,12 @@ def test_criterion_5_idempotence_suite():
         g = generators._gen_step(rng, m)
         if not isinstance(f, kinds) or not isinstance(g, kinds):
             continue
-        fg = apply_primitive(g, apply_primitive(f, m).result).result
-        gf = apply_primitive(f, apply_primitive(g, m).result).result
+        fg = apply_primitive(g, apply_primitive(f, m))
+        gf = apply_primitive(f, apply_primitive(g, m))
         if fg != gf:
             continue
         pairs += 1
-        again = apply_primitive(g, apply_primitive(f, fg).result).result
+        again = apply_primitive(g, apply_primitive(f, fg))
         if again != fg:
             lemma_failures += 1
     _report(5, f"commuting-composition lemma, {pairs} commuting pairs",

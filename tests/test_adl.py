@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -193,6 +194,13 @@ def test_bad_integer_literals_are_positioned_syntax_errors():
     with pytest.raises(AdlSyntaxError) as err:
         parse_recipes("op O {\n  set C.p := 1 + ²³ }")
     assert (err.value.line, err.value.col) == (2, 18)
+
+
+def test_print_model_spells_integers_past_the_digit_limit():
+    big = 2 ** 2 ** 14  # 4,933 digits; str() refuses more than 4,300
+    m = ComponentModel("M", {"A": Component("A", "C", params={"x": Param("int", -big)})})
+    assert f"param x : int = -{Decimal(big)}\n" in print_model(m)
+    assert model_digester()(m) == model_digest(m)
 
 
 def test_error_messages_show_a_string_token_by_its_value():

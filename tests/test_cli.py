@@ -257,3 +257,70 @@ def test_idempotence_finite_path(samples_dir, tmp_path, capsys):
                     "--path", str(path_file)])
     assert code == 0
     assert "no cycle" in capsys.readouterr().out
+
+
+def test_simulate_logs_a_recipe_that_cancels_out_as_unchanged(samples_dir, tmp_path, capsys):
+    ops = tmp_path / "bounce.ops"
+    ops.write_text("op Bounce { stop CacheHandler start CacheHandler }")
+    path = tmp_path / "bounce.rp"
+    path.write_text("Bounce")
+    out_dir = tmp_path / "dump"
+    assert run_cli(["simulate", "--model", str(samples_dir / "http.arch"), "--ops", str(ops),
+                    "--path", str(path), "--steps", "1", "--dump-dir", str(out_dir)]) == 0
+    log = capsys.readouterr().out.splitlines()
+    digest = re.fullmatch(r"step 0: initial \[(\w+)\]", log[0]).group(1)
+    # the recipe builds a new model equal to its input
+    assert log[1:] == [f"step 1: Bounce (unchanged) [{digest}]"]
+    assert (out_dir / "step_001.arch").read_text() == (out_dir / "step_000.arch").read_text()
+
+
+SQUARE_MODEL = "model M { component A { class C param x : int = 2 } }"
+SQUARE_OPS = "op Sq { set A.x := param(A.x) * param(A.x) }"
+
+
+def _square_args(tmp_path):
+    files = {"m.arch": SQUARE_MODEL, "m.ops": SQUARE_OPS, "p.rp": "(Sq)+"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return ["--model", str(tmp_path / "m.arch"), "--ops", str(tmp_path / "m.ops"),
+            "--path", str(tmp_path / "p.rp")]
+
+
+def _square_text(steps: int) -> str:
+    # 2 squared `steps` times has 4,933 digits at 14 steps, past Python's
+    # default limit of 4,300 for int-to-str conversion
+    from decimal import Decimal
+    return str(Decimal(2 ** 2 ** steps))
+
+
+@pytest.mark.parametrize("formula, code, status", [
+    ("always [A.x > 0]", 2, "unknown"),
+    ("always [A.x < 100]", 1, "fails"),
+])
+def test_parameter_values_past_the_digit_limit_keep_the_verdict(tmp_path, capsys, formula,
+                                                                code, status):
+    args = ["check", *_square_args(tmp_path), "--formula", formula, "--max-steps", "14"]
+    assert run_cli(args) == code
+    text, err = capsys.readouterr()
+    assert err == ""
+    assert text.startswith(f"verdict: {status}\n")
+    assert text.endswith("transitions applied: 14\n")
+    assert run_cli([*args, "--json"]) == code
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["verdict"] == status
+    if status == "unknown":
+        assert report["residual"] == "(Sq)+"
+        assert f"param x : int = {_square_text(14)}\n" in report["reached"]
+        assert "reached model digest: " in text
+    else:
+        steps = report["witness"]["steps"]
+        assert len(steps) == 15 and report["witness"]["violation_index"] == 3
+        # the witness digests are those of the simulated configurations
+        assert run_cli(["simulate", *_square_args(tmp_path), "--steps", "14",
+                        "--dump-dir", str(tmp_path / "dump")]) == 0
+        log = capsys.readouterr().out
+        assert re.findall(r"^step \d+: .*\[(\w+)\]$", log, re.M) == [s["digest"] for s in steps]
+        assert log.endswith("step 14: Sq (changed) [" + steps[-1]["digest"] + "]\n")
+        assert f"param x : int = {_square_text(14)}\n" in \
+            (tmp_path / "dump" / "step_014.arch").read_text()

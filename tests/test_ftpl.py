@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -100,6 +101,15 @@ def test_parse_cp_param_comparison():
     assert parse_cp("A.b != false") == ParamCmp("A", "b", "!=", False)
 
 
+def test_print_cp_spells_literals_as_the_model_printer_does():
+    for literal, text in [('a"b\\c', '"a\\"b\\\\c"'), (True, "true"), (False, "false"),
+                          (-7, "-7"), (2 ** 2 ** 14, str(Decimal(2 ** 2 ** 14)))]:
+        cp = ParamCmp("A", "p", "=", literal)
+        assert print_cp(cp) == f"A.p = {text}"
+        if len(text) < 4300:  # the parser refuses integer literals past the digit limit
+            assert parse_cp(print_cp(cp)) == cp
+
+
 def test_bad_integer_literals_are_positioned_syntax_errors():
     with pytest.raises(FtplSyntaxError, match=r"^1:15: invalid integer literal '²'$"):
         parse_formula("always [C.p = ²]")
@@ -113,7 +123,7 @@ def test_event_holds_normal_vs_exceptional(http_model, http_ops):
     spec_normal = EventSpec("AddCacheHandler", "normal")
     assert event_holds(removed, added, "AddCacheHandler", spec_normal, 3) is True
     # removal of an absent component leaves the model unchanged: exceptional
-    still = apply_primitive(RemoveComponent("FileServer2"), http_model).result
+    still = apply_primitive(RemoveComponent("FileServer2"), http_model)
     spec_exc = EventSpec("DeleteFileServer", "exceptional")
     assert event_holds(http_model, still, "DeleteFileServer", spec_exc, 1) is True
     assert event_holds(http_model, still, "DeleteFileServer",

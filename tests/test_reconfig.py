@@ -7,12 +7,14 @@ from reconfcheck import (
     Bind,
     Binding,
     Component,
+    ComponentModel,
     Param,
     RemoveComponent,
     RUN,
     SetParam,
     STARTED,
     STOPPED,
+    Start,
     Stop,
     Unbind,
     apply_evolution,
@@ -20,6 +22,7 @@ from reconfcheck import (
     apply_sequence,
     eval_cp,
     is_idempotent_sequence,
+    print_model,
     validate_model,
 )
 from reconfcheck.model import Bound
@@ -30,45 +33,42 @@ import generators
 
 def test_remove_bound_component_drops_bindings(http_model):
     out = apply_primitive(RemoveComponent("CacheHandler"), http_model)
-    assert out.changed
-    assert "CacheHandler" not in out.result.components
+    assert out != http_model
+    assert "CacheHandler" not in out.components
     assert all(b.out_component != "CacheHandler" and b.in_component != "CacheHandler"
-               for b in out.result.bindings)
+               for b in out.bindings)
     # the parent composite no longer lists it
-    assert "CacheHandler" not in out.result.components["HttpServer"].contains
-    assert validate_model(out.result) == []
+    assert "CacheHandler" not in out.components["HttpServer"].contains
+    assert validate_model(out) == []
 
 
 def test_remove_absent_is_identity(http_model):
-    out = apply_primitive(RemoveComponent("CacheHandler"),
-                          apply_primitive(RemoveComponent("CacheHandler"), http_model).result)
-    assert not out.changed
+    removed = apply_primitive(RemoveComponent("CacheHandler"), http_model)
+    assert apply_primitive(RemoveComponent("CacheHandler"), removed) is removed
 
 
 def test_add_twice_is_idempotent(http_model):
     template = Component(id="Probe", cls="FileStore", inputs={"p": "T1"})
     once = apply_primitive(AddComponent(template), http_model)
-    assert once.changed
-    assert once.result.components["Probe"].state == STOPPED
-    twice = apply_primitive(AddComponent(template), once.result)
-    assert not twice.changed
-    assert once.result == twice.result
+    assert once != http_model
+    assert once.components["Probe"].state == STOPPED
+    assert apply_primitive(AddComponent(template), once) is once
 
 
 def test_add_forces_stopped_state(http_model):
     template = Component(id="Probe", cls="FileStore", state=STARTED)
     out = apply_primitive(AddComponent(template), http_model)
-    assert out.result.components["Probe"].state == STOPPED
+    assert out.components["Probe"].state == STOPPED
 
 
 def test_add_rejects_bad_templates(http_model):
     # same name used as parameter and input port
     bad = Component(id="Probe", cls="X", params={"n": Param("int", 1)},
                     inputs={"n": "T1"})
-    assert not apply_primitive(AddComponent(bad), http_model).changed
+    assert apply_primitive(AddComponent(bad), http_model) is http_model
     # contains pointing at a component that already has a parent
     grab = Component(id="Probe", cls="X", contains=frozenset({"CacheHandler"}))
-    assert not apply_primitive(AddComponent(grab), http_model).changed
+    assert apply_primitive(AddComponent(grab), http_model) is http_model
 
 
 @pytest.mark.parametrize("template", [
@@ -86,37 +86,42 @@ def test_add_rejects_bad_templates(http_model):
         "int-as-bool", "unknown-class", "erased-value", "unknown-child"])
 def test_add_refuses_each_ill_typed_template(http_model, template):
     # without HttpServer every other component is a root, free to be contained
-    roots = apply_primitive(RemoveComponent("HttpServer"), http_model).result
-    assert not apply_primitive(AddComponent(template), roots).changed
+    roots = apply_primitive(RemoveComponent("HttpServer"), http_model)
+    assert apply_primitive(AddComponent(template), roots) is roots
 
 
 def test_add_ignores_the_template_state(http_model):
-    roots = apply_primitive(RemoveComponent("HttpServer"), http_model).result
+    roots = apply_primitive(RemoveComponent("HttpServer"), http_model)
     template = Component(id="Probe", cls="X", contains=frozenset({"FileServer1"}),
                          state="paused")
     out = apply_primitive(AddComponent(template), roots)
-    assert out.changed
-    assert out.result.components["Probe"].state == STOPPED
-    assert validate_model(out.result) == []
+    assert out != roots
+    assert out.components["Probe"].state == STOPPED
+    assert validate_model(out) == []
 
 
 def test_bind_preconditions(http_model):
     existing = Binding("CacheHandler", "cache", "RequestHandler", "getCache")
-    assert not apply_primitive(Bind(existing), http_model).changed  # duplicate
+    assert apply_primitive(Bind(existing), http_model) is http_model  # duplicate
     mismatched = Binding("CacheHandler", "cache", "RequestReceiver", "request")
-    assert not apply_primitive(Bind(mismatched), http_model).changed  # class mismatch
+    assert apply_primitive(Bind(mismatched), http_model) is http_model  # class mismatch
     ghost = Binding("Nope", "cache", "RequestHandler", "getCache")
-    assert not apply_primitive(Bind(ghost), http_model).changed
+    assert apply_primitive(Bind(ghost), http_model) is http_model
     # input endpoint already bound by another output
+    spare = apply_primitive(AddComponent(Component(id="Spare", cls="Cache",
+                                                   outputs={"cache": "Tcache"})), http_model)
+    taken = Binding("Spare", "cache", "RequestHandler", "getCache")
+    assert apply_primitive(Bind(taken), spare) is spare
+    # once unbound, the binding can be made again
     out = apply_primitive(Unbind(existing), http_model)
-    rebound = apply_primitive(Bind(existing), out.result)
-    assert rebound.changed
-    assert rebound.result == http_model
+    rebound = apply_primitive(Bind(existing), out)
+    assert rebound != out
+    assert rebound == http_model
 
 
 def test_unbind_absent_is_identity(http_model):
     missing = Binding("RequestDispatcher", "getServer", "RequestHandler", "getCache")
-    assert not apply_primitive(Unbind(missing), http_model).changed
+    assert apply_primitive(Unbind(missing), http_model) is http_model
 
 
 def test_set_param_robustness(http_model):
@@ -126,23 +131,38 @@ def test_set_param_robustness(http_model):
                SetParam("CacheHandler", "memorySize", ParamRef("Nope", "x")),
                SetParam("CacheHandler", "memorySize",
                         BinOp("+", ParamRef("CacheHandler", "nope"), IntLiteral(1)))):
-        assert not apply_primitive(op, http_model).changed
+        assert apply_primitive(op, http_model) is http_model
     # setting a parameter to its current value changes nothing
     same = SetParam("CacheHandler", "memorySize", IntLiteral(100))
-    assert not apply_primitive(same, http_model).changed
+    assert apply_primitive(same, http_model) is http_model
 
 
 def test_stop_start_run(http_model):
     stopped = apply_primitive(Stop("CacheHandler"), http_model)
-    assert stopped.changed
-    assert stopped.result.components["CacheHandler"].state == STOPPED
-    again = apply_primitive(Stop("CacheHandler"), stopped.result)
-    assert not again.changed
-    ran = apply_evolution(RUN, stopped.result)
+    assert stopped != http_model
+    assert stopped.components["CacheHandler"].state == STOPPED
+    assert apply_primitive(Stop("CacheHandler"), stopped) is stopped
+    assert apply_primitive(Start("Nope"), stopped) is stopped
+    ran = apply_evolution(RUN, stopped)
     assert ran.changed
     assert ran.result == http_model
     ran_again = apply_evolution(RUN, ran.result)
     assert not ran_again.changed  # all started already: identity
+
+
+def test_changed_is_compared_only_when_read(http_model, http_ops, monkeypatch):
+    compared = []
+    eq = ComponentModel.__eq__
+    monkeypatch.setattr(ComponentModel, "__eq__",
+                        lambda self, other: compared.append(1) or eq(self, other))
+    stopped = apply_evolution(Stop("CacheHandler"), http_model).result
+    outcomes = [apply_evolution(RUN, stopped),
+                apply_evolution(http_ops["AddCacheHandler"], http_model),  # both steps fail
+                apply_evolution(Stop("CacheHandler"), http_model)]
+    assert compared == []
+    assert [o.changed for o in outcomes] == [True, False, True]
+    assert len(compared) == 3
+    assert outcomes[1].result is http_model
 
 
 def test_composite_add_cache_handler_restores_connection(http_model, http_ops):
@@ -186,9 +206,8 @@ def test_topological_primitives_idempotent_property():
     for _ in range(120):
         m = generators.gen_model(rng)
         op = _random_topological_primitive(rng, m)
-        once = apply_primitive(op, m).result
-        twice = apply_primitive(op, once).result
-        assert once == twice
+        once = apply_primitive(op, m)
+        assert apply_primitive(op, once) is once  # its precondition now fails
 
 
 def test_commuting_idempotent_pairs_compose_idempotently():
@@ -198,12 +217,12 @@ def test_commuting_idempotent_pairs_compose_idempotently():
         m = generators.gen_model(rng)
         f = _random_topological_primitive(rng, m)
         g = _random_topological_primitive(rng, m)
-        fg = apply_primitive(g, apply_primitive(f, m).result).result
-        gf = apply_primitive(f, apply_primitive(g, m).result).result
+        fg = apply_primitive(g, apply_primitive(f, m))
+        gf = apply_primitive(f, apply_primitive(g, m))
         if fg != gf:
             continue
         found += 1
-        assert apply_primitive(g, apply_primitive(f, fg).result).result == fg
+        assert apply_primitive(g, apply_primitive(f, fg)) == fg
 
 
 def test_add_then_delete_file_server_cancels(http_model, http_ops):
@@ -221,6 +240,7 @@ def test_closure_under_evolution():
         current = m
         for _ in range(10):
             outcome = apply_evolution(ops[rng.choice(list(ops))], current)
-            assert outcome.changed == (current != outcome.result)
+            assert outcome.source is current
+            assert outcome.changed == (print_model(current) != print_model(outcome.result))
             current = outcome.result
             assert validate_model(current) == []
