@@ -8,10 +8,11 @@ Four batch commands tie the file formats together:
 * ``idempotence`` report whether the path's cycle is idempotent
 * ``validate``    run the structural validator on a model
 
-Exit codes 3 and 4 flag parse/usage errors (input nested too deeply
-included) and invalid models, 5 a verdict the ``--oracle`` cross-check
-contradicts, and 6 a property that cannot be evaluated (an unknown
-identifier in an attribute atom); none of these is reported as "fails".
+Exit codes 3 and 4 flag parse/usage errors (input nested too deeply and
+running out of memory included) and invalid models, 5 a verdict the
+``--oracle`` cross-check contradicts, and 6 a property that cannot be
+evaluated (an unknown identifier in an attribute atom); none of these is
+reported as "fails".
 """
 
 from __future__ import annotations
@@ -265,6 +266,11 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
         return EXIT_ILL_FORMED_PROPERTY
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # a squaring parameter or an unbounded run can outgrow memory; exit 1
+        # would read as "fails", a verdict that was never reached
+        print("error: out of memory before a result was reached", file=sys.stderr)
         return EXIT_USAGE
 
 

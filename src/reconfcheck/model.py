@@ -401,7 +401,11 @@ def compile_cp(cp: ConfigProperty) -> CompiledCp:
     evaluation.  Iteration order, short-circuiting and every
     :class:`CpEvalError` message are those of :func:`eval_cp`, and errors
     are raised when evaluating, never when compiling, so an ill-formed
-    subproperty that short-circuiting skips stays harmless.
+    subproperty that short-circuiting skips stays harmless.  The one
+    exception is a quantifier whose body reads only its own variable
+    (:func:`_compile_local_quantifier`): no such body can raise an error
+    that depends on the order of the domain, so it is evaluated once per
+    class, or once per model, instead of once per value.
     """
     if isinstance(cp, TrueAtom):
         return lambda m, env: True
@@ -432,8 +436,10 @@ def compile_cp(cp: ConfigProperty) -> CompiledCp:
         left, right = compile_cp(cp.left), compile_cp(cp.right)
         return lambda m, env: (not left(m, env)) or right(m, env)
     if isinstance(cp, (ForAll, Exists)):
-        return _compile_quantifier(cp.var, cp.domain, compile_cp(cp.body),
-                                   universal=isinstance(cp, ForAll))
+        body, universal = compile_cp(cp.body), isinstance(cp, ForAll)
+        if cp.domain in QUANTIFIER_DOMAINS and _reads_only(cp.body, cp.var):
+            return _compile_local_quantifier(cp.var, cp.domain, body, universal)
+        return _compile_quantifier(cp.var, cp.domain, body, universal)
     if isinstance(cp, VarClassIs):
         return _compile_var_class_is(cp.var, cp.cls)
     if isinstance(cp, VarPresent):
@@ -477,6 +483,56 @@ def _compile_quantifier(var: str, domain: str, body: CompiledCp,
         return False
 
     return forall if universal else exists
+
+
+def _reads_only(cp: ConfigProperty, var: str) -> bool:
+    """Is ``cp`` a local body of ``var``: built from ``class(var)``,
+    ``present(var)``, ``true``, ``false`` and the connectives alone?"""
+    if isinstance(cp, (TrueAtom, FalseAtom)):
+        return True
+    if isinstance(cp, (VarClassIs, VarPresent)):
+        return cp.var == var
+    if isinstance(cp, Not):
+        return _reads_only(cp.inner, var)
+    if isinstance(cp, (And, Or, Implies)):
+        return _reads_only(cp.left, var) and _reads_only(cp.right, var)
+    return False
+
+
+def _compile_local_quantifier(var: str, domain: str, body: CompiledCp,
+                              universal: bool) -> CompiledCp:
+    """A quantifier whose body reads only ``var``: the body is evaluated once
+    per component class, or once per model over bindings.
+
+    Over components, ``present(var)`` is true and ``class(var)`` cannot
+    fail, so the body's value is a function of the class alone, kept here
+    for as long as the closure lives.  Over bindings, ``present(var)`` is
+    true and ``class(var)`` raises the same error for every binding, so one
+    binding stands for all.  No value of such a body depends on the order
+    of the domain, so neither path sorts.
+    """
+    by_class: dict[str, bool] = {}
+
+    def over_components(m: ComponentModel, env: _Env) -> bool:
+        comps = m.components
+        classes = {c.cls for c in comps.values()}
+        unseen = classes.difference(by_class)
+        if unseen:
+            for cid, c in comps.items():
+                if c.cls in unseen:
+                    unseen.discard(c.cls)
+                    by_class[c.cls] = body(m, {var: ("component", cid)})
+                    if not unseen:
+                        break
+        values = map(by_class.__getitem__, classes)
+        return all(values) if universal else any(values)
+
+    def over_bindings(m: ComponentModel, env: _Env) -> bool:
+        if not m.bindings:
+            return universal
+        return body(m, {var: ("binding", next(iter(m.bindings)))})
+
+    return over_components if domain == "components" else over_bindings
 
 
 def _compile_var_class_is(var: str, cls: str) -> CompiledCp:

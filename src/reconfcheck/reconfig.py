@@ -173,19 +173,25 @@ def _apply_add(op: AddComponent, m: ComponentModel) -> ComponentModel:
 
 
 def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
-    if op.id not in m.components:
+    rid = op.id
+    if rid not in m.components:
         return m
     # the target is (implicitly) stopped first, then all bindings and
-    # delegations touching it disappear with it; children become roots
-    comps = {}
-    for cid, c in m.components.items():
-        if cid == op.id:
-            continue
-        comps[cid] = replace(c, contains=c.contains - {op.id}) if op.id in c.contains else c
-    bindings = frozenset(b for b in m.bindings
-                         if op.id not in (b.out_component, b.in_component))
-    delegations = frozenset(d for d in m.delegations
-                            if op.id not in (d.composite, d.inner))
+    # delegations touching it disappear with it; children become roots.
+    # Untouched components, and the link sets when no link touches the
+    # target, are shared with m; the dropped links leave by set difference,
+    # which reuses the stored hashes of the kept ones
+    comps = dict(m.components)
+    del comps[rid]
+    for cid, c in [(cid, c) for cid, c in comps.items() if rid in c.contains]:
+        comps[cid] = replace(c, contains=c.contains - {rid})
+    bindings, delegations = m.bindings, m.delegations
+    cut = [b for b in bindings if b.out_component == rid or b.in_component == rid]
+    if cut:
+        bindings = bindings.difference(cut)
+    cut = [d for d in delegations if d.composite == rid or d.inner == rid]
+    if cut:
+        delegations = delegations.difference(cut)
     return replace(m, components=comps, bindings=bindings, delegations=delegations)
 
 
@@ -201,9 +207,10 @@ def _apply_bind(op: Bind, m: ComponentModel) -> ComponentModel:
         return m
     if b in m.bindings:
         return m
-    if any(x.in_component == b.in_component and x.in_port == b.in_port
-           for x in m.bindings):
-        return m  # one binding per input endpoint
+    in_component, in_port = b.in_component, b.in_port
+    for x in m.bindings:
+        if x.in_component == in_component and x.in_port == in_port:
+            return m  # one binding per input endpoint
     return replace(m, bindings=m.bindings | {b})
 
 
@@ -261,6 +268,17 @@ def apply_primitive(op: Primitive, m: ComponentModel) -> ComponentModel:
     raise TypeError(f"not a primitive operation: {op!r}")
 
 
+def _run(m: ComponentModel) -> ComponentModel:
+    """Start every component that is not started; ``m`` itself when none is."""
+    halted = [(cid, c) for cid, c in m.components.items() if c.state != STARTED]
+    if not halted:
+        return m
+    comps = dict(m.components)
+    for cid, c in halted:
+        comps[cid] = replace(c, state=STARTED)
+    return replace(m, components=comps)
+
+
 def apply_evolution(op: EvolutionOperation, m: ComponentModel) -> ApplicationOutcome:
     """Apply run, a primitive, or a composite recipe.
 
@@ -268,9 +286,7 @@ def apply_evolution(op: EvolutionOperation, m: ComponentModel) -> ApplicationOut
     composite whose steps cancel out reports ``changed=False``.
     """
     if isinstance(op, Run):
-        comps = {cid: (replace(c, state=STARTED) if c.state != STARTED else c)
-                 for cid, c in m.components.items()}
-        result = replace(m, components=comps)
+        result = _run(m)
     elif isinstance(op, Composite):
         result = m
         for step in op.steps:

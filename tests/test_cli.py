@@ -324,3 +324,18 @@ def test_parameter_values_past_the_digit_limit_keep_the_verdict(tmp_path, capsys
         assert log.endswith("step 14: Sq (changed) [" + steps[-1]["digest"] + "]\n")
         assert f"param x : int = {_square_text(14)}\n" in \
             (tmp_path / "dump" / "step_014.arch").read_text()
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_running_out_of_memory_exits_three_not_fails(tmp_path, capsys, monkeypatch, as_json):
+    from reconfcheck import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "check", exhausted)
+    args = ["check", *_square_args(tmp_path), "--formula", "always [A.x > 0]", "--oracle"]
+    assert run_cli(args + ["--json"] * as_json) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: out of memory")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reconfcheck import (
+    AddComponent,
     Binding,
     Component,
     ComponentModel,
@@ -36,8 +37,9 @@ from reconfcheck.model import (
     VarPresent,
     compile_cp,
 )
-from reconfcheck.reconfig import BinOp, Bind, IntLiteral, ParamRef, Unbind, \
-    is_idempotent_sequence
+from reconfcheck import model
+from reconfcheck.reconfig import BinOp, Bind, IntLiteral, ParamRef, Stop, Unbind, \
+    apply_evolution, is_idempotent_sequence
 
 import generators
 
@@ -310,8 +312,105 @@ def test_compiled_properties_agree_with_eval_cp(seed):
         Exists("w", "bindings", And(VarPresent("w"), generators.gen_cp(rng, m))),
         generators.gen_ill_formed_cp(rng, m),
     ]
+    for domain in ("components", "bindings"):
+        ctor = rng.choice((ForAll, Exists))
+        props += [
+            ctor("x", domain, _gen_local_body(rng, "x")),
+            # a local body inside a non-local one, shadowing its variable
+            ForAll("x", domain, Or(Exists("x", rng.choice(("components", "bindings")),
+                                          _gen_local_body(rng, "x")),
+                                   _gen_local_body(rng, "x"))),
+            # a body reading the outer variable is not local
+            ctor("x", domain, Exists("y", "components",
+                                     And(VarPresent("y"), _gen_local_body(rng, "x")))),
+        ]
+    empty = ComponentModel(name="E")
     for cp in props:
         assert _outcome(lambda: compile_cp(cp)(m, {})) == _outcome(lambda: eval_cp(cp, m))
+        assert _outcome(lambda: compile_cp(cp)(empty, {})) == \
+            _outcome(lambda: eval_cp(cp, empty))
+
+
+def _gen_local_body(rng: random.Random, var: str, depth: int = 3):
+    """A body that reads only ``var``: class and presence atoms, constants
+    and connectives."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice((TrueAtom(), FalseAtom(), VarPresent(var),
+                           VarClassIs(var, rng.choice(generators.COMPONENT_CLASSES
+                                                      + ("CoreClass",)))))
+    if rng.random() < 0.25:
+        return Not(_gen_local_body(rng, var, depth - 1))
+    ctor = rng.choice((And, Or, Implies))
+    return ctor(_gen_local_body(rng, var, depth - 1), _gen_local_body(rng, var, depth - 1))
+
+
+@pytest.mark.parametrize("cp, value", [
+    (ForAll("x", "bindings", VarClassIs("x", "Alpha")), "error"),
+    (Exists("x", "bindings", Not(VarClassIs("x", "Alpha"))), "error"),
+    (ForAll("x", "bindings", Or(VarPresent("x"), VarClassIs("x", "Alpha"))), True),
+    (Exists("x", "bindings", And(FalseAtom(), VarClassIs("x", "Alpha"))), False),
+    (ForAll("x", "components", Or(VarPresent("x"), VarClassIs("x", "Alpha"))), True),
+    (ForAll("x", "components", VarClassIs("x", "Alpha")), False),
+    (Exists("x", "components", VarClassIs("x", "Beta")), True),
+    (Exists("x", "components", Implies(VarPresent("x"), VarClassIs("x", "Ghost"))), False),
+])
+def test_local_quantifiers_agree_with_eval_cp(cp, value):
+    m = two_component_model()
+    outcome = _outcome(lambda: compile_cp(cp)(m, {}))
+    assert outcome == _outcome(lambda: eval_cp(cp, m))
+    assert (outcome[0] if value == "error" else outcome[1]) == value
+    # over an empty domain the body is never evaluated: no error, vacuous value
+    vacuous = isinstance(cp, ForAll)
+    for empty in (ComponentModel(name="E"), replace(m, bindings=frozenset())):
+        if cp.domain == "components" and empty.components:
+            continue
+        assert compile_cp(cp)(empty, {}) is vacuous is eval_cp(cp, empty)
+
+
+def test_one_compiled_property_along_a_run_of_shared_models():
+    # the closures keep per-class values across models: a value kept for one
+    # model must still be right on every later one
+    rng = random.Random(8080)
+    checked = 0
+    for _ in range(40):
+        m = generators.gen_model(rng)
+        ops = list(generators.gen_recipes(rng, m).operation_table().values())
+        # an id that comes back with another class, and one component swapped for another
+        ops += [RemoveComponent("X0"), RemoveComponent("C0"),
+                *(AddComponent(Component(id=cid, cls=cls))
+                  for cid in ("X0", "C0") for cls in generators.COMPONENT_CLASSES)]
+        props = [ctor("x", domain, _gen_local_body(rng, "x"))
+                 for ctor in (ForAll, Exists) for domain in ("components", "bindings")]
+        compiled = [compile_cp(cp) for cp in props]
+        current = m
+        for _ in range(12):
+            for cp, fn in zip(props, compiled):
+                assert _outcome(lambda: fn(current, {})) == _outcome(lambda: eval_cp(cp, current))
+                checked += 1
+            current = apply_evolution(rng.choice(ops), current).result
+    assert checked == 40 * 12 * 4
+
+
+def test_local_forall_evaluates_its_body_once_per_class(monkeypatch):
+    evaluations = []
+    compile_class = model._compile_var_class_is
+
+    def counting(var, cls):
+        test = compile_class(var, cls)
+        if cls != "A":
+            return test
+        return lambda m, env: evaluations.append(env[var]) or test(m, env)
+
+    monkeypatch.setattr(model, "_compile_var_class_is", counting)
+    body = Or(VarClassIs("x", "A"), Or(VarClassIs("x", "B"), VarClassIs("x", "C")))
+    fn = compile_cp(ForAll("x", "components", body))
+    m = ComponentModel(name="Big", components={
+        f"C{i:04d}": Component(id=f"C{i:04d}", cls="ABC"[i % 3]) for i in range(2000)})
+    for i in range(50):
+        assert fn(m, {}) is True
+        m = apply_primitive(Stop(f"C{i:04d}"), m)
+    # "A" is the first disjunct, so it is read once per body evaluation
+    assert 0 < len(evaluations) <= 3
 
 
 def test_compiled_properties_raise_like_eval_cp(http_model):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -148,6 +149,64 @@ def test_stop_start_run(http_model):
     assert ran.result == http_model
     ran_again = apply_evolution(RUN, ran.result)
     assert not ran_again.changed  # all started already: identity
+
+
+def test_run_on_an_all_started_model_returns_its_input(http_model):
+    assert all(c.state == STARTED for c in http_model.components.values())
+    assert apply_evolution(RUN, http_model).result is http_model
+    stopped = apply_primitive(Stop("CacheHandler"), http_model)
+    ran = apply_evolution(RUN, stopped).result
+    # only the stopped component is rebuilt; every other one is shared
+    assert [cid for cid, c in ran.components.items()
+            if c is not stopped.components[cid]] == ["CacheHandler"]
+    assert ran.bindings is stopped.bindings and ran.delegations is stopped.delegations
+
+
+def _remove_rebuilding_everything(m: ComponentModel, rid: str) -> ComponentModel:
+    """The reference removal: every component, binding and delegation is
+    visited and the link sets are built anew."""
+    if rid not in m.components:
+        return m
+    comps = {cid: replace(c, contains=c.contains - {rid}) if rid in c.contains else c
+             for cid, c in m.components.items() if cid != rid}
+    bindings = frozenset(b for b in m.bindings if rid not in (b.out_component, b.in_component))
+    delegations = frozenset(d for d in m.delegations if rid not in (d.composite, d.inner))
+    return replace(m, components=comps, bindings=bindings, delegations=delegations)
+
+
+def test_remove_untouched_by_links_shares_both_link_sets(http_model):
+    fresh = Component(id="Lonely", cls="Spare", inputs={"in": "Tserver"})
+    m = apply_primitive(AddComponent(fresh), http_model)
+    out = apply_primitive(RemoveComponent("Lonely"), m)
+    assert out.bindings is m.bindings and out.delegations is m.delegations
+    assert out == http_model
+    assert all(out.components[cid] is c for cid, c in http_model.components.items())
+    # a bound component without delegations keeps only the delegation set
+    out = apply_primitive(RemoveComponent("CacheHandler"), http_model)
+    assert out.delegations is http_model.delegations
+    assert out.bindings != http_model.bindings
+
+
+@pytest.mark.parametrize("rid", ["HttpServer", "RequestReceiver", "CacheHandler",
+                                 "RequestDispatcher", "FileServer1"])
+def test_remove_matches_the_full_rebuild(http_model, rid):
+    # HttpServer is a composite with a delegation, RequestReceiver a child that
+    # is the inner end of it, CacheHandler a child with one binding
+    out = apply_primitive(RemoveComponent(rid), http_model)
+    expected = _remove_rebuilding_everything(http_model, rid)
+    assert out == expected
+    assert print_model(out) == print_model(expected)
+    assert validate_model(out) == []
+
+
+def test_remove_matches_the_full_rebuild_on_generated_models():
+    rng = random.Random(5005)
+    for _ in range(200):
+        m = generators.gen_model(rng)
+        rid = rng.choice(list(m.components) + ["Ghost"])
+        out = apply_primitive(RemoveComponent(rid), m)
+        assert out == _remove_rebuilding_everything(m, rid)
+        assert print_model(out) == print_model(_remove_rebuilding_everything(m, rid))
 
 
 def test_changed_is_compared_only_when_read(http_model, http_ops, monkeypatch):
