@@ -9,18 +9,19 @@ defining clauses of the temporal operators directly, with a third
 answer.  The verdict looks at the unrolled window after 2, 4, 8, 16 and 32
 laps too, and stops at the first that settles it: a truncated window
 settles only through a violation or a witness it contains, and every longer
-window contains them too.  Deliberately naive; being obviously correct is
-its entire job.
+window contains them too.  Each configuration property is evaluated at
+most once per position of an unfolding; every window of it reads the same
+values.  Deliberately naive; being obviously correct is its entire job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .ftpl import After, Always, Before, Eventually, EventSpec, FtplFormula, \
     TraceProperty, erasure_invariant, event_holds, print_cp
-from .model import ComponentModel, erase_param_values, eval_cp
+from .model import ComponentModel, ConfigProperty, erase_param_values, eval_cp
 from .pathspec import PathAutomaton
 # apply_evolution stays importable because perfbench/tracer.py rebinds it here
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution  # noqa: F401
@@ -33,6 +34,11 @@ class LassoStep:
     incoming_label: Optional[str]  # None on the first entry
 
 
+# configuration property values by the property node's id (the node is kept
+# with them) and wrapped run position
+_Values = dict[int, tuple[ConfigProperty, dict[int, bool]]]
+
+
 @dataclass(frozen=True)
 class ConcreteLasso:
     """The unfolded sequence plus, when found, where it starts repeating.
@@ -43,6 +49,8 @@ class ConcreteLasso:
     its terminal state.  ``erased_compare`` records that the repetition was
     detected on parameter-erased models: the suffix then repeats only up to
     parameter values, which suffices for erasure-invariant formulas.
+    ``values`` keeps the property values evaluated on these entries (see
+    :meth:`_Sigma.find`); the windows of one unfolding share it.
     """
 
     automaton: PathAutomaton
@@ -50,6 +58,7 @@ class ConcreteLasso:
     period_start: Optional[int]
     complete: bool
     erased_compare: bool = False
+    values: _Values = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def period(self) -> Optional[int]:
@@ -71,6 +80,7 @@ def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOp
     whole of it, as :func:`unfold_to_lasso` returns it."""
     unfolding = Unfolding(a, 0, c0, ops, erased=compare_erased)
     entries: list[LassoStep] = []
+    values: _Values = {}  # entry j is the same model in every window
     rounds = 0
     for q, label, c in unfolding:
         lap = bool(entries) and entries[-1].state == a.q_max  # in over the back edge
@@ -80,9 +90,9 @@ def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOp
         if rounds >= max_rounds:
             break
         if lap and rounds in looks:
-            yield ConcreteLasso(a, tuple(entries), None, False, compare_erased)
+            yield ConcreteLasso(a, tuple(entries), None, False, compare_erased, values)
     yield ConcreteLasso(a, tuple(entries), unfolding.period_start, unfolding.complete,
-                        compare_erased)
+                        compare_erased, values)
 
 
 def unfold_to_lasso(a: PathAutomaton, c0: ComponentModel,
@@ -116,6 +126,7 @@ class _Sigma:
         self.ps = l.period_start
         self.t = None if self.ps is None else self.n - self.ps
         self.erased = l.erased_compare
+        self.values = l.values
 
     def wrap(self, i: int) -> int:
         if i < self.n:
@@ -125,6 +136,25 @@ class _Sigma:
 
     def cfg(self, i: int) -> ComponentModel:
         return self.l.entries[self.wrap(i)].model
+
+    def find(self, cp: ConfigProperty, positions: range, value: bool) -> Optional[int]:
+        """The first of ``positions`` at which ``cp`` evaluates to ``value``.
+
+        ``cp`` is evaluated at most once per wrapped position of the
+        unfolding; the node is kept with its values so its id cannot be
+        reused, and an evaluation that raises stores nothing."""
+        kept = self.values.get(id(cp))
+        if kept is None:
+            kept = self.values[id(cp)] = (cp, {})
+        known, entries = kept[1], self.l.entries
+        for i in positions:
+            j = i if i < self.n else self.wrap(i)
+            v = known.get(j)
+            if v is None:
+                v = known[j] = eval_cp(cp, entries[j].model)
+            if v == value:
+                return i
+        return None
 
     def state(self, i: int) -> int:
         return self.l.entries[self.wrap(i)].state
@@ -163,14 +193,9 @@ def _cp_range(sig: _Sigma, s: int) -> range:
 def _segment_trace(tr: TraceProperty, sig: _Sigma, s: int, end: int) -> tuple[bool, Optional[int]]:
     """Evaluate a trace property on the finite segment [s, end]."""
     if isinstance(tr, Always):
-        for j in range(s, end + 1):
-            if not eval_cp(tr.cp, sig.cfg(j)):
-                return False, j
-        return True, None
-    for j in range(s, end + 1):
-        if eval_cp(tr.cp, sig.cfg(j)):
-            return True, None
-    return False, None
+        bad = sig.find(tr.cp, range(s, end + 1), False)
+        return bad is None, bad
+    return sig.find(tr.cp, range(s, end + 1), True) is not None, None
 
 
 def _occurrence_indices(sig: _Sigma, s: int, e: EventSpec) -> list[int]:
@@ -189,15 +214,14 @@ def _ev(f: FtplFormula, sig: _Sigma, s: int) -> _EvalResult:
         s = sig.ps + (s - sig.ps) % sig.t
 
     if isinstance(f, Always):
-        for i in _cp_range(sig, s):
-            if not eval_cp(f.cp, sig.cfg(i)):
-                return False, (i, f"always [{print_cp(f.cp)}] violated")
+        i = sig.find(f.cp, _cp_range(sig, s), False)
+        if i is not None:
+            return False, (i, f"always [{print_cp(f.cp)}] violated")
         return (True, None) if sig.determinate else (None, None)
 
     if isinstance(f, Eventually):
-        for i in _cp_range(sig, s):
-            if eval_cp(f.cp, sig.cfg(i)):
-                return True, None
+        if sig.find(f.cp, _cp_range(sig, s), True) is not None:
+            return True, None
         if sig.determinate:
             return False, (sig.n - 1, f"eventually [{print_cp(f.cp)}] never satisfied")
         return None, None

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from reconfcheck import (
     Always,
+    CheckOptions,
     EventSpec,
     After,
     build_automaton,
+    check,
     erasure_invariant,
     eval_cp,
     is_idempotent_sequence,
@@ -18,7 +22,7 @@ from reconfcheck import (
     parse_recipes,
     unfold_to_lasso,
 )
-from reconfcheck import oracle, reconfig
+from reconfcheck import checker, oracle, reconfig
 from reconfcheck.checker import cycle_entry_model
 from reconfcheck.model import CpEvalError, TrueAtom
 from reconfcheck.oracle import _Sigma
@@ -250,6 +254,98 @@ def test_oracle_stops_at_the_first_window_that_decides(monkeypatch):
     applied.clear()
     assert reference_oracle_verdict(f, a, c0, ops) is False
     assert len(applied) == 1 + 64 * 31  # 1,986 entries
+
+
+def _evaluations(monkeypatch) -> list:
+    """The (property, configuration) of every ``eval_cp`` call the oracle
+    makes, kept so no id is reused."""
+    calls = []
+    evaluate = oracle.eval_cp
+    monkeypatch.setattr(oracle, "eval_cp",
+                        lambda cp, m: calls.append((cp, m)) or evaluate(cp, m))
+    return calls
+
+
+def _assert_once_per_position(calls: list, lasso) -> None:
+    """At most one evaluation per (property, position): a model that sits at
+    several positions may be evaluated once for each."""
+    positions = Counter(id(step.model) for step in lasso.entries)
+    made = Counter((id(cp), id(m)) for cp, m in calls)
+    assert made and all(n <= positions[m] for (_cp, m), n in made.items()), \
+        max(made.values())
+
+
+@pytest.mark.parametrize("text", [
+    "after AddX5 normal always [bound(W0.o, W1.i)]",
+    "before RmX9 normal always [forall x in bindings (present(x))]",
+])
+def test_each_pass_evaluates_a_property_once_per_position(monkeypatch, text):
+    # the exact pass never repeats (Hub.level drifts) and settles nothing in
+    # 64 laps; the erased pass then decides
+    a, c0, ops = _drift_lasso(4, 10)
+    f = parse_formula(text)
+    calls = _evaluations(monkeypatch)
+    passes = []  # (index of the pass's first evaluation, its windows)
+    windows = oracle._windows
+
+    def recorded(*args):
+        passes.append((len(calls), []))
+        for lasso in windows(*args):
+            passes[-1][1].append(lasso)
+            yield lasso
+
+    monkeypatch.setattr(oracle, "_windows", recorded)
+    assert oracle_verdict(f, a, c0, ops) is True
+    assert [len(lassos) for _start, lassos in passes] == [6, 1]
+    assert len(passes[0][1][-1].entries) == 1986  # 64 laps, never periodic
+    ends = [start for start, _lassos in passes[1:]] + [len(calls)]
+    for (start, lassos), end in zip(passes, ends):
+        _assert_once_per_position(calls[start:end], lassos[-1])
+
+
+def test_a_gate_refused_window_evaluates_each_position_once(monkeypatch):
+    a, c0, ops = _drift_lasso(4, 10)
+    f = parse_formula("after AddX0 normal always [Hub.level >= 0]")  # observes the drift
+    windows = []
+    unfold = checker._unfold
+    monkeypatch.setattr(checker, "_unfold", lambda *args: windows.append(unfold(*args))
+                        or windows[-1])
+    calls = _evaluations(monkeypatch)
+    verdict = check(f, a, c0, ops, CheckOptions(max_steps=2 * a.n_states))
+    assert verdict.status == "unknown" and len(windows) == 1
+    assert len(windows[0].entries) == 1 + 2 * a.n_states
+    _assert_once_per_position(calls, windows[0])
+
+
+@pytest.mark.parametrize("text", [
+    "always [Hub.level < 3 or started(X0)]",
+    "after Bump normal always [Hub.level < 3 or started(X0)]",
+])
+def test_a_property_failing_on_a_later_configuration_raises_its_error(text):
+    # X0 is absent wherever Hub.level is 3 or more: the 2-lap window
+    # evaluates the property without error, the next one raises
+    a, c0, ops = _drift_lasso(4, 10)
+    f = parse_formula(text)
+    message = r"^started\(\): unknown component 'X0'$"
+    with pytest.raises(CpEvalError, match=message):
+        oracle_verdict(f, a, c0, ops)
+    with pytest.raises(CpEvalError, match=message):
+        check(f, a, c0, ops, CheckOptions(max_steps=4 * a.n_states))
+
+
+def test_one_lasso_evaluated_with_formula_after_formula(http_model, http_ops):
+    # each formula is freed before the next is parsed, so a value kept by
+    # the id of a dead property node would be read for a new one
+    a = build_automaton(parse_path("run (RemoveCacheHandler AddCacheHandler)+"))
+    lasso = unfold_to_lasso(a, http_model, http_ops)
+    texts = ["always [component(CacheHandler)]", "always [component(FileServer1)]",
+             "always [not component(FileServer1)]", "eventually [not component(CacheHandler)]",
+             "always [started(RequestHandler)]", "eventually [component(Nowhere)]"]
+    expected = [oracle_eval(parse_formula(text), unfold_to_lasso(a, http_model, http_ops))
+                for text in texts]
+    assert set(expected) == {True, False}
+    for _ in range(20):
+        assert [oracle_eval(parse_formula(text), lasso) for text in texts] == expected
 
 
 def _top_level_evaluations(monkeypatch) -> list:
