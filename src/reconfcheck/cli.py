@@ -11,14 +11,16 @@ Four batch commands tie the file formats together:
 Exit codes 3 and 4 flag parse/usage errors (input nested too deeply and
 running out of memory included) and invalid models, 5 a verdict the
 ``--oracle`` cross-check contradicts, and 6 a property that cannot be
-evaluated (an unknown identifier in an attribute atom); none of these is
-reported as "fails".
+evaluated (an unknown identifier in an attribute atom), and 7 a standard
+output closed before the report was written; none of these is reported as
+"fails".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -46,6 +48,7 @@ EXIT_USAGE = 3
 EXIT_INVALID_MODEL = 4
 EXIT_DISAGREEMENT = 5
 EXIT_ILL_FORMED_PROPERTY = 6
+EXIT_OUTPUT_CLOSED = 7
 
 _VERDICT_EXITS = {"holds": EXIT_HOLDS, "fails": EXIT_FAILS, "unknown": EXIT_UNKNOWN}
 
@@ -247,7 +250,16 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): point stdout at devnull, so that the
+        # interpreter's last flush of what is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OUTPUT_CLOSED
     except AdlValidationError as exc:
         for v in exc.violations:
             print(f"violation: {v}", file=sys.stderr)

@@ -10,8 +10,8 @@ first-order formulas evaluated against a single model.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 STARTED = "started"
 STOPPED = "stopped"
@@ -19,6 +19,8 @@ STOPPED = "stopped"
 PARAM_CLASSES = ("int", "string", "bool")
 
 _PY_TYPES = {"int": int, "string": str, "bool": bool}
+
+_value = operator.attrgetter("value")
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,35 @@ class Component:
     outputs: dict[str, str] = field(default_factory=dict)
     contains: frozenset[str] = frozenset()
     state: str = STARTED
+
+    # the hash below, once computed: a class attribute, not a field, so ==,
+    # repr and dataclasses.replace never see or copy it
+    _hash = None
+
+    def __hash__(self) -> int:
+        """Hash of the id, lifecycle state and set of parameter values, kept
+        once computed.
+
+        Equal components hash equal, since ``==`` compares every field; what
+        is left out (class, ports, children, which value has which name) only
+        makes unequal components more likely to collide, which callers settle
+        with ``==``.
+        """
+        h = self._hash
+        if h is None:
+            h = hash((self.id, self.state, frozenset(map(_value, self.params.values()))))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def evolve(self, params: Optional[dict[str, Param]] = None,
+               contains: Optional[frozenset[str]] = None,
+               state: Optional[str] = None) -> Component:
+        """``dataclasses.replace`` for the fields operations change, without
+        its per-field introspection, which costs more than the copy."""
+        return Component(self.id, self.cls, self.params if params is None else params,
+                         self.inputs, self.outputs,
+                         self.contains if contains is None else contains,
+                         self.state if state is None else state)
 
 
 @dataclass(frozen=True)
@@ -67,6 +98,58 @@ class ComponentModel:
     bindings: frozenset[Binding] = frozenset()
     delegations: frozenset[Delegation] = frozenset()
 
+    # see component_sum: a class attribute, never a field, like Component._hash
+    _component_sum = None
+
+
+_SUM_MASK = (1 << 64) - 1
+
+
+def component_sum(m: ComponentModel) -> int:
+    """Sum, modulo 2^64, of the hashes of ``m``'s components.
+
+    A multiset hash that can be updated element by element (Clarke et al.,
+    ASIACRYPT 2003): :func:`derive_model` keeps it up to date through the
+    operations, and any other model computes it here, once, on first use.
+    """
+    s = m._component_sum
+    if s is None:
+        s = sum(map(hash, m.components.values())) & _SUM_MASK
+        object.__setattr__(m, "_component_sum", s)
+    return s
+
+
+def fingerprint(m: ComponentModel) -> int:
+    """Hash of ``m`` that equal models share (the name aside, which no
+    operation changes).  The link sets are frozensets, whose hashes are kept
+    on the sets themselves."""
+    return hash((component_sum(m), m.bindings, m.delegations))
+
+
+def derive_model(m: ComponentModel, dropped: Iterable[Component] = (),
+                 added: Iterable[Component] = (),
+                 components: Optional[dict[str, Component]] = None,
+                 bindings: Optional[frozenset[Binding]] = None,
+                 delegations: Optional[frozenset[Delegation]] = None) -> ComponentModel:
+    """``m`` with the given parts replaced, its component sum derived from ``m``'s.
+
+    ``dropped`` are the components of ``m`` that the new component dict no
+    longer holds, ``added`` the ones it holds in their place.  The sum of
+    ``m`` is forced, so a chain of operations carries one sum from its first
+    model on, at a cost in what each step changes.
+    """
+    s = component_sum(m)
+    for c in dropped:
+        s -= hash(c)
+    for c in added:
+        s += hash(c)
+    out = ComponentModel(m.name,
+                         m.components if components is None else components,
+                         m.bindings if bindings is None else bindings,
+                         m.delegations if delegations is None else delegations)
+    object.__setattr__(out, "_component_sum", s & _SUM_MASK)
+    return out
+
 
 def erase_param_values(m: ComponentModel) -> ComponentModel:
     """Copy of ``m`` with every parameter value blanked (class kept).
@@ -75,12 +158,15 @@ def erase_param_values(m: ComponentModel) -> ComponentModel:
     Components without parameters are shared with ``m``, so comparing two
     erased models of one path mostly compares components by identity.
     """
-    comps = {
-        cid: replace(c, params={p: Param(pv.cls, None) for p, pv in c.params.items()})
-        if c.params else c
-        for cid, c in m.components.items()
-    }
-    return replace(m, components=comps)
+    comps = dict(m.components)
+    dropped, added = [], []
+    for cid, c in m.components.items():
+        if c.params:
+            comps[cid] = e = c.evolve(params={p: Param(pv.cls, None)
+                                              for p, pv in c.params.items()})
+            dropped.append(c)
+            added.append(e)
+    return derive_model(m, dropped, added, components=comps)
 
 
 def parent_of(m: ComponentModel, cid: str) -> Optional[str]:

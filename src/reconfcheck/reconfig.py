@@ -9,7 +9,7 @@ primitives (component/binding addition and removal) are idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
@@ -20,7 +20,9 @@ from .model import (
     ComponentModel,
     Param,
     component_type_errors,
+    derive_model,
     erase_param_values,
+    fingerprint,
     parent_of,
 )
 from .pathspec import PathAutomaton
@@ -166,10 +168,10 @@ def _template_ok(t: Component, m: ComponentModel) -> bool:
 def _apply_add(op: AddComponent, m: ComponentModel) -> ComponentModel:
     if not _template_ok(op.template, m):
         return m
-    fresh = replace(op.template, state=STOPPED)
+    fresh = op.template.evolve(state=STOPPED)
     comps = dict(m.components)
     comps[fresh.id] = fresh
-    return replace(m, components=comps)
+    return derive_model(m, (), (fresh,), components=comps)
 
 
 def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
@@ -182,9 +184,12 @@ def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
     # target, are shared with m; the dropped links leave by set difference,
     # which reuses the stored hashes of the kept ones
     comps = dict(m.components)
-    del comps[rid]
+    dropped = [comps.pop(rid)]
+    added = []
     for cid, c in [(cid, c) for cid, c in comps.items() if rid in c.contains]:
-        comps[cid] = replace(c, contains=c.contains - {rid})
+        comps[cid] = parent = c.evolve(contains=c.contains - {rid})
+        dropped.append(c)
+        added.append(parent)
     bindings, delegations = m.bindings, m.delegations
     cut = [b for b in bindings if b.out_component == rid or b.in_component == rid]
     if cut:
@@ -192,7 +197,8 @@ def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
     cut = [d for d in delegations if d.composite == rid or d.inner == rid]
     if cut:
         delegations = delegations.difference(cut)
-    return replace(m, components=comps, bindings=bindings, delegations=delegations)
+    return derive_model(m, dropped, added, components=comps, bindings=bindings,
+                        delegations=delegations)
 
 
 def _apply_bind(op: Bind, m: ComponentModel) -> ComponentModel:
@@ -211,13 +217,13 @@ def _apply_bind(op: Bind, m: ComponentModel) -> ComponentModel:
     for x in m.bindings:
         if x.in_component == in_component and x.in_port == in_port:
             return m  # one binding per input endpoint
-    return replace(m, bindings=m.bindings | {b})
+    return derive_model(m, bindings=m.bindings | {b})
 
 
 def _apply_unbind(op: Unbind, m: ComponentModel) -> ComponentModel:
     if op.binding not in m.bindings:
         return m
-    return replace(m, bindings=m.bindings - {op.binding})
+    return derive_model(m, bindings=m.bindings - {op.binding})
 
 
 def _apply_set_param(op: SetParam, m: ComponentModel) -> ComponentModel:
@@ -231,8 +237,8 @@ def _apply_set_param(op: SetParam, m: ComponentModel) -> ComponentModel:
     if value is None or value == pv.value:
         return m
     comps = dict(m.components)
-    comps[op.component] = replace(c, params={**c.params, op.param: Param("int", value)})
-    return replace(m, components=comps)
+    comps[op.component] = updated = c.evolve(params={**c.params, op.param: Param("int", value)})
+    return derive_model(m, (c,), (updated,), components=comps)
 
 
 def _apply_lifecycle(cid: str, state: str, m: ComponentModel) -> ComponentModel:
@@ -240,8 +246,8 @@ def _apply_lifecycle(cid: str, state: str, m: ComponentModel) -> ComponentModel:
     if c is None or c.state == state:
         return m
     comps = dict(m.components)
-    comps[cid] = replace(c, state=state)
-    return replace(m, components=comps)
+    comps[cid] = updated = c.evolve(state=state)
+    return derive_model(m, (c,), (updated,), components=comps)
 
 
 def apply_primitive(op: Primitive, m: ComponentModel) -> ComponentModel:
@@ -275,8 +281,9 @@ def _run(m: ComponentModel) -> ComponentModel:
         return m
     comps = dict(m.components)
     for cid, c in halted:
-        comps[cid] = replace(c, state=STARTED)
-    return replace(m, components=comps)
+        comps[cid] = c.evolve(state=STARTED)
+    return derive_model(m, [c for _, c in halted], [comps[cid] for cid, _ in halted],
+                        components=comps)
 
 
 def apply_evolution(op: EvolutionOperation, m: ComponentModel) -> ApplicationOutcome:
@@ -353,16 +360,20 @@ class Unfolding:
 
     def _unfold(self, a: PathAutomaton, q: int, c: ComponentModel, erased: bool, step):
         yield q, None, c
-        self.keys.append(erase_param_values(c) if erased else c)
-        by_state: dict[int, list[int]] = {q: [0]}
+        k = erase_param_values(c) if erased else c
+        self.keys.append(k)
+        # the indices of the keys entered at each (state, fingerprint); equal
+        # fingerprints need not mean equal keys, so == decides every hit
+        entered: dict[tuple[int, int], list[int]] = {(q, fingerprint(k)): [0]}
         while a.succ(q) is not None:
             label, q, c = step(q, c)
             k = erase_param_values(c) if erased else c
-            for j in by_state.get(q, ()):
+            same = entered.setdefault((q, fingerprint(k)), [])
+            for j in same:
                 if self.keys[j] == k:
                     self.period_start = j
                     return
-            by_state.setdefault(q, []).append(len(self.keys))
+            same.append(len(self.keys))
             self.keys.append(k)
             yield q, label, c
         self.complete = True

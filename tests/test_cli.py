@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reconfcheck
 from reconfcheck import parse_formula, parse_model, parse_path, print_model, \
     print_path
 from reconfcheck.cli import run_cli
@@ -339,3 +344,23 @@ def test_running_out_of_memory_exits_three_not_fails(tmp_path, capsys, monkeypat
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_closed_standard_output_exits_seven_not_fails(samples_dir, as_json):
+    # the read end is closed before the process starts, so its first write
+    # fails, as under `check --json | head -c 0`
+    args = _check_args(samples_dir, "--formula",
+                       "always [forall x in components (not class(x) = RequestHandler)]")
+    src = str(Path(reconfcheck.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "reconfcheck.cli", *args,
+                               *["--json"] * as_json],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 7
+    assert proc.stderr == b""

@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reconfcheck import (
     AddComponent,
@@ -21,12 +22,14 @@ from reconfcheck import (
     apply_evolution,
     apply_primitive,
     apply_sequence,
+    erase_param_values,
     eval_cp,
     is_idempotent_sequence,
+    parse_model,
     print_model,
     validate_model,
 )
-from reconfcheck.model import Bound
+from reconfcheck.model import Bound, component_sum, fingerprint
 from reconfcheck.reconfig import BinOp, IntLiteral, ParamRef
 
 import generators
@@ -303,3 +306,85 @@ def test_closure_under_evolution():
             assert outcome.changed == (print_model(current) != print_model(outcome.result))
             current = outcome.result
             assert validate_model(current) == []
+
+
+# --- fingerprints --------------------------------------------------------------
+
+def _from_scratch(m: ComponentModel) -> ComponentModel:
+    """An equal model of fresh objects: nothing computed for ``m`` or its
+    components is carried over."""
+    return ComponentModel(m.name, {cid: replace(c) for cid, c in m.components.items()},
+                          m.bindings, m.delegations)
+
+
+def _assert_derived(m: ComponentModel) -> None:
+    # an operation's output carries the sum it derived; it must be the one a
+    # fresh copy computes
+    assert m._component_sum is not None
+    assert m._component_sum == component_sum(_from_scratch(m))
+    assert fingerprint(m) == fingerprint(_from_scratch(m))
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_operation_derives_the_sum_a_fresh_model_computes(seed):
+    rng = random.Random(seed)
+    m = generators.gen_model(rng)
+    recipes = generators.gen_recipes(rng, m)
+    for _ in range(8):
+        composite = rng.choice(list(recipes.recipes))
+        for step in recipes.recipes[composite]:
+            out = apply_primitive(step, m)
+            if out is not m:
+                _assert_derived(out)
+            _assert_derived(erase_param_values(out))
+        m = apply_evolution(recipes.operation_table()[composite], m).result
+        ran = apply_evolution(RUN, m).result
+        for out in (erase_param_values(ran), erase_param_values(erase_param_values(m)), ran, m):
+            _assert_derived(out)
+        m = ran if rng.random() < 0.5 else m
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_equal_models_reached_by_different_orders_share_a_fingerprint(seed):
+    rng = random.Random(seed)
+    m = generators.gen_model(rng)
+    steps = [generators._gen_step(rng, m) for _ in range(rng.randint(2, 5))]
+    one = apply_sequence(steps, m)
+    for _ in range(6):
+        other = apply_sequence(rng.sample(steps, len(steps)), m)
+        if other == one:
+            assert fingerprint(other) == fingerprint(one)
+        if erase_param_values(other) == erase_param_values(one):
+            assert fingerprint(erase_param_values(other)) == \
+                fingerprint(erase_param_values(one))
+    # a model of fresh objects, made by the parser, agrees as well
+    parsed = parse_model(print_model(one), validate=False)
+    assert parsed == one and fingerprint(parsed) == fingerprint(one)
+
+
+def test_stop_then_start_returns_to_the_same_fingerprint(http_model):
+    stopped = apply_primitive(Stop("CacheHandler"), http_model)
+    started = apply_primitive(Start("CacheHandler"), stopped)
+    assert started == http_model and started is not http_model
+    assert fingerprint(started) == fingerprint(http_model)
+    assert fingerprint(stopped) != fingerprint(http_model)
+
+
+def test_replace_and_the_parser_never_carry_a_cached_hash(http_model):
+    bumped = apply_primitive(SetParam("RequestHandler", "deviation", IntLiteral(9)), http_model)
+    handler = bumped.components["RequestHandler"]
+    hash(handler)
+    assert handler._hash is not None and bumped._component_sum is not None
+    for copy in (replace(handler), replace(handler, state=STOPPED)):
+        assert copy._hash is None
+    assert replace(handler) == handler and hash(replace(handler)) == hash(handler)
+    assert hash(replace(handler, state=STOPPED)) != hash(handler)
+    assert "_hash" not in repr(handler)
+    for copy in (replace(bumped), replace(bumped, bindings=frozenset())):
+        assert copy._component_sum is None
+    assert component_sum(replace(bumped)) == bumped._component_sum
+    parsed = parse_model(print_model(bumped))
+    assert parsed == bumped and parsed._component_sum is None
+    assert all(c._hash is None for c in parsed.components.values())

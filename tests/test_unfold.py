@@ -12,9 +12,11 @@ import weakref
 from itertools import islice
 from typing import Mapping, Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from reconfcheck import (
+    Component,
     ComponentModel,
     EvolutionOperation,
     PathAutomaton,
@@ -28,7 +30,7 @@ from reconfcheck import (
     parse_recipes,
     unfold_to_lasso,
 )
-from reconfcheck import checker
+from reconfcheck import checker, reconfig
 from reconfcheck.oracle import ConcreteLasso, LassoStep
 
 import generators
@@ -216,3 +218,29 @@ def test_unfolder_agrees_with_the_loop_it_replaced(seed, erased, rounds, data):
     assert _budgeted_unfold(a, c0, ops, limit, erased) == windowed
     if not erased:
         assert checker._unfold(a, c0, ops, limit) == windowed
+
+
+def _unfolded(seed, erased, cap):
+    """A generated lasso's run, cut at ``cap`` entries: its entries, keys,
+    period start and completeness."""
+    rng = random.Random(seed)
+    c0 = generators.gen_model(rng)
+    recipes = generators.gen_recipes(rng, c0)
+    a = build_automaton(generators.gen_path(rng, sorted(recipes.recipes)))
+    run = Unfolding(a, 0, c0, recipes.operation_table(), erased=erased)
+    entries = list(islice(run, cap))
+    return entries, run.keys, run.period_start, run.complete
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_colliding_fingerprints_change_no_run(seed, erased):
+    # == decides every repeat: with every component hashing alike, and then
+    # with one fingerprint for all models, the runs are those of real hashes
+    cap = 40
+    expected = _unfolded(seed, erased, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Component, "__hash__", lambda self: 7)
+        assert _unfolded(seed, erased, cap) == expected
+        mp.setattr(reconfig, "fingerprint", lambda m: 0)
+        assert _unfolded(seed, erased, cap) == expected
