@@ -1,8 +1,8 @@
 """The textual architecture description language.
 
-Two file kinds share one lexer: ``.arch`` files describe component models,
-``.ops`` files describe named composite reconfiguration recipes.  Both
-grammars are whitespace-insensitive and allow ``//`` line comments.
+``.arch`` files describe component models, ``.ops`` files named composite
+reconfiguration recipes.  Paths (``.rp``) and formulas (``.ftpl``) share their
+lexer: every format is whitespace-insensitive and allows ``//`` comments.
 Printing is canonical — components sorted by id, bindings sorted
 lexicographically — so equal models print byte-identical text.
 """
@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+# validate_model stays importable because perfbench/tracer.py rebinds it here
 from .model import (
     STARTED,
     STOPPED,
@@ -24,7 +25,7 @@ from .model import (
     Delegation,
     Param,
     binding_key,
-    validate_model,
+    validate_model,  # noqa: F401
 )
 from .reconfig import (
     AddComponent,
@@ -376,12 +377,10 @@ def _parse_endpoint_pair(ts: TokenStream) -> tuple[str, str, str, str]:
     return a, ap, b, bp
 
 
-def parse_model(text: str, validate: bool = True) -> ComponentModel:
-    """Parse an ``.arch`` model.
-
-    Raises :class:`AdlSyntaxError` on malformed input and, when
-    ``validate`` is left on, :class:`AdlValidationError` listing every
-    structural violation.
+def parse_model(text: str) -> ComponentModel:
+    """Parse an ``.arch`` model, raising :class:`AdlSyntaxError` on malformed
+    input.  Only the syntax is checked: ``model.validate_model`` lists the
+    structural violations, and ``checker.check`` refuses a model with any.
     """
     ts = TokenStream(text)
     ts.expect_keyword("model")
@@ -415,13 +414,8 @@ def parse_model(text: str, validate: bool = True) -> ComponentModel:
     ts.expect_punct("}")
     if ts.kind() != "eof":
         raise ts.error("trailing input after model")
-    m = ComponentModel(name=name, components=components,
-                       bindings=frozenset(bindings), delegations=frozenset(delegations))
-    if validate:
-        violations = validate_model(m)
-        if violations:
-            raise AdlValidationError(violations)
-    return m
+    return ComponentModel(name=name, components=components,
+                          bindings=frozenset(bindings), delegations=frozenset(delegations))
 
 
 def format_literal(pv: Param) -> str:

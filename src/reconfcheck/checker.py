@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 # model_digest stays importable because perfbench/tracer.py rebinds it here
-from .adl import model_digest, model_digester  # noqa: F401
+from .adl import AdlValidationError, model_digest, model_digester  # noqa: F401
 from .ftpl import (
     After,
     Always,
@@ -56,8 +56,8 @@ REASON_CYCLE = "non-idempotent-cycle"
 
 
 class CheckError(Exception):
-    """Unresolvable inputs: unknown operation names or an invalid initial
-    model; or, as :class:`OracleDisagreement`, a failed cross-check."""
+    """Unknown operation names, or, as :class:`OracleDisagreement`, a failed
+    cross-check; an invalid initial model raises ``AdlValidationError``."""
 
 
 class OracleDisagreement(CheckError):
@@ -444,7 +444,7 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     opts = opts or CheckOptions()
     bad = validate_model(c0)
     if bad:
-        raise CheckError("invalid initial model: " + "; ".join(bad))
+        raise AdlValidationError(bad)
     for label in a.labels:
         if label not in ops:
             raise CheckError(f"path label '{label}' is not a known operation")

@@ -71,6 +71,16 @@ def _load_inputs(args):
     return model, recipes, path
 
 
+def _load_valid_inputs(args):
+    """The inputs of a command that applies the path itself; ``check``
+    validates the model it is given."""
+    model, recipes, path = _load_inputs(args)
+    violations = validate_model(model)
+    if violations:
+        raise AdlValidationError(violations)
+    return model, recipes, path
+
+
 def _formula_text(args) -> str:
     if args.formula is not None:
         return args.formula
@@ -146,7 +156,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model, recipes, path = _load_inputs(args)
+    model, recipes, path = _load_valid_inputs(args)
     automaton = build_automaton(path)
     ops = recipes.operation_table()
     out = Path(args.dump_dir)
@@ -170,7 +180,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_idempotence(args) -> int:
-    model, recipes, path = _load_inputs(args)
+    model, recipes, path = _load_valid_inputs(args)
     automaton = build_automaton(path)
     ops = recipes.operation_table()
     if not automaton.has_cycle:
@@ -187,7 +197,7 @@ def _cmd_idempotence(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    model = parse_model(_read(args.model), validate=False)
+    model = parse_model(_read(args.model))
     violations = validate_model(model)
     if not violations:
         print(f"model '{model.name}' is well-formed "

@@ -35,7 +35,7 @@ from .model import (
     VarPresent,
     cp_mentions_params,
 )
-from .reconfig import Composite, EvolutionOperation, SetParam
+from .reconfig import AddComponent, Composite, EvolutionOperation, RemoveComponent, SetParam
 
 MODALITIES = ("normal", "exceptional", "terminates")
 
@@ -395,13 +395,19 @@ def erasure_invariant(f: FtplFormula, ops: Mapping[str, EvolutionOperation]) -> 
 
     Requires parameter-free property leaves and, because an event's
     normal/exceptional status hinges on whether the application changed the
-    model, event operations that never update a parameter.
+    model, event operations that never update a parameter: no ``set`` step,
+    and no ``add`` from a template with parameters of an id that an earlier
+    step removed, a pair that can reset a parameter and change nothing else.
     """
     if mentions_params(f):
         return False
     for event in formula_events(f):
         op = ops.get(event.op_name)
-        steps = op.steps if isinstance(op, Composite) else (op,)
-        if any(isinstance(s, SetParam) for s in steps):
-            return False
+        removed = set()
+        for s in op.steps if isinstance(op, Composite) else (op,):
+            if isinstance(s, SetParam) or (isinstance(s, AddComponent) and s.template.params
+                                           and s.template.id in removed):
+                return False
+            if isinstance(s, RemoveComponent):
+                removed.add(s.id)
     return True

@@ -10,9 +10,10 @@ q-max.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .adl import AdlSyntaxError, TokenStream
 
 
 class PathSyntaxError(ValueError):
@@ -29,57 +30,39 @@ class PathExpr:
             raise ValueError("cycle must be non-empty when present")
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[()+]|\S")
-
-
-def _path_tokens(text: str) -> list[str]:
-    toks: list[str] = []
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0]
-        for tok in _TOKEN_RE.findall(line):
-            if not (tok[0].isalpha() or tok[0] == "_" or tok in "()+"):
-                raise PathSyntaxError(f"unexpected character {tok!r} in path")
-            toks.append(tok)
-    return toks
+def _names(ts: TokenStream, known: Optional[set[str]]) -> tuple[str, ...]:
+    names: list[str] = []
+    while ts.kind() == "ident":
+        names.append(ts.next())
+        if known is not None and names[-1] not in known:
+            raise PathSyntaxError(f"unknown operation name '{names[-1]}'")
+    return tuple(names)
 
 
 def parse_path(text: str, known_ops: Optional[Iterable[str]] = None) -> PathExpr:
-    """Parse ``NAME* [ "(" NAME+ ")" "+" ]``; ``#`` starts a line comment.
+    """Parse ``NAME* [ "(" NAME+ ")" "+" ]``.
 
-    When ``known_ops`` is given every name must be one of them (the loaded
-    recipe names plus ``run``).
+    Names, whitespace and ``//`` comments follow the lexical grammar the
+    other formats share (``adl``); ``#`` also starts a line comment.  A
+    syntax error carries ``line:col``.  When ``known_ops`` is given every
+    name must be one of them (the loaded recipe names plus ``run``).
     """
-    toks = _path_tokens(text)
-    prefix: list[str] = []
-    cycle: Optional[list[str]] = None
-    i = 0
-    while i < len(toks) and toks[i] not in "()+":
-        prefix.append(toks[i])
-        i += 1
-    if i < len(toks):
-        if toks[i] != "(":
-            raise PathSyntaxError(f"unexpected {toks[i]!r} in path")
-        i += 1
-        cycle = []
-        while i < len(toks) and toks[i] not in "()+":
-            cycle.append(toks[i])
-            i += 1
-        if i >= len(toks) or toks[i] != ")":
-            raise PathSyntaxError("unclosed '(' in path")
-        i += 1
-        if i >= len(toks) or toks[i] != "+":
-            raise PathSyntaxError("repetition group must be followed by '+'")
-        i += 1
-        if not cycle:
-            raise PathSyntaxError("empty repetition group")
-        if i != len(toks):
-            raise PathSyntaxError("repetition group must be final")
-    if known_ops is not None:
-        known = set(known_ops)
-        for name in list(prefix) + list(cycle or []):
-            if name not in known:
-                raise PathSyntaxError(f"unknown operation name '{name}'")
-    return PathExpr(tuple(prefix), tuple(cycle) if cycle is not None else None)
+    known = set(known_ops) if known_ops is not None else None
+    try:
+        ts = TokenStream("\n".join(line.partition("#")[0] for line in text.split("\n")))
+        prefix, cycle = _names(ts, known), None
+        if ts.kind() != "eof":
+            ts.expect_punct("(")
+            cycle = _names(ts, known)
+            if not cycle:
+                raise ts.error("empty repetition group")
+            ts.expect_punct(")")
+            ts.expect_punct("+")
+            if ts.kind() != "eof":
+                raise ts.error("repetition group must be final")
+    except AdlSyntaxError as exc:
+        raise PathSyntaxError(str(exc)) from None
+    return PathExpr(prefix, cycle)
 
 
 def print_path(p: PathExpr) -> str:

@@ -10,7 +10,7 @@ primitives (component/binding addition and removal) are idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     STOPPED,
@@ -25,7 +25,9 @@ from .model import (
     fingerprint,
     parent_of,
 )
-from .pathspec import PathAutomaton
+
+if TYPE_CHECKING:  # pathspec reads paths through adl, which imports this module
+    from .pathspec import PathAutomaton
 
 RUN_NAME = "run"
 

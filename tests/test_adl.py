@@ -10,8 +10,11 @@ from reconfcheck import (
     Component,
     ComponentModel,
     Param,
+    RecipeSet,
     apply_evolution,
     build_automaton,
+    check,
+    parse_formula,
     parse_model,
     parse_path,
     parse_recipes,
@@ -62,12 +65,15 @@ def test_parse_validation_failure():
       component Leaf { class L }
     }
     """
+    # parsing checks the syntax only; the validator, which check runs,
+    # finds the violation
+    m = parse_model(text)
+    violations = validate_model(m)
+    assert len(violations) == 1 and "parameters" in violations[0]
     with pytest.raises(AdlValidationError) as err:
-        parse_model(text)
-    assert any("parameters" in v for v in err.value.violations)
-    # validation can be deferred
-    m = parse_model(text, validate=False)
-    assert len(validate_model(m)) == 1
+        check(parse_formula("always [true]"), build_automaton(parse_path("run")), m,
+              RecipeSet({}).operation_table())
+    assert err.value.violations == violations
 
 
 def test_model_round_trip_http(http_model):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reconfcheck import (
+    AdlValidationError,
     Always,
     Binding,
     Component,
@@ -289,9 +290,10 @@ def test_unknown_operation_raises(http_model, http_ops):
 def test_invalid_initial_model_raises(http_ops):
     bad = ComponentModel("M", {"A": Component("B", "X")})
     a = build_automaton(parse_path("run"))
-    with pytest.raises(CheckError, match="^invalid initial model: component keyed 'A' "
-                                         "carries id 'B'$"):
+    with pytest.raises(AdlValidationError, match="^invalid model: component keyed 'A' "
+                                                 "carries id 'B'$") as err:
         check(parse_formula("always [true]"), a, bad, http_ops)
+    assert err.value.violations == ["component keyed 'A' carries id 'B'"]
 
 
 def test_cp_resolution_error_propagates(http_model, http_ops):

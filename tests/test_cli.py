@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import reconfcheck
-from reconfcheck import parse_formula, parse_model, parse_path, print_model, \
-    print_path
+from reconfcheck import build_automaton, parse_formula, parse_model, parse_path, \
+    print_model, print_path
 from reconfcheck.cli import run_cli
 
 FORMULA = ("after AddCacheHandler normal "
@@ -213,6 +213,78 @@ def test_check_rejects_invalid_model_exit_four(tmp_path, samples_dir, capsys):
                     "--path", str(samples_dir / "server.rp"),
                     "--formula", "always [true]"])
     assert code == 4
+
+
+BROKEN = ("model B { composite T { class X param y : int = 0 contains L } "
+          "component L { class Y } bind L.o -> T.i }")
+
+
+@pytest.mark.parametrize("command", [["check", "--formula", "always [true]"],
+                                     ["simulate", "--steps", "1", "--dump-dir"],
+                                     ["idempotence"]])
+def test_every_command_reports_an_invalid_models_violations(tmp_path, samples_dir, capsys,
+                                                            command):
+    (tmp_path / "broken.arch").write_text(BROKEN)
+    if command[0] == "simulate":
+        command = command + [str(tmp_path / "dump")]
+    code = run_cli([command[0], "--model", str(tmp_path / "broken.arch"),
+                    "--ops", str(samples_dir / "http.ops"),
+                    "--path", str(samples_dir / "server.rp"), *command[1:]])
+    assert code == 4
+    assert capsys.readouterr() == ("", "violation: composite 'T' has parameters\n"
+                                       "violation: binding from 'L' missing output port 'o'\n"
+                                       "violation: binding to 'T' missing input port 'i'\n")
+    assert not (tmp_path / "dump").exists()
+
+
+def test_a_parse_error_in_any_input_comes_before_model_violations(tmp_path, samples_dir,
+                                                                  capsys):
+    (tmp_path / "broken.arch").write_text(BROKEN)
+    code = run_cli(["check", "--model", str(tmp_path / "broken.arch"),
+                    "--ops", str(samples_dir / "http.ops"),
+                    "--path", str(samples_dir / "server.rp"), "--formula", "always [true"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: 1:13: expected ']', found 'end of input'\n"
+
+
+def test_every_command_validates_its_model_once(tmp_path, samples_dir, capsys, monkeypatch,
+                                                http_recipes):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "validate_model", None)
+        if name.startswith("reconfcheck") and original is not None:
+            def counted(m, original=original):
+                calls.append(m)
+                return original(m)
+            monkeypatch.setattr(module, "validate_model", counted)
+    commands = [_check_args(samples_dir, "--formula", FORMULA),
+                _check_args(samples_dir, "--formula", FORMULA, "--oracle", "--json"),
+                ["simulate", *_check_args(samples_dir)[1:], "--steps", "2",
+                 "--dump-dir", str(tmp_path / "dump")],
+                ["idempotence", *_check_args(samples_dir)[1:]],
+                ["validate", "--model", str(samples_dir / "http.arch")]]
+    for argv in commands:
+        calls.clear()
+        assert run_cli(argv) == 0
+        assert len(calls) == 1, argv
+    calls.clear()
+    model = parse_model((samples_dir / "http.arch").read_text())
+    reconfcheck.check(parse_formula(FORMULA), build_automaton(parse_path("run")), model,
+                      http_recipes.operation_table())
+    assert calls == [model]
+
+
+def test_a_non_ascii_recipe_name_checks_end_to_end(tmp_path, capsys):
+    for name, text in (("m.arch", "model M { component Dépôt { class C } }"),
+                       ("m.ops", "op Arrêt { stop Dépôt }"),
+                       ("m.rp", "run (Arrêt)+  # stop the depot, again and again")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    args = ["check", "--model", str(tmp_path / "m.arch"), "--ops", str(tmp_path / "m.ops"),
+            "--path", str(tmp_path / "m.rp")]
+    assert run_cli(args + ["--formula", "before Arrêt normal always [started(Dépôt)]"]) == 0
+    assert run_cli(args + ["--formula", "after Arrêt normal always [started(Dépôt)]"]) == 1
+    assert re.search(r"^  step 2: q1 Arrêt \[\w+\]  <-- violation$",
+                     capsys.readouterr().out, re.M)
 
 
 def test_simulate_dumps_configurations(samples_dir, tmp_path, capsys):

@@ -50,6 +50,27 @@ def test_comments_and_whitespace():
     assert p == PathExpr(("run",), ("Op",))
 
 
+def test_names_and_comments_follow_the_shared_lexer():
+    # a recipe name is lexed as the recipe file lexes it
+    assert parse_path("(Café)+") == PathExpr((), ("Café",))
+    assert parse_path("run // as in every format\n(Op)+ # and a path's own") == \
+        PathExpr(("run",), ("Op",))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a (b)+ c", "1:8: repetition group must be final"),
+    ("run\n  (b c", "2:7: expected ')', found 'end of input'"),
+    ("a (b c) # no repeat", "1:9: expected '+', found 'end of input'"),
+    ("a ()+", "1:4: empty repetition group"),
+    ("# comment\nrun $", "2:5: unexpected character '$'"),
+    ("run\x0c(Op)+", "1:4: unexpected character '\\x0c'"),
+])
+def test_syntax_errors_carry_line_and_column(text, message):
+    with pytest.raises(PathSyntaxError) as err:
+        parse_path(text)
+    assert str(err.value) == message
+
+
 def test_automaton_shape_section31():
     a = build_automaton(parse_path(SECTION31))
     assert a.n_states == 8

@@ -360,7 +360,7 @@ def test_equal_models_reached_by_different_orders_share_a_fingerprint(seed):
             assert fingerprint(erase_param_values(other)) == \
                 fingerprint(erase_param_values(one))
     # a model of fresh objects, made by the parser, agrees as well
-    parsed = parse_model(print_model(one), validate=False)
+    parsed = parse_model(print_model(one))
     assert parsed == one and fingerprint(parsed) == fingerprint(one)
 
 
