@@ -82,9 +82,11 @@ MAX_NESTING = 100
 _PUNCT = (":=", "->", "<=", ">=", "!=", "{", "}", "(", ")", "[", "]",
           ":", ".", ",", "+", "-", "*", "=", "<", ">")
 
-_SKIP = r"(?:[ \t\r\n]++|//[^\n]*+)*+"
-_LEXEME = (r'[^\W\d]\w*+|\d++|"(?:[^"\\\n]++|\\["\\]?)*+"|'
-           + "|".join(re.escape(p) for p in _PUNCT))
+# whitespace, then any comments, each with the whitespace after it
+_SKIP = r"[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+"
+_IDENT = r"[^\W\d]\w*+"
+_STRING = r'"(?:[^"\\\n]++|\\["\\]?)*+"'
+_LEXEME = f"{_IDENT}|\\d++|{_STRING}|" + "|".join(re.escape(p) for p in _PUNCT)
 # one possessive match over the whole text: where it stops is the first
 # character no lexeme can start with (or an unterminated string), and its
 # group ends with the last lexeme
@@ -377,11 +379,111 @@ def _parse_endpoint_pair(ts: TokenStream) -> tuple[str, str, str, str]:
     return a, ap, b, bp
 
 
+# A well-formed ASCII model is read by the patterns below, which lex as the
+# lexer does: whitespace and comments between any two tokens, identifiers
+# and digit runs taken whole, and a keyword never followed by a word
+# character (\b after its last letter).  A declaration's body repeats the
+# item pattern with its groups made non-capturing, and its items are then
+# read with the capturing one: CPython's re raises SystemError for a
+# capturing group inside a possessive repeat.
+def _spaced(pattern: str) -> str:
+    """``pattern`` with each space standing for whitespace and comments, and
+    ID for an identifier."""
+    return pattern.replace(" ", _SKIP).replace("ID", _IDENT)
+
+
+_ITEM = _spaced(r" (?:class\b (ID)|(input|output)\b (ID) : (ID)"
+                r"|param\b (ID) : (int|string|bool)\b = (?:(-?) (\d++)|(STRING)|(true|false)\b)"
+                r"|contains\b (ID)|state\b (started|stopped)\b)").replace("STRING", _STRING)
+_ITEM_RE = re.compile(_ITEM)
+_HEAD_RE = re.compile(_spaced(r" model\b (ID) \{"))
+_DECL_RE = re.compile(_spaced(r" (?:(?:component|composite)\b (ID) \{(BODY) \}"
+                              r"|(bind|delegate)\b (ID) \. (ID) -> (ID) \. (ID))")
+                      .replace("BODY", "(?:%s)*+" % re.sub(r"\((?!\?)", "(?:", _ITEM)))
+_END_RE = re.compile(_spaced(r" \} "))
+
+
+def _read_component(cid: str, items: list[tuple[str, ...]]) -> Optional[Component]:
+    cls = state = None
+    params: dict[str, Param] = {}
+    inputs: dict[str, str] = {}
+    outputs: dict[str, str] = {}
+    contains: list[str] = []
+    for name, io, port, pcls, pname, kind, neg, digits, string, word, child, st in items:
+        if io:
+            (inputs if io == "input" else outputs)[port] = pcls
+        elif name:
+            cls = name
+        elif pname:
+            if kind == "int" and digits:
+                try:
+                    value = int(neg + digits)
+                except ValueError:  # past the digit limit
+                    return None
+            elif kind == "string" and string:
+                value = _value(string)
+            elif kind == "bool" and word:
+                value = word == "true"
+            else:
+                return None
+            params[pname] = Param(kind, value)
+        elif child:
+            contains.append(child)
+        else:
+            state = st
+    # each item makes one entry, so one given twice (class and state
+    # included) leaves fewer entries than items
+    children = frozenset(contains)  # as the token parser builds it, for its order
+    entries = len(params) + len(inputs) + len(outputs) + len(children) + (state is not None)
+    if cls is None or entries + 1 != len(items):
+        return None
+    return Component(cid, cls, params, inputs, outputs, children, state or STARTED)
+
+
+def _read_model(text: str) -> Optional[ComponentModel]:
+    """The model of a well-formed ASCII ``.arch`` text, read by compiled
+    patterns; None for any text they do not cover end to end and for any
+    model the token parser refuses, which :func:`parse_model` then reads
+    with the token parser, for its error."""
+    head = _HEAD_RE.match(text) if text.isascii() else None
+    if head is None:
+        return None
+    components: dict[str, Component] = {}
+    bindings: set[Binding] = set()
+    delegations: set[Delegation] = set()
+    pos = head.end()
+    while decl := _DECL_RE.match(text, pos):
+        pos = decl.end()
+        cid = decl.group(1)
+        if cid is None:
+            word, *ends = decl.group(3, 4, 5, 6, 7)
+            links, link = ((bindings, Binding(*ends)) if word == "bind"
+                           else (delegations, Delegation(*ends)))
+            if link in links:
+                return None
+            links.add(link)
+            continue
+        comp = _read_component(cid, _ITEM_RE.findall(text, *decl.span(2)))
+        if comp is None or cid in components:
+            return None
+        components[cid] = comp
+    if _END_RE.fullmatch(text, pos) is None:
+        return None
+    return ComponentModel(head.group(1), components, frozenset(bindings),
+                          frozenset(delegations))
+
+
 def parse_model(text: str) -> ComponentModel:
     """Parse an ``.arch`` model, raising :class:`AdlSyntaxError` on malformed
     input.  Only the syntax is checked: ``model.validate_model`` lists the
     structural violations, and ``checker.check`` refuses a model with any.
     """
+    model = _read_model(text)
+    return _parse_model_tokens(text) if model is None else model
+
+
+def _parse_model_tokens(text: str) -> ComponentModel:
+    """:func:`parse_model` by the token parser, which reports every error."""
     ts = TokenStream(text)
     ts.expect_keyword("model")
     name = ts.expect_ident("model name")

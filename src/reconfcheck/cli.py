@@ -37,7 +37,7 @@ from .adl import (
 from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, check, \
     cycle_entry_model
 from .ftpl import FtplSyntaxError, parse_formula, print_formula
-from .model import CpEvalError, validate_model
+from .model import ComponentModel, CpEvalError, validate_model
 from .pathspec import PathSyntaxError, build_automaton, parse_path, print_path
 from .reconfig import apply_evolution, is_idempotent_sequence
 
@@ -79,6 +79,16 @@ def _load_valid_inputs(args):
     if violations:
         raise AdlValidationError(violations)
     return model, recipes, path
+
+
+def _dump(directory: str, name: str, model: ComponentModel) -> None:
+    """Write ``model`` to ``directory/name``, making the directory as needed."""
+    target = Path(directory) / name
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(print_model(model), encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {target}: {exc}") from None
 
 
 def _formula_text(args) -> str:
@@ -149,20 +159,18 @@ def _cmd_check(args) -> int:
     verdict = check(formula, automaton, model, recipes.operation_table(), opts)
     code = _print_verdict(verdict, print_formula(formula), args.json)
     if args.dump_dir and verdict.reached is not None:
-        out = Path(args.dump_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "reached.arch").write_text(print_model(verdict.reached), encoding="utf-8")
+        _dump(args.dump_dir, "reached.arch", verdict.reached)
     return code
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise _UsageError("--steps must be at least 0")
     model, recipes, path = _load_valid_inputs(args)
     automaton = build_automaton(path)
     ops = recipes.operation_table()
-    out = Path(args.dump_dir)
-    out.mkdir(parents=True, exist_ok=True)
     q, current = 0, model
-    (out / "step_000.arch").write_text(print_model(current), encoding="utf-8")
+    _dump(args.dump_dir, "step_000.arch", current)
     print(f"step 0: initial [{model_digest(current)}]")
     for step in range(1, args.steps + 1):
         nxt = automaton.succ(q)
@@ -173,7 +181,7 @@ def _cmd_simulate(args) -> int:
         outcome = apply_evolution(ops[label], current)
         current = outcome.result
         q = q2
-        (out / f"step_{step:03d}.arch").write_text(print_model(current), encoding="utf-8")
+        _dump(args.dump_dir, f"step_{step:03d}.arch", current)
         changed = "changed" if outcome.changed else "unchanged"
         print(f"step {step}: {label} ({changed}) [{model_digest(current)}]")
     return 0

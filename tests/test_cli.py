@@ -10,6 +10,7 @@ import pytest
 import reconfcheck
 from reconfcheck import build_automaton, parse_formula, parse_model, parse_path, \
     print_model, print_path
+from reconfcheck.adl import model_digest
 from reconfcheck.cli import run_cli
 
 FORMULA = ("after AddCacheHandler normal "
@@ -436,3 +437,36 @@ def test_a_closed_standard_output_exits_seven_not_fails(samples_dir, as_json):
         os.close(write_end)
     assert proc.returncode == 7
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("check", ["--formula", "always [true]", "--max-steps", "1"]),
+    ("simulate", ["--steps", "1"]),
+])
+def test_an_unwritable_dump_dir_exits_three_not_fails(samples_dir, tmp_path, capsys,
+                                                      command, extra):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code = run_cli([command, "--model", str(samples_dir / "http.arch"),
+                    "--ops", str(samples_dir / "http.ops"),
+                    "--path", str(samples_dir / "server.rp"),
+                    *extra, "--dump-dir", str(blocker)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker}{os.sep}"), err
+    assert "Traceback" not in err
+
+
+def test_simulate_refuses_a_negative_step_count(samples_dir, tmp_path, capsys, http_model):
+    def simulate(steps, out_dir):
+        return run_cli(["simulate", "--model", str(samples_dir / "http.arch"),
+                        "--ops", str(samples_dir / "http.ops"),
+                        "--path", str(samples_dir / "server.rp"),
+                        "--steps", steps, "--dump-dir", str(out_dir)])
+
+    assert simulate("-1", tmp_path / "negative") == 3
+    assert "error: --steps must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "negative").exists()
+    assert simulate("0", tmp_path / "zero") == 0
+    assert [p.name for p in (tmp_path / "zero").iterdir()] == ["step_000.arch"]
+    assert capsys.readouterr().out == f"step 0: initial [{model_digest(http_model)}]\n"

@@ -165,7 +165,10 @@ def mutated_samples(draw):
 
 
 def parse_outcomes(text):
-    return [outcome(parse, text) for parse in (parse_model, parse_recipes, parse_formula)]
+    # parse_model reads a well-formed ASCII model without the lexer, so the
+    # token parser is called on its own as well
+    return [outcome(parse, text) for parse in (parse_model, adl._parse_model_tokens,
+                                               parse_recipes, parse_formula)]
 
 
 @settings(max_examples=300)

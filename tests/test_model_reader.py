@@ -1,0 +1,148 @@
+"""The pattern reader of ``.arch`` models against the token parser.
+
+``parse_model`` reads a well-formed ASCII model with ``adl._read_model``
+and hands every other text to ``adl._parse_model_tokens``, which reports
+every error.  The reader must accept every printed model and read it as
+the token parser does.  On anything else it may decline (None), and then
+``parse_model`` gives the token parser's model or its exact error.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from reconfcheck import adl, parse_model, print_model
+from reconfcheck.adl import _parse_model_tokens, _read_model
+
+import generators
+from conftest import SAMPLES
+from test_lexer import PIECES
+
+HTTP = (SAMPLES / "http.arch").read_text()
+
+# keywords as names, a comment inside a negative literal, escaped strings
+KEYWORDS = (
+    "model model {\n"
+    "  composite bind { class delegate input input : output contains class }\n"
+    "  component class {\n"
+    "    class component\n"
+    "    param param : int = - // a comment\n 5\n"
+    '    param string : string = "a\\"b\\\\c\\d // no comment"\n'
+    "    param bool : bool = false param int : int = 007\n"
+    "    input input : output output output : input state stopped\n"
+    "  }\n"
+    "  bind class.output -> class.input delegate bind.input -> class.input\n"
+    "}")
+
+
+def printed_model(seed: int) -> str:
+    return print_model(generators.gen_model(random.Random(seed)))
+
+
+def read(parse, text):
+    """A parse's model, shown with its dict orders, or its error."""
+    try:
+        return "ok", repr(parse(text))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_the_reader_reads_every_printed_model_as_the_token_parser_does(seed):
+    m = generators.gen_model(random.Random(seed))
+    text = print_model(m)
+    assert _read_model(text) == _parse_model_tokens(text) == m
+    assert repr(_read_model(text)) == repr(_parse_model_tokens(text))
+
+
+@pytest.mark.parametrize("text", [HTTP, KEYWORDS], ids=["http", "keywords"])
+def test_the_reader_reads_the_samples_as_the_token_parser_does(text):
+    assert _read_model(text) is not None
+    assert read(_read_model, text) == read(_parse_model_tokens, text)
+
+
+# whitespace and comments, each of which keeps two tokens apart
+SEPARATORS = (" ", "\n", "\t", "\r\n", "   ", "//\n", "// c } { \"\n", " // x\n\n//y\n ")
+
+
+@st.composite
+def respaced_models(draw):
+    """A model's tokens with other whitespace and comments between them;
+    with ``glued``, some tokens run into the next one."""
+    base = draw(st.sampled_from([HTTP, KEYWORDS]) | st.integers(0, 2 ** 32 - 1).map(printed_model))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    glued = draw(st.booleans())
+    seps = SEPARATORS + ("",) * (4 * glued)
+    lexemes = adl._lexemes(base)[:-1]
+    text = rng.choice(seps) + "".join(lex + rng.choice(seps) for lex in lexemes)
+    return text, glued
+
+
+@settings(max_examples=300)
+@given(respaced_models())
+def test_respaced_models_read_as_the_token_parser_reads_them(case):
+    text, glued = case
+    model = _read_model(text)
+    if not glued:
+        assert model is not None
+    assert model is None or read(_read_model, text) == read(_parse_model_tokens, text)
+
+
+ARCH_TEXTS = [HTTP, KEYWORDS, printed_model(3), printed_model(4)]
+
+
+@st.composite
+def mutated_models(draw):
+    """A model text after a few character edits, as in test_lexer."""
+    text = draw(st.sampled_from(ARCH_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(PIECES + ["component", "state", "class", "-", "}"]))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        if edit == "insert":
+            text = text[:i] + piece + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + len(piece):]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    return text
+
+
+@settings(max_examples=500)
+@given(mutated_models())
+@example("model M { component C { class K } } }")
+@example("model M { component C { class K state started state stopped } }")
+def test_mutated_models_parse_as_the_token_parser_parses_them(text):
+    assert read(parse_model, text) == read(_parse_model_tokens, text)
+
+
+# texts the reader must leave to the token parser: its model, or its error
+DECLINED = {
+    "non-ASCII name": "model M { component Café { class K } }",
+    "keyword run into a name": "model M { component C { classX } }",
+    "duplicate id": "model M { component C { class K } component C { class K } }",
+    "class twice": "model M { component C { class K class K } }",
+    "no class": "model M { component C { state started } }",
+    "state twice": "model M { component C { class K state started state started } }",
+    "unknown state": "model M { component C { class K state running } }",
+    "duplicate port": "model M { component C { class K input i : T input i : U } }",
+    "duplicate parameter": "model M { component C { class K param p : int = 1 "
+                           "param p : int = 2 } }",
+    "duplicate contains": "model M { composite C { class K contains D contains D } }",
+    "duplicate binding": "model M { bind A.o -> B.i bind A.o -> B.i }",
+    "duplicate delegation": "model M { delegate A.o -> B.i delegate A.o -> B.i }",
+    "string for an int": 'model M { component C { class K param p : int = "1" } }',
+    "int for a bool": "model M { component C { class K param p : bool = 1 } }",
+    "5,000-digit literal": "model M { component C { class K param p : int = "
+                           + "9" * 5000 + " } }",
+    "minus before an arrow": "model M { component C { class K param p : int = - > } }",
+    "trailing input": "model M { } model N { }",
+}
+
+
+@pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
+def test_the_reader_leaves_other_texts_to_the_token_parser(text):
+    assert _read_model(text) is None
+    assert read(parse_model, text) == read(_parse_model_tokens, text)
