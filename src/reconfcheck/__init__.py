@@ -95,6 +95,7 @@ from .reconfig import (
     apply_sequence,
     is_idempotent_sequence,
     operation_table,
+    run_path,
 )
 
 __version__ = "0.1.0"

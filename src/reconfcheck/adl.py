@@ -95,14 +95,6 @@ _TOKEN_RE = re.compile(f"{_SKIP}({_LEXEME})")
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | int | string | punct | eof
-    value: str
-    line: int
-    col: int
-
-
 def _kind(lex: str) -> str:
     c = lex[:1]
     if c == '"':
@@ -179,22 +171,6 @@ def _offsets(text: str) -> list[int]:
     comment = text.find("//", max(last_end, text.rfind("\n") + 1))
     return ([at for _, at in _located(text, last_end)]
             + [comment if comment >= 0 else len(text)])
-
-
-def tokenize(text: str) -> list[Token]:
-    """Every token with its kind, value and 1-based line and column, ending
-    with an ``eof`` token; the parsers read lexemes through TokenStream."""
-    lexemes = _lexemes(text)
-    tokens: list[Token] = []
-    line, line_start, prev = 1, -1, 0
-    for lex, at in zip(lexemes, _offsets(text)):
-        newlines = text.count("\n", prev, at)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", prev, at)
-        tokens.append(Token(_kind(lex), _value(lex), line, at - line_start))
-        prev = at
-    return tokens
 
 
 class TokenStream:

@@ -19,8 +19,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Optional
 
 # model_digest stays importable because perfbench/tracer.py rebinds it here
@@ -45,7 +44,7 @@ from .model import CompiledCp, ComponentModel, ConfigProperty, compile_cp, \
 from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict
 from .pathspec import PathAutomaton, PathExpr, residual_from
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
-    is_idempotent_sequence
+    is_idempotent_sequence, run_path
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -142,15 +141,6 @@ class _Budget(Exception):
         self.model = model
 
 
-class _Instance:
-    """Per-operator bookkeeping for the termination instrumentation."""
-
-    __slots__ = ("transitions",)
-
-    def __init__(self):
-        self.transitions = 0
-
-
 class _Mark(enum.Enum):
     UNCHECKED = "unchecked"
     AGAIN = "again"
@@ -185,33 +175,32 @@ class _Walk:
         self.max_instance = 0
         self.compiled: dict[ConfigProperty, CompiledCp] = {}
 
-    def step(self, q: int, c: ComponentModel) -> tuple[str, int, ComponentModel]:
-        """The transition leaving ``q``, charged against the step budget."""
-        if self.remaining is not None:
-            if self.remaining == 0:
-                raise _Budget(q, c)
-            self.remaining -= 1
-        label, q2 = self.a.succ(q)
-        return label, q2, apply_evolution(self.ops[label], c).result
-
-    def apply(self, inst: _Instance, q: int, c: ComponentModel):
-        """:meth:`step`, counted for ``inst`` and held to its 2·|Q| bound."""
-        label, q2, c2 = self.step(q, c)
-        inst.transitions += 1
-        self.transitions += 1
-        if inst.transitions > self.max_instance:
-            self.max_instance = inst.transitions
-        # termination invariant: two traversals suffice for any operator
-        if inst.transitions > 2 * self.a.n_states:
-            raise AssertionError(
-                f"operator instance applied {inst.transitions} transitions, "
-                f"exceeding 2*|Q| = {2 * self.a.n_states}")
-        return label, q2, c2
+    def run(self, q: int, c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
+        """The run from (q, c) as one operator instance takes it, as
+        (label, target, configuration): each transition is charged against
+        the step budget before it is applied, counted, and held to the
+        instance's 2·|Q| bound."""
+        a, taken = self.a, 0
+        while (nxt := a.succ(q)) is not None:
+            if self.remaining is not None:
+                if self.remaining == 0:
+                    raise _Budget(q, c)
+                self.remaining -= 1
+            label, q = nxt
+            c = apply_evolution(self.ops[label], c).result
+            taken += 1
+            self.transitions += 1
+            if taken > self.max_instance:
+                self.max_instance = taken
+            # termination invariant: two traversals suffice for any operator
+            if taken > 2 * a.n_states:
+                raise AssertionError(f"operator instance applied {taken} transitions, "
+                                     f"exceeding 2*|Q| = {2 * a.n_states}")
+            yield label, q, c
 
     def unfold(self, q: int, c: ComponentModel) -> Unfolding:
         """The run from (q, c) as one operator instance walks it."""
-        return Unfolding(self.a, q, c, erased=self.erased,
-                         step=partial(self.apply, _Instance()))
+        return Unfolding(self.a, q, c, self.run(q, c), erased=self.erased)
 
     def eval_cp(self, cp: ConfigProperty, c: ComponentModel) -> bool:
         self.cp_evals += 1
@@ -254,7 +243,7 @@ def _marked_run(walk: _Walk, q: int,
     (given the idempotence gate).
     """
     marks = _fresh_marks(walk.a)
-    start, inst = q, _Instance()
+    start, run = q, walk.run(q, c)
     earlier = Counter()  # the marks of the states before q
     while walk.a.succ(q) is not None:
         mk = marks[q]
@@ -268,7 +257,7 @@ def _marked_run(walk: _Walk, q: int,
                                  "or checked while this one is unchecked")
         marks[q] = _Mark.AGAIN if mk is _Mark.UNCHECKED else _Mark.CHECKED
         earlier[marks[q]] += 1  # as stored, so a lost write is seen
-        label, q2, c = walk.apply(inst, q, c)
+        label, q2, c = next(run)
         if q2 <= q:  # the back edge: recount once per lap
             earlier = Counter(marks[:q2])
         q = q2
@@ -398,11 +387,8 @@ def _replay(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
     """The first ``length`` (state, incoming label, configuration) triples of
     the run from the initial state; operations are pure, so this rebuilds
     exactly the configurations the walk saw."""
-    q, c = 0, c0
-    yield q, "", c
-    for _ in range(length - 1):
-        label, q = a.succ(q)
-        c = apply_evolution(ops[label], c).result
+    yield 0, "", c0
+    for label, q, c in islice(run_path(a, ops, 0, c0), length - 1):
         yield q, label, c
 
 
@@ -411,14 +397,9 @@ def _unfold(a: PathAutomaton, c0: ComponentModel,
     """The window of a lasso the gate refused: the run from the initial
     state for at most ``max_steps`` transitions, cut short at the path's
     end or before an exact (state, model) repeat."""
-    run = Unfolding(a, 0, c0, step=_Walk(a, ops, max_steps).step)
-    entries = []
-    try:
-        for q, label, c in run:
-            entries.append(LassoStep(q, c, label))
-    except _Budget:
-        pass
-    return ConcreteLasso(a, tuple(entries), run.period_start, run.complete)
+    run = Unfolding(a, 0, c0, islice(run_path(a, ops, 0, c0), max_steps))
+    entries = tuple(LassoStep(q, c, label) for q, label, c in run)
+    return ConcreteLasso(a, entries, run.period_start, run.complete)
 
 
 def _witness(configs: Iterable[tuple[int, str, ComponentModel]], index: int,

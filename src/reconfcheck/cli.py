@@ -10,10 +10,10 @@ Four batch commands tie the file formats together:
 
 Exit codes 3 and 4 flag parse/usage errors (input nested too deeply and
 running out of memory included) and invalid models, 5 a verdict the
-``--oracle`` cross-check contradicts, and 6 a property that cannot be
-evaluated (an unknown identifier in an attribute atom), and 7 a standard
-output closed before the report was written; none of these is reported as
-"fails".
+``--oracle`` cross-check contradicts, 6 a property that cannot be
+evaluated (an unknown identifier in an attribute atom), 7 a standard
+output closed before the report was written, and 8 an internal error (a
+defect, shown with its traceback); none of these is reported as "fails".
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +40,8 @@ from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, chec
 from .ftpl import FtplSyntaxError, parse_formula, print_formula
 from .model import ComponentModel, CpEvalError, validate_model
 from .pathspec import PathSyntaxError, build_automaton, parse_path, print_path
-from .reconfig import apply_evolution, is_idempotent_sequence
+# apply_evolution stays importable because perfbench/tracer.py rebinds it here
+from .reconfig import apply_evolution, is_idempotent_sequence, run_path  # noqa: F401
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -49,6 +51,7 @@ EXIT_INVALID_MODEL = 4
 EXIT_DISAGREEMENT = 5
 EXIT_ILL_FORMED_PROPERTY = 6
 EXIT_OUTPUT_CLOSED = 7
+EXIT_INTERNAL_ERROR = 8
 
 _VERDICT_EXITS = {"holds": EXIT_HOLDS, "fails": EXIT_FAILS, "unknown": EXIT_UNKNOWN}
 
@@ -168,22 +171,17 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--steps must be at least 0")
     model, recipes, path = _load_valid_inputs(args)
     automaton = build_automaton(path)
-    ops = recipes.operation_table()
-    q, current = 0, model
+    run = run_path(automaton, recipes.operation_table(), 0, model)
+    current, step = model, 0
     _dump(args.dump_dir, "step_000.arch", current)
     print(f"step 0: initial [{model_digest(current)}]")
-    for step in range(1, args.steps + 1):
-        nxt = automaton.succ(q)
-        if nxt is None:
-            print(f"path ends after {step - 1} steps")
-            break
-        label, q2 = nxt
-        outcome = apply_evolution(ops[label], current)
-        current = outcome.result
-        q = q2
+    for step, (label, _q, nxt) in enumerate(islice(run, args.steps), 1):
+        changed = "changed" if nxt != current else "unchanged"
+        current = nxt
         _dump(args.dump_dir, f"step_{step:03d}.arch", current)
-        changed = "changed" if outcome.changed else "unchanged"
         print(f"step {step}: {label} ({changed}) [{model_digest(current)}]")
+    if step < args.steps:
+        print(f"path ends after {step} steps")
     return 0
 
 
@@ -302,6 +300,13 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
         # would read as "fails", a verdict that was never reached
         print("error: out of memory before a result was reached", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a defect in any layer, the checker's own safety assertions included;
+        # traceback is imported only here, as it adds about 2 ms to every start
+        import traceback
+        traceback.print_exc()
+        print("error: internal error, no verdict was reached", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def main() -> None:

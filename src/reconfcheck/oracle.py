@@ -24,7 +24,7 @@ from .ftpl import After, Always, Before, Eventually, EventSpec, FtplFormula, \
 from .model import ComponentModel, ConfigProperty, erase_param_values, eval_cp
 from .pathspec import PathAutomaton
 # apply_evolution stays importable because perfbench/tracer.py rebinds it here
-from .reconfig import EvolutionOperation, Unfolding, apply_evolution  # noqa: F401
+from .reconfig import EvolutionOperation, Unfolding, apply_evolution, run_path  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOp
     """The unfolding from the initial state as windows of one lazy run: the
     first ``r`` laps for each ``r`` in ``looks`` the run lasts, then the
     whole of it, as :func:`unfold_to_lasso` returns it."""
-    unfolding = Unfolding(a, 0, c0, ops, erased=compare_erased)
+    unfolding = Unfolding(a, 0, c0, run_path(a, ops, 0, c0), erased=compare_erased)
     entries: list[LassoStep] = []
     values: _Values = {}  # entry j is the same model in every window
     rounds = 0

@@ -10,7 +10,7 @@ primitives (component/binding addition and removal) are idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     STOPPED,
@@ -328,31 +328,36 @@ def is_idempotent_sequence(ops: Sequence[EvolutionOperation], m: ComponentModel,
     return once == twice
 
 
-class Unfolding:
-    """The run of a path automaton from (q, c), unfolded only as far as asked.
+def run_path(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], q: int,
+             c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
+    """The run of ``a`` from (q, c): one (label, target, configuration) per
+    transition, each applied only when asked for, ending at a terminal state."""
+    while (nxt := a.succ(q)) is not None:
+        label, q = nxt
+        c = apply_evolution(ops[label], c).result
+        yield label, q, c
 
-    Iterating it, once, yields the run's (state, incoming label,
-    configuration) entries, the first with label None, applying a transition
-    only when the next entry is asked for.  The run ends at a terminal
-    state, setting ``complete``, or just before a (state, key) pair repeats,
-    setting ``period_start`` to the index of the earlier entry.  ``keys``
-    holds the keys of the entries handed out: the configurations, or with
-    ``erased`` their ``erase_param_values`` copies.  ``step(q, c)`` returns
-    the (label, target, configuration) of the transition leaving q; by
-    default it applies the labelled operation of ``ops``.
+
+class Unfolding:
+    """A run of a path automaton from (q, c), cut where it starts repeating.
+
+    ``transitions`` is the run's (label, target, configuration) stream, as
+    :func:`run_path` gives it.  Iterating the unfolding, once, yields the
+    run's (state, incoming label, configuration) entries, the first with
+    label None, taking a transition only when the next entry is asked for.
+    The run ends just before a (state, key) pair repeats, setting
+    ``period_start`` to the index of the earlier entry, or where the stream
+    does, setting ``complete`` if that is a terminal state.  ``keys`` holds
+    the keys of the entries handed out: the configurations, or with
+    ``erased`` their ``erase_param_values`` copies.
     """
 
     def __init__(self, a: PathAutomaton, q: int, c: ComponentModel,
-                 ops: Optional[Mapping[str, EvolutionOperation]] = None, erased: bool = False,
-                 step: Optional[Callable[[int, ComponentModel], tuple]] = None):
-        if step is None:
-            def step(q: int, c: ComponentModel) -> tuple[str, int, ComponentModel]:
-                label, q2 = a.succ(q)
-                return label, q2, apply_evolution(ops[label], c).result
+                 transitions: Iterator[tuple[str, int, ComponentModel]], erased: bool = False):
         self.keys: list[ComponentModel] = []
         self.period_start: Optional[int] = None
         self.complete = False
-        self._run = self._unfold(a, q, c, erased, step)
+        self._run = self._unfold(a, q, c, transitions, erased)
 
     def __iter__(self) -> Iterator[tuple[int, Optional[str], ComponentModel]]:
         # handed out once: the generator refers to self, so keeping it here would
@@ -360,15 +365,14 @@ class Unfolding:
         run, self._run = self._run, iter(())
         return run
 
-    def _unfold(self, a: PathAutomaton, q: int, c: ComponentModel, erased: bool, step):
+    def _unfold(self, a: PathAutomaton, q: int, c: ComponentModel, transitions, erased: bool):
         yield q, None, c
         k = erase_param_values(c) if erased else c
         self.keys.append(k)
         # the indices of the keys entered at each (state, fingerprint); equal
         # fingerprints need not mean equal keys, so == decides every hit
         entered: dict[tuple[int, int], list[int]] = {(q, fingerprint(k)): [0]}
-        while a.succ(q) is not None:
-            label, q, c = step(q, c)
+        for label, q, c in transitions:
             k = erase_param_values(c) if erased else c
             same = entered.setdefault((q, fingerprint(k)), [])
             for j in same:
@@ -378,7 +382,7 @@ class Unfolding:
             same.append(len(self.keys))
             self.keys.append(k)
             yield q, label, c
-        self.complete = True
+        self.complete = a.succ(q) is None
 
 
 def operation_table(recipes: Mapping[str, Sequence[Primitive]]) -> dict[str, EvolutionOperation]:

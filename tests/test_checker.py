@@ -570,7 +570,7 @@ def _slice_marked_run(walk, q, c):
     """``checker._marked_run`` testing the invariant against ``marks[:q]``
     on every step: the reference for the counted form."""
     marks = checker._fresh_marks(walk.a)
-    start, inst = q, checker._Instance()
+    start, run = q, walk.run(q, c)
     while walk.a.succ(q) is not None:
         mk = marks[q]
         if mk is checker._Mark.CHECKED:
@@ -581,7 +581,7 @@ def _slice_marked_run(walk, q, c):
             raise AssertionError(_INVARIANT)
         marks[q] = checker._Mark.AGAIN if mk is checker._Mark.UNCHECKED \
             else checker._Mark.CHECKED
-        label, q, c = walk.apply(inst, q, c)
+        label, q, c = next(run)
         yield label, q, c
 
 

@@ -470,3 +470,64 @@ def test_simulate_refuses_a_negative_step_count(samples_dir, tmp_path, capsys, h
     assert simulate("0", tmp_path / "zero") == 0
     assert [p.name for p in (tmp_path / "zero").iterdir()] == ["step_000.arch"]
     assert capsys.readouterr().out == f"step 0: initial [{model_digest(http_model)}]\n"
+
+
+X_STARTED = "model M {\n  component X {\n    class K\n    state started\n  }\n}\n"
+X_STOPPED = X_STARTED.replace("state started", "state stopped")
+
+
+@pytest.mark.parametrize("path, labels, finite", [
+    ("run P P A", ["run", "P", "P", "A"], True),
+    ("P (A B)+", ["P", "A", "B", "A", "B", "A"], False),
+])
+@pytest.mark.parametrize("steps", [0, 3, 4, 6])
+def test_simulate_around_the_end_of_the_path(tmp_path, capsys, path, labels, finite, steps):
+    # the finite path has L = 4 transitions: no steps, L - 1, L (the terminal
+    # state reached at the last step asked for) and L + 2; the lasso goes on
+    files = {"m.arch": X_STARTED, "m.ops": "op P { stop X } op A { start X } op B { stop X }",
+             "p.rp": path}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out_dir = tmp_path / "dump"
+    assert run_cli(["simulate", "--model", str(tmp_path / "m.arch"),
+                    "--ops", str(tmp_path / "m.ops"), "--path", str(tmp_path / "p.rp"),
+                    "--steps", str(steps), "--dump-dir", str(out_dir)]) == 0
+
+    states = {"run": X_STARTED, "P": X_STOPPED, "A": X_STARTED, "B": X_STOPPED}
+    texts = [X_STARTED] + [states[label] for label in labels]
+    digest = [model_digest(parse_model(text)) for text in texts]
+    taken = min(steps, len(labels)) if finite else steps
+    expected = [f"step 0: initial [{digest[0]}]"] + [
+        f"step {i}: {labels[i - 1]} "
+        f"({'unchanged' if texts[i] == texts[i - 1] else 'changed'}) [{digest[i]}]"
+        for i in range(1, taken + 1)]
+    if taken < steps:
+        expected.append(f"path ends after {taken} steps")
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+    dumps = {p.name: p.read_text() for p in out_dir.iterdir()}
+    assert dumps == {f"step_{i:03d}.arch": texts[i] for i in range(taken + 1)}
+
+
+@pytest.mark.parametrize("error", [
+    AssertionError("operator instance applied 9 transitions, exceeding 2*|Q| = 8"),
+    TypeError("not a formula node: None"),
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_an_internal_error_exits_eight_not_fails(samples_dir, capsys, monkeypatch, error,
+                                                 as_json):
+    from reconfcheck import cli
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "check", broken)
+    args = _check_args(samples_dir, "--formula", FORMULA, *["--json"] * as_json)
+    monkeypatch.setattr(sys, "argv", ["reconfcheck", *args])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == cli.EXIT_INTERNAL_ERROR == 8
+    out, err = capsys.readouterr()
+    assert out == ""  # no verdict line, nor a report
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert f"{type(error).__name__}: {error}\n" in err
+    assert err.endswith("error: internal error, no verdict was reached\n")

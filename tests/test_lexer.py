@@ -1,26 +1,36 @@
 """The regex lexer against the character-by-character scanner it replaced.
 
-``scalar_tokenize`` is that scanner, kept verbatim as the reference: every
-text must give the same tokens (kinds, values, lines and columns) or the
-same error message, and the parsers must give the same result or error
-whether they read the lexer's lexemes or the reference's tokens.
+``scalar_tokenize`` is that scanner, kept verbatim as the reference: on
+every text the parsers' cursor must read the same lexemes (kinds, values,
+lines and columns) or raise the same error message whether it is fed by
+the lexer or by the reference's tokens, and the parsers must give the same
+result or error either way.
 """
 
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reconfcheck import adl, ftpl, parse_formula, parse_model, parse_recipes
-from reconfcheck.adl import AdlSyntaxError, Token, tokenize
+from reconfcheck.adl import AdlSyntaxError
 
 from conftest import SAMPLES
 
 _PUNCT = (":=", "->", "<=", ">=", "!=", "{", "}", "(", ")", "[", "]",
           ":", ".", ",", "+", "-", "*", "=", "<", ">")
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # ident | int | string | punct | eof
+    value: str
+    line: int
+    col: int
 
 
 def scalar_tokenize(text: str) -> list[Token]:
@@ -103,24 +113,6 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-@settings(max_examples=600)
-@given(texts)
-@example("x // trailing comment")
-@example('"a\\"b\\\\c\\d"')
-@example("²³x ٣² 7²a aⅫ")
-@example("7Ⅻ")
-@example("Ⅻ")
-@example('"open\n"')
-def test_tokenize_matches_the_scalar_scanner(text):
-    assert outcome(tokenize, text) == outcome(scalar_tokenize, text)
-
-
-def test_tokenize_on_the_samples():
-    for path in sorted(SAMPLES.iterdir()):
-        text = path.read_text()
-        assert outcome(tokenize, text) == outcome(scalar_tokenize, text), path.name
-
-
 class ReferenceStream(adl.TokenStream):
     """The parsers' cursor fed by the reference scanner's tokens."""
 
@@ -137,6 +129,33 @@ class ReferenceStream(adl.TokenStream):
 
     def _where(self, index: int) -> tuple[int, int]:
         return self._tokens[index].line, self._tokens[index].col
+
+
+def cursor_reads(stream, text):
+    """The kind, value, line and column of every lexeme a cursor reads,
+    through the end of input."""
+    ts = stream(text)
+    return [(adl._kind(lex), adl._value(lex), *ts._where(i)) for i, lex in enumerate(ts._lex)]
+
+
+@settings(max_examples=600)
+@given(texts)
+@example("x // trailing comment")
+@example('"a\\"b\\\\c\\d"')
+@example("²³x ٣² 7²a aⅫ")
+@example("7Ⅻ")
+@example("Ⅻ")
+@example('"open\n"')
+def test_the_cursor_reads_the_lexer_as_it_reads_the_scalar_scanner(text):
+    assert outcome(cursor_reads, adl.TokenStream, text) == \
+        outcome(cursor_reads, ReferenceStream, text)
+
+
+def test_the_cursor_reads_the_samples_alike():
+    for path in sorted(SAMPLES.iterdir()):
+        text = path.read_text()
+        assert outcome(cursor_reads, adl.TokenStream, text) == \
+            outcome(cursor_reads, ReferenceStream, text), path.name
 
 
 BASE_TEXTS = [path.read_text() for path in sorted(SAMPLES.iterdir())] + [

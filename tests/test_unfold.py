@@ -28,6 +28,7 @@ from reconfcheck import (
     parse_model,
     parse_path,
     parse_recipes,
+    run_path,
     unfold_to_lasso,
 )
 from reconfcheck import checker, reconfig
@@ -86,7 +87,7 @@ def _states(a, n):
 
 def test_finite_path_is_cut_at_its_terminal_state(http_model, http_ops):
     a = build_automaton(parse_path("run RemoveCacheHandler AddCacheHandler"))
-    run = Unfolding(a, 0, http_model, http_ops)
+    run = Unfolding(a, 0, http_model, run_path(a, http_ops, 0, http_model))
     states, labels, models = zip(*run)
     assert run.complete
     assert run.period_start is None
@@ -100,7 +101,7 @@ def test_period_starts_at_the_cycle_entry():
     c0 = parse_model("model M { component X { class K } }")
     ops = parse_recipes("op P { stop X } op A { start X } op B { stop X }").operation_table()
     a = build_automaton(parse_path("P (A B)+"))
-    run = Unfolding(a, 0, c0, ops)
+    run = Unfolding(a, 0, c0, run_path(a, ops, 0, c0))
     states, _labels, models = zip(*run)
     # X started, stopped, started; B then stops X at the cycle entry again
     assert states == (0, 1, 2)
@@ -111,7 +112,8 @@ def test_period_starts_at_the_cycle_entry():
 
 def test_stripped_section31_path_repeats_mid_cycle_only_when_erased(
         http_model, http_ops, base_automaton):
-    erased = Unfolding(base_automaton, 0, http_model, http_ops, erased=True)
+    erased = Unfolding(base_automaton, 0, http_model,
+                       run_path(base_automaton, http_ops, 0, http_model), erased=True)
     states, _labels, models = zip(*erased)
     # the repeated pair is the one after the run transition, two states into
     # the cycle, and the period is one traversal of it
@@ -120,7 +122,8 @@ def test_stripped_section31_path_repeats_mid_cycle_only_when_erased(
     assert list(models) == _hand_unrolled(base_automaton, http_model, http_ops, 10)
     assert erased.keys == [erase_param_values(m) for m in models]
     # the exact run keeps raising two parameters and never repeats
-    exact = Unfolding(base_automaton, 0, http_model, http_ops)
+    exact = Unfolding(base_automaton, 0, http_model,
+                      run_path(base_automaton, http_ops, 0, http_model))
     models = [c for _q, _label, c in islice(exact, 40)]
     assert models == _hand_unrolled(base_automaton, http_model, http_ops, 40)
     assert exact.period_start is None and not exact.complete
@@ -128,13 +131,13 @@ def test_stripped_section31_path_repeats_mid_cycle_only_when_erased(
 
 def test_drift_cycle_never_repeats(http_model, http_ops):
     a = build_automaton(parse_path("(DeviationUp)+"))
-    run = Unfolding(a, 0, http_model, http_ops)
+    run = Unfolding(a, 0, http_model, run_path(a, http_ops, 0, http_model))
     deviation = [c.components["RequestHandler"].params["deviation"].value
                  for _q, _label, c in islice(run, 30)]
     assert deviation == list(range(deviation[0], deviation[0] + 30))
     assert run.period_start is None and not run.complete
     # up to parameter values the drift is the identity: it repeats at once
-    erased = Unfolding(a, 0, http_model, http_ops, erased=True)
+    erased = Unfolding(a, 0, http_model, run_path(a, http_ops, 0, http_model), erased=True)
     assert len(list(erased)) == 1
     assert erased.period_start == 0
 
@@ -143,12 +146,14 @@ def test_a_caller_that_stops_early_triggers_no_further_step(http_model, http_ops
     a = build_automaton(parse_path("(DeviationUp)+"))
     calls = []
 
-    def step(q, c):
-        calls.append(q)
-        label, q2 = a.succ(q)
-        return label, q2, apply_evolution(http_ops[label], c).result
+    def transitions(q, c):
+        while True:
+            calls.append(q)
+            label, q = a.succ(q)
+            c = apply_evolution(http_ops[label], c).result
+            yield label, q, c
 
-    run = Unfolding(a, 0, http_model, step=step)
+    run = Unfolding(a, 0, http_model, transitions(0, http_model))
     entries = iter(run)
     next(entries)
     assert calls == []  # the first entry needs no transition
@@ -163,7 +168,8 @@ def test_an_abandoned_run_is_freed_without_the_cycle_collector(
         http_model, http_ops, base_automaton):
     gc.disable()
     try:
-        run = Unfolding(base_automaton, 0, http_model, http_ops, erased=True)
+        run = Unfolding(base_automaton, 0, http_model,
+                        run_path(base_automaton, http_ops, 0, http_model), erased=True)
         for i, _entry in enumerate(run):
             if i == 2:
                 break  # the run could go on: its generator is suspended
@@ -179,18 +185,19 @@ class _Spent(Exception):
 
 
 def _budgeted_unfold(a, c0, ops, limit, erased):
-    """The unfolder with a step that refuses the transition past ``limit``."""
-    applied = 0
+    """The unfolder on transitions that refuse the one past ``limit``."""
 
-    def step(q, c):
-        nonlocal applied
-        if applied == limit:
-            raise _Spent
-        applied += 1
-        label, q2 = a.succ(q)
-        return label, q2, apply_evolution(ops[label], c).result
+    def transitions(q, c):
+        applied = 0
+        while a.succ(q) is not None:
+            if applied == limit:
+                raise _Spent
+            applied += 1
+            label, q = a.succ(q)
+            c = apply_evolution(ops[label], c).result
+            yield label, q, c
 
-    run = Unfolding(a, 0, c0, erased=erased, step=step)
+    run = Unfolding(a, 0, c0, transitions(0, c0), erased=erased)
     entries = []
     try:
         for q, label, c in run:
@@ -227,7 +234,7 @@ def _unfolded(seed, erased, cap):
     c0 = generators.gen_model(rng)
     recipes = generators.gen_recipes(rng, c0)
     a = build_automaton(generators.gen_path(rng, sorted(recipes.recipes)))
-    run = Unfolding(a, 0, c0, recipes.operation_table(), erased=erased)
+    run = Unfolding(a, 0, c0, run_path(a, recipes.operation_table(), 0, c0), erased=erased)
     entries = list(islice(run, cap))
     return entries, run.keys, run.period_start, run.complete
 
