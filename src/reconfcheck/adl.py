@@ -118,7 +118,7 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _located(text: str, end: int) -> list[tuple[str, int]]:
+def _located(text: str, end: int, error=AdlSyntaxError) -> list[tuple[str, int]]:
     """Lexemes of ``text[:end]`` with their offsets.
 
     Outside ASCII ``[^\\W\\d]`` and ``\\d`` are wider and narrower than the
@@ -138,7 +138,7 @@ def _located(text: str, end: int) -> list[tuple[str, int]]:
         while k < len(lex) and lex[k].isdigit():
             k += 1
         if k < len(lex) and not (lex[k].isalpha() or lex[k] == "_"):
-            raise AdlSyntaxError(f"unexpected character {lex[k]!r}", *_line_col(text, at + k))
+            raise error(f"unexpected character {lex[k]!r}", *_line_col(text, at + k))
         prev, prev_at = out[-1] if out else ("", 0)
         if prev[:1].isdigit() and prev_at + len(prev) == at:
             out[-1] = (prev + lex[:k], prev_at)
@@ -149,17 +149,18 @@ def _located(text: str, end: int) -> list[tuple[str, int]]:
     return out
 
 
-def _lexemes(text: str) -> list[str]:
-    """The lexemes of ``text`` followed by ``""`` for end of input."""
+def _lexemes(text: str, error=AdlSyntaxError) -> list[str]:
+    """The lexemes of ``text`` followed by ``""`` for end of input; a lexical
+    error raises ``error``."""
     m = _VALID_RE.match(text)
     if text.isascii():
         lexemes = _TOKEN_RE.findall(text, 0, m.end(1))
     else:
-        lexemes = [lex for lex, _ in _located(text, m.end(1))]
+        lexemes = [lex for lex, _ in _located(text, m.end(1), error)]
     if m.end() < len(text):
         ch = text[m.end()]
         message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
-        raise AdlSyntaxError(message, *_line_col(text, m.end()))
+        raise error(message, *_line_col(text, m.end()))
     lexemes.append("")
     return lexemes
 
@@ -179,11 +180,13 @@ class TokenStream:
     Keywords and punctuation are compared as plain strings (a string
     lexeme keeps its quotes, so it never equals either); a lexeme's kind
     follows from its first character.  Line and column are worked out
-    only for an error.
+    only for an error, which is raised as ``error``: the class of the
+    format being read, an :class:`AdlSyntaxError` itself or a subclass.
     """
 
-    def __init__(self, text: str):
-        self._lex = _lexemes(text)
+    def __init__(self, text: str, error=AdlSyntaxError):
+        self._lex = _lexemes(text, error)
+        self._error = error
         self._text = text
         self._offsets: Optional[list[int]] = None
         self._pos = 0
@@ -218,17 +221,11 @@ class TokenStream:
         return _value(self.next())
 
     def error(self, message: str) -> AdlSyntaxError:
-        return AdlSyntaxError(message, *self._where(self._pos))
+        return self._error(message, *self._where(self._pos))
 
     def found(self) -> str:
         """The current token for an error message, quoted."""
         return repr(_value(self._lex[self._pos]) or "end of input")
-
-    def expect_punct(self, value: str) -> str:
-        if self._lex[self._pos] != value:
-            raise self.error(f"expected '{value}', found {self.found()}")
-        self._pos += 1
-        return value
 
     def expect_ident(self, what: str = "identifier") -> str:
         lex = self._lex[self._pos]
@@ -238,7 +235,7 @@ class TokenStream:
         self._pos += 1
         return lex
 
-    def expect_keyword(self, *words: str) -> str:
+    def expect(self, *words: str) -> str:
         lex = self._lex[self._pos]
         if lex in words:
             self._pos += 1
@@ -246,11 +243,8 @@ class TokenStream:
         raise self.error(f"expected {' or '.join(repr(w) for w in words)}, "
                          f"found {self.found()}")
 
-    def at_keyword(self, *words: str) -> bool:
+    def at(self, *words: str) -> bool:
         return self._lex[self._pos] in words
-
-    def at_punct(self, value: str) -> bool:
-        return self._lex[self._pos] == value
 
     def nested(self, height: int) -> int:
         """``height``, of a syntax tree just parsed, checked against
@@ -265,18 +259,18 @@ class TokenStream:
         pairs this with :meth:`close_bracket`."""
         if self._brackets == MAX_NESTING and self._lex[self._pos] == value:
             raise self.error(f"brackets nested more than {MAX_NESTING} deep")
-        self.expect_punct(value)
+        self.expect(value)
         self._brackets += 1
 
     def close_bracket(self, value: str) -> None:
-        self.expect_punct(value)
+        self.expect(value)
         self._brackets -= 1
 
 
 def _parse_literal(ts: TokenStream, cls: str):
     if cls == "int":
         neg = False
-        if ts.at_punct("-"):
+        if ts.at("-"):
             ts.next()
             neg = True
         if ts.kind() != "int":
@@ -288,7 +282,7 @@ def _parse_literal(ts: TokenStream, cls: str):
             raise ts.error("expected string literal")
         return ts.next_string()
     if cls == "bool":
-        word = ts.expect_keyword("true", "false")
+        word = ts.expect("true", "false")
         return word == "true"
     raise ts.error(f"unknown parameter class '{cls}'")
 
@@ -296,24 +290,24 @@ def _parse_literal(ts: TokenStream, cls: str):
 # --- model files (.arch) ---------------------------------------------------------
 
 def _parse_component_block(ts: TokenStream) -> Component:
-    ts.expect_keyword("component", "composite")
+    ts.expect("component", "composite")
     cid = ts.expect_ident("component name")
-    ts.expect_punct("{")
+    ts.expect("{")
     cls: Optional[str] = None
     params: dict[str, Param] = {}
     inputs: dict[str, str] = {}
     outputs: dict[str, str] = {}
     contains: list[str] = []
     state: Optional[str] = None
-    while not ts.at_punct("}"):
-        word = ts.expect_keyword("class", "input", "output", "param", "contains", "state")
+    while not ts.at("}"):
+        word = ts.expect("class", "input", "output", "param", "contains", "state")
         if word == "class":
             if cls is not None:
                 raise ts.error(f"component '{cid}' declares class twice")
             cls = ts.expect_ident("class name")
         elif word in ("input", "output"):
             port = ts.expect_ident("port name")
-            ts.expect_punct(":")
+            ts.expect(":")
             pcls = ts.expect_ident("port class")
             target = inputs if word == "input" else outputs
             if port in target:
@@ -321,9 +315,9 @@ def _parse_component_block(ts: TokenStream) -> Component:
             target[port] = pcls
         elif word == "param":
             name = ts.expect_ident("parameter name")
-            ts.expect_punct(":")
-            pcls = ts.expect_keyword("int", "string", "bool")
-            ts.expect_punct("=")
+            ts.expect(":")
+            pcls = ts.expect("int", "string", "bool")
+            ts.expect("=")
             value = _parse_literal(ts, pcls)
             if name in params:
                 raise ts.error(f"duplicate parameter '{name}' on '{cid}'")
@@ -336,8 +330,8 @@ def _parse_component_block(ts: TokenStream) -> Component:
         else:  # state
             if state is not None:
                 raise ts.error(f"component '{cid}' declares state twice")
-            state = ts.expect_keyword(STARTED, STOPPED)
-    ts.expect_punct("}")
+            state = ts.expect(STARTED, STOPPED)
+    ts.expect("}")
     if cls is None:
         raise ts.error(f"component '{cid}' has no class")
     return Component(id=cid, cls=cls, params=params, inputs=inputs, outputs=outputs,
@@ -346,11 +340,11 @@ def _parse_component_block(ts: TokenStream) -> Component:
 
 def _parse_endpoint_pair(ts: TokenStream) -> tuple[str, str, str, str]:
     a = ts.expect_ident("component name")
-    ts.expect_punct(".")
+    ts.expect(".")
     ap = ts.expect_ident("port name")
-    ts.expect_punct("->")
+    ts.expect("->")
     b = ts.expect_ident("component name")
-    ts.expect_punct(".")
+    ts.expect(".")
     bp = ts.expect_ident("port name")
     return a, ap, b, bp
 
@@ -461,26 +455,26 @@ def parse_model(text: str) -> ComponentModel:
 def _parse_model_tokens(text: str) -> ComponentModel:
     """:func:`parse_model` by the token parser, which reports every error."""
     ts = TokenStream(text)
-    ts.expect_keyword("model")
+    ts.expect("model")
     name = ts.expect_ident("model name")
-    ts.expect_punct("{")
+    ts.expect("{")
     components: dict[str, Component] = {}
     bindings: set[Binding] = set()
     delegations: set[Delegation] = set()
-    while not ts.at_punct("}"):
-        if ts.at_keyword("component", "composite"):
+    while not ts.at("}"):
+        if ts.at("component", "composite"):
             comp = _parse_component_block(ts)
             if comp.id in components:
                 raise ts.error(f"duplicate component id '{comp.id}'")
             components[comp.id] = comp
-        elif ts.at_keyword("bind"):
+        elif ts.at("bind"):
             ts.next()
             a, ap, b, bp = _parse_endpoint_pair(ts)
             bnd = Binding(a, ap, b, bp)
             if bnd in bindings:
                 raise ts.error(f"duplicate binding {a}.{ap} -> {b}.{bp}")
             bindings.add(bnd)
-        elif ts.at_keyword("delegate"):
+        elif ts.at("delegate"):
             ts.next()
             a, ap, b, bp = _parse_endpoint_pair(ts)
             dlg = Delegation(a, ap, b, bp)
@@ -489,7 +483,7 @@ def _parse_model_tokens(text: str) -> ComponentModel:
             delegations.add(dlg)
         else:
             raise ts.error("expected component, composite, bind or delegate")
-    ts.expect_punct("}")
+    ts.expect("}")
     if ts.kind() != "eof":
         raise ts.error("trailing input after model")
     return ComponentModel(name=name, components=components,
@@ -625,7 +619,7 @@ class RecipeSet:
 # TokenStream.open_bracket counts, and reads a run of unary minus in a loop.
 def _parse_int_expr(ts: TokenStream) -> tuple[IntExpr, int]:
     expr, h = _parse_int_term(ts)
-    while ts.at_punct("+") or ts.at_punct("-"):
+    while ts.at("+") or ts.at("-"):
         op = ts.next()
         right, hr = _parse_int_term(ts)
         expr, h = BinOp(op, expr, right), ts.nested(max(h, hr) + 1)
@@ -634,7 +628,7 @@ def _parse_int_expr(ts: TokenStream) -> tuple[IntExpr, int]:
 
 def _parse_int_term(ts: TokenStream) -> tuple[IntExpr, int]:
     expr, h = _parse_int_factor(ts)
-    while ts.at_punct("*"):
+    while ts.at("*"):
         ts.next()
         right, hr = _parse_int_factor(ts)
         expr, h = BinOp("*", expr, right), ts.nested(max(h, hr) + 1)
@@ -643,10 +637,10 @@ def _parse_int_term(ts: TokenStream) -> tuple[IntExpr, int]:
 
 def _parse_int_factor(ts: TokenStream) -> tuple[IntExpr, int]:
     negations = 0
-    while ts.at_punct("-"):
+    while ts.at("-"):
         ts.next()
         negations += 1
-    if ts.at_punct("("):
+    if ts.at("("):
         ts.open_bracket("(")
         expr, h = _parse_int_expr(ts)
         ts.close_bracket(")")
@@ -661,13 +655,13 @@ def _parse_int_factor(ts: TokenStream) -> tuple[IntExpr, int]:
 
 
 def _parse_int_leaf(ts: TokenStream) -> IntExpr:
-    if ts.at_keyword("param"):
+    if ts.at("param"):
         ts.next()
-        ts.expect_punct("(")
+        ts.expect("(")
         comp = ts.expect_ident("component name")
-        ts.expect_punct(".")
+        ts.expect(".")
         name = ts.expect_ident("parameter name")
-        ts.expect_punct(")")
+        ts.expect(")")
         return ParamRef(comp, name)
     if ts.kind() == "int":
         return IntLiteral(ts.next_int())
@@ -675,11 +669,11 @@ def _parse_int_leaf(ts: TokenStream) -> IntExpr:
 
 
 def _parse_step(ts: TokenStream) -> Primitive:
-    word = ts.expect_keyword("add", "remove", "bind", "unbind", "set", "stop", "start")
+    word = ts.expect("add", "remove", "bind", "unbind", "set", "stop", "start")
     if word == "add":
         return AddComponent(_parse_component_block(ts))
     if word == "remove":
-        ts.expect_keyword("component")
+        ts.expect("component")
         return RemoveComponent(ts.expect_ident("component name"))
     if word in ("bind", "unbind"):
         a, ap, b, bp = _parse_endpoint_pair(ts)
@@ -687,9 +681,9 @@ def _parse_step(ts: TokenStream) -> Primitive:
         return Bind(binding) if word == "bind" else Unbind(binding)
     if word == "set":
         comp = ts.expect_ident("component name")
-        ts.expect_punct(".")
+        ts.expect(".")
         name = ts.expect_ident("parameter name")
-        ts.expect_punct(":=")
+        ts.expect(":=")
         expr, _height = _parse_int_expr(ts)
         return SetParam(comp, name, expr)
     if word == "stop":
@@ -705,17 +699,17 @@ def parse_recipes(text: str) -> RecipeSet:
     ts = TokenStream(text)
     recipes: dict[str, tuple[Primitive, ...]] = {}
     while ts.kind() != "eof":
-        ts.expect_keyword("op")
+        ts.expect("op")
         name = ts.expect_ident("recipe name")
         if name == RUN_NAME:
             raise ts.error(f"recipe name '{RUN_NAME}' is reserved")
         if name in recipes:
             raise ts.error(f"duplicate recipe name '{name}'")
-        ts.expect_punct("{")
+        ts.expect("{")
         steps: list[Primitive] = []
-        while not ts.at_punct("}"):
+        while not ts.at("}"):
             steps.append(_parse_step(ts))
-        ts.expect_punct("}")
+        ts.expect("}")
         if not steps:
             raise ts.error(f"recipe '{name}' has no steps")
         recipes[name] = tuple(steps)

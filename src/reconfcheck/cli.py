@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Optional
 
 from .adl import (
-    AdlSyntaxError,
     AdlValidationError,
     RecipeSet,
     model_digest,
@@ -37,9 +36,9 @@ from .adl import (
 )
 from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, check, \
     cycle_entry_model
-from .ftpl import FtplSyntaxError, parse_formula, print_formula
+from .ftpl import parse_formula, print_formula
 from .model import ComponentModel, CpEvalError, validate_model
-from .pathspec import PathSyntaxError, build_automaton, parse_path, print_path
+from .pathspec import build_automaton, parse_path, print_path
 # apply_evolution stays importable because perfbench/tracer.py rebinds it here
 from .reconfig import apply_evolution, is_idempotent_sequence, run_path  # noqa: F401
 
@@ -280,7 +279,7 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
         for v in exc.violations:
             print(f"violation: {v}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    except (AdlSyntaxError, PathSyntaxError, FtplSyntaxError, _UsageError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OracleDisagreement as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .adl import TokenStream, format_literal
+from .adl import AdlSyntaxError, TokenStream, format_literal
 from .model import (
     And,
     Bound,
@@ -40,7 +40,7 @@ from .reconfig import AddComponent, Composite, EvolutionOperation, RemoveCompone
 MODALITIES = ("normal", "exceptional", "terminates")
 
 
-class FtplSyntaxError(ValueError):
+class FtplSyntaxError(AdlSyntaxError):
     pass
 
 
@@ -102,18 +102,13 @@ def event_holds(prev: ComponentModel, nxt: ComponentModel, label: str,
 
 # --- configuration property concrete syntax --------------------------------------
 
-def _cp_error(ts: TokenStream, message: str) -> FtplSyntaxError:
-    return FtplSyntaxError(str(ts.error(message)))
-
-
 # Each subtree comes back with the height of its syntax tree, checked with
 # TokenStream.nested.  The parser recurses only at brackets, which
 # TokenStream.open_bracket counts; chains of prefix operators and of
-# ``implies`` are read in loops.  parse_cp and parse_formula report the
-# TokenStream's syntax errors as FtplSyntaxError.
+# ``implies`` are read in loops.
 def _parse_cp(ts: TokenStream, bound_vars: frozenset[str]) -> tuple[ConfigProperty, int]:
     operands = [_parse_cp_or(ts, bound_vars)]
-    while ts.at_keyword("implies"):
+    while ts.at("implies"):
         ts.next()
         operands.append(_parse_cp_or(ts, bound_vars))
     cp, h = operands.pop()
@@ -125,7 +120,7 @@ def _parse_cp(ts: TokenStream, bound_vars: frozenset[str]) -> tuple[ConfigProper
 
 def _parse_cp_or(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
     left, h = _parse_cp_and(ts, bound_vars)
-    while ts.at_keyword("or"):
+    while ts.at("or"):
         ts.next()
         right, hr = _parse_cp_and(ts, bound_vars)
         left, h = Or(left, right), ts.nested(max(h, hr) + 1)
@@ -134,7 +129,7 @@ def _parse_cp_or(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
 
 def _parse_cp_and(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
     left, h = _parse_cp_unary(ts, bound_vars)
-    while ts.at_keyword("and"):
+    while ts.at("and"):
         ts.next()
         right, hr = _parse_cp_unary(ts, bound_vars)
         left, h = And(left, right), ts.nested(max(h, hr) + 1)
@@ -143,14 +138,14 @@ def _parse_cp_and(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
 
 def _parse_cp_unary(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
     negations = 0
-    while ts.at_keyword("not"):
+    while ts.at("not"):
         ts.next()
         negations += 1
-    if ts.at_keyword("forall", "exists"):
+    if ts.at("forall", "exists"):
         kind = ts.next()
         var = ts.expect_ident("variable name")
-        ts.expect_keyword("in")
-        domain = ts.expect_keyword(*QUANTIFIER_DOMAINS)
+        ts.expect("in")
+        domain = ts.expect(*QUANTIFIER_DOMAINS)
         ts.open_bracket("(")
         body, h = _parse_cp(ts, bound_vars | {var})
         ts.close_bracket(")")
@@ -163,23 +158,23 @@ def _parse_cp_unary(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
 
 
 def _cp_literal(ts: TokenStream):
-    if ts.at_punct("-"):
+    if ts.at("-"):
         ts.next()
         if ts.kind() != "int":
-            raise _cp_error(ts, "expected integer after '-'")
+            raise ts.error("expected integer after '-'")
         return -ts.next_int()
     kind = ts.kind()
     if kind == "int":
         return ts.next_int()
     if kind == "string":
         return ts.next_string()
-    if ts.at_keyword("true", "false"):
+    if ts.at("true", "false"):
         return ts.next() == "true"
-    raise _cp_error(ts, "expected literal")
+    raise ts.error("expected literal")
 
 
 def _parse_cp_atom(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
-    if ts.at_punct("("):
+    if ts.at("("):
         ts.open_bracket("(")
         inner, h = _parse_cp(ts, bound_vars)
         ts.close_bracket(")")
@@ -188,78 +183,73 @@ def _parse_cp_atom(ts: TokenStream, bound_vars) -> tuple[ConfigProperty, int]:
 
 
 def _parse_cp_leaf(ts: TokenStream, bound_vars) -> ConfigProperty:
-    if ts.at_keyword("true"):
+    if ts.at("true"):
         ts.next()
         return TrueAtom()
-    if ts.at_keyword("false"):
+    if ts.at("false"):
         ts.next()
         return FalseAtom()
-    if ts.at_keyword("component", "started", "present"):
+    if ts.at("component", "started", "present"):
         kind = ts.next()
-        ts.expect_punct("(")
+        ts.expect("(")
         name = ts.expect_ident()
-        ts.expect_punct(")")
+        ts.expect(")")
         if kind == "component":
             return ComponentPresent(name)
         if kind == "started":
             return Started(name)
         if name not in bound_vars:
-            raise _cp_error(ts, f"present(): unbound variable '{name}'")
+            raise ts.error(f"present(): unbound variable '{name}'")
         return VarPresent(name)
-    if ts.at_keyword("class"):
+    if ts.at("class"):
         ts.next()
-        ts.expect_punct("(")
+        ts.expect("(")
         var = ts.expect_ident("variable name")
-        ts.expect_punct(")")
-        ts.expect_punct("=")
+        ts.expect(")")
+        ts.expect("=")
         cls = ts.expect_ident("class name")
         if var not in bound_vars:
-            raise _cp_error(ts, f"class(): unbound variable '{var}'")
+            raise ts.error(f"class(): unbound variable '{var}'")
         return VarClassIs(var, cls)
-    if ts.at_keyword("bound"):
+    if ts.at("bound"):
         ts.next()
-        ts.expect_punct("(")
+        ts.expect("(")
         a = ts.expect_ident()
-        ts.expect_punct(".")
+        ts.expect(".")
         ap = ts.expect_ident()
-        ts.expect_punct(",")
+        ts.expect(",")
         b = ts.expect_ident()
-        ts.expect_punct(".")
+        ts.expect(".")
         bp = ts.expect_ident()
-        ts.expect_punct(")")
+        ts.expect(")")
         return Bound(a, ap, b, bp)
-    if ts.at_keyword("subcomponent"):
+    if ts.at("subcomponent"):
         ts.next()
-        ts.expect_punct("(")
+        ts.expect("(")
         child = ts.expect_ident()
-        ts.expect_punct(",")
+        ts.expect(",")
         parent = ts.expect_ident()
-        ts.expect_punct(")")
+        ts.expect(")")
         return Subcomponent(child, parent)
     # parameter comparison: Component.param RELOP literal
     if ts.kind() == "ident":
         comp = ts.next()
-        ts.expect_punct(".")
+        ts.expect(".")
         param = ts.expect_ident("parameter name")
         for op in ("<=", ">=", "!=", "<", ">", "="):
-            if ts.at_punct(op):
+            if ts.at(op):
                 ts.next()
                 return ParamCmp(comp, param, op, _cp_literal(ts))
-        raise _cp_error(ts, "expected comparison operator")
-    raise _cp_error(ts, f"expected property atom, found {ts.found()}")
+        raise ts.error("expected comparison operator")
+    raise ts.error(f"expected property atom, found {ts.found()}")
 
 
 def parse_cp(text: str) -> ConfigProperty:
     """Parse a standalone configuration property."""
-    try:
-        ts = TokenStream(text)
-        cp, _height = _parse_cp(ts, frozenset())
-    except FtplSyntaxError:
-        raise
-    except ValueError as exc:
-        raise FtplSyntaxError(str(exc)) from None
+    ts = TokenStream(text, FtplSyntaxError)
+    cp, _height = _parse_cp(ts, frozenset())
     if ts.kind() != "eof":
-        raise _cp_error(ts, "trailing input after property")
+        raise ts.error("trailing input after property")
     return cp
 
 
@@ -304,15 +294,14 @@ def _is_atom(cp: ConfigProperty) -> bool:
 # --- formula concrete syntax ------------------------------------------------------
 
 def _parse_event(ts: TokenStream, known_ops) -> EventSpec:
+    if known_ops is not None and ts.kind() == "ident" and not ts.at(*known_ops):
+        raise ts.error(f"unknown operation name {ts.found()} in event")
     name = ts.expect_ident("operation name")
-    modality = ts.expect_keyword(*MODALITIES)
-    if known_ops is not None and name not in known_ops:
-        raise FtplSyntaxError(f"unknown operation name '{name}' in event")
-    return EventSpec(name, modality)
+    return EventSpec(name, ts.expect(*MODALITIES))
 
 
 def _parse_trace(ts: TokenStream) -> tuple[TraceProperty, int]:
-    word = ts.expect_keyword("always", "eventually")
+    word = ts.expect("always", "eventually")
     ts.open_bracket("[")
     cp, h = _parse_cp(ts, frozenset())
     ts.close_bracket("]")
@@ -321,10 +310,10 @@ def _parse_trace(ts: TokenStream) -> tuple[TraceProperty, int]:
 
 def _parse_formula(ts: TokenStream, known_ops) -> FtplFormula:
     events = []
-    while ts.at_keyword("after"):
+    while ts.at("after"):
         ts.next()
         events.append(_parse_event(ts, known_ops))
-    if ts.at_keyword("before"):
+    if ts.at("before"):
         ts.next()
         event = _parse_event(ts, known_ops)
         trace, h = _parse_trace(ts)
@@ -349,15 +338,10 @@ def parse_formula(text: str, known_ops: Optional[Iterable[str]] = None) -> FtplF
     brackets) is an :class:`FtplSyntaxError`, as for :func:`parse_cp`.
     """
     known = set(known_ops) if known_ops is not None else None
-    try:
-        ts = TokenStream(text)
-        f = _parse_formula(ts, known)
-    except FtplSyntaxError:
-        raise
-    except ValueError as exc:
-        raise FtplSyntaxError(str(exc)) from None
+    ts = TokenStream(text, FtplSyntaxError)
+    f = _parse_formula(ts, known)
     if ts.kind() != "eof":
-        raise _cp_error(ts, "trailing input after formula")
+        raise ts.error("trailing input after formula")
     return f
 
 

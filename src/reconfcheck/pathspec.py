@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .adl import AdlSyntaxError, TokenStream
 
 
-class PathSyntaxError(ValueError):
+class PathSyntaxError(AdlSyntaxError):
     pass
 
 
@@ -33,9 +33,9 @@ class PathExpr:
 def _names(ts: TokenStream, known: Optional[set[str]]) -> tuple[str, ...]:
     names: list[str] = []
     while ts.kind() == "ident":
+        if known is not None and not ts.at(*known):
+            raise ts.error(f"unknown operation name {ts.found()}")
         names.append(ts.next())
-        if known is not None and names[-1] not in known:
-            raise PathSyntaxError(f"unknown operation name '{names[-1]}'")
     return tuple(names)
 
 
@@ -48,20 +48,18 @@ def parse_path(text: str, known_ops: Optional[Iterable[str]] = None) -> PathExpr
     name must be one of them (the loaded recipe names plus ``run``).
     """
     known = set(known_ops) if known_ops is not None else None
-    try:
-        ts = TokenStream("\n".join(line.partition("#")[0] for line in text.split("\n")))
-        prefix, cycle = _names(ts, known), None
+    ts = TokenStream("\n".join(line.partition("#")[0] for line in text.split("\n")),
+                     PathSyntaxError)
+    prefix, cycle = _names(ts, known), None
+    if ts.kind() != "eof":
+        ts.expect("(")
+        cycle = _names(ts, known)
+        if not cycle:
+            raise ts.error("empty repetition group")
+        ts.expect(")")
+        ts.expect("+")
         if ts.kind() != "eof":
-            ts.expect_punct("(")
-            cycle = _names(ts, known)
-            if not cycle:
-                raise ts.error("empty repetition group")
-            ts.expect_punct(")")
-            ts.expect_punct("+")
-            if ts.kind() != "eof":
-                raise ts.error("repetition group must be final")
-    except AdlSyntaxError as exc:
-        raise PathSyntaxError(str(exc)) from None
+            raise ts.error("repetition group must be final")
     return PathExpr(prefix, cycle)
 
 

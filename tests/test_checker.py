@@ -126,6 +126,24 @@ def test_drift_cycle_is_never_judged_by_two_passes(text, status, http_model, htt
     assert oracle_verdict(f, a, http_model, http_ops) is (status == "holds")
 
 
+@pytest.mark.parametrize("crosscheck", [False, True])
+def test_after_over_a_non_monotone_inner_on_a_cut_window(crosscheck, http_model, http_ops):
+    # the first DeviationUp's inner formula is still undetermined where the
+    # 20-step window is cut; the second one's fails at position 3
+    a = build_automaton(parse_path("(DeviationUp)+"))
+    f = parse_formula("after DeviationUp normal before DeviationUp normal "
+                      "eventually [RequestHandler.deviation < 52]")
+    assert check(f, a, http_model, http_ops).reason == REASON_CYCLE
+    verdict = check(f, a, http_model, http_ops,
+                    CheckOptions(max_steps=20, oracle_crosscheck=crosscheck))
+    assert verdict.status == "fails"
+    assert verdict.witness.violation_index == 3
+    assert len(verdict.witness.steps) == 21
+    assert verdict.witness.violated == ("before DeviationUp normal: eventually "
+                                        "[RequestHandler.deviation < 52] unsatisfied "
+                                        "in preceding segment")
+
+
 def _assert_witness_is_the_replayed_run(verdict, a, c0, ops):
     """Each witness step names the state and the plain digest of the run's
     configuration at its position."""

@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from reconfcheck import (
+    AdlSyntaxError,
     After,
     Always,
     Before,
@@ -115,6 +116,25 @@ def test_bad_integer_literals_are_positioned_syntax_errors():
         parse_formula("always [C.p = ²]")
     with pytest.raises(FtplSyntaxError, match=r"^1:9: invalid integer literal '²'$"):
         parse_cp("C.p <= -²")
+
+
+def test_an_unknown_event_name_is_a_positioned_syntax_error():
+    with pytest.raises(FtplSyntaxError,
+                       match=r"^1:7: unknown operation name 'Mystery' in event$") as err:
+        parse_formula("after Mystery normal always [true]", known_ops={"run"})
+    assert (err.value.line, err.value.col) == (1, 7)
+    assert isinstance(err.value, AdlSyntaxError)
+    # the name comes first in the text, so it is reported before the modality
+    with pytest.raises(FtplSyntaxError, match="unknown operation name 'Mystery'"):
+        parse_formula("after Mystery sideways always [true]", known_ops={"run"})
+
+
+def test_a_lexical_error_outside_ascii_is_a_formula_syntax_error():
+    # 'Ⅻ' is refused by the lexer's non-ASCII branch, not by its pattern
+    with pytest.raises(FtplSyntaxError, match=r"^1:9: unexpected character 'Ⅻ'$"):
+        parse_formula("always [Ⅻ]")
+    with pytest.raises(FtplSyntaxError, match=r"^1:1: unexpected character 'Ⅻ'$"):
+        parse_cp("Ⅻ")
 
 
 def test_event_holds_normal_vs_exceptional(http_model, http_ops):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reconfcheck import adl, ftpl, parse_formula, parse_model, parse_recipes
+from reconfcheck import adl, ftpl, parse_formula, parse_model, parse_path, parse_recipes, pathspec
 from reconfcheck.adl import AdlSyntaxError
 
 from conftest import SAMPLES
@@ -33,7 +33,7 @@ class Token:
     col: int
 
 
-def scalar_tokenize(text: str) -> list[Token]:
+def scalar_tokenize(text: str, error=AdlSyntaxError) -> list[Token]:
     tokens: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -73,12 +73,12 @@ def scalar_tokenize(text: str) -> list[Token]:
                     out.append(text[j + 1])
                     j += 2
                 elif text[j] == "\n":
-                    raise AdlSyntaxError("unterminated string", line, col)
+                    raise error("unterminated string", line, col)
                 else:
                     out.append(text[j])
                     j += 1
             if j >= n:
-                raise AdlSyntaxError("unterminated string", line, col)
+                raise error("unterminated string", line, col)
             tokens.append(Token("string", "".join(out), line, col))
             col += j + 1 - i
             i = j + 1
@@ -90,7 +90,7 @@ def scalar_tokenize(text: str) -> list[Token]:
                 col += len(p)
                 break
         else:
-            raise AdlSyntaxError(f"unexpected character {ch!r}", line, col)
+            raise error(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -116,9 +116,9 @@ def outcome(fn, *args):
 class ReferenceStream(adl.TokenStream):
     """The parsers' cursor fed by the reference scanner's tokens."""
 
-    def __init__(self, text: str):
-        super().__init__("")  # the cursor's own state, then the reference's lexemes
-        self._tokens = scalar_tokenize(text)
+    def __init__(self, text: str, error=AdlSyntaxError):
+        super().__init__("", error)  # the cursor's own state, then the reference's lexemes
+        self._tokens = scalar_tokenize(text, error)
         self._lex = [self._lexeme(tok) for tok in self._tokens]
 
     @staticmethod
@@ -187,7 +187,7 @@ def parse_outcomes(text):
     # parse_model reads a well-formed ASCII model without the lexer, so the
     # token parser is called on its own as well
     return [outcome(parse, text) for parse in (parse_model, adl._parse_model_tokens,
-                                               parse_recipes, parse_formula)]
+                                               parse_recipes, parse_path, parse_formula)]
 
 
 @settings(max_examples=300)
@@ -199,6 +199,7 @@ def test_parsers_read_the_lexer_as_they_read_the_scalar_scanner(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adl, "TokenStream", ReferenceStream)
         mp.setattr(ftpl, "TokenStream", ReferenceStream)
+        mp.setattr(pathspec, "TokenStream", ReferenceStream)
         reference = parse_outcomes(text)
     assert parse_outcomes(text) == reference
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from reconfcheck import (
+    AdlSyntaxError,
     PathExpr,
     PathSyntaxError,
     build_automaton,
@@ -43,6 +44,19 @@ def test_unknown_operation_rejected():
     with pytest.raises(PathSyntaxError):
         parse_path("run Mystery", known_ops={"run"})
     parse_path("run Mystery", known_ops={"run", "Mystery"})
+
+
+def test_an_unknown_operation_name_is_a_positioned_syntax_error():
+    with pytest.raises(PathSyntaxError, match=r"^1:5: unknown operation name 'Mystery'$") as err:
+        parse_path("run Mystery", known_ops={"run"})
+    assert (err.value.line, err.value.col) == (1, 5)
+    assert isinstance(err.value, AdlSyntaxError)
+
+
+def test_a_lexical_error_outside_ascii_is_a_path_syntax_error():
+    # 'Ⅻ' is refused by the lexer's non-ASCII branch, not by its pattern
+    with pytest.raises(PathSyntaxError, match=r"^1:5: unexpected character 'Ⅻ'$"):
+        parse_path("run Ⅻ")
 
 
 def test_comments_and_whitespace():
