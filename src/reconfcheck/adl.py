@@ -197,6 +197,9 @@ class TokenStream:
             self._offsets = _offsets(self._text)
         return _line_col(self._text, self._offsets[index])
 
+    def lexeme(self) -> str:
+        return self._lex[self._pos]
+
     def kind(self) -> str:
         return _kind(self._lex[self._pos])
 

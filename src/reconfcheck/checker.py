@@ -9,9 +9,8 @@ Soundness over the repeated cycle rests on an idempotence gate: before
 checking a formula on a lasso, the composed cycle is applied twice at its
 entry configuration and the results compared (parameter values erased when
 the formula never reads parameters).  A cycle failing the gate yields an
-``unknown`` verdict unless a step budget requests bounded checking, in
-which case the path is unrolled up to the budget and the semantics
-evaluated literally on the explored window.
+``unknown`` verdict unless a step budget is set: the same walk then judges
+the window explored within the budget, as a lasso or as a cut path.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ from .ftpl import (
 # names stay importable because perfbench/tracer.py rebinds them in this module
 from .model import CompiledCp, ComponentModel, ConfigProperty, compile_cp, \
     erase_param_values, eval_cp, validate_model  # noqa: F401
-from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict
+# oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
+from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict  # noqa: F401
 from .pathspec import PathAutomaton, PathExpr, residual_from
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
     is_idempotent_sequence, run_path
@@ -402,6 +402,14 @@ def _unfold(a: PathAutomaton, c0: ComponentModel,
     return ConcreteLasso(a, entries, run.period_start, run.complete)
 
 
+def _witnessed(f: FtplFormula, holds: bool) -> bool:
+    """Whether the walk's verdict on a cut window stands: a prefix proves true only
+    a bare ``eventually``, and proves no ``eventually`` false, nor ``after``s over one."""
+    while not holds and isinstance(f, After):
+        f = f.inner
+    return isinstance(f, Eventually) == holds
+
+
 def _witness(configs: Iterable[tuple[int, str, ComponentModel]], index: int,
              violated: str) -> TraceWitness:
     digest = model_digester()  # successive configurations share components
@@ -417,7 +425,7 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     Starts from the automaton's initial state with ``c0``.  Lassos are
     admitted through the idempotence gate; a failing gate yields
     ``unknown(non-idempotent-cycle)`` unless a step budget is set, in which
-    case the window explorable within the budget is evaluated literally.
+    case the walk judges the window explorable within the budget.
     A budget exhausted mid-walk yields ``unknown(step-budget-exhausted)``
     carrying the unexplored residual path and the configuration reached, so
     the check can be relaunched from there.
@@ -461,24 +469,28 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
                               residual=residual_from(a, b.state), reached=b.model,
                               stats=walk.stats())
     else:
-        # bounded checking over a non-idempotent cycle: unroll up to the
-        # budget and evaluate the defining semantics on the explored window
+        # a non-idempotent cycle, bounded: the window repeats exactly or is cut by the budget
         lasso = _unfold(a, c0, ops, opts.max_steps)
-        applied = len(lasso.entries) - 1
-        stats = CheckStats(applied, 0, applied)
-        value, info = oracle_eval_detailed(f, lasso)
-        if value is True:
-            verdict = Verdict(HOLDS, stats=stats)
-        elif value is False:
-            idx, desc = info
-            witness = _witness(((s.state, s.incoming_label or "", s.model)
-                                for s in lasso.entries), idx, desc)
-            verdict = Verdict(FAILS, witness=witness, stats=stats)
-        else:
-            last = lasso.entries[-1]
+        entries, ps, n = lasso.entries, lasso.period_start, len(lasso.entries)
+        labels = tuple(a.labels[s.state] for s in entries[:n if ps is not None else n - 1])
+        walk = _Walk(PathAutomaton(labels, n, ps), ops, None)  # an exact repeat needs no gate
+        try:
+            _eval_formula(f, walk, 0, c0, 0)
+            v = None
+        except _Violation as violation:
+            v = violation
+        stats, last = CheckStats(n - 1, walk.cp_evals, n - 1), entries[-1]
+        if ps is None and not _witnessed(f, v is None):
             verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
                               residual=residual_from(a, last.state), reached=last.model,
                               stats=stats)
+        elif v is None:
+            verdict = Verdict(HOLDS, stats=stats)
+        else:
+            i = v.index if v.index < n else ps + (v.index - ps) % (n - ps)  # into the period
+            witness = _witness(((s.state, s.incoming_label or "", s.model)
+                                for s in entries), i, v.violated)
+            verdict = Verdict(FAILS, witness=witness, stats=stats)
 
     if opts.oracle_crosscheck and verdict.status in (HOLDS, FAILS):
         reference = oracle_verdict(f, a, c0, ops)

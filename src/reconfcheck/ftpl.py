@@ -294,7 +294,7 @@ def _is_atom(cp: ConfigProperty) -> bool:
 # --- formula concrete syntax ------------------------------------------------------
 
 def _parse_event(ts: TokenStream, known_ops) -> EventSpec:
-    if known_ops is not None and ts.kind() == "ident" and not ts.at(*known_ops):
+    if known_ops is not None and ts.kind() == "ident" and ts.lexeme() not in known_ops:
         raise ts.error(f"unknown operation name {ts.found()} in event")
     name = ts.expect_ident("operation name")
     return EventSpec(name, ts.expect(*MODALITIES))

@@ -33,7 +33,7 @@ class PathExpr:
 def _names(ts: TokenStream, known: Optional[set[str]]) -> tuple[str, ...]:
     names: list[str] = []
     while ts.kind() == "ident":
-        if known is not None and not ts.at(*known):
+        if known is not None and ts.lexeme() not in known:
             raise ts.error(f"unknown operation name {ts.found()}")
         names.append(ts.next())
     return tuple(names)

@@ -37,7 +37,7 @@ from reconfcheck import (
     residual_from,
     unfold_to_lasso,
 )
-from reconfcheck import checker
+from reconfcheck import checker, oracle
 from reconfcheck.adl import model_digest
 from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE, \
     cycle_entry_model
@@ -142,6 +142,66 @@ def test_after_over_a_non_monotone_inner_on_a_cut_window(crosscheck, http_model,
     assert verdict.witness.violated == ("before DeviationUp normal: eventually "
                                         "[RequestHandler.deviation < 52] unsatisfied "
                                         "in preceding segment")
+
+
+@pytest.mark.parametrize("text, status, index", [
+    ("eventually [RequestHandler.deviation = 55]", "holds", None),
+    ("eventually [RequestHandler.deviation > 99]", "unknown", None),
+    # an eventually leaf cannot fail on a prefix, nor an after above it
+    ("after DeviationUp normal eventually [RequestHandler.deviation < 52]", "unknown", None),
+    ("after DeviationUp normal always [RequestHandler.deviation < 55]", "fails", 5),
+    ("before DeviationUp normal eventually [RequestHandler.deviation > 51]", "fails", 1),
+])
+def test_a_cut_window_is_judged_without_the_oracle(text, status, index, http_model, http_ops,
+                                                   monkeypatch):
+    # (DeviationUp)+ never repeats, so the 20-step window is cut by the budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle evaluator was called")
+
+    monkeypatch.setattr(checker, "oracle_eval_detailed", refuse)
+    monkeypatch.setattr(oracle, "_ev", refuse)
+    a = build_automaton(parse_path("(DeviationUp)+"))
+    verdict = check(parse_formula(text), a, http_model, http_ops, CheckOptions(max_steps=20))
+    assert verdict.status == status
+    if status == "unknown":
+        assert verdict.reason == REASON_BUDGET
+        assert verdict.stats.transitions_applied == 20
+        assert print_path(verdict.residual) == "(DeviationUp)+"
+    if status == "fails":
+        assert verdict.witness.violation_index == index
+        assert len(verdict.witness.steps) == 21  # the whole window
+
+
+def _generated_case(seed: int):
+    rng = random.Random(seed)
+    model = generators.gen_model(rng)
+    recipes = generators.gen_recipes(rng, model)
+    names = sorted(recipes.recipes)
+    a = build_automaton(generators.gen_path(rng, names))
+    return generators.gen_formula(rng, model, names), a, model, recipes.operation_table()
+
+
+@pytest.mark.parametrize("seed, max_steps, period_start, index, violated", [
+    # (run Op0)+, after Op0 exceptional always [...]: the violation reported
+    # is the first at or after the occurrence at 4, not the period's first
+    (146, 5, 3, 4, "always [((bound(Core.cout, Core.cin) implies false) implies "
+                   "(bound(C0.out1, C0.in1) and false))] violated"),
+    (43, 10, 6, 9, "eventually [not Core.q < 22] never satisfied (cycle stabilized)"),
+    # the walk finds the violation at 12, past the window's end: it is
+    # reported at its position in the period
+    (3844, 10, 7, 9, "before Op1 terminates: eventually [exists v0 in bindings "
+                     "((present(v0) or component(Core)))] unsatisfied in preceding segment"),
+])
+def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, period_start,
+                                                           index, violated):
+    f, a, c0, ops = _generated_case(seed)
+    assert check(f, a, c0, ops).reason == REASON_CYCLE
+    window = checker._unfold(a, c0, ops, max_steps)
+    assert (len(window.entries), window.period_start) == (max_steps, period_start)
+    verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps, oracle_crosscheck=True))
+    assert verdict.status == "fails"
+    assert (verdict.witness.violation_index, verdict.witness.violated) == (index, violated)
+    assert len(verdict.witness.steps) == len(window.entries)
 
 
 def _assert_witness_is_the_replayed_run(verdict, a, c0, ops):

@@ -303,7 +303,7 @@ def test_each_pass_evaluates_a_property_once_per_position(monkeypatch, text):
         _assert_once_per_position(calls[start:end], lassos[-1])
 
 
-def test_a_gate_refused_window_evaluates_each_position_once(monkeypatch):
+def test_a_gate_refused_window_is_walked_without_the_oracle(monkeypatch):
     a, c0, ops = _drift_lasso(4, 10)
     f = parse_formula("after AddX0 normal always [Hub.level >= 0]")  # observes the drift
     windows = []
@@ -314,7 +314,8 @@ def test_a_gate_refused_window_evaluates_each_position_once(monkeypatch):
     verdict = check(f, a, c0, ops, CheckOptions(max_steps=2 * a.n_states))
     assert verdict.status == "unknown" and len(windows) == 1
     assert len(windows[0].entries) == 1 + 2 * a.n_states
-    _assert_once_per_position(calls, windows[0])
+    assert calls == []  # the checker's walk evaluates every property
+    assert 0 < verdict.stats.cp_evaluations <= len(windows[0].entries)
 
 
 @pytest.mark.parametrize("text", [
