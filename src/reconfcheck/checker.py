@@ -1,9 +1,10 @@
 """Mark-based property checking over lasso automata.
 
 The traversal mirrors a model checker's marking discipline: every operator
-instance owns a fresh mark map and walks the automaton, applying each
+instance owns a fresh mark map and walks the automaton, taking each
 transition at most twice (``unchecked -> again -> checked``), so any check
-costs at most 2|Q| operation applications per instance.
+takes at most 2|Q| transitions per instance.  Each transition reaches the
+configuration the walk is handed: an operation applied, or a window model.
 
 Soundness over the repeated cycle rests on an idempotence gate: before
 checking a formula on a lasso, the composed cycle is applied twice at its
@@ -16,10 +17,11 @@ the window explored within the budget, as a lasso or as a cut path.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 # model_digest stays importable because perfbench/tracer.py rebinds it here
 from .adl import AdlValidationError, model_digest, model_digester  # noqa: F401
@@ -153,7 +155,7 @@ def _fresh_marks(a: PathAutomaton) -> list[_Mark]:
 
 
 class _Walk:
-    """Shared walk context: applies transitions, charges budgets and counters.
+    """Shared walk context: takes transitions, charges budgets and counters.
 
     ``erased`` switches stabilization detection (in the unfolding
     operators) to parameter-erased comparison — the right notion when the
@@ -164,10 +166,10 @@ class _Walk:
     compiled closure lives exactly as long as one check.
     """
 
-    def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
+    def __init__(self, a: PathAutomaton, reach: Callable[..., ComponentModel],
                  max_steps: Optional[int], erased: bool = False):
         self.a = a
-        self.ops = ops
+        self.reach = reach
         self.remaining = max_steps
         self.erased = erased
         self.transitions = 0
@@ -177,9 +179,9 @@ class _Walk:
 
     def run(self, q: int, c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
         """The run from (q, c) as one operator instance takes it, as
-        (label, target, configuration): each transition is charged against
-        the step budget before it is applied, counted, and held to the
-        instance's 2·|Q| bound."""
+        (label, target, ``reach(label, target, c)``): each transition is
+        charged against the step budget before it is taken, counted, and
+        held to the instance's 2·|Q| bound."""
         a, taken = self.a, 0
         while (nxt := a.succ(q)) is not None:
             if self.remaining is not None:
@@ -187,7 +189,7 @@ class _Walk:
                     raise _Budget(q, c)
                 self.remaining -= 1
             label, q = nxt
-            c = apply_evolution(self.ops[label], c).result
+            c = self.reach(label, q, c)
             taken += 1
             self.transitions += 1
             if taken > self.max_instance:
@@ -397,7 +399,7 @@ def _unfold(a: PathAutomaton, c0: ComponentModel,
     """The window of a lasso the gate refused: the run from the initial
     state for at most ``max_steps`` transitions, cut short at the path's
     end or before an exact (state, model) repeat."""
-    run = Unfolding(a, 0, c0, islice(run_path(a, ops, 0, c0), max_steps))
+    run = Unfolding(a, 0, c0, islice(run_path(a, ops, 0, c0), min(max_steps, sys.maxsize)))
     entries = tuple(LassoStep(q, c, label) for q, label, c in run)
     return ConcreteLasso(a, entries, run.period_start, run.complete)
 
@@ -457,7 +459,9 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
                        reached=c0, stats=CheckStats(0, 0, 0))
 
     if gate_ok:
-        walk = _Walk(a, ops, opts.max_steps, erased=erased)
+        # apply_evolution is read per call, so perfbench/tracer.py's rebinding counts the walk
+        walk = _Walk(a, lambda label, _q, c: apply_evolution(ops[label], c).result,
+                     opts.max_steps, erased=erased)
         try:
             _eval_formula(f, walk, 0, c0, 0)
             verdict = Verdict(HOLDS, stats=walk.stats())
@@ -473,7 +477,8 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         lasso = _unfold(a, c0, ops, opts.max_steps)
         entries, ps, n = lasso.entries, lasso.period_start, len(lasso.entries)
         labels = tuple(a.labels[s.state] for s in entries[:n if ps is not None else n - 1])
-        walk = _Walk(PathAutomaton(labels, n, ps), ops, None)  # an exact repeat needs no gate
+        # state i is window position i, reached in _unfold; an exact repeat needs no gate
+        walk = _Walk(PathAutomaton(labels, n, ps), lambda _label, q, _c: entries[q].model, None)
         try:
             _eval_formula(f, walk, 0, c0, 0)
             v = None

@@ -174,7 +174,7 @@ def _cmd_simulate(args) -> int:
     current, step = model, 0
     _dump(args.dump_dir, "step_000.arch", current)
     print(f"step 0: initial [{model_digest(current)}]")
-    for step, (label, _q, nxt) in enumerate(islice(run, args.steps), 1):
+    for step, (label, _q, nxt) in enumerate(islice(run, min(args.steps, sys.maxsize)), 1):
         changed = "changed" if nxt != current else "unchanged"
         current = nxt
         _dump(args.dump_dir, f"step_{step:03d}.arch", current)

@@ -37,7 +37,7 @@ from reconfcheck import (
     residual_from,
     unfold_to_lasso,
 )
-from reconfcheck import checker, oracle
+from reconfcheck import checker, oracle, reconfig
 from reconfcheck.adl import model_digest
 from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE, \
     cycle_entry_model
@@ -160,8 +160,14 @@ def test_a_cut_window_is_judged_without_the_oracle(text, status, index, http_mod
 
     monkeypatch.setattr(checker, "oracle_eval_detailed", refuse)
     monkeypatch.setattr(oracle, "_ev", refuse)
+    # the walk reads the window's models: each window transition is applied once, by _unfold
+    monkeypatch.setattr(checker, "apply_evolution", refuse)
+    applied = []
+    monkeypatch.setattr(reconfig, "apply_evolution",
+                        lambda op, c: applied.append(op) or apply_evolution(op, c))
     a = build_automaton(parse_path("(DeviationUp)+"))
     verdict = check(parse_formula(text), a, http_model, http_ops, CheckOptions(max_steps=20))
+    assert len(applied) == 2 + 20  # the gate's two laps, then the window
     assert verdict.status == status
     if status == "unknown":
         assert verdict.reason == REASON_BUDGET
@@ -193,7 +199,11 @@ def _generated_case(seed: int):
                      "((present(v0) or component(Core)))] unsatisfied in preceding segment"),
 ])
 def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, period_start,
-                                                           index, violated):
+                                                           index, violated, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the window walk applied an operation")
+
+    monkeypatch.setattr(checker, "apply_evolution", refuse)
     f, a, c0, ops = _generated_case(seed)
     assert check(f, a, c0, ops).reason == REASON_CYCLE
     window = checker._unfold(a, c0, ops, max_steps)
@@ -202,6 +212,46 @@ def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, per
     assert verdict.status == "fails"
     assert (verdict.witness.violation_index, verdict.witness.violated) == (index, violated)
     assert len(verdict.witness.steps) == len(window.entries)
+
+
+@pytest.mark.parametrize("text", [
+    None,  # cacheconnected.ftpl
+    "before DeleteFileServer normal always [component(FileServer1)]",
+    "after AddFileServer normal eventually [not component(FileServer2)]",
+    "after RemoveCacheHandler normal always [component(CacheHandler)]",
+])
+@pytest.mark.parametrize("max_steps", [None, 3])
+def test_the_gated_walk_applies_each_transition_it_counts(text, max_steps, base_automaton,
+                                                          cache_formula, http_recipes,
+                                                          http_model, http_ops, monkeypatch):
+    # once each, and only after charging the budget: a budget of 3 allows 3
+    applied = []
+    monkeypatch.setattr(checker, "apply_evolution",
+                        lambda op, c: applied.append(op) or apply_evolution(op, c))
+    f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
+    verdict = check(f, base_automaton, http_model, http_ops, CheckOptions(max_steps=max_steps))
+    assert verdict.reason != REASON_CYCLE
+    assert 0 < len(applied) == verdict.stats.transitions_applied
+    if max_steps is not None:
+        assert len(applied) <= max_steps
+
+
+FLIP_MODEL = "model M { component A { class X param p : int = 0 } }"
+FLIP_OPS = "op Flip { set A.p := 1 - param(A.p) }"
+
+
+@pytest.mark.parametrize("max_steps", [2**63, 10**23])
+@pytest.mark.parametrize("text, index", [("always [A.p < 2]", None), ("always [A.p < 1]", 1)])
+def test_a_budget_past_sys_maxsize_is_a_budget(max_steps, text, index):
+    # the gate refuses p = 0, 1, 0, ...; the window repeats exactly after two steps
+    a, c0 = build_automaton(parse_path("(Flip)+")), parse_model(FLIP_MODEL)
+    ops, f = parse_recipes(FLIP_OPS).operation_table(), parse_formula(text)
+    assert check(f, a, c0, ops).reason == REASON_CYCLE
+    verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
+    assert verdict == check(f, a, c0, ops, CheckOptions(max_steps=10))
+    assert verdict.status == ("holds" if index is None else "fails")
+    if index is not None:
+        assert verdict.witness.violation_index == index
 
 
 def _assert_witness_is_the_replayed_run(verdict, a, c0, ops):

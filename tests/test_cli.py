@@ -317,6 +317,32 @@ def test_simulate_stops_at_terminal(tmp_path, samples_dir, capsys):
     assert "path ends after 2 steps" in capsys.readouterr().out
 
 
+def test_simulate_takes_a_step_count_past_sys_maxsize(tmp_path, samples_dir, capsys):
+    path_file = tmp_path / "one.rp"
+    path_file.write_text("run")
+    code = run_cli(["simulate", "--model", str(samples_dir / "http.arch"),
+                    "--ops", str(samples_dir / "http.ops"),
+                    "--path", str(path_file), "--steps", str(2**63),
+                    "--dump-dir", str(tmp_path / "d")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "step 1: run (unchanged)" in out
+    assert out.endswith("path ends after 1 steps\n")
+
+
+def test_check_takes_a_budget_past_sys_maxsize(tmp_path, capsys):
+    # the gate refuses p = 0, 1, 0, ...; the window repeats exactly after two steps
+    (tmp_path / "m.arch").write_text("model M { component A { class X param p : int = 0 } }")
+    (tmp_path / "m.ops").write_text("op Flip { set A.p := 1 - param(A.p) }")
+    (tmp_path / "m.rp").write_text("(Flip)+")
+    args = ["check", "--model", str(tmp_path / "m.arch"), "--ops", str(tmp_path / "m.ops"),
+            "--path", str(tmp_path / "m.rp"), "--formula", "always [A.p < 1]", "--max-steps"]
+    assert run_cli([*args, str(2**63)]) == 1
+    out = capsys.readouterr().out
+    assert run_cli([*args, "10"]) == 1
+    assert out == capsys.readouterr().out
+
+
 def test_idempotence_report(samples_dir, capsys):
     code = run_cli(["idempotence", "--model", str(samples_dir / "http.arch"),
                     "--ops", str(samples_dir / "http.ops"),
