@@ -13,6 +13,8 @@ import hashlib
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not
 from typing import Callable, Optional
 
 # validate_model stays importable because perfbench/tracer.py rebinds it here
@@ -537,11 +539,9 @@ def _binding_lines(bindings: frozenset[Binding]) -> list[str]:
     return [_binding_line(b) for b in sorted(bindings, key=binding_key)]
 
 
-def _model_text(m: ComponentModel, component_text: Callable[[Component], str],
-                binding_lines: Callable[[frozenset[Binding]], list[str]]) -> str:
-    parts = [f"model {m.name} {{\n"]
-    parts += [component_text(m.components[cid]) for cid in sorted(m.components)]
-    parts += binding_lines(m.bindings)
+def _model_text(m: ComponentModel, component_texts: list[str],
+                binding_lines: list[str]) -> str:
+    parts = [f"model {m.name} {{\n", *component_texts, *binding_lines]
     for d in sorted(m.delegations, key=lambda d: (d.composite, d.composite_port,
                                                   d.inner, d.inner_port)):
         parts.append(f"  delegate {d.composite}.{d.composite_port} -> {d.inner}.{d.inner_port}\n")
@@ -551,7 +551,9 @@ def _model_text(m: ComponentModel, component_text: Callable[[Component], str],
 
 def print_model(m: ComponentModel) -> str:
     """Canonical text for a model; reparses to an equal model."""
-    return _model_text(m, _component_text, _binding_lines)
+    comps = m.components
+    return _model_text(m, [_component_text(comps[cid]) for cid in sorted(comps)],
+                       _binding_lines(m.bindings))
 
 
 def _digest(text: str) -> str:
@@ -568,22 +570,47 @@ def model_digester() -> Callable[[ComponentModel], str]:
 
     An operation shares every component it does not touch with its input,
     so successive configurations share most of their component objects.
-    The returned function formats each component object once and keeps the
-    text, keyed by ``id`` and held with the component itself (so the id
-    cannot be reused while the text is kept); its digests equal
-    :func:`model_digest`'s.  The sorted binding lines of the last model are
-    kept too, and patched with the bindings the next model adds or drops.
+    The returned function keeps the last model's sorted component ids, the
+    component object at each id and its text.  For the next model it
+    inserts or deletes the ids that came or went, finds the positions that
+    hold another object by identity, and formats only those; the objects it
+    holds keep their ids from being reused while it compares them.  The
+    sorted binding lines of the last model are kept too, and patched with
+    the bindings the next model adds or drops.  Its digests equal
+    :func:`model_digest`'s.
     """
-    texts: dict[int, tuple[Component, str]] = {}
+    held: dict[str, Component] = {}  # the last component dict, held
+    ids: list[str] = []  # its ids, sorted
+    objs: list[Optional[Component]] = []  # the component at each id (None: new)
+    texts: list[str] = []  # and its text
     before: frozenset[Binding] = frozenset()  # the last binding set, held
     keys: list[tuple[str, str, str, str]] = []  # its sort keys, in order
     lines: list[str] = []  # and its lines
 
-    def component_text(c: Component) -> str:
-        kept = texts.get(id(c))
-        if kept is None or kept[0] is not c:
-            kept = texts[id(c)] = (c, _component_text(c))
-        return kept[1]
+    def component_texts(comps: dict[str, Component]) -> list[str]:
+        nonlocal held, objs
+        if comps is held:
+            return texts
+        if comps.keys() != held.keys():
+            gone, new = held.keys() - comps.keys(), comps.keys() - held.keys()
+            if len(gone) + len(new) > len(ids):  # mostly another model: sort afresh
+                ids[:] = sorted(comps)
+                objs = [None] * len(ids)
+                texts[:] = [""] * len(ids)
+            else:
+                for cid in gone:
+                    i = bisect_left(ids, cid)
+                    del ids[i], objs[i], texts[i]
+                for cid in new:
+                    i = bisect_left(ids, cid)
+                    ids.insert(i, cid)
+                    objs.insert(i, None)
+                    texts.insert(i, "")
+        now = list(map(comps.__getitem__, ids))
+        for i in compress(range(len(now)), map(is_not, objs, now)):
+            texts[i] = _component_text(now[i])
+        held, objs = comps, now
+        return texts
 
     def binding_lines(bindings: frozenset[Binding]) -> list[str]:
         nonlocal before
@@ -599,7 +626,8 @@ def model_digester() -> Callable[[ComponentModel], str]:
             before = bindings
         return lines
 
-    return lambda m: _digest(_model_text(m, component_text, binding_lines))
+    return lambda m: _digest(_model_text(m, component_texts(m.components),
+                                         binding_lines(m.bindings)))
 
 
 # --- recipe files (.ops) ---------------------------------------------------------

@@ -30,6 +30,7 @@ from .adl import (
     AdlValidationError,
     RecipeSet,
     model_digest,
+    model_digester,
     parse_model,
     parse_recipes,
     print_model,
@@ -171,14 +172,15 @@ def _cmd_simulate(args) -> int:
     model, recipes, path = _load_valid_inputs(args)
     automaton = build_automaton(path)
     run = run_path(automaton, recipes.operation_table(), 0, model)
+    digest = model_digester()  # successive configurations share components
     current, step = model, 0
     _dump(args.dump_dir, "step_000.arch", current)
-    print(f"step 0: initial [{model_digest(current)}]")
+    print(f"step 0: initial [{digest(current)}]")
     for step, (label, _q, nxt) in enumerate(islice(run, min(args.steps, sys.maxsize)), 1):
         changed = "changed" if nxt != current else "unchanged"
         current = nxt
         _dump(args.dump_dir, f"step_{step:03d}.arch", current)
-        print(f"step {step}: {label} ({changed}) [{model_digest(current)}]")
+        print(f"step {step}: {label} ({changed}) [{digest(current)}]")
     if step < args.steps:
         print(f"path ends after {step} steps")
     return 0

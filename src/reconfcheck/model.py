@@ -426,54 +426,92 @@ def eval_cp(cp: ConfigProperty, m: ComponentModel, env: Optional[_Env] = None) -
     named entities are absent.  Attribute atoms raise :class:`CpEvalError`
     when their subject does not exist, so a property written against the
     wrong vocabulary fails loudly instead of silently evaluating false.
+
+    A tree walk on every call: each node is dispatched once, by its type,
+    to its clause in ``_CLAUSES``.
     """
-    env = env or {}
-    if isinstance(cp, TrueAtom):
-        return True
-    if isinstance(cp, FalseAtom):
-        return False
-    if isinstance(cp, ComponentPresent):
-        return cp.id in m.components
-    if isinstance(cp, Started):
-        c = m.components.get(cp.id)
-        if c is None:
-            raise CpEvalError(f"started(): unknown component '{cp.id}'")
-        return c.state == STARTED
-    if isinstance(cp, Bound):
-        return Binding(cp.out_component, cp.out_port, cp.in_component, cp.in_port) in m.bindings
-    if isinstance(cp, Subcomponent):
-        parent = m.components.get(cp.parent)
-        return parent is not None and cp.child in parent.contains
-    if isinstance(cp, ParamCmp):
-        return _eval_param_cmp(cp, m)
-    if isinstance(cp, Not):
-        return not eval_cp(cp.inner, m, env)
-    if isinstance(cp, And):
-        return eval_cp(cp.left, m, env) and eval_cp(cp.right, m, env)
-    if isinstance(cp, Or):
-        return eval_cp(cp.left, m, env) or eval_cp(cp.right, m, env)
-    if isinstance(cp, Implies):
-        return (not eval_cp(cp.left, m, env)) or eval_cp(cp.right, m, env)
-    if isinstance(cp, ForAll):
-        return all(eval_cp(cp.body, m, {**env, cp.var: v})
-                   for v in _domain_values(m, cp.domain))
-    if isinstance(cp, Exists):
-        return any(eval_cp(cp.body, m, {**env, cp.var: v})
-                   for v in _domain_values(m, cp.domain))
-    if isinstance(cp, VarClassIs):
-        kind, val = _lookup_var(env, cp.var)
-        if kind != "component":
-            raise CpEvalError(f"class({cp.var}): variable is not component-typed")
-        c = m.components.get(val)
-        if c is None:
-            raise CpEvalError(f"class({cp.var}): component '{val}' not in model")
-        return c.cls == cp.cls
-    if isinstance(cp, VarPresent):
-        kind, val = _lookup_var(env, cp.var)
-        if kind == "component":
-            return val in m.components
-        return val in m.bindings
+    try:
+        clause = _CLAUSES[type(cp)]
+    except KeyError:
+        clause = _eval_other
+    return clause(cp, m, env or {})
+
+
+def _eval_other(cp: ConfigProperty, m: ComponentModel, env: _Env) -> bool:
+    # an instance of a subclass of a node type is evaluated as that node
+    for node_type, clause in _CLAUSES.items():
+        if isinstance(cp, node_type):
+            return clause(cp, m, env)
     raise CpEvalError(f"unknown property node {cp!r}")
+
+
+def _eval_started(cp: Started, m: ComponentModel, env: _Env) -> bool:
+    c = m.components.get(cp.id)
+    if c is None:
+        raise CpEvalError(f"started(): unknown component '{cp.id}'")
+    return c.state == STARTED
+
+
+def _eval_subcomponent(cp: Subcomponent, m: ComponentModel, env: _Env) -> bool:
+    parent = m.components.get(cp.parent)
+    return parent is not None and cp.child in parent.contains
+
+
+def _eval_forall(cp: ForAll, m: ComponentModel, env: _Env) -> bool:
+    # one scope per evaluation, rebound per value: an inner quantifier copies it
+    scope, var, body = dict(env), cp.var, cp.body
+    for v in _domain_values(m, cp.domain):
+        scope[var] = v
+        if not eval_cp(body, m, scope):
+            return False
+    return True
+
+
+def _eval_exists(cp: Exists, m: ComponentModel, env: _Env) -> bool:
+    scope, var, body = dict(env), cp.var, cp.body
+    for v in _domain_values(m, cp.domain):
+        scope[var] = v
+        if eval_cp(body, m, scope):
+            return True
+    return False
+
+
+def _eval_var_class_is(cp: VarClassIs, m: ComponentModel, env: _Env) -> bool:
+    kind, val = _lookup_var(env, cp.var)
+    if kind != "component":
+        raise CpEvalError(f"class({cp.var}): variable is not component-typed")
+    c = m.components.get(val)
+    if c is None:
+        raise CpEvalError(f"class({cp.var}): component '{val}' not in model")
+    return c.cls == cp.cls
+
+
+def _eval_var_present(cp: VarPresent, m: ComponentModel, env: _Env) -> bool:
+    kind, val = _lookup_var(env, cp.var)
+    if kind == "component":
+        return val in m.components
+    return val in m.bindings
+
+
+# node type -> clause(cp, m, env); the order is the order _eval_other tests
+_CLAUSES: dict[type, Callable[[ConfigProperty, ComponentModel, _Env], bool]] = {
+    TrueAtom: lambda cp, m, env: True,
+    FalseAtom: lambda cp, m, env: False,
+    ComponentPresent: lambda cp, m, env: cp.id in m.components,
+    Started: _eval_started,
+    Bound: lambda cp, m, env: Binding(cp.out_component, cp.out_port,
+                                      cp.in_component, cp.in_port) in m.bindings,
+    Subcomponent: _eval_subcomponent,
+    ParamCmp: lambda cp, m, env: _eval_param_cmp(cp, m),
+    Not: lambda cp, m, env: not eval_cp(cp.inner, m, env),
+    And: lambda cp, m, env: eval_cp(cp.left, m, env) and eval_cp(cp.right, m, env),
+    Or: lambda cp, m, env: eval_cp(cp.left, m, env) or eval_cp(cp.right, m, env),
+    Implies: lambda cp, m, env: (not eval_cp(cp.left, m, env)) or eval_cp(cp.right, m, env),
+    ForAll: _eval_forall,
+    Exists: _eval_exists,
+    VarClassIs: _eval_var_class_is,
+    VarPresent: _eval_var_present,
+}
 
 
 # a compiled property: its truth value on a model under a variable environment

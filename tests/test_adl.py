@@ -11,7 +11,9 @@ from reconfcheck import (
     ComponentModel,
     Param,
     RecipeSet,
+    RemoveComponent,
     apply_evolution,
+    apply_primitive,
     build_automaton,
     check,
     parse_formula,
@@ -296,6 +298,69 @@ def test_digester_keeps_a_freed_components_id_from_being_reused():
                                                       params={"p": Param("int", value)})})
     digest = model_digester()
     assert [digest(m) for m in fresh_models()] == [model_digest(m) for m in fresh_models()]
+
+
+def test_digester_patches_ids_that_sort_first_last_and_in_between():
+    comps = {cid: Component(cid, "K") for cid in ("M2", "M4", "M6", "M8", "N1", "N3")}
+    models = [ComponentModel("M", comps)]
+    # each step toggles a few ids: those absent come in, those present go
+    for toggled in [("A",), ("Z",), ("M5",), ("A", "Z"), ("M2", "M3"), ("M4",), ("M8", "N3"),
+                    ("M1", "M7", "Y"), ("A", "M9", "Z"), ("M6", "N1", "N2"), ("A", "B")]:
+        comps = dict(comps)
+        for cid in toggled:
+            if cid in comps:
+                del comps[cid]
+            else:
+                comps[cid] = Component(cid, f"K{cid}", state="stopped")
+        models.append(ComponentModel("M", comps))
+    digest = model_digester()
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
+
+
+def test_digester_on_the_same_model_twice_in_a_row(http_model, http_ops):
+    removed = apply_evolution(http_ops["RemoveCacheHandler"], http_model).result
+    models = [http_model, http_model, removed, removed, http_model, http_model]
+    digest = model_digester()
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
+
+
+def test_digester_on_unrelated_models_interleaved_with_a_run(http_model, http_ops):
+    a = build_automaton(parse_path("run (RemoveCacheHandler AddCacheHandler "
+                                   "AddFileServer DeleteFileServer)+"))
+    run = _run(a, http_ops, http_model, 12)
+    rng = random.Random(7)
+    # another model, one with the run's ids but other objects, and an empty one
+    others = [generators.gen_model(rng),
+              ComponentModel("M", {cid: Component(cid, "K") for cid in http_model.components}),
+              ComponentModel("E")]
+    models = [m for i, c in enumerate(run) for m in (c, others[i % 3])]
+    digest = model_digester()
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
+
+
+def test_digester_on_a_composite_that_loses_a_child(http_model):
+    models = [http_model]
+    for child in ("CacheHandler", "RequestReceiver", "FileServer1"):
+        models.append(apply_primitive(RemoveComponent(child), models[-1]))
+    assert models[-1].components["HttpServer"].contains == {"RequestHandler",
+                                                             "RequestDispatcher"}
+    digest = model_digester()
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
+
+
+def test_digester_formats_an_equal_but_distinct_component_where_it_replaces_one(monkeypatch):
+    a, b, copy = Component("A", "K"), Component("B", "K"), Component("A", "K")
+    first = ComponentModel("M", {"A": a, "B": b})
+    second = ComponentModel("M", {"A": copy, "B": b})
+    third = ComponentModel("M", dict(second.components))  # an equal dict, the same objects
+    assert first == second == third
+    expected = model_digest(first)
+    formatted = []
+    plain = adl._component_text
+    monkeypatch.setattr(adl, "_component_text", lambda c: formatted.append(c) or plain(c))
+    digest = model_digester()
+    assert [digest(m) for m in (first, second, second, third)] == [expected] * 4
+    assert [id(c) for c in formatted] == [id(a), id(b), id(copy)]
 
 
 def _deep(expr: str) -> str:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from reconfcheck import build_automaton, parse_formula, parse_model, parse_path,
     print_model, print_path
 from reconfcheck.adl import model_digest
 from reconfcheck.cli import run_cli
+from reconfcheck.reconfig import run_path
 
 FORMULA = ("after AddCacheHandler normal "
            "always [bound(CacheHandler.cache, RequestHandler.getCache)]")
@@ -304,6 +306,21 @@ def test_simulate_dumps_configurations(samples_dir, tmp_path, capsys):
     log = capsys.readouterr().out
     assert "step 1: run (unchanged)" in log
     assert "step 2: RemoveCacheHandler (changed)" in log
+
+
+def test_simulate_prints_the_model_digest_of_every_configuration(samples_dir, tmp_path, capsys,
+                                                                 http_model, http_ops):
+    # every lap removes and adds back CacheHandler and FileServer2
+    path = tmp_path / "q1.rp"
+    path.write_text(Q1_PATH)
+    assert run_cli(["simulate", "--model", str(samples_dir / "http.arch"),
+                    "--ops", str(samples_dir / "http.ops"), "--path", str(path),
+                    "--steps", "22", "--dump-dir", str(tmp_path / "dump")]) == 0
+    printed = re.findall(r"^step \d+: .*\[(\w+)\]$", capsys.readouterr().out, re.M)
+    run = run_path(build_automaton(parse_path(Q1_PATH)), http_ops, 0, http_model)
+    configs = [http_model, *(c for _label, _q, c in islice(run, 22))]
+    assert {len(c.components) for c in configs} == {5, 6, 7}
+    assert printed == [model_digest(c) for c in configs]
 
 
 def test_simulate_stops_at_terminal(tmp_path, samples_dir, capsys):

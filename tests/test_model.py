@@ -13,6 +13,7 @@ from reconfcheck import (
     Param,
     RemoveComponent,
     SetParam,
+    STARTED,
     STOPPED,
     apply_primitive,
     erase_param_values,
@@ -301,11 +302,9 @@ def _outcome(evaluate):
     return type(value), value
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_compiled_properties_agree_with_eval_cp(seed):
-    rng = random.Random(seed)
-    m = generators.gen_model(rng)
+def _generated_properties(rng: random.Random, m: ComponentModel) -> list:
+    """Properties drawn by the generators for ``m``, ill-formed and nested
+    quantifiers over both domains among them."""
     props = [
         generators.gen_cp(rng, m, depth=3),
         ForAll("w", "components", Or(VarClassIs("w", "Alpha"), generators.gen_cp(rng, m))),
@@ -324,6 +323,15 @@ def test_compiled_properties_agree_with_eval_cp(seed):
             ctor("x", domain, Exists("y", "components",
                                      And(VarPresent("y"), _gen_local_body(rng, "x")))),
         ]
+    return props
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_properties_agree_with_eval_cp(seed):
+    rng = random.Random(seed)
+    m = generators.gen_model(rng)
+    props = _generated_properties(rng, m)
     empty = ComponentModel(name="E")
     for cp in props:
         assert _outcome(lambda: compile_cp(cp)(m, {})) == _outcome(lambda: eval_cp(cp, m))
@@ -424,3 +432,115 @@ def test_compiled_properties_raise_like_eval_cp(http_model):
         expected = _outcome(lambda: eval_cp(cp, http_model, env))
         assert expected[0] == "error"
         assert _outcome(lambda: compile_cp(cp)(http_model, env)) == expected
+
+
+def _reference_eval_cp(cp, m, env=None):
+    """The evaluator as an ``isinstance`` chain with a fresh environment per
+    quantified value, kept as the reference the table-dispatched
+    :func:`eval_cp` must agree with, value for value and message for message."""
+    env = env or {}
+    if isinstance(cp, TrueAtom):
+        return True
+    if isinstance(cp, FalseAtom):
+        return False
+    if isinstance(cp, ComponentPresent):
+        return cp.id in m.components
+    if isinstance(cp, Started):
+        c = m.components.get(cp.id)
+        if c is None:
+            raise CpEvalError(f"started(): unknown component '{cp.id}'")
+        return c.state == STARTED
+    if isinstance(cp, Bound):
+        return Binding(cp.out_component, cp.out_port, cp.in_component, cp.in_port) in m.bindings
+    if isinstance(cp, Subcomponent):
+        parent = m.components.get(cp.parent)
+        return parent is not None and cp.child in parent.contains
+    if isinstance(cp, ParamCmp):
+        return model._eval_param_cmp(cp, m)
+    if isinstance(cp, Not):
+        return not _reference_eval_cp(cp.inner, m, env)
+    if isinstance(cp, And):
+        return _reference_eval_cp(cp.left, m, env) and _reference_eval_cp(cp.right, m, env)
+    if isinstance(cp, Or):
+        return _reference_eval_cp(cp.left, m, env) or _reference_eval_cp(cp.right, m, env)
+    if isinstance(cp, Implies):
+        return (not _reference_eval_cp(cp.left, m, env)) or _reference_eval_cp(cp.right, m, env)
+    if isinstance(cp, ForAll):
+        return all(_reference_eval_cp(cp.body, m, {**env, cp.var: v})
+                   for v in model._domain_values(m, cp.domain))
+    if isinstance(cp, Exists):
+        return any(_reference_eval_cp(cp.body, m, {**env, cp.var: v})
+                   for v in model._domain_values(m, cp.domain))
+    if isinstance(cp, VarClassIs):
+        kind, val = model._lookup_var(env, cp.var)
+        if kind != "component":
+            raise CpEvalError(f"class({cp.var}): variable is not component-typed")
+        c = m.components.get(val)
+        if c is None:
+            raise CpEvalError(f"class({cp.var}): component '{val}' not in model")
+        return c.cls == cp.cls
+    if isinstance(cp, VarPresent):
+        kind, val = model._lookup_var(env, cp.var)
+        if kind == "component":
+            return val in m.components
+        return val in m.bindings
+    raise CpEvalError(f"unknown property node {cp!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_eval_cp_agrees_with_the_reference_evaluator(seed):
+    rng = random.Random(seed)
+    m = generators.gen_model(rng)
+    ops = list(generators.gen_recipes(rng, m).operation_table().values())
+    props = _generated_properties(rng, m) + [Not(generators.gen_ill_formed_cp(rng, m))]
+    # the generators' free variable, bound by the caller
+    envs = [{}, {"free": ("component", "Core")}, {"free": ("component", "Ghost"), "x": None}]
+    models = [m, ComponentModel(name="E")]
+    for _ in range(3):
+        models.append(apply_evolution(rng.choice(ops), models[-1]).result)
+    for current in models:
+        for cp in props:
+            for env in envs:
+                assert _outcome(lambda: eval_cp(cp, current, env)) == \
+                    _outcome(lambda: _reference_eval_cp(cp, current, env))
+
+
+@pytest.mark.parametrize("outer, inner", [(ForAll, Exists), (Exists, ForAll), (ForAll, ForAll)])
+def test_an_inner_quantifier_rebinding_the_outer_variable_leaves_it_bound(http_model, outer,
+                                                                          inner):
+    # forall x in components ((exists x in bindings (present(x))) and class(x) = K):
+    # after the inner quantifier, class(x) must see the component again
+    def prop(cls):
+        return outer("x", "components",
+                     And(inner("x", "bindings", VarPresent("x")), VarClassIs("x", cls)))
+    m = ComponentModel("M", {"A": Component("A", "K", outputs={"o": "T"}),
+                             "B": Component("B", "K", inputs={"i": "T"})},
+                       frozenset({Binding("A", "o", "B", "i")}))
+    for cp, value in ((prop("K"), True), (prop("L"), False)):
+        assert eval_cp(cp, m) is value
+        assert _reference_eval_cp(cp, m) is value
+        assert compile_cp(cp)(m, {}) is value
+    # the caller's environment is read, never written
+    env = {"x": ("component", "B")}
+    assert eval_cp(prop("K"), m, env) is True and env == {"x": ("component", "B")}
+    # no component of the HTTP study has class K
+    assert eval_cp(prop("K"), http_model) is False
+
+
+@pytest.mark.parametrize("node", ["not a property node", 42, None, object()])
+def test_a_non_node_object_is_an_unknown_property_node(http_model, node):
+    for cp in (node, And(TrueAtom(), node), ForAll("x", "components", Not(node))):
+        with pytest.raises(CpEvalError, match=r"^unknown property node "):
+            eval_cp(cp, http_model)
+        assert _outcome(lambda: eval_cp(cp, http_model)) == \
+            _outcome(lambda: _reference_eval_cp(cp, http_model))
+
+
+def test_an_instance_of_a_node_subclass_is_evaluated_as_its_node(http_model):
+    class Negation(Not):
+        pass
+
+    for cp in (Negation(TrueAtom()), And(TrueAtom(), Negation(FalseAtom())),
+               Negation(ComponentPresent("CacheHandler"))):
+        assert eval_cp(cp, http_model) is _reference_eval_cp(cp, http_model)
