@@ -3,15 +3,18 @@
 The automaton is unrolled into the concrete configuration sequence until a
 (state, model) pair recurs — the sequence is then ultimately periodic and
 every quantifier ranges over finitely many behaviour classes — or until
-the path ends or 64 laps of the cycle are unrolled.  Evaluation follows the
+the path ends or 64 laps of the cycle are unrolled; the exact pass of a
+formula that cannot observe parameter values stops after two laps, the
+window the exact idempotence gate compares.  Evaluation follows the
 defining clauses of the temporal operators directly, with a third
 "undetermined" outcome when a truncated unfolding cannot settle the
 answer.  The verdict looks at the unrolled window after 2, 4, 8, 16 and 32
 laps too, and stops at the first that settles it: a truncated window
 settles only through a violation or a witness it contains, and every longer
-window contains them too.  Each configuration property is evaluated at
-most once per position of an unfolding; every window of it reads the same
-values.  Deliberately naive; being obviously correct is its entire job.
+window contains them too.  Each configuration property is evaluated, and
+each event tested, at most once per position of an unfolding; every window
+of it reads the same values.  Deliberately naive; being obviously correct
+is its entire job.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ class LassoStep:
 
 
 # configuration property values by the property node's id (the node is kept
-# with them) and wrapped run position
-_Values = dict[int, tuple[ConfigProperty, dict[int, bool]]]
+# with them) and wrapped run position, and event values by the event node's
+# id and the wrapped source position of the transition
+_Values = dict[int, tuple[ConfigProperty | EventSpec, dict[int, bool]]]
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,9 @@ class ConcreteLasso:
     its terminal state.  ``erased_compare`` records that the repetition was
     detected on parameter-erased models: the suffix then repeats only up to
     parameter values, which suffices for erasure-invariant formulas.
-    ``values`` keeps the property values evaluated on these entries (see
-    :meth:`_Sigma.find`); the windows of one unfolding share it.
+    ``values`` keeps the property and event values evaluated on these
+    entries (see :meth:`_Sigma.find` and :meth:`_Sigma.event`); the windows
+    of one unfolding share it.
     """
 
     automaton: PathAutomaton
@@ -70,6 +75,8 @@ class ConcreteLasso:
 # the laps after which a still unfinished unfolding is evaluated, and its length
 _LOOKS = (2, 4, 8, 16, 32)
 _MAX_ROUNDS = 64
+# the exact idempotence gate's window: entry, F(entry), F(F(entry))
+_GATE_LAPS = 2
 
 
 def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOperation],
@@ -137,16 +144,20 @@ class _Sigma:
     def cfg(self, i: int) -> ComponentModel:
         return self.l.entries[self.wrap(i)].model
 
+    def _known(self, node: ConfigProperty | EventSpec) -> dict[int, bool]:
+        """The values of ``node`` kept for this unfolding; the node is kept
+        with them so its id cannot be reused."""
+        kept = self.values.get(id(node))
+        if kept is None:
+            kept = self.values[id(node)] = (node, {})
+        return kept[1]
+
     def find(self, cp: ConfigProperty, positions: range, value: bool) -> Optional[int]:
         """The first of ``positions`` at which ``cp`` evaluates to ``value``.
 
         ``cp`` is evaluated at most once per wrapped position of the
-        unfolding; the node is kept with its values so its id cannot be
-        reused, and an evaluation that raises stores nothing."""
-        kept = self.values.get(id(cp))
-        if kept is None:
-            kept = self.values[id(cp)] = (cp, {})
-        known, entries = kept[1], self.l.entries
+        unfolding, and an evaluation that raises stores nothing."""
+        known, entries = self._known(cp), self.l.entries
         for i in positions:
             j = i if i < self.n else self.wrap(i)
             v = known.get(j)
@@ -164,8 +175,19 @@ class _Sigma:
         return self.l.automaton.labels[self.state(i - 1)]
 
     def event(self, i: int, e: EventSpec) -> bool:
+        """Does the transition into position ``i`` satisfy ``e``?  Tested at
+        most once per wrapped source position of the unfolding: the source
+        fixes the transition in every window."""
         if i <= 0:
             return False
+        src = self.wrap(i - 1)
+        known = self._known(e)
+        v = known.get(src)
+        if v is None:
+            v = known[src] = self._event(i, e)
+        return v
+
+    def _event(self, i: int, e: EventSpec) -> bool:
         label = self.label(i)
         if label != e.op_name:
             return False  # as event_holds would say, without erasing first
@@ -281,9 +303,10 @@ def oracle_eval_detailed(f: FtplFormula, l: ConcreteLasso) -> _EvalResult:
 
 
 def _pass_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
-                  ops: Mapping[str, EvolutionOperation], compare_erased: bool) -> Optional[bool]:
+                  ops: Mapping[str, EvolutionOperation], max_rounds: int,
+                  compare_erased: bool) -> Optional[bool]:
     """The first determined value on the windows of one unfolding."""
-    for lasso in _windows(a, c0, ops, _MAX_ROUNDS, compare_erased, _LOOKS):
+    for lasso in _windows(a, c0, ops, max_rounds, compare_erased, _LOOKS):
         value = oracle_eval(f, lasso)
         if value is not None:
             return value
@@ -300,11 +323,20 @@ def oracle_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     an ``eventually`` witness it contains, which every longer window
     contains too, so the first determined value is the whole unfolding's.
 
+    The exact pass of an erasure-invariant formula stops after two laps:
+    every cycle the exact idempotence gate admits repeats within them, so
+    that pass still decides those on its own.  A violation, witness or
+    repeat that the exact run would first show in laps 3 to 64 is left to
+    the erased pass, which walks the same configurations.  A formula that
+    reads parameters keeps the 64-lap exact pass.
+
     Total on every lasso whose cycle is idempotent in the sense matching
     the formula (structural idempotence in general, idempotence up to
     parameter erasure for erasure-invariant formulas).
     """
-    value = _pass_verdict(f, a, c0, ops, compare_erased=False)
-    if value is None and erasure_invariant(f, ops):
-        value = _pass_verdict(f, a, c0, ops, compare_erased=True)
+    invariant = erasure_invariant(f, ops)
+    laps = _GATE_LAPS if invariant else _MAX_ROUNDS
+    value = _pass_verdict(f, a, c0, ops, laps, compare_erased=False)
+    if value is None and invariant:
+        value = _pass_verdict(f, a, c0, ops, _MAX_ROUNDS, compare_erased=True)
     return value

@@ -28,6 +28,7 @@ from reconfcheck.model import CpEvalError, TrueAtom
 from reconfcheck.oracle import _Sigma
 
 import generators
+from test_erasure import _reset_case
 
 
 def reference_oracle_verdict(f, a, c0, ops):
@@ -275,17 +276,10 @@ def _assert_once_per_position(calls: list, lasso) -> None:
         max(made.values())
 
 
-@pytest.mark.parametrize("text", [
-    "after AddX5 normal always [bound(W0.o, W1.i)]",
-    "before RmX9 normal always [forall x in bindings (present(x))]",
-])
-def test_each_pass_evaluates_a_property_once_per_position(monkeypatch, text):
-    # the exact pass never repeats (Hub.level drifts) and settles nothing in
-    # 64 laps; the erased pass then decides
-    a, c0, ops = _drift_lasso(4, 10)
-    f = parse_formula(text)
-    calls = _evaluations(monkeypatch)
-    passes = []  # (index of the pass's first evaluation, its windows)
+def _recorded_passes(monkeypatch, calls: list) -> list:
+    """One (length of ``calls`` when it began, its windows) per pass of the
+    oracle."""
+    passes = []
     windows = oracle._windows
 
     def recorded(*args):
@@ -295,12 +289,139 @@ def test_each_pass_evaluates_a_property_once_per_position(monkeypatch, text):
             yield lasso
 
     monkeypatch.setattr(oracle, "_windows", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("text", [
+    "after AddX5 normal always [bound(W0.o, W1.i)]",
+    "before RmX9 normal always [forall x in bindings (present(x))]",
+])
+def test_each_pass_evaluates_a_property_once_per_position(monkeypatch, text):
+    # the exact pass never repeats (Hub.level drifts) and the formula cannot
+    # read parameters, so it stops after the gate's two laps, settling
+    # nothing; the erased pass then decides
+    a, c0, ops = _drift_lasso(4, 10)
+    f = parse_formula(text)
+    calls = _evaluations(monkeypatch)
+    passes = _recorded_passes(monkeypatch, calls)
     assert oracle_verdict(f, a, c0, ops) is True
-    assert [len(lassos) for _start, lassos in passes] == [6, 1]
-    assert len(passes[0][1][-1].entries) == 1986  # 64 laps, never periodic
+    assert [len(lassos) for _start, lassos in passes] == [1, 1]
+    exact, erased = passes[0][1][-1], passes[1][1][-1]
+    assert exact.period_start is None and not exact.erased_compare
+    assert erased.erased_compare and erased.period_start is not None
+    # the initial configuration, the prefix and two laps of the cycle
+    assert len(exact.entries) <= len(a.prefix_labels()) + 2 * len(a.cycle_labels()) + 1
     ends = [start for start, _lassos in passes[1:]] + [len(calls)]
     for (start, lassos), end in zip(passes, ends):
         _assert_once_per_position(calls[start:end], lassos[-1])
+
+
+def test_a_formula_reading_parameters_keeps_the_long_exact_pass(monkeypatch):
+    # Hub.level reaches 4 in the fourth lap, past the gate's two
+    a, c0, ops = _drift_lasso(4, 10)
+    f = parse_formula("always [Hub.level < 4]")
+    assert not erasure_invariant(f, ops)
+    applied = _counted_applications(monkeypatch)
+    assert oracle_verdict(f, a, c0, ops) is False
+    assert len(applied) == 1 + 4 * 31  # decided by the 4-lap window
+
+
+def test_a_cycle_the_exact_gate_admits_is_decided_by_the_exact_pass(monkeypatch, http_model,
+                                                                    http_ops):
+    # the CacheHandler added back is outside HttpServer, so the first lap
+    # changes the model and the exact run repeats only in the second
+    a = build_automaton(parse_path("(RemoveCacheHandler AddCacheHandler)+"))
+    entry = cycle_entry_model(a, http_model, http_ops)
+    assert is_idempotent_sequence([http_ops[label] for label in a.cycle_labels()], entry)
+    assert unfold_to_lasso(a, http_model, http_ops, max_rounds=1).period_start is None
+    f = parse_formula("always [component(RequestHandler)]")
+    assert erasure_invariant(f, http_ops)
+    passes = _recorded_passes(monkeypatch, [])
+    assert oracle_verdict(f, a, http_model, http_ops) is True
+    assert len(passes) == 1
+    (lasso,) = passes[0][1]
+    assert not lasso.erased_compare and lasso.period_start is not None
+
+
+def _event_tests(monkeypatch) -> list:
+    """The (position, event) of every ``event_holds`` call the oracle makes."""
+    calls = []
+    holds = oracle.event_holds
+    monkeypatch.setattr(oracle, "event_holds", lambda prev, nxt, label, e, i:
+                        calls.append((i, e)) or holds(prev, nxt, label, e, i))
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    "after run terminates after run exceptional eventually [component(CacheHandler)]",
+    "after run normal before AddCacheHandler terminates always [component(FileServer1)]",
+    "after RemoveCacheHandler normal after run terminates after run exceptional "
+    "always [component(RequestHandler)]",
+])
+def test_nested_events_are_tested_once_per_transition(monkeypatch, http_model, http_ops, text):
+    # every occurrence of an outer event scans the inner event's occurrences
+    # again; each scan reads the values kept for the transitions
+    a = build_automaton(parse_path("run (RemoveCacheHandler run AddCacheHandler run run)+"))
+    f = parse_formula(text)
+    lasso = unfold_to_lasso(a, http_model, http_ops)
+    assert lasso.period_start is not None
+    tested = _event_tests(monkeypatch)
+    value = oracle_eval(f, lasso)
+    sig = _Sigma(lasso)
+    pairs = {(id(e), sig.wrap(i - 1)) for i, e in tested}
+    assert tested and len(tested) == len(pairs)
+    # the same evaluation testing the transition again at every reading
+    monkeypatch.setattr(_Sigma, "event", lambda sig, i, e: i > 0 and sig._event(i, e))
+    tested.clear()
+    assert oracle_eval(f, unfold_to_lasso(a, http_model, http_ops)) is value
+    assert len(tested) > len(pairs)
+
+
+def _drift_formula(rng: random.Random, k: int, depth: int = 2) -> str:
+    """A formula over the names of ``_drift_lasso(n, k)``; about one in four
+    reads ``Hub.level`` or has a ``Bump`` event."""
+    j = rng.randrange(k)
+    cp = rng.choice((f"component(X{j})", f"not bound(X{j}.feed, Hub.in{j})",
+                     "bound(W0.o, W1.i)", "false", f"component(X{j}) or Hub.level < 3"))
+    trace = f"{rng.choice(('always', 'eventually'))} [{cp}]"
+    if depth == 0 or rng.random() < 0.4:
+        return trace
+    event = f"{rng.choice((f'AddX{j}', f'RmX{j}', 'run', 'run', 'Bump'))} " \
+        f"{rng.choice(generators.MODALITIES)}"
+    if rng.random() < 0.35:
+        return f"before {event} {trace}"
+    return f"after {event} {_drift_formula(rng, k, depth - 1)}"
+
+
+def _capped(f, a, c0, ops) -> bool:
+    """Does the 64-lap exact pass look past the gate's two laps, which the
+    oracle's exact pass of an erasure-invariant formula does not?"""
+    return erasure_invariant(f, ops) and \
+        oracle_eval(f, unfold_to_lasso(a, c0, ops, max_rounds=2)) is None
+
+
+def test_the_capped_exact_pass_agrees_with_the_long_one_on_drifting_lassos():
+    rng = random.Random(2020)
+    capped = 0
+    for n, k in ((2, 1), (3, 2), (2, 3)):
+        a, c0, ops = _drift_lasso(n, k)
+        for _ in range(40):
+            f = parse_formula(_drift_formula(rng, k))
+            assert oracle_verdict(f, a, c0, ops) is reference_oracle_verdict(f, a, c0, ops), f
+            capped += _capped(f, a, c0, ops)
+    resets = 0
+    rng = random.Random(2024)
+    for _ in range(1000):
+        f, a, c0, ops = _reset_case(rng)
+        if not erasure_invariant(f, ops):
+            continue
+        try:
+            expected = reference_oracle_verdict(f, a, c0, ops)
+        except CpEvalError:
+            continue
+        assert oracle_verdict(f, a, c0, ops) is expected, (f, a, c0)
+        resets += _capped(f, a, c0, ops)
+    assert capped >= 30 and resets >= 20, (capped, resets)
 
 
 def test_a_gate_refused_window_is_walked_without_the_oracle(monkeypatch):
