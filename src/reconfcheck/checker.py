@@ -1,10 +1,12 @@
 """Mark-based property checking over lasso automata.
 
 The traversal mirrors a model checker's marking discipline: every operator
-instance owns a fresh mark map and walks the automaton, taking each
-transition at most twice (``unchecked -> again -> checked``), so any check
-takes at most 2|Q| transitions per instance.  Each transition reaches the
-configuration the walk is handed: an operation applied, or a window model.
+instance owns a fresh mark map and walks the automaton in ``_Walk.run``,
+taking each transition at most twice (``unchecked -> again -> checked``), so
+any check takes at most 2|Q| transitions per instance; ``eventually`` and
+``before`` instances stop earlier, at their run's repeat.  Each transition
+reaches the configuration the walk is handed: an operation applied, or a
+window model.
 
 Soundness over the repeated cycle rests on an idempotence gate: before
 checking a formula on a lasso, the composed cycle is applied twice at its
@@ -178,18 +180,39 @@ class _Walk:
         self.compiled: dict[ConfigProperty, CompiledCp] = {}
 
     def run(self, q: int, c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
-        """The run from (q, c) as one operator instance takes it, as
-        (label, target, ``reach(label, target, c)``): each transition is
-        charged against the step budget before it is taken, counted, and
-        held to the instance's 2·|Q| bound."""
+        """The transitions one operator instance takes from (q, c), as
+        (label, target, ``reach(label, target, c)``).
+
+        Each state is marked ``unchecked -> again -> checked`` as it is left,
+        so the run ends at a terminal state or at a state left twice: an
+        operation may change the model on one pass and not the next, and the
+        second pass's configurations repeat forever after (given the gate).
+        Each transition is charged against the step budget before it is
+        taken, counted, and held to the instance's 2·|Q| bound."""
         a, taken = self.a, 0
+        marks = _fresh_marks(a)
+        start, earlier = q, Counter()  # the marks of the states before q
         while (nxt := a.succ(q)) is not None:
+            mk = marks[q]
+            if mk is _Mark.CHECKED:
+                return  # both passes taken
+            # from the initial state, every earlier state is left before this one,
+            # and none is left twice before this one is left once
+            if start == 0 and (earlier[_Mark.UNCHECKED]
+                               or mk is _Mark.UNCHECKED and earlier[_Mark.CHECKED]):
+                raise AssertionError("mark-order invariant: an earlier state is unchecked, "
+                                     "or checked while this one is unchecked")
+            marks[q] = _Mark.AGAIN if mk is _Mark.UNCHECKED else _Mark.CHECKED
+            earlier[marks[q]] += 1  # as stored, so a lost write is seen
             if self.remaining is not None:
                 if self.remaining == 0:
                     raise _Budget(q, c)
                 self.remaining -= 1
-            label, q = nxt
-            c = self.reach(label, q, c)
+            label, q2 = nxt
+            c = self.reach(label, q2, c)
+            if q2 <= q:  # the back edge: recount once per lap
+                earlier = Counter(marks[:q2])
+            q = q2
             taken += 1
             self.transitions += 1
             if taken > self.max_instance:
@@ -201,7 +224,10 @@ class _Walk:
             yield label, q, c
 
     def unfold(self, q: int, c: ComponentModel) -> Unfolding:
-        """The run from (q, c) as one operator instance walks it."""
+        """The run from (q, c) as one operator instance walks it.  Its repeat
+        comes before the marks stop it: under the gate, the transition into
+        two laps past the entry leaves a state for the second time, and on a
+        window every configuration repeats one lap later."""
         return Unfolding(self.a, q, c, self.run(q, c), erased=self.erased)
 
     def eval_cp(self, cp: ConfigProperty, c: ComponentModel) -> bool:
@@ -231,41 +257,6 @@ def is_suffix_monotone(f: FtplFormula) -> bool:
     return True
 
 
-def _marked_run(walk: _Walk, q: int,
-                c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
-    """The transitions one operator instance takes from (q, c), as
-    (label, target, configuration).
-
-    Each state is marked ``unchecked -> again -> checked`` as its
-    transition is taken, so the run ends at a terminal state or at a
-    state it has left twice.  Two traversals are needed because an operation
-    that changed the model on the first pass can become the identity on
-    the next (and vice versa), and because intermediate configurations of
-    the second traversal are exactly the ones repeated forever afterwards
-    (given the idempotence gate).
-    """
-    marks = _fresh_marks(walk.a)
-    start, run = q, walk.run(q, c)
-    earlier = Counter()  # the marks of the states before q
-    while walk.a.succ(q) is not None:
-        mk = marks[q]
-        if mk is _Mark.CHECKED:
-            return  # both passes taken
-        # from the initial state, every earlier state is left before this one,
-        # and none is left twice before this one is left once
-        if start == 0 and (earlier[_Mark.UNCHECKED]
-                           or mk is _Mark.UNCHECKED and earlier[_Mark.CHECKED]):
-            raise AssertionError("mark-order invariant: an earlier state is unchecked, "
-                                 "or checked while this one is unchecked")
-        marks[q] = _Mark.AGAIN if mk is _Mark.UNCHECKED else _Mark.CHECKED
-        earlier[marks[q]] += 1  # as stored, so a lost write is seen
-        label, q2, c = next(run)
-        if q2 <= q:  # the back edge: recount once per lap
-            earlier = Counter(marks[:q2])
-        q = q2
-        yield label, q, c
-
-
 def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int):
     """Check ``f.inner`` after occurrences of ``f.event`` from (q, c).
 
@@ -275,7 +266,7 @@ def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int):
     """
     collect_all = not is_suffix_monotone(f.inner)
     pending: list[tuple[int, ComponentModel, int]] = []
-    for pos, (label, q2, c2) in enumerate(_marked_run(walk, q, c), pos + 1):
+    for pos, (label, q2, c2) in enumerate(walk.run(q, c), pos + 1):
         if event_holds(c, c2, label, f.event, pos):
             pending.append((q2, c2, pos))
             if not collect_all:
@@ -288,10 +279,16 @@ def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int):
 
 def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos: int):
     """Check ``cp`` on (q, c) and on every configuration of its marked run."""
-    run = (c2 for _label, _q, c2 in _marked_run(walk, q, c))
+    run = (c2 for _label, _q, c2 in walk.run(q, c))
     for pos, c in enumerate(chain([c], run), pos):
         if not walk.eval_cp(cp, c):
             raise _Violation(pos, f"always [{print_cp(cp)}] violated")
+
+
+def _assert_settled(run: Unfolding):
+    """An exhausted instance unfolding has a period or a terminal state (see _Walk.unfold)."""
+    if run.period_start is None and not run.complete:
+        raise AssertionError("instance unfolding ended with neither a period nor a terminal state")
 
 
 def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos: int):
@@ -304,6 +301,7 @@ def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
     for i, (_q, _label, c) in enumerate(run):
         if walk.eval_cp(cp, c):
             return
+    _assert_settled(run)
     how = "on the finite path" if run.complete else "(cycle stabilized)"
     raise _Violation(pos + i, f"eventually [{print_cp(cp)}] never satisfied {how}")
 
@@ -328,6 +326,7 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
     """
     run = walk.unfold(q, c)
     states, _labels, models = zip(*run)
+    _assert_settled(run)
     keys, ps, n = run.keys, run.period_start, len(models)
     t = 0 if ps is None else n - ps
     last = n - 1 if ps is None else n + 2 * t

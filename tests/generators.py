@@ -33,6 +33,7 @@ from reconfcheck import (
     Start,
     Stop,
     Unbind,
+    build_automaton,
     validate_model,
 )
 from reconfcheck.adl import RecipeSet
@@ -273,3 +274,13 @@ def gen_formula(rng: random.Random, m: ComponentModel, names: list[str],
     if rng.random() < 0.35:
         return Before(event, gen_trace(rng, m))
     return After(event, gen_formula(rng, m, names, depth - 1))
+
+
+def gen_case(seed: int):
+    """(formula, path automaton, model, operation table) of one seed."""
+    rng = random.Random(seed)
+    model = gen_model(rng)
+    recipes = gen_recipes(rng, model)
+    names = sorted(recipes.recipes)
+    a = build_automaton(gen_path(rng, names))
+    return gen_formula(rng, model, names), a, model, recipes.operation_table()

@@ -178,15 +178,6 @@ def test_a_cut_window_is_judged_without_the_oracle(text, status, index, http_mod
         assert len(verdict.witness.steps) == 21  # the whole window
 
 
-def _generated_case(seed: int):
-    rng = random.Random(seed)
-    model = generators.gen_model(rng)
-    recipes = generators.gen_recipes(rng, model)
-    names = sorted(recipes.recipes)
-    a = build_automaton(generators.gen_path(rng, names))
-    return generators.gen_formula(rng, model, names), a, model, recipes.operation_table()
-
-
 @pytest.mark.parametrize("seed, max_steps, period_start, index, violated", [
     # (run Op0)+, after Op0 exceptional always [...]: the violation reported
     # is the first at or after the occurrence at 4, not the period's first
@@ -204,7 +195,7 @@ def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, per
         raise AssertionError("the window walk applied an operation")
 
     monkeypatch.setattr(checker, "apply_evolution", refuse)
-    f, a, c0, ops = _generated_case(seed)
+    f, a, c0, ops = generators.gen_case(seed)
     assert check(f, a, c0, ops).reason == REASON_CYCLE
     window = checker._unfold(a, c0, ops, max_steps)
     assert (len(window.entries), window.period_start) == (max_steps, period_start)
@@ -234,6 +225,58 @@ def test_the_gated_walk_applies_each_transition_it_counts(text, max_steps, base_
     assert 0 < len(applied) == verdict.stats.transitions_applied
     if max_steps is not None:
         assert len(applied) <= max_steps
+
+
+@pytest.mark.parametrize("text, status", [
+    (None, "holds"),  # cacheconnected.ftpl
+    ("before DeleteFileServer normal always [component(FileServer1)]", "holds"),
+    ("after AddFileServer normal eventually [not component(FileServer2)]", "holds"),
+    ("after RemoveCacheHandler normal always [component(CacheHandler)]", "fails"),
+])
+def test_the_walk_looks_up_one_successor_per_transition(text, status, base_automaton,
+                                                        cache_formula, http_recipes,
+                                                        http_model, http_ops, monkeypatch):
+    # each instance's run looks up its next transition once, plus the lookup
+    # that ends it; a failing check replays its witness on top
+    lookups, instances = [], []
+    succ, fresh = checker.PathAutomaton.succ, checker._fresh_marks
+    monkeypatch.setattr(checker.PathAutomaton, "succ",
+                        lambda a, q: lookups.append(q) or succ(a, q))
+    monkeypatch.setattr(checker, "_fresh_marks", lambda a: instances.append(a) or fresh(a))
+    f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
+    verdict = check(f, base_automaton, http_model, http_ops)
+    replayed = len(verdict.witness.steps) - 1 if verdict.is_fails else 0
+    assert verdict.status == status
+    assert instances
+    assert len(lookups) <= verdict.stats.transitions_applied + len(instances) + replayed
+
+
+def test_every_exhausted_instance_unfolding_ends_settled(monkeypatch):
+    # the repeat always comes before the marks stop an eventually or before
+    # run: on gated lassos, and on the windows of gate-refused ones
+    exhausted = {"gated": [], "window": []}
+    kind = "gated"
+    settled = checker._assert_settled
+
+    def watched(run):
+        exhausted[kind].append((run.period_start, run.complete))
+        settled(run)
+
+    monkeypatch.setattr(checker, "_assert_settled", watched)
+    for seed in range(400):
+        f, a, c0, ops = generators.gen_case(seed)
+        try:
+            kind = "gated"
+            refused = check(f, a, c0, ops).reason == REASON_CYCLE
+            kind = "window" if refused else "gated"
+            for max_steps in range(1, 2 * a.n_states + 3):
+                check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
+        except CpEvalError:
+            continue
+    for runs in exhausted.values():
+        assert len(runs) > 100
+        assert all(ps is not None or complete for ps, complete in runs)
+    assert any(ps is not None for ps, _ in exhausted["window"])
 
 
 FLIP_MODEL = "model M { component A { class X param p : int = 0 } }"
@@ -668,6 +711,8 @@ for name, text, corrupt in [
     ("always", "always [true]", lambda a: Forgetful(fresh(a))),
     ("after", "after run normal always [true]",
      lambda a: [checker._Mark.AGAIN] + fresh(a)[1:]),
+    # marks that stop the run at once: the unfolding gets no repeat
+    ("eventually", "eventually [false]", lambda a: [checker._Mark.CHECKED] * a.n_states),
 ]:
     checker._fresh_marks = corrupt
     try:
@@ -687,19 +732,23 @@ def test_mark_order_invariants_hold_under_optimize():
     invariant = ("mark-order invariant: an earlier state is unchecked, "
                  "or checked while this one is unchecked")
     assert proc.stdout.splitlines() == [f"always raised: {invariant}",
-                                        f"after raised: {invariant}"]
+                                        f"after raised: {invariant}",
+                                        f"eventually raised: {_UNSETTLED}"]
 
 
 _INVARIANT = ("mark-order invariant: an earlier state is unchecked, "
               "or checked while this one is unchecked")
+_UNSETTLED = "instance unfolding ended with neither a period nor a terminal state"
 
 
-def _slice_marked_run(walk, q, c):
-    """``checker._marked_run`` testing the invariant against ``marks[:q]``
-    on every step: the reference for the counted form."""
-    marks = checker._fresh_marks(walk.a)
-    start, run = q, walk.run(q, c)
-    while walk.a.succ(q) is not None:
+def _slice_run(walk, q, c):
+    """``checker._Walk.run`` testing the invariant against ``marks[:q]``
+    on every step: the reference for the counted form (unbudgeted)."""
+    assert walk.remaining is None
+    a, taken = walk.a, 0
+    marks = checker._fresh_marks(a)
+    start = q
+    while (nxt := a.succ(q)) is not None:
         mk = marks[q]
         if mk is checker._Mark.CHECKED:
             return
@@ -709,7 +758,14 @@ def _slice_marked_run(walk, q, c):
             raise AssertionError(_INVARIANT)
         marks[q] = checker._Mark.AGAIN if mk is checker._Mark.UNCHECKED \
             else checker._Mark.CHECKED
-        label, q, c = next(run)
+        label, q = nxt
+        c = walk.reach(label, q, c)
+        taken += 1
+        walk.transitions += 1
+        walk.max_instance = max(walk.max_instance, taken)
+        if taken > 2 * a.n_states:
+            raise AssertionError(f"operator instance applied {taken} transitions, "
+                                 f"exceeding 2*|Q| = {2 * a.n_states}")
         yield label, q, c
 
 
@@ -735,10 +791,14 @@ def _corrupted_mark_lists(n):
 def test_counted_mark_order_invariant_matches_the_slice_form(monkeypatch):
     ops = parse_recipes("").operation_table()
     c0 = parse_model("model M { component A { class X } }")
+    # eventually and before instances walk under marks too, so a mark map
+    # that stops their run before its repeat breaks the termination obligation
     formulas = [parse_formula(t) for t in ("always [true]", "after run normal always [true]",
-                                           "after run terminates always [true]")]
-    counted = checker._marked_run
-    compared = raised = 0
+                                           "after run terminates always [true]",
+                                           "eventually [false]",
+                                           "before run normal always [true]")]
+    counted = checker._Walk.run
+    compared = raised = unsettled = 0
     for n_prefix, n_cycle in itertools.product(range(3), range(4)):
         if n_prefix == n_cycle == 0:
             continue
@@ -750,8 +810,8 @@ def test_counted_mark_order_invariant_matches_the_slice_form(monkeypatch):
             monkeypatch.setattr(checker, "_fresh_marks", fresh)
             for f in formulas:
                 outcomes = []
-                for marked_run in (counted, _slice_marked_run):
-                    monkeypatch.setattr(checker, "_marked_run", marked_run)
+                for run in (counted, _slice_run):
+                    monkeypatch.setattr(checker._Walk, "run", run)
                     try:
                         v = check(f, a, c0, ops)
                         outcomes.append((v.status, v.stats))
@@ -760,8 +820,10 @@ def test_counted_mark_order_invariant_matches_the_slice_form(monkeypatch):
                 assert outcomes[0] == outcomes[1], (text, f, outcomes)
                 compared += 1
                 raised += outcomes[0] == ("raised", _INVARIANT)
-    assert compared == 1725
+                unsettled += outcomes[0] == ("raised", _UNSETTLED)
+    assert compared == 2875
     assert raised > 0
+    assert unsettled > 0
 
 
 def test_mark_order_invariant_reads_each_mark_a_bounded_number_of_times(monkeypatch):

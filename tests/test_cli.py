@@ -574,3 +574,17 @@ def test_an_internal_error_exits_eight_not_fails(samples_dir, capsys, monkeypatc
     assert err.startswith("Traceback (most recent call last):\n")
     assert f"{type(error).__name__}: {error}\n" in err
     assert err.endswith("error: internal error, no verdict was reached\n")
+
+
+def test_marks_that_stop_an_unfolding_early_exit_eight(samples_dir, capsys, monkeypatch):
+    # marks that allow one pass stop an eventually run before its repeat:
+    # the termination obligation raises, and no verdict is reported
+    from reconfcheck import checker, cli
+
+    monkeypatch.setattr(checker, "_fresh_marks", lambda a: [checker._Mark.AGAIN] * a.n_states)
+    args = _check_args(samples_dir, "--formula", "eventually [false]")
+    assert cli.run_cli(args) == cli.EXIT_INTERNAL_ERROR == 8
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("AssertionError: instance unfolding ended with neither a period "
+            "nor a terminal state\n") in err

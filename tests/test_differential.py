@@ -1,29 +1,18 @@
 """The checker against the brute-force oracle, unbounded and under every
 step budget up to 2·|Q|, on generated lassos and formulas."""
 
-import random
-
 from hypothesis import assume, given, settings, strategies as st
 
-from reconfcheck import CpEvalError, build_automaton, check, oracle_verdict
+from reconfcheck import CpEvalError, check, oracle_verdict
 from reconfcheck.checker import CheckOptions, REASON_BUDGET, REASON_CYCLE
 
 import generators
 
 
-def _case(seed: int):
-    rng = random.Random(seed)
-    model = generators.gen_model(rng)
-    recipes = generators.gen_recipes(rng, model)
-    names = sorted(recipes.recipes)
-    a = build_automaton(generators.gen_path(rng, names))
-    return generators.gen_formula(rng, model, names), a, model, recipes.operation_table()
-
-
 @settings(max_examples=250)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_every_budget_agrees_with_the_oracle(seed):
-    f, a, c0, ops = _case(seed)
+    f, a, c0, ops = generators.gen_case(seed)
     try:
         unbounded = check(f, a, c0, ops)
         bounded = [check(f, a, c0, ops, CheckOptions(max_steps=k))

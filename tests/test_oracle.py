@@ -40,15 +40,6 @@ def reference_oracle_verdict(f, a, c0, ops):
     return value
 
 
-def _generated_case(seed: int):
-    rng = random.Random(seed)
-    model = generators.gen_model(rng)
-    recipes = generators.gen_recipes(rng, model)
-    names = sorted(recipes.recipes)
-    a = build_automaton(generators.gen_path(rng, names))
-    return generators.gen_formula(rng, model, names), a, model, recipes.operation_table()
-
-
 def test_finite_path_unfolds_completely(http_model, http_ops):
     a = build_automaton(parse_path("run RemoveCacheHandler AddCacheHandler"))
     l = unfold_to_lasso(a, http_model, http_ops)
@@ -183,7 +174,7 @@ def test_oracle_entry_model_matches_engine(http_model, http_ops, base_automaton)
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_windowed_verdict_equals_the_two_pass_reference(seed):
-    f, a, c0, ops = _generated_case(seed)
+    f, a, c0, ops = generators.gen_case(seed)
     try:
         expected = reference_oracle_verdict(f, a, c0, ops)
     except CpEvalError:
@@ -206,7 +197,7 @@ def test_generated_verdicts_are_decided_by_truncated_windows_too(monkeypatch):
     monkeypatch.setattr(oracle, "oracle_eval", recorded)
     early = 0
     for seed in range(300):
-        f, a, c0, ops = _generated_case(seed)
+        f, a, c0, ops = generators.gen_case(seed)
         seen.clear()
         try:
             oracle_verdict(f, a, c0, ops)
@@ -493,7 +484,7 @@ def test_the_pass_matching_the_gate_evaluates_once(monkeypatch):
     calls = _top_level_evaluations(monkeypatch)
     passes = {False: 0, True: 0}
     for seed in range(600):
-        f, a, c0, ops = _generated_case(seed)
+        f, a, c0, ops = generators.gen_case(seed)
         if not a.has_cycle:
             continue
         entry = cycle_entry_model(a, c0, ops)
