@@ -8,12 +8,18 @@ any check takes at most 2|Q| transitions per instance; ``eventually`` and
 reaches the configuration the walk is handed: an operation applied, or a
 window model.
 
-Soundness over the repeated cycle rests on an idempotence gate: before
-checking a formula on a lasso, the composed cycle is applied twice at its
-entry configuration and the results compared (parameter values erased when
-the formula never reads parameters).  A cycle failing the gate yields an
-``unknown`` verdict unless a step budget is set: the same walk then judges
-the window explored within the budget, as a lasso or as a cut path.
+Soundness over the repeated cycle rests on an idempotence gate: the
+composed cycle F must satisfy F(F(e)) = F(e) at its entry configuration e
+(parameter values erased when the formula never reads parameters).  F(e)
+and F(F(e)) are positions of the run from the initial state, so the gate
+reads them off the walk as it goes (``_Gate``); only when the walk ends
+before reaching F(F(e)) does the gate apply the rest of the way itself.  A
+cycle failing the gate yields an ``unknown`` verdict unless a step budget is
+set: the same walk then judges the window explored within the budget, as a
+lasso or as a cut path.
+
+The step budget is charged for the walk's transitions only, never for the
+gate's own applications or a witness's replay.
 """
 
 from __future__ import annotations
@@ -42,13 +48,14 @@ from .ftpl import (
 )
 # the walk compiles properties and the unfolder erases parameter values; the
 # names stay importable because perfbench/tracer.py rebinds them in this module
-from .model import CompiledCp, ComponentModel, ConfigProperty, compile_cp, \
+from .model import CompiledCp, ComponentModel, ConfigProperty, CpEvalError, compile_cp, \
     erase_param_values, eval_cp, validate_model  # noqa: F401
 # oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
 from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict  # noqa: F401
 from .pathspec import PathAutomaton, PathExpr, residual_from
+# is_idempotent_sequence stays importable because perfbench/tracer.py rebinds it here
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
-    is_idempotent_sequence, run_path
+    is_idempotent_sequence, run_path  # noqa: F401
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -90,8 +97,9 @@ class CheckStats:
 
 @dataclass(frozen=True)
 class CheckOptions:
-    """max_steps bounds the total transitions applied while exploring (the
-    idempotence gate's own applications are not charged against it)."""
+    """max_steps bounds the total transitions the walk takes while exploring;
+    the applications the idempotence gate makes past the walk's end, and a
+    witness's replay, are not charged against it."""
 
     max_steps: Optional[int] = None
     oracle_crosscheck: bool = False
@@ -145,6 +153,55 @@ class _Budget(Exception):
         self.model = model
 
 
+class _Refused(Exception):
+    """The idempotence gate refused the cycle: the walk stops at once."""
+
+
+class _Gate:
+    """The idempotence gate, read off the run the walk takes.
+
+    The cycle's entry e is run position P, the prefix length, so F(e) and
+    F(F(e)) are positions P+|C| and P+2|C|.  ``see`` takes every
+    configuration the walk reaches; the gate keeps F(e) and the furthest
+    position reached with its state, and at P+2|C| compares as
+    ``reconfig.is_idempotent_sequence`` does, erased when ``erased``.
+    """
+
+    def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
+                 c0: ComponentModel, erased: bool):
+        self.a, self.ops, self.erased = a, ops, erased
+        self.once_at = a.n_states  # P + |C|
+        self.twice_at = 2 * a.n_states - a.back_target  # P + 2|C|
+        self.pos, self.q, self.c = 0, 0, c0  # the furthest position reached
+        self.once: Optional[ComponentModel] = None
+        self.admits: Optional[bool] = None
+
+    def see(self, pos: int, q: int, c: ComponentModel) -> Optional[bool]:
+        """Takes configuration ``c``, reached at state ``q`` and run position
+        ``pos``; returns whether the gate admits, None while undecided."""
+        # positions are reached in order from 0, so one past the furthest is new
+        if self.admits is None and pos > self.pos:
+            self.pos, self.q, self.c = pos, q, c
+            if pos == self.once_at:
+                self.once = c
+            elif pos == self.twice_at:
+                once, twice = self.once, c
+                if self.erased:
+                    once, twice = erase_param_values(once), erase_param_values(twice)
+                self.admits = once == twice
+                self.once = self.c = None
+        return self.admits
+
+    def decide(self) -> bool:
+        """Whether the gate admits the cycle.  A walk that ended before
+        P+2|C| leaves the run from the furthest position on to apply here."""
+        if self.admits is None:
+            run = islice(run_path(self.a, self.ops, self.q, self.c), self.twice_at - self.pos)
+            for pos, (_label, q, c) in enumerate(run, self.pos + 1):
+                self.see(pos, q, c)
+        return self.admits
+
+
 class _Mark(enum.Enum):
     UNCHECKED = "unchecked"
     AGAIN = "again"
@@ -169,27 +226,29 @@ class _Walk:
     """
 
     def __init__(self, a: PathAutomaton, reach: Callable[..., ComponentModel],
-                 max_steps: Optional[int], erased: bool = False):
+                 max_steps: Optional[int], erased: bool = False, gate: Optional[_Gate] = None):
         self.a = a
         self.reach = reach
         self.remaining = max_steps
         self.erased = erased
+        self.gate = gate
         self.transitions = 0
         self.cp_evals = 0
         self.max_instance = 0
         self.compiled: dict[ConfigProperty, CompiledCp] = {}
 
-    def run(self, q: int, c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
-        """The transitions one operator instance takes from (q, c), as
-        (label, target, ``reach(label, target, c)``).
+    def run(self, q: int, c: ComponentModel, pos: int) -> Iterator[tuple[str, int, ComponentModel]]:
+        """The transitions one operator instance takes from (q, c) at run
+        position ``pos``, as (label, target, ``reach(label, target, c)``).
 
         Each state is marked ``unchecked -> again -> checked`` as it is left,
         so the run ends at a terminal state or at a state left twice: an
         operation may change the model on one pass and not the next, and the
         second pass's configurations repeat forever after (given the gate).
         Each transition is charged against the step budget before it is
-        taken, counted, and held to the instance's 2·|Q| bound."""
-        a, taken = self.a, 0
+        taken, shown to the gate, counted, and held to the instance's 2·|Q|
+        bound."""
+        a, gate, taken = self.a, self.gate, 0
         marks = _fresh_marks(a)
         start, earlier = q, Counter()  # the marks of the states before q
         while (nxt := a.succ(q)) is not None:
@@ -209,7 +268,9 @@ class _Walk:
                     raise _Budget(q, c)
                 self.remaining -= 1
             label, q2 = nxt
-            c = self.reach(label, q2, c)
+            c, pos = self.reach(label, q2, c), pos + 1
+            if gate is not None and gate.see(pos, q2, c) is False:
+                raise _Refused()
             if q2 <= q:  # the back edge: recount once per lap
                 earlier = Counter(marks[:q2])
             q = q2
@@ -223,12 +284,12 @@ class _Walk:
                                      f"exceeding 2*|Q| = {2 * a.n_states}")
             yield label, q, c
 
-    def unfold(self, q: int, c: ComponentModel) -> Unfolding:
-        """The run from (q, c) as one operator instance walks it.  Its repeat
+    def unfold(self, q: int, c: ComponentModel, pos: int) -> Unfolding:
+        """The run from (q, c) at position ``pos`` as one operator instance walks it.  Its repeat
         comes before the marks stop it: under the gate, the transition into
         two laps past the entry leaves a state for the second time, and on a
         window every configuration repeats one lap later."""
-        return Unfolding(self.a, q, c, self.run(q, c), erased=self.erased)
+        return Unfolding(self.a, q, c, self.run(q, c, pos), erased=self.erased)
 
     def eval_cp(self, cp: ConfigProperty, c: ComponentModel) -> bool:
         self.cp_evals += 1
@@ -266,7 +327,7 @@ def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int):
     """
     collect_all = not is_suffix_monotone(f.inner)
     pending: list[tuple[int, ComponentModel, int]] = []
-    for pos, (label, q2, c2) in enumerate(walk.run(q, c), pos + 1):
+    for pos, (label, q2, c2) in enumerate(walk.run(q, c, pos), pos + 1):
         if event_holds(c, c2, label, f.event, pos):
             pending.append((q2, c2, pos))
             if not collect_all:
@@ -279,7 +340,7 @@ def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int):
 
 def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos: int):
     """Check ``cp`` on (q, c) and on every configuration of its marked run."""
-    run = (c2 for _label, _q, c2 in walk.run(q, c))
+    run = (c2 for _label, _q, c2 in walk.run(q, c, pos))
     for pos, c in enumerate(chain([c], run), pos):
         if not walk.eval_cp(cp, c):
             raise _Violation(pos, f"always [{print_cp(cp)}] violated")
@@ -297,7 +358,7 @@ def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel,
     Unfolds until the (state, model) pair repeats or the path ends; each
     state is applied at most twice on the way.
     """
-    run = walk.unfold(q, c)
+    run = walk.unfold(q, c, pos)
     for i, (_q, _label, c) in enumerate(run):
         if walk.eval_cp(cp, c):
             return
@@ -324,7 +385,7 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
     event compares erased models too, as a wrapped representative may
     differ from the true configuration in its parameters.
     """
-    run = walk.unfold(q, c)
+    run = walk.unfold(q, c, pos)
     states, _labels, models = zip(*run)
     _assert_settled(run)
     keys, ps, n = run.keys, run.period_start, len(models)
@@ -418,6 +479,41 @@ def _witness(configs: Iterable[tuple[int, str, ComponentModel]], index: int,
     return TraceWitness(steps, index, violated)
 
 
+def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
+                   ops: Mapping[str, EvolutionOperation], walk: _Walk,
+                   gate: Optional[_Gate]) -> Optional[Verdict]:
+    """The walk's verdict from the initial state, or None if the gate refuses.
+
+    The walk judges before the gate decides, and that is sound: the walk
+    never reads the gate's answer, and what rests on the gate (an instance
+    unfolding's repeat, ``_assert_settled``, the 2·|Q| bound) is reached
+    only once that instance has passed position P+2|C|, where the gate has
+    decided and a refusal has stopped the walk.  So the walk's outcome, an
+    evaluation error included, stands only if the gate admits.
+    """
+    try:
+        _eval_formula(f, walk, 0, c0, 0)
+        verdict = Verdict(HOLDS, stats=walk.stats())
+    except _Violation as v:
+        if gate is not None and not gate.decide():
+            return None
+        # v, and the walk's frames its traceback holds, go when this returns, before the oracle
+        witness = _witness(_replay(a, ops, c0, v.length), v.index, v.violated)
+        return Verdict(FAILS, witness=witness, stats=walk.stats())
+    except _Budget as b:
+        verdict = Verdict(UNKNOWN, reason=REASON_BUDGET, residual=residual_from(a, b.state),
+                          reached=b.model, stats=walk.stats())
+    except _Refused:
+        return None
+    except (CpEvalError, RecursionError):  # evaluating a property
+        if gate is not None and not gate.decide():
+            return None
+        raise
+    if gate is not None and not gate.decide():
+        return None
+    return verdict
+
+
 def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
           ops: Mapping[str, EvolutionOperation],
           opts: Optional[CheckOptions] = None) -> Verdict:
@@ -446,32 +542,16 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     # property leaves nor through events on parameter-updating operations)
     # may ignore parameter drift when judging cycle idempotence
     erased = a.has_cycle and erasure_invariant(f, ops)
-    gate_ok = True
-    if a.has_cycle:
-        entry = cycle_entry_model(a, c0, ops)
-        cycle_ops = [ops[l] for l in a.cycle_labels()]
-        gate_ok = is_idempotent_sequence(cycle_ops, entry, ignore_params=erased)
-
-    if not gate_ok and opts.max_steps is None:
-        # nothing was explored: the residual is the whole path
+    gate = _Gate(a, ops, c0, erased) if a.has_cycle else None
+    # apply_evolution is read per call, so perfbench/tracer.py's rebinding counts the walk
+    walk = _Walk(a, lambda label, _q, c: apply_evolution(ops[label], c).result,
+                 opts.max_steps, erased=erased, gate=gate)
+    verdict = _gated_verdict(f, a, c0, ops, walk, gate)
+    if verdict is None and opts.max_steps is None:
+        # nothing explored counts: the residual is the whole path
         return Verdict(UNKNOWN, reason=REASON_CYCLE, residual=residual_from(a, 0),
                        reached=c0, stats=CheckStats(0, 0, 0))
-
-    if gate_ok:
-        # apply_evolution is read per call, so perfbench/tracer.py's rebinding counts the walk
-        walk = _Walk(a, lambda label, _q, c: apply_evolution(ops[label], c).result,
-                     opts.max_steps, erased=erased)
-        try:
-            _eval_formula(f, walk, 0, c0, 0)
-            verdict = Verdict(HOLDS, stats=walk.stats())
-        except _Violation as v:
-            witness = _witness(_replay(a, ops, c0, v.length), v.index, v.violated)
-            verdict = Verdict(FAILS, witness=witness, stats=walk.stats())
-        except _Budget as b:
-            verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
-                              residual=residual_from(a, b.state), reached=b.model,
-                              stats=walk.stats())
-    else:
+    if verdict is None:
         # a non-idempotent cycle, bounded: the window repeats exactly or is cut by the budget
         lasso = _unfold(a, c0, ops, opts.max_steps)
         entries, ps, n = lasso.entries, lasso.period_start, len(lasso.entries)
@@ -482,7 +562,9 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
             _eval_formula(f, walk, 0, c0, 0)
             v = None
         except _Violation as violation:
-            v = violation
+            # its fields: v's traceback holds this frame, so keeping v would keep the
+            # window in a reference cycle until the cyclic collector runs
+            v = (violation.index, violation.violated)
         stats, last = CheckStats(n - 1, walk.cp_evals, n - 1), entries[-1]
         if ps is None and not _witnessed(f, v is None):
             verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
@@ -491,9 +573,10 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         elif v is None:
             verdict = Verdict(HOLDS, stats=stats)
         else:
-            i = v.index if v.index < n else ps + (v.index - ps) % (n - ps)  # into the period
+            index, violated = v
+            i = index if index < n else ps + (index - ps) % (n - ps)  # into the period
             witness = _witness(((s.state, s.incoming_label or "", s.model)
-                                for s in entries), i, v.violated)
+                                for s in entries), i, violated)
             verdict = Verdict(FAILS, witness=witness, stats=stats)
 
     if opts.oracle_crosscheck and verdict.status in (HOLDS, FAILS):

@@ -382,7 +382,8 @@ class Unfolding:
             same.append(len(self.keys))
             self.keys.append(k)
             yield q, label, c
-        self.complete = a.succ(q) is None
+        # the stream looked q's successor up already: only a finite path's last state has none
+        self.complete = a.back_target is None and q == a.q_max
 
 
 def operation_table(recipes: Mapping[str, Sequence[Primitive]]) -> dict[str, EvolutionOperation]:

@@ -284,3 +284,19 @@ def gen_case(seed: int):
     names = sorted(recipes.recipes)
     a = build_automaton(gen_path(rng, names))
     return gen_formula(rng, model, names), a, model, recipes.operation_table()
+
+
+def _with_ill_formed_leaves(rng: random.Random, f, m: ComponentModel):
+    """``f`` with every property leaf replaced by a :func:`gen_ill_formed_cp` draw."""
+    if isinstance(f, After):
+        return After(f.event, _with_ill_formed_leaves(rng, f.inner, m))
+    if isinstance(f, Before):
+        return Before(f.event, type(f.trace)(gen_ill_formed_cp(rng, m)))
+    return type(f)(gen_ill_formed_cp(rng, m))
+
+
+def gen_ill_formed_case(seed: int):
+    """:func:`gen_case` of one seed, its formula's properties drawn ill-formed
+    by a generator of their own, so the path, model and operations are kept."""
+    f, a, c0, ops = gen_case(seed)
+    return _with_ill_formed_leaves(random.Random(f"ill-formed {seed}"), f, c0), a, c0, ops

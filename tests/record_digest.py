@@ -9,8 +9,12 @@ status, witness, reason, residual, reached configuration and stats, or the
 class and message of the exception it raised.  The records are grouped by
 class (holds, fails, unknown, error) and each group is digested in seed
 order, so a change that alters any verdict, witness or counter changes a
-digest.  ``tests/record_digest.txt`` holds the digests; CI compares the
-output with it.
+digest.  A second record set, digested on lines of its own, checks the same
+cases with every property leaf drawn ill-formed
+(``generators.gen_ill_formed_case``), so the message of a ``CpEvalError``
+and the point where a check raises it, or a refused cycle that keeps it from
+being raised, are pinned too.  ``tests/record_digest.txt`` holds the
+digests; CI compares the output with it.
 
 The file name keeps it out of pytest collection.  Model reprs list
 frozensets, whose order follows string hashes, so the runner refuses to
@@ -33,11 +37,12 @@ from reconfcheck.checker import CheckOptions  # noqa: E402
 
 CLASSES = ("holds", "fails", "unknown", "error")
 SEEDS = range(10000)
+ILL_FORMED_SEEDS = range(10000)
 
 
-def records(seed: int):
+def records(seed: int, case=generators.gen_case):
     """(class, record text) for every check of one seed."""
-    f, a, c0, ops = generators.gen_case(seed)
+    f, a, c0, ops = case(seed)
     for max_steps in (None, *range(1, 2 * a.n_states + 3)):
         for crosscheck in (False, True):
             head = f"{seed} {max_steps} {crosscheck}"
@@ -54,16 +59,22 @@ def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("error: set PYTHONHASHSEED=0: model reprs follow string hashes", file=sys.stderr)
         return 2
+    digest(SEEDS)
+    digest(ILL_FORMED_SEEDS, generators.gen_ill_formed_case, "ill-formed ")
+    return 0
+
+
+def digest(seeds: range, case=generators.gen_case, title: str = "") -> None:
+    """Print the seed range and one count and SHA-256 per class, each line led by ``title``."""
     digests = {cls: hashlib.sha256() for cls in CLASSES}
     counts = dict.fromkeys(CLASSES, 0)
-    for seed in SEEDS:
-        for cls, text in records(seed):
+    for seed in seeds:
+        for cls, text in records(seed, case):
             digests[cls].update(text.encode() + b"\n")
             counts[cls] += 1
-    print(f"seeds {SEEDS[0]}..{SEEDS[-1]}")
+    print(f"{title}seeds {seeds[0]}..{seeds[-1]}")
     for cls in CLASSES:
-        print(f"{cls} {counts[cls]} {digests[cls].hexdigest()}")
-    return 0
+        print(f"{title}{cls} {counts[cls]} {digests[cls].hexdigest()}")
 
 
 if __name__ == "__main__":

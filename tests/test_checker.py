@@ -144,6 +144,23 @@ def test_after_over_a_non_monotone_inner_on_a_cut_window(crosscheck, http_model,
                                         "in preceding segment")
 
 
+def _walk_applications_until_the_window(monkeypatch) -> list:
+    """Count the gated walk's applications, and make any once the gate-refused
+    window is unfolded raise: the window walk reads the models ``_unfold`` built."""
+    walked, window = [], []
+    unfold = checker._unfold
+    monkeypatch.setattr(checker, "_unfold", lambda *args: window.append(args) or unfold(*args))
+
+    def apply(op, c):
+        if window:
+            raise AssertionError("the window walk applied an operation")
+        walked.append(op)
+        return apply_evolution(op, c)
+
+    monkeypatch.setattr(checker, "apply_evolution", apply)
+    return walked
+
+
 @pytest.mark.parametrize("text, status, index", [
     ("eventually [RequestHandler.deviation = 55]", "holds", None),
     ("eventually [RequestHandler.deviation > 99]", "unknown", None),
@@ -160,14 +177,16 @@ def test_a_cut_window_is_judged_without_the_oracle(text, status, index, http_mod
 
     monkeypatch.setattr(checker, "oracle_eval_detailed", refuse)
     monkeypatch.setattr(oracle, "_ev", refuse)
-    # the walk reads the window's models: each window transition is applied once, by _unfold
-    monkeypatch.setattr(checker, "apply_evolution", refuse)
+    # each window transition is applied once, by _unfold, and the walk reads its models
+    walked = _walk_applications_until_the_window(monkeypatch)
     applied = []
     monkeypatch.setattr(reconfig, "apply_evolution",
                         lambda op, c: applied.append(op) or apply_evolution(op, c))
     a = build_automaton(parse_path("(DeviationUp)+"))
     verdict = check(parse_formula(text), a, http_model, http_ops, CheckOptions(max_steps=20))
-    assert len(applied) == 2 + 20  # the gate's two laps, then the window
+    # the run to the gate's refusal at P+2|C| = 2, walked or applied by the gate, then the window
+    assert len(walked) + len(applied) == 2 + 20
+    assert len(applied) >= 20
     assert verdict.status == status
     if status == "unknown":
         assert verdict.reason == REASON_BUDGET
@@ -191,14 +210,11 @@ def test_a_cut_window_is_judged_without_the_oracle(text, status, index, http_mod
 ])
 def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, period_start,
                                                            index, violated, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the window walk applied an operation")
-
-    monkeypatch.setattr(checker, "apply_evolution", refuse)
     f, a, c0, ops = generators.gen_case(seed)
     assert check(f, a, c0, ops).reason == REASON_CYCLE
     window = checker._unfold(a, c0, ops, max_steps)
     assert (len(window.entries), window.period_start) == (max_steps, period_start)
+    _walk_applications_until_the_window(monkeypatch)
     verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps, oracle_crosscheck=True))
     assert verdict.status == "fails"
     assert (verdict.witness.violation_index, verdict.witness.violated) == (index, violated)
@@ -227,28 +243,113 @@ def test_the_gated_walk_applies_each_transition_it_counts(text, max_steps, base_
         assert len(applied) <= max_steps
 
 
-@pytest.mark.parametrize("text, status", [
-    (None, "holds"),  # cacheconnected.ftpl
-    ("before DeleteFileServer normal always [component(FileServer1)]", "holds"),
-    ("after AddFileServer normal eventually [not component(FileServer2)]", "holds"),
-    ("after RemoveCacheHandler normal always [component(CacheHandler)]", "fails"),
+def _count_applications(monkeypatch) -> tuple[list, list]:
+    """The operations the walk applies, and those run_path applies: the
+    gate's own applications, a witness's replay and a window's unfolding."""
+    walked, stepped = [], []
+    monkeypatch.setattr(checker, "apply_evolution",
+                        lambda op, c: walked.append(op) or apply_evolution(op, c))
+    monkeypatch.setattr(reconfig, "apply_evolution",
+                        lambda op, c: stepped.append(op) or apply_evolution(op, c))
+    return walked, stepped
+
+
+@pytest.mark.parametrize("text", [
+    "always [true]",
+    None,  # cacheconnected.ftpl: the inner instance walks on from the first occurrence
+    "after RemoveCacheHandler normal always [component(RequestHandler)]",
 ])
-def test_the_walk_looks_up_one_successor_per_transition(text, status, base_automaton,
+def test_the_gate_reads_the_run_a_top_instance_walks_past_its_decision(
+        text, base_automaton, cache_formula, http_recipes, http_model, http_ops, monkeypatch):
+    # the walk reaches P+2|C|, where the gate compares two of its configurations
+    walked, stepped = _count_applications(monkeypatch)
+    f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
+    verdict = check(f, base_automaton, http_model, http_ops)
+    a = base_automaton
+    assert verdict.is_holds
+    assert stepped == []
+    assert len(walked) == verdict.stats.transitions_applied >= 2 * a.n_states - a.back_target
+
+
+def test_a_check_applies_its_walk_the_rest_of_the_gate_and_its_replay(monkeypatch):
+    rests = []
+    decide = checker._Gate.decide
+
+    def deciding(gate):
+        rests.append(gate.twice_at - gate.pos if gate.admits is None else 0)
+        return decide(gate)
+
+    monkeypatch.setattr(checker._Gate, "decide", deciding)
+    windows = []
+    unfold = checker._unfold
+    monkeypatch.setattr(checker, "_unfold", lambda *args: windows.append(args) or unfold(*args))
+    kinds = dict.fromkeys(("refused", "read", "rest"), 0)
+    for seed in range(300):
+        f, a, c0, ops = generators.gen_case(seed)
+        twice_at = 2 * a.n_states - a.back_target if a.has_cycle else 0  # P+2|C|
+        for max_steps in (None, 1, a.n_states):
+            walked, stepped = _count_applications(monkeypatch)
+            rests.clear()
+            windows.clear()
+            try:
+                verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
+            except CpEvalError:
+                continue
+            if verdict.reason == REASON_CYCLE:
+                kinds["refused"] += 1
+                assert len(walked) + len(stepped) <= twice_at
+                assert verdict.stats == checker.CheckStats(0, 0, 0)
+                continue
+            if windows:
+                continue  # a gate-refused window, unfolded by run_path
+            replayed = len(verdict.witness.steps) - 1 if verdict.is_fails else 0
+            rest = sum(rests)
+            kinds["rest" if rest else "read"] += 1
+            assert len(walked) == verdict.stats.transitions_applied
+            assert len(stepped) == rest + replayed
+            assert rest <= twice_at
+    assert min(kinds.values()) > 20, kinds
+
+
+FINITE_PATH ="run RemoveCacheHandler AddCacheHandler AddFileServer DeleteFileServer"
+
+
+@pytest.mark.parametrize("path, text, status", [
+    pytest.param(path, text, status, id=f"{text}-{status}" + ("-finite" if path else ""))
+    for path, text, status in [
+        (None, None, "holds"),  # server.rp, cacheconnected.ftpl
+        (None, "before DeleteFileServer normal always [component(FileServer1)]", "holds"),
+        (None, "after AddFileServer normal eventually [not component(FileServer2)]", "holds"),
+        (None, "after RemoveCacheHandler normal always [component(CacheHandler)]", "fails"),
+        # an eventually or before instance that reaches a finite path's end
+        (FINITE_PATH, "eventually [component(FileServer3)]", "fails"),
+        (FINITE_PATH, "before run terminates always [component(FileServer1)]", "holds"),
+        (FINITE_PATH, "after AddFileServer normal eventually [component(FileServer3)]", "fails"),
+    ]
+])
+def test_the_walk_looks_up_one_successor_per_transition(path, text, status, base_automaton,
                                                         cache_formula, http_recipes,
                                                         http_model, http_ops, monkeypatch):
     # each instance's run looks up its next transition once, plus the lookup
-    # that ends it; a failing check replays its witness on top
-    lookups, instances = [], []
+    # that ends it; the gate's own applications past the walk's end and a
+    # failing check's witness replay step run_path, one lookup per application
+    lookups, instances, stepped = [], [], []
     succ, fresh = checker.PathAutomaton.succ, checker._fresh_marks
     monkeypatch.setattr(checker.PathAutomaton, "succ",
                         lambda a, q: lookups.append(q) or succ(a, q))
     monkeypatch.setattr(checker, "_fresh_marks", lambda a: instances.append(a) or fresh(a))
+    monkeypatch.setattr(reconfig, "apply_evolution",
+                        lambda op, c: stepped.append(op) or apply_evolution(op, c))
+    a = base_automaton if path is None else build_automaton(parse_path(path))
     f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
-    verdict = check(f, base_automaton, http_model, http_ops)
+    verdict = check(f, a, http_model, http_ops)
     replayed = len(verdict.witness.steps) - 1 if verdict.is_fails else 0
     assert verdict.status == status
     assert instances
-    assert len(lookups) <= verdict.stats.transitions_applied + len(instances) + replayed
+    assert replayed <= len(stepped)
+    assert len(lookups) <= verdict.stats.transitions_applied + len(instances) + len(stepped)
+    if not a.has_cycle:
+        assert len(stepped) == replayed  # no gate
 
 
 def test_every_exhausted_instance_unfolding_ends_settled(monkeypatch):
@@ -472,6 +573,22 @@ def test_cp_resolution_error_propagates(http_model, http_ops):
     a = build_automaton(parse_path("run"))
     with pytest.raises(CpEvalError):
         check(f, a, http_model, http_ops)
+
+
+@pytest.mark.parametrize("path, refused", [("(DeviationUp)+", True), ("(DeviationReset)+", False)])
+def test_an_evaluation_error_stands_only_if_the_gate_admits(path, refused, http_model, http_ops):
+    # the walk evaluates the property at position 0, before the gate decides at 2
+    f = parse_formula("always [RequestHandler.deviation < 60 and started(Nope)]")
+    a = build_automaton(parse_path(path))
+    if not refused:
+        with pytest.raises(CpEvalError, match="unknown component 'Nope'"):
+            check(f, a, http_model, http_ops)
+        return
+    verdict = check(f, a, http_model, http_ops)
+    assert (verdict.reason, verdict.stats) == (REASON_CYCLE, checker.CheckStats(0, 0, 0))
+    # the window walk evaluates it again, and there it stands
+    with pytest.raises(CpEvalError, match="unknown component 'Nope'"):
+        check(f, a, http_model, http_ops, CheckOptions(max_steps=4))
 
 
 def test_oracle_crosscheck_option(http_model, http_ops, base_automaton, cache_formula):
@@ -741,7 +858,7 @@ _INVARIANT = ("mark-order invariant: an earlier state is unchecked, "
 _UNSETTLED = "instance unfolding ended with neither a period nor a terminal state"
 
 
-def _slice_run(walk, q, c):
+def _slice_run(walk, q, c, pos):
     """``checker._Walk.run`` testing the invariant against ``marks[:q]``
     on every step: the reference for the counted form (unbudgeted)."""
     assert walk.remaining is None
@@ -759,7 +876,9 @@ def _slice_run(walk, q, c):
         marks[q] = checker._Mark.AGAIN if mk is checker._Mark.UNCHECKED \
             else checker._Mark.CHECKED
         label, q = nxt
-        c = walk.reach(label, q, c)
+        c, pos = walk.reach(label, q, c), pos + 1
+        if walk.gate is not None and walk.gate.see(pos, q, c) is False:
+            raise checker._Refused()
         taken += 1
         walk.transitions += 1
         walk.max_instance = max(walk.max_instance, taken)
