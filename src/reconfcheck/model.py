@@ -91,15 +91,129 @@ class Delegation:
     inner_port: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class ComponentModel:
     name: str
     components: dict[str, Component] = field(default_factory=dict)
     bindings: frozenset[Binding] = frozenset()
     delegations: frozenset[Delegation] = frozenset()
 
-    # see component_sum: a class attribute, never a field, like Component._hash
-    _component_sum = None
+    # kept, not compared or printed, and never copied by dataclasses.replace:
+    # the sum of component_sum, and the ModelIndex of the newest model of a run
+    _component_sum: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _index: Optional[ModelIndex] = field(default=None, init=False, repr=False, compare=False)
+
+
+def link(links: dict[str, tuple[Binding, ...]], b: Binding) -> None:
+    """Add binding ``b`` to the ``links`` part of a :class:`ModelIndex`."""
+    out_component, in_component = b.out_component, b.in_component
+    links[out_component] = links.get(out_component, ()) + (b,)
+    if in_component != out_component:
+        links[in_component] = links.get(in_component, ()) + (b,)
+
+
+def unlink(links: dict[str, tuple[Binding, ...]], cid: str, b: Binding) -> None:
+    """Drop binding ``b`` from the links of component ``cid``."""
+    bs = links[cid]
+    if len(bs) == 1:
+        del links[cid]
+    else:
+        i = bs.index(b)
+        links[cid] = bs[:i] + bs[i + 1:]
+
+
+def _links(m: ComponentModel) -> dict[str, tuple[Binding, ...]]:
+    links: dict[str, tuple[Binding, ...]] = {}
+    for b in m.bindings:
+        link(links, b)
+    return links
+
+
+def _classes(m: ComponentModel) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for c in m.components.values():
+        counts[c.cls] = counts.get(c.cls, 0) + 1
+    return counts
+
+
+# how each part of a ModelIndex is built from its model
+_BUILDERS: dict[str, Callable[[ComponentModel], object]] = {
+    "stopped": lambda m: {cid for cid, c in m.components.items() if c.state != STARTED},
+    "links": _links,
+    "parents": lambda m: {cid for cid, c in m.components.items() if c.contains},
+    "holders": lambda m: {cid for cid, c in m.components.items() if c.params},
+    "classes": _classes,
+}
+
+
+class ModelIndex:
+    """What operations look up in a model, so that each costs what it changes.
+
+    Five parts, each None until first asked for (:meth:`part`): ``stopped``,
+    the ids of the components that are not started; ``links``, the bindings
+    of each component that has any; ``parents``, the ids of the components
+    that have children; ``holders``, the ids of the components that have
+    parameters; and ``classes``, the number of components of each class.
+
+    Only the newest model of a run holds its index.  An operation takes its
+    input's index, or a new one when the input holds none, builds the parts
+    it looks up, updates in place the parts it changes, and
+    :func:`derive_model` moves the index to its output.  So a run keeps one
+    index, which is built part by part once, and the models a caller keeps
+    hold none.  Readers that derive no model (erasure, local quantifiers)
+    use the index of a model that holds one, and scan any other.
+    """
+
+    stopped = links = parents = holders = classes = None
+
+    def part(self, name: str, m: ComponentModel):
+        """Part ``name`` of this index of ``m``, built from ``m`` if it is not yet."""
+        built = getattr(self, name)
+        if built is None:
+            built = _BUILDERS[name](m)
+            setattr(self, name, built)
+        return built
+
+    def add(self, c: Component) -> None:
+        """Component ``c``, linked to nothing, joined the model under its id."""
+        cid = c.id
+        if self.stopped is not None and c.state != STARTED:
+            self.stopped.add(cid)
+        if self.parents is not None and c.contains:
+            self.parents.add(cid)
+        if self.holders is not None and c.params:
+            self.holders.add(cid)
+        if self.classes is not None:
+            self.classes[c.cls] = self.classes.get(c.cls, 0) + 1
+
+    def remove(self, cid: str, c: Component) -> None:
+        """Component ``c``, keyed ``cid``, left the model; its links are its
+        operation's to cut."""
+        for ids in (self.stopped, self.parents, self.holders):
+            if ids is not None:
+                ids.discard(cid)
+        if self.classes is not None:
+            self.classes[c.cls] -= 1
+            if not self.classes[c.cls]:
+                del self.classes[c.cls]
+
+
+def model_index(m: ComponentModel) -> ModelIndex:
+    """The index ``m`` holds, or a new one, which only a model derived from
+    ``m`` will hold."""
+    index = m._index
+    return ModelIndex() if index is None else index
+
+
+def hold_index(m: ComponentModel) -> None:
+    """Give ``m`` an index of its own if it holds none: the start of a run."""
+    if m._index is None:
+        object.__setattr__(m, "_index", ModelIndex())
+
+
+def release_index(m: ComponentModel) -> None:
+    """Drop the index ``m`` holds: the run it is the newest model of has ended."""
+    object.__setattr__(m, "_index", None)
 
 
 _SUM_MASK = (1 << 64) - 1
@@ -130,13 +244,15 @@ def derive_model(m: ComponentModel, dropped: Iterable[Component] = (),
                  added: Iterable[Component] = (),
                  components: Optional[dict[str, Component]] = None,
                  bindings: Optional[frozenset[Binding]] = None,
-                 delegations: Optional[frozenset[Delegation]] = None) -> ComponentModel:
+                 delegations: Optional[frozenset[Delegation]] = None,
+                 index: Optional[ModelIndex] = None) -> ComponentModel:
     """``m`` with the given parts replaced, its component sum derived from ``m``'s.
 
     ``dropped`` are the components of ``m`` that the new component dict no
     longer holds, ``added`` the ones it holds in their place.  The sum of
     ``m`` is forced, so a chain of operations carries one sum from its first
-    model on, at a cost in what each step changes.
+    model on, at a cost in what each step changes.  ``index``, kept up to
+    date by the operation, moves to the new model: ``m`` no longer holds it.
     """
     s = component_sum(m)
     for c in dropped:
@@ -148,6 +264,10 @@ def derive_model(m: ComponentModel, dropped: Iterable[Component] = (),
                          m.bindings if bindings is None else bindings,
                          m.delegations if delegations is None else delegations)
     object.__setattr__(out, "_component_sum", s & _SUM_MASK)
+    if index is not None:
+        if m._index is index:
+            object.__setattr__(m, "_index", None)
+        object.__setattr__(out, "_index", index)
     return out
 
 
@@ -156,11 +276,14 @@ def erase_param_values(m: ComponentModel) -> ComponentModel:
 
     Used to compare models while ignoring parameter-updating operations.
     Components without parameters are shared with ``m``, so comparing two
-    erased models of one path mostly compares components by identity.
+    erased models of one path mostly compares components by identity.  The
+    copy holds no index; ``m``'s, if it holds one, says which to blank.
     """
     comps = dict(m.components)
+    index = m._index
     dropped, added = [], []
-    for cid, c in m.components.items():
+    for cid in m.components if index is None else index.part("holders", m):
+        c = comps[cid]
         if c.params:
             comps[cid] = e = c.evolve(params={p: Param(pv.cls, None)
                                               for p, pv in c.params.items()})
@@ -169,9 +292,13 @@ def erase_param_values(m: ComponentModel) -> ComponentModel:
     return derive_model(m, dropped, added, components=comps)
 
 
-def parent_of(m: ComponentModel, cid: str) -> Optional[str]:
-    for pid, c in m.components.items():
-        if cid in c.contains:
+def parent_of(m: ComponentModel, cid: str, index: Optional[ModelIndex] = None) -> Optional[str]:
+    """The id of the component that contains ``cid``, or None.  Looked up in
+    ``index``, or the one ``m`` holds; a model that holds none is scanned."""
+    index = m._index if index is None else index
+    comps = m.components
+    for pid in comps if index is None else index.part("parents", m):
+        if cid in comps[pid].contains:
             return pid
     return None
 
@@ -633,14 +760,15 @@ def _compile_local_quantifier(var: str, domain: str, body: CompiledCp,
     for as long as the closure lives.  Over bindings, ``present(var)`` is
     true and ``class(var)`` raises the same error for every binding, so one
     binding stands for all.  No value of such a body depends on the order
-    of the domain, so neither path sorts.
+    of the domain, so neither path sorts.  A model that holds a
+    :class:`ModelIndex` gives its classes without a scan.
     """
     by_class: dict[str, bool] = {}
 
     def over_components(m: ComponentModel, env: _Env) -> bool:
-        comps = m.components
-        classes = {c.cls for c in comps.values()}
-        unseen = classes.difference(by_class)
+        comps, index = m.components, m._index
+        classes = {c.cls for c in comps.values()} if index is None else index.part("classes", m)
+        unseen = set(classes).difference(by_class)
         if unseen:
             for cid, c in comps.items():
                 if c.cls in unseen:

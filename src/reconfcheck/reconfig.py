@@ -18,12 +18,18 @@ from .model import (
     Binding,
     Component,
     ComponentModel,
+    ModelIndex,
     Param,
     component_type_errors,
     derive_model,
     erase_param_values,
     fingerprint,
+    hold_index,
+    link,
+    model_index,
     parent_of,
+    release_index,
+    unlink,
 )
 
 if TYPE_CHECKING:  # pathspec reads paths through adl, which imports this module
@@ -155,25 +161,27 @@ class ApplicationOutcome:
         return self.result != self.source
 
 
-def _template_ok(t: Component, m: ComponentModel) -> bool:
+def _template_ok(t: Component, m: ComponentModel, index: ModelIndex) -> bool:
     # validate_model's typing rules, but a blank (None) value is for erased models
     if t.id in m.components or any(component_type_errors(t.id, t)):
         return False
     if any(pv.value is None for pv in t.params.values()):
         return False
     for child in t.contains:
-        if child not in m.components or parent_of(m, child) is not None:
+        if child not in m.components or parent_of(m, child, index) is not None:
             return False
     return True
 
 
 def _apply_add(op: AddComponent, m: ComponentModel) -> ComponentModel:
-    if not _template_ok(op.template, m):
+    index = model_index(m)
+    if not _template_ok(op.template, m, index):
         return m
     fresh = op.template.evolve(state=STOPPED)
     comps = dict(m.components)
     comps[fresh.id] = fresh
-    return derive_model(m, (), (fresh,), components=comps)
+    index.add(fresh)
+    return derive_model(m, (), (fresh,), components=comps, index=index)
 
 
 def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
@@ -185,22 +193,32 @@ def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
     # Untouched components, and the link sets when no link touches the
     # target, are shared with m; the dropped links leave by set difference,
     # which reuses the stored hashes of the kept ones
+    index = model_index(m)
+    parents, links = index.part("parents", m), index.part("links", m)
     comps = dict(m.components)
     dropped = [comps.pop(rid)]
+    index.remove(rid, dropped[0])
     added = []
-    for cid, c in [(cid, c) for cid, c in comps.items() if rid in c.contains]:
-        comps[cid] = parent = c.evolve(contains=c.contains - {rid})
+    for pid in [pid for pid in parents if rid in comps[pid].contains]:
+        c = comps[pid]
+        comps[pid] = parent = c.evolve(contains=c.contains - {rid})
         dropped.append(c)
         added.append(parent)
+        if not parent.contains:
+            parents.discard(pid)
     bindings, delegations = m.bindings, m.delegations
-    cut = [b for b in bindings if b.out_component == rid or b.in_component == rid]
+    cut = links.pop(rid, None)
     if cut:
+        for b in cut:
+            other = b.in_component if b.out_component == rid else b.out_component
+            if other != rid:
+                unlink(links, other, b)
         bindings = bindings.difference(cut)
     cut = [d for d in delegations if d.composite == rid or d.inner == rid]
     if cut:
         delegations = delegations.difference(cut)
     return derive_model(m, dropped, added, components=comps, bindings=bindings,
-                        delegations=delegations)
+                        delegations=delegations, index=index)
 
 
 def _apply_bind(op: Bind, m: ComponentModel) -> ComponentModel:
@@ -215,17 +233,25 @@ def _apply_bind(op: Bind, m: ComponentModel) -> ComponentModel:
         return m
     if b in m.bindings:
         return m
+    index = model_index(m)
+    links = index.part("links", m)
     in_component, in_port = b.in_component, b.in_port
-    for x in m.bindings:
+    for x in links.get(in_component, ()):
         if x.in_component == in_component and x.in_port == in_port:
             return m  # one binding per input endpoint
-    return derive_model(m, bindings=m.bindings | {b})
+    link(links, b)
+    return derive_model(m, bindings=m.bindings | {b}, index=index)
 
 
 def _apply_unbind(op: Unbind, m: ComponentModel) -> ComponentModel:
-    if op.binding not in m.bindings:
+    b = op.binding
+    if b not in m.bindings:
         return m
-    return derive_model(m, bindings=m.bindings - {op.binding})
+    index = model_index(m)
+    if index.links is not None:
+        for cid in {b.out_component, b.in_component}:
+            unlink(index.links, cid, b)
+    return derive_model(m, bindings=m.bindings - {b}, index=index)
 
 
 def _apply_set_param(op: SetParam, m: ComponentModel) -> ComponentModel:
@@ -240,16 +266,22 @@ def _apply_set_param(op: SetParam, m: ComponentModel) -> ComponentModel:
         return m
     comps = dict(m.components)
     comps[op.component] = updated = c.evolve(params={**c.params, op.param: Param("int", value)})
-    return derive_model(m, (c,), (updated,), components=comps)
+    return derive_model(m, (c,), (updated,), components=comps, index=model_index(m))
 
 
 def _apply_lifecycle(cid: str, state: str, m: ComponentModel) -> ComponentModel:
     c = m.components.get(cid)
     if c is None or c.state == state:
         return m
+    index = model_index(m)
+    if index.stopped is not None:
+        if state == STARTED:
+            index.stopped.discard(cid)
+        else:
+            index.stopped.add(cid)
     comps = dict(m.components)
     comps[cid] = updated = c.evolve(state=state)
-    return derive_model(m, (c,), (updated,), components=comps)
+    return derive_model(m, (c,), (updated,), components=comps, index=index)
 
 
 def apply_primitive(op: Primitive, m: ComponentModel) -> ComponentModel:
@@ -278,14 +310,19 @@ def apply_primitive(op: Primitive, m: ComponentModel) -> ComponentModel:
 
 def _run(m: ComponentModel) -> ComponentModel:
     """Start every component that is not started; ``m`` itself when none is."""
-    halted = [(cid, c) for cid, c in m.components.items() if c.state != STARTED]
+    index = model_index(m)
+    halted = index.part("stopped", m)
     if not halted:
         return m
     comps = dict(m.components)
-    for cid, c in halted:
-        comps[cid] = c.evolve(state=STARTED)
-    return derive_model(m, [c for _, c in halted], [comps[cid] for cid, _ in halted],
-                        components=comps)
+    dropped, added = [], []
+    for cid in halted:
+        c = comps[cid]
+        comps[cid] = started = c.evolve(state=STARTED)
+        dropped.append(c)
+        added.append(started)
+    halted.clear()
+    return derive_model(m, dropped, added, components=comps, index=index)
 
 
 def apply_evolution(op: EvolutionOperation, m: ComponentModel) -> ApplicationOutcome:
@@ -331,7 +368,10 @@ def is_idempotent_sequence(ops: Sequence[EvolutionOperation], m: ComponentModel,
 def run_path(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], q: int,
              c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
     """The run of ``a`` from (q, c): one (label, target, configuration) per
-    transition, each applied only when asked for, ending at a terminal state."""
+    transition, each applied only when asked for, ending at a terminal state.
+    The newest configuration holds the index its operations keep (see
+    :class:`~reconfcheck.model.ModelIndex`), ``c`` from the start."""
+    hold_index(c)
     while (nxt := a.succ(q)) is not None:
         label, q = nxt
         c = apply_evolution(ops[label], c).result
@@ -349,7 +389,8 @@ class Unfolding:
     ``period_start`` to the index of the earlier entry, or where the stream
     does, setting ``complete`` if that is a terminal state.  ``keys`` holds
     the keys of the entries handed out: the configurations, or with
-    ``erased`` their ``erase_param_values`` copies.
+    ``erased`` their ``erase_param_values`` copies.  A run that ends leaves
+    no index on the models it hands out.
     """
 
     def __init__(self, a: PathAutomaton, q: int, c: ComponentModel,
@@ -378,12 +419,14 @@ class Unfolding:
             for j in same:
                 if self.keys[j] == k:
                     self.period_start = j
+                    release_index(c)
                     return
             same.append(len(self.keys))
             self.keys.append(k)
             yield q, label, c
         # the stream looked q's successor up already: only a finite path's last state has none
         self.complete = a.back_target is None and q == a.q_max
+        release_index(c)
 
 
 def operation_table(recipes: Mapping[str, Sequence[Primitive]]) -> dict[str, EvolutionOperation]:
