@@ -216,7 +216,7 @@ def _fresh_marks(a: PathAutomaton) -> list[_Mark]:
 class _Walk:
     """Shared walk context: takes transitions, charges budgets and counters.
 
-    ``erased`` switches stabilization detection (in the unfolding
+    An erased ``gate`` switches stabilization detection (in the unfolding
     operators) to parameter-erased comparison — the right notion when the
     cycle was admitted through the erased idempotence gate, in which case
     the formula cannot observe parameter values anyway.
@@ -226,12 +226,12 @@ class _Walk:
     """
 
     def __init__(self, a: PathAutomaton, reach: Callable[..., ComponentModel],
-                 max_steps: Optional[int], erased: bool = False, gate: Optional[_Gate] = None):
+                 max_steps: Optional[int], gate: Optional[_Gate] = None):
         self.a = a
         self.reach = reach
         self.remaining = max_steps
-        self.erased = erased
         self.gate = gate
+        self.erased = gate is not None and gate.erased
         self.transitions = 0
         self.cp_evals = 0
         self.max_instance = 0
@@ -541,11 +541,10 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     # a formula that cannot observe parameter values (neither through
     # property leaves nor through events on parameter-updating operations)
     # may ignore parameter drift when judging cycle idempotence
-    erased = a.has_cycle and erasure_invariant(f, ops)
-    gate = _Gate(a, ops, c0, erased) if a.has_cycle else None
+    gate = _Gate(a, ops, c0, erasure_invariant(f, ops)) if a.has_cycle else None
     # apply_evolution is read per call, so perfbench/tracer.py's rebinding counts the walk
     walk = _Walk(a, lambda label, _q, c: apply_evolution(ops[label], c).result,
-                 opts.max_steps, erased=erased, gate=gate)
+                 opts.max_steps, gate=gate)
     verdict = _gated_verdict(f, a, c0, ops, walk, gate)
     if verdict is None and opts.max_steps is None:
         # nothing explored counts: the residual is the whole path

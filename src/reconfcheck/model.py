@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 STARTED = "started"
@@ -648,70 +649,38 @@ CompiledCp = Callable[[ComponentModel, _Env], bool]
 def compile_cp(cp: ConfigProperty) -> CompiledCp:
     """Closure ``fn`` with ``fn(m, env) == eval_cp(cp, m, env)``.
 
-    The dispatch on node types happens once, here, instead of on every
-    evaluation.  Iteration order, short-circuiting and every
-    :class:`CpEvalError` message are those of :func:`eval_cp`, and errors
-    are raised when evaluating, never when compiling, so an ill-formed
-    subproperty that short-circuiting skips stays harmless.  The one
-    exception is a quantifier whose body reads only its own variable
+    Only the connectives, the quantifiers and ``Bound`` (its
+    :class:`Binding` built once) are compiled; every other node, a subclass
+    instance or a non-node included, is evaluated by its clause of
+    :func:`eval_cp`, so errors are raised when evaluating, never when
+    compiling, with :func:`eval_cp`'s messages and order.  The one exception
+    is a quantifier whose body reads only its own variable
     (:func:`_compile_local_quantifier`): no such body can raise an error
     that depends on the order of the domain, so it is evaluated once per
     class, or once per model, instead of once per value.
     """
-    if isinstance(cp, TrueAtom):
-        return lambda m, env: True
-    if isinstance(cp, FalseAtom):
-        return lambda m, env: False
-    if isinstance(cp, ComponentPresent):
-        cid = cp.id
-        return lambda m, env: cid in m.components
-    if isinstance(cp, Started):
-        return _compile_started(cp.id)
-    if isinstance(cp, Bound):
-        b = Binding(cp.out_component, cp.out_port, cp.in_component, cp.in_port)
-        return lambda m, env: b in m.bindings
-    if isinstance(cp, Subcomponent):
-        return _compile_subcomponent(cp.child, cp.parent)
-    if isinstance(cp, ParamCmp):
-        return lambda m, env: _eval_param_cmp(cp, m)
-    if isinstance(cp, Not):
+    kind = type(cp)
+    if kind is Not:
         inner = compile_cp(cp.inner)
         return lambda m, env: not inner(m, env)
-    if isinstance(cp, And):
+    if kind is And:
         left, right = compile_cp(cp.left), compile_cp(cp.right)
         return lambda m, env: left(m, env) and right(m, env)
-    if isinstance(cp, Or):
+    if kind is Or:
         left, right = compile_cp(cp.left), compile_cp(cp.right)
         return lambda m, env: left(m, env) or right(m, env)
-    if isinstance(cp, Implies):
+    if kind is Implies:
         left, right = compile_cp(cp.left), compile_cp(cp.right)
         return lambda m, env: (not left(m, env)) or right(m, env)
-    if isinstance(cp, (ForAll, Exists)):
-        body, universal = compile_cp(cp.body), isinstance(cp, ForAll)
+    if kind is ForAll or kind is Exists:
+        body, universal = compile_cp(cp.body), kind is ForAll
         if cp.domain in QUANTIFIER_DOMAINS and _reads_only(cp.body, cp.var):
             return _compile_local_quantifier(cp.var, cp.domain, body, universal)
         return _compile_quantifier(cp.var, cp.domain, body, universal)
-    if isinstance(cp, VarClassIs):
-        return _compile_var_class_is(cp.var, cp.cls)
-    if isinstance(cp, VarPresent):
-        return _compile_var_present(cp.var)
-    return _compile_raise(f"unknown property node {cp!r}")
-
-
-def _compile_started(cid: str) -> CompiledCp:
-    def started(m: ComponentModel, env: _Env) -> bool:
-        c = m.components.get(cid)
-        if c is None:
-            raise CpEvalError(f"started(): unknown component '{cid}'")
-        return c.state == STARTED
-    return started
-
-
-def _compile_subcomponent(child: str, parent_id: str) -> CompiledCp:
-    def subcomponent(m: ComponentModel, env: _Env) -> bool:
-        parent = m.components.get(parent_id)
-        return parent is not None and child in parent.contains
-    return subcomponent
+    if kind is Bound:
+        b = Binding(cp.out_component, cp.out_port, cp.in_component, cp.in_port)
+        return lambda m, env: b in m.bindings
+    return partial(eval_cp, cp)
 
 
 def _compile_quantifier(var: str, domain: str, body: CompiledCp,
@@ -785,33 +754,6 @@ def _compile_local_quantifier(var: str, domain: str, body: CompiledCp,
         return body(m, {var: ("binding", next(iter(m.bindings)))})
 
     return over_components if domain == "components" else over_bindings
-
-
-def _compile_var_class_is(var: str, cls: str) -> CompiledCp:
-    def var_class_is(m: ComponentModel, env: _Env) -> bool:
-        kind, val = _lookup_var(env, var)
-        if kind != "component":
-            raise CpEvalError(f"class({var}): variable is not component-typed")
-        c = m.components.get(val)
-        if c is None:
-            raise CpEvalError(f"class({var}): component '{val}' not in model")
-        return c.cls == cls
-    return var_class_is
-
-
-def _compile_var_present(var: str) -> CompiledCp:
-    def var_present(m: ComponentModel, env: _Env) -> bool:
-        kind, val = _lookup_var(env, var)
-        if kind == "component":
-            return val in m.components
-        return val in m.bindings
-    return var_present
-
-
-def _compile_raise(message: str) -> CompiledCp:
-    def ill_formed(m: ComponentModel, env: _Env) -> bool:
-        raise CpEvalError(message)
-    return ill_formed
 
 
 def _lookup_var(env: _Env, var: str) -> tuple:

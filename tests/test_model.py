@@ -333,10 +333,13 @@ def test_compiled_properties_agree_with_eval_cp(seed):
     m = generators.gen_model(rng)
     props = _generated_properties(rng, m)
     empty = ComponentModel(name="E")
+    # compiled leaves are eval_cp's own clauses, so the reference evaluator
+    # checks the compiled path independently of them
     for cp in props:
-        assert _outcome(lambda: compile_cp(cp)(m, {})) == _outcome(lambda: eval_cp(cp, m))
-        assert _outcome(lambda: compile_cp(cp)(empty, {})) == \
-            _outcome(lambda: eval_cp(cp, empty))
+        for current in (m, empty):
+            compiled = _outcome(lambda: compile_cp(cp)(current, {}))
+            assert compiled == _outcome(lambda: eval_cp(cp, current))
+            assert compiled == _outcome(lambda: _reference_eval_cp(cp, current))
 
 
 def _gen_local_body(rng: random.Random, var: str, depth: int = 3):
@@ -399,25 +402,47 @@ def test_one_compiled_property_along_a_run_of_shared_models():
     assert checked == 40 * 12 * 4
 
 
-def test_local_forall_evaluates_its_body_once_per_class(monkeypatch):
+def _count_class_reads(monkeypatch, var: str, cls: str) -> list:
+    """The environments ``class(var) = cls`` is read under, from now on."""
     evaluations = []
-    compile_class = model._compile_var_class_is
+    clause = model._CLAUSES[VarClassIs]
 
-    def counting(var, cls):
-        test = compile_class(var, cls)
-        if cls != "A":
-            return test
-        return lambda m, env: evaluations.append(env[var]) or test(m, env)
+    def counting(cp, m, env):
+        if (cp.var, cp.cls) == (var, cls):
+            evaluations.append(env[var])
+        return clause(cp, m, env)
 
-    monkeypatch.setattr(model, "_compile_var_class_is", counting)
+    monkeypatch.setitem(model._CLAUSES, VarClassIs, counting)
+    return evaluations
+
+
+def _abc_model(n: int) -> ComponentModel:
+    return ComponentModel(name="Big", components={
+        f"C{i:04d}": Component(id=f"C{i:04d}", cls="ABC"[i % 3]) for i in range(n)})
+
+
+def test_local_forall_evaluates_its_body_once_per_class(monkeypatch):
+    evaluations = _count_class_reads(monkeypatch, "x", "A")
     body = Or(VarClassIs("x", "A"), Or(VarClassIs("x", "B"), VarClassIs("x", "C")))
     fn = compile_cp(ForAll("x", "components", body))
-    m = ComponentModel(name="Big", components={
-        f"C{i:04d}": Component(id=f"C{i:04d}", cls="ABC"[i % 3]) for i in range(2000)})
+    m = _abc_model(2000)
     for i in range(50):
         assert fn(m, {}) is True
         m = apply_primitive(Stop(f"C{i:04d}"), m)
     # "A" is the first disjunct, so it is read once per body evaluation
+    assert 0 < len(evaluations) <= 3
+
+
+def test_a_local_exists_inside_a_quantifier_evaluates_its_body_once_per_class(monkeypatch):
+    # the outer body reads x and a quantifier, so only the inner exists is local:
+    # its values per class are kept across every value of x and every model
+    evaluations = _count_class_reads(monkeypatch, "y", "A")
+    body = Implies(VarClassIs("x", "B"), Exists("y", "components", VarClassIs("y", "A")))
+    fn = compile_cp(ForAll("x", "components", body))
+    m = _abc_model(300)
+    for i in range(10):
+        assert fn(m, {}) is True
+        m = apply_primitive(Stop(f"C{i:04d}"), m)
     assert 0 < len(evaluations) <= 3
 
 
