@@ -378,7 +378,10 @@ _DECL_RE = re.compile(_spaced(r" (?:(?:component|composite)\b (ID) \{(BODY) \}"
 _END_RE = re.compile(_spaced(r" \} "))
 
 
-def _read_component(cid: str, items: list[tuple[str, ...]]) -> Optional[Component]:
+def _read_component(items: list[tuple[str, ...]]) -> Optional[tuple]:
+    """The fields of a :class:`Component` after its id (class, params,
+    inputs, outputs, contains, state) read from a body's ``items``; None
+    where the token parser reads the body otherwise or refuses it."""
     cls = state = None
     params: dict[str, Param] = {}
     inputs: dict[str, str] = {}
@@ -412,17 +415,20 @@ def _read_component(cid: str, items: list[tuple[str, ...]]) -> Optional[Componen
     entries = len(params) + len(inputs) + len(outputs) + len(children) + (state is not None)
     if cls is None or entries + 1 != len(items):
         return None
-    return Component(cid, cls, params, inputs, outputs, children, state or STARTED)
+    return cls, params, inputs, outputs, children, state or STARTED
 
 
 def _read_model(text: str) -> Optional[ComponentModel]:
     """The model of a well-formed ASCII ``.arch`` text, read by compiled
     patterns; None for any text they do not cover end to end and for any
     model the token parser refuses, which :func:`parse_model` then reads
-    with the token parser, for its error."""
+    with the token parser, for its error.  Each distinct body text is read
+    once, and the components declared with it share its field objects."""
     head = _HEAD_RE.match(text) if text.isascii() else None
     if head is None:
         return None
+    # shared safely: no operation changes a component's dicts in place
+    bodies: dict[str, Optional[tuple]] = {}
     components: dict[str, Component] = {}
     bindings: set[Binding] = set()
     delegations: set[Delegation] = set()
@@ -438,10 +444,13 @@ def _read_model(text: str) -> Optional[ComponentModel]:
                 return None
             links.add(link)
             continue
-        comp = _read_component(cid, _ITEM_RE.findall(text, *decl.span(2)))
-        if comp is None or cid in components:
+        body = decl.group(2)
+        fields = bodies.get(body)
+        if fields is None:
+            fields = bodies[body] = _read_component(_ITEM_RE.findall(body))
+        if fields is None or cid in components:
             return None
-        components[cid] = comp
+        components[cid] = Component(cid, *fields)
     if _END_RE.fullmatch(text, pos) is None:
         return None
     return ComponentModel(head.group(1), components, frozenset(bindings),

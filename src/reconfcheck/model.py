@@ -308,11 +308,10 @@ def component_type_errors(cid: str, c: Component) -> Iterator[str]:
     """The typing rules of one component: disjoint parameter, input and
     output names; composites without parameters; each parameter value of
     its class (or None, in erased models)."""
-    names = [set(c.params), set(c.inputs), set(c.outputs)]
-    for i, j, what in ((0, 1, "param/input"), (0, 2, "param/output"), (1, 2, "input/output")):
-        shared = names[i] & names[j]
-        if shared:
-            yield f"component '{cid}' reuses {what} names {sorted(shared)}"
+    p, i, o = c.params.keys(), c.inputs.keys(), c.outputs.keys()
+    for a, b, what in ((p, i, "param/input"), (p, o, "param/output"), (i, o, "input/output")):
+        if not a.isdisjoint(b):
+            yield f"component '{cid}' reuses {what} names {sorted(a & b)}"
     for pname, pv in c.params.items():
         if pv.cls not in PARAM_CLASSES:
             yield f"component '{cid}' param '{pname}' has unknown class '{pv.cls}'"

@@ -75,6 +75,17 @@ def test_composite_with_params_is_violation():
     assert "Top" in violations[0]
 
 
+def test_each_pair_of_name_kinds_lists_its_clashes_sorted():
+    c = Component(id="C", cls="K",
+                  params={"z": Param("int", 1), "b": Param("int", 2), "a": Param("int", 3)},
+                  inputs={"b": "T", "i": "T", "a": "T"}, outputs={"i": "T", "z": "T", "a": "T"})
+    assert validate_model(ComponentModel(name="M", components={"C": c})) == [
+        "component 'C' reuses param/input names ['a', 'b']",
+        "component 'C' reuses param/output names ['a', 'z']",
+        "component 'C' reuses input/output names ['a', 'i']",
+    ]
+
+
 def test_binding_class_mismatch_is_violation():
     m = two_component_model(port_cls_b="T2")
     violations = validate_model(m)

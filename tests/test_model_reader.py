@@ -8,11 +8,13 @@ the token parser does.  On anything else it may decline (None), and then
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reconfcheck import adl, parse_model, print_model
+from reconfcheck import (RUN, IntLiteral, RemoveComponent, SetParam, Start, Stop, adl,
+                         apply_evolution, erase_param_values, parse_model, print_model)
 from reconfcheck.adl import _parse_model_tokens, _read_model
 
 import generators
@@ -146,3 +148,78 @@ DECLINED = {
 def test_the_reader_leaves_other_texts_to_the_token_parser(text):
     assert _read_model(text) is None
     assert read(parse_model, text) == read(_parse_model_tokens, text)
+
+
+def printed_bodies(text: str) -> list[tuple[str, str, str]]:
+    """(keyword, id, body) of each component a printed model declares."""
+    return re.findall(r"^  (component|composite) (\w+) \{(.*?)^  \}$", text, re.M | re.S)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_bodies_copied_under_fresh_ids_read_as_the_token_parser_reads_them(seed):
+    """Each body again verbatim under the other keyword, then respaced, then
+    with comments, which the reader reads as bodies of their own."""
+    text = printed_model(seed)
+    decls = printed_bodies(text)
+    copies = []
+    for keyword, cid, body in decls:
+        other = "composite" if keyword == "component" else "component"
+        respaced = " ".join(body.split())
+        commented = body.replace("\n", " // a copy\n")
+        copies += [f"{other} {cid}_a {{{body}}}", f"component {cid}_b {{ {respaced} }}",
+                   f"{keyword} {cid}_c {{{commented}}}"]
+    text = text[:text.rindex("}")] + "\n".join(copies) + "\n}\n"
+    model = _read_model(text)
+    assert model is not None
+    assert model == _parse_model_tokens(text)
+    assert repr(model) == repr(_parse_model_tokens(text))
+    for _, cid, _ in decls:
+        original, copy = model.components[cid], model.components[cid + "_a"]
+        assert copy.params is original.params and copy.outputs is original.outputs
+
+
+# texts that declare a body the reader declines twice, and a duplicate id
+# whose body was read before: each ends in the token parser's error
+REPEATED = {
+    "class twice, declared twice": "model M { component A { class K class K } "
+                                   "component B { class K class K } }",
+    "no class, declared twice": "model M { component A { state started } "
+                                "composite B { state started } }",
+    "string for an int, declared twice": 'model M { component A { class K param p : int = "1" } '
+                                         'component B { class K param p : int = "1" } }',
+    "duplicate id with a body read before": "model M { component A { class K input i : T } "
+                                            "component B { class K input i : T } "
+                                            "component A { class K input i : T } }",
+}
+
+
+@pytest.mark.parametrize("text", REPEATED.values(), ids=REPEATED)
+def test_a_repeated_body_the_reader_declines_ends_in_the_token_parsers_error(text):
+    assert _read_model(text) is None
+    outcome = read(parse_model, text)
+    assert outcome[0] == "AdlSyntaxError" and outcome == read(_parse_model_tokens, text)
+
+
+TWINS = ("model M {\n"
+         "  component A { class W param n : int = 1 input i : T output o : T }\n"
+         "  component B { class W param n : int = 1 input i : T output o : T }\n"
+         "}\n")
+
+
+def test_operations_on_a_component_leave_the_one_sharing_its_body_as_read():
+    parsed = parse_model(TWINS)
+    a, b = parsed.components["A"], parsed.components["B"]
+    assert a.params is b.params and a.inputs is b.inputs and a.outputs is b.outputs
+    expected = _parse_model_tokens(TWINS)
+    m = parsed
+    for op in (SetParam("A", "n", IntLiteral(7)), Stop("A"), RUN, Stop("A"), Start("A")):
+        m = apply_evolution(op, m).result
+        assert repr(m.components["B"]) == repr(expected.components["B"])
+    assert m.components["A"].params["n"].value == 7
+    erased = erase_param_values(m)
+    assert erased.components["B"].params["n"].value is None
+    removed = apply_evolution(RemoveComponent("A"), m).result
+    assert "A" not in removed.components
+    assert repr(removed.components["B"]) == repr(expected.components["B"])
+    assert parsed == expected and repr(parsed) == repr(expected)
