@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import islice
 from pathlib import Path
 from typing import Optional
@@ -215,6 +216,9 @@ def _cmd_validate(args) -> int:
     return EXIT_INVALID_MODEL
 
 
+# built on the first call, not at import, and then kept: parsing leaves the
+# parser as it was, and usage and help are formatted anew on each use
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reconfcheck",
@@ -261,9 +265,8 @@ _COMMANDS = {
 
 
 def run_cli(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

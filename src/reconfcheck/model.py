@@ -329,13 +329,23 @@ def validate_model(m: ComponentModel) -> list[str]:
     """
     errs: list[str] = []
     comps = m.components
+    # bodies whose typing rules passed, by the identities of their field
+    # objects, which components declared with one body share; the model holds
+    # those objects for the whole call, so no id is reused during it.  A body
+    # that fails is checked again, so each message names its own component
+    typed: set[tuple[int, int, int, bool]] = set()
 
     for cid, c in comps.items():
         if c.id != cid:
             errs.append(f"component keyed '{cid}' carries id '{c.id}'")
         if c.state not in (STARTED, STOPPED):
             errs.append(f"component '{cid}' has unknown lifecycle state '{c.state}'")
-        errs.extend(component_type_errors(cid, c))
+        body = (id(c.params), id(c.inputs), id(c.outputs), not c.contains)
+        if body not in typed:
+            before = len(errs)
+            errs.extend(component_type_errors(cid, c))
+            if len(errs) == before:
+                typed.add(body)
         for child in c.contains:
             if child not in comps:
                 errs.append(f"component '{cid}' contains unknown component '{child}'")

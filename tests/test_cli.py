@@ -188,6 +188,39 @@ def test_witness_digests_match_simulate_dumps(samples_dir, tmp_path, capsys, for
     assert simulated == digests
 
 
+def test_a_repeated_usage_error_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(["check"]) == 3
+    first = capsys.readouterr()
+    assert run_cli(["check"]) == 3
+    assert capsys.readouterr() == first
+    assert first.err.startswith("usage: reconfcheck check [-h]")
+    src = str(Path(reconfcheck.__file__).resolve().parents[1])
+    cold = subprocess.run([sys.executable, "-m", "reconfcheck.cli", "check"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "COLUMNS": "80", "PYTHONPATH": src})
+    assert (cold.returncode, cold.stderr) == (3, first.err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_prints_the_same_text_every_time(capsys, argv):
+    assert run_cli(argv) == 0
+    first = capsys.readouterr()
+    assert first.out.startswith("usage: reconfcheck")
+    assert run_cli(argv) == 0
+    assert capsys.readouterr() == first
+
+
+def test_a_check_after_a_usage_error_reports_as_usual(samples_dir, capsys):
+    assert run_cli(_check_args(samples_dir, "--formula", FORMULA)) == 0
+    report = capsys.readouterr()
+    assert run_cli(["check", "--formula", FORMULA]) == 3
+    assert "required: --model, --path" in capsys.readouterr().err
+    assert run_cli(_check_args(samples_dir, "--formula", FORMULA)) == 0
+    assert capsys.readouterr() == report
+    assert report.out.startswith("verdict: holds\n")
+
+
 def test_validate_ok(samples_dir, capsys):
     assert run_cli(["validate", "--model", str(samples_dir / "http.arch")]) == 0
     assert "well-formed" in capsys.readouterr().out

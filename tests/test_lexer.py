@@ -145,6 +145,7 @@ def cursor_reads(stream, text):
 @example("²³x ٣² 7²a aⅫ")
 @example("7Ⅻ")
 @example("Ⅻ")
+@example("Ⅻ @")  # outside ASCII the earlier error is raised, not the match's end
 @example('"open\n"')
 def test_the_cursor_reads_the_lexer_as_it_reads_the_scalar_scanner(text):
     assert outcome(cursor_reads, adl.TokenStream, text) == \

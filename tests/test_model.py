@@ -18,6 +18,7 @@ from reconfcheck import (
     apply_primitive,
     erase_param_values,
     eval_cp,
+    parse_model,
     validate_model,
 )
 from reconfcheck.model import (
@@ -113,6 +114,81 @@ def test_validate_flags_containment_cycle_and_double_parent():
     k = Component(id="K", cls="Beta")
     m2 = ComponentModel(name="M", components={"P1": p1, "P2": p2, "K": k})
     assert any("contained by both" in v for v in validate_model(m2))
+
+
+def test_components_read_from_one_ill_typed_body_each_get_their_message():
+    m = parse_model("model M { component A { class K param p : int = 1 input p : T } "
+                    "component B { class K param p : int = 1 input p : T } "
+                    "component C { class K param p : int = 1 input p : T } }")
+    a, b, c = m.components.values()
+    assert a.params is b.params is c.params and a.inputs is b.inputs is c.inputs
+    assert validate_model(m) == [
+        "component 'A' reuses param/input names ['p']",
+        "component 'B' reuses param/input names ['p']",
+        "component 'C' reuses param/input names ['p']",
+    ]
+
+
+def test_a_component_sharing_a_composites_fields_does_not_pass_for_it():
+    params = {"x": Param("int", 1)}
+    inputs: dict[str, str] = {}
+    outputs = {"o": "T"}
+    plain = Component("Plain", "K", params, inputs, outputs)
+    top = Component("Top", "K", params, inputs, outputs, contains=frozenset({"Leaf"}))
+    leaf = Component("Leaf", "L")
+    m = ComponentModel(name="M", components={"Plain": plain, "Top": top, "Leaf": leaf})
+    assert validate_model(m) == ["composite 'Top' has parameters"]
+
+
+_SHARED_NAMES = ["a", "b", "c", "d", "e", "f"]
+_SHARED_PARAMS = [Param("int", 1), Param("bool", True), Param("string", None),
+                  Param("int", "one"), Param("float", 1.0)]
+
+
+def _model_sharing_field_objects(rng: random.Random) -> ComponentModel:
+    """Components whose params, inputs and outputs are each drawn from a few
+    shared objects, so that many share all three (as components read from
+    one body do) or some (as after an operation sets a parameter).  Fields
+    may reuse a name, hold a value of the wrong class or of an unknown
+    class, and composites may have parameters, so both well-typed and
+    ill-typed models come up."""
+    def names(most):
+        return rng.sample(_SHARED_NAMES, rng.randint(0, most))
+
+    def pool(make):
+        return [make() for _ in range(rng.randint(1, 3))]
+
+    params = pool(lambda: {n: rng.choice(_SHARED_PARAMS) if rng.random() < 0.3
+                           else Param("int", 0) for n in names(2)})
+    inputs = pool(lambda: {n: "T" for n in names(2)})
+    outputs = pool(lambda: {n: "T" for n in names(2)})
+    ids = [f"C{i}" for i in range(rng.randint(1, 8))]
+    components = {}
+    for cid in ids:
+        children = frozenset(rng.sample(ids, rng.randint(0, min(2, len(ids))))) \
+            if rng.random() < 0.3 else frozenset()
+        components[cid] = Component(cid, "K", rng.choice(params), rng.choice(inputs),
+                                    rng.choice(outputs), children,
+                                    rng.choice([STARTED, STOPPED]))
+    return ComponentModel(name="M", components=components)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_validate_model_on_shared_field_objects_agrees_with_a_per_component_check(seed):
+    m = _model_sharing_field_objects(random.Random(seed))
+    # the same model with every component owning copies of its fields
+    own = ComponentModel(name=m.name, components={
+        cid: Component(cid, c.cls, dict(c.params), dict(c.inputs), dict(c.outputs),
+                       c.contains, c.state)
+        for cid, c in m.components.items()})
+    typing = [e for cid, c in m.components.items()
+              for e in model.component_type_errors(cid, c)]
+    got = validate_model(m)
+    assert got == validate_model(own)
+    # ids, states and children are well-formed, so the typing messages come
+    # first, in the order of the components
+    assert got[:len(typing)] == typing
 
 
 def test_model_equal_reflexive(http_model):
