@@ -155,16 +155,14 @@ def _lexemes(text: str, error=AdlSyntaxError) -> list[str]:
     """The lexemes of ``text`` followed by ``""`` for end of input; a lexical
     error raises ``error``."""
     m = _VALID_RE.match(text)
-    # an ASCII text's only error is where the match stops, so it is raised
-    # before the text is split; outside ASCII _located may raise earlier
-    lexemes = None if text.isascii() else \
-        [lex for lex, _ in _located(text, m.end(1), error)]
+    if text.isascii():
+        lexemes = _TOKEN_RE.findall(text, 0, m.end(1))
+    else:
+        lexemes = [lex for lex, _ in _located(text, m.end(1), error)]
     if m.end() < len(text):
         ch = text[m.end()]
         message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
         raise error(message, *_line_col(text, m.end()))
-    if lexemes is None:
-        lexemes = _TOKEN_RE.findall(text, 0, m.end(1))
     lexemes.append("")
     return lexemes
 
@@ -439,13 +437,11 @@ def _read_model(text: str) -> Optional[ComponentModel]:
         pos = decl.end()
         cid, body, word, *ends = decl.groups()
         if cid is None:
-            links, record = ((bindings, Binding) if word == "bind"
-                             else (delegations, Delegation))
-            size = len(links)
-            # one hash per record: a duplicate leaves the set's size as it was
-            links.add(record(*ends))
-            if len(links) == size:
+            links, link = ((bindings, Binding(*ends)) if word == "bind"
+                           else (delegations, Delegation(*ends)))
+            if link in links:
                 return None
+            links.add(link)
             continue
         fields = bodies.get(body)
         if fields is None:
