@@ -221,8 +221,8 @@ class _Walk:
     cycle was admitted through the erased idempotence gate, in which case
     the formula cannot observe parameter values anyway.
 
-    Properties are compiled on first use and kept for the walk only, so a
-    compiled closure lives exactly as long as one check.
+    Properties are compiled on first use and kept for the walk.  A compiled
+    property keeps nothing from one model to the next.
     """
 
     def __init__(self, a: PathAutomaton, reach: Callable[..., ComponentModel],

@@ -10,6 +10,8 @@ first-order formulas evaluated against a single model.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -130,11 +132,13 @@ def _links(m: ComponentModel) -> dict[str, tuple[Binding, ...]]:
     return links
 
 
-def _classes(m: ComponentModel) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for c in m.components.values():
-        counts[c.cls] = counts.get(c.cls, 0) + 1
-    return counts
+def _classes(m: ComponentModel) -> dict[str, list[str]]:
+    classes: defaultdict[str, list[str]] = defaultdict(list)
+    for cid, c in m.components.items():
+        classes[c.cls].append(cid)
+    for ids in classes.values():
+        ids.sort()
+    return dict(classes)
 
 
 # how each part of a ModelIndex is built from its model
@@ -154,15 +158,16 @@ class ModelIndex:
     the ids of the components that are not started; ``links``, the bindings
     of each component that has any; ``parents``, the ids of the components
     that have children; ``holders``, the ids of the components that have
-    parameters; and ``classes``, the number of components of each class.
+    parameters; and ``classes``, the ids of each class's components, in
+    increasing order.
 
     Only the newest model of a run holds its index.  An operation takes its
     input's index, or a new one when the input holds none, builds the parts
     it looks up, updates in place the parts it changes, and
     :func:`derive_model` moves the index to its output.  So a run keeps one
     index, which is built part by part once, and the models a caller keeps
-    hold none.  Readers that derive no model (erasure, local quantifiers)
-    use the index of a model that holds one, and scan any other.
+    hold none.  Readers that derive no model (erasure, quantifiers) use the
+    index of a model that holds one, and scan any other.
     """
 
     stopped = links = parents = holders = classes = None
@@ -185,7 +190,7 @@ class ModelIndex:
         if self.holders is not None and c.params:
             self.holders.add(cid)
         if self.classes is not None:
-            self.classes[c.cls] = self.classes.get(c.cls, 0) + 1
+            insort(self.classes.setdefault(c.cls, []), cid)
 
     def remove(self, cid: str, c: Component) -> None:
         """Component ``c``, keyed ``cid``, left the model; its links are its
@@ -194,9 +199,11 @@ class ModelIndex:
             if ids is not None:
                 ids.discard(cid)
         if self.classes is not None:
-            self.classes[c.cls] -= 1
-            if not self.classes[c.cls]:
+            ids = self.classes[c.cls]
+            if len(ids) == 1:
                 del self.classes[c.cls]
+            else:
+                del ids[bisect_left(ids, cid)]
 
 
 def model_index(m: ComponentModel) -> ModelIndex:
@@ -662,11 +669,9 @@ def compile_cp(cp: ConfigProperty) -> CompiledCp:
     :class:`Binding` built once) are compiled; every other node, a subclass
     instance or a non-node included, is evaluated by its clause of
     :func:`eval_cp`, so errors are raised when evaluating, never when
-    compiling, with :func:`eval_cp`'s messages and order.  The one exception
-    is a quantifier whose body reads only its own variable
-    (:func:`_compile_local_quantifier`): no such body can raise an error
-    that depends on the order of the domain, so it is evaluated once per
-    class, or once per model, instead of once per value.
+    compiling, with :func:`eval_cp`'s messages and order.  A quantifier
+    evaluates its body once per component class, or once per model over
+    bindings (:func:`_compile_quantifier`).
     """
     kind = type(cp)
     if kind is Not:
@@ -682,87 +687,61 @@ def compile_cp(cp: ConfigProperty) -> CompiledCp:
         left, right = compile_cp(cp.left), compile_cp(cp.right)
         return lambda m, env: (not left(m, env)) or right(m, env)
     if kind is ForAll or kind is Exists:
-        body, universal = compile_cp(cp.body), kind is ForAll
-        if cp.domain in QUANTIFIER_DOMAINS and _reads_only(cp.body, cp.var):
-            return _compile_local_quantifier(cp.var, cp.domain, body, universal)
-        return _compile_quantifier(cp.var, cp.domain, body, universal)
+        return _compile_quantifier(cp.var, cp.domain, compile_cp(cp.body), kind is ForAll)
     if kind is Bound:
         b = Binding(cp.out_component, cp.out_port, cp.in_component, cp.in_port)
         return lambda m, env: b in m.bindings
-    return partial(eval_cp, cp)
+    clause = _CLAUSES.get(kind)
+    return partial(eval_cp, cp) if clause is None else partial(clause, cp)
 
 
 def _compile_quantifier(var: str, domain: str, body: CompiledCp,
                         universal: bool) -> CompiledCp:
-    # one scope per evaluation, rebound per value: no compiled body keeps env
-    def forall(m: ComponentModel, env: _Env) -> bool:
-        scope = dict(env)
-        for v in _domain_values(m, domain):
-            scope[var] = v
-            if not body(m, scope):
-                return False
-        return True
+    """A quantifier that evaluates ``body`` once per class of equal values.
 
-    def exists(m: ComponentModel, env: _Env) -> bool:
-        scope = dict(env)
-        for v in _domain_values(m, domain):
-            scope[var] = v
-            if body(m, scope):
-                return True
-        return False
-
-    return forall if universal else exists
-
-
-def _reads_only(cp: ConfigProperty, var: str) -> bool:
-    """Is ``cp`` a local body of ``var``: built from ``class(var)``,
-    ``present(var)``, ``true``, ``false`` and the connectives alone?"""
-    if isinstance(cp, (TrueAtom, FalseAtom)):
-        return True
-    if isinstance(cp, (VarClassIs, VarPresent)):
-        return cp.var == var
-    if isinstance(cp, Not):
-        return _reads_only(cp.inner, var)
-    if isinstance(cp, (And, Or, Implies)):
-        return _reads_only(cp.left, var) and _reads_only(cp.right, var)
-    return False
-
-
-def _compile_local_quantifier(var: str, domain: str, body: CompiledCp,
-                              universal: bool) -> CompiledCp:
-    """A quantifier whose body reads only ``var``: the body is evaluated once
-    per component class, or once per model over bindings.
-
-    Over components, ``present(var)`` is true and ``class(var)`` cannot
-    fail, so the body's value is a function of the class alone, kept here
-    for as long as the closure lives.  Over bindings, ``present(var)`` is
-    true and ``class(var)`` raises the same error for every binding, so one
-    binding stands for all.  No value of such a body depends on the order
-    of the domain, so neither path sorts.  A model that holds a
-    :class:`ModelIndex` gives its classes without a scan.
+    A body reads its variable only through ``class(var)`` and
+    ``present(var)``.  Over a model's own components ``present(var)`` is
+    true and ``class(var)`` cannot fail, so the body's value, or the error
+    it raises, depends on the component's class alone.  :func:`eval_cp`
+    stops at the first id, in sorted order, whose body is false (for
+    ``forall``), true (for ``exists``) or raises; that id is the least id of
+    the first such class in the order of the classes' least ids.  So the
+    body is evaluated on the least id of each class, in that order, with
+    the same value and the same error.  Over bindings ``present(var)`` is
+    true and ``class(var)`` raises the same error for every binding, so any
+    one binding stands for all.
     """
-    by_class: dict[str, bool] = {}
-
     def over_components(m: ComponentModel, env: _Env) -> bool:
-        comps, index = m.components, m._index
-        classes = {c.cls for c in comps.values()} if index is None else index.part("classes", m)
-        unseen = set(classes).difference(by_class)
-        if unseen:
-            for cid, c in comps.items():
-                if c.cls in unseen:
-                    unseen.discard(c.cls)
-                    by_class[c.cls] = body(m, {var: ("component", cid)})
-                    if not unseen:
-                        break
-        values = map(by_class.__getitem__, classes)
-        return all(values) if universal else any(values)
+        # one scope per evaluation, rebound per class: no compiled body keeps env
+        scope = dict(env)
+        for cid in _least_ids(m):
+            scope[var] = ("component", cid)
+            if body(m, scope) is not universal:
+                return not universal
+        return universal
 
     def over_bindings(m: ComponentModel, env: _Env) -> bool:
         if not m.bindings:
             return universal
-        return body(m, {var: ("binding", next(iter(m.bindings)))})
+        return body(m, {**env, var: ("binding", next(iter(m.bindings)))})
 
-    return over_components if domain == "components" else over_bindings
+    def unknown(m: ComponentModel, env: _Env) -> bool:
+        raise CpEvalError(f"unknown quantifier domain '{domain}'")
+
+    return {"components": over_components, "bindings": over_bindings}.get(domain, unknown)
+
+
+def _least_ids(m: ComponentModel) -> list[str]:
+    """The least id of each class of ``m``'s components, in increasing order:
+    read off the index ``m`` holds, or found by one scan."""
+    index = m._index
+    if index is not None:
+        return sorted([ids[0] for ids in index.part("classes", m).values()])
+    least: dict[str, str] = {}
+    for cid, c in m.components.items():
+        if least.setdefault(c.cls, cid) > cid:
+            least[c.cls] = cid
+    return sorted(least.values())
 
 
 def _lookup_var(env: _Env, var: str) -> tuple:

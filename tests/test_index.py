@@ -43,11 +43,10 @@ import generators
 
 
 def _normal(name: str, part) -> object:
-    # the order of a component's links is the order they came in; Counter's ==
-    # would forgive a class left at zero, which over_components would count
+    # the order of a component's links is the order they came in
     if name == "links":
         return {cid: sorted(bs, key=binding_key) for cid, bs in part.items()}
-    return dict(part) if name == "classes" else part
+    return part
 
 
 def _assert_fresh(m: ComponentModel) -> None:
@@ -60,13 +59,20 @@ def _assert_fresh(m: ComponentModel) -> None:
 
 
 def _extra_steps(rng: random.Random, m: ComponentModel):
-    """Additions the recipe generator never draws: a component with a
-    parameter, and a composite that adopts a root component."""
+    """Steps the recipe generator never draws: a component with a parameter,
+    a composite that adopts a root component, and removals of a class's
+    least id while the class keeps other members."""
     roots = sorted(set(m.components) - {c for p in m.components.values() for c in p.contains})
     yield AddComponent(Component("Probe", "Gauge", params={"v": Param("int", 1)}))
     yield RemoveComponent("Probe")
     yield AddComponent(Component("Box", "Shell", contains=frozenset(rng.sample(roots, 1))))
     yield RemoveComponent("Box")
+    # A0 and A1 sort before every generated id: each is its class's least id
+    # while present, and the class has members besides
+    for least, member in zip(("A0", "A1"), rng.sample(sorted(m.components), 2)):
+        yield AddComponent(Component(least, m.components[member].cls))
+        yield RemoveComponent(least)
+        yield RemoveComponent(member)
 
 
 def _start(rng: random.Random) -> ComponentModel:
@@ -151,8 +157,8 @@ def test_readers_and_refused_operations_attach_no_index(http_model):
     m = replace(http_model)
     erased = erase_param_values(m)
     assert m._index is None and erased._index is None
-    local = compile_cp(ForAll("x", "components", VarClassIs("x", "RequestHandler")))
-    assert local(m, {}) is False and m._index is None
+    quantifier = compile_cp(ForAll("x", "components", VarClassIs("x", "RequestHandler")))
+    assert quantifier(m, {}) is False and m._index is None
     taken = next(iter(m.bindings))
     for refused in (RemoveComponent("Nope"), Bind(taken),
                     Bind(Binding("CacheHandler", "nope", "RequestHandler", "nope"))):
@@ -164,7 +170,7 @@ def test_readers_and_refused_operations_attach_no_index(http_model):
     index = held._index
     assert index is not None
     assert erase_param_values(held)._index is None and held._index is index
-    assert local(held, {}) is False and held._index is index
+    assert quantifier(held, {}) is False and held._index is index
     assert apply_primitive(RemoveComponent("Nope"), held) is held and held._index is index
 
 

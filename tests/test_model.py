@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,15 +403,54 @@ def _generated_properties(rng: random.Random, m: ComponentModel) -> list:
         ctor = rng.choice((ForAll, Exists))
         props += [
             ctor("x", domain, _gen_local_body(rng, "x")),
-            # a local body inside a non-local one, shadowing its variable
+            # a body that reads only x inside one that reads more, shadowing x
             ForAll("x", domain, Or(Exists("x", rng.choice(("components", "bindings")),
                                           _gen_local_body(rng, "x")),
                                    _gen_local_body(rng, "x"))),
-            # a body reading the outer variable is not local
+            # an inner body that reads the outer variable
             ctor("x", domain, Exists("y", "components",
                                      And(VarPresent("y"), _gen_local_body(rng, "x")))),
         ]
     return props
+
+
+def _order_sensitive_properties(rng: random.Random, m: ComponentModel) -> list:
+    """Quantifiers whose body holds on one class, fails on another and reaches
+    a leaf that may raise on the rest: which comes first, the value or the
+    error, is decided by the order of the classes' least ids."""
+    yes, no = rng.sample(generators.COMPONENT_CLASSES + ("CoreClass",), 2)
+    bad = rng.choice((Started("Ghost"), ParamCmp("Core", "p", "=", "red"), VarPresent("free"),
+                      VarClassIs("free", "Alpha"), ForAll("v", "ports", TrueAtom()),
+                      generators.gen_ill_formed_cp(rng, m)))
+    forall_body = Or(VarClassIs("x", yes), And(Not(VarClassIs("x", no)), bad))
+    exists_body = And(Not(VarClassIs("x", no)), Or(VarClassIs("x", yes), bad))
+    return [
+        ForAll("x", "components", forall_body),
+        Exists("x", "components", exists_body),
+        # the inner quantifier's body reads the outer variable
+        ForAll("x", "components", Exists("y", "components", Or(VarClassIs("y", yes), exists_body))),
+        Exists("y", "components", ForAll("x", "components", And(VarClassIs("y", no), forall_body))),
+    ]
+
+
+def _many_per_class_models(rng: random.Random, m: ComponentModel):
+    """``m`` with 6 to 20 more components of its classes, whose ids sort
+    before, among and after its own, so the order of the classes' least ids
+    varies from draw to draw; then a run from it whose each step removes the
+    least id of some class, so the index the run holds keeps its ``classes``
+    part up to date as least ids leave."""
+    classes = generators.COMPONENT_CLASSES + ("CoreClass",)
+    comps = dict(m.components)
+    for i in range(rng.randint(6, 20)):
+        cid = rng.choice(("B", "Ca", "Co", "Cz", "D")) + str(i)
+        comps[cid] = Component(id=cid, cls=rng.choice(classes),
+                               state=rng.choice((STARTED, STOPPED)))
+    current = replace(m, components=comps)
+    yield current
+    current = apply_primitive(AddComponent(Component(id="A0", cls=rng.choice(classes))), current)
+    for _ in range(4):
+        yield current
+        current = apply_primitive(RemoveComponent(min(current.components)), current)
 
 
 @settings(max_examples=300, deadline=None)
@@ -418,15 +458,19 @@ def _generated_properties(rng: random.Random, m: ComponentModel) -> list:
 def test_compiled_properties_agree_with_eval_cp(seed):
     rng = random.Random(seed)
     m = generators.gen_model(rng)
-    props = _generated_properties(rng, m)
-    empty = ComponentModel(name="E")
+    props = _generated_properties(rng, m) + _order_sensitive_properties(rng, m)
+    # the generators' free variable, bound by the caller
+    envs = [{}, {"free": ("component", "Core")}, {"free": ("component", "Ghost")}]
+    compiled = [compile_cp(cp) for cp in props]
     # compiled leaves are eval_cp's own clauses, so the reference evaluator
-    # checks the compiled path independently of them
-    for cp in props:
-        for current in (m, empty):
-            compiled = _outcome(lambda: compile_cp(cp)(current, {}))
-            assert compiled == _outcome(lambda: eval_cp(cp, current))
-            assert compiled == _outcome(lambda: _reference_eval_cp(cp, current))
+    # checks the compiled path independently of them; the run's models are
+    # drawn one at a time, so each is evaluated while it holds the run's index
+    for current in chain((m, ComponentModel(name="E")), _many_per_class_models(rng, m)):
+        for cp, fn in zip(props, compiled):
+            for env in envs:
+                outcome = _outcome(lambda: fn(current, env))
+                assert outcome == _outcome(lambda: eval_cp(cp, current, env))
+                assert outcome == _outcome(lambda: _reference_eval_cp(cp, current, env))
 
 
 def _gen_local_body(rng: random.Random, var: str, depth: int = 3):
@@ -466,8 +510,8 @@ def test_local_quantifiers_agree_with_eval_cp(cp, value):
 
 
 def test_one_compiled_property_along_a_run_of_shared_models():
-    # the closures keep per-class values across models: a value kept for one
-    # model must still be right on every later one
+    # one closure along a run: each model after the first reads the least id
+    # of each class off the index its run keeps up to date
     rng = random.Random(8080)
     checked = 0
     for _ in range(40):
@@ -508,29 +552,26 @@ def _abc_model(n: int) -> ComponentModel:
         f"C{i:04d}": Component(id=f"C{i:04d}", cls="ABC"[i % 3]) for i in range(n)})
 
 
-def test_local_forall_evaluates_its_body_once_per_class(monkeypatch):
-    evaluations = _count_class_reads(monkeypatch, "x", "A")
-    body = Or(VarClassIs("x", "A"), Or(VarClassIs("x", "B"), VarClassIs("x", "C")))
+@pytest.mark.parametrize("var, cls, body", [
+    # a body that reads only x
+    ("x", "A", Or(VarClassIs("x", "A"), Or(VarClassIs("x", "B"), VarClassIs("x", "C")))),
+    # a constant leaf, never reached, since one class test holds
+    ("x", "A", Or(VarClassIs("x", "A"), Or(VarClassIs("x", "B"),
+                                             Or(VarClassIs("x", "C"), Started("C0000"))))),
+    # an inner quantifier whose body reads the outer variable
+    ("x", "Ghost", Exists("y", "components", Or(VarClassIs("y", "Ghost"),
+                                                  Not(VarClassIs("x", "Ghost"))))),
+], ids=["local", "constant-leaf", "nested"])
+def test_one_evaluation_reads_a_body_at_most_once_per_class(monkeypatch, var, cls, body):
+    evaluations = _count_class_reads(monkeypatch, var, cls)
     fn = compile_cp(ForAll("x", "components", body))
-    m = _abc_model(2000)
-    for i in range(50):
+    # the first model holds no index, each later one the index of its run
+    m = _abc_model(600)
+    for i in range(5):
+        evaluations.clear()
         assert fn(m, {}) is True
+        assert 0 < len(evaluations) <= 3
         m = apply_primitive(Stop(f"C{i:04d}"), m)
-    # "A" is the first disjunct, so it is read once per body evaluation
-    assert 0 < len(evaluations) <= 3
-
-
-def test_a_local_exists_inside_a_quantifier_evaluates_its_body_once_per_class(monkeypatch):
-    # the outer body reads x and a quantifier, so only the inner exists is local:
-    # its values per class are kept across every value of x and every model
-    evaluations = _count_class_reads(monkeypatch, "y", "A")
-    body = Implies(VarClassIs("x", "B"), Exists("y", "components", VarClassIs("y", "A")))
-    fn = compile_cp(ForAll("x", "components", body))
-    m = _abc_model(300)
-    for i in range(10):
-        assert fn(m, {}) is True
-        m = apply_primitive(Stop(f"C{i:04d}"), m)
-    assert 0 < len(evaluations) <= 3
 
 
 def test_compiled_properties_raise_like_eval_cp(http_model):
@@ -539,11 +580,39 @@ def test_compiled_properties_raise_like_eval_cp(http_model):
         (VarClassIs("x", "Alpha"), ghost_env),
         (VarClassIs("x", "Alpha"), {"x": ("binding", None)}),
         (And(TrueAtom(), "not a property node"), {}),
+        # raised when evaluated, never when compiled, over an empty model too
+        (ForAll("x", "nowhere", TrueAtom()), {}),
     ]
     for cp, env in cases:
-        expected = _outcome(lambda: eval_cp(cp, http_model, env))
-        assert expected[0] == "error"
-        assert _outcome(lambda: compile_cp(cp)(http_model, env)) == expected
+        fn = compile_cp(cp)
+        for m in (http_model, ComponentModel(name="E")):
+            expected = _outcome(lambda: eval_cp(cp, m, env))
+            assert expected[0] == "error"
+            assert _outcome(lambda: fn(m, env)) == expected
+
+
+def test_compiled_quantifiers_never_enumerate_a_domain(monkeypatch, http_model):
+    # the checker's path reads one id per class and one binding: it neither
+    # sorts nor lists a domain, so the sorted scan is the reference's alone
+    def nested(cls):
+        return ForAll("x", "components", Exists("y", "components", Or(
+            VarClassIs("y", cls), Not(VarClassIs("x", "Handler")))))
+    props = [nested("Server"), nested("Cache"),
+             Exists("x", "components", ForAll("b", "bindings", And(VarPresent("b"), Or(
+                 VarClassIs("x", "Cache"), Started("Nope"))))),
+             ForAll("x", "bindings", Exists("y", "components", VarClassIs("y", "Ghost"))),
+             ForAll("x", "components", Or(VarClassIs("x", "Cache"), Started("Nope")))]
+    run = apply_primitive(Stop("CacheHandler"), http_model)
+    models = [http_model, _abc_model(300), ComponentModel(name="E")]
+    expected = [_outcome(lambda: eval_cp(cp, m)) for m in models + [run] for cp in props]
+    assert {"error", bool} <= {kind for kind, _ in expected}
+
+    def enumerate_domain(m, domain):
+        raise AssertionError(f"the {domain} of {m.name} were enumerated")
+
+    monkeypatch.setattr(model, "_domain_values", enumerate_domain)
+    got = [_outcome(lambda: compile_cp(cp)(m, {})) for m in models + [run] for cp in props]
+    assert got == expected
 
 
 def _reference_eval_cp(cp, m, env=None):
