@@ -9,10 +9,8 @@ lexicographically — so equal models print byte-identical text.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import is_not
 from typing import Callable, Optional
@@ -45,6 +43,7 @@ from .reconfig import (
     Unbind,
     operation_table,
 )
+from .record import record
 
 
 class AdlSyntaxError(ValueError):
@@ -564,6 +563,8 @@ def print_model(m: ComponentModel) -> str:
 
 
 def _digest(text: str) -> str:
+    import hashlib  # on first use: a check that shows no witness loads no hash library
+
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -639,11 +640,11 @@ def model_digester() -> Callable[[ComponentModel], str]:
 
 # --- recipe files (.ops) ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RecipeSet:
     """Named composite-operation recipes, as parsed from an ``.ops`` file."""
 
-    recipes: dict[str, tuple[Primitive, ...]] = field(default_factory=dict)
+    recipes: dict[str, tuple[Primitive, ...]] = {}
 
     def operation_table(self):
         return operation_table(self.recipes)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -56,6 +55,7 @@ from .pathspec import PathAutomaton, PathExpr, residual_from
 # is_idempotent_sequence stays importable because perfbench/tracer.py rebinds it here
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
     is_idempotent_sequence, run_path  # noqa: F401
+from .record import record
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -74,28 +74,28 @@ class OracleDisagreement(CheckError):
     """The brute-force oracle reached the opposite verdict."""
 
 
-@dataclass(frozen=True)
+@record
 class WitnessStep:
     state: int
     label: str  # empty on the initial configuration
     digest: str
 
 
-@dataclass(frozen=True)
+@record
 class TraceWitness:
     steps: tuple[WitnessStep, ...]
     violation_index: int
     violated: str
 
 
-@dataclass(frozen=True)
+@record
 class CheckStats:
     transitions_applied: int
     cp_evaluations: int
     max_instance_transitions: int
 
 
-@dataclass(frozen=True)
+@record
 class CheckOptions:
     """max_steps bounds the total transitions the walk takes while exploring;
     the applications the idempotence gate makes past the walk's end, and a
@@ -109,7 +109,7 @@ class CheckOptions:
             raise ValueError("max_steps must be at least 1 when present")
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str
     witness: Optional[TraceWitness] = None

@@ -19,7 +19,6 @@ defect, shown with its traceback); none of these is reported as "fails".
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -133,6 +132,8 @@ def _verdict_report(verdict: Verdict, formula_text: str) -> dict:
 
 def _print_verdict(verdict: Verdict, formula_text: str, as_json: bool) -> int:
     if as_json:
+        import json  # only --json reports need it
+
         print(json.dumps(_verdict_report(verdict, formula_text), indent=2, sort_keys=True))
         return _VERDICT_EXITS[verdict.status]
     print(f"verdict: {verdict.status}")

@@ -9,7 +9,6 @@ operation fell back to the identity) or ``terminates`` (either).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .adl import AdlSyntaxError, TokenStream, format_literal
@@ -36,6 +35,7 @@ from .model import (
     cp_mentions_params,
 )
 from .reconfig import AddComponent, Composite, EvolutionOperation, RemoveComponent, SetParam
+from .record import record
 
 MODALITIES = ("normal", "exceptional", "terminates")
 
@@ -44,18 +44,18 @@ class FtplSyntaxError(AdlSyntaxError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class EventSpec:
     op_name: str
     modality: str
 
 
-@dataclass(frozen=True)
+@record
 class Always:
     cp: ConfigProperty
 
 
-@dataclass(frozen=True)
+@record
 class Eventually:
     cp: ConfigProperty
 
@@ -63,13 +63,13 @@ class Eventually:
 TraceProperty = Union[Always, Eventually]
 
 
-@dataclass(frozen=True)
+@record
 class After:
     event: EventSpec
     inner: "FtplFormula"
 
 
-@dataclass(frozen=True)
+@record
 class Before:
     event: EventSpec
     trace: TraceProperty

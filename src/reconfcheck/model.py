@@ -12,9 +12,10 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, insort
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+
+from .record import record
 
 STARTED = "started"
 STOPPED = "stopped"
@@ -26,7 +27,7 @@ _PY_TYPES = {"int": int, "string": str, "bool": bool}
 _value = operator.attrgetter("value")
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     """A typed parameter value.  ``value`` is None only in erased models."""
 
@@ -34,19 +35,19 @@ class Param:
     value: Union[int, str, bool, None]
 
 
-@dataclass(frozen=True)
+@record
 class Component:
     id: str
     cls: str
-    params: dict[str, Param] = field(default_factory=dict)
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    params: dict[str, Param] = {}
+    inputs: dict[str, str] = {}
+    outputs: dict[str, str] = {}
     contains: frozenset[str] = frozenset()
     state: str = STARTED
 
-    # the hash below, once computed: a class attribute, not a field, so ==,
-    # repr and dataclasses.replace never see or copy it
-    _hash = None
+    # the hash below, once computed: not a field, so ==, repr and a copy
+    # never see it
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
         """Hash of the id, lifecycle state and set of parameter values, kept
@@ -66,15 +67,15 @@ class Component:
     def evolve(self, params: Optional[dict[str, Param]] = None,
                contains: Optional[frozenset[str]] = None,
                state: Optional[str] = None) -> Component:
-        """``dataclasses.replace`` for the fields operations change, without
-        its per-field introspection, which costs more than the copy."""
+        """A copy with the fields operations change replaced; like any new
+        component, it has no cached hash."""
         return Component(self.id, self.cls, self.params if params is None else params,
                          self.inputs, self.outputs,
                          self.contains if contains is None else contains,
                          self.state if state is None else state)
 
 
-@dataclass(frozen=True)
+@record
 class Binding:
     """One binding: an output port coupled to an input port of equal class."""
 
@@ -84,7 +85,7 @@ class Binding:
     in_port: str
 
 
-@dataclass(frozen=True)
+@record
 class Delegation:
     """Link between a composite's port and the same-direction port of a child."""
 
@@ -94,17 +95,16 @@ class Delegation:
     inner_port: str
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@record
 class ComponentModel:
     name: str
-    components: dict[str, Component] = field(default_factory=dict)
+    components: dict[str, Component] = {}
     bindings: frozenset[Binding] = frozenset()
     delegations: frozenset[Delegation] = frozenset()
 
-    # kept, not compared or printed, and never copied by dataclasses.replace:
-    # the sum of component_sum, and the ModelIndex of the newest model of a run
-    _component_sum: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    _index: Optional[ModelIndex] = field(default=None, init=False, repr=False, compare=False)
+    # kept, not compared or printed, and never copied: the sum of
+    # component_sum, and the ModelIndex of the newest model of a run
+    __slots__ = ("_component_sum", "_index", "__weakref__")
 
 
 def link(links: dict[str, tuple[Binding, ...]], b: Binding) -> None:
@@ -437,27 +437,27 @@ class CpEvalError(Exception):
     """
 
 
-@dataclass(frozen=True)
+@record
 class TrueAtom:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FalseAtom:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ComponentPresent:
     id: str
 
 
-@dataclass(frozen=True)
+@record
 class Started:
     id: str
 
 
-@dataclass(frozen=True)
+@record
 class Bound:
     out_component: str
     out_port: str
@@ -465,13 +465,13 @@ class Bound:
     in_port: str
 
 
-@dataclass(frozen=True)
+@record
 class Subcomponent:
     child: str
     parent: str
 
 
-@dataclass(frozen=True)
+@record
 class ParamCmp:
     component: str
     param: str
@@ -479,50 +479,50 @@ class ParamCmp:
     literal: Union[int, str, bool]
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     inner: "ConfigProperty"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "ConfigProperty"
     right: "ConfigProperty"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "ConfigProperty"
     right: "ConfigProperty"
 
 
-@dataclass(frozen=True)
+@record
 class Implies:
     left: "ConfigProperty"
     right: "ConfigProperty"
 
 
-@dataclass(frozen=True)
+@record
 class ForAll:
     var: str
     domain: str  # "components" | "bindings"
     body: "ConfigProperty"
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
     var: str
     domain: str
     body: "ConfigProperty"
 
 
-@dataclass(frozen=True)
+@record
 class VarClassIs:
     var: str
     cls: str
 
 
-@dataclass(frozen=True)
+@record
 class VarPresent:
     var: str
 

@@ -19,7 +19,6 @@ is its entire job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .ftpl import After, Always, Before, Eventually, EventSpec, FtplFormula, \
@@ -28,9 +27,10 @@ from .model import ComponentModel, ConfigProperty, erase_param_values, eval_cp
 from .pathspec import PathAutomaton
 # apply_evolution stays importable because perfbench/tracer.py rebinds it here
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, run_path  # noqa: F401
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class LassoStep:
     state: int
     model: ComponentModel
@@ -43,7 +43,7 @@ class LassoStep:
 _Values = dict[int, tuple[ConfigProperty | EventSpec, dict[int, bool]]]
 
 
-@dataclass(frozen=True)
+@record
 class ConcreteLasso:
     """The unfolded sequence plus, when found, where it starts repeating.
 
@@ -53,9 +53,9 @@ class ConcreteLasso:
     its terminal state.  ``erased_compare`` records that the repetition was
     detected on parameter-erased models: the suffix then repeats only up to
     parameter values, which suffices for erasure-invariant formulas.
-    ``values`` keeps the property and event values evaluated on these
-    entries (see :meth:`_Sigma.find` and :meth:`_Sigma.event`); the windows
-    of one unfolding share it.
+    ``values``, not a field, keeps the property and event values evaluated
+    on these entries (see :meth:`_Sigma.find` and :meth:`_Sigma.event`); the
+    windows of one unfolding share it.
     """
 
     automaton: PathAutomaton
@@ -63,7 +63,8 @@ class ConcreteLasso:
     period_start: Optional[int]
     complete: bool
     erased_compare: bool = False
-    values: _Values = field(default_factory=dict, compare=False, repr=False)
+
+    __slots__ = ("values",)
 
     @property
     def period(self) -> Optional[int]:
@@ -97,9 +98,15 @@ def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOp
         if rounds >= max_rounds:
             break
         if lap and rounds in looks:
-            yield ConcreteLasso(a, tuple(entries), None, False, compare_erased, values)
-    yield ConcreteLasso(a, tuple(entries), unfolding.period_start, unfolding.complete,
-                        compare_erased, values)
+            yield _window(a, entries, None, False, compare_erased, values)
+    yield _window(a, entries, unfolding.period_start, unfolding.complete, compare_erased, values)
+
+
+def _window(a: PathAutomaton, entries: list[LassoStep], period_start: Optional[int],
+            complete: bool, compare_erased: bool, values: _Values) -> ConcreteLasso:
+    lasso = ConcreteLasso(a, tuple(entries), period_start, complete, compare_erased)
+    object.__setattr__(lasso, "values", values)
+    return lasso
 
 
 def unfold_to_lasso(a: PathAutomaton, c0: ComponentModel,
@@ -133,6 +140,8 @@ class _Sigma:
         self.ps = l.period_start
         self.t = None if self.ps is None else self.n - self.ps
         self.erased = l.erased_compare
+        if l.values is None:
+            object.__setattr__(l, "values", {})
         self.values = l.values
 
     def wrap(self, i: int) -> int:

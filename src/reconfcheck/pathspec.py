@@ -10,17 +10,17 @@ q-max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .adl import AdlSyntaxError, TokenStream
+from .record import record
 
 
 class PathSyntaxError(AdlSyntaxError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PathExpr:
     prefix: tuple[str, ...]
     cycle: Optional[tuple[str, ...]] = None  # non-empty when present
@@ -70,7 +70,7 @@ def print_path(p: PathExpr) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class PathAutomaton:
     """Deterministic lasso automaton with states 0 < 1 < ... < q_max.
 
@@ -116,11 +116,9 @@ class PathAutomaton:
 def build_automaton(p: PathExpr) -> PathAutomaton:
     """One state per operation application, plus a final state on finite paths."""
     if p.cycle is None:
-        return PathAutomaton(labels=p.prefix, n_states=len(p.prefix) + 1,
-                             back_target=None)
+        return PathAutomaton(p.prefix, len(p.prefix) + 1, None)
     labels = p.prefix + p.cycle
-    return PathAutomaton(labels=labels, n_states=len(labels),
-                         back_target=len(p.prefix))
+    return PathAutomaton(labels, len(labels), len(p.prefix))
 
 
 def residual_from(a: PathAutomaton, q: int) -> PathExpr:

@@ -9,7 +9,6 @@ primitives (component/binding addition and removal) are idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
@@ -31,6 +30,7 @@ from .model import (
     release_index,
     unlink,
 )
+from .record import record
 
 if TYPE_CHECKING:  # pathspec reads paths through adl, which imports this module
     from .pathspec import PathAutomaton
@@ -40,18 +40,18 @@ RUN_NAME = "run"
 
 # --- integer expressions for parameter updates --------------------------------
 
-@dataclass(frozen=True)
+@record
 class IntLiteral:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class ParamRef:
     component: str
     param: str
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str  # + - *
     left: "IntExpr"
@@ -88,41 +88,41 @@ def eval_int_expr(expr: IntExpr, m: ComponentModel) -> Optional[int]:
 
 # --- primitive operations ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AddComponent:
     # full component template; lifecycle is forced to stopped on insertion,
     # contains entries attach existing components as children of the new one
     template: Component
 
 
-@dataclass(frozen=True)
+@record
 class RemoveComponent:
     id: str
 
 
-@dataclass(frozen=True)
+@record
 class Bind:
     binding: Binding
 
 
-@dataclass(frozen=True)
+@record
 class Unbind:
     binding: Binding
 
 
-@dataclass(frozen=True)
+@record
 class SetParam:
     component: str
     param: str
     expr: IntExpr
 
 
-@dataclass(frozen=True)
+@record
 class Stop:
     id: str
 
 
-@dataclass(frozen=True)
+@record
 class Start:
     id: str
 
@@ -130,7 +130,7 @@ class Start:
 Primitive = Union[AddComponent, RemoveComponent, Bind, Unbind, SetParam, Stop, Start]
 
 
-@dataclass(frozen=True)
+@record
 class Run:
     """Restart every stopped component; models the software running."""
 
@@ -138,7 +138,7 @@ class Run:
 RUN = Run()
 
 
-@dataclass(frozen=True)
+@record
 class Composite:
     """A named recipe: primitive steps applied left to right."""
 
@@ -149,7 +149,7 @@ class Composite:
 EvolutionOperation = Union[Run, Primitive, Composite]
 
 
-@dataclass(frozen=True)
+@record
 class ApplicationOutcome:
     source: ComponentModel
     result: ComponentModel

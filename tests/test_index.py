@@ -11,7 +11,6 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from itertools import islice
 
 from hypothesis import given, settings, strategies as st
@@ -75,9 +74,14 @@ def _extra_steps(rng: random.Random, m: ComponentModel):
         yield RemoveComponent(member)
 
 
+def _rebuilt(m: ComponentModel) -> ComponentModel:
+    """``m`` built again by its constructor, which attaches no index."""
+    return ComponentModel(m.name, m.components, m.bindings, m.delegations)
+
+
 def _start(rng: random.Random) -> ComponentModel:
     m = generators.gen_model(rng)
-    return rng.choice((m, parse_model(print_model(m)), replace(m)))
+    return rng.choice((m, parse_model(print_model(m)), _rebuilt(m)))
 
 
 @settings(max_examples=200)
@@ -104,7 +108,7 @@ def test_every_operation_keeps_the_index_a_fresh_build_computes(seed):
             out = erase_param_values(base)
             assert out._index is None
         else:
-            out = replace(base)
+            out = _rebuilt(base)
             assert out._index is None
         if out is not base:
             models.append(out)
@@ -143,7 +147,7 @@ def test_a_run_hands_one_index_on_and_builds_each_part_once(monkeypatch):
         monkeypatch.setitem(model._BUILDERS, name, counting(name, build))
     for a, c0, ops in _lassos(60):
         built.clear()
-        c0 = replace(c0)  # a model no earlier run handed an index
+        c0 = _rebuilt(c0)  # a model no earlier run handed an index
         laps = 3 * a.n_states - 2 * a.back_target  # the prefix and three laps of the cycle
         seen = [c0]
         for _label, _q, c in islice(run_path(a, ops, 0, c0), laps):
@@ -154,7 +158,7 @@ def test_a_run_hands_one_index_on_and_builds_each_part_once(monkeypatch):
 
 
 def test_readers_and_refused_operations_attach_no_index(http_model):
-    m = replace(http_model)
+    m = _rebuilt(http_model)
     erased = erase_param_values(m)
     assert m._index is None and erased._index is None
     quantifier = compile_cp(ForAll("x", "components", VarClassIs("x", "RequestHandler")))
@@ -178,7 +182,7 @@ def test_a_model_an_unfolding_keeps_holds_no_index():
     checked = 0
     for a, c0, ops in _lassos(60):
         for erased in (False, True):
-            run = Unfolding(a, 0, c0, islice(run_path(a, ops, 0, replace(c0)), 400),
+            run = Unfolding(a, 0, c0, islice(run_path(a, ops, 0, _rebuilt(c0)), 400),
                             erased=erased)
             entries = list(run)
             if run.period_start is None:

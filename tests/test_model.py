@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -196,7 +195,8 @@ def test_model_equal_reflexive(http_model):
     assert http_model == http_model
     # equality is structural: the order of components does not matter
     reordered = dict(reversed(list(http_model.components.items())))
-    assert replace(http_model, components=reordered) == http_model
+    assert ComponentModel(http_model.name, reordered, http_model.bindings,
+                          http_model.delegations) == http_model
 
 
 def test_model_equal_after_removing_absent_component(http_model):
@@ -324,11 +324,9 @@ def test_connectives(http_model):
 def test_started_atom(http_model):
     assert eval_cp(Started("CacheHandler"), http_model) is True
     stopped = http_model.components["CacheHandler"]
-    import dataclasses
     m2 = ComponentModel(
         name=http_model.name,
-        components={**http_model.components,
-                    "CacheHandler": dataclasses.replace(stopped, state=STOPPED)},
+        components={**http_model.components, "CacheHandler": stopped.evolve(state=STOPPED)},
         bindings=http_model.bindings, delegations=http_model.delegations)
     assert eval_cp(Started("CacheHandler"), m2) is False
 
@@ -445,7 +443,7 @@ def _many_per_class_models(rng: random.Random, m: ComponentModel):
         cid = rng.choice(("B", "Ca", "Co", "Cz", "D")) + str(i)
         comps[cid] = Component(id=cid, cls=rng.choice(classes),
                                state=rng.choice((STARTED, STOPPED)))
-    current = replace(m, components=comps)
+    current = ComponentModel(m.name, comps, m.bindings, m.delegations)
     yield current
     current = apply_primitive(AddComponent(Component(id="A0", cls=rng.choice(classes))), current)
     for _ in range(4):
@@ -503,7 +501,8 @@ def test_local_quantifiers_agree_with_eval_cp(cp, value):
     assert (outcome[0] if value == "error" else outcome[1]) == value
     # over an empty domain the body is never evaluated: no error, vacuous value
     vacuous = isinstance(cp, ForAll)
-    for empty in (ComponentModel(name="E"), replace(m, bindings=frozenset())):
+    for empty in (ComponentModel(name="E"),
+                  ComponentModel(m.name, m.components, delegations=m.delegations)):
         if cp.domain == "components" and empty.components:
             continue
         assert compile_cp(cp)(empty, {}) is vacuous is eval_cp(cp, empty)

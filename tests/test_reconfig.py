@@ -1,5 +1,5 @@
+import copy
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +29,7 @@ from reconfcheck import (
     print_model,
     validate_model,
 )
-from reconfcheck.model import Bound, component_sum, fingerprint
+from reconfcheck.model import Bound, component_sum, fingerprint, hold_index
 from reconfcheck.reconfig import BinOp, IntLiteral, ParamRef
 
 import generators
@@ -170,11 +170,11 @@ def _remove_rebuilding_everything(m: ComponentModel, rid: str) -> ComponentModel
     visited and the link sets are built anew."""
     if rid not in m.components:
         return m
-    comps = {cid: replace(c, contains=c.contains - {rid}) if rid in c.contains else c
+    comps = {cid: c.evolve(contains=c.contains - {rid}) if rid in c.contains else c
              for cid, c in m.components.items() if cid != rid}
     bindings = frozenset(b for b in m.bindings if rid not in (b.out_component, b.in_component))
     delegations = frozenset(d for d in m.delegations if rid not in (d.composite, d.inner))
-    return replace(m, components=comps, bindings=bindings, delegations=delegations)
+    return ComponentModel(m.name, comps, bindings, delegations)
 
 
 def test_remove_untouched_by_links_shares_both_link_sets(http_model):
@@ -313,7 +313,7 @@ def test_closure_under_evolution():
 def _from_scratch(m: ComponentModel) -> ComponentModel:
     """An equal model of fresh objects: nothing computed for ``m`` or its
     components is carried over."""
-    return ComponentModel(m.name, {cid: replace(c) for cid, c in m.components.items()},
+    return ComponentModel(m.name, {cid: c.evolve() for cid, c in m.components.items()},
                           m.bindings, m.delegations)
 
 
@@ -372,19 +372,25 @@ def test_stop_then_start_returns_to_the_same_fingerprint(http_model):
     assert fingerprint(stopped) != fingerprint(http_model)
 
 
-def test_replace_and_the_parser_never_carry_a_cached_hash(http_model):
+def test_copies_and_the_parser_never_carry_a_cached_hash(http_model):
     bumped = apply_primitive(SetParam("RequestHandler", "deviation", IntLiteral(9)), http_model)
+    hold_index(bumped)
     handler = bumped.components["RequestHandler"]
     hash(handler)
     assert handler._hash is not None and bumped._component_sum is not None
-    for copy in (replace(handler), replace(handler, state=STOPPED)):
-        assert copy._hash is None
-    assert replace(handler) == handler and hash(replace(handler)) == hash(handler)
-    assert hash(replace(handler, state=STOPPED)) != hash(handler)
+    assert bumped._index is not None
+    stopped = handler.evolve(state=STOPPED)
+    for same in (handler.evolve(), copy.copy(handler)):
+        assert same._hash is None
+        assert same == handler and hash(same) == hash(handler)
+    assert stopped._hash is None and hash(stopped) != hash(handler)
     assert "_hash" not in repr(handler)
-    for copy in (replace(bumped), replace(bumped, bindings=frozenset())):
-        assert copy._component_sum is None
-    assert component_sum(replace(bumped)) == bumped._component_sum
+    rebuilt = ComponentModel(bumped.name, bumped.components, bumped.bindings, bumped.delegations)
+    unbound = ComponentModel(bumped.name, bumped.components, delegations=bumped.delegations)
+    for same in (rebuilt, unbound, copy.copy(bumped)):
+        assert same._component_sum is None and same._index is None
+    assert rebuilt == bumped and copy.copy(bumped) == bumped
+    assert component_sum(rebuilt) == bumped._component_sum
     parsed = parse_model(print_model(bumped))
     assert parsed == bumped and parsed._component_sum is None
     assert all(c._hash is None for c in parsed.components.values())
