@@ -53,9 +53,6 @@ class ConcreteLasso:
     its terminal state.  ``erased_compare`` records that the repetition was
     detected on parameter-erased models: the suffix then repeats only up to
     parameter values, which suffices for erasure-invariant formulas.
-    ``values``, not a field, keeps the property and event values evaluated
-    on these entries (see :meth:`_Sigma.find` and :meth:`_Sigma.event`); the
-    windows of one unfolding share it.
     """
 
     automaton: PathAutomaton
@@ -63,8 +60,6 @@ class ConcreteLasso:
     period_start: Optional[int]
     complete: bool
     erased_compare: bool = False
-
-    __slots__ = ("values",)
 
     @property
     def period(self) -> Optional[int]:
@@ -88,7 +83,6 @@ def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOp
     whole of it, as :func:`unfold_to_lasso` returns it."""
     unfolding = Unfolding(a, 0, c0, run_path(a, ops, 0, c0), erased=compare_erased)
     entries: list[LassoStep] = []
-    values: _Values = {}  # entry j is the same model in every window
     rounds = 0
     for q, label, c in unfolding:
         lap = bool(entries) and entries[-1].state == a.q_max  # in over the back edge
@@ -98,15 +92,9 @@ def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOp
         if rounds >= max_rounds:
             break
         if lap and rounds in looks:
-            yield _window(a, entries, None, False, compare_erased, values)
-    yield _window(a, entries, unfolding.period_start, unfolding.complete, compare_erased, values)
-
-
-def _window(a: PathAutomaton, entries: list[LassoStep], period_start: Optional[int],
-            complete: bool, compare_erased: bool, values: _Values) -> ConcreteLasso:
-    lasso = ConcreteLasso(a, tuple(entries), period_start, complete, compare_erased)
-    object.__setattr__(lasso, "values", values)
-    return lasso
+            yield ConcreteLasso(a, tuple(entries), None, False, compare_erased)
+    yield ConcreteLasso(a, tuple(entries), unfolding.period_start, unfolding.complete,
+                        compare_erased)
 
 
 def unfold_to_lasso(a: PathAutomaton, c0: ComponentModel,
@@ -132,17 +120,19 @@ _EvalResult = tuple[Optional[bool], Optional[tuple[int, str]]]
 
 
 class _Sigma:
-    """Indexed access to the ultimately periodic sequence."""
+    """Indexed access to the ultimately periodic sequence.
 
-    def __init__(self, l: ConcreteLasso):
+    ``values`` keeps the property and event values evaluated on its entries
+    (see :meth:`find` and :meth:`event`); windows of one unfolding may share
+    it, since entry j is the same model in each of them."""
+
+    def __init__(self, l: ConcreteLasso, values: Optional[_Values] = None):
         self.l = l
         self.n = len(l.entries)
         self.ps = l.period_start
         self.t = None if self.ps is None else self.n - self.ps
         self.erased = l.erased_compare
-        if l.values is None:
-            object.__setattr__(l, "values", {})
-        self.values = l.values
+        self.values = {} if values is None else values
 
     def wrap(self, i: int) -> int:
         if i < self.n:
@@ -292,14 +282,17 @@ def _ev(f: FtplFormula, sig: _Sigma, s: int) -> _EvalResult:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def oracle_eval(f: FtplFormula, l: ConcreteLasso) -> Optional[bool]:
+def oracle_eval(f: FtplFormula, l: ConcreteLasso,
+                values: Optional[_Values] = None) -> Optional[bool]:
     """Literal truth of the formula on the unfolded path.
 
     Total whenever the lasso has a period or is a complete finite path.
     On a truncated unfolding the result is None unless the explored window
-    already determines it (a found violation, a found witness).
+    already determines it (a found violation, a found witness).  ``values``
+    may hold the values kept while evaluating another window of the same
+    unfolding.
     """
-    return _ev(f, _Sigma(l), 0)[0]
+    return _ev(f, _Sigma(l, values), 0)[0]
 
 
 def oracle_eval_detailed(f: FtplFormula, l: ConcreteLasso) -> _EvalResult:
@@ -315,8 +308,9 @@ def _pass_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
                   ops: Mapping[str, EvolutionOperation], max_rounds: int,
                   compare_erased: bool) -> Optional[bool]:
     """The first determined value on the windows of one unfolding."""
+    values: _Values = {}
     for lasso in _windows(a, c0, ops, max_rounds, compare_erased, _LOOKS):
-        value = oracle_eval(f, lasso)
+        value = oracle_eval(f, lasso, values)
         if value is not None:
             return value
     return None

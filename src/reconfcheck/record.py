@@ -16,14 +16,19 @@ A slot can only be made with its class, so ``@record`` makes the class anew
 from the body of the one it is given.  A metaclass could make it at once,
 but a class whose type is not ``type`` makes every ``isinstance`` test
 against it twice as slow, and the package dispatches on record classes with
-``isinstance``.  Each record class gets its own constructor, ``==`` and
-hash: closures over its slots, all of one code, so that the interpreter's
-caches inside them each see one class.
+``isinstance``.  Each record class gets its own constructor, a closure over
+its slots.  ``==`` and the hash are written below once for each number of
+fields, up to seven, and compare and hash the tuple of the field values;
+they read field ``i`` through ``_i``, a second name ``@record`` gives its
+slot, so that every read is a plain slot read.
+Each class takes them with a copy of their code object: the interpreter
+specialises a slot read for one class at a time, in caches kept in the code
+object, so one code shared by records of many classes would keep missing.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from types import FunctionType
 
 
 class Record:
@@ -68,22 +73,116 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+# == and the hash of a record by its number of fields, 0 to 7: the tuple of
+# its field values, compared and hashed
+def _eq0(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return True
+
+
+def _eq1(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return (a._0,) == (b._0,)
+
+
+def _eq2(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return (a._0, a._1) == (b._0, b._1)
+
+
+def _eq3(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return (a._0, a._1, a._2) == (b._0, b._1, b._2)
+
+
+def _eq4(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return (a._0, a._1, a._2, a._3) == (b._0, b._1, b._2, b._3)
+
+
+def _eq5(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return (a._0, a._1, a._2, a._3, a._4) == (b._0, b._1, b._2, b._3, b._4)
+
+
+def _eq6(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return (a._0, a._1, a._2, a._3, a._4, a._5) == (b._0, b._1, b._2, b._3, b._4, b._5)
+
+
+def _eq7(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return ((a._0, a._1, a._2, a._3, a._4, a._5, a._6)
+            == (b._0, b._1, b._2, b._3, b._4, b._5, b._6))
+
+
+def _hash0(a):
+    return hash(())
+
+
+def _hash1(a):
+    return hash((a._0,))
+
+
+def _hash2(a):
+    return hash((a._0, a._1))
+
+
+def _hash3(a):
+    return hash((a._0, a._1, a._2))
+
+
+def _hash4(a):
+    return hash((a._0, a._1, a._2, a._3))
+
+
+def _hash5(a):
+    return hash((a._0, a._1, a._2, a._3, a._4))
+
+
+def _hash6(a):
+    return hash((a._0, a._1, a._2, a._3, a._4, a._5))
+
+
+def _hash7(a):
+    return hash((a._0, a._1, a._2, a._3, a._4, a._5, a._6))
+
+
+_EQ = (_eq0, _eq1, _eq2, _eq3, _eq4, _eq5, _eq6, _eq7)
+_HASH = (_hash0, _hash1, _hash2, _hash3, _hash4, _hash5, _hash6, _hash7)
+
+
+def _own(f: FunctionType) -> FunctionType:
+    """``f`` with a copy of its code, whose inline caches see one class."""
+    return FunctionType(f.__code__.replace(), f.__globals__, f.__name__)
+
+
 def record(cls: type) -> type:
     """The record class with the fields, members and other slots of ``cls``,
     which derives from nothing."""
     body = dict(cls.__dict__)
     fields = tuple(body.get("__annotations__", ()))
+    if len(fields) >= len(_EQ):
+        raise TypeError(f"{cls.__qualname__}: a record has at most {len(_EQ) - 1} fields")
     kept = tuple(body.pop("__slots__", ()))
     for name in kept + ("__dict__", "__weakref__"):
         body.pop(name, None)
     body["_defaults"] = {f: body.pop(f) for f in fields if f in body}
     made = type(cls.__name__, (Record,), {**body, "__slots__": fields + kept,
                                           "__qualname__": cls.__qualname__, "_fields": fields})
+    for i, f in enumerate(fields):
+        setattr(made, f"_{i}", made.__dict__[f])
     n, setters = len(fields), tuple(made.__dict__[f].__set__ for f in fields)
     unset = tuple(made.__dict__[k].__set__ for k in kept if k != "__weakref__")
     check = body.get("__post_init__")
-    # one field is compared and hashed as itself: a getter of one name returns it bare
-    values = attrgetter(*fields) if fields else (lambda _record: ())
     finish = None
     if unset or check is not None:
         def finish(self):
@@ -102,15 +201,7 @@ def record(cls: type) -> type:
         if finish is not None:
             finish(self)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return values(self) == values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(values(self))
-
-    made.__init__, made.__eq__ = __init__, __eq__
+    made.__init__, made.__eq__ = __init__, _own(_EQ[n])
     if "__hash__" not in body:
-        made.__hash__ = __hash__
+        made.__hash__ = _own(_HASH[n])
     return made

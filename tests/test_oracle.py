@@ -188,8 +188,8 @@ def test_generated_verdicts_are_decided_by_truncated_windows_too(monkeypatch):
     seen = []
     evaluate = oracle.oracle_eval
 
-    def recorded(f, lasso):
-        value = evaluate(f, lasso)
+    def recorded(f, lasso, *values):
+        value = evaluate(f, lasso, *values)
         seen.append((lasso.erased_compare, lasso.period_start is None and not lasso.complete,
                      value))
         return value
@@ -315,6 +315,19 @@ def test_a_formula_reading_parameters_keeps_the_long_exact_pass(monkeypatch):
     applied = _counted_applications(monkeypatch)
     assert oracle_verdict(f, a, c0, ops) is False
     assert len(applied) == 1 + 4 * 31  # decided by the 4-lap window
+
+
+def test_the_windows_of_a_pass_evaluate_a_property_once_per_position(monkeypatch):
+    # the 4-lap window repeats the 2-lap one's positions, and reads the
+    # values kept for them
+    a, c0, ops = _drift_lasso(4, 10)
+    f = parse_formula("always [Hub.level < 4]")
+    calls = _evaluations(monkeypatch)
+    passes = _recorded_passes(monkeypatch, calls)
+    assert oracle_verdict(f, a, c0, ops) is False
+    ((start, lassos),) = passes
+    assert [len(lasso.entries) for lasso in lassos] == [2 + 2 * 31, 2 + 4 * 31]
+    _assert_once_per_position(calls[start:], lassos[-1])
 
 
 def test_a_cycle_the_exact_gate_admits_is_decided_by_the_exact_pass(monkeypatch, http_model,

@@ -20,8 +20,16 @@ from reconfcheck import (
     PathExpr,
 )
 from reconfcheck.ftpl import Always, Eventually
-from reconfcheck.model import And, ComponentPresent, Or, Started, component_sum
-from reconfcheck.record import Record
+from reconfcheck.model import (
+    And,
+    ComponentPresent,
+    Not,
+    Or,
+    Started,
+    TrueAtom,
+    component_sum,
+)
+from reconfcheck.record import Record, record
 
 
 def _record_classes() -> list[type]:
@@ -94,6 +102,16 @@ def test_records_of_two_classes_with_equal_fields_are_unequal():
                    for j, y in enumerate(records))
 
 
+def test_a_record_hashes_as_the_tuple_of_its_fields():
+    # as a frozen dataclass does: a record of one field does not hash as the
+    # field itself
+    cp = ComponentPresent("A")
+    for r in (cp, Not(cp), Always(cp), TrueAtom(), Param("int", 5), And(cp, cp),
+              Binding("A", "o", "B", "i")):
+        assert hash(r) == hash(tuple(getattr(r, f) for f in r._fields))
+    assert hash(Not(cp)) != hash(cp)
+
+
 def test_construction_checks_its_arguments():
     with pytest.raises(ValueError, match="max_steps"):
         CheckOptions(max_steps=0)
@@ -107,6 +125,9 @@ def test_construction_checks_its_arguments():
         Param("int", cls="int")
     with pytest.raises(TypeError, match="takes 2 arguments but 3"):
         Param("int", 1, 2)
+    eight = type("Eight", (), {"__annotations__": {f"f{i}": int for i in range(8)}})
+    with pytest.raises(TypeError, match="at most 7 fields"):
+        record(eight)
 
 
 def test_a_default_dict_is_not_shared():
