@@ -285,10 +285,7 @@ def _parse_literal(ts: TokenStream, cls: str):
         if ts.kind() != "string":
             raise ts.error("expected string literal")
         return ts.next_string()
-    if cls == "bool":
-        word = ts.expect("true", "false")
-        return word == "true"
-    raise ts.error(f"unknown parameter class '{cls}'")
+    return ts.expect("true", "false") == "true"  # bool, the one class left
 
 
 # --- model files (.arch) ---------------------------------------------------------

@@ -488,30 +488,32 @@ def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     never reads the gate's answer, and what rests on the gate (an instance
     unfolding's repeat, ``_assert_settled``, the 2·|Q| bound) is reached
     only once that instance has passed position P+2|C|, where the gate has
-    decided and a refusal has stopped the walk.  So the walk's outcome, an
-    evaluation error included, stands only if the gate admits.
+    decided and a refusal has stopped the walk.  So the walk's outcome (it
+    holds, a violation, a spent budget or an evaluation error) is kept, the
+    gate decides once, and the outcome stands only if the gate admits.
     """
     try:
         _eval_formula(f, walk, 0, c0, 0)
-        verdict = Verdict(HOLDS, stats=walk.stats())
-    except _Violation as v:
-        if gate is not None and not gate.decide():
-            return None
-        # v, and the walk's frames its traceback holds, go when this returns, before the oracle
-        witness = _witness(_replay(a, ops, c0, v.length), v.index, v.violated)
-        return Verdict(FAILS, witness=witness, stats=walk.stats())
-    except _Budget as b:
-        verdict = Verdict(UNKNOWN, reason=REASON_BUDGET, residual=residual_from(a, b.state),
-                          reached=b.model, stats=walk.stats())
+        outcome = None
+    except (_Violation, _Budget, CpEvalError, RecursionError) as e:
+        outcome = e
     except _Refused:
         return None
-    except (CpEvalError, RecursionError):  # evaluating a property
+    try:
         if gate is not None and not gate.decide():
             return None
-        raise
-    if gate is not None and not gate.decide():
-        return None
-    return verdict
+        if outcome is None:
+            return Verdict(HOLDS, stats=walk.stats())
+        if isinstance(outcome, _Violation):
+            witness = _witness(_replay(a, ops, c0, outcome.length), outcome.index,
+                               outcome.violated)
+            return Verdict(FAILS, witness=witness, stats=walk.stats())
+        if isinstance(outcome, _Budget):
+            return Verdict(UNKNOWN, reason=REASON_BUDGET, residual=residual_from(a, outcome.state),
+                           reached=outcome.model, stats=walk.stats())
+        raise outcome  # evaluating a property
+    finally:
+        del outcome  # its traceback holds this frame and the walk's: no cycle outlives the call
 
 
 def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,

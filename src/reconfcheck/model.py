@@ -45,30 +45,22 @@ class Component:
     contains: frozenset[str] = frozenset()
     state: str = STARTED
 
-    # the hash below, once computed: not a field, so ==, repr and a copy
-    # never see it
-    __slots__ = ("_hash",)
-
     def __hash__(self) -> int:
-        """Hash of the id, lifecycle state and set of parameter values, kept
-        once computed.
+        """Hash of the id, lifecycle state and set of parameter values.
 
         Equal components hash equal, since ``==`` compares every field; what
         is left out (class, ports, children, which value has which name) only
         makes unequal components more likely to collide, which callers settle
-        with ``==``.
+        with ``==``.  It is computed on each call: a component is hashed
+        about once per model that adds or drops it, so a cache kept on it
+        would cost every construction more than it saves.
         """
-        h = self._hash
-        if h is None:
-            h = hash((self.id, self.state, frozenset(map(_value, self.params.values()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.id, self.state, frozenset(map(_value, self.params.values()))))
 
     def evolve(self, params: Optional[dict[str, Param]] = None,
                contains: Optional[frozenset[str]] = None,
                state: Optional[str] = None) -> Component:
-        """A copy with the fields operations change replaced; like any new
-        component, it has no cached hash."""
+        """A copy with the fields operations change replaced."""
         return Component(self.id, self.cls, self.params if params is None else params,
                          self.inputs, self.outputs,
                          self.contains if contains is None else contains,
@@ -97,6 +89,11 @@ class Delegation:
 
 @record
 class ComponentModel:
+    """A configuration, and its own dictionary key: equal models hash equal.
+    The hash is that of :func:`component_sum`, which the operations keep up to
+    date, with the link sets, whose hashes frozensets keep; the name, which no
+    operation changes, is left out."""
+
     name: str
     components: dict[str, Component] = {}
     bindings: frozenset[Binding] = frozenset()
@@ -105,6 +102,9 @@ class ComponentModel:
     # kept, not compared or printed, and never copied: the sum of
     # component_sum, and the ModelIndex of the newest model of a run
     __slots__ = ("_component_sum", "_index", "__weakref__")
+
+    def __hash__(self) -> int:
+        return hash((component_sum(self), self.bindings, self.delegations))
 
 
 def link(links: dict[str, tuple[Binding, ...]], b: Binding) -> None:
@@ -239,13 +239,6 @@ def component_sum(m: ComponentModel) -> int:
         s = sum(map(hash, m.components.values())) & _SUM_MASK
         object.__setattr__(m, "_component_sum", s)
     return s
-
-
-def fingerprint(m: ComponentModel) -> int:
-    """Hash of ``m`` that equal models share (the name aside, which no
-    operation changes).  The link sets are frozensets, whose hashes are kept
-    on the sets themselves."""
-    return hash((component_sum(m), m.bindings, m.delegations))
 
 
 def derive_model(m: ComponentModel, dropped: Iterable[Component] = (),

@@ -22,7 +22,6 @@ from .model import (
     component_type_errors,
     derive_model,
     erase_param_values,
-    fingerprint,
     hold_index,
     link,
     model_index,
@@ -389,8 +388,10 @@ class Unfolding:
     ``period_start`` to the index of the earlier entry, or where the stream
     does, setting ``complete`` if that is a terminal state.  ``keys`` holds
     the keys of the entries handed out: the configurations, or with
-    ``erased`` their ``erase_param_values`` copies.  A run that ends leaves
-    no index on the models it hands out.
+    ``erased`` their ``erase_param_values`` copies.  A model is its own
+    dictionary key (see :class:`~reconfcheck.model.ComponentModel`), so one
+    lookup of (state, key) finds a repeat.  A run that ends leaves no index
+    on the models it hands out.
     """
 
     def __init__(self, a: PathAutomaton, q: int, c: ComponentModel,
@@ -409,19 +410,17 @@ class Unfolding:
     def _unfold(self, a: PathAutomaton, q: int, c: ComponentModel, transitions, erased: bool):
         yield q, None, c
         k = erase_param_values(c) if erased else c
+        # the index of the entry at each (state, key); the dict settles every
+        # hash hit with ==, so only an equal key is a repeat
+        entered = {(q, k): 0}
         self.keys.append(k)
-        # the indices of the keys entered at each (state, fingerprint); equal
-        # fingerprints need not mean equal keys, so == decides every hit
-        entered: dict[tuple[int, int], list[int]] = {(q, fingerprint(k)): [0]}
         for label, q, c in transitions:
             k = erase_param_values(c) if erased else c
-            same = entered.setdefault((q, fingerprint(k)), [])
-            for j in same:
-                if self.keys[j] == k:
-                    self.period_start = j
-                    release_index(c)
-                    return
-            same.append(len(self.keys))
+            j = entered.setdefault((q, k), len(self.keys))
+            if j < len(self.keys):
+                self.period_start = j
+                release_index(c)
+                return
             self.keys.append(k)
             yield q, label, c
         # the stream looked q's successor up already: only a finite path's last state has none

@@ -219,6 +219,14 @@ def test_error_messages_show_a_string_token_by_its_value():
         parse_recipes('op O { stop "" }')
 
 
+def test_a_parameter_of_one_class_refuses_a_literal_of_another():
+    text = "model M { component A { class K param s : string = 5 } }"
+    with pytest.raises(AdlSyntaxError) as err:
+        parse_model(text)
+    assert str(err.value) == "1:52: expected string literal"
+    assert (err.value.line, err.value.col) == (1, text.index("5") + 1)
+
+
 def _run(a, ops, c0, n):
     """The first ``n`` configurations of the run from the initial state."""
     q, c, out = 0, c0, [c0]

@@ -129,6 +129,20 @@ def test_an_unknown_event_name_is_a_positioned_syntax_error():
         parse_formula("after Mystery sideways always [true]", known_ops={"run"})
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_formula, "always [X.p = -a]", "1:16: expected integer after '-'"),
+    (parse_formula, "always [X.p = (]", "1:15: expected literal"),
+    (parse_formula, "always [)]", "1:9: expected property atom, found ')'"),
+    (parse_cp, "true false", "1:6: trailing input after property"),
+    (parse_formula, "always [true] x", "1:15: trailing input after formula"),
+])
+def test_each_parser_error_names_its_position(parse, text, message):
+    with pytest.raises(FtplSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert f"{err.value.line}:{err.value.col}:" == message.split(" ")[0]
+
+
 def test_a_lexical_error_outside_ascii_is_a_formula_syntax_error():
     # 'Ⅻ' is refused by the lexer's non-ASCII branch, not by its pattern
     with pytest.raises(FtplSyntaxError, match=r"^1:9: unexpected character 'Ⅻ'$"):
@@ -148,6 +162,15 @@ def test_event_holds_normal_vs_exceptional(http_model, http_ops):
     assert event_holds(http_model, still, "DeleteFileServer", spec_exc, 1) is True
     assert event_holds(http_model, still, "DeleteFileServer",
                        EventSpec("DeleteFileServer", "normal"), 1) is False
+
+
+def test_an_unknown_event_modality_is_refused_where_it_is_read(http_model):
+    spec = EventSpec("run", "sometimes")
+    with pytest.raises(ValueError, match=r"^unknown modality 'sometimes'$"):
+        event_holds(http_model, http_model, "run", spec, 1)
+    # position 0 and another label decide before the modality is read
+    assert event_holds(http_model, http_model, "run", spec, 0) is False
+    assert event_holds(http_model, http_model, "stop", spec, 1) is False
 
 
 def test_event_label_mismatch(http_model):

@@ -10,6 +10,7 @@ from reconfcheck import (
     Component,
     ComponentModel,
     CpEvalError,
+    Delegation,
     Param,
     RemoveComponent,
     SetParam,
@@ -138,6 +139,56 @@ def test_a_component_sharing_a_composites_fields_does_not_pass_for_it():
     leaf = Component("Leaf", "L")
     m = ComponentModel(name="M", components={"Plain": plain, "Top": top, "Leaf": leaf})
     assert validate_model(m) == ["composite 'Top' has parameters"]
+
+
+def _delegating(delegation, composite_ports=None, inner_ports=None, contained=True):
+    """A composite P and a component C, P containing C if ``contained``, with
+    one delegation; each ports dict is (inputs, outputs)."""
+    p_in, p_out = composite_ports or ({"i": "T"}, {})
+    c_in, c_out = inner_ports or ({"i": "T"}, {})
+    p = Component("P", "K", {}, p_in, p_out, frozenset({"C"} if contained else ()))
+    c = Component("C", "K", {}, c_in, c_out)
+    return ComponentModel("M", {"P": p, "C": c}, delegations=frozenset({delegation}))
+
+
+_ONE_RULE_EACH = [
+    (ComponentModel("M", {"A": Component("A", "K", state="paused")}),
+     ["component 'A' has unknown lifecycle state 'paused'"]),
+    (ComponentModel("M", {"A": Component("A", "K", contains=frozenset({"Z"}))}),
+     ["component 'A' contains unknown component 'Z'"]),
+    (ComponentModel("M", {"B": Component("B", "K", inputs={"i": "T"})},
+                    frozenset({Binding("X", "o", "B", "i")})),
+     ["binding from unknown component 'X'"]),
+    (ComponentModel("M", {"A": Component("A", "K", outputs={"o": "T"})},
+                    frozenset({Binding("A", "o", "Y", "i")})),
+     ["binding to unknown component 'Y'"]),
+    (_delegating(Delegation("P", "i", "Z", "i")),
+     ["delegation P.i -> Z.i names unknown components"]),
+    (_delegating(Delegation("P", "i", "C", "i"), contained=False),
+     ["delegation target 'C' is not a subcomponent of 'P'"]),
+    (_delegating(Delegation("P", "x", "C", "i")),
+     ["delegation source port 'x' missing on 'P'"]),
+    (_delegating(Delegation("P", "i", "C", "y")),
+     ["delegation inner port 'y' missing on 'C'"]),
+    (_delegating(Delegation("P", "i", "C", "o"), inner_ports=({}, {"o": "T"})),
+     ["delegation P.i -> C.o mixes port directions"]),
+    (_delegating(Delegation("P", "i", "C", "i"), inner_ports=({"i": "U"}, {})),
+     ["delegation P.i -> C.i couples ports of different classes"]),
+]
+
+
+@pytest.mark.parametrize("m, messages", _ONE_RULE_EACH,
+                         ids=[messages[0] for _m, messages in _ONE_RULE_EACH])
+def test_each_validation_rule_gives_its_own_message(m, messages):
+    assert validate_model(m) == messages
+
+
+def test_a_parameter_comparison_on_an_erased_model_has_no_value():
+    m = erase_param_values(ComponentModel("M", {"A": Component("A", "K", {"p": Param("int", 1)})}))
+    cp = ParamCmp("A", "p", "=", 1)
+    for evaluate in (lambda: eval_cp(cp, m), lambda: compile_cp(cp)(m, {})):
+        with pytest.raises(CpEvalError, match=r"^parameter 'A\.p' has no value$"):
+            evaluate()
 
 
 _SHARED_NAMES = ["a", "b", "c", "d", "e", "f"]

@@ -48,6 +48,12 @@ def test_finite_path_unfolds_completely(http_model, http_ops):
     assert len(l.entries) == 4  # k operations -> k+1 configurations
 
 
+def test_an_unfolding_of_no_rounds_is_refused(http_model, http_ops):
+    a = build_automaton(parse_path("(run)+"))
+    with pytest.raises(ValueError, match=r"^max_rounds must be at least 1$"):
+        unfold_to_lasso(a, http_model, http_ops, max_rounds=0)
+
+
 def test_stripped_section31_path_stabilizes(http_model, http_ops, base_automaton):
     l = unfold_to_lasso(base_automaton, http_model, http_ops, compare_erased=True)
     # detection latches onto the earliest repeating pair, which here occurs

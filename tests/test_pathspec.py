@@ -158,6 +158,19 @@ def test_residual_at_the_cycle_entry_after_a_prefix():
         (), ("MemorySizeUp", "run", "AddFileServer", "DurationValidityUp", "DeleteFileServer"))
 
 
+def test_a_residual_from_an_unknown_state_is_refused():
+    fin = build_automaton(parse_path("a b c", known_ops={"a", "b", "c"}))
+    for q in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^unknown state {q}$"):
+            residual_from(fin, q)
+
+
+def test_a_finite_path_is_all_prefix():
+    fin = build_automaton(parse_path("a b c", known_ops={"a", "b", "c"}))
+    assert fin.prefix_labels() == ("a", "b", "c")
+    assert fin.cycle_labels() == ()
+
+
 def test_path_round_trip():
     rng = random.Random(17)
     for _ in range(200):

@@ -25,11 +25,12 @@ from reconfcheck import (
     erase_param_values,
     eval_cp,
     is_idempotent_sequence,
+    operation_table,
     parse_model,
     print_model,
     validate_model,
 )
-from reconfcheck.model import Bound, component_sum, fingerprint, hold_index
+from reconfcheck.model import Bound, component_sum, hold_index
 from reconfcheck.reconfig import BinOp, IntLiteral, ParamRef
 
 import generators
@@ -308,7 +309,13 @@ def test_closure_under_evolution():
             assert validate_model(current) == []
 
 
-# --- fingerprints --------------------------------------------------------------
+def test_the_run_operation_name_is_reserved():
+    with pytest.raises(ValueError, match=r"^recipe name 'run' is reserved$"):
+        operation_table({"run": (Stop("A"),)})
+    assert operation_table({})["run"] is RUN
+
+
+# --- model hashes --------------------------------------------------------------
 
 def _from_scratch(m: ComponentModel) -> ComponentModel:
     """An equal model of fresh objects: nothing computed for ``m`` or its
@@ -322,7 +329,7 @@ def _assert_derived(m: ComponentModel) -> None:
     # fresh copy computes
     assert m._component_sum is not None
     assert m._component_sum == component_sum(_from_scratch(m))
-    assert fingerprint(m) == fingerprint(_from_scratch(m))
+    assert hash(m) == hash(_from_scratch(m))
 
 
 @settings(max_examples=200)
@@ -355,21 +362,21 @@ def test_equal_models_reached_by_different_orders_share_a_fingerprint(seed):
     for _ in range(6):
         other = apply_sequence(rng.sample(steps, len(steps)), m)
         if other == one:
-            assert fingerprint(other) == fingerprint(one)
+            assert hash(other) == hash(one)
         if erase_param_values(other) == erase_param_values(one):
-            assert fingerprint(erase_param_values(other)) == \
-                fingerprint(erase_param_values(one))
+            assert hash(erase_param_values(other)) == \
+                hash(erase_param_values(one))
     # a model of fresh objects, made by the parser, agrees as well
     parsed = parse_model(print_model(one))
-    assert parsed == one and fingerprint(parsed) == fingerprint(one)
+    assert parsed == one and hash(parsed) == hash(one)
 
 
 def test_stop_then_start_returns_to_the_same_fingerprint(http_model):
     stopped = apply_primitive(Stop("CacheHandler"), http_model)
     started = apply_primitive(Start("CacheHandler"), stopped)
     assert started == http_model and started is not http_model
-    assert fingerprint(started) == fingerprint(http_model)
-    assert fingerprint(stopped) != fingerprint(http_model)
+    assert hash(started) == hash(http_model)
+    assert hash(stopped) != hash(http_model)
 
 
 def test_copies_and_the_parser_never_carry_a_cached_hash(http_model):
@@ -377,14 +384,12 @@ def test_copies_and_the_parser_never_carry_a_cached_hash(http_model):
     hold_index(bumped)
     handler = bumped.components["RequestHandler"]
     hash(handler)
-    assert handler._hash is not None and bumped._component_sum is not None
+    assert bumped._component_sum is not None
     assert bumped._index is not None
     stopped = handler.evolve(state=STOPPED)
     for same in (handler.evolve(), copy.copy(handler)):
-        assert same._hash is None
         assert same == handler and hash(same) == hash(handler)
-    assert stopped._hash is None and hash(stopped) != hash(handler)
-    assert "_hash" not in repr(handler)
+    assert hash(stopped) != hash(handler)
     rebuilt = ComponentModel(bumped.name, bumped.components, bumped.bindings, bumped.delegations)
     unbound = ComponentModel(bumped.name, bumped.components, delegations=bumped.delegations)
     for same in (rebuilt, unbound, copy.copy(bumped)):
@@ -393,4 +398,3 @@ def test_copies_and_the_parser_never_carry_a_cached_hash(http_model):
     assert component_sum(rebuilt) == bumped._component_sum
     parsed = parse_model(print_model(bumped))
     assert parsed == bumped and parsed._component_sum is None
-    assert all(c._hash is None for c in parsed.components.values())

@@ -31,7 +31,7 @@ from reconfcheck import (
     run_path,
     unfold_to_lasso,
 )
-from reconfcheck import checker, reconfig
+from reconfcheck import checker
 from reconfcheck.oracle import ConcreteLasso, LassoStep
 
 import generators
@@ -243,11 +243,11 @@ def _unfolded(seed, erased, cap):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
 def test_colliding_fingerprints_change_no_run(seed, erased):
     # == decides every repeat: with every component hashing alike, and then
-    # with one fingerprint for all models, the runs are those of real hashes
+    # with one hash for all models, the runs are those of real hashes
     cap = 40
     expected = _unfolded(seed, erased, cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Component, "__hash__", lambda self: 7)
         assert _unfolded(seed, erased, cap) == expected
-        mp.setattr(reconfig, "fingerprint", lambda m: 0)
+        mp.setattr(ComponentModel, "__hash__", lambda self: 0)
         assert _unfolded(seed, erased, cap) == expected
