@@ -52,7 +52,8 @@ from .model import CompiledCp, ComponentModel, ConfigProperty, CpEvalError, comp
 # oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
 from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict  # noqa: F401
 from .pathspec import PathAutomaton, PathExpr, residual_from
-# is_idempotent_sequence stays importable because perfbench/tracer.py rebinds it here
+# apply_sequence and is_idempotent_sequence, which nothing here calls, stay
+# importable because perfbench/tracer.py rebinds them here
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
     is_idempotent_sequence, run_path  # noqa: F401
 from .record import record
@@ -439,9 +440,12 @@ def _eval_formula(f: FtplFormula, walk: _Walk, q: int, c: ComponentModel, pos: i
 
 # --- the checker entry point -------------------------------------------------------
 
-def cycle_entry_model(a: PathAutomaton, c0: ComponentModel,
-                      ops: Mapping[str, EvolutionOperation]) -> ComponentModel:
-    return apply_sequence([ops[l] for l in a.prefix_labels()], c0)
+def gate_admits(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
+                c0: ComponentModel, erased: bool) -> bool:
+    """Whether the idempotence gate admits the cycle of ``a``, which must have
+    one, on the run from ``c0``, decided on its own: :func:`check` reads the
+    same decision off its walk."""
+    return _Gate(a, ops, c0, erased).decide()
 
 
 def _replay(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],

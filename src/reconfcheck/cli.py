@@ -35,12 +35,12 @@ from .adl import (
     parse_recipes,
     print_model,
 )
-from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, check, \
-    cycle_entry_model
+from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, check, gate_admits
 from .ftpl import parse_formula, print_formula
 from .model import ComponentModel, CpEvalError, validate_model
 from .pathspec import build_automaton, parse_path, print_path
-# apply_evolution stays importable because perfbench/tracer.py rebinds it here
+# apply_evolution and is_idempotent_sequence, which nothing here calls, stay
+# importable because perfbench/tracer.py rebinds them here
 from .reconfig import apply_evolution, is_idempotent_sequence, run_path  # noqa: F401
 
 EXIT_HOLDS = 0
@@ -195,10 +195,8 @@ def _cmd_idempotence(args) -> int:
     if not automaton.has_cycle:
         print("path has no cycle; idempotence does not apply")
         return 0
-    entry = cycle_entry_model(automaton, model, ops)
-    cycle_ops = [ops[l] for l in automaton.cycle_labels()]
-    structural = is_idempotent_sequence(cycle_ops, entry, ignore_params=False)
-    topological = is_idempotent_sequence(cycle_ops, entry, ignore_params=True)
+    structural = gate_admits(automaton, ops, model, erased=False)
+    topological = gate_admits(automaton, ops, model, erased=True)
     print(f"cycle: {' '.join(automaton.cycle_labels())}")
     print(f"idempotent (structural): {'yes' if structural else 'no'}")
     print(f"idempotent (ignoring parameter values): {'yes' if topological else 'no'}")

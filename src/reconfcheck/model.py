@@ -13,7 +13,7 @@ import operator
 from bisect import bisect_left, insort
 from collections import defaultdict
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Collection, Iterator, Mapping, Optional, Union
 
 from .record import record
 
@@ -163,11 +163,11 @@ class ModelIndex:
 
     Only the newest model of a run holds its index.  An operation takes its
     input's index, or a new one when the input holds none, builds the parts
-    it looks up, updates in place the parts it changes, and
-    :func:`derive_model` moves the index to its output.  So a run keeps one
-    index, which is built part by part once, and the models a caller keeps
-    hold none.  Readers that derive no model (erasure, quantifiers) use the
-    index of a model that holds one, and scan any other.
+    it looks up, and hands the index with its change to :func:`derive_model`,
+    which updates every built part and moves the index to its output.  So a
+    run keeps one index, built part by part once, and the models a caller
+    keeps hold none.  Readers that derive no model (erasure, quantifiers)
+    use the index of a model that holds one, and scan any other.
     """
 
     stopped = links = parents = holders = classes = None
@@ -192,18 +192,42 @@ class ModelIndex:
         if self.classes is not None:
             insort(self.classes.setdefault(c.cls, []), cid)
 
-    def remove(self, cid: str, c: Component) -> None:
-        """Component ``c``, keyed ``cid``, left the model; its links are its
-        operation's to cut."""
+    def remove(self, c: Component) -> None:
+        """Component ``c`` left the model, with its links; the other ends of
+        its bindings are unlinked as the bindings are cut."""
+        cid = c.id
         for ids in (self.stopped, self.parents, self.holders):
             if ids is not None:
                 ids.discard(cid)
+        if self.links is not None:
+            self.links.pop(cid, None)
         if self.classes is not None:
             ids = self.classes[c.cls]
             if len(ids) == 1:
                 del self.classes[c.cls]
             else:
                 del ids[bisect_left(ids, cid)]
+
+    def replace(self, old: Component, new: Component) -> None:
+        """Component ``old`` became ``new`` under its id.  No operation changes
+        an id or a class in place, so only the set parts can move, and only
+        where the field they test did."""
+        cid = new.id
+        if old.state != new.state and self.stopped is not None:
+            if new.state == STARTED:
+                self.stopped.discard(cid)
+            else:
+                self.stopped.add(cid)
+        if (not old.contains) != (not new.contains) and self.parents is not None:
+            if new.contains:
+                self.parents.add(cid)
+            else:
+                self.parents.discard(cid)
+        if (not old.params) != (not new.params) and self.holders is not None:
+            if new.params:
+                self.holders.add(cid)
+            else:
+                self.holders.discard(cid)
 
 
 def model_index(m: ComponentModel) -> ModelIndex:
@@ -241,29 +265,55 @@ def component_sum(m: ComponentModel) -> int:
     return s
 
 
-def derive_model(m: ComponentModel, dropped: Iterable[Component] = (),
-                 added: Iterable[Component] = (),
-                 components: Optional[dict[str, Component]] = None,
-                 bindings: Optional[frozenset[Binding]] = None,
-                 delegations: Optional[frozenset[Delegation]] = None,
+def derive_model(m: ComponentModel, put: Collection[Component] = (),
+                 taken: Collection[str] = (), cut: Collection[Binding] = (),
+                 made: Collection[Binding] = (), uncoupled: Collection[Delegation] = (),
                  index: Optional[ModelIndex] = None) -> ComponentModel:
-    """``m`` with the given parts replaced, its component sum derived from ``m``'s.
+    """``m`` changed as an operation states: the one place a model changes.
 
-    ``dropped`` are the components of ``m`` that the new component dict no
-    longer holds, ``added`` the ones it holds in their place.  The sum of
-    ``m`` is forced, so a chain of operations carries one sum from its first
-    model on, at a cost in what each step changes.  ``index``, kept up to
-    date by the operation, moves to the new model: ``m`` no longer holds it.
+    ``put`` components replace the ones ``m`` holds under their ids, in
+    place, or join at the end; ``taken`` ids leave, as do the ``cut``
+    bindings and the ``uncoupled`` delegations, and the ``made`` bindings
+    join.  What the change leaves alone is shared with ``m``.  The component
+    sum is derived from ``m``'s, which is forced, so a run carries one sum
+    from its first model on.  ``index``, the one the operation took from
+    ``m``, has every built part updated and moves to the new model.
     """
+    comps = m.components
     s = component_sum(m)
-    for c in dropped:
-        s -= hash(c)
-    for c in added:
-        s += hash(c)
-    out = ComponentModel(m.name,
-                         m.components if components is None else components,
-                         m.bindings if bindings is None else bindings,
-                         m.delegations if delegations is None else delegations)
+    if put or taken:
+        comps = dict(comps)
+        for c in put:
+            old = comps.get(c.id)
+            comps[c.id] = c
+            s += hash(c)
+            if old is not None:
+                s -= hash(old)
+                if index is not None:
+                    index.replace(old, c)
+            elif index is not None:
+                index.add(c)
+        for cid in taken:
+            c = comps.pop(cid)
+            s -= hash(c)
+            if index is not None:
+                index.remove(c)
+    bindings = m.bindings
+    links = None if index is None else index.links
+    if cut:
+        bindings = bindings.difference(cut)
+        if links is not None:
+            for b in cut:
+                for cid in {b.out_component, b.in_component}:
+                    if cid in comps:  # a taken component left with all its links
+                        unlink(links, cid, b)
+    if made:
+        bindings = bindings.union(made)
+        if links is not None:
+            for b in made:
+                link(links, b)
+    out = ComponentModel(m.name, comps, bindings,
+                         m.delegations.difference(uncoupled) if uncoupled else m.delegations)
     object.__setattr__(out, "_component_sum", s & _SUM_MASK)
     if index is not None:
         if m._index is index:
@@ -280,25 +330,21 @@ def erase_param_values(m: ComponentModel) -> ComponentModel:
     erased models of one path mostly compares components by identity.  The
     copy holds no index; ``m``'s, if it holds one, says which to blank.
     """
-    comps = dict(m.components)
-    index = m._index
-    dropped, added = [], []
-    for cid in m.components if index is None else index.part("holders", m):
+    comps, index = m.components, m._index
+    blanked = []
+    for cid in comps if index is None else index.part("holders", m):
         c = comps[cid]
         if c.params:
-            comps[cid] = e = c.evolve(params={p: Param(pv.cls, None)
-                                              for p, pv in c.params.items()})
-            dropped.append(c)
-            added.append(e)
-    return derive_model(m, dropped, added, components=comps)
+            blanked.append(c.evolve(params={p: Param(pv.cls, None)
+                                            for p, pv in c.params.items()}))
+    return derive_model(m, blanked)
 
 
-def parent_of(m: ComponentModel, cid: str, index: Optional[ModelIndex] = None) -> Optional[str]:
-    """The id of the component that contains ``cid``, or None.  Looked up in
-    ``index``, or the one ``m`` holds; a model that holds none is scanned."""
-    index = m._index if index is None else index
+def parent_of(m: ComponentModel, cid: str, index: ModelIndex) -> Optional[str]:
+    """The id of the component of ``m`` that contains ``cid``, or None, looked
+    up in the ``parents`` part of ``index``, the one an operation took from ``m``."""
     comps = m.components
-    for pid in comps if index is None else index.part("parents", m):
+    for pid in index.part("parents", m):
         if cid in comps[pid].contains:
             return pid
     return None

@@ -23,11 +23,9 @@ from .model import (
     derive_model,
     erase_param_values,
     hold_index,
-    link,
     model_index,
     parent_of,
     release_index,
-    unlink,
 )
 from .record import record
 
@@ -176,11 +174,7 @@ def _apply_add(op: AddComponent, m: ComponentModel) -> ComponentModel:
     index = model_index(m)
     if not _template_ok(op.template, m, index):
         return m
-    fresh = op.template.evolve(state=STOPPED)
-    comps = dict(m.components)
-    comps[fresh.id] = fresh
-    index.add(fresh)
-    return derive_model(m, (), (fresh,), components=comps, index=index)
+    return derive_model(m, (op.template.evolve(state=STOPPED),), index=index)
 
 
 def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
@@ -188,36 +182,13 @@ def _apply_remove(op: RemoveComponent, m: ComponentModel) -> ComponentModel:
     if rid not in m.components:
         return m
     # the target is (implicitly) stopped first, then all bindings and
-    # delegations touching it disappear with it; children become roots.
-    # Untouched components, and the link sets when no link touches the
-    # target, are shared with m; the dropped links leave by set difference,
-    # which reuses the stored hashes of the kept ones
+    # delegations touching it disappear with it; children become roots
     index = model_index(m)
-    parents, links = index.part("parents", m), index.part("links", m)
-    comps = dict(m.components)
-    dropped = [comps.pop(rid)]
-    index.remove(rid, dropped[0])
-    added = []
-    for pid in [pid for pid in parents if rid in comps[pid].contains]:
-        c = comps[pid]
-        comps[pid] = parent = c.evolve(contains=c.contains - {rid})
-        dropped.append(c)
-        added.append(parent)
-        if not parent.contains:
-            parents.discard(pid)
-    bindings, delegations = m.bindings, m.delegations
-    cut = links.pop(rid, None)
-    if cut:
-        for b in cut:
-            other = b.in_component if b.out_component == rid else b.out_component
-            if other != rid:
-                unlink(links, other, b)
-        bindings = bindings.difference(cut)
-    cut = [d for d in delegations if d.composite == rid or d.inner == rid]
-    if cut:
-        delegations = delegations.difference(cut)
-    return derive_model(m, dropped, added, components=comps, bindings=bindings,
-                        delegations=delegations, index=index)
+    comps = m.components
+    emptied = [comps[pid] for pid in index.part("parents", m) if rid in comps[pid].contains]
+    uncoupled = [d for d in m.delegations if d.composite == rid or d.inner == rid]
+    return derive_model(m, [c.evolve(contains=c.contains - {rid}) for c in emptied], (rid,),
+                        cut=index.part("links", m).get(rid, ()), uncoupled=uncoupled, index=index)
 
 
 def _apply_bind(op: Bind, m: ComponentModel) -> ComponentModel:
@@ -233,24 +204,18 @@ def _apply_bind(op: Bind, m: ComponentModel) -> ComponentModel:
     if b in m.bindings:
         return m
     index = model_index(m)
-    links = index.part("links", m)
     in_component, in_port = b.in_component, b.in_port
-    for x in links.get(in_component, ()):
+    for x in index.part("links", m).get(in_component, ()):
         if x.in_component == in_component and x.in_port == in_port:
             return m  # one binding per input endpoint
-    link(links, b)
-    return derive_model(m, bindings=m.bindings | {b}, index=index)
+    return derive_model(m, made=(b,), index=index)
 
 
 def _apply_unbind(op: Unbind, m: ComponentModel) -> ComponentModel:
     b = op.binding
     if b not in m.bindings:
         return m
-    index = model_index(m)
-    if index.links is not None:
-        for cid in {b.out_component, b.in_component}:
-            unlink(index.links, cid, b)
-    return derive_model(m, bindings=m.bindings - {b}, index=index)
+    return derive_model(m, cut=(b,), index=model_index(m))
 
 
 def _apply_set_param(op: SetParam, m: ComponentModel) -> ComponentModel:
@@ -263,24 +228,15 @@ def _apply_set_param(op: SetParam, m: ComponentModel) -> ComponentModel:
     value = eval_int_expr(op.expr, m)
     if value is None or value == pv.value:
         return m
-    comps = dict(m.components)
-    comps[op.component] = updated = c.evolve(params={**c.params, op.param: Param("int", value)})
-    return derive_model(m, (c,), (updated,), components=comps, index=model_index(m))
+    return derive_model(m, (c.evolve(params={**c.params, op.param: Param("int", value)}),),
+                        index=model_index(m))
 
 
 def _apply_lifecycle(cid: str, state: str, m: ComponentModel) -> ComponentModel:
     c = m.components.get(cid)
     if c is None or c.state == state:
         return m
-    index = model_index(m)
-    if index.stopped is not None:
-        if state == STARTED:
-            index.stopped.discard(cid)
-        else:
-            index.stopped.add(cid)
-    comps = dict(m.components)
-    comps[cid] = updated = c.evolve(state=state)
-    return derive_model(m, (c,), (updated,), components=comps, index=index)
+    return derive_model(m, (c.evolve(state=state),), index=model_index(m))
 
 
 def apply_primitive(op: Primitive, m: ComponentModel) -> ComponentModel:
@@ -310,18 +266,12 @@ def apply_primitive(op: Primitive, m: ComponentModel) -> ComponentModel:
 def _run(m: ComponentModel) -> ComponentModel:
     """Start every component that is not started; ``m`` itself when none is."""
     index = model_index(m)
-    halted = index.part("stopped", m)
-    if not halted:
+    comps = m.components
+    # listed before derive_model takes them out of the stopped part
+    started = [comps[cid].evolve(state=STARTED) for cid in index.part("stopped", m)]
+    if not started:
         return m
-    comps = dict(m.components)
-    dropped, added = [], []
-    for cid in halted:
-        c = comps[cid]
-        comps[cid] = started = c.evolve(state=STARTED)
-        dropped.append(c)
-        added.append(started)
-    halted.clear()
-    return derive_model(m, dropped, added, components=comps, index=index)
+    return derive_model(m, started, index=index)
 
 
 def apply_evolution(op: EvolutionOperation, m: ComponentModel) -> ApplicationOutcome:

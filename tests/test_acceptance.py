@@ -13,6 +13,7 @@ from reconfcheck import (
     RemoveComponent,
     Unbind,
     apply_primitive,
+    apply_sequence,
     build_automaton,
     check,
     erasure_invariant,
@@ -29,7 +30,7 @@ from reconfcheck import (
     unfold_to_lasso,
 )
 from reconfcheck.adl import print_recipes as _print_recipes
-from reconfcheck.checker import CheckOptions, REASON_CYCLE, cycle_entry_model
+from reconfcheck.checker import CheckOptions, REASON_CYCLE
 from reconfcheck.model import CpEvalError
 
 import generators
@@ -144,7 +145,7 @@ def test_criterion_5_idempotence_suite():
 def _gated(formula, automaton, model, ops):
     if not automaton.has_cycle:
         return True
-    entry = cycle_entry_model(automaton, model, ops)
+    entry = apply_sequence([ops[l] for l in automaton.prefix_labels()], model)
     cycle_ops = [ops[l] for l in automaton.cycle_labels()]
     return is_idempotent_sequence(cycle_ops, entry,
                                   ignore_params=erasure_invariant(formula, ops))

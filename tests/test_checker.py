@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,8 +40,7 @@ from reconfcheck import (
 )
 from reconfcheck import checker, oracle, reconfig
 from reconfcheck.adl import model_digest
-from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE, \
-    cycle_entry_model
+from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE
 from reconfcheck.cli import run_cli
 from reconfcheck.ftpl import After, Before
 from reconfcheck.model import Bound, ComponentPresent, FalseAtom, TrueAtom
@@ -269,6 +269,25 @@ def test_the_gate_reads_the_run_a_top_instance_walks_past_its_decision(
     assert verdict.is_holds
     assert stepped == []
     assert len(walked) == verdict.stats.transitions_applied >= 2 * a.n_states - a.back_target
+
+
+def test_the_gate_alone_decides_as_the_cycle_applied_twice_at_its_entry():
+    # the gate reads F(e) and F(F(e)) off the run from the initial state;
+    # is_idempotent_sequence applies the prefix once and the cycle twice itself
+    decided = Counter()
+    for seed in range(3000):
+        _f, a, c0, ops = generators.gen_case(seed)
+        if not a.has_cycle:
+            continue
+        entry = apply_sequence([ops[label] for label in a.prefix_labels()], c0)
+        cycle = [ops[label] for label in a.cycle_labels()]
+        for erased in (False, True):
+            admits = checker.gate_admits(a, ops, c0, erased)
+            assert admits == is_idempotent_sequence(cycle, entry, ignore_params=erased), \
+                (seed, erased)
+            decided[erased, admits] += 1
+    # both gates admit and refuse, 4,536 comparisons in all
+    assert len(decided) == 4 and sum(decided.values()) > 4000, decided
 
 
 def test_a_check_applies_its_walk_the_rest_of_the_gate_and_its_replay(monkeypatch):
@@ -752,7 +771,8 @@ def test_before_agrees_with_the_oracle_clause(seed, nested):
     erased = a.has_cycle and erasure_invariant(f, ops)
     try:
         assume(not a.has_cycle or is_idempotent_sequence(
-            [ops[label] for label in a.cycle_labels()], cycle_entry_model(a, c0, ops),
+            [ops[label] for label in a.cycle_labels()],
+            apply_sequence([ops[label] for label in a.prefix_labels()], c0),
             ignore_params=erased))
         verdict = check(f, a, c0, ops)
     except CpEvalError:

@@ -22,6 +22,7 @@ from reconfcheck import (
     Binding,
     Component,
     ComponentModel,
+    Delegation,
     Param,
     RemoveComponent,
     Unfolding,
@@ -35,7 +36,7 @@ from reconfcheck import (
     run_path,
 )
 from reconfcheck import model
-from reconfcheck.model import ForAll, VarClassIs, binding_key, compile_cp
+from reconfcheck.model import ForAll, VarClassIs, binding_key, compile_cp, hold_index
 from reconfcheck.reconfig import Composite
 
 import generators
@@ -231,3 +232,41 @@ def test_a_kept_model_costs_its_own_component_dict_and_binding_set():
     bound = sys.getsizeof(m.components) + sys.getsizeof(m.bindings) + 2048
     assert per_model < bound, (per_model, bound)
     assert sum(c._index is not None for c in models) == 1
+
+
+def test_one_change_updates_every_part_the_way_a_fresh_build_does():
+    # derive_model is the one place a model changes: one change that puts a
+    # new component and a replacement, takes one out, cuts and makes
+    # bindings (self-loops among them) and cuts a delegation, on a model
+    # whose index has every part built
+    ports = {"inputs": {"i": "T"}, "outputs": {"o": "T"}}
+    comps = {"P": Component("P", "Shell", contains=frozenset({"B"}), **ports),
+             "B": Component("B", "Worker", params={"v": Param("int", 1)}, **ports),
+             "C": Component("C", "Worker", state="stopped", **ports),
+             "D": Component("D", "Gauge", params={"w": Param("int", 2)}, **ports)}
+    kept = (Binding("B", "o", "P", "i"),)
+    cut = (Binding("P", "o", "C", "i"), Binding("C", "o", "B", "i"), Binding("D", "o", "D", "i"))
+    made = (Binding("B", "o", "B", "i"), Binding("D", "o", "B", "i"))
+    delegation = Delegation("P", "i", "B", "i")
+    m = ComponentModel("M", comps, frozenset(kept + cut), frozenset({delegation}))
+    before = _rebuilt(m)
+    hold_index(m)
+    index = m._index
+    for name in model._BUILDERS:
+        index.part(name, m)
+    new = Component("N", "Box", params={"x": Param("int", 3)}, contains=frozenset({"D"}),
+                    state="stopped")
+    # stopped, childless and holding a parameter: a flip of three parts
+    replaced = comps["P"].evolve(params={"q": Param("int", 4)}, contains=frozenset(),
+                                 state="stopped")
+    out = model.derive_model(m, (new, replaced), ("C",), cut=cut, made=made,
+                             uncoupled=(delegation,), index=index)
+    assert list(out.components) == ["P", "B", "D", "N"]
+    assert out.components["P"] is replaced and out.components["N"] is new
+    assert out.bindings == frozenset(kept + made) and out.delegations == frozenset()
+    assert m == before  # m itself is left as it was
+    assert m._index is None and out._index is index
+    assert all(getattr(index, name) is not None for name in model._BUILDERS)
+    _assert_fresh(out)
+    assert model.component_sum(out) == model.component_sum(_rebuilt(out))
+    assert hash(out) == hash(_rebuilt(out))

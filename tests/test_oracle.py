@@ -9,6 +9,7 @@ from reconfcheck import (
     CheckOptions,
     EventSpec,
     After,
+    apply_sequence,
     build_automaton,
     check,
     erasure_invariant,
@@ -23,7 +24,6 @@ from reconfcheck import (
     unfold_to_lasso,
 )
 from reconfcheck import checker, oracle, reconfig
-from reconfcheck.checker import cycle_entry_model
 from reconfcheck.model import CpEvalError, TrueAtom
 from reconfcheck.oracle import _Sigma
 
@@ -170,7 +170,7 @@ def test_event_wrap_at_period_boundary(http_model, http_ops):
 
 
 def test_oracle_entry_model_matches_engine(http_model, http_ops, base_automaton):
-    entry = cycle_entry_model(base_automaton, http_model, http_ops)
+    entry = apply_sequence([http_ops[n] for n in base_automaton.prefix_labels()], http_model)
     l = unfold_to_lasso(base_automaton, http_model, http_ops, compare_erased=True)
     assert l.entries[3].model == entry
     cycle_ops = [http_ops[n] for n in base_automaton.cycle_labels()]
@@ -341,7 +341,7 @@ def test_a_cycle_the_exact_gate_admits_is_decided_by_the_exact_pass(monkeypatch,
     # the CacheHandler added back is outside HttpServer, so the first lap
     # changes the model and the exact run repeats only in the second
     a = build_automaton(parse_path("(RemoveCacheHandler AddCacheHandler)+"))
-    entry = cycle_entry_model(a, http_model, http_ops)
+    entry = apply_sequence([http_ops[label] for label in a.prefix_labels()], http_model)
     assert is_idempotent_sequence([http_ops[label] for label in a.cycle_labels()], entry)
     assert unfold_to_lasso(a, http_model, http_ops, max_rounds=1).period_start is None
     f = parse_formula("always [component(RequestHandler)]")
@@ -506,7 +506,7 @@ def test_the_pass_matching_the_gate_evaluates_once(monkeypatch):
         f, a, c0, ops = generators.gen_case(seed)
         if not a.has_cycle:
             continue
-        entry = cycle_entry_model(a, c0, ops)
+        entry = apply_sequence([ops[label] for label in a.prefix_labels()], c0)
         cycle = [ops[label] for label in a.cycle_labels()]
         calls.clear()
         try:
