@@ -20,6 +20,16 @@ lasso or as a cut path.
 
 The step budget is charged for the walk's transitions only, never for the
 gate's own applications or a witness's replay.
+
+With the oracle cross-check, a ``fails`` verdict that a finite prefix
+proves (an ``always`` or a ``before``, under any ``after``s) is checked
+against its own proof: the walk keeps the run positions of each event
+occurrence it descended through and of each configuration that falsifies
+the property, and ``oracle.refutation_flaw`` checks them, and the reported
+index and text, on the configurations the witness replay reads.  It
+unfolds nothing.  Every other ``holds`` or ``fails`` verdict is recomputed
+by ``oracle.oracle_verdict``.  Either mismatch raises
+:class:`OracleDisagreement`.
 """
 
 from __future__ import annotations
@@ -50,7 +60,8 @@ from .ftpl import (
 from .model import CompiledCp, ComponentModel, ConfigProperty, CpEvalError, compile_cp, \
     erase_param_values, eval_cp, validate_model  # noqa: F401
 # oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
-from .oracle import ConcreteLasso, LassoStep, oracle_eval_detailed, oracle_verdict  # noqa: F401
+from .oracle import ConcreteLasso, LassoStep, Refutation, oracle_eval_detailed, \
+    oracle_verdict, refutation_flaw  # noqa: F401
 from .pathspec import PathAutomaton, PathExpr, residual_from
 # apply_sequence and is_idempotent_sequence, which nothing here calls, stay
 # importable because perfbench/tracer.py rebinds them here
@@ -72,7 +83,8 @@ class CheckError(Exception):
 
 
 class OracleDisagreement(CheckError):
-    """The brute-force oracle reached the opposite verdict."""
+    """The brute-force oracle reached the opposite verdict, or a ``fails``
+    witness does not prove its violation."""
 
 
 @record
@@ -100,7 +112,16 @@ class CheckStats:
 class CheckOptions:
     """max_steps bounds the total transitions the walk takes while exploring;
     the applications the idempotence gate makes past the walk's end, and a
-    witness's replay, are not charged against it."""
+    witness's replay, are not charged against it.
+
+    oracle_crosscheck checks a ``holds`` or ``fails`` verdict independently.
+    A ``fails`` of an ``always`` or a ``before``, under any ``after``s, is
+    proof-checked: each event occurrence and falsifying configuration the
+    walk names, their order, the reported violation index and the violated
+    text, read off the witness's replay (extended only for a position past
+    the witness) with the oracle's event test and evaluator.  Every other
+    verdict is recomputed by the oracle's unfolding and its status
+    compared.  A mismatch raises :class:`OracleDisagreement`."""
 
     max_steps: Optional[int] = None
     oracle_crosscheck: bool = False
@@ -138,13 +159,26 @@ class _Violation(Exception):
     Every path is deterministic, so the witness is the run's first
     ``length`` configurations (``index + 1`` unless given): the walk keeps
     no models or digests for it, and ``check`` replays them on demand.
+
+    A violation of an ``always`` or a ``before`` keeps its proof in run
+    positions (see :class:`~reconfcheck.oracle.Refutation`): ``occurrence``,
+    a ``before``'s event, ``falsified``, where the property is false, and
+    ``afters``, which each ``_after_loop`` it passes on its way out puts its
+    occurrence in front of.
     """
 
-    def __init__(self, index: int, violated: str, length: Optional[int] = None):
+    def __init__(self, index: int, violated: str, length: Optional[int] = None,
+                 occurrence: Optional[int] = None, falsified: range = range(0)):
         super().__init__(violated)
         self.index = index
         self.violated = violated
         self.length = index + 1 if length is None else length
+        self.afters: tuple[int, ...] = ()
+        self.occurrence = occurrence
+        self.falsified = falsified
+
+    def proof(self) -> Refutation:
+        return Refutation(self.afters, self.occurrence, self.falsified)
 
 
 class _Budget(Exception):
@@ -165,16 +199,18 @@ class _Gate:
     F(F(e)) are positions P+|C| and P+2|C|.  ``see`` takes every
     configuration the walk reaches; the gate keeps F(e) and the furthest
     position reached with its state, and at P+2|C| compares as
-    ``reconfig.is_idempotent_sequence`` does, erased when ``erased``.
+    ``reconfig.is_idempotent_sequence`` does, erased when ``erased``.  With
+    ``keep``, F(e) and F(F(e)) are kept past the comparison, for ``same``.
     """
 
     def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
-                 c0: ComponentModel, erased: bool):
-        self.a, self.ops, self.erased = a, ops, erased
+                 c0: ComponentModel, erased: bool, keep: bool = False):
+        self.a, self.ops, self.erased, self.keep = a, ops, erased, keep
         self.once_at = a.n_states  # P + |C|
         self.twice_at = 2 * a.n_states - a.back_target  # P + 2|C|
         self.pos, self.q, self.c = 0, 0, c0  # the furthest position reached
         self.once: Optional[ComponentModel] = None
+        self.twice: Optional[ComponentModel] = None
         self.admits: Optional[bool] = None
 
     def see(self, pos: int, q: int, c: ComponentModel) -> Optional[bool]:
@@ -186,12 +222,18 @@ class _Gate:
             if pos == self.once_at:
                 self.once = c
             elif pos == self.twice_at:
-                once, twice = self.once, c
-                if self.erased:
-                    once, twice = erase_param_values(once), erase_param_values(twice)
-                self.admits = once == twice
-                self.once = self.c = None
+                self.twice, self.c = c, None
+                self.admits = self.same(self.erased)
+                if not self.keep:
+                    self.once = self.twice = None
         return self.admits
+
+    def same(self, erased: bool) -> bool:
+        """Whether F(F(e)) = F(e), with parameter values erased when ``erased``."""
+        once, twice = self.once, self.twice
+        if erased:
+            once, twice = erase_param_values(once), erase_param_values(twice)
+        return once == twice
 
     def decide(self) -> bool:
         """Whether the gate admits the cycle.  A walk that ended before
@@ -336,7 +378,11 @@ def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int):
         c = c2
     # every occurrence kept must pass; none at all is vacuous truth
     for q2, c2, pos2 in pending:
-        _eval_formula(f.inner, walk, q2, c2, pos2)
+        try:
+            _eval_formula(f.inner, walk, q2, c2, pos2)
+        except _Violation as v:
+            v.afters = (pos2, *v.afters)
+            raise
 
 
 def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos: int):
@@ -344,7 +390,8 @@ def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos
     run = (c2 for _label, _q, c2 in walk.run(q, c, pos))
     for pos, c in enumerate(chain([c], run), pos):
         if not walk.eval_cp(cp, c):
-            raise _Violation(pos, f"always [{print_cp(cp)}] violated")
+            raise _Violation(pos, f"always [{print_cp(cp)}] violated",
+                             falsified=range(pos, pos + 1))
 
 
 def _assert_settled(run: Unfolding):
@@ -412,13 +459,15 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
                 raise _Violation(pos + evaluated,
                                  f"before {e.op_name} {e.modality}: always "
                                  f"[{print_cp(tr.cp)}] violated in preceding segment",
-                                 length=pos + n)
+                                 length=pos + n, occurrence=pos + i,
+                                 falsified=range(pos + evaluated, pos + evaluated + 1))
             evaluated += 1
         if not is_always:
+            # reported at the occurrence's representative in the window
             raise _Violation(pos + cur,
                              f"before {e.op_name} {e.modality}: eventually "
                              f"[{print_cp(tr.cp)}] unsatisfied in preceding segment",
-                             length=pos + n)
+                             length=pos + n, occurrence=pos + i, falsified=range(pos, pos + i))
         if evaluated == n:
             return  # every configuration passed: so does every later segment
 
@@ -441,21 +490,14 @@ def _eval_formula(f: FtplFormula, walk: _Walk, q: int, c: ComponentModel, pos: i
 # --- the checker entry point -------------------------------------------------------
 
 def gate_admits(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
-                c0: ComponentModel, erased: bool) -> bool:
+                c0: ComponentModel) -> tuple[bool, bool]:
     """Whether the idempotence gate admits the cycle of ``a``, which must have
-    one, on the run from ``c0``, decided on its own: :func:`check` reads the
-    same decision off its walk."""
-    return _Gate(a, ops, c0, erased).decide()
-
-
-def _replay(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
-            c0: ComponentModel, length: int) -> Iterator[tuple[int, str, ComponentModel]]:
-    """The first ``length`` (state, incoming label, configuration) triples of
-    the run from the initial state; operations are pure, so this rebuilds
-    exactly the configurations the walk saw."""
-    yield 0, "", c0
-    for label, q, c in islice(run_path(a, ops, 0, c0), length - 1):
-        yield q, label, c
+    one, on the run from ``c0``: exactly, and with parameter values erased.
+    Both are decided on one run to P+2|C|, as :func:`check` reads either off
+    its walk; an exact repeat is an erased one too."""
+    gate = _Gate(a, ops, c0, erased=False, keep=True)
+    exact = gate.decide()
+    return exact, exact or gate.same(erased=True)
 
 
 def _unfold(a: PathAutomaton, c0: ComponentModel,
@@ -476,17 +518,40 @@ def _witnessed(f: FtplFormula, holds: bool) -> bool:
     return isinstance(f, Eventually) == holds
 
 
-def _witness(configs: Iterable[tuple[int, str, ComponentModel]], index: int,
-             violated: str) -> TraceWitness:
+_Step = tuple[str, int, ComponentModel]  # incoming label, state, configuration
+
+# a fails verdict's proof, the run positions it reads, the witness's length, and
+# whether the walk compared configurations with parameter values erased
+_Proof = tuple[Refutation, dict[int, _Step], int, bool]
+
+
+def _fails(run: Iterable[_Step], length: int, index: int, v: _Violation, prove: bool,
+           erased: bool, stats: CheckStats) -> tuple[Verdict, Optional[_Proof]]:
+    """The fails verdict on violation ``v``, whose witness is the first
+    ``length`` steps of ``run``, the run from the initial state, reported at
+    ``index``; and, if ``prove``, its proof.  Operations are pure, so the
+    run rebuilds exactly the configurations the walk saw.  The digests are
+    taken as the run goes, and only the positions the proof reads are kept,
+    some of which may lie past the witness."""
+    proof = v.proof() if prove else None
+    reads = proof.reads(length) if prove else set()
     digest = model_digester()  # successive configurations share components
-    steps = tuple(WitnessStep(q, label, digest(c)) for q, label, c in configs)
-    return TraceWitness(steps, index, violated)
+    shown, kept = [], {}
+    for pos, step in enumerate(islice(run, max(length, max(reads, default=0) + 1))):
+        label, q, c = step
+        if pos < length:
+            shown.append(WitnessStep(q, label, digest(c)))
+        if pos in reads:
+            kept[pos] = step
+    verdict = Verdict(FAILS, witness=TraceWitness(tuple(shown), index, v.violated), stats=stats)
+    return verdict, None if proof is None else (proof, kept, length, erased)
 
 
 def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
-                   ops: Mapping[str, EvolutionOperation], walk: _Walk,
-                   gate: Optional[_Gate]) -> Optional[Verdict]:
-    """The walk's verdict from the initial state, or None if the gate refuses.
+                   ops: Mapping[str, EvolutionOperation], walk: _Walk, gate: Optional[_Gate],
+                   prove: bool) -> Optional[tuple[Verdict, Optional[_Proof]]]:
+    """The walk's verdict from the initial state, with a ``fails`` verdict's
+    proof if ``prove``, or None if the gate refuses.
 
     The walk judges before the gate decides, and that is sound: the walk
     never reads the gate's answer, and what rests on the gate (an instance
@@ -507,14 +572,13 @@ def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         if gate is not None and not gate.decide():
             return None
         if outcome is None:
-            return Verdict(HOLDS, stats=walk.stats())
+            return Verdict(HOLDS, stats=walk.stats()), None
         if isinstance(outcome, _Violation):
-            witness = _witness(_replay(a, ops, c0, outcome.length), outcome.index,
-                               outcome.violated)
-            return Verdict(FAILS, witness=witness, stats=walk.stats())
+            return _fails(chain([("", 0, c0)], run_path(a, ops, 0, c0)), outcome.length,
+                          outcome.index, outcome, prove, walk.erased, walk.stats())
         if isinstance(outcome, _Budget):
             return Verdict(UNKNOWN, reason=REASON_BUDGET, residual=residual_from(a, outcome.state),
-                           reached=outcome.model, stats=walk.stats())
+                           reached=outcome.model, stats=walk.stats()), None
         raise outcome  # evaluating a property
     finally:
         del outcome  # its traceback holds this frame and the walk's: no cycle outlives the call
@@ -551,12 +615,16 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     # apply_evolution is read per call, so perfbench/tracer.py's rebinding counts the walk
     walk = _Walk(a, lambda label, _q, c: apply_evolution(ops[label], c).result,
                  opts.max_steps, gate=gate)
-    verdict = _gated_verdict(f, a, c0, ops, walk, gate)
-    if verdict is None and opts.max_steps is None:
+    # a finite prefix refutes f: under the cross-check a fails verdict proves itself
+    prove = opts.oracle_crosscheck and _witnessed(f, False)
+    gated = _gated_verdict(f, a, c0, ops, walk, gate, prove)
+    if gated is None and opts.max_steps is None:
         # nothing explored counts: the residual is the whole path
         return Verdict(UNKNOWN, reason=REASON_CYCLE, residual=residual_from(a, 0),
                        reached=c0, stats=CheckStats(0, 0, 0))
-    if verdict is None:
+    if gated is not None:
+        verdict, proof = gated
+    else:
         # a non-idempotent cycle, bounded: the window repeats exactly or is cut by the budget
         lasso = _unfold(a, c0, ops, opts.max_steps)
         entries, ps, n = lasso.entries, lasso.period_start, len(lasso.entries)
@@ -567,10 +635,10 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
             _eval_formula(f, walk, 0, c0, 0)
             v = None
         except _Violation as violation:
-            # its fields: v's traceback holds this frame, so keeping v would keep the
-            # window in a reference cycle until the cyclic collector runs
-            v = (violation.index, violation.violated)
-        stats, last = CheckStats(n - 1, walk.cp_evals, n - 1), entries[-1]
+            # without its traceback, which holds this frame: v would keep the window
+            # in a reference cycle until the cyclic collector runs
+            v = violation.with_traceback(None)
+        stats, last, proof = CheckStats(n - 1, walk.cp_evals, n - 1), entries[-1], None
         if ps is None and not _witnessed(f, v is None):
             verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
                               residual=residual_from(a, last.state), reached=last.model,
@@ -578,16 +646,24 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         elif v is None:
             verdict = Verdict(HOLDS, stats=stats)
         else:
-            index, violated = v
-            i = index if index < n else ps + (index - ps) % (n - ps)  # into the period
-            witness = _witness(((s.state, s.incoming_label or "", s.model)
-                                for s in entries), i, violated)
-            verdict = Verdict(FAILS, witness=witness, stats=stats)
+            i = v.index if v.index < n else ps + (v.index - ps) % (n - ps)  # into the period
+            # a proof may read a position past the window: the run goes on from its last step
+            run = chain(((s.incoming_label or "", s.state, s.model) for s in entries),
+                        run_path(a, ops, last.state, last.model))
+            verdict, proof = _fails(run, n, i, v, prove, False, stats)
 
-    if opts.oracle_crosscheck and verdict.status in (HOLDS, FAILS):
-        reference = oracle_verdict(f, a, c0, ops)
-        if reference is not None and reference != verdict.is_holds:
-            raise OracleDisagreement(
-                f"oracle cross-check disagreement: checker says {verdict.status}, "
-                f"oracle says {'holds' if reference else 'fails'}")
+    if not opts.oracle_crosscheck or verdict.is_unknown:
+        return verdict
+    if prove and verdict.is_fails:
+        w = verdict.witness
+        flaw = refutation_flaw(f, w.violation_index, w.violated, *proof)
+        if flaw is not None:
+            raise OracleDisagreement(f"oracle cross-check disagreement: checker says fails, "
+                                     f"but its witness does not prove it: {flaw}")
+        return verdict
+    reference = oracle_verdict(f, a, c0, ops)
+    if reference is not None and reference != verdict.is_holds:
+        raise OracleDisagreement(
+            f"oracle cross-check disagreement: checker says {verdict.status}, "
+            f"oracle says {'holds' if reference else 'fails'}")
     return verdict

@@ -10,7 +10,8 @@ Four batch commands tie the file formats together:
 
 Exit codes 3 and 4 flag parse/usage errors (input nested too deeply and
 running out of memory included) and invalid models, 5 a verdict the
-``--oracle`` cross-check contradicts, 6 a property that cannot be
+``--oracle`` cross-check contradicts or a ``fails`` witness that does not
+prove its violation, 6 a property that cannot be
 evaluated (an unknown identifier in an attribute atom), 7 a standard
 output closed before the report was written, and 8 an internal error (a
 defect, shown with its traceback); none of these is reported as "fails".
@@ -195,8 +196,7 @@ def _cmd_idempotence(args) -> int:
     if not automaton.has_cycle:
         print("path has no cycle; idempotence does not apply")
         return 0
-    structural = gate_admits(automaton, ops, model, erased=False)
-    topological = gate_admits(automaton, ops, model, erased=True)
+    structural, topological = gate_admits(automaton, ops, model)
     print(f"cycle: {' '.join(automaton.cycle_labels())}")
     print(f"idempotent (structural): {'yes' if structural else 'no'}")
     print(f"idempotent (ignoring parameter values): {'yes' if topological else 'no'}")

@@ -15,6 +15,15 @@ window contains them too.  Each configuration property is evaluated, and
 each event tested, at most once per position of an unfolding; every window
 of it reads the same values.  Deliberately naive; being obviously correct
 is its entire job.
+
+A ``fails`` that a finite prefix shows (an ``always`` or a ``before``,
+under any ``after``s) is not recomputed: :func:`refutation_flaw` checks
+the checker's witness against the run positions of its proof, the event
+occurrences and the falsifying configurations, with ``event_holds`` and
+``eval_cp`` on the true configurations, and checks the reported index and
+text.  It reads the positions from the witness's replay, extended past the
+witness only for a position the proof names there.  Every other verdict is
+recomputed by :func:`oracle_verdict`.
 """
 
 from __future__ import annotations
@@ -230,6 +239,17 @@ def _occurrence_indices(sig: _Sigma, s: int, e: EventSpec) -> list[int]:
     return occ
 
 
+def _violated(f: Always | Before) -> str:
+    """What a violation of ``f`` says, for a node a finite prefix can falsify."""
+    if isinstance(f, Always):
+        return f"always [{print_cp(f.cp)}] violated"
+    if isinstance(f.trace, Always):
+        return (f"before {f.event.op_name} {f.event.modality}: "
+                f"always [{print_cp(f.trace.cp)}] violated in preceding segment")
+    return (f"before {f.event.op_name} {f.event.modality}: "
+            f"eventually [{print_cp(f.trace.cp)}] unsatisfied in preceding segment")
+
+
 def _ev(f: FtplFormula, sig: _Sigma, s: int) -> _EvalResult:
     if sig.ps is not None and s >= sig.n:
         s = sig.ps + (s - sig.ps) % sig.t
@@ -237,7 +257,7 @@ def _ev(f: FtplFormula, sig: _Sigma, s: int) -> _EvalResult:
     if isinstance(f, Always):
         i = sig.find(f.cp, _cp_range(sig, s), False)
         if i is not None:
-            return False, (i, f"always [{print_cp(f.cp)}] violated")
+            return False, (i, _violated(f))
         return (True, None) if sig.determinate else (None, None)
 
     if isinstance(f, Eventually):
@@ -270,13 +290,7 @@ def _ev(f: FtplFormula, sig: _Sigma, s: int) -> _EvalResult:
                 continue
             ok, bad = _segment_trace(f.trace, sig, s, i - 1)
             if not ok:
-                if isinstance(f.trace, Always):
-                    desc = (f"before {f.event.op_name} {f.event.modality}: "
-                            f"always [{print_cp(f.trace.cp)}] violated in preceding segment")
-                    return False, (bad, desc)
-                desc = (f"before {f.event.op_name} {f.event.modality}: "
-                        f"eventually [{print_cp(f.trace.cp)}] unsatisfied in preceding segment")
-                return False, (sig.wrap(i), desc)
+                return False, (bad if isinstance(f.trace, Always) else sig.wrap(i), _violated(f))
         return (None, None) if undetermined else (True, None)
 
     raise TypeError(f"not a formula node: {f!r}")
@@ -343,3 +357,129 @@ def oracle_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     if value is None and invariant:
         value = _pass_verdict(f, a, c0, ops, _MAX_ROUNDS, compare_erased=True)
     return value
+
+
+# --- checking a finite refutation --------------------------------------------------
+
+# a run position as run_path gives it: (incoming label, state, configuration),
+# the label empty at position 0
+_Step = tuple[str, int, ComponentModel]
+
+
+@record
+class Refutation:
+    """A finite prefix of the run that falsifies a formula whose innermost
+    node, under its ``after``s, is an ``always`` or a ``before``.  Every
+    position is one of the run from the initial state, never wrapped:
+    ``afters`` holds the occurrence of each ``after``'s event, outermost
+    first; ``occurrence`` that of a ``before``'s event (None under an
+    ``always``); ``falsified`` the positions at which the innermost
+    property is false, one for an ``always``, and for ``before …
+    eventually`` the whole segment that precedes the occurrence."""
+
+    afters: tuple[int, ...]
+    occurrence: Optional[int]
+    falsified: range
+
+    def reads(self, shown: int) -> set[int]:
+        """The run positions :func:`refutation_flaw` reads to check this
+        proof against a witness of the first ``shown`` positions: each
+        occurrence and the one before it, each falsified position, and,
+        when one of them lies past the witness, every witness position."""
+        named = set(self.falsified)
+        for j in (*self.afters, *(() if self.occurrence is None else (self.occurrence,))):
+            named.update((j - 1, j))
+        if max(named, default=0) >= shown:
+            named.update(range(shown))
+        return named
+
+
+def refutation_flaw(f: FtplFormula, index: int, violated: str, proof: Refutation,
+                    steps: Mapping[int, _Step], shown: int, erased: bool) -> Optional[str]:
+    """What is wrong with ``proof`` as a proof that ``f`` fails, reported at
+    witness position ``index`` with the text ``violated``; None if nothing.
+
+    ``steps`` holds the run positions ``proof.reads(shown)`` names, as far
+    as the run goes; the witness is the run's first ``shown`` positions.
+    The defining clauses are checked literally: each occurrence with
+    ``event_holds`` on the two configurations around it, each falsified
+    position with ``eval_cp``, and the order of the positions, ``s < j1 <
+    j2 … ≤ i`` down the ``after``s from ``s = 0`` and ``s ≤ i < k`` under a
+    ``before``.  The reported index must be the violation's position (the
+    falsified one, or a ``before … eventually``'s occurrence), or, past the
+    witness, the last witness position with its state and configuration,
+    compared with parameter values erased when ``erased``.  The text must
+    be the one :func:`_ev` reports for the innermost node.
+    """
+    def missing(e: EventSpec, j: int) -> Optional[str]:
+        if j not in steps:
+            return f"position {j} lies past the path's end"
+        label, _q, c = steps[j]
+        if not event_holds(steps[j - 1][2], c, label, e, j):
+            return f"{e.op_name} {e.modality} does not occur at position {j}"
+        return None
+
+    events = []
+    while isinstance(f, After):
+        events.append(f.event)
+        f = f.inner
+    if len(proof.afters) != len(events):
+        return f"{len(proof.afters)} after occurrences are given for {len(events)} afters"
+    s = 0
+    for e, j in zip(events, proof.afters):
+        if j <= s:
+            return f"the after occurrence at {j} does not follow position {s}"
+        flaw = missing(e, j)
+        if flaw is not None:
+            return flaw
+        s = j
+
+    falsified, k = proof.falsified, proof.occurrence
+    if isinstance(f, Always):
+        cp = f.cp
+        if k is not None or len(falsified) != 1 or falsified[0] < s:
+            return f"{falsified} is not one position from {s} on"
+        at = falsified[0]
+    elif isinstance(f, Before):
+        cp = f.trace.cp
+        if k is None or k <= s:
+            return f"the before occurrence at {k} does not follow position {s}"
+        flaw = missing(f.event, k)
+        if flaw is not None:
+            return flaw
+        if isinstance(f.trace, Always):
+            if len(falsified) != 1 or not s <= falsified[0] < k:
+                return f"{falsified} is not one position of the segment {range(s, k)}"
+            at = falsified[0]
+        else:
+            if falsified != range(s, k):
+                return f"{falsified} is not the segment {range(s, k)}"
+            at = k
+    else:
+        return f"no finite prefix refutes {type(f).__name__.lower()}"
+    for i in falsified:
+        if i not in steps:
+            return f"position {i} lies past the path's end"
+        if eval_cp(cp, steps[i][2]):
+            return f"[{print_cp(cp)}] holds at position {i}"
+
+    expected = at if at < shown else _representative(steps, shown, at, erased)
+    if expected is None:
+        return f"no witness position repeats position {at}"
+    if index != expected:
+        return f"the violation is reported at {index}, not at {expected}"
+    if violated != _violated(f):
+        return f"the violation is reported as {violated!r}, not as {_violated(f)!r}"
+    return None
+
+
+def _representative(steps: Mapping[int, _Step], shown: int, at: int,
+                    erased: bool) -> Optional[int]:
+    """The last of the first ``shown`` positions with the state and
+    configuration of position ``at``, or None."""
+    def key(step: _Step) -> tuple[int, ComponentModel]:
+        _label, q, c = step
+        return q, erase_param_values(c) if erased else c
+
+    wanted = key(steps[at])
+    return next((j for j in range(shown - 1, -1, -1) if key(steps[j]) == wanted), None)

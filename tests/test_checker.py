@@ -281,8 +281,7 @@ def test_the_gate_alone_decides_as_the_cycle_applied_twice_at_its_entry():
             continue
         entry = apply_sequence([ops[label] for label in a.prefix_labels()], c0)
         cycle = [ops[label] for label in a.cycle_labels()]
-        for erased in (False, True):
-            admits = checker.gate_admits(a, ops, c0, erased)
+        for erased, admits in enumerate(checker.gate_admits(a, ops, c0)):
             assert admits == is_idempotent_sequence(cycle, entry, ignore_params=erased), \
                 (seed, erased)
             decided[erased, admits] += 1
@@ -988,3 +987,59 @@ def test_mark_order_invariant_reads_each_mark_a_bounded_number_of_times(monkeypa
     assert verdict.is_holds
     assert verdict.stats.transitions_applied == 2 * n
     assert 0 < CountingMarks.reads <= 5 * a.n_states
+
+
+_DRIFT = "(DeviationUp)+"
+
+
+@pytest.mark.parametrize("path, text, max_steps", [
+    (None, "always [not component(FileServer2)]", None),
+    (None, "after AddCacheHandler normal always [not component(FileServer2)]", None),
+    (None, "before DeleteFileServer normal always [not component(FileServer2)]", None),
+    (None, "before AddFileServer normal eventually [component(FileServer2)]", None),
+    # the windows of test_a_cut_window_is_judged_without_the_oracle
+    (_DRIFT, "after DeviationUp normal always [RequestHandler.deviation < 55]", 20),
+    (_DRIFT, "before DeviationUp normal eventually [RequestHandler.deviation > 51]", 20),
+])
+def test_a_finitely_refuted_fails_is_proof_checked_without_the_oracle(
+        path, text, max_steps, base_automaton, http_model, http_ops, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle_verdict was called")
+
+    monkeypatch.setattr(checker, "oracle_verdict", refuse)
+    checked = []
+    flaw = checker.refutation_flaw
+    monkeypatch.setattr(checker, "refutation_flaw",
+                        lambda *args: checked.append(args) or flaw(*args))
+    a = base_automaton if path is None else build_automaton(parse_path(path))
+    f = parse_formula(text)
+    verdict = check(f, a, http_model, http_ops,
+                    CheckOptions(max_steps=max_steps, oracle_crosscheck=True))
+    assert verdict.is_fails
+    assert len(checked) == 1
+    assert verdict == check(f, a, http_model, http_ops, CheckOptions(max_steps=max_steps))
+
+
+@pytest.mark.parametrize("path, text, status, max_steps", [
+    # no finite prefix refutes an eventually
+    (None, "eventually [component(Nope)]", "fails", None),
+    (None, "after AddFileServer normal eventually [component(Nope)]", "fails", None),
+    (None, None, "holds", None),  # cacheconnected.ftpl
+    (None, "always [component(RequestHandler)]", "holds", None),
+    (None, "before DeleteFileServer normal always [component(FileServer1)]", "holds", None),
+    (None, "after AddFileServer normal eventually [not component(FileServer2)]", "holds", None),
+    (_DRIFT, "eventually [RequestHandler.deviation = 55]", "holds", 20),
+])
+def test_every_other_verdict_is_recomputed_by_the_oracle(path, text, status, max_steps,
+                                                         base_automaton, cache_formula,
+                                                         http_model, http_ops, monkeypatch):
+    calls = []
+    monkeypatch.setattr(checker, "oracle_verdict",
+                        lambda *args: calls.append(args) or oracle_verdict(*args))
+    monkeypatch.setattr(checker, "refutation_flaw", None)  # never called
+    a = base_automaton if path is None else build_automaton(parse_path(path))
+    f = cache_formula if text is None else parse_formula(text)
+    verdict = check(f, a, http_model, http_ops,
+                    CheckOptions(max_steps=max_steps, oracle_crosscheck=True))
+    assert verdict.status == status
+    assert len(calls) == 1

@@ -78,6 +78,90 @@ def test_oracle_disagreement_exit_five(samples_dir, capsys, monkeypatch):
     assert run_cli(_check_args(samples_dir, "--formula", FORMULA)) == 0
 
 
+def _patch_witness(monkeypatch, index=0, violated=None):
+    """Report every violation ``index`` positions off, or with its text
+    rewritten by ``violated``, as a wrong walk would."""
+    from reconfcheck import checker
+
+    fails = checker._fails
+
+    def patched(run, length, i, v, *rest):
+        if violated is not None:
+            v.violated = violated(v.violated)
+        return fails(run, length, i + index, v, *rest)
+
+    monkeypatch.setattr(checker, "_fails", patched)
+
+
+def _patch_proof(monkeypatch, **rewrite):
+    """Hand the proof check the walk's proof with each field named rewritten
+    by the function given for it."""
+    from reconfcheck import checker
+
+    proof = checker._Violation.proof
+
+    def patched(v):
+        p = proof(v)
+        return p.__class__(**{f: rewrite[f](p) if f in rewrite else getattr(p, f)
+                              for f in p._fields})
+
+    monkeypatch.setattr(checker._Violation, "proof", patched)
+
+
+_ALWAYS = "always [not component(FileServer2)]"
+_AFTER = "after AddCacheHandler normal always [not component(FileServer2)]"
+_BEFORE_ALWAYS = "before DeleteFileServer normal always [not component(FileServer2)]"
+_BEFORE_EVENTUALLY = "before AddFileServer normal eventually [component(FileServer2)]"
+
+
+@pytest.mark.parametrize("formula, patch, flaw", [
+    (_ALWAYS, lambda mp: _patch_witness(mp, index=1), "reported at 7, not at 6"),
+    (_ALWAYS, lambda mp: _patch_witness(mp, index=-1), "reported at 5, not at 6"),
+    (_AFTER, lambda mp: _patch_witness(mp, index=1), "reported at 7, not at 6"),
+    (_BEFORE_ALWAYS, lambda mp: _patch_witness(mp, index=-1), "reported at 5, not at 6"),
+    (_BEFORE_EVENTUALLY, lambda mp: _patch_witness(mp, index=1), "reported at 7, not at 6"),
+    (_AFTER, lambda mp: _patch_proof(mp, afters=lambda p: ()),
+     "0 after occurrences are given for 1 afters"),
+    (_AFTER, lambda mp: _patch_proof(mp, afters=lambda p: (p.afters[0] + 1,)),
+     "AddCacheHandler normal does not occur at position 4"),
+    (_AFTER, lambda mp: _patch_proof(mp, afters=lambda p: (p.afters[0] - 1,)),
+     "AddCacheHandler normal does not occur at position 2"),
+    # FileServer2 is present at 6 and 7, then at 11 and 12, one lap later
+    (_BEFORE_ALWAYS, lambda mp: _patch_proof(mp, occurrence=lambda p: p.falsified[0]),
+     "DeleteFileServer normal does not occur at position 6"),
+    (_BEFORE_ALWAYS, lambda mp: _patch_proof(mp, falsified=lambda p: range(11, 12)),
+     "range(11, 12) is not one position of the segment range(0, 8)"),
+    (_BEFORE_EVENTUALLY, lambda mp: _patch_proof(mp, falsified=lambda p: range(0, 5)),
+     "range(0, 5) is not the segment range(0, 6)"),
+    (_BEFORE_ALWAYS, lambda mp: _patch_proof(mp, falsified=lambda p: range(5, 6)),
+     "[not component(FileServer2)] holds at position 5"),
+    (_BEFORE_ALWAYS, lambda mp: _patch_proof(mp, occurrence=lambda p: p.occurrence + 1),
+     "DeleteFileServer normal does not occur at position 9"),
+    (_BEFORE_EVENTUALLY, lambda mp: _patch_proof(mp, occurrence=lambda p: p.occurrence + 1),
+     "AddFileServer normal does not occur at position 7"),
+    (_ALWAYS, lambda mp: _patch_witness(mp, violated=lambda t: t.replace("always", "eventually")),
+     "reported as 'eventually [not component(FileServer2)] violated'"),
+    (_BEFORE_ALWAYS, lambda mp: _patch_witness(
+        mp, violated=lambda t: t.replace("DeleteFileServer normal", "DeleteFileServer terminates")),
+     "reported as 'before DeleteFileServer terminates: always"),
+    (_BEFORE_EVENTUALLY, lambda mp: _patch_witness(
+        mp, violated=lambda t: t.replace("eventually", "always")),
+     "reported as 'before AddFileServer normal: always [component(FileServer2)] unsatisfied"),
+])
+def test_a_witness_that_does_not_prove_its_violation_exits_five(formula, patch, flaw,
+                                                                samples_dir, capsys, monkeypatch):
+    patch(monkeypatch)
+    code = run_cli(_check_args(samples_dir, "--formula", formula, "--oracle"))
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: oracle cross-check disagreement: checker says fails, "
+                                   "but its witness does not prove it: ")
+    assert flaw in captured.err
+    # without the cross-check the same wrong witness is reported
+    assert run_cli(_check_args(samples_dir, "--formula", formula)) == 1
+
+
 def test_json_report_round_trips(samples_dir, capsys):
     code = run_cli(_check_args(samples_dir, "--formula", FORMULA,
                                "--max-steps", "4", "--json"))
@@ -401,6 +485,30 @@ def test_idempotence_report(samples_dir, capsys):
     assert code == 0
     assert "idempotent (structural): no" in out
     assert "idempotent (ignoring parameter values): yes" in out
+
+
+@pytest.mark.parametrize("path, structural", [
+    (None, "no"),  # server.rp: only the erased gate admits
+    ("(RemoveCacheHandler AddCacheHandler)+", "yes"),
+])
+def test_idempotence_applies_the_run_to_the_gate_once(path, structural, samples_dir,
+                                                      tmp_path, capsys, monkeypatch):
+    # both answers are read off one run to P+2|C|: 13 transitions on server.rp
+    from reconfcheck import reconfig
+
+    applied = []
+    apply = reconfig.apply_evolution
+    monkeypatch.setattr(reconfig, "apply_evolution",
+                        lambda op, c: applied.append(op) or apply(op, c))
+    args = _check_args(samples_dir)[1:]
+    if path is not None:
+        (tmp_path / "cycle.rp").write_text(path)
+        args[-1] = str(tmp_path / "cycle.rp")
+    assert run_cli(["idempotence", *args]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-2:] == [f"idempotent (structural): {structural}",
+                                     "idempotent (ignoring parameter values): yes"]
+    assert len(applied) == (13 if path is None else 4)
 
 
 def test_idempotence_finite_path(samples_dir, tmp_path, capsys):

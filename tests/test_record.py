@@ -55,7 +55,7 @@ def _values(cls: type) -> tuple:
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 48
+    assert len(RECORDS) == 49
     assert {Binding, Component, ComponentModel, Param, CheckOptions} <= set(RECORDS)
 
 
