@@ -23,13 +23,13 @@ gate's own applications or a witness's replay.
 
 With the oracle cross-check, a ``fails`` verdict that a finite prefix
 proves (an ``always`` or a ``before``, under any ``after``s) is checked
-against its own proof: the walk keeps the run positions of each event
-occurrence it descended through and of each configuration that falsifies
-the property, and ``oracle.refutation_flaw`` checks them, and the reported
-index and text, on the configurations the witness replay reads.  It
-unfolds nothing.  Every other ``holds`` or ``fails`` verdict is recomputed
-by ``oracle.oracle_verdict``.  Either mismatch raises
-:class:`OracleDisagreement`.
+against its own proof where it is built, in ``_fails``: the walk keeps the
+run positions of each event occurrence it descended through and of each
+configuration that falsifies the property, and ``oracle.refutation_flaw``
+checks them, and the reported index and text, on the configurations the
+witness replay reads.  It unfolds nothing.  Every other ``holds`` or
+``fails`` verdict is recomputed by ``oracle.oracle_verdict`` at the end of
+:func:`check`.  Either mismatch raises :class:`OracleDisagreement`.
 """
 
 from __future__ import annotations
@@ -520,21 +520,19 @@ def _witnessed(f: FtplFormula, holds: bool) -> bool:
 
 _Step = tuple[str, int, ComponentModel]  # incoming label, state, configuration
 
-# a fails verdict's proof, the run positions it reads, the witness's length, and
-# whether the walk compared configurations with parameter values erased
-_Proof = tuple[Refutation, dict[int, _Step], int, bool]
 
-
-def _fails(run: Iterable[_Step], length: int, index: int, v: _Violation, prove: bool,
-           erased: bool, stats: CheckStats) -> tuple[Verdict, Optional[_Proof]]:
+def _fails(run: Iterable[_Step], length: int, index: int, v: _Violation,
+           proving: Optional[FtplFormula], erased: bool, stats: CheckStats) -> Verdict:
     """The fails verdict on violation ``v``, whose witness is the first
     ``length`` steps of ``run``, the run from the initial state, reported at
-    ``index``; and, if ``prove``, its proof.  Operations are pure, so the
-    run rebuilds exactly the configurations the walk saw.  The digests are
-    taken as the run goes, and only the positions the proof reads are kept,
-    some of which may lie past the witness."""
-    proof = v.proof() if prove else None
-    reads = proof.reads(length) if prove else set()
+    ``index``.  Operations are pure, so the run rebuilds exactly the
+    configurations the walk saw; the digests are taken as it goes.  With
+    ``proving``, the formula ``v`` refutes, the verdict is checked here
+    against ``v``'s proof on the positions it reads, some of which may lie
+    past the witness (parameter values erased in comparisons when
+    ``erased``); a flaw raises :class:`OracleDisagreement`."""
+    proof = None if proving is None else v.proof()
+    reads = set() if proof is None else proof.reads(length)
     digest = model_digester()  # successive configurations share components
     shown, kept = [], {}
     for pos, step in enumerate(islice(run, max(length, max(reads, default=0) + 1))):
@@ -543,15 +541,20 @@ def _fails(run: Iterable[_Step], length: int, index: int, v: _Violation, prove: 
             shown.append(WitnessStep(q, label, digest(c)))
         if pos in reads:
             kept[pos] = step
-    verdict = Verdict(FAILS, witness=TraceWitness(tuple(shown), index, v.violated), stats=stats)
-    return verdict, None if proof is None else (proof, kept, length, erased)
+    if proof is not None:
+        flaw = refutation_flaw(proving, index, v.violated, proof, kept, length, erased)
+        if flaw is not None:
+            raise OracleDisagreement(f"oracle cross-check disagreement: checker says fails, "
+                                     f"but its witness does not prove it: {flaw}")
+    return Verdict(FAILS, witness=TraceWitness(tuple(shown), index, v.violated), stats=stats)
 
 
 def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
                    ops: Mapping[str, EvolutionOperation], walk: _Walk, gate: Optional[_Gate],
-                   prove: bool) -> Optional[tuple[Verdict, Optional[_Proof]]]:
-    """The walk's verdict from the initial state, with a ``fails`` verdict's
-    proof if ``prove``, or None if the gate refuses.
+                   proving: Optional[FtplFormula]) -> Optional[Verdict]:
+    """The walk's verdict from the initial state, or None if the gate
+    refuses.  With ``proving``, a ``fails`` verdict is proof-checked as
+    :func:`_fails` builds it.
 
     The walk judges before the gate decides, and that is sound: the walk
     never reads the gate's answer, and what rests on the gate (an instance
@@ -572,13 +575,13 @@ def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         if gate is not None and not gate.decide():
             return None
         if outcome is None:
-            return Verdict(HOLDS, stats=walk.stats()), None
+            return Verdict(HOLDS, stats=walk.stats())
         if isinstance(outcome, _Violation):
             return _fails(chain([("", 0, c0)], run_path(a, ops, 0, c0)), outcome.length,
-                          outcome.index, outcome, prove, walk.erased, walk.stats())
+                          outcome.index, outcome, proving, walk.erased, walk.stats())
         if isinstance(outcome, _Budget):
             return Verdict(UNKNOWN, reason=REASON_BUDGET, residual=residual_from(a, outcome.state),
-                           reached=outcome.model, stats=walk.stats()), None
+                           reached=outcome.model, stats=walk.stats())
         raise outcome  # evaluating a property
     finally:
         del outcome  # its traceback holds this frame and the walk's: no cycle outlives the call
@@ -616,15 +619,13 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     walk = _Walk(a, lambda label, _q, c: apply_evolution(ops[label], c).result,
                  opts.max_steps, gate=gate)
     # a finite prefix refutes f: under the cross-check a fails verdict proves itself
-    prove = opts.oracle_crosscheck and _witnessed(f, False)
-    gated = _gated_verdict(f, a, c0, ops, walk, gate, prove)
-    if gated is None and opts.max_steps is None:
+    proving = f if opts.oracle_crosscheck and _witnessed(f, False) else None
+    verdict = _gated_verdict(f, a, c0, ops, walk, gate, proving)
+    if verdict is None and opts.max_steps is None:
         # nothing explored counts: the residual is the whole path
         return Verdict(UNKNOWN, reason=REASON_CYCLE, residual=residual_from(a, 0),
                        reached=c0, stats=CheckStats(0, 0, 0))
-    if gated is not None:
-        verdict, proof = gated
-    else:
+    if verdict is None:
         # a non-idempotent cycle, bounded: the window repeats exactly or is cut by the budget
         lasso = _unfold(a, c0, ops, opts.max_steps)
         entries, ps, n = lasso.entries, lasso.period_start, len(lasso.entries)
@@ -638,7 +639,7 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
             # without its traceback, which holds this frame: v would keep the window
             # in a reference cycle until the cyclic collector runs
             v = violation.with_traceback(None)
-        stats, last, proof = CheckStats(n - 1, walk.cp_evals, n - 1), entries[-1], None
+        stats, last = CheckStats(n - 1, walk.cp_evals, n - 1), entries[-1]
         if ps is None and not _witnessed(f, v is None):
             verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
                               residual=residual_from(a, last.state), reached=last.model,
@@ -650,16 +651,10 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
             # a proof may read a position past the window: the run goes on from its last step
             run = chain(((s.incoming_label or "", s.state, s.model) for s in entries),
                         run_path(a, ops, last.state, last.model))
-            verdict, proof = _fails(run, n, i, v, prove, False, stats)
+            verdict = _fails(run, n, i, v, proving, False, stats)
 
-    if not opts.oracle_crosscheck or verdict.is_unknown:
-        return verdict
-    if prove and verdict.is_fails:
-        w = verdict.witness
-        flaw = refutation_flaw(f, w.violation_index, w.violated, *proof)
-        if flaw is not None:
-            raise OracleDisagreement(f"oracle cross-check disagreement: checker says fails, "
-                                     f"but its witness does not prove it: {flaw}")
+    # a proving fails verdict was checked as it was built
+    if not opts.oracle_crosscheck or verdict.is_unknown or verdict.is_fails and proving is not None:
         return verdict
     reference = oracle_verdict(f, a, c0, ops)
     if reference is not None and reference != verdict.is_holds:

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1043,3 +1045,36 @@ def test_every_other_verdict_is_recomputed_by_the_oracle(path, text, status, max
                     CheckOptions(max_steps=max_steps, oracle_crosscheck=True))
     assert verdict.status == status
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path, text, max_steps", [
+    (None, "always [not component(FileServer2)]", None),
+    (None, "before DeleteFileServer normal always [not component(FileServer2)]", None),
+    (_DRIFT, "always [RequestHandler.deviation < 55]", 20),  # a gate-refused window
+])
+def test_check_frees_what_it_built_without_the_cycle_collector(
+        path, text, max_steps, base_automaton, http_model, http_ops, monkeypatch):
+    # a violation's traceback holds the frames that raised it, and so every
+    # configuration they hold: check must break that cycle itself
+    built = []
+
+    def keeping(apply):
+        def apply_and_keep(op, m):
+            outcome = apply(op, m)
+            if outcome.result is not m:
+                built.append(weakref.ref(outcome.result))
+            return outcome
+        return apply_and_keep
+
+    monkeypatch.setattr(checker, "apply_evolution", keeping(checker.apply_evolution))
+    monkeypatch.setattr(reconfig, "apply_evolution", keeping(reconfig.apply_evolution))
+    a = base_automaton if path is None else build_automaton(parse_path(path))
+    gc.disable()
+    try:
+        verdict = check(parse_formula(text), a, http_model, http_ops,
+                        CheckOptions(max_steps=max_steps))
+        assert verdict.is_fails and built
+        del verdict
+        assert sum(ref() is not None for ref in built) == 0
+    finally:
+        gc.enable()

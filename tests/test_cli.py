@@ -162,6 +162,29 @@ def test_a_witness_that_does_not_prove_its_violation_exits_five(formula, patch, 
     assert run_cli(_check_args(samples_dir, "--formula", formula)) == 1
 
 
+def test_a_violation_past_the_witness_is_reported_at_its_last_repeat(tmp_path, capsys):
+    # E at position 1 finds X present, so the after's occurrence is at 3 and
+    # the before's at 5, past the witness of positions 0-4; witness positions
+    # 1 and 3 both have position 5's state and configuration, and the
+    # violation is reported at the last of them
+    (tmp_path / "m.arch").write_text(
+        "model M { component A { class K } component X { class K state stopped } }")
+    (tmp_path / "m.ops").write_text(
+        "op E { add component X { class K } }\nop R { remove component X }\n")
+    (tmp_path / "m.rp").write_text("(E R)+")
+    code = run_cli(["check", "--model", str(tmp_path / "m.arch"),
+                    "--ops", str(tmp_path / "m.ops"), "--path", str(tmp_path / "m.rp"),
+                    "--formula", "after E normal before E normal eventually [false]",
+                    "--oracle", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    w = json.loads(captured.out)["witness"]
+    assert w["violation_index"] == 3
+    steps = w["steps"]
+    assert (steps[1]["state"], steps[1]["digest"]) == (steps[3]["state"], steps[3]["digest"])
+    assert steps[3]["digest"] == "bb17850f95d9"
+
+
 def test_json_report_round_trips(samples_dir, capsys):
     code = run_cli(_check_args(samples_dir, "--formula", FORMULA,
                                "--max-steps", "4", "--json"))

@@ -29,7 +29,7 @@ from reconfcheck.model import (
     TrueAtom,
     component_sum,
 )
-from reconfcheck.record import Record, record
+from reconfcheck.record import _EQ, _HASH, Record, record
 
 
 def _record_classes() -> list[type]:
@@ -52,6 +52,22 @@ _VALID = {CheckOptions: (3, True), PathExpr: (("a",), ("b",)),
 
 def _values(cls: type) -> tuple:
     return _VALID.get(cls, tuple(f"v{i}" for i in range(len(cls._fields))))
+
+
+# a second value for each field, unequal to the one _values gives
+_OTHER = {CheckOptions: (4, False), PathExpr: (("c",), ("d",)),
+          Component: ("B", "L", {"level": Param("int", 6)}, {"i": "Req"}, {"o": "Resp"},
+                      frozenset({"A"}), "started"),
+          ComponentModel: ("N", {"A": Component("A", "K")},
+                           frozenset({Binding("A", "o", "B", "i")}),
+                           frozenset({Delegation("A", "p", "B", "q")}))}
+
+# the classes that define their own hash
+_OWN_HASH = {Component, ComponentModel}
+
+
+def _others(cls: type) -> tuple:
+    return _OTHER.get(cls, tuple(f"w{i}" for i in range(len(cls._fields))))
 
 
 def test_every_record_class_is_found():
@@ -111,6 +127,33 @@ def test_a_record_hashes_as_the_tuple_of_its_fields():
               Binding("A", "o", "B", "i")):
         assert hash(r) == hash(tuple(getattr(r, f) for f in r._fields))
     assert hash(Not(cp)) != hash(cp)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_records_that_differ_in_any_one_field_are_unequal(cls):
+    values, others = _values(cls), _others(cls)
+    record = cls(*values)
+    for i in range(len(values)):
+        changed = cls(*values[:i], others[i], *values[i + 1:])
+        assert record != changed and not record == changed, cls._fields[i]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_every_class_without_its_own_hash_hashes_the_tuple_of_its_fields(cls):
+    assert (cls.__hash__.__code__.co_name == "__hash__") is (cls in _OWN_HASH)
+    if cls not in _OWN_HASH:
+        for values in (_values(cls), _others(cls)):
+            assert hash(cls(*values)) == hash(values)
+
+
+def test_each_class_has_its_own_eq_and_hash_code():
+    # the interpreter specialises a slot read in caches kept in the code object,
+    # so each class takes a copy of the shared code, never the code itself
+    shared = {id(f.__code__) for f in (*_EQ, *_HASH)}
+    for codes in ([cls.__eq__.__code__ for cls in RECORDS],
+                  [cls.__hash__.__code__ for cls in RECORDS if cls not in _OWN_HASH]):
+        ids = {id(code) for code in codes}
+        assert len(ids) == len(codes) and not ids & shared
 
 
 def test_construction_checks_its_arguments():
