@@ -13,7 +13,7 @@ import re
 from bisect import bisect_left
 from itertools import compress
 from operator import is_not
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 # validate_model stays importable because perfbench/tracer.py rebinds it here
 from .model import (
@@ -23,6 +23,7 @@ from .model import (
     Component,
     ComponentModel,
     Delegation,
+    ModelIndex,
     Param,
     binding_key,
     validate_model,  # noqa: F401
@@ -512,10 +513,14 @@ def format_literal(pv: Param) -> str:
         return str(Decimal(pv.value))
 
 
+def _head(c: Component, indent: str) -> str:
+    """The first line of ``c``'s text, the only one that names its id."""
+    return f"{indent}{'composite' if c.contains else 'component'} {c.id} {{"
+
+
 def _format_component(c: Component, indent: str) -> list[str]:
     inner = indent + "  "
-    keyword = "composite" if c.contains else "component"
-    lines = [f"{indent}{keyword} {c.id} {{", f"{inner}class {c.cls}"]
+    lines = [_head(c, indent), f"{inner}class {c.cls}"]
     for name in sorted(c.params):
         lines.append(f"{inner}param {name} : {c.params[name].cls} = "
                      f"{format_literal(c.params[name])}")
@@ -534,12 +539,37 @@ def _component_text(c: Component) -> str:
     return "\n".join(_format_component(c, "  ")) + "\n"
 
 
-def _binding_line(b: Binding) -> str:
-    return f"  bind {b.out_component}.{b.out_port} -> {b.in_component}.{b.in_port}\n"
+def _component_texts(objs: list[Component]) -> list[str]:
+    """The texts of components ``objs``, each distinct body formatted once.
+
+    A text's first line alone names the id.  The components read from one
+    declaration body, or evolved from one, share its field objects, so a
+    body is keyed by those; ``objs`` holds them for the call, so no id in a
+    key is reused during it."""
+    bodies: dict[tuple, str] = {}
+    texts = []
+    for c in objs:
+        head = _head(c, "  ")
+        key = (c.cls, id(c.params), id(c.inputs), id(c.outputs), id(c.contains), c.state)
+        body = bodies.get(key)
+        if body is None:
+            text = _component_text(c)
+            bodies[key] = text[len(head):]
+            texts.append(text)
+        else:
+            texts.append(head + body)
+    return texts
 
 
-def _binding_lines(bindings: frozenset[Binding]) -> list[str]:
-    return [_binding_line(b) for b in sorted(bindings, key=binding_key)]
+def _binding_line(key: tuple[str, str, str, str]) -> str:
+    """The line of the binding whose :func:`binding_key` is ``key``."""
+    return "  bind %s.%s -> %s.%s\n" % key
+
+
+def _binding_lines(bindings: frozenset[Binding]) -> tuple[list[tuple], list[str]]:
+    """The sort keys of ``bindings``, in order, and their lines."""
+    keys = sorted(map(binding_key, bindings))
+    return keys, list(map(_binding_line, keys))
 
 
 def _model_text(m: ComponentModel, component_texts: list[str],
@@ -555,8 +585,8 @@ def _model_text(m: ComponentModel, component_texts: list[str],
 def print_model(m: ComponentModel) -> str:
     """Canonical text for a model; reparses to an equal model."""
     comps = m.components
-    return _model_text(m, [_component_text(comps[cid]) for cid in sorted(comps)],
-                       _binding_lines(m.bindings))
+    return _model_text(m, _component_texts([comps[cid] for cid in sorted(comps)]),
+                       _binding_lines(m.bindings)[1])
 
 
 def _digest(text: str) -> str:
@@ -576,63 +606,88 @@ def model_digester() -> Callable[[ComponentModel], str]:
     An operation shares every component it does not touch with its input,
     so successive configurations share most of their component objects.
     The returned function keeps the last model's sorted component ids, the
-    component object at each id and its text.  For the next model it
-    inserts or deletes the ids that came or went, finds the positions that
-    hold another object by identity, and formats only those; the objects it
-    holds keep their ids from being reused while it compares them.  The
-    sorted binding lines of the last model are kept too, and patched with
-    the bindings the next model adds or drops.  Its digests equal
-    :func:`model_digest`'s.
+    component object at each id and its text, and formats a component only
+    where the next model holds another object:
+
+    - the first model, or one mostly unlike the last, is formatted afresh
+      as :func:`print_model` formats it, each distinct body once;
+    - a model that holds the index the last one held, the run's next model
+      (see :class:`~reconfcheck.model.ModelIndex`), is patched at the ids
+      logged on that index since the last digest, which opens its log;
+    - any other model, such as a window's, whose index was released, has
+      the ids that came or went patched and the rest compared by identity;
+      the objects held keep their ids from being reused meanwhile.
+
+    The sorted binding lines of the last model are kept too, and patched
+    with the bindings the next model adds or drops.  Its digests equal
+    :func:`model_digest`'s.  It keeps no model: only the last one's
+    component dict, binding set and index.
     """
     held: dict[str, Component] = {}  # the last component dict, held
     ids: list[str] = []  # its ids, sorted
-    objs: list[Optional[Component]] = []  # the component at each id (None: new)
+    objs: list[Component] = []  # the component at each id
     texts: list[str] = []  # and its text
+    index: Optional[ModelIndex] = None  # the index the last model held
+    log: Optional[set[str]] = None  # and the log opened on it then
     before: frozenset[Binding] = frozenset()  # the last binding set, held
     keys: list[tuple[str, str, str, str]] = []  # its sort keys, in order
     lines: list[str] = []  # and its lines
 
-    def component_texts(comps: dict[str, Component]) -> list[str]:
-        nonlocal held, objs
-        if comps is held:
-            return texts
-        if comps.keys() != held.keys():
-            gone, new = held.keys() - comps.keys(), comps.keys() - held.keys()
-            if len(gone) + len(new) > len(ids):  # mostly another model: sort afresh
-                ids[:] = sorted(comps)
-                objs = [None] * len(ids)
-                texts[:] = [""] * len(ids)
-            else:
-                for cid in gone:
-                    i = bisect_left(ids, cid)
+    def patch(comps: dict[str, Component], changed: Iterable[str]) -> None:
+        """Bring the ``changed`` ids up to date with ``comps``."""
+        for cid in changed:
+            c = comps.get(cid)
+            i = bisect_left(ids, cid)
+            if i < len(ids) and ids[i] == cid:
+                if c is None:
                     del ids[i], objs[i], texts[i]
-                for cid in new:
-                    i = bisect_left(ids, cid)
-                    ids.insert(i, cid)
-                    objs.insert(i, None)
-                    texts.insert(i, "")
-        now = list(map(comps.__getitem__, ids))
-        for i in compress(range(len(now)), map(is_not, objs, now)):
-            texts[i] = _component_text(now[i])
-        held, objs = comps, now
+                elif objs[i] is not c:
+                    objs[i], texts[i] = c, _component_text(c)
+            elif c is not None:
+                ids.insert(i, cid)
+                objs.insert(i, c)
+                texts.insert(i, _component_text(c))
+
+    def component_texts(m: ComponentModel) -> list[str]:
+        nonlocal held, index, log
+        comps = m.components
+        if comps is not held:
+            if index is not None and m._index is index and index.log is log:
+                patch(comps, log)
+            elif len(moved := comps.keys() ^ held.keys()) > len(ids):  # mostly another model
+                ids[:] = sorted(comps)
+                objs[:] = map(comps.__getitem__, ids)
+                texts[:] = _component_texts(objs)
+            else:
+                patch(comps, moved)
+                now = list(map(comps.__getitem__, ids))
+                for i in compress(range(len(now)), map(is_not, objs, now)):
+                    texts[i] = _component_text(now[i])
+                objs[:] = now
+            held = comps
+        index = m._index
+        log = None if index is None else index.open_log()
         return texts
 
     def binding_lines(bindings: frozenset[Binding]) -> list[str]:
         nonlocal before
         if bindings is not before:
-            for b in before - bindings:
-                i = bisect_left(keys, binding_key(b))
-                del keys[i], lines[i]
-            for b in bindings - before:
-                key = binding_key(b)
-                i = bisect_left(keys, key)
-                keys.insert(i, key)
-                lines.insert(i, _binding_line(b))
+            gone, new = before - bindings, bindings - before
+            if len(gone) + len(new) > len(keys):  # mostly another set: sort afresh
+                keys[:], lines[:] = _binding_lines(bindings)
+            else:
+                for b in gone:
+                    i = bisect_left(keys, binding_key(b))
+                    del keys[i], lines[i]
+                for b in new:
+                    key = binding_key(b)
+                    i = bisect_left(keys, key)
+                    keys.insert(i, key)
+                    lines.insert(i, _binding_line(key))
             before = bindings
         return lines
 
-    return lambda m: _digest(_model_text(m, component_texts(m.components),
-                                         binding_lines(m.bindings)))
+    return lambda m: _digest(_model_text(m, component_texts(m), binding_lines(m.bindings)))
 
 
 # --- recipe files (.ops) ---------------------------------------------------------

@@ -526,7 +526,9 @@ def _fails(run: Iterable[_Step], length: int, index: int, v: _Violation,
     """The fails verdict on violation ``v``, whose witness is the first
     ``length`` steps of ``run``, the run from the initial state, reported at
     ``index``.  Operations are pure, so the run rebuilds exactly the
-    configurations the walk saw; the digests are taken as it goes.  With
+    configurations the walk saw; the digests are taken as it goes, by one
+    digester, once per distinct configuration: a model is its own dictionary
+    key, and the models kept for it live as long as the call.  With
     ``proving``, the formula ``v`` refutes, the verdict is checked here
     against ``v``'s proof on the positions it reads, some of which may lie
     past the witness (parameter values erased in comparisons when
@@ -534,11 +536,15 @@ def _fails(run: Iterable[_Step], length: int, index: int, v: _Violation,
     proof = None if proving is None else v.proof()
     reads = set() if proof is None else proof.reads(length)
     digest = model_digester()  # successive configurations share components
+    digests: dict[ComponentModel, str] = {}  # a cycle revisits its configurations
     shown, kept = [], {}
     for pos, step in enumerate(islice(run, max(length, max(reads, default=0) + 1))):
         label, q, c = step
         if pos < length:
-            shown.append(WitnessStep(q, label, digest(c)))
+            d = digests.get(c)
+            if d is None:
+                d = digests[c] = digest(c)
+            shown.append(WitnessStep(q, label, d))
         if pos in reads:
             kept[pos] = step
     if proof is not None:

@@ -168,9 +168,14 @@ class ModelIndex:
     run keeps one index, built part by part once, and the models a caller
     keeps hold none.  Readers that derive no model (erasure, quantifiers)
     use the index of a model that holds one, and scan any other.
+
+    ``log``, None until a reader opens one (:meth:`open_log`), is the set of
+    the ids that :meth:`add`, :meth:`remove` and :meth:`replace` touched
+    since it was opened: what the run changed since the model that held the
+    index then.  A witness digester reads it to format only those ids.
     """
 
-    stopped = links = parents = holders = classes = None
+    stopped = links = parents = holders = classes = log = None
 
     def part(self, name: str, m: ComponentModel):
         """Part ``name`` of this index of ``m``, built from ``m`` if it is not yet."""
@@ -180,9 +185,16 @@ class ModelIndex:
             setattr(self, name, built)
         return built
 
+    def open_log(self) -> set[str]:
+        """A new, empty :attr:`log`, which replaces the one open before."""
+        self.log = set()
+        return self.log
+
     def add(self, c: Component) -> None:
         """Component ``c``, linked to nothing, joined the model under its id."""
         cid = c.id
+        if self.log is not None:
+            self.log.add(cid)
         if self.stopped is not None and c.state != STARTED:
             self.stopped.add(cid)
         if self.parents is not None and c.contains:
@@ -196,6 +208,8 @@ class ModelIndex:
         """Component ``c`` left the model, with its links; the other ends of
         its bindings are unlinked as the bindings are cut."""
         cid = c.id
+        if self.log is not None:
+            self.log.add(cid)
         for ids in (self.stopped, self.parents, self.holders):
             if ids is not None:
                 ids.discard(cid)
@@ -213,6 +227,8 @@ class ModelIndex:
         an id or a class in place, so only the set parts can move, and only
         where the field they test did."""
         cid = new.id
+        if self.log is not None:
+            self.log.add(cid)
         if old.state != new.state and self.stopped is not None:
             if new.state == STARTED:
                 self.stopped.discard(cid)

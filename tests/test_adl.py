@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 from decimal import Decimal
+from itertools import chain, islice
 
 import pytest
 
@@ -21,6 +24,7 @@ from reconfcheck import (
     parse_path,
     parse_recipes,
     print_model,
+    run_path,
     validate_model,
 )
 from reconfcheck import adl
@@ -237,31 +241,123 @@ def _run(a, ops, c0, n):
     return out
 
 
+def _calls(monkeypatch, name):
+    """The argument tuples of every call of ``adl``'s function ``name`` from now on."""
+    calls = []
+    plain = getattr(adl, name)
+    monkeypatch.setattr(adl, name, lambda *args: calls.append(args) or plain(*args))
+    return calls
+
+
+def _run_models(a, ops, c0):
+    """The run's configurations from the initial one on, each built when asked for."""
+    return chain([c0], (c for _label, _q, c in run_path(a, ops, 0, c0)))
+
+
+def test_print_model_formats_each_distinct_body_once(monkeypatch):
+    # A1-A3 are declared with one body and B1-B2 with another, so each group
+    # shares its field objects; C has a body of its own
+    text = ("model M {\n"
+            + "".join(f"  component A{i} {{ class K param p : int = 1 input i : T }}\n"
+                      for i in (1, 2, 3))
+            + "".join(f"  component B{i} {{ class K param p : int = 2 }}\n" for i in (1, 2))
+            + "  component C { class K param p : int = 1 input i : T state stopped }\n}\n")
+    m = parse_model(text)
+    whole = "".join(adl._component_text(m.components[cid]) for cid in sorted(m.components))
+    formatted = _calls(monkeypatch, "_component_text")
+    printed = print_model(m)
+    assert [c.id for c, in formatted] == ["A1", "B1", "C"]
+    assert whole in printed and parse_model(printed) == m
+    # A2 stopped keeps A1's field objects, but not its body
+    stopped = ComponentModel("M", {**m.components, "A2": m.components["A2"].evolve(state="stopped")})
+    formatted.clear()
+    assert "  component A2 {\n    class K\n    param p : int = 1\n    input i : T\n" \
+           "    state stopped\n  }\n" in print_model(stopped)
+    assert [c.id for c, in formatted] == ["A1", "A2", "B1", "C"]
+
+
 def test_digester_formats_each_shared_component_once(http_model, http_ops, monkeypatch):
+    # each distinct body once in the first model, then each id the run logged once
     a = build_automaton(parse_path("run (RemoveCacheHandler AddCacheHandler MemorySizeUp "
                                    "run AddFileServer DurationValidityUp DeleteFileServer)+"))
-    models = _run(a, http_ops, http_model, 30)
-    expected = [model_digest(m) for m in models]
-    objects = {id(c) for m in models for c in m.components.values()}
-    assert len(objects) < sum(len(m.components) for m in models) / 2  # mostly shared
-    formatted = []
-    plain = adl._component_text
-    monkeypatch.setattr(adl, "_component_text", lambda c: formatted.append(c) or plain(c))
-    digest = model_digester()
-    assert [digest(m) for m in models] == expected
-    assert len(formatted) == len(objects)
+    # the HTTP model and two spare components declared with one body
+    spares = "".join(f"  component Spare{i} {{ class Spare param x : int = 1 }}\n" for i in (1, 2))
+    c0 = parse_model(print_model(http_model)[:-2] + spares + "}\n")
+    formatted, scans = _calls(monkeypatch, "_component_text"), _calls(monkeypatch, "compress")
+    digest, models, digests = model_digester(), [], []
+    for c in islice(_run_models(a, http_ops, c0), 30):
+        formatted.clear()
+        digests.append(digest(c))
+        if not models:
+            assert len(formatted) == len(c0.components) - 1  # the spares share a body
+        else:
+            last = models[-1].components
+            changed = {cid for cid, comp in c.components.items() if last.get(cid) is not comp}
+            assert sorted(comp.id for comp, in formatted) == sorted(changed)
+        models.append(c)
+    # no step is compared by identity: the first, `run`, changes nothing, and
+    # the run hands the initial model its index before it takes that step, so
+    # every later step reads the run's log
+    assert scans == []
+    monkeypatch.undo()
+    assert digests == [model_digest(m) for m in models]
 
 
-def test_digester_on_generated_runs():
+def _generated_runs():
+    """(automaton, operations, initial model, run length) of generated runs."""
     rng = random.Random(41)
     for _ in range(60):
         m = generators.gen_model(rng)
         rs = generators.gen_recipes(rng, m)
         a = build_automaton(generators.gen_path(rng, sorted(rs.recipes)))
-        models = _run(a, rs.operation_table(), m, 2 * a.n_states + 3) if a.has_cycle \
-            else _run(a, rs.operation_table(), m, a.n_states)
+        yield a, rs.operation_table(), m, 2 * a.n_states + 3 if a.has_cycle else a.n_states
+
+
+def test_digester_on_generated_runs():
+    # fed afterwards: the models the run moved past hold no index, so each
+    # step is compared by identity
+    for a, ops, m, n in _generated_runs():
+        models = list(islice(_run_models(a, ops, m), n))
         digest = model_digester()
         assert [digest(c) for c in models] == [model_digest(c) for c in models]
+
+
+def test_digester_fed_during_generated_runs():
+    # each step is patched at the ids the run's index logged
+    for a, ops, m, n in _generated_runs():
+        digest, models, digests = model_digester(), [], []
+        for c in islice(_run_models(a, ops, m), n):
+            models.append(c)
+            digests.append(digest(c))
+        assert digests == [model_digest(c) for c in models]
+
+
+def test_two_digesters_on_one_generated_run():
+    # each opens its own log on the one index, so neither reads a log the
+    # other opened: one digests every step, the other every other step
+    for a, ops, m, n in _generated_runs():
+        every, other = model_digester(), model_digester()
+        models, digests = [], []
+        for i, c in enumerate(islice(_run_models(a, ops, m), n)):
+            models.append(c)
+            digests.append((every(c), other(c) if i % 2 else None))
+        assert digests == [(model_digest(c), model_digest(c) if i % 2 else None)
+                           for i, c in enumerate(models)]
+
+
+def test_digester_keeps_no_model_but_the_last(http_model, http_ops):
+    a = build_automaton(parse_path("(RemoveCacheHandler AddCacheHandler AddFileServer "
+                                   "DeleteFileServer MemorySizeUp)+"))
+    digest, refs = model_digester(), []
+    gc.disable()  # freed by reference counts alone
+    try:
+        for c in islice(_run_models(a, http_ops, parse_model(print_model(http_model))), 40):
+            digest(c)
+            refs.append(weakref.ref(c))
+        del c
+        assert [r() is None for r in refs[:-1]] == [True] * (len(refs) - 1)
+    finally:
+        gc.enable()
 
 
 def test_digester_on_equal_but_distinct_components():
@@ -344,6 +440,14 @@ def test_digester_on_unrelated_models_interleaved_with_a_run(http_model, http_op
     models = [m for i, c in enumerate(run) for m in (c, others[i % 3])]
     digest = model_digester()
     assert [digest(m) for m in models] == [model_digest(m) for m in models]
+    # fed during the run: a run model that follows another model is compared
+    # by identity, as the run's log holds what changed since the run model before
+    digest, models, digests = model_digester(), [], []
+    for i, c in enumerate(islice(_run_models(a, http_ops, http_model), 12)):
+        for m in (c, others[i % 3]):
+            models.append(m)
+            digests.append(digest(m))
+    assert digests == [model_digest(m) for m in models]
 
 
 def test_digester_on_a_composite_that_loses_a_child(http_model):
@@ -357,18 +461,18 @@ def test_digester_on_a_composite_that_loses_a_child(http_model):
 
 
 def test_digester_formats_an_equal_but_distinct_component_where_it_replaces_one(monkeypatch):
-    a, b, copy = Component("A", "K"), Component("B", "K"), Component("A", "K")
+    a, copy = Component("A", "K"), Component("A", "K")
+    b = Component("B", a.cls, a.params, a.inputs, a.outputs)  # a's body, shared
     first = ComponentModel("M", {"A": a, "B": b})
     second = ComponentModel("M", {"A": copy, "B": b})
     third = ComponentModel("M", dict(second.components))  # an equal dict, the same objects
     assert first == second == third
     expected = model_digest(first)
-    formatted = []
-    plain = adl._component_text
-    monkeypatch.setattr(adl, "_component_text", lambda c: formatted.append(c) or plain(c))
+    formatted = _calls(monkeypatch, "_component_text")
     digest = model_digester()
     assert [digest(m) for m in (first, second, second, third)] == [expected] * 4
-    assert [id(c) for c in formatted] == [id(a), id(b), id(copy)]
+    # the shared body once in the first model, then the one object that changed
+    assert [id(c) for c, in formatted] == [id(a), id(copy)]
 
 
 def _deep(expr: str) -> str:

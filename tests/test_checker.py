@@ -54,6 +54,10 @@ Q1_VARIANT = ("run (RemoveCacheHandler AddCacheHandler MemorySizeUp run "
               "AddFileServer DurationValidityUp DeleteFileServer)+")
 QP1_VARIANT = ("run RemoveCacheHandler (AddCacheHandler MemorySizeUp run "
                "AddFileServer DurationValidityUp DeleteFileServer)+")
+SERVER_PATH = (Path(__file__).resolve().parents[1] / "samples" / "server.rp").read_text()
+# a cycle whose configurations recur, each time with objects of their own
+CACHE_CYCLE = ("(RemoveCacheHandler AddCacheHandler)+",
+               "after AddCacheHandler normal always [component(CacheHandler)]")
 
 
 def cache_connected():
@@ -437,6 +441,9 @@ def _assert_witness_is_the_replayed_run(verdict, a, c0, ops):
     # windows of the bounded, gate-refused branch
     ("(DeviationUp)+", "always [RequestHandler.deviation < 100]", 55),
     *(("(DeviationUp)+", text, 8) for text, status in DRIFT_CASES if status == "fails"),
+    # witnesses that revisit a configuration
+    (SERVER_PATH, "before DeleteFileServer normal always [not component(FileServer2)]", None),
+    (*CACHE_CYCLE, None),
 ])
 def test_witness_digests_are_the_plain_digests(path, text, max_steps, http_model, http_ops):
     a = build_automaton(parse_path(path))
@@ -444,6 +451,38 @@ def test_witness_digests_are_the_plain_digests(path, text, max_steps, http_model
                     CheckOptions(max_steps=max_steps))
     assert verdict.is_fails
     _assert_witness_is_the_replayed_run(verdict, a, http_model, http_ops)
+
+
+@pytest.mark.parametrize("path, text, steps, distinct", [
+    # `run` changes nothing at the start of samples/server.rp
+    (SERVER_PATH, "before DeleteFileServer normal always [not component(FileServer2)]", 10, 9),
+    (*CACHE_CYCLE, 4, 3),
+])
+def test_a_witness_digests_each_distinct_configuration_once(path, text, steps, distinct,
+                                                            http_model, http_ops, monkeypatch):
+    digested, plain = [], checker.model_digester
+
+    def counting():
+        digest = plain()
+        return lambda m: digested.append(m) or digest(m)
+
+    monkeypatch.setattr(checker, "model_digester", counting)
+    verdict = check(parse_formula(text), build_automaton(parse_path(path)), http_model, http_ops)
+    assert len(verdict.witness.steps) == steps
+    assert len(digested) == len({s.digest for s in verdict.witness.steps}) == distinct
+
+
+@pytest.mark.parametrize("oracle_crosscheck", [False, True])
+def test_a_witness_tells_apart_configurations_whose_hashes_collide(oracle_crosscheck):
+    c0 = parse_model("model M { component A { class K param a : int = 1 param b : int = 2 } }")
+    ops = parse_recipes("op P { set A.a := 2  set A.b := 1 }").operation_table()
+    c1 = apply_evolution(ops["P"], c0).result
+    # a component's hash leaves out which value has which name
+    assert hash(c1) == hash(c0) and c1 != c0
+    verdict = check(parse_formula("always [A.a < 2]"), build_automaton(parse_path("P")), c0, ops,
+                    CheckOptions(oracle_crosscheck=oracle_crosscheck))
+    digests = [s.digest for s in verdict.witness.steps]
+    assert digests == [model_digest(c0), model_digest(c1)] and digests[0] != digests[1]
 
 
 def test_witness_digests_on_generated_runs():
@@ -1051,6 +1090,7 @@ def test_every_other_verdict_is_recomputed_by_the_oracle(path, text, status, max
     (None, "always [not component(FileServer2)]", None),
     (None, "before DeleteFileServer normal always [not component(FileServer2)]", None),
     (_DRIFT, "always [RequestHandler.deviation < 55]", 20),  # a gate-refused window
+    (*CACHE_CYCLE, None),  # a witness that revisits its configurations
 ])
 def test_check_frees_what_it_built_without_the_cycle_collector(
         path, text, max_steps, base_automaton, http_model, http_ops, monkeypatch):

@@ -158,6 +158,26 @@ def test_a_run_hands_one_index_on_and_builds_each_part_once(monkeypatch):
         assert all(n == 1 for n in built.values()), built
 
 
+def test_the_log_holds_every_id_the_run_changed_since_it_was_opened():
+    rng = random.Random(5)
+    for a, c0, ops in _lassos(60):
+        c0 = _rebuilt(c0)
+        laps = 3 * a.n_states - 2 * a.back_target
+        opened, log = c0, None
+        for _label, _q, c in islice(run_path(a, ops, 0, c0), laps):
+            index = c._index
+            if log is None:
+                assert index.log is None  # nothing is logged until a reader asks
+            else:
+                then, now = opened.components, c.components
+                changed = {cid for cid in then.keys() | now.keys()
+                           if then.get(cid) is not now.get(cid)}
+                assert changed <= log
+            if rng.random() < 0.4:  # a digest: the model it read, and a log from there
+                opened, log = c, index.open_log()
+                assert index.log is log and not log
+
+
 def test_readers_and_refused_operations_attach_no_index(http_model):
     m = _rebuilt(http_model)
     erased = erase_param_values(m)
