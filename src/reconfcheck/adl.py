@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import compress
+from itertools import chain, compress
 from operator import is_not
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 # validate_model stays importable because perfbench/tracer.py rebinds it here
 from .model import (
@@ -572,21 +572,25 @@ def _binding_lines(bindings: frozenset[Binding]) -> tuple[list[tuple], list[str]
     return keys, list(map(_binding_line, keys))
 
 
-def _model_text(m: ComponentModel, component_texts: list[str],
-                binding_lines: list[str]) -> str:
-    parts = [f"model {m.name} {{\n", *component_texts, *binding_lines]
-    for d in sorted(m.delegations, key=lambda d: (d.composite, d.composite_port,
-                                                  d.inner, d.inner_port)):
-        parts.append(f"  delegate {d.composite}.{d.composite_port} -> {d.inner}.{d.inner_port}\n")
-    parts.append("}\n")
-    return "".join(parts)
+def _delegation_lines(delegations: frozenset[Delegation]) -> list[str]:
+    return [f"  delegate {d.composite}.{d.composite_port} -> {d.inner}.{d.inner_port}\n"
+            for d in sorted(delegations, key=lambda d: (d.composite, d.composite_port,
+                                                         d.inner, d.inner_port))]
+
+
+def _model_parts(m: ComponentModel, component_texts: list[str],
+                 binding_lines: list[str]) -> list[str]:
+    """The parts a model's text joins: its first line, the component texts in
+    id order, the binding lines, the delegation lines and its last line."""
+    return [f"model {m.name} {{\n", *component_texts, *binding_lines,
+            *_delegation_lines(m.delegations), "}\n"]
 
 
 def print_model(m: ComponentModel) -> str:
     """Canonical text for a model; reparses to an equal model."""
     comps = m.components
-    return _model_text(m, _component_texts([comps[cid] for cid in sorted(comps)]),
-                       _binding_lines(m.bindings)[1])
+    return "".join(_model_parts(m, _component_texts([comps[cid] for cid in sorted(comps)]),
+                                _binding_lines(m.bindings)[1]))
 
 
 def _digest(text: str) -> str:
@@ -600,94 +604,152 @@ def model_digest(m: ComponentModel) -> str:
     return _digest(print_model(m))
 
 
+# how many parts of a model's text (see _model_parts) a digester hashes
+# between two of the SHA-256 midstates it keeps
+_BLOCK = 64
+
+
 def model_digester() -> Callable[[ComponentModel], str]:
     """A :func:`model_digest` for the models of one run.
 
     An operation shares every component it does not touch with its input,
-    so successive configurations share most of their component objects.
-    The returned function keeps the last model's sorted component ids, the
-    component object at each id and its text, and formats a component only
-    where the next model holds another object:
+    so successive configurations share most of their text.  The returned
+    function keeps the last model's text part by part, as
+    :func:`_model_parts` splits it, with its sorted component ids, the
+    component object at each id and the sorted binding keys.  Each digest
+    patches the parts the next model changed:
 
-    - the first model, or one mostly unlike the last, is formatted afresh
-      as :func:`print_model` formats it, each distinct body once;
+    - the first model, one with another name, or one mostly unlike the
+      last, is formatted afresh as :func:`print_model` formats it, each
+      distinct body once;
     - a model that holds the index the last one held, the run's next model
       (see :class:`~reconfcheck.model.ModelIndex`), is patched at the ids
-      logged on that index since the last digest, which opens its log;
+      and the bindings logged on that index since the last digest, which
+      opens its log;
     - any other model, such as a window's, whose index was released, has
-      the ids that came or went patched and the rest compared by identity;
-      the objects held keep their ids from being reused meanwhile.
+      the ids and the bindings that came or went patched and the rest of
+      its components compared by identity; the objects held keep their ids
+      from being reused meanwhile.
 
-    The sorted binding lines of the last model are kept too, and patched
-    with the bindings the next model adds or drops.  Its digests equal
+    SHA-256 hashes its input in order, so a digest resumes from the state
+    it reached just before the first part that changed.  A text of more
+    than :data:`_BLOCK` parts keeps a copy of that state every
+    :data:`_BLOCK` parts, and hashes from the last copy before the first
+    changed part to the end, keeping new copies as it goes; a shorter text
+    is hashed whole, as :func:`model_digest` hashes it.  Its digests equal
     :func:`model_digest`'s.  It keeps no model: only the last one's
-    component dict, binding set and index.
+    component dict, binding and delegation sets, index and parts, and hash
+    states.
     """
-    held: dict[str, Component] = {}  # the last component dict, held
+    import hashlib  # a check that shows no witness makes no digester
+
+    name: Optional[str] = None  # the last model's name
+    held: dict[str, Component] = {}  # its component dict, held
     ids: list[str] = []  # its ids, sorted
     objs: list[Component] = []  # the component at each id
-    texts: list[str] = []  # and its text
+    before: frozenset[Binding] = frozenset()  # its binding set, held
+    keys: list[tuple[str, str, str, str]] = []  # their sort keys, in order
+    delegated: frozenset[Delegation] = frozenset()  # its delegation set, held
+    parts: list[str] = []  # its text, part by part: id i at i + 1, then the bindings
+    states = [hashlib.sha256()]  # states[k]: the state after hashing parts[:k * _BLOCK]
     index: Optional[ModelIndex] = None  # the index the last model held
-    log: Optional[set[str]] = None  # and the log opened on it then
-    before: frozenset[Binding] = frozenset()  # the last binding set, held
-    keys: list[tuple[str, str, str, str]] = []  # its sort keys, in order
-    lines: list[str] = []  # and its lines
+    log: Optional[set[Union[str, Binding]]] = None  # and the log opened on it then
+    first = 0  # the first part the model being digested changed
 
-    def patch(comps: dict[str, Component], changed: Iterable[str]) -> None:
-        """Bring the ``changed`` ids up to date with ``comps``."""
-        for cid in changed:
-            c = comps.get(cid)
-            i = bisect_left(ids, cid)
-            if i < len(ids) and ids[i] == cid:
-                if c is None:
-                    del ids[i], objs[i], texts[i]
-                elif objs[i] is not c:
-                    objs[i], texts[i] = c, _component_text(c)
-            elif c is not None:
-                ids.insert(i, cid)
-                objs.insert(i, c)
-                texts.insert(i, _component_text(c))
-
-    def component_texts(m: ComponentModel) -> list[str]:
-        nonlocal held, index, log
-        comps = m.components
-        if comps is not held:
-            if index is not None and m._index is index and index.log is log:
-                patch(comps, log)
-            elif len(moved := comps.keys() ^ held.keys()) > len(ids):  # mostly another model
-                ids[:] = sorted(comps)
-                objs[:] = map(comps.__getitem__, ids)
-                texts[:] = _component_texts(objs)
+    def patch(m: ComponentModel, changed: Iterable) -> None:
+        """Bring the ``changed`` ids and bindings up to date with ``m``."""
+        nonlocal first
+        comps, bindings = m.components, m.bindings
+        for x in changed:
+            if isinstance(x, str):
+                c = comps.get(x)
+                i = bisect_left(ids, x)
+                at = i + 1
+                if i < len(ids) and ids[i] == x:
+                    if c is None:
+                        del ids[i], objs[i], parts[at]
+                    elif objs[i] is not c:
+                        objs[i], parts[at] = c, _component_text(c)
+                    else:
+                        continue
+                elif c is not None:
+                    ids.insert(i, x)
+                    objs.insert(i, c)
+                    parts.insert(at, _component_text(c))
+                else:
+                    continue
             else:
-                patch(comps, moved)
+                key = binding_key(x)
+                i = bisect_left(keys, key)
+                at = len(ids) + 1 + i
+                line_held = i < len(keys) and keys[i] == key
+                if (x in bindings) == line_held:
+                    continue
+                if line_held:
+                    del keys[i], parts[at]
+                else:
+                    keys.insert(i, key)
+                    parts.insert(at, _binding_line(key))
+            first = min(first, at)
+
+    def update(m: ComponentModel) -> None:
+        """Bring the parts up to date with ``m``, setting ``first``."""
+        nonlocal name, held, before, delegated, first
+        comps, bindings = m.components, m.bindings
+        if index is not None and m._index is index and index.log is log:
+            patch(m, log)
+        elif m.name != name or len(moved := comps.keys() ^ held.keys()) > len(ids):
+            ids[:] = sorted(comps)  # mostly another model: afresh
+            objs[:] = map(comps.__getitem__, ids)
+            keys[:], lines = _binding_lines(bindings)
+            parts[:] = _model_parts(m, _component_texts(objs), lines)
+            name, delegated, first = m.name, m.delegations, 0
+        else:
+            if comps is not held:
+                patch(m, moved)
                 now = list(map(comps.__getitem__, ids))
                 for i in compress(range(len(now)), map(is_not, objs, now)):
-                    texts[i] = _component_text(now[i])
+                    parts[i + 1] = _component_text(now[i])
+                    first = min(first, i + 1)
                 objs[:] = now
-            held = comps
+            if bindings is not before:
+                gone, new = before - bindings, bindings - before
+                if len(gone) + len(new) > len(keys):  # mostly another set: sort afresh
+                    at = len(ids) + 1
+                    sort_keys, parts[at:at + len(keys)] = _binding_lines(bindings)
+                    keys[:] = sort_keys
+                    first = min(first, at)
+                else:
+                    patch(m, chain(gone, new))
+        held, before = comps, bindings
+        if m.delegations is not delegated:
+            at = len(ids) + len(keys) + 1
+            lines = _delegation_lines(m.delegations)
+            if parts[at:-1] != lines:
+                parts[at:-1] = lines
+                first = min(first, at)
+            delegated = m.delegations
+
+    def digest(m: ComponentModel) -> str:
+        nonlocal index, log, first
+        first = len(parts)
+        update(m)
         index = m._index
         log = None if index is None else index.open_log()
-        return texts
+        if len(parts) <= _BLOCK:
+            # hashed whole, keeping no state: the first part the next model
+            # changes comes before this text's last, so it resumes from states[0]
+            return _digest("".join(parts))
+        k = first // _BLOCK
+        del states[k + 1:]
+        h = states[k].copy()
+        for at in range(k * _BLOCK, len(parts), _BLOCK):
+            h.update("".join(parts[at:at + _BLOCK]).encode())
+            if at + _BLOCK <= len(parts):
+                states.append(h.copy())
+        return h.hexdigest()[:12]
 
-    def binding_lines(bindings: frozenset[Binding]) -> list[str]:
-        nonlocal before
-        if bindings is not before:
-            gone, new = before - bindings, bindings - before
-            if len(gone) + len(new) > len(keys):  # mostly another set: sort afresh
-                keys[:], lines[:] = _binding_lines(bindings)
-            else:
-                for b in gone:
-                    i = bisect_left(keys, binding_key(b))
-                    del keys[i], lines[i]
-                for b in new:
-                    key = binding_key(b)
-                    i = bisect_left(keys, key)
-                    keys.insert(i, key)
-                    lines.insert(i, _binding_line(key))
-            before = bindings
-        return lines
-
-    return lambda m: _digest(_model_text(m, component_texts(m), binding_lines(m.bindings)))
+    return digest
 
 
 # --- recipe files (.ops) ---------------------------------------------------------

@@ -58,7 +58,7 @@ from .ftpl import (
 # the walk compiles properties and the unfolder erases parameter values; the
 # names stay importable because perfbench/tracer.py rebinds them in this module
 from .model import CompiledCp, ComponentModel, ConfigProperty, CpEvalError, compile_cp, \
-    erase_param_values, eval_cp, validate_model  # noqa: F401
+    erase_param_values, eval_cp, release_index, validate_model  # noqa: F401
 # oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
 from .oracle import ConcreteLasso, LassoStep, Refutation, oracle_eval_detailed, \
     oracle_verdict, refutation_flaw  # noqa: F401
@@ -583,8 +583,14 @@ def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         if outcome is None:
             return Verdict(HOLDS, stats=walk.stats())
         if isinstance(outcome, _Violation):
-            return _fails(chain([("", 0, c0)], run_path(a, ops, 0, c0)), outcome.length,
-                          outcome.index, outcome, proving, walk.erased, walk.stats())
+            # run_path hands c0 the run's index at once, so the digest of
+            # every step after c0 reads the run's log; a witness of one step
+            # leaves c0 that index, and no later run from c0 should log into it
+            try:
+                return _fails(chain([("", 0, c0)], run_path(a, ops, 0, c0)), outcome.length,
+                              outcome.index, outcome, proving, walk.erased, walk.stats())
+            finally:
+                release_index(c0)
         if isinstance(outcome, _Budget):
             return Verdict(UNKNOWN, reason=REASON_BUDGET, residual=residual_from(a, outcome.state),
                            reached=outcome.model, stats=walk.stats())

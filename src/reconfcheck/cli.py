@@ -174,6 +174,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--steps must be at least 0")
     model, recipes, path = _load_valid_inputs(args)
     automaton = build_automaton(path)
+    # the model holds the run's index from here on, so each step's digest reads the run's log
     run = run_path(automaton, recipes.operation_table(), 0, model)
     digest = model_digester()  # successive configurations share components
     current, step = model, 0

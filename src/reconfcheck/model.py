@@ -171,8 +171,10 @@ class ModelIndex:
 
     ``log``, None until a reader opens one (:meth:`open_log`), is the set of
     the ids that :meth:`add`, :meth:`remove` and :meth:`replace` touched
-    since it was opened: what the run changed since the model that held the
-    index then.  A witness digester reads it to format only those ids.
+    since it was opened, and of the bindings :func:`derive_model` cut or
+    made: what the run changed since the model that held the index then.  A
+    witness digester reads it to format and hash only those ids and binding
+    lines.
     """
 
     stopped = links = parents = holders = classes = log = None
@@ -185,7 +187,7 @@ class ModelIndex:
             setattr(self, name, built)
         return built
 
-    def open_log(self) -> set[str]:
+    def open_log(self) -> set[Union[str, Binding]]:
         """A new, empty :attr:`log`, which replaces the one open before."""
         self.log = set()
         return self.log
@@ -293,7 +295,8 @@ def derive_model(m: ComponentModel, put: Collection[Component] = (),
     join.  What the change leaves alone is shared with ``m``.  The component
     sum is derived from ``m``'s, which is forced, so a run carries one sum
     from its first model on.  ``index``, the one the operation took from
-    ``m``, has every built part updated and moves to the new model.
+    ``m``, has every built part updated and moves to the new model; its
+    open log, if any, gets the ``cut`` and ``made`` bindings.
     """
     comps = m.components
     s = component_sum(m)
@@ -315,7 +318,10 @@ def derive_model(m: ComponentModel, put: Collection[Component] = (),
             if index is not None:
                 index.remove(c)
     bindings = m.bindings
-    links = None if index is None else index.links
+    links, log = (None, None) if index is None else (index.links, index.log)
+    if log is not None:
+        log.update(cut)
+        log.update(made)
     if cut:
         bindings = bindings.difference(cut)
         if links is not None:

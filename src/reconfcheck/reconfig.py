@@ -319,8 +319,14 @@ def run_path(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], q: int,
     """The run of ``a`` from (q, c): one (label, target, configuration) per
     transition, each applied only when asked for, ending at a terminal state.
     The newest configuration holds the index its operations keep (see
-    :class:`~reconfcheck.model.ModelIndex`), ``c`` from the start."""
+    :class:`~reconfcheck.model.ModelIndex`), ``c`` from this call on, so a
+    reader of ``c`` can open the index's log before the first transition."""
     hold_index(c)
+    return _transitions(a, ops, q, c)
+
+
+def _transitions(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], q: int,
+                 c: ComponentModel) -> Iterator[tuple[str, int, ComponentModel]]:
     while (nxt := a.succ(q)) is not None:
         label, q = nxt
         c = apply_evolution(ops[label], c).result

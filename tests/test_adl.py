@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from decimal import Decimal
@@ -29,7 +30,7 @@ from reconfcheck import (
 )
 from reconfcheck import adl
 from reconfcheck.adl import MAX_NESTING, model_digest, model_digester, print_recipes
-from reconfcheck.reconfig import BinOp, IntLiteral, ParamRef, SetParam
+from reconfcheck.reconfig import BinOp, IntLiteral, ParamRef, SetParam, Unfolding
 
 import generators
 
@@ -517,3 +518,214 @@ def test_integer_brackets_nest_at_most_max_nesting_deep():
 def test_deep_integer_expressions_are_syntax_errors_not_recursion_errors(expr):
     with pytest.raises(AdlSyntaxError, match="nested more than"):
         parse_recipes(_deep(expr))
+
+
+# --- digests that resume from the first changed part ---------------------------
+
+def _chain_text(n: int, name: str = "Chain") -> str:
+    """A model of ``n`` components C0000.. chained by bindings: its text has
+    2n + 1 parts, component i at part i + 1 and the bindings after them."""
+    ids = [f"C{i:04d}" for i in range(n)]
+    body = "class K param p : int = 0 input i : T output o : T"
+    return (f"model {name} {{\n"
+            + "".join(f"  component {cid} {{ {body} }}\n" for cid in ids)
+            + "".join(f"  bind {a}.o -> {b}.i\n" for a, b in zip(ids, ids[1:]))
+            + "}\n")
+
+
+def _parts(m):
+    """The parts of ``m``'s text, as :func:`adl._model_parts` splits it."""
+    comps = m.components
+    return adl._model_parts(m, adl._component_texts([comps[cid] for cid in sorted(comps)]),
+                            adl._binding_lines(m.bindings)[1])
+
+
+def _touch(*cids: str) -> str:
+    """Recipes: ``T<cid>`` increments ``cid``'s parameter."""
+    return "".join(f"op T{cid} {{ set {cid}.p := param({cid}.p) + 1 }}\n" for cid in cids)
+
+
+def _assert_digests_are_model_digests(c0, ops_text, path_text, n, others=()):
+    """The run's first ``n`` configurations, each followed by the ``others``,
+    digested during ``run_path`` (patched by the log) and after it (patched
+    by an identity scan), give :func:`model_digest`'s digests."""
+    ops = parse_recipes(ops_text).operation_table()
+    a = build_automaton(parse_path(path_text))
+    digest, models, digests = model_digester(), [], []
+    for c in islice(_run_models(a, ops, c0), n):
+        for m in (c, *others):
+            models.append(m)
+            digests.append(digest(m))
+    expected = [model_digest(m) for m in models]
+    assert digests == expected
+    digest = model_digester()
+    assert [digest(m) for m in models] == expected
+    return models
+
+
+def test_digests_that_first_change_the_first_component():
+    c0 = parse_model(_chain_text(3 * adl._BLOCK))
+    _assert_digests_are_model_digests(c0, _touch("C0000"), "(TC0000)+", 6)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_digests_that_first_change_a_part_at_or_beside_a_block_boundary(offset):
+    # component i is part i + 1, so the part at the boundary is component _BLOCK - 1
+    n = 3 * adl._BLOCK
+    c0 = parse_model(_chain_text(n))
+    assert len(_parts(c0)) == 2 * n + 1
+    cids = [f"C{i:04d}" for i in (adl._BLOCK - 1 + offset, 2 * adl._BLOCK - 1 + offset)]
+    # one boundary, then the next, then both: each step resumes from another state
+    path = " ".join(f"T{cid}" for cid in cids)
+    _assert_digests_are_model_digests(c0, _touch(*cids), f"({path})+", 8)
+
+
+@pytest.mark.parametrize("n", [2 * adl._BLOCK - 3, 2 * adl._BLOCK - 2, 2 * adl._BLOCK - 1])
+def test_digests_of_a_text_of_whole_blocks_and_of_the_same_model_twice(n):
+    # n components and no binding: n + 2 parts, two whole blocks for the second n
+    comps = {f"C{i:04d}": Component(f"C{i:04d}", "K") for i in range(n)}
+    first = ComponentModel("M", comps)
+    last = ComponentModel("M", {**comps, f"C{n - 1:04d}": Component(f"C{n - 1:04d}", "L")})
+    assert len(_parts(first)) == n + 2
+    models = [first, first, last, last, first]
+    digest = model_digester()
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
+
+
+def test_digests_that_change_only_the_last_binding_line():
+    n = 3 * adl._BLOCK
+    last = f"C{n - 2:04d}.o -> C{n - 1:04d}.i"
+    c0 = parse_model(_chain_text(n))
+    ops = f"op Cut {{ unbind {last} }}\nop Make {{ bind {last} }}\n"
+    models = _assert_digests_are_model_digests(c0, ops, "(Cut Make)+", 6)
+    assert models[1].components is c0.components and models[1].bindings != c0.bindings
+
+
+def test_digests_that_change_only_a_delegation():
+    # delegations enough to fill two blocks, so a change to the first of
+    # them lies blocks before the end of the text
+    n = 2 * adl._BLOCK
+    c0 = parse_model(_chain_text(n)[:-2]
+                     + "  composite P { class Q "
+                     + "".join(f"input i{j:04d} : T " for j in range(n))
+                     + "".join(f"contains C{j:04d} " for j in range(n)) + "}\n"
+                     + "".join(f"  delegate P.i{j:04d} -> C{j:04d}.i\n" for j in range(n))
+                     + "}\n")
+    ds = sorted(c0.delegations, key=lambda d: d.composite_port)
+    # the component dict and the binding set are the same objects: only the delegations differ
+    models = [ComponentModel(c0.name, c0.components, c0.bindings, frozenset(kept))
+              for kept in (ds, ds[1:], ds, ds[:-1], ds[:1], ds, ds)]
+    digest = model_digester()
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
+    assert len(set(map(model_digest, models))) == 4
+
+
+def test_digests_of_a_run_interleaved_with_a_model_of_another_name():
+    n = 3 * adl._BLOCK
+    c0 = parse_model(_chain_text(n))
+    other = parse_model(_chain_text(n, name="Other"))
+    cids = [f"C{i:04d}" for i in (n - 1, 5)]
+    _assert_digests_are_model_digests(c0, _touch(*cids), f"({' '.join(f'T{c}' for c in cids)})+",
+                                      6, others=(other,))
+
+
+def test_digests_of_a_model_smaller_than_one_block():
+    n = adl._BLOCK // 2 - 1  # 2n + 1 parts: one block less one part
+    c0 = parse_model(_chain_text(n))
+    _assert_digests_are_model_digests(c0, _touch("C0000", f"C{n - 1:04d}"),
+                                      f"(TC0000 TC{n - 1:04d})+", 6)
+
+
+def test_digests_of_a_window_fed_after_its_run(monkeypatch):
+    # a window's run releases its index when it is cut, so the digester scans
+    # each model after the first by identity
+    n = 3 * adl._BLOCK
+    c0 = parse_model(_chain_text(n))
+    ops = parse_recipes(_touch("C0000", f"C{n - 1:04d}")).operation_table()
+    a = build_automaton(parse_path(f"(TC0000 TC{n - 1:04d})+"))
+    models = [c for _q, _label, c in Unfolding(a, 0, c0, islice(run_path(a, ops, 0, c0), 9))]
+    assert len(models) == 10 and all(m._index is None for m in models)
+    scans = _calls(monkeypatch, "compress")
+    digest = model_digester()
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
+    assert len(scans) == len(models) - 1
+
+
+class _Sha256Spy:
+    """``hashlib.sha256`` that counts the bytes it is handed and its copies."""
+
+    hashed = copies = 0
+
+    def __init__(self, data=b"", *, state=None):
+        self.state = _SHA256() if state is None else state
+        self.update(data)
+
+    def update(self, data):
+        _Sha256Spy.hashed += len(data)
+        self.state.update(data)
+
+    def copy(self):
+        _Sha256Spy.copies += 1
+        return _Sha256Spy(state=self.state.copy())
+
+    def hexdigest(self):
+        return self.state.hexdigest()
+
+
+_SHA256 = hashlib.sha256
+
+
+def _spy_sha256(monkeypatch):
+    """Counts from zero, until ``monkeypatch`` is undone; a digester made
+    from now on keeps spied hash states."""
+    monkeypatch.setattr(hashlib, "sha256", _Sha256Spy)
+    monkeypatch.setattr(_Sha256Spy, "hashed", 0)
+    monkeypatch.setattr(_Sha256Spy, "copies", 0)
+
+
+@pytest.mark.parametrize("during_run", [True, False])
+def test_a_step_that_changes_the_last_component_hashes_from_the_block_before_it(
+        monkeypatch, during_run):
+    n = 2000
+    last = f"C{n - 1:04d}"
+    ops = parse_recipes(_touch(last)).operation_table()
+    run = _run_models(build_automaton(parse_path(f"(T{last})+")), ops,
+                      parse_model(_chain_text(n)))
+    _spy_sha256(monkeypatch)
+    digest = model_digester()
+    c0 = next(run)
+    first = digest(c0)
+    c1 = next(run)
+    if not during_run:  # the same objects in another dict, which no index comes with
+        c1 = ComponentModel(c1.name, dict(c1.components), c1.bindings, c1.delegations)
+    _Sha256Spy.hashed = 0
+    second = digest(c1)
+    hashed = _Sha256Spy.hashed
+    monkeypatch.undo()
+    parts = _parts(c1)
+    assert parts[n].startswith(f"  component {last} ")
+    assert 0 < hashed <= len("".join(parts[n - adl._BLOCK:]).encode())
+    # the binding lines after it are hashed again, but not the texts before it
+    assert hashed < len("".join(parts).encode()) // 2
+    assert (first, second) == (model_digest(c0), model_digest(c1)) and first != second
+
+
+def test_a_model_smaller_than_one_block_makes_no_copy_of_a_hash_state(monkeypatch):
+    n = adl._BLOCK // 2  # 2n + 1 parts: one block and one part
+    ops = parse_recipes(_touch("C0000")).operation_table()
+    a = build_automaton(parse_path("(TC0000)+"))
+
+    def digested(k):
+        """The first configurations of a run from a chain of ``k``, each
+        with its digest, taken as the run builds it."""
+        digest = model_digester()
+        for m in islice(_run_models(a, ops, parse_model(_chain_text(k))), 4):
+            yield m, digest(m)
+
+    _spy_sha256(monkeypatch)
+    small = list(digested(n - 1))
+    assert _Sha256Spy.copies == 0
+    large = list(digested(n))
+    assert _Sha256Spy.copies > 0
+    monkeypatch.undo()
+    assert [d for _m, d in small + large] == [model_digest(m) for m, _d in small + large]

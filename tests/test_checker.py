@@ -472,6 +472,19 @@ def test_a_witness_digests_each_distinct_configuration_once(path, text, steps, d
     assert len(digested) == len({s.digest for s in verdict.witness.steps}) == distinct
 
 
+@pytest.mark.parametrize("text, steps", [
+    ("always [not component(CacheHandler)]", 1),
+    ("before DeleteFileServer normal always [not component(FileServer2)]", 10),
+])
+def test_a_witness_leaves_the_initial_model_no_index(text, steps, http_model, http_ops):
+    # the replay hands the initial model the run's index, and the digester
+    # opens a log on it: a later run from the model must not log into it
+    c0 = ComponentModel(http_model.name, http_model.components, http_model.bindings,
+                        http_model.delegations)  # a model no run has handed an index
+    verdict = check(parse_formula(text), build_automaton(parse_path(SERVER_PATH)), c0, http_ops)
+    assert len(verdict.witness.steps) == steps and c0._index is None
+
+
 @pytest.mark.parametrize("oracle_crosscheck", [False, True])
 def test_a_witness_tells_apart_configurations_whose_hashes_collide(oracle_crosscheck):
     c0 = parse_model("model M { component A { class K param a : int = 1 param b : int = 2 } }")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import reconfcheck
-from reconfcheck import build_automaton, parse_formula, parse_model, parse_path, \
+from reconfcheck import adl, build_automaton, parse_formula, parse_model, parse_path, \
     print_model, print_path
 from reconfcheck.adl import model_digest
 from reconfcheck.cli import run_cli
@@ -461,6 +461,30 @@ def test_simulate_prints_the_model_digest_of_every_configuration(samples_dir, tm
     configs = [http_model, *(c for _label, _q, c in islice(run, 22))]
     assert {len(c.components) for c in configs} == {5, 6, 7}
     assert printed == [model_digest(c) for c in configs]
+
+
+@pytest.mark.parametrize("path, formula", [
+    # `run` changes nothing at the start of samples/server.rp
+    (None, "before DeleteFileServer normal always [not component(FileServer2)]"),
+    # a child of a composite removed, added back as a root and bound again
+    ("(RemoveCacheHandler AddCacheHandler)+",
+     "always [subcomponent(CacheHandler, HttpServer) or not component(CacheHandler)]"),
+])
+def test_witnesses_and_simulate_patch_every_step_by_the_runs_log(samples_dir, tmp_path, capsys,
+                                                                  monkeypatch, path, formula):
+    # the initial model holds the run's index before it is digested, so no
+    # step of the run is compared by identity, the first one included
+    scans, plain = [], adl.compress
+    monkeypatch.setattr(adl, "compress", lambda *args: scans.append(args) or plain(*args))
+    if path is not None:
+        (tmp_path / "p.rp").write_text(path)
+    args = ["--model", str(samples_dir / "http.arch"), "--ops", str(samples_dir / "http.ops"),
+            "--path", str(samples_dir / "server.rp" if path is None else tmp_path / "p.rp")]
+    assert run_cli(["check", *args, "--formula", formula, "--json"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["witness"]["steps"]) > 2
+    assert run_cli(["simulate", *args, "--steps", "6", "--dump-dir", str(tmp_path / "d")]) == 0
+    assert len(re.findall(r"^step \d+: ", capsys.readouterr().out, re.M)) == 7
+    assert scans == []
 
 
 def test_simulate_stops_at_terminal(tmp_path, samples_dir, capsys):

@@ -172,7 +172,8 @@ def test_the_log_holds_every_id_the_run_changed_since_it_was_opened():
                 then, now = opened.components, c.components
                 changed = {cid for cid in then.keys() | now.keys()
                            if then.get(cid) is not now.get(cid)}
-                assert changed <= log
+                # and every binding cut or made since
+                assert changed | (opened.bindings ^ c.bindings) <= log
             if rng.random() < 0.4:  # a digest: the model it read, and a log from there
                 opened, log = c, index.open_log()
                 assert index.log is log and not log
