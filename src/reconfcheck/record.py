@@ -17,13 +17,15 @@ from the body of the one it is given.  A metaclass could make it at once,
 but a class whose type is not ``type`` makes every ``isinstance`` test
 against it twice as slow, and the package dispatches on record classes with
 ``isinstance``.  Each record class gets its own constructor, a closure over
-its slots.  ``==`` and the hash are written below once for each number of
-fields, up to seven, and compare and hash the tuple of the field values;
-they read field ``i`` through ``_i``, a second name ``@record`` gives its
-slot, so that every read is a plain slot read.
-Each class takes them with a copy of their code object: the interpreter
-specialises a slot read for one class at a time, in caches kept in the code
-object, so one code shared by records of many classes would keep missing.
+its slots.  ``==`` and the hash compare and hash the tuple of the field
+values.  They are generated once per process, when this module is
+imported: one template gives the pair for each number of fields up to
+seven, and the eight pairs are compiled together.  They read field ``i``
+through ``_i``, a second name ``@record`` gives its slot, so that every
+read is a plain slot read.  Each class takes its pair with a copy of the
+code object: the interpreter specialises a slot read for one class at a
+time, in caches kept in the code object, so one code shared by records of
+many classes would keep missing.
 """
 
 from __future__ import annotations
@@ -73,91 +75,24 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-# == and the hash of a record by its number of fields, 0 to 7: the tuple of
-# its field values, compared and hashed
-def _eq0(a, b):
+# == and the hash of a record of n fields, 0 to 7: the tuple of its field
+# values, compared and hashed
+_TEMPLATE = """
+def _eq{n}(a, b):
     if b.__class__ is not a.__class__:
         return NotImplemented
-    return True
+    return ({a}) == ({b})
 
-
-def _eq1(a, b):
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    return (a._0,) == (b._0,)
-
-
-def _eq2(a, b):
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    return (a._0, a._1) == (b._0, b._1)
-
-
-def _eq3(a, b):
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    return (a._0, a._1, a._2) == (b._0, b._1, b._2)
-
-
-def _eq4(a, b):
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    return (a._0, a._1, a._2, a._3) == (b._0, b._1, b._2, b._3)
-
-
-def _eq5(a, b):
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    return (a._0, a._1, a._2, a._3, a._4) == (b._0, b._1, b._2, b._3, b._4)
-
-
-def _eq6(a, b):
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    return (a._0, a._1, a._2, a._3, a._4, a._5) == (b._0, b._1, b._2, b._3, b._4, b._5)
-
-
-def _eq7(a, b):
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    return ((a._0, a._1, a._2, a._3, a._4, a._5, a._6)
-            == (b._0, b._1, b._2, b._3, b._4, b._5, b._6))
-
-
-def _hash0(a):
-    return hash(())
-
-
-def _hash1(a):
-    return hash((a._0,))
-
-
-def _hash2(a):
-    return hash((a._0, a._1))
-
-
-def _hash3(a):
-    return hash((a._0, a._1, a._2))
-
-
-def _hash4(a):
-    return hash((a._0, a._1, a._2, a._3))
-
-
-def _hash5(a):
-    return hash((a._0, a._1, a._2, a._3, a._4))
-
-
-def _hash6(a):
-    return hash((a._0, a._1, a._2, a._3, a._4, a._5))
-
-
-def _hash7(a):
-    return hash((a._0, a._1, a._2, a._3, a._4, a._5, a._6))
-
-
-_EQ = (_eq0, _eq1, _eq2, _eq3, _eq4, _eq5, _eq6, _eq7)
-_HASH = (_hash0, _hash1, _hash2, _hash3, _hash4, _hash5, _hash6, _hash7)
+def _hash{n}(a):
+    return hash(({a}))
+"""
+_SOURCE = "".join(_TEMPLATE.format(n=n, a="".join(f"a._{i}, " for i in range(n)),
+                                   b="".join(f"b._{i}, " for i in range(n)))
+                  for n in range(8))
+_made: dict[str, FunctionType] = {}
+exec(compile(_SOURCE, "<record == and hash>", "exec"), globals(), _made)
+_EQ = tuple(_made[f"_eq{n}"] for n in range(8))
+_HASH = tuple(_made[f"_hash{n}"] for n in range(8))
 
 
 def _own(f: FunctionType) -> FunctionType:

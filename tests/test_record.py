@@ -3,6 +3,7 @@ keyword and default, immutability, ``==`` only within one class, no
 ordering, and its ``repr``."""
 
 import copy
+import dis
 import pickle
 import weakref
 
@@ -213,3 +214,49 @@ def test_copies_keep_the_fields_and_nothing_else():
         assert same == m and same._component_sum is None and same._index is None
     ref = weakref.ref(m)
     assert ref() is m
+
+
+def _synthetic(name: str, n: int) -> type:
+    return record(type(name, (), {"__annotations__": {f"f{i}": object for i in range(n)}}))
+
+
+@pytest.mark.parametrize("n", range(len(_EQ)))
+def test_generated_eq_and_hash_keep_every_field_of_one_class(n):
+    # two classes of n fields, fresh equal field values (equal, not identical)
+    a, b = _synthetic("A", n), _synthetic("B", n)
+    values = [f"v{i}" for i in range(n)]
+    x = a(*values)
+    assert x == a(*[f"v{i}" for i in range(n)]) and not x != a(*values)
+    assert hash(x) == hash(tuple(values)) == hash(a(*values))
+    for i in range(n):
+        changed = a(*values[:i], "other", *values[i + 1:])
+        assert x != changed and not x == changed, i
+        assert hash(changed) == hash((*values[:i], "other", *values[i + 1:]))
+    assert x.__eq__(b(*values)) is NotImplemented
+    assert b(*values).__eq__(x) is NotImplemented
+    assert x != b(*values) and not x == b(*values)
+
+
+def _reads(f) -> tuple[list[tuple[str, str]], set[str], int]:
+    """The (variable, attribute) pairs ``f`` loads, in order, the global names
+    it loads, and the number of calls it makes."""
+    reads, names, calls, previous = [], set(), 0, None
+    for ins in dis.get_instructions(f):
+        if ins.opname == "LOAD_ATTR":
+            assert previous is not None and previous.opname.startswith("LOAD_FAST")
+            assert ins.argrepr == ins.argval, ins.argrepr  # no method load
+            reads.append((previous.argval, ins.argval))
+        elif ins.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF", "LOAD_CLOSURE"):
+            names.add(ins.argval)
+        calls += ins.opname.startswith("CALL")
+        previous = ins
+    return reads, names, calls
+
+
+@pytest.mark.parametrize("n", range(len(_EQ)))
+def test_generated_eq_and_hash_read_each_alias_once_by_plain_attribute_loads(n):
+    aliases = [f"_{i}" for i in range(n)]
+    eq_reads = [("b", "__class__"), ("a", "__class__"),
+                *(("a", alias) for alias in aliases), *(("b", alias) for alias in aliases)]
+    assert _reads(_EQ[n]) == (eq_reads, {"NotImplemented"}, 0)
+    assert _reads(_HASH[n]) == ([("a", alias) for alias in aliases], {"hash"}, 1)
