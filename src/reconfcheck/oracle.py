@@ -16,6 +16,22 @@ each event tested, at most once per position of an unfolding; every window
 of it reads the same values.  Deliberately naive; being obviously correct
 is its entire job.
 
+One shortcut keeps it affordable on large models.  A quantifier outside
+every other quantifier whose body reads the model only through its
+variable (connectives, ``true``, ``false``, ``present(x)``, and
+``class(x)`` over components) cannot raise over the model's own records,
+and its body's value is one of the record alone.  So :func:`_evaluate`
+keeps that value per record, by the record's identity, for one
+:func:`oracle_verdict` call: the first is the literal clause's,
+``eval_cp(body, m, {x: …})``, and every configuration that shares the
+record, as :func:`~reconfcheck.model.derive_model` shares whatever an
+operation leaves alone, reads it back, in any order of the records.  The
+value is taken per record, never per class, so the checker's argument
+that a body depends on a component's class alone is not assumed here.
+Every other node, nested and multi-variable quantifiers and bodies that
+may raise included, is evaluated by ``eval_cp``'s tree walk, in sorted
+order, with its errors.
+
 A ``fails`` that a finite prefix shows (an ``always`` or a ``before``,
 under any ``after``s) is not recomputed: :func:`refutation_flaw` checks
 the checker's witness against the run positions of its proof, the event
@@ -28,11 +44,14 @@ recomputed by :func:`oracle_verdict`.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_
 from typing import Iterator, Mapping, Optional
 
 from .ftpl import After, Always, Before, Eventually, EventSpec, FtplFormula, \
     TraceProperty, erasure_invariant, event_holds, print_cp
-from .model import ComponentModel, ConfigProperty, erase_param_values, eval_cp
+from .model import QUANTIFIER_DOMAINS, And, ComponentModel, ConfigProperty, Exists, FalseAtom, \
+    ForAll, Implies, Not, Or, TrueAtom, VarClassIs, VarPresent, erase_param_values, eval_cp
 from .pathspec import PathAutomaton
 # apply_evolution stays importable because perfbench/tracer.py rebinds it here
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, run_path  # noqa: F401
@@ -121,6 +140,90 @@ def unfold_to_lasso(a: PathAutomaton, c0: ComponentModel,
     return next(_windows(a, c0, ops, max_rounds, compare_erased))
 
 
+# --- quantifier bodies kept per record ---------------------------------------------
+
+class _Memo:
+    """Quantifier bodies' values per bound record, for any unfoldings."""
+
+    def __init__(self) -> None:
+        # for each quantifier node by its id: the node, and its body's value
+        # by the id of each record its variable was bound to, or None when
+        # the body may read the model other than through its variable
+        self.bodies: dict[int, tuple[ConfigProperty, Optional[dict[int, bool]]]] = {}
+        # every record a value is kept for, so that no id is reused
+        self.records: list[object] = []
+
+
+def _through_var(body: ConfigProperty, var: str, domain: str) -> bool:
+    """Does ``body`` read the model only through ``var``, bound over ``domain``?
+
+    Its nodes must be connectives, ``true``, ``false``, ``present(var)``,
+    and ``class(var)`` over components (over bindings it raises).  None of
+    them raises on a record of the model's own ``domain``, and the body's
+    value is one of that record alone: ``present`` is true, ``class`` reads
+    the component's class."""
+    kind = type(body)
+    if kind is Not:
+        return _through_var(body.inner, var, domain)
+    if kind is And or kind is Or or kind is Implies:
+        return _through_var(body.left, var, domain) and _through_var(body.right, var, domain)
+    if kind is VarPresent:
+        return body.var == var
+    if kind is VarClassIs:
+        return body.var == var and domain == "components"
+    return kind is TrueAtom or kind is FalseAtom
+
+
+def _evaluate(cp: ConfigProperty, m: ComponentModel, memo: _Memo) -> bool:
+    """``eval_cp(cp, m)``.  The connectives above every quantifier are
+    evaluated as their clauses say, and a quantifier among them whose body
+    reads the model only through its variable (:func:`_through_var`) by
+    :func:`_sweep`.  Every other node is evaluated by ``eval_cp``, in its
+    order and with its errors."""
+    kind = type(cp)
+    if kind is Not:
+        return not _evaluate(cp.inner, m, memo)
+    if kind is And:
+        return _evaluate(cp.left, m, memo) and _evaluate(cp.right, m, memo)
+    if kind is Or:
+        return _evaluate(cp.left, m, memo) or _evaluate(cp.right, m, memo)
+    if kind is Implies:
+        return (not _evaluate(cp.left, m, memo)) or _evaluate(cp.right, m, memo)
+    if kind is ForAll or kind is Exists:
+        kept = memo.bodies.get(id(cp))
+        if kept is None:
+            through = cp.domain in QUANTIFIER_DOMAINS and \
+                _through_var(cp.body, cp.var, cp.domain)
+            kept = memo.bodies[id(cp)] = (cp, {} if through else None)
+        if kept[1] is not None:
+            return _sweep(cp, m, kept[1], memo.records)
+    return eval_cp(cp, m)
+
+
+def _sweep(q: ForAll | Exists, m: ComponentModel, known: dict[int, bool],
+           records: list[object]) -> bool:
+    """The quantifier ``q`` on ``m``, its body's value read per record from
+    ``known``, or on a record's first visit evaluated by ``eval_cp`` and
+    kept there, the record in ``records``.  The body cannot raise over the
+    model's own records, so its values in any order give the literal
+    clause's value: the records are looked up in the model's own order,
+    unsorted, all of them."""
+    if q.domain == "components":
+        tag, members = "component", m.components
+        values = list(map(known.get, map(id, members.values())))
+        pairs = members.items()
+    else:
+        tag, members = "binding", m.bindings
+        values = list(map(known.get, map(id, members)))
+        pairs = zip(members, members)
+    if None in values:
+        var, body = q.var, q.body
+        for i, (key, record) in compress(enumerate(pairs), map(is_, values, repeat(None))):
+            values[i] = known[id(record)] = eval_cp(body, m, {var: (tag, key)})
+            records.append(record)
+    return all(values) if type(q) is ForAll else any(values)
+
+
 # --- literal evaluation ------------------------------------------------------------
 
 # (truth value or None when undetermined, (index, description) of the first
@@ -133,15 +236,19 @@ class _Sigma:
 
     ``values`` keeps the property and event values evaluated on its entries
     (see :meth:`find` and :meth:`event`); windows of one unfolding may share
-    it, since entry j is the same model in each of them."""
+    it, since entry j is the same model in each of them.  ``memo`` keeps
+    quantifier bodies' values per record (see :func:`_evaluate`); any
+    unfoldings may share it."""
 
-    def __init__(self, l: ConcreteLasso, values: Optional[_Values] = None):
+    def __init__(self, l: ConcreteLasso, values: Optional[_Values] = None,
+                 memo: Optional[_Memo] = None):
         self.l = l
         self.n = len(l.entries)
         self.ps = l.period_start
         self.t = None if self.ps is None else self.n - self.ps
         self.erased = l.erased_compare
         self.values = {} if values is None else values
+        self.memo = _Memo() if memo is None else memo
 
     def wrap(self, i: int) -> int:
         if i < self.n:
@@ -165,12 +272,12 @@ class _Sigma:
 
         ``cp`` is evaluated at most once per wrapped position of the
         unfolding, and an evaluation that raises stores nothing."""
-        known, entries = self._known(cp), self.l.entries
+        known, entries, memo = self._known(cp), self.l.entries, self.memo
         for i in positions:
             j = i if i < self.n else self.wrap(i)
             v = known.get(j)
             if v is None:
-                v = known[j] = eval_cp(cp, entries[j].model)
+                v = known[j] = _evaluate(cp, entries[j].model, memo)
             if v == value:
                 return i
         return None
@@ -296,17 +403,18 @@ def _ev(f: FtplFormula, sig: _Sigma, s: int) -> _EvalResult:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def oracle_eval(f: FtplFormula, l: ConcreteLasso,
-                values: Optional[_Values] = None) -> Optional[bool]:
+def oracle_eval(f: FtplFormula, l: ConcreteLasso, values: Optional[_Values] = None,
+                memo: Optional[_Memo] = None) -> Optional[bool]:
     """Literal truth of the formula on the unfolded path.
 
     Total whenever the lasso has a period or is a complete finite path.
     On a truncated unfolding the result is None unless the explored window
     already determines it (a found violation, a found witness).  ``values``
     may hold the values kept while evaluating another window of the same
+    unfolding, and ``memo`` the quantifier bodies' values kept on any
     unfolding.
     """
-    return _ev(f, _Sigma(l, values), 0)[0]
+    return _ev(f, _Sigma(l, values, memo), 0)[0]
 
 
 def oracle_eval_detailed(f: FtplFormula, l: ConcreteLasso) -> _EvalResult:
@@ -320,11 +428,11 @@ def oracle_eval_detailed(f: FtplFormula, l: ConcreteLasso) -> _EvalResult:
 
 def _pass_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
                   ops: Mapping[str, EvolutionOperation], max_rounds: int,
-                  compare_erased: bool) -> Optional[bool]:
+                  compare_erased: bool, memo: _Memo) -> Optional[bool]:
     """The first determined value on the windows of one unfolding."""
     values: _Values = {}
     for lasso in _windows(a, c0, ops, max_rounds, compare_erased, _LOOKS):
-        value = oracle_eval(f, lasso, values)
+        value = oracle_eval(f, lasso, values, memo)
         if value is not None:
             return value
     return None
@@ -347,15 +455,20 @@ def oracle_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     the erased pass, which walks the same configurations.  A formula that
     reads parameters keeps the 64-lap exact pass.
 
+    Both passes share one memo of quantifier bodies' values per record
+    (:func:`_evaluate`): they start from the same model, so the records
+    neither pass changes are one set of objects.
+
     Total on every lasso whose cycle is idempotent in the sense matching
     the formula (structural idempotence in general, idempotence up to
     parameter erasure for erasure-invariant formulas).
     """
     invariant = erasure_invariant(f, ops)
     laps = _GATE_LAPS if invariant else _MAX_ROUNDS
-    value = _pass_verdict(f, a, c0, ops, laps, compare_erased=False)
+    memo = _Memo()
+    value = _pass_verdict(f, a, c0, ops, laps, compare_erased=False, memo=memo)
     if value is None and invariant:
-        value = _pass_verdict(f, a, c0, ops, _MAX_ROUNDS, compare_erased=True)
+        value = _pass_verdict(f, a, c0, ops, _MAX_ROUNDS, compare_erased=True, memo=memo)
     return value
 
 

@@ -255,12 +255,13 @@ def test_oracle_stops_at_the_first_window_that_decides(monkeypatch):
 
 
 def _evaluations(monkeypatch) -> list:
-    """The (property, configuration) of every ``eval_cp`` call the oracle
-    makes, kept so no id is reused."""
+    """The (property, configuration) of every property evaluation the oracle
+    makes (``oracle._evaluate``, which calls ``eval_cp`` or reads the values
+    its quantifiers keep per record), kept so no id is reused."""
     calls = []
-    evaluate = oracle.eval_cp
-    monkeypatch.setattr(oracle, "eval_cp",
-                        lambda cp, m: calls.append((cp, m)) or evaluate(cp, m))
+    evaluate = oracle._evaluate
+    monkeypatch.setattr(oracle, "_evaluate",
+                        lambda cp, m, memo: calls.append((cp, m)) or evaluate(cp, m, memo))
     return calls
 
 
