@@ -20,10 +20,10 @@ from .model import (
     STARTED,
     STOPPED,
     Binding,
+    Change,
     Component,
     ComponentModel,
     Delegation,
-    ModelIndex,
     Param,
     binding_key,
     validate_model,  # noqa: F401
@@ -609,27 +609,24 @@ def model_digest(m: ComponentModel) -> str:
 _BLOCK = 64
 
 
-def model_digester() -> Callable[[ComponentModel], str]:
-    """A :func:`model_digest` for the models of one run.
+def model_digester() -> Callable[[Union[ComponentModel, Change]], str]:
+    """A :func:`model_digest` for the configurations of one run.
 
     An operation shares every component it does not touch with its input,
     so successive configurations share most of their text.  The returned
-    function keeps the last model's text part by part, as
+    function keeps the last configuration's text part by part, as
     :func:`_model_parts` splits it, with its sorted component ids, the
     component object at each id and the sorted binding keys.  Each digest
-    patches the parts the next model changed:
+    patches the parts the next configuration changed:
 
-    - the first model, one with another name, or one mostly unlike the
-      last, is formatted afresh as :func:`print_model` formats it, each
-      distinct body once;
-    - a model that holds the index the last one held, the run's next model
-      (see :class:`~reconfcheck.model.ModelIndex`), is patched at the ids
-      and the bindings logged on that index since the last digest, which
-      opens its log;
-    - any other model, such as a window's, whose index was released, has
-      the ids and the bindings that came or went patched and the rest of
-      its components compared by identity; the objects held keep their ids
-      from being reused meanwhile.
+    - a :class:`~reconfcheck.model.Change` stands for the last configuration
+      changed as it says, and has its ids and bindings patched;
+    - the first model, one with another name, one mostly unlike the last,
+      or one that follows a change, is formatted afresh as
+      :func:`print_model` formats it, each distinct body once;
+    - any other model has the ids and the bindings that came or went
+      patched and the rest of its components compared by identity; the
+      objects held keep their ids from being reused meanwhile.
 
     SHA-256 hashes its input in order, so a digest resumes from the state
     it reached just before the first part that changed.  A text of more
@@ -638,12 +635,11 @@ def model_digester() -> Callable[[ComponentModel], str]:
     changed part to the end, keeping new copies as it goes; a shorter text
     is hashed whole, as :func:`model_digest` hashes it.  Its digests equal
     :func:`model_digest`'s.  It keeps no model: only the last one's
-    component dict, binding and delegation sets, index and parts, and hash
-    states.
+    component dict, binding and delegation sets and parts, and hash states.
     """
     import hashlib  # a check that shows no witness makes no digester
 
-    name: Optional[str] = None  # the last model's name
+    name: Optional[str] = None  # the last model's name, None after a change
     held: dict[str, Component] = {}  # its component dict, held
     ids: list[str] = []  # its ids, sorted
     objs: list[Component] = []  # the component at each id
@@ -652,17 +648,17 @@ def model_digester() -> Callable[[ComponentModel], str]:
     delegated: frozenset[Delegation] = frozenset()  # its delegation set, held
     parts: list[str] = []  # its text, part by part: id i at i + 1, then the bindings
     states = [hashlib.sha256()]  # states[k]: the state after hashing parts[:k * _BLOCK]
-    index: Optional[ModelIndex] = None  # the index the last model held
-    log: Optional[set[Union[str, Binding]]] = None  # and the log opened on it then
-    first = 0  # the first part the model being digested changed
+    first = 0  # the first part the configuration being digested changed
 
-    def patch(m: ComponentModel, changed: Iterable) -> None:
-        """Bring the ``changed`` ids and bindings up to date with ``m``."""
+    def patch(component: Callable[[str], Optional[Component]],
+              bound: Callable[[Binding], bool], changed: Iterable) -> None:
+        """Bring the ``changed`` ids and bindings up to date: id ``x`` holds
+        ``component(x)``, or nothing if None, and binding ``b`` is present
+        if ``bound(b)``."""
         nonlocal first
-        comps, bindings = m.components, m.bindings
         for x in changed:
             if isinstance(x, str):
-                c = comps.get(x)
+                c = component(x)
                 i = bisect_left(ids, x)
                 at = i + 1
                 if i < len(ids) and ids[i] == x:
@@ -683,7 +679,7 @@ def model_digester() -> Callable[[ComponentModel], str]:
                 i = bisect_left(keys, key)
                 at = len(ids) + 1 + i
                 line_held = i < len(keys) and keys[i] == key
-                if (x in bindings) == line_held:
+                if bound(x) == line_held:
                     continue
                 if line_held:
                     del keys[i], parts[at]
@@ -692,50 +688,52 @@ def model_digester() -> Callable[[ComponentModel], str]:
                     parts.insert(at, _binding_line(key))
             first = min(first, at)
 
-    def update(m: ComponentModel) -> None:
+    def update(m: Union[ComponentModel, Change]) -> None:
         """Bring the parts up to date with ``m``, setting ``first``."""
         nonlocal name, held, before, delegated, first
-        comps, bindings = m.components, m.bindings
-        if index is not None and m._index is index and index.log is log:
-            patch(m, log)
-        elif m.name != name or len(moved := comps.keys() ^ held.keys()) > len(ids):
-            ids[:] = sorted(comps)  # mostly another model: afresh
-            objs[:] = map(comps.__getitem__, ids)
-            keys[:], lines = _binding_lines(bindings)
-            parts[:] = _model_parts(m, _component_texts(objs), lines)
-            name, delegated, first = m.name, m.delegations, 0
+        if isinstance(m, Change):
+            comps, links = m.components, m.bindings
+            patch(comps.get, links.get, chain(comps, links))
+            name = None  # no dict or set of this configuration is held to compare with
+            delegations = delegated - m.uncoupled if m.uncoupled else delegated
         else:
-            if comps is not held:
-                patch(m, moved)
-                now = list(map(comps.__getitem__, ids))
-                for i in compress(range(len(now)), map(is_not, objs, now)):
-                    parts[i + 1] = _component_text(now[i])
-                    first = min(first, i + 1)
-                objs[:] = now
-            if bindings is not before:
-                gone, new = before - bindings, bindings - before
-                if len(gone) + len(new) > len(keys):  # mostly another set: sort afresh
-                    at = len(ids) + 1
-                    sort_keys, parts[at:at + len(keys)] = _binding_lines(bindings)
-                    keys[:] = sort_keys
-                    first = min(first, at)
-                else:
-                    patch(m, chain(gone, new))
-        held, before = comps, bindings
-        if m.delegations is not delegated:
+            comps, bindings = m.components, m.bindings
+            if m.name != name or len(moved := comps.keys() ^ held.keys()) > len(ids):
+                ids[:] = sorted(comps)  # mostly another model: afresh
+                objs[:] = map(comps.__getitem__, ids)
+                keys[:], lines = _binding_lines(bindings)
+                parts[:] = _model_parts(m, _component_texts(objs), lines)
+                name, delegated, first = m.name, m.delegations, 0
+            else:
+                if comps is not held:
+                    patch(comps.get, bindings.__contains__, moved)
+                    now = list(map(comps.__getitem__, ids))
+                    for i in compress(range(len(now)), map(is_not, objs, now)):
+                        parts[i + 1] = _component_text(now[i])
+                        first = min(first, i + 1)
+                    objs[:] = now
+                if bindings is not before:
+                    gone, new = before - bindings, bindings - before
+                    if len(gone) + len(new) > len(keys):  # mostly another set: sort afresh
+                        at = len(ids) + 1
+                        sort_keys, parts[at:at + len(keys)] = _binding_lines(bindings)
+                        keys[:] = sort_keys
+                        first = min(first, at)
+                    else:
+                        patch(comps.get, bindings.__contains__, chain(gone, new))
+            held, before, delegations = comps, bindings, m.delegations
+        if delegations is not delegated:
             at = len(ids) + len(keys) + 1
-            lines = _delegation_lines(m.delegations)
+            lines = _delegation_lines(delegations)
             if parts[at:-1] != lines:
                 parts[at:-1] = lines
                 first = min(first, at)
-            delegated = m.delegations
+            delegated = delegations
 
-    def digest(m: ComponentModel) -> str:
-        nonlocal index, log, first
+    def digest(m: Union[ComponentModel, Change]) -> str:
+        nonlocal first
         first = len(parts)
         update(m)
-        index = m._index
-        log = None if index is None else index.open_log()
         if len(parts) <= _BLOCK:
             # hashed whole, keeping no state: the first part the next model
             # changes comes before this text's last, so it resumes from states[0]

@@ -5,40 +5,49 @@ instance owns a fresh mark map and walks the automaton in ``_Walk.run``,
 taking each transition at most twice (``unchecked -> again -> checked``), so
 any check takes at most 2|Q| transitions per instance; ``eventually`` and
 ``before`` instances stop earlier, at their run's repeat.  Each transition
-reaches the configuration the walk is handed: an operation applied, or a
-window model.
+reaches the configuration the walk is handed: a position of the check's
+run, or a window model.
+
+A path is deterministic, so every configuration a check needs is a
+position of one run from the initial configuration (``_Run``), extended
+once per position and recorded as the change each step made.  The walk
+extends it at its frontier; a nested instance that walks again positions
+the run holds applies their operations again, since no models are kept.
 
 Soundness over the repeated cycle rests on an idempotence gate: the
 composed cycle F must satisfy F(F(e)) = F(e) at its entry configuration e
 (parameter values erased when the formula never reads parameters).  F(e)
-and F(F(e)) are positions of the run from the initial state, so the gate
-reads them off the walk as it goes (``_Gate``); only when the walk ends
-before reaching F(F(e)) does the gate apply the rest of the way itself.  A
-cycle failing the gate yields an ``unknown`` verdict unless a step budget is
-set: the same walk then judges the window explored within the budget, as a
-lasso or as a cut path.
+and F(F(e)) are positions of the run, so the gate reads them off it
+(``_Gate``); only when the walk ends before reaching F(F(e)) does the gate
+extend the run itself.  A cycle failing the gate yields an ``unknown``
+verdict unless a step budget is set: the same walk then judges the window
+explored within the budget, as a lasso or as a cut path; the window takes
+the positions the run holds off its records.
 
 The step budget is charged for the walk's transitions only, never for the
-gate's own applications or a witness's replay.
+gate's own applications, a window's or a proof's.
 
-With the oracle cross-check, a ``fails`` verdict that a finite prefix
-proves (an ``always`` or a ``before``, under any ``after``s) is checked
-against its own proof where it is built, in ``_fails``: the walk keeps the
-run positions of each event occurrence it descended through and of each
+A ``fails`` witness is read off the run's records: its digests are
+patched from the changes, and no operation is applied for it.  With the
+oracle cross-check, a ``fails`` verdict that a finite prefix proves (an
+``always`` or a ``before``, under any ``after``s) is checked against its
+own proof where it is built, in ``_fails``: the walk keeps the run
+positions of each event occurrence it descended through and of each
 configuration that falsifies the property, and ``oracle.refutation_flaw``
-checks them, and the reported index and text, on the configurations the
-witness replay reads.  It unfolds nothing.  Every other ``holds`` or
-``fails`` verdict is recomputed by ``oracle.oracle_verdict`` at the end of
-:func:`check`.  Either mismatch raises :class:`OracleDisagreement`.
+checks them, and the reported index and text, on the configurations
+rebuilt at those positions from the run's records.  It unfolds nothing.
+Every other ``holds`` or ``fails`` verdict is recomputed by
+``oracle.oracle_verdict`` at the end of :func:`check`.  Either mismatch
+raises :class:`OracleDisagreement`.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
+from bisect import bisect_right
 from collections import Counter
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 # model_digest stays importable because perfbench/tracer.py rebinds it here
 from .adl import AdlValidationError, model_digest, model_digester  # noqa: F401
@@ -57,8 +66,9 @@ from .ftpl import (
 )
 # the walk compiles properties and the unfolder erases parameter values; the
 # names stay importable because perfbench/tracer.py rebinds them in this module
-from .model import CompiledCp, ComponentModel, ConfigProperty, CpEvalError, compile_cp, \
-    erase_param_values, eval_cp, release_index, validate_model  # noqa: F401
+from .model import Binding, Change, ChangeFields, CompiledCp, ComponentModel, ConfigProperty, \
+    CpEvalError, compile_cp, component_sum, composed, erase_param_values, eval_cp, hold_index, \
+    validate_model  # noqa: F401
 # oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
 from .oracle import ConcreteLasso, LassoStep, Refutation, oracle_eval_detailed, \
     oracle_verdict, refutation_flaw  # noqa: F401
@@ -66,7 +76,7 @@ from .pathspec import PathAutomaton, PathExpr, residual_from
 # apply_sequence and is_idempotent_sequence, which nothing here calls, stay
 # importable because perfbench/tracer.py rebinds them here
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
-    is_idempotent_sequence, run_path  # noqa: F401
+    is_idempotent_sequence  # noqa: F401
 from .record import record
 
 HOLDS = "holds"
@@ -111,17 +121,19 @@ class CheckStats:
 @record
 class CheckOptions:
     """max_steps bounds the total transitions the walk takes while exploring;
-    the applications the idempotence gate makes past the walk's end, and a
-    witness's replay, are not charged against it.
+    the applications the idempotence gate makes past the walk's end, and
+    those that extend the check's run for a window or a proof, are not
+    charged against it.
 
     oracle_crosscheck checks a ``holds`` or ``fails`` verdict independently.
     A ``fails`` of an ``always`` or a ``before``, under any ``after``s, is
     proof-checked: each event occurrence and falsifying configuration the
     walk names, their order, the reported violation index and the violated
-    text, read off the witness's replay (extended only for a position past
-    the witness) with the oracle's event test and evaluator.  Every other
-    verdict is recomputed by the oracle's unfolding and its status
-    compared.  A mismatch raises :class:`OracleDisagreement`."""
+    text, on the configurations rebuilt from the check's run (extended only
+    for a position past its frontier) with the oracle's event test and
+    evaluator.  Every other verdict is recomputed by the oracle's unfolding
+    and its status compared.  A mismatch raises
+    :class:`OracleDisagreement`."""
 
     max_steps: Optional[int] = None
     oracle_crosscheck: bool = False
@@ -158,7 +170,7 @@ class _Violation(Exception):
 
     Every path is deterministic, so the witness is the run's first
     ``length`` configurations (``index + 1`` unless given): the walk keeps
-    no models or digests for it, and ``check`` replays them on demand.
+    no models or digests for it, and ``check`` reads them off its run.
 
     A violation of an ``always`` or a ``before`` keeps its proof in run
     positions (see :class:`~reconfcheck.oracle.Refutation`): ``occurrence``,
@@ -192,56 +204,142 @@ class _Refused(Exception):
     """The idempotence gate refused the cycle: the walk stops at once."""
 
 
-class _Gate:
-    """The idempotence gate, read off the run the walk takes.
+_UNCHANGED: ChangeFields = ({}, {}, frozenset())
 
-    The cycle's entry e is run position P, the prefix length, so F(e) and
-    F(F(e)) are positions P+|C| and P+2|C|.  ``see`` takes every
-    configuration the walk reaches; the gate keeps F(e) and the furthest
-    position reached with its state, and at P+2|C| compares as
-    ``reconfig.is_idempotent_sequence`` does, erased when ``erased``.  With
-    ``keep``, F(e) and F(F(e)) are kept past the comparison, for ``same``.
+
+class _Run:
+    """The run of a check from the initial configuration, recorded as changes.
+
+    A path is deterministic, so every configuration a check reads is a
+    position of this one run.  It keeps the initial model ``c0``, the
+    newest model, which holds the run's
+    :class:`~reconfcheck.model.ModelIndex`, and in ``steps``, for each
+    position it reached, the label into it, its state, the fields of its
+    :class:`~reconfcheck.model.Change` from the position before, read off
+    the index's log as the step is taken, so that each costs what the step
+    changed, and the component sum the operations kept for it
+    (:func:`~reconfcheck.model.component_sum`; None at position 0): a
+    version list of deltas (Driscoll, Sarnak, Sleator & Tarjan, "Making
+    data structures persistent", JCSS 1989).  Of the other models it keeps
+    only ``once``, F(e) for the gate: on a path with a cycle, the model of
+    position ``once_at``, P+|C|, once it takes it.  :meth:`configurations`
+    rebuilds the rest.
     """
 
     def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
-                 c0: ComponentModel, erased: bool, keep: bool = False):
-        self.a, self.ops, self.erased, self.keep = a, ops, erased, keep
-        self.once_at = a.n_states  # P + |C|
-        self.twice_at = 2 * a.n_states - a.back_target  # P + 2|C|
-        self.pos, self.q, self.c = 0, 0, c0  # the furthest position reached
+                 c0: ComponentModel):
+        self.a, self.ops, self.c0 = a, ops, c0
+        self.newest = c0
+        self.steps: list[tuple[str, int, ChangeFields, Optional[int]]] = \
+            [("", 0, _UNCHANGED, None)]
+        self.once_at = a.n_states if a.has_cycle else None
         self.once: Optional[ComponentModel] = None
-        self.twice: Optional[ComponentModel] = None
+
+    def reach(self, label: str, q: int, c: ComponentModel, pos: int) -> ComponentModel:
+        """The configuration at position ``pos``, reached over ``label`` into
+        state ``q`` from ``c``, the configuration at ``pos - 1``.  At the
+        frontier the run takes the step from its newest model and records it.
+        A nested operator instance walks again, with models of its own, the
+        positions the run holds: it reaches the frontier with a model equal
+        to the newest, and goes on with the run's.  Any other step is applied
+        to ``c`` and not recorded."""
+        if pos == len(self.steps) and (c is self.newest or c == self.newest):
+            return self._take(label, q)
+        return apply_evolution(self.ops[label], c).result
+
+    def _take(self, label: str, q: int) -> ComponentModel:
+        """The step over ``label`` into state ``q`` from the newest model, recorded."""
+        m = self.newest
+        hold_index(m)  # the walk's unfoldings release the index of where they stop
+        log = m._index.log
+        if log is None:
+            log = m._index.open_log()
+        log.clear()
+        new = apply_evolution(self.ops[label], m).result
+        change = _UNCHANGED
+        if new is not m:
+            # each id and binding logged, with its component or presence now
+            comps, bindings = new.components, new.bindings
+            changed, links = {}, {}
+            for x in log:
+                if x.__class__ is str:
+                    changed[x] = comps.get(x)
+                else:
+                    links[x] = x in bindings
+            gone = new.delegations
+            change = changed, links, frozenset() if gone is m.delegations else m.delegations - gone
+        total = new._component_sum  # kept by derive_model, unless no operation changed c0
+        self.steps.append((label, q, change, component_sum(new) if total is None else total))
+        if len(self.steps) - 1 == self.once_at:
+            self.once = new
+        self.newest = new
+        return new
+
+    def extend_to(self, pos: int) -> bool:
+        """Whether the run reaches position ``pos``, taking the steps it
+        still lacks: False if the path ends before."""
+        steps = self.steps
+        while len(steps) <= pos:
+            nxt = self.a.succ(steps[-1][1])
+            if nxt is None:
+                return False
+            self._take(*nxt)
+        return True
+
+    def configurations(self, positions: Iterable[int]) -> Iterator[tuple[int, ComponentModel]]:
+        """(position, configuration) for each of ``positions``, increasing,
+        that the path reaches.  The frontier's is the newest model.  Any
+        other is rebuilt from the nearest configuration before it at hand
+        (``c0``, ``once``, or the one yielded last) by the changes since,
+        composed in the order they were made, with one ``derive_model``
+        given the recorded sum.  A position past the frontier extends the
+        run first."""
+        at, c, steps = 0, self.c0, self.steps
+        for pos in positions:
+            if not self.extend_to(pos):
+                return
+            if pos == len(steps) - 1:
+                c = self.newest
+            elif pos > at:
+                if self.once is not None and at < self.once_at <= pos:
+                    at, c = self.once_at, self.once
+                if pos > at:
+                    c = composed(change for _label, _q, change, _sum
+                                 in steps[at + 1:pos + 1]).onto(c, steps[pos][3])
+            at = pos
+            yield pos, c
+
+
+def _same(once: ComponentModel, twice: ComponentModel, erased: bool) -> bool:
+    """Whether F(F(e)) = F(e), with parameter values erased when ``erased``."""
+    if erased:
+        once, twice = erase_param_values(once), erase_param_values(twice)
+    return once == twice
+
+
+def _cycle_ends(run: _Run) -> tuple[ComponentModel, ComponentModel]:
+    """F(e) and F(F(e)), run positions P+|C| and P+2|C|, where P, the prefix
+    length, is the cycle's entry e."""
+    a = run.a
+    (_, once), (_, twice) = run.configurations((a.n_states, 2 * a.n_states - a.back_target))
+    return once, twice
+
+
+class _Gate:
+    """The idempotence gate, read off the check's run: at P+2|C| it
+    compares F(e) and F(F(e)) as ``reconfig.is_idempotent_sequence`` does,
+    erased when ``erased``."""
+
+    def __init__(self, run: _Run, erased: bool):
+        self.run, self.erased = run, erased
+        self.twice_at = 2 * run.a.n_states - run.a.back_target  # P + 2|C|
         self.admits: Optional[bool] = None
-
-    def see(self, pos: int, q: int, c: ComponentModel) -> Optional[bool]:
-        """Takes configuration ``c``, reached at state ``q`` and run position
-        ``pos``; returns whether the gate admits, None while undecided."""
-        # positions are reached in order from 0, so one past the furthest is new
-        if self.admits is None and pos > self.pos:
-            self.pos, self.q, self.c = pos, q, c
-            if pos == self.once_at:
-                self.once = c
-            elif pos == self.twice_at:
-                self.twice, self.c = c, None
-                self.admits = self.same(self.erased)
-                if not self.keep:
-                    self.once = self.twice = None
-        return self.admits
-
-    def same(self, erased: bool) -> bool:
-        """Whether F(F(e)) = F(e), with parameter values erased when ``erased``."""
-        once, twice = self.once, self.twice
-        if erased:
-            once, twice = erase_param_values(once), erase_param_values(twice)
-        return once == twice
 
     def decide(self) -> bool:
         """Whether the gate admits the cycle.  A walk that ended before
-        P+2|C| leaves the run from the furthest position on to apply here."""
+        P+2|C| leaves the run to extend that far here."""
         if self.admits is None:
-            run = islice(run_path(self.a, self.ops, self.q, self.c), self.twice_at - self.pos)
-            for pos, (_label, q, c) in enumerate(run, self.pos + 1):
-                self.see(pos, q, c)
+            self.admits = _same(*_cycle_ends(self.run), self.erased)
         return self.admits
 
 
@@ -268,7 +366,8 @@ class _Walk:
     property keeps nothing from one model to the next.
     """
 
-    def __init__(self, a: PathAutomaton, reach: Callable[..., ComponentModel],
+    def __init__(self, a: PathAutomaton, reach: Callable[[str, int, ComponentModel, int],
+                                                         ComponentModel],
                  max_steps: Optional[int], gate: Optional[_Gate] = None):
         self.a = a
         self.reach = reach
@@ -282,15 +381,16 @@ class _Walk:
 
     def run(self, q: int, c: ComponentModel, pos: int) -> Iterator[tuple[str, int, ComponentModel]]:
         """The transitions one operator instance takes from (q, c) at run
-        position ``pos``, as (label, target, ``reach(label, target, c)``).
+        position ``pos``, as (label, target, configuration), the
+        configuration ``reach(label, target, c, pos + 1)`` from the one before.
 
         Each state is marked ``unchecked -> again -> checked`` as it is left,
         so the run ends at a terminal state or at a state left twice: an
         operation may change the model on one pass and not the next, and the
         second pass's configurations repeat forever after (given the gate).
         Each transition is charged against the step budget before it is
-        taken, shown to the gate, counted, and held to the instance's 2·|Q|
-        bound."""
+        taken, counted, and held to the instance's 2·|Q| bound; the gate
+        decides when a transition reaches P+2|C|."""
         a, gate, taken = self.a, self.gate, 0
         marks = _fresh_marks(a)
         start, earlier = q, Counter()  # the marks of the states before q
@@ -311,8 +411,9 @@ class _Walk:
                     raise _Budget(q, c)
                 self.remaining -= 1
             label, q2 = nxt
-            c, pos = self.reach(label, q2, c), pos + 1
-            if gate is not None and gate.see(pos, q2, c) is False:
+            pos += 1
+            c = self.reach(label, q2, c, pos)
+            if gate is not None and pos == gate.twice_at and not gate.decide():
                 raise _Refused()
             if q2 <= q:  # the back edge: recount once per lap
                 earlier = Counter(marks[:q2])
@@ -494,20 +595,23 @@ def gate_admits(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
     """Whether the idempotence gate admits the cycle of ``a``, which must have
     one, on the run from ``c0``: exactly, and with parameter values erased.
     Both are decided on one run to P+2|C|, as :func:`check` reads either off
-    its walk; an exact repeat is an erased one too."""
-    gate = _Gate(a, ops, c0, erased=False, keep=True)
-    exact = gate.decide()
-    return exact, exact or gate.same(erased=True)
+    its run; an exact repeat is an erased one too."""
+    once, twice = _cycle_ends(_Run(a, ops, c0))
+    exact = once == twice
+    return exact, exact or _same(once, twice, erased=True)
 
 
-def _unfold(a: PathAutomaton, c0: ComponentModel,
-            ops: Mapping[str, EvolutionOperation], max_steps: int) -> ConcreteLasso:
-    """The window of a lasso the gate refused: the run from the initial
-    state for at most ``max_steps`` transitions, cut short at the path's
-    end or before an exact (state, model) repeat."""
-    run = Unfolding(a, 0, c0, islice(run_path(a, ops, 0, c0), min(max_steps, sys.maxsize)))
-    entries = tuple(LassoStep(q, c, label) for q, label, c in run)
-    return ConcreteLasso(a, entries, run.period_start, run.complete)
+def _unfold(run: _Run, max_steps: int) -> ConcreteLasso:
+    """The window of a lasso the gate refused: the first positions of
+    ``run`` for at most ``max_steps`` transitions, cut short at the path's
+    end or before an exact (state, model) repeat.  Those the run holds are
+    rebuilt from its records, one ``derive_model`` each; the run is
+    extended past its frontier."""
+    steps = run.steps
+    reached = run.configurations(range(1, max_steps + 1))
+    window = Unfolding(run.a, 0, run.c0, (steps[pos][:2] + (c,) for pos, c in reached))
+    entries = tuple(LassoStep(q, c, label) for q, label, c in window)
+    return ConcreteLasso(run.a, entries, window.period_start, window.complete)
 
 
 def _witnessed(f: FtplFormula, holds: bool) -> bool:
@@ -518,45 +622,104 @@ def _witnessed(f: FtplFormula, holds: bool) -> bool:
     return isinstance(f, Eventually) == holds
 
 
-_Step = tuple[str, int, ComponentModel]  # incoming label, state, configuration
+def _witness_steps(run: _Run, length: int) -> Iterator[WitnessStep]:
+    """The first ``length`` positions of ``run``, which holds them, with
+    their digests.  One digester takes ``c0`` and then, for each
+    configuration not seen before, the changes since the last one it took.
+
+    Repeats are found from the records.  Equal configurations have equal
+    component sums, which the run keeps, equal sums of their bindings'
+    hashes, kept here step by step, and equal delegations gone, of which
+    none comes back.  Among the earlier positions alike in these, position p
+    repeats position j exactly when every id and binding the changes since
+    j touched holds at p what it held at j, compared with ``==`` and read
+    off its own history of changes.
+    """
+    c0, steps = run.c0, run.steps
+    components, bindings = c0.components, c0.bindings
+    # for each id or binding changed: the positions of its changes, and the
+    # component (or None) or presence each gave it
+    history: dict[Union[str, Binding], tuple[list[int], list]] = {}
+
+    def held(x: Union[str, Binding], pos: int):
+        """What id or binding ``x`` holds at position ``pos``."""
+        positions, values = history.get(x, ((), ()))
+        i = bisect_right(positions, pos)
+        if i:
+            return values[i - 1]
+        return components.get(x) if isinstance(x, str) else x in bindings
+
+    digest = model_digester()  # successive configurations share components
+    binding_sum, gone = 0, frozenset()
+    d = digest(c0)
+    # (position, digest) of each distinct configuration, by what equal ones share
+    seen = {(component_sum(c0), binding_sum, gone): [(0, d)]}
+    yield WitnessStep(0, "", d)
+    last = 0  # the position the digester took last
+    for pos in range(1, length):
+        label, q, change, total = steps[pos]
+        comps, links, uncoupled = change
+        for b, came in links.items():
+            if came != held(b, pos - 1):
+                binding_sum += hash(b) if came else -hash(b)
+        for x, value in chain(comps.items(), links.items()):
+            kept = history.get(x)
+            if kept is None:
+                kept = history[x] = ([], [])
+            kept[0].append(pos)
+            kept[1].append(value)
+        if uncoupled:
+            gone |= uncoupled
+        key = (total, binding_sum, gone)
+        alike = seen.get(key, ())
+        for j, d in alike:
+            since = composed(change for _label, _q, change, _sum in steps[j + 1:pos + 1])
+            if all(value == held(x, j) for x, value
+                   in chain(since.components.items(), since.bindings.items())):
+                break
+        else:
+            d = digest(composed(change for _label, _q, change, _sum
+                                in steps[last + 1:pos + 1]) if last < pos - 1 else Change(*change))
+            seen[key] = [*alike, (pos, d)]
+            last = pos
+        yield WitnessStep(q, label, d)
 
 
-def _fails(run: Iterable[_Step], length: int, index: int, v: _Violation,
+def run_steps(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], c0: ComponentModel,
+              n: int) -> Iterator[tuple[WitnessStep, ComponentModel]]:
+    """The first ``n`` positions of the run from ``c0``, as far as the path
+    goes, each as a witness step with its configuration: the run is
+    recorded and digested as :func:`check` records and digests it, and each
+    configuration is the run's own newest model."""
+    run = _Run(a, ops, c0)
+    # each position is taken before its step is read off the records
+    for (_pos, c), step in zip(run.configurations(range(n)), _witness_steps(run, n)):
+        yield step, c
+
+
+def _fails(run: _Run, length: int, index: int, v: _Violation,
            proving: Optional[FtplFormula], erased: bool, stats: CheckStats) -> Verdict:
     """The fails verdict on violation ``v``, whose witness is the first
-    ``length`` steps of ``run``, the run from the initial state, reported at
-    ``index``.  Operations are pure, so the run rebuilds exactly the
-    configurations the walk saw; the digests are taken as it goes, by one
-    digester, once per distinct configuration: a model is its own dictionary
-    key, and the models kept for it live as long as the call.  With
-    ``proving``, the formula ``v`` refutes, the verdict is checked here
-    against ``v``'s proof on the positions it reads, some of which may lie
-    past the witness (parameter values erased in comparisons when
-    ``erased``); a flaw raises :class:`OracleDisagreement`."""
-    proof = None if proving is None else v.proof()
-    reads = set() if proof is None else proof.reads(length)
-    digest = model_digester()  # successive configurations share components
-    digests: dict[ComponentModel, str] = {}  # a cycle revisits its configurations
-    shown, kept = [], {}
-    for pos, step in enumerate(islice(run, max(length, max(reads, default=0) + 1))):
-        label, q, c = step
-        if pos < length:
-            d = digests.get(c)
-            if d is None:
-                d = digests[c] = digest(c)
-            shown.append(WitnessStep(q, label, d))
-        if pos in reads:
-            kept[pos] = step
-    if proof is not None:
+    ``length`` positions of ``run``, reported at ``index``; no operation is
+    applied for them (:func:`_witness_steps`).  With ``proving``, the
+    formula ``v`` refutes, the verdict is checked here against ``v``'s proof
+    on the positions it reads, rebuilt from the run's records, and the run
+    is extended for any that lie past its frontier (parameter values erased
+    in comparisons when ``erased``); a flaw raises
+    :class:`OracleDisagreement`."""
+    shown = tuple(_witness_steps(run, length))
+    if proving is not None:
+        proof, steps = v.proof(), run.steps
+        kept = {pos: steps[pos][:2] + (c,)
+                for pos, c in run.configurations(sorted(proof.reads(length)))}
         flaw = refutation_flaw(proving, index, v.violated, proof, kept, length, erased)
         if flaw is not None:
             raise OracleDisagreement(f"oracle cross-check disagreement: checker says fails, "
                                      f"but its witness does not prove it: {flaw}")
-    return Verdict(FAILS, witness=TraceWitness(tuple(shown), index, v.violated), stats=stats)
+    return Verdict(FAILS, witness=TraceWitness(shown, index, v.violated), stats=stats)
 
 
-def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
-                   ops: Mapping[str, EvolutionOperation], walk: _Walk, gate: Optional[_Gate],
+def _gated_verdict(f: FtplFormula, run: _Run, walk: _Walk, gate: Optional[_Gate],
                    proving: Optional[FtplFormula]) -> Optional[Verdict]:
     """The walk's verdict from the initial state, or None if the gate
     refuses.  With ``proving``, a ``fails`` verdict is proof-checked as
@@ -571,7 +734,7 @@ def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     gate decides once, and the outcome stands only if the gate admits.
     """
     try:
-        _eval_formula(f, walk, 0, c0, 0)
+        _eval_formula(f, walk, 0, run.c0, 0)
         outcome = None
     except (_Violation, _Budget, CpEvalError, RecursionError) as e:
         outcome = e
@@ -583,16 +746,11 @@ def _gated_verdict(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
         if outcome is None:
             return Verdict(HOLDS, stats=walk.stats())
         if isinstance(outcome, _Violation):
-            # run_path hands c0 the run's index at once, so the digest of
-            # every step after c0 reads the run's log; a witness of one step
-            # leaves c0 that index, and no later run from c0 should log into it
-            try:
-                return _fails(chain([("", 0, c0)], run_path(a, ops, 0, c0)), outcome.length,
-                              outcome.index, outcome, proving, walk.erased, walk.stats())
-            finally:
-                release_index(c0)
+            return _fails(run, outcome.length, outcome.index, outcome, proving, walk.erased,
+                          walk.stats())
         if isinstance(outcome, _Budget):
-            return Verdict(UNKNOWN, reason=REASON_BUDGET, residual=residual_from(a, outcome.state),
+            return Verdict(UNKNOWN, reason=REASON_BUDGET,
+                           residual=residual_from(run.a, outcome.state),
                            reached=outcome.model, stats=walk.stats())
         raise outcome  # evaluating a property
     finally:
@@ -626,24 +784,24 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     # a formula that cannot observe parameter values (neither through
     # property leaves nor through events on parameter-updating operations)
     # may ignore parameter drift when judging cycle idempotence
-    gate = _Gate(a, ops, c0, erasure_invariant(f, ops)) if a.has_cycle else None
-    # apply_evolution is read per call, so perfbench/tracer.py's rebinding counts the walk
-    walk = _Walk(a, lambda label, _q, c: apply_evolution(ops[label], c).result,
-                 opts.max_steps, gate=gate)
+    run = _Run(a, ops, c0)
+    gate = _Gate(run, erasure_invariant(f, ops)) if a.has_cycle else None
+    walk = _Walk(a, run.reach, opts.max_steps, gate=gate)
     # a finite prefix refutes f: under the cross-check a fails verdict proves itself
     proving = f if opts.oracle_crosscheck and _witnessed(f, False) else None
-    verdict = _gated_verdict(f, a, c0, ops, walk, gate, proving)
+    verdict = _gated_verdict(f, run, walk, gate, proving)
     if verdict is None and opts.max_steps is None:
         # nothing explored counts: the residual is the whole path
         return Verdict(UNKNOWN, reason=REASON_CYCLE, residual=residual_from(a, 0),
                        reached=c0, stats=CheckStats(0, 0, 0))
     if verdict is None:
         # a non-idempotent cycle, bounded: the window repeats exactly or is cut by the budget
-        lasso = _unfold(a, c0, ops, opts.max_steps)
+        lasso = _unfold(run, opts.max_steps)
         entries, ps, n = lasso.entries, lasso.period_start, len(lasso.entries)
         labels = tuple(a.labels[s.state] for s in entries[:n if ps is not None else n - 1])
         # state i is window position i, reached in _unfold; an exact repeat needs no gate
-        walk = _Walk(PathAutomaton(labels, n, ps), lambda _label, q, _c: entries[q].model, None)
+        walk = _Walk(PathAutomaton(labels, n, ps), lambda _label, q, _c, _pos: entries[q].model,
+                     None)
         try:
             _eval_formula(f, walk, 0, c0, 0)
             v = None
@@ -660,9 +818,7 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
             verdict = Verdict(HOLDS, stats=stats)
         else:
             i = v.index if v.index < n else ps + (v.index - ps) % (n - ps)  # into the period
-            # a proof may read a position past the window: the run goes on from its last step
-            run = chain(((s.incoming_label or "", s.state, s.model) for s in entries),
-                        run_path(a, ops, last.state, last.model))
+            # the window is the run's first n positions; a proof may read past it
             verdict = _fails(run, n, i, v, proving, False, stats)
 
     # a proving fails verdict was checked as it was built

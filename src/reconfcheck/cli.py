@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 from functools import cache
-from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -31,18 +30,18 @@ from .adl import (
     AdlValidationError,
     RecipeSet,
     model_digest,
-    model_digester,
     parse_model,
     parse_recipes,
     print_model,
 )
-from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, check, gate_admits
+from .checker import CheckError, CheckOptions, OracleDisagreement, Verdict, check, gate_admits, \
+    run_steps
 from .ftpl import parse_formula, print_formula
 from .model import ComponentModel, CpEvalError, validate_model
 from .pathspec import build_automaton, parse_path, print_path
 # apply_evolution and is_idempotent_sequence, which nothing here calls, stay
 # importable because perfbench/tracer.py rebinds them here
-from .reconfig import apply_evolution, is_idempotent_sequence, run_path  # noqa: F401
+from .reconfig import apply_evolution, is_idempotent_sequence  # noqa: F401
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -174,19 +173,19 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--steps must be at least 0")
     model, recipes, path = _load_valid_inputs(args)
     automaton = build_automaton(path)
-    # the model holds the run's index from here on, so each step's digest reads the run's log
-    run = run_path(automaton, recipes.operation_table(), 0, model)
-    digest = model_digester()  # successive configurations share components
-    current, step = model, 0
-    _dump(args.dump_dir, "step_000.arch", current)
-    print(f"step 0: initial [{digest(current)}]")
-    for step, (label, _q, nxt) in enumerate(islice(run, min(args.steps, sys.maxsize)), 1):
-        changed = "changed" if nxt != current else "unchanged"
-        current = nxt
-        _dump(args.dump_dir, f"step_{step:03d}.arch", current)
-        print(f"step {step}: {label} ({changed}) [{digest(current)}]")
-    if step < args.steps:
-        print(f"path ends after {step} steps")
+    current, last = model, 0
+    positions = run_steps(automaton, recipes.operation_table(), model,
+                          min(args.steps, sys.maxsize) + 1)
+    for i, (step, c) in enumerate(positions):
+        _dump(args.dump_dir, f"step_{i:03d}.arch", c)
+        if i == 0:
+            print(f"step 0: initial [{step.digest}]")
+        else:
+            changed = "changed" if c != current else "unchanged"
+            print(f"step {i}: {step.label} ({changed}) [{step.digest}]")
+        current, last = c, i
+    if last < args.steps:
+        print(f"path ends after {last} steps")
     return 0
 
 

@@ -13,7 +13,7 @@ import operator
 from bisect import bisect_left, insort
 from collections import defaultdict
 from functools import partial
-from typing import Callable, Collection, Iterator, Mapping, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Union
 
 from .record import record
 
@@ -173,8 +173,7 @@ class ModelIndex:
     the ids that :meth:`add`, :meth:`remove` and :meth:`replace` touched
     since it was opened, and of the bindings :func:`derive_model` cut or
     made: what the run changed since the model that held the index then.  A
-    witness digester reads it to format and hash only those ids and binding
-    lines.
+    check's run reads it to record each step as a :class:`Change`.
     """
 
     stopped = links = parents = holders = classes = log = None
@@ -286,21 +285,27 @@ def component_sum(m: ComponentModel) -> int:
 def derive_model(m: ComponentModel, put: Collection[Component] = (),
                  taken: Collection[str] = (), cut: Collection[Binding] = (),
                  made: Collection[Binding] = (), uncoupled: Collection[Delegation] = (),
-                 index: Optional[ModelIndex] = None) -> ComponentModel:
+                 index: Optional[ModelIndex] = None, total: Optional[int] = None) -> ComponentModel:
     """``m`` changed as an operation states: the one place a model changes.
 
     ``put`` components replace the ones ``m`` holds under their ids, in
     place, or join at the end; ``taken`` ids leave, as do the ``cut``
     bindings and the ``uncoupled`` delegations, and the ``made`` bindings
     join.  What the change leaves alone is shared with ``m``.  The component
-    sum is derived from ``m``'s, which is forced, so a run carries one sum
-    from its first model on.  ``index``, the one the operation took from
+    sum is ``total`` when the caller knows it (with no ``index`` only), and
+    is otherwise derived from ``m``'s, which is forced, so a run carries one
+    sum from its first model on.  ``index``, the one the operation took from
     ``m``, has every built part updated and moves to the new model; its
     open log, if any, gets the ``cut`` and ``made`` bindings.
     """
     comps = m.components
-    s = component_sum(m)
-    if put or taken:
+    s = component_sum(m) if total is None else total
+    if (put or taken) and total is not None and index is None:
+        comps = dict(comps)  # no sum or index to keep: the change alone
+        comps.update({c.id: c for c in put})
+        for cid in taken:
+            del comps[cid]
+    elif put or taken:
         comps = dict(comps)
         for c in put:
             old = comps.get(c.id)
@@ -342,6 +347,49 @@ def derive_model(m: ComponentModel, put: Collection[Component] = (),
             object.__setattr__(m, "_index", None)
         object.__setattr__(out, "_index", index)
     return out
+
+
+@record
+class Change:
+    """What a run's steps changed, net: each id they touched with its
+    component after them, or None where it is absent, each binding they
+    touched with whether it is present after them, and the delegations
+    that went, which no operation adds."""
+
+    components: dict[str, Optional[Component]]
+    bindings: dict[Binding, bool]
+    uncoupled: frozenset[Delegation]
+
+    def onto(self, m: ComponentModel, total: Optional[int] = None) -> ComponentModel:
+        """``m`` changed as this says, with one :func:`derive_model` given
+        the result's component sum ``total`` if known; an id that came and
+        went again is absent from ``m`` and stays so."""
+        put, taken, comps = [], [], m.components
+        for cid, c in self.components.items():
+            if c is not None:
+                put.append(c)
+            elif cid in comps:
+                taken.append(cid)
+        links = self.bindings
+        return derive_model(m, put, taken, [b for b in links if not links[b]],
+                            [b for b in links if links[b]], self.uncoupled, total=total)
+
+
+# the fields of a Change, as a run keeps one per step
+ChangeFields = tuple[dict[str, Optional[Component]], dict[Binding, bool], frozenset[Delegation]]
+
+
+def composed(changes: Iterable[ChangeFields]) -> Change:
+    """The net change of ``changes`` made one after another."""
+    comps: dict[str, Optional[Component]] = {}
+    links: dict[Binding, bool] = {}
+    uncoupled: frozenset[Delegation] = frozenset()
+    for step_comps, step_links, step_uncoupled in changes:
+        comps.update(step_comps)
+        links.update(step_links)
+        if step_uncoupled:
+            uncoupled |= step_uncoupled
+    return Change(comps, links, uncoupled)
 
 
 def erase_param_values(m: ComponentModel) -> ComponentModel:

@@ -37,9 +37,10 @@ under any ``after``s) is not recomputed: :func:`refutation_flaw` checks
 the checker's witness against the run positions of its proof, the event
 occurrences and the falsifying configurations, with ``event_holds`` and
 ``eval_cp`` on the true configurations, and checks the reported index and
-text.  It reads the positions from the witness's replay, extended past the
-witness only for a position the proof names there.  Every other verdict is
-recomputed by :func:`oracle_verdict`.
+text.  It reads the configurations the checker rebuilds at those
+positions from its run's records, the run extended past its frontier only
+for a position the proof names there.  Every other verdict is recomputed
+by :func:`oracle_verdict`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import hashlib
 import random
 import weakref
 from decimal import Decimal
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 import pytest
 
@@ -28,8 +28,9 @@ from reconfcheck import (
     run_path,
     validate_model,
 )
-from reconfcheck import adl
+from reconfcheck import adl, checker
 from reconfcheck.adl import MAX_NESTING, model_digest, model_digester, print_recipes
+from reconfcheck.model import Change
 from reconfcheck.reconfig import BinOp, IntLiteral, ParamRef, SetParam, Unfolding
 
 import generators
@@ -255,6 +256,15 @@ def _run_models(a, ops, c0):
     return chain([c0], (c for _label, _q, c in run_path(a, ops, 0, c0)))
 
 
+def _recorded_run(a, ops, c0):
+    """The run's configurations from the initial one on, each with what a
+    check's run records for it: the initial model itself, then the change
+    from the configuration before."""
+    run = checker._Run(a, ops, c0)
+    for pos, c in run.configurations(count()):
+        yield c, c if pos == 0 else Change(*run.steps[pos][2])
+
+
 def test_print_model_formats_each_distinct_body_once(monkeypatch):
     # A1-A3 are declared with one body and B1-B2 with another, so each group
     # shares its field objects; C has a body of its own
@@ -278,7 +288,7 @@ def test_print_model_formats_each_distinct_body_once(monkeypatch):
 
 
 def test_digester_formats_each_shared_component_once(http_model, http_ops, monkeypatch):
-    # each distinct body once in the first model, then each id the run logged once
+    # each distinct body once in the first model, then each id a step changed once
     a = build_automaton(parse_path("run (RemoveCacheHandler AddCacheHandler MemorySizeUp "
                                    "run AddFileServer DurationValidityUp DeleteFileServer)+"))
     # the HTTP model and two spare components declared with one body
@@ -286,9 +296,9 @@ def test_digester_formats_each_shared_component_once(http_model, http_ops, monke
     c0 = parse_model(print_model(http_model)[:-2] + spares + "}\n")
     formatted, scans = _calls(monkeypatch, "_component_text"), _calls(monkeypatch, "compress")
     digest, models, digests = model_digester(), [], []
-    for c in islice(_run_models(a, http_ops, c0), 30):
+    for c, recorded in islice(_recorded_run(a, http_ops, c0), 30):
         formatted.clear()
-        digests.append(digest(c))
+        digests.append(digest(recorded))
         if not models:
             assert len(formatted) == len(c0.components) - 1  # the spares share a body
         else:
@@ -296,9 +306,7 @@ def test_digester_formats_each_shared_component_once(http_model, http_ops, monke
             changed = {cid for cid, comp in c.components.items() if last.get(cid) is not comp}
             assert sorted(comp.id for comp, in formatted) == sorted(changed)
         models.append(c)
-    # no step is compared by identity: the first, `run`, changes nothing, and
-    # the run hands the initial model its index before it takes that step, so
-    # every later step reads the run's log
+    # no step is compared by identity: each is patched from its change
     assert scans == []
     monkeypatch.undo()
     assert digests == [model_digest(m) for m in models]
@@ -323,19 +331,19 @@ def test_digester_on_generated_runs():
         assert [digest(c) for c in models] == [model_digest(c) for c in models]
 
 
-def test_digester_fed_during_generated_runs():
-    # each step is patched at the ids the run's index logged
+def test_digester_fed_the_changes_of_generated_runs():
+    # each step is patched at the ids and bindings its change names
     for a, ops, m, n in _generated_runs():
         digest, models, digests = model_digester(), [], []
-        for c in islice(_run_models(a, ops, m), n):
+        for c, recorded in islice(_recorded_run(a, ops, m), n):
             models.append(c)
-            digests.append(digest(c))
+            digests.append(digest(recorded))
         assert digests == [model_digest(c) for c in models]
 
 
 def test_two_digesters_on_one_generated_run():
-    # each opens its own log on the one index, so neither reads a log the
-    # other opened: one digests every step, the other every other step
+    # each keeps the parts of the last model it took: one digests every
+    # step, the other every other step
     for a, ops, m, n in _generated_runs():
         every, other = model_digester(), model_digester()
         models, digests = [], []
@@ -546,20 +554,19 @@ def _touch(*cids: str) -> str:
 
 
 def _assert_digests_are_model_digests(c0, ops_text, path_text, n, others=()):
-    """The run's first ``n`` configurations, each followed by the ``others``,
-    digested during ``run_path`` (patched by the log) and after it (patched
-    by an identity scan), give :func:`model_digest`'s digests."""
+    """The run's first ``n`` configurations, digested from the changes a
+    check's run records, and, each followed by the ``others``, as models
+    (patched by an identity scan), give :func:`model_digest`'s digests."""
     ops = parse_recipes(ops_text).operation_table()
     a = build_automaton(parse_path(path_text))
-    digest, models, digests = model_digester(), [], []
-    for c in islice(_run_models(a, ops, c0), n):
-        for m in (c, *others):
-            models.append(m)
-            digests.append(digest(m))
-    expected = [model_digest(m) for m in models]
-    assert digests == expected
+    digest, run, digests = model_digester(), [], []
+    for c, recorded in islice(_recorded_run(a, ops, c0), n):
+        run.append(c)
+        digests.append(digest(recorded))
+    assert digests == [model_digest(m) for m in run]
+    models = [m for c in run for m in (c, *others)]
     digest = model_digester()
-    assert [digest(m) for m in models] == expected
+    assert [digest(m) for m in models] == [model_digest(m) for m in models]
     return models
 
 
@@ -683,23 +690,23 @@ def _spy_sha256(monkeypatch):
     monkeypatch.setattr(_Sha256Spy, "copies", 0)
 
 
-@pytest.mark.parametrize("during_run", [True, False])
+@pytest.mark.parametrize("from_change", [True, False])
 def test_a_step_that_changes_the_last_component_hashes_from_the_block_before_it(
-        monkeypatch, during_run):
+        monkeypatch, from_change):
     n = 2000
     last = f"C{n - 1:04d}"
     ops = parse_recipes(_touch(last)).operation_table()
-    run = _run_models(build_automaton(parse_path(f"(T{last})+")), ops,
-                      parse_model(_chain_text(n)))
+    run = _recorded_run(build_automaton(parse_path(f"(T{last})+")), ops,
+                        parse_model(_chain_text(n)))
     _spy_sha256(monkeypatch)
     digest = model_digester()
-    c0 = next(run)
+    c0, _ = next(run)
     first = digest(c0)
-    c1 = next(run)
-    if not during_run:  # the same objects in another dict, which no index comes with
-        c1 = ComponentModel(c1.name, dict(c1.components), c1.bindings, c1.delegations)
+    c1, change = next(run)
     _Sha256Spy.hashed = 0
-    second = digest(c1)
+    # the step's change, or the same objects in another dict, compared by identity
+    second = digest(change if from_change else
+                    ComponentModel(c1.name, dict(c1.components), c1.bindings, c1.delegations))
     hashed = _Sha256Spy.hashed
     monkeypatch.undo()
     parts = _parts(c1)

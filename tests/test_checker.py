@@ -45,7 +45,7 @@ from reconfcheck.adl import model_digest
 from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE
 from reconfcheck.cli import run_cli
 from reconfcheck.ftpl import After, Before
-from reconfcheck.model import Bound, ComponentPresent, FalseAtom, TrueAtom
+from reconfcheck.model import Bound, ComponentPresent, FalseAtom, TrueAtom, component_sum
 from reconfcheck.oracle import oracle_eval_detailed
 
 import generators
@@ -150,21 +150,28 @@ def test_after_over_a_non_monotone_inner_on_a_cut_window(crosscheck, http_model,
                                         "in preceding segment")
 
 
-def _walk_applications_until_the_window(monkeypatch) -> list:
-    """Count the gated walk's applications, and make any once the gate-refused
-    window is unfolded raise: the window walk reads the models ``_unfold`` built."""
-    walked, window = [], []
-    unfold = checker._unfold
-    monkeypatch.setattr(checker, "_unfold", lambda *args: window.append(args) or unfold(*args))
+def _applications(monkeypatch) -> list:
+    """Where check applies each operation, in order: in ``_Gate.decide``,
+    ``_unfold`` or ``_fails``, the innermost of them that is running, or
+    else in a walk; ``"window"`` marks where a gate-refused window was
+    unfolded, so that the window walk's own applications show after it.
+    The oracle applies through ``reconfig`` and is not counted."""
+    places, named = [], {fn.__code__: name for name, fn in (
+        ("decide", checker._Gate.decide), ("_unfold", checker._unfold),
+        ("_fails", checker._fails))}
 
     def apply(op, c):
-        if window:
-            raise AssertionError("the window walk applied an operation")
-        walked.append(op)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in named:
+            frame = frame.f_back
+        places.append("walk" if frame is None else named[frame.f_code])
         return apply_evolution(op, c)
 
+    unfold = checker._unfold
     monkeypatch.setattr(checker, "apply_evolution", apply)
-    return walked
+    monkeypatch.setattr(checker, "_unfold",
+                        lambda *args: (unfold(*args), places.append("window"))[0])
+    return places
 
 
 @pytest.mark.parametrize("text, status, index", [
@@ -183,16 +190,14 @@ def test_a_cut_window_is_judged_without_the_oracle(text, status, index, http_mod
 
     monkeypatch.setattr(checker, "oracle_eval_detailed", refuse)
     monkeypatch.setattr(oracle, "_ev", refuse)
-    # each window transition is applied once, by _unfold, and the walk reads its models
-    walked = _walk_applications_until_the_window(monkeypatch)
-    applied = []
-    monkeypatch.setattr(reconfig, "apply_evolution",
-                        lambda op, c: applied.append(op) or apply_evolution(op, c))
+    places = _applications(monkeypatch)
     a = build_automaton(parse_path("(DeviationUp)+"))
     verdict = check(parse_formula(text), a, http_model, http_ops, CheckOptions(max_steps=20))
-    # the run to the gate's refusal at P+2|C| = 2, walked or applied by the gate, then the window
-    assert len(walked) + len(applied) == 2 + 20
-    assert len(applied) >= 20
+    # each of the 20 window positions is applied once: the walk takes the
+    # run to the gate's refusal at P+2|C| = 2, the window takes the rest
+    # and reads the first two off the run's records, and the window walk
+    # and the witness apply nothing
+    assert places == ["walk"] * 2 + ["_unfold"] * 18 + ["window"]
     assert verdict.status == status
     if status == "unknown":
         assert verdict.reason == REASON_BUDGET
@@ -218,10 +223,12 @@ def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, per
                                                            index, violated, monkeypatch):
     f, a, c0, ops = generators.gen_case(seed)
     assert check(f, a, c0, ops).reason == REASON_CYCLE
-    window = checker._unfold(a, c0, ops, max_steps)
+    window = checker._unfold(checker._Run(a, ops, c0), max_steps)
     assert (len(window.entries), window.period_start) == (max_steps, period_start)
-    _walk_applications_until_the_window(monkeypatch)
+    places = _applications(monkeypatch)
     verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps, oracle_crosscheck=True))
+    # the window walk applies nothing; the proof check takes the run past the window
+    assert set(places[places.index("window") + 1:]) <= {"_fails"}
     assert verdict.status == "fails"
     assert (verdict.witness.violation_index, verdict.witness.violated) == (index, violated)
     assert len(verdict.witness.steps) == len(window.entries)
@@ -237,27 +244,16 @@ def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, per
 def test_the_gated_walk_applies_each_transition_it_counts(text, max_steps, base_automaton,
                                                           cache_formula, http_recipes,
                                                           http_model, http_ops, monkeypatch):
-    # once each, and only after charging the budget: a budget of 3 allows 3
-    applied = []
-    monkeypatch.setattr(checker, "apply_evolution",
-                        lambda op, c: applied.append(op) or apply_evolution(op, c))
+    # once each, and only after charging the budget: a budget of 3 allows 3;
+    # the gate takes the run on to P+2|C| itself
+    places = _applications(monkeypatch)
     f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
     verdict = check(f, base_automaton, http_model, http_ops, CheckOptions(max_steps=max_steps))
     assert verdict.reason != REASON_CYCLE
-    assert 0 < len(applied) == verdict.stats.transitions_applied
+    assert 0 < places.count("walk") == verdict.stats.transitions_applied
+    assert set(places) <= {"walk", "decide"}
     if max_steps is not None:
-        assert len(applied) <= max_steps
-
-
-def _count_applications(monkeypatch) -> tuple[list, list]:
-    """The operations the walk applies, and those run_path applies: the
-    gate's own applications, a witness's replay and a window's unfolding."""
-    walked, stepped = [], []
-    monkeypatch.setattr(checker, "apply_evolution",
-                        lambda op, c: walked.append(op) or apply_evolution(op, c))
-    monkeypatch.setattr(reconfig, "apply_evolution",
-                        lambda op, c: stepped.append(op) or apply_evolution(op, c))
-    return walked, stepped
+        assert places.count("walk") <= max_steps
 
 
 @pytest.mark.parametrize("text", [
@@ -268,13 +264,13 @@ def _count_applications(monkeypatch) -> tuple[list, list]:
 def test_the_gate_reads_the_run_a_top_instance_walks_past_its_decision(
         text, base_automaton, cache_formula, http_recipes, http_model, http_ops, monkeypatch):
     # the walk reaches P+2|C|, where the gate compares two of its configurations
-    walked, stepped = _count_applications(monkeypatch)
+    places = _applications(monkeypatch)
     f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
     verdict = check(f, base_automaton, http_model, http_ops)
     a = base_automaton
     assert verdict.is_holds
-    assert stepped == []
-    assert len(walked) == verdict.stats.transitions_applied >= 2 * a.n_states - a.back_target
+    assert set(places) == {"walk"}
+    assert len(places) == verdict.stats.transitions_applied >= 2 * a.n_states - a.back_target
 
 
 def test_the_gate_alone_decides_as_the_cycle_applied_twice_at_its_entry():
@@ -295,43 +291,41 @@ def test_the_gate_alone_decides_as_the_cycle_applied_twice_at_its_entry():
     assert len(decided) == 4 and sum(decided.values()) > 4000, decided
 
 
-def test_a_check_applies_its_walk_the_rest_of_the_gate_and_its_replay(monkeypatch):
-    rests = []
+def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
+    # the walk applies each transition it takes, the gate the run's positions
+    # from the walk's frontier to P+2|C|, once each, and a witness none
+    frontiers = []
     decide = checker._Gate.decide
 
     def deciding(gate):
-        rests.append(gate.twice_at - gate.pos if gate.admits is None else 0)
+        if gate.admits is None:
+            frontiers.append(len(gate.run.steps) - 1)
         return decide(gate)
 
     monkeypatch.setattr(checker._Gate, "decide", deciding)
-    windows = []
-    unfold = checker._unfold
-    monkeypatch.setattr(checker, "_unfold", lambda *args: windows.append(args) or unfold(*args))
     kinds = dict.fromkeys(("refused", "read", "rest"), 0)
     for seed in range(300):
         f, a, c0, ops = generators.gen_case(seed)
         twice_at = 2 * a.n_states - a.back_target if a.has_cycle else 0  # P+2|C|
         for max_steps in (None, 1, a.n_states):
-            walked, stepped = _count_applications(monkeypatch)
-            rests.clear()
-            windows.clear()
+            places = _applications(monkeypatch)
+            frontiers.clear()
             try:
                 verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
             except CpEvalError:
                 continue
             if verdict.reason == REASON_CYCLE:
                 kinds["refused"] += 1
-                assert len(walked) + len(stepped) <= twice_at
+                assert len(places) <= twice_at
                 assert verdict.stats == checker.CheckStats(0, 0, 0)
                 continue
-            if windows:
-                continue  # a gate-refused window, unfolded by run_path
-            replayed = len(verdict.witness.steps) - 1 if verdict.is_fails else 0
-            rest = sum(rests)
+            if "window" in places:
+                continue  # a gate-refused window
+            rest = twice_at - frontiers[0] if frontiers else 0
             kinds["rest" if rest else "read"] += 1
-            assert len(walked) == verdict.stats.transitions_applied
-            assert len(stepped) == rest + replayed
-            assert rest <= twice_at
+            assert places.count("walk") == verdict.stats.transitions_applied
+            assert places.count("decide") == rest <= twice_at
+            assert "_fails" not in places
     assert min(kinds.values()) > 20, kinds
 
 
@@ -355,25 +349,24 @@ def test_the_walk_looks_up_one_successor_per_transition(path, text, status, base
                                                         cache_formula, http_recipes,
                                                         http_model, http_ops, monkeypatch):
     # each instance's run looks up its next transition once, plus the lookup
-    # that ends it; the gate's own applications past the walk's end and a
-    # failing check's witness replay step run_path, one lookup per application
-    lookups, instances, stepped = [], [], []
+    # that ends it; the gate's own applications past the walk's end look up
+    # one each, and a witness reads the run's records
+    lookups, instances = [], []
     succ, fresh = checker.PathAutomaton.succ, checker._fresh_marks
     monkeypatch.setattr(checker.PathAutomaton, "succ",
                         lambda a, q: lookups.append(q) or succ(a, q))
     monkeypatch.setattr(checker, "_fresh_marks", lambda a: instances.append(a) or fresh(a))
-    monkeypatch.setattr(reconfig, "apply_evolution",
-                        lambda op, c: stepped.append(op) or apply_evolution(op, c))
+    places = _applications(monkeypatch)
     a = base_automaton if path is None else build_automaton(parse_path(path))
     f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
     verdict = check(f, a, http_model, http_ops)
-    replayed = len(verdict.witness.steps) - 1 if verdict.is_fails else 0
+    stepped = places.count("decide")
     assert verdict.status == status
     assert instances
-    assert replayed <= len(stepped)
-    assert len(lookups) <= verdict.stats.transitions_applied + len(instances) + len(stepped)
+    assert set(places) <= {"walk", "decide"}
+    assert len(lookups) <= verdict.stats.transitions_applied + len(instances) + stepped
     if not a.has_cycle:
-        assert len(stepped) == replayed  # no gate
+        assert stepped == 0  # no gate
 
 
 def test_every_exhausted_instance_unfolding_ends_settled(monkeypatch):
@@ -949,8 +942,9 @@ def _slice_run(walk, q, c, pos):
         marks[q] = checker._Mark.AGAIN if mk is checker._Mark.UNCHECKED \
             else checker._Mark.CHECKED
         label, q = nxt
-        c, pos = walk.reach(label, q, c), pos + 1
-        if walk.gate is not None and walk.gate.see(pos, q, c) is False:
+        pos += 1
+        c = walk.reach(label, q, c, pos)
+        if walk.gate is not None and pos == walk.gate.twice_at and not walk.gate.decide():
             raise checker._Refused()
         taken += 1
         walk.transitions += 1
@@ -1131,3 +1125,167 @@ def test_check_frees_what_it_built_without_the_cycle_collector(
         assert sum(ref() is not None for ref in built) == 0
     finally:
         gc.enable()
+
+
+# --- one run per check, recorded as changes -----------------------------------------
+
+def _recorded_runs(monkeypatch) -> list:
+    """The run of each check made from now on, as the check left it."""
+    runs = []
+    init = checker._Run.__init__
+
+    def keeping(run, *args):
+        init(run, *args)
+        runs.append(run)
+
+    monkeypatch.setattr(checker._Run, "__init__", keeping)
+    return runs
+
+
+@pytest.mark.parametrize("oracle_crosscheck", [False, True])
+def test_a_check_applies_each_run_position_once(oracle_crosscheck, monkeypatch):
+    # the run takes each position once, whoever asks for it; only a nested
+    # instance that walks again positions the run holds applies them again.
+    # A witness and its proof apply nothing, and a gate-refused window
+    # takes only the positions past the run's frontier
+    runs = _recorded_runs(monkeypatch)
+    frontiers, unfold = [], checker._unfold
+    monkeypatch.setattr(checker, "_unfold", lambda run, max_steps: (
+        frontiers.append(len(run.steps) - 1), unfold(run, max_steps))[1])
+    take = checker._Run._take.__code__
+    named = {checker._fails.__code__: "_fails", unfold.__code__: "_unfold"}
+    applied = []
+
+    def apply(op, c):
+        frame, place, took = sys._getframe(1), "walk", False
+        while frame is not None and frame.f_code not in named:
+            took = took or frame.f_code is take
+            frame = frame.f_back
+        applied.append((place if frame is None else named[frame.f_code], took))
+        return apply_evolution(op, c)
+
+    monkeypatch.setattr(checker, "apply_evolution", apply)  # the oracle applies through reconfig
+    kinds = Counter()
+    for seed in range(600):
+        f, a, c0, ops = generators.gen_case(seed)
+        for max_steps in (None, 2 * a.n_states):
+            runs.clear(), applied.clear(), frontiers.clear()
+            try:
+                verdict = check(f, a, c0, ops, CheckOptions(max_steps, oracle_crosscheck))
+            except CpEvalError:
+                continue
+            run, = runs
+            places = [place for place, _took in applied]
+            assert "_fails" not in places
+            assert sum(took for _place, took in applied) == len(run.steps) - 1
+            assert all(took or place == "walk" for place, took in applied)
+            if frontiers:
+                kinds["window"] += 1
+                assert places.count("_unfold") == len(run.steps) - 1 - frontiers[0]
+            kinds["fails" if verdict.is_fails else "other"] += 1
+            kinds["walked again"] += not all(took for _place, took in applied)
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_the_records_rebuild_the_run(monkeypatch):
+    # on generated cases, gate-refused windows and nested afters among them:
+    # the configurations rebuilt at any positions are run_path's, every
+    # witness digest is the plain digest of one of them, and the digester
+    # takes each distinct configuration of a witness once
+    runs = _recorded_runs(monkeypatch)
+    digested, plain = [], checker.model_digester
+
+    def counting():
+        digest = plain()
+        return lambda m: digested.append(m) or digest(m)
+
+    monkeypatch.setattr(checker, "model_digester", counting)
+    rng = random.Random(37)
+    kinds = Counter()
+    for seed in range(600):
+        f, a, c0, ops = generators.gen_case(seed)
+        refused = None
+        for max_steps in (None, 2 * a.n_states):
+            runs.clear(), digested.clear()
+            try:
+                verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
+            except CpEvalError:
+                break
+            refused = verdict.reason == REASON_CYCLE if refused is None else refused
+            run, = runs
+            n = len(run.steps)
+            expected = [("", 0, c0), *itertools.islice(reconfig.run_path(a, ops, 0, c0), n - 1)]
+            assert [step[:2] for step in run.steps] == [e[:2] for e in expected]
+            positions = sorted(rng.sample(range(n), rng.randint(1, n)))
+            assert list(run.configurations(positions)) == [(p, expected[p][2]) for p in positions]
+            if verdict.is_fails:
+                shown = [expected[i][2] for i in range(len(verdict.witness.steps))]
+                assert [s.digest for s in verdict.witness.steps] == list(map(model_digest, shown))
+                distinct = []
+                for c in shown:
+                    if c not in distinct:  # found with ==
+                        distinct.append(c)
+                assert len(digested) == len(distinct)
+                kinds["window" if refused else "gated"] += 1
+                kinds["repeats"] += len(distinct) < len(shown)
+            kinds["nested after"] += isinstance(f, After) and isinstance(f.inner, After)
+    assert min(kinds.values()) > 20, kinds
+
+
+@pytest.mark.parametrize("model_text, ops_text, path, components_collide", [
+    # the one binding is cut and made again: only it differs between positions
+    ("model M { component A { class K output o : T } component B { class K input i : T } "
+     "bind A.o -> B.i }", "op Cut { unbind A.o -> B.i } op Make { bind A.o -> B.i }",
+     "Cut Make Cut Make", True),
+    # a's value toggles: only it differs
+    ("model M { component A { class K param a : int = 1 param b : int = 7 } }",
+     "op T { set A.a := 3 - param(A.a) }", "T T T T", False),
+    # a's and b's values swap, and a component's hash leaves out which value has which name
+    ("model M { component A { class K param a : int = 1 param b : int = 2 } }",
+     "op T { set A.a := param(A.b)  set A.b := 3 - param(A.a) }", "T T T T", True),
+])
+@pytest.mark.parametrize("oracle_crosscheck", [False, True])
+def test_positions_alike_but_for_one_value_or_binding_never_share_a_digest(
+        model_text, ops_text, path, components_collide, oracle_crosscheck, monkeypatch):
+    digested, plain = [], checker.model_digester
+
+    def counting():
+        digest = plain()
+        return lambda m: digested.append(m) or digest(m)
+
+    monkeypatch.setattr(checker, "model_digester", counting)
+    c0, ops = parse_model(model_text), parse_recipes(ops_text).operation_table()
+    a = build_automaton(parse_path(path))
+    verdict = check(parse_formula("eventually [false]"), a, c0, ops,
+                    CheckOptions(oracle_crosscheck=oracle_crosscheck))
+    c1 = apply_evolution(ops[a.labels[0]], c0).result
+    assert c1 != c0
+    assert (component_sum(c1) == component_sum(c0)) == components_collide
+    first, second = model_digest(c0), model_digest(c1)
+    assert first != second
+    # the positions alternate between two configurations, each digested once
+    assert [s.digest for s in verdict.witness.steps] == [first, second] * 2 + [first]
+    assert len(digested) == 2
+
+
+def test_the_run_takes_a_step_only_from_its_newest_model(http_model, http_ops):
+    c0 = ComponentModel(http_model.name, http_model.components, http_model.bindings,
+                        http_model.delegations)  # a model no run has handed an index
+    run = checker._Run(build_automaton(parse_path("(RemoveCacheHandler AddCacheHandler)+")),
+                       http_ops, c0)
+    c1 = run.reach("RemoveCacheHandler", 1, c0, 1)
+    assert len(run.steps) == 2 and run.newest is c1
+    # a model unlike the run's at its frontier is applied to, and nothing is recorded
+    other = apply_evolution(http_ops["DeviationUp"], c1).result
+    assert other != c1
+    assert run.reach("AddCacheHandler", 0, other, 2) == \
+        apply_evolution(http_ops["AddCacheHandler"], other).result
+    assert len(run.steps) == 2 and run.newest is c1
+    # a position the run holds, walked again: applied, and nothing is recorded
+    again = run.reach("RemoveCacheHandler", 1, c0, 1)
+    assert again == c1 and again is not c1 and len(run.steps) == 2 and run.newest is c1
+    # an equal model the run did not build: the run takes the step from its own
+    twin = ComponentModel(c1.name, dict(c1.components), c1.bindings, c1.delegations)
+    c2 = run.reach("AddCacheHandler", 0, twin, 2)
+    assert len(run.steps) == 3 and run.newest is c2
+    assert list(run.configurations(range(3))) == [(0, c0), (1, c1), (2, c2)]

@@ -541,12 +541,13 @@ def test_idempotence_report(samples_dir, capsys):
 def test_idempotence_applies_the_run_to_the_gate_once(path, structural, samples_dir,
                                                       tmp_path, capsys, monkeypatch):
     # both answers are read off one run to P+2|C|: 13 transitions on server.rp
-    from reconfcheck import reconfig
+    from reconfcheck import checker, reconfig
 
     applied = []
-    apply = reconfig.apply_evolution
-    monkeypatch.setattr(reconfig, "apply_evolution",
-                        lambda op, c: applied.append(op) or apply(op, c))
+    for module in (checker, reconfig):
+        apply = module.apply_evolution
+        monkeypatch.setattr(module, "apply_evolution",
+                            lambda op, c, apply=apply: applied.append(op) or apply(op, c))
     args = _check_args(samples_dir)[1:]
     if path is not None:
         (tmp_path / "cycle.rp").write_text(path)
