@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import chain, compress
-from operator import is_not
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 # validate_model stays importable because perfbench/tracer.py rebinds it here
 from .model import (
@@ -616,17 +614,11 @@ def model_digester() -> Callable[[Union[ComponentModel, Change]], str]:
     so successive configurations share most of their text.  The returned
     function keeps the last configuration's text part by part, as
     :func:`_model_parts` splits it, with its sorted component ids, the
-    component object at each id and the sorted binding keys.  Each digest
-    patches the parts the next configuration changed:
-
-    - a :class:`~reconfcheck.model.Change` stands for the last configuration
-      changed as it says, and has its ids and bindings patched;
-    - the first model, one with another name, one mostly unlike the last,
-      or one that follows a change, is formatted afresh as
-      :func:`print_model` formats it, each distinct body once;
-    - any other model has the ids and the bindings that came or went
-      patched and the rest of its components compared by identity; the
-      objects held keep their ids from being reused meanwhile.
+    component object at each id and the sorted binding keys.  It takes
+    the run's first configuration as a model, which it formats afresh as
+    :func:`print_model` formats it, each distinct body once, and each
+    later one as the :class:`~reconfcheck.model.Change` from the last one
+    it took, whose ids and bindings it patches.
 
     SHA-256 hashes its input in order, so a digest resumes from the state
     it reached just before the first part that changed.  A text of more
@@ -634,108 +626,73 @@ def model_digester() -> Callable[[Union[ComponentModel, Change]], str]:
     :data:`_BLOCK` parts, and hashes from the last copy before the first
     changed part to the end, keeping new copies as it goes; a shorter text
     is hashed whole, as :func:`model_digest` hashes it.  Its digests equal
-    :func:`model_digest`'s.  It keeps no model: only the last one's
-    component dict, binding and delegation sets and parts, and hash states.
+    :func:`model_digest`'s.  It keeps no model: only the last
+    configuration's components, delegation set and parts, and hash states.
     """
     import hashlib  # a check that shows no witness makes no digester
 
-    name: Optional[str] = None  # the last model's name, None after a change
-    held: dict[str, Component] = {}  # its component dict, held
-    ids: list[str] = []  # its ids, sorted
+    ids: list[str] = []  # the last configuration's ids, sorted
     objs: list[Component] = []  # the component at each id
-    before: frozenset[Binding] = frozenset()  # its binding set, held
-    keys: list[tuple[str, str, str, str]] = []  # their sort keys, in order
-    delegated: frozenset[Delegation] = frozenset()  # its delegation set, held
+    keys: list[tuple[str, str, str, str]] = []  # its binding sort keys, in order
+    delegated: frozenset[Delegation] = frozenset()  # its delegation set
     parts: list[str] = []  # its text, part by part: id i at i + 1, then the bindings
     states = [hashlib.sha256()]  # states[k]: the state after hashing parts[:k * _BLOCK]
     first = 0  # the first part the configuration being digested changed
 
-    def patch(component: Callable[[str], Optional[Component]],
-              bound: Callable[[Binding], bool], changed: Iterable) -> None:
-        """Bring the ``changed`` ids and bindings up to date: id ``x`` holds
-        ``component(x)``, or nothing if None, and binding ``b`` is present
-        if ``bound(b)``."""
-        nonlocal first
-        for x in changed:
-            if isinstance(x, str):
-                c = component(x)
-                i = bisect_left(ids, x)
-                at = i + 1
-                if i < len(ids) and ids[i] == x:
-                    if c is None:
-                        del ids[i], objs[i], parts[at]
-                    elif objs[i] is not c:
-                        objs[i], parts[at] = c, _component_text(c)
-                    else:
-                        continue
-                elif c is not None:
-                    ids.insert(i, x)
-                    objs.insert(i, c)
-                    parts.insert(at, _component_text(c))
-                else:
-                    continue
-            else:
-                key = binding_key(x)
-                i = bisect_left(keys, key)
-                at = len(ids) + 1 + i
-                line_held = i < len(keys) and keys[i] == key
-                if bound(x) == line_held:
-                    continue
-                if line_held:
-                    del keys[i], parts[at]
-                else:
-                    keys.insert(i, key)
-                    parts.insert(at, _binding_line(key))
-            first = min(first, at)
-
     def update(m: Union[ComponentModel, Change]) -> None:
         """Bring the parts up to date with ``m``, setting ``first``."""
-        nonlocal name, held, before, delegated, first
-        if isinstance(m, Change):
-            comps, links = m.components, m.bindings
-            patch(comps.get, links.get, chain(comps, links))
-            name = None  # no dict or set of this configuration is held to compare with
-            delegations = delegated - m.uncoupled if m.uncoupled else delegated
-        else:
-            comps, bindings = m.components, m.bindings
-            if m.name != name or len(moved := comps.keys() ^ held.keys()) > len(ids):
-                ids[:] = sorted(comps)  # mostly another model: afresh
-                objs[:] = map(comps.__getitem__, ids)
-                keys[:], lines = _binding_lines(bindings)
-                parts[:] = _model_parts(m, _component_texts(objs), lines)
-                name, delegated, first = m.name, m.delegations, 0
+        nonlocal delegated, first
+        if not isinstance(m, Change):
+            ids[:] = sorted(m.components)
+            objs[:] = map(m.components.__getitem__, ids)
+            keys[:], lines = _binding_lines(m.bindings)
+            parts[:] = _model_parts(m, _component_texts(objs), lines)
+            delegated, first = m.delegations, 0
+            return
+        for x, c in m.components.items():
+            i = bisect_left(ids, x)
+            at = i + 1
+            if i < len(ids) and ids[i] == x:
+                if c is None:
+                    del ids[i], objs[i], parts[at]
+                elif objs[i] is not c:
+                    objs[i], parts[at] = c, _component_text(c)
+                else:
+                    continue
+            elif c is not None:
+                ids.insert(i, x)
+                objs.insert(i, c)
+                parts.insert(at, _component_text(c))
             else:
-                if comps is not held:
-                    patch(comps.get, bindings.__contains__, moved)
-                    now = list(map(comps.__getitem__, ids))
-                    for i in compress(range(len(now)), map(is_not, objs, now)):
-                        parts[i + 1] = _component_text(now[i])
-                        first = min(first, i + 1)
-                    objs[:] = now
-                if bindings is not before:
-                    gone, new = before - bindings, bindings - before
-                    if len(gone) + len(new) > len(keys):  # mostly another set: sort afresh
-                        at = len(ids) + 1
-                        sort_keys, parts[at:at + len(keys)] = _binding_lines(bindings)
-                        keys[:] = sort_keys
-                        first = min(first, at)
-                    else:
-                        patch(comps.get, bindings.__contains__, chain(gone, new))
-            held, before, delegations = comps, bindings, m.delegations
-        if delegations is not delegated:
+                continue
+            first = min(first, at)
+        for b, bound in m.bindings.items():
+            key = binding_key(b)
+            i = bisect_left(keys, key)
+            at = len(ids) + 1 + i
+            line_held = i < len(keys) and keys[i] == key
+            if bound == line_held:
+                continue
+            if line_held:
+                del keys[i], parts[at]
+            else:
+                keys.insert(i, key)
+                parts.insert(at, _binding_line(key))
+            first = min(first, at)
+        if m.uncoupled:
             at = len(ids) + len(keys) + 1
-            lines = _delegation_lines(delegations)
+            delegated = delegated - m.uncoupled
+            lines = _delegation_lines(delegated)
             if parts[at:-1] != lines:
                 parts[at:-1] = lines
                 first = min(first, at)
-            delegated = delegations
 
     def digest(m: Union[ComponentModel, Change]) -> str:
         nonlocal first
         first = len(parts)
         update(m)
         if len(parts) <= _BLOCK:
-            # hashed whole, keeping no state: the first part the next model
+            # hashed whole, keeping no state: the first part the next configuration
             # changes comes before this text's last, so it resumes from states[0]
             return _digest("".join(parts))
         k = first // _BLOCK

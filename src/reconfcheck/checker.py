@@ -46,7 +46,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 # model_digest stays importable because perfbench/tracer.py rebinds it here
@@ -66,8 +66,8 @@ from .ftpl import (
 )
 # the walk compiles properties and the unfolder erases parameter values; the
 # names stay importable because perfbench/tracer.py rebinds them in this module
-from .model import Binding, Change, ChangeFields, CompiledCp, ComponentModel, ConfigProperty, \
-    CpEvalError, compile_cp, component_sum, composed, erase_param_values, eval_cp, hold_index, \
+from .model import Binding, CompiledCp, ComponentModel, ConfigProperty, CpEvalError, Derived, \
+    compile_cp, component_sum, composed, erase_param_values, eval_cp, hold_index, \
     validate_model  # noqa: F401
 # oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
 from .oracle import ConcreteLasso, LassoStep, Refutation, oracle_eval_detailed, \
@@ -76,7 +76,7 @@ from .pathspec import PathAutomaton, PathExpr, residual_from
 # apply_sequence and is_idempotent_sequence, which nothing here calls, stay
 # importable because perfbench/tracer.py rebinds them here
 from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
-    is_idempotent_sequence  # noqa: F401
+    is_idempotent_sequence, run_path  # noqa: F401
 from .record import record
 
 HOLDS = "holds"
@@ -204,7 +204,18 @@ class _Refused(Exception):
     """The idempotence gate refused the cycle: the walk stops at once."""
 
 
-_UNCHANGED: ChangeFields = ({}, {}, frozenset())
+def _step(op: EvolutionOperation, m: ComponentModel) -> tuple[ComponentModel, list[Derived]]:
+    """``op`` applied to ``m``, the newest model of a run, with what
+    :func:`~reconfcheck.model.derive_model` changed for it, read off the
+    run's index as it goes: O(changed), and nothing for a step that changes
+    nothing."""
+    hold_index(m)  # the walk's unfoldings release the index of where they stop
+    index = m._index
+    index.log = log = []
+    try:
+        return apply_evolution(op, m).result, log
+    finally:
+        index.log = None  # nothing else the index does is this step's
 
 
 class _Run:
@@ -214,24 +225,22 @@ class _Run:
     position of this one run.  It keeps the initial model ``c0``, the
     newest model, which holds the run's
     :class:`~reconfcheck.model.ModelIndex`, and in ``steps``, for each
-    position it reached, the label into it, its state, the fields of its
-    :class:`~reconfcheck.model.Change` from the position before, read off
-    the index's log as the step is taken, so that each costs what the step
-    changed, and the component sum the operations kept for it
-    (:func:`~reconfcheck.model.component_sum`; None at position 0): a
-    version list of deltas (Driscoll, Sarnak, Sleator & Tarjan, "Making
-    data structures persistent", JCSS 1989).  Of the other models it keeps
-    only ``once``, F(e) for the gate: on a path with a cycle, the model of
-    position ``once_at``, P+|C|, once it takes it.  :meth:`configurations`
-    rebuilds the rest.
+    position it reached, the label into it, its state, the changes
+    :func:`~reconfcheck.model.derive_model` made on the way from the
+    position before (:func:`_step`) and the component sum it kept
+    (:func:`~reconfcheck.model.component_sum`): a version list of deltas
+    (Driscoll, Sarnak, Sleator & Tarjan, "Making data structures
+    persistent", JCSS 1989).  Of the other models it keeps only ``once``,
+    F(e) for the gate: on a path with a cycle, the model of position
+    ``once_at``, P+|C|, from when it takes it until the gate reads it.
+    :meth:`configurations` rebuilds the rest.
     """
 
     def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
                  c0: ComponentModel):
         self.a, self.ops, self.c0 = a, ops, c0
         self.newest = c0
-        self.steps: list[tuple[str, int, ChangeFields, Optional[int]]] = \
-            [("", 0, _UNCHANGED, None)]
+        self.steps: list[tuple[str, int, list[Derived], int]] = [("", 0, [], component_sum(c0))]
         self.once_at = a.n_states if a.has_cycle else None
         self.once: Optional[ComponentModel] = None
 
@@ -249,27 +258,8 @@ class _Run:
 
     def _take(self, label: str, q: int) -> ComponentModel:
         """The step over ``label`` into state ``q`` from the newest model, recorded."""
-        m = self.newest
-        hold_index(m)  # the walk's unfoldings release the index of where they stop
-        log = m._index.log
-        if log is None:
-            log = m._index.open_log()
-        log.clear()
-        new = apply_evolution(self.ops[label], m).result
-        change = _UNCHANGED
-        if new is not m:
-            # each id and binding logged, with its component or presence now
-            comps, bindings = new.components, new.bindings
-            changed, links = {}, {}
-            for x in log:
-                if x.__class__ is str:
-                    changed[x] = comps.get(x)
-                else:
-                    links[x] = x in bindings
-            gone = new.delegations
-            change = changed, links, frozenset() if gone is m.delegations else m.delegations - gone
-        total = new._component_sum  # kept by derive_model, unless no operation changed c0
-        self.steps.append((label, q, change, component_sum(new) if total is None else total))
+        new, log = _step(self.ops[label], self.newest)
+        self.steps.append((label, q, log, component_sum(new)))
         if len(self.steps) - 1 == self.once_at:
             self.once = new
         self.newest = new
@@ -291,9 +281,8 @@ class _Run:
         that the path reaches.  The frontier's is the newest model.  Any
         other is rebuilt from the nearest configuration before it at hand
         (``c0``, ``once``, or the one yielded last) by the changes since,
-        composed in the order they were made, with one ``derive_model``
-        given the recorded sum.  A position past the frontier extends the
-        run first."""
+        composed in the order they were made, with one ``derive_model``.  A
+        position past the frontier extends the run first."""
         at, c, steps = 0, self.c0, self.steps
         for pos in positions:
             if not self.extend_to(pos):
@@ -304,8 +293,7 @@ class _Run:
                 if self.once is not None and at < self.once_at <= pos:
                     at, c = self.once_at, self.once
                 if pos > at:
-                    c = composed(change for _label, _q, change, _sum
-                                 in steps[at + 1:pos + 1]).onto(c, steps[pos][3])
+                    c = composed(log for _label, _q, log, _sum in steps[at + 1:pos + 1]).onto(c)
             at = pos
             yield pos, c
 
@@ -322,6 +310,7 @@ def _cycle_ends(run: _Run) -> tuple[ComponentModel, ComponentModel]:
     length, is the cycle's entry e."""
     a = run.a
     (_, once), (_, twice) = run.configurations((a.n_states, 2 * a.n_states - a.back_target))
+    run.once = None  # read: a later reader rebuilds it, and the check keeps one model less
     return once, twice
 
 
@@ -627,13 +616,15 @@ def _witness_steps(run: _Run, length: int) -> Iterator[WitnessStep]:
     their digests.  One digester takes ``c0`` and then, for each
     configuration not seen before, the changes since the last one it took.
 
-    Repeats are found from the records.  Equal configurations have equal
-    component sums, which the run keeps, equal sums of their bindings'
-    hashes, kept here step by step, and equal delegations gone, of which
-    none comes back.  Among the earlier positions alike in these, position p
-    repeats position j exactly when every id and binding the changes since
-    j touched holds at p what it held at j, compared with ``==`` and read
-    off its own history of changes.
+    Repeats are found from the records, with no model built.  Equal
+    configurations have equal component sums, which the run keeps, equal
+    sums of their bindings' hashes, kept here step by step, and equal
+    delegations gone, of which none comes back.  Among the distinct
+    configurations alike in these, each kept with the latest position it
+    was met at, position p repeats the one at position j exactly when
+    every id and binding the changes since j touched holds at p what it
+    held at j, compared with ``==`` and read off its own history of
+    changes.
     """
     c0, steps = run.c0, run.steps
     components, bindings = c0.components, c0.bindings
@@ -650,37 +641,37 @@ def _witness_steps(run: _Run, length: int) -> Iterator[WitnessStep]:
         return components.get(x) if isinstance(x, str) else x in bindings
 
     digest = model_digester()  # successive configurations share components
-    binding_sum, gone = 0, frozenset()
+    binding_sum, gone = 0, frozenset()  # the drift from c0's, and the delegations gone
     d = digest(c0)
-    # (position, digest) of each distinct configuration, by what equal ones share
-    seen = {(component_sum(c0), binding_sum, gone): [(0, d)]}
+    # [latest position, digest] of each distinct configuration, by what equal ones share
+    seen = {(steps[0][3], binding_sum, gone): [[0, d]]}
     yield WitnessStep(0, "", d)
     last = 0  # the position the digester took last
     for pos in range(1, length):
-        label, q, change, total = steps[pos]
-        comps, links, uncoupled = change
-        for b, came in links.items():
+        label, q, log, total = steps[pos]
+        change = composed([log])
+        for b, came in change.bindings.items():
             if came != held(b, pos - 1):
                 binding_sum += hash(b) if came else -hash(b)
-        for x, value in chain(comps.items(), links.items()):
+        for x, value in chain(change.components.items(), change.bindings.items()):
             kept = history.get(x)
             if kept is None:
                 kept = history[x] = ([], [])
             kept[0].append(pos)
             kept[1].append(value)
-        if uncoupled:
-            gone |= uncoupled
-        key = (total, binding_sum, gone)
-        alike = seen.get(key, ())
-        for j, d in alike:
-            since = composed(change for _label, _q, change, _sum in steps[j + 1:pos + 1])
-            if all(value == held(x, j) for x, value
+        if change.uncoupled:
+            gone |= change.uncoupled
+        alike = seen.setdefault((total, binding_sum, gone), [])
+        for met in alike:
+            since = composed(log for _label, _q, log, _sum in steps[met[0] + 1:pos + 1])
+            if all(value == held(x, met[0]) for x, value
                    in chain(since.components.items(), since.bindings.items())):
+                met[0], d = pos, met[1]  # later repeats compare with this position
                 break
         else:
-            d = digest(composed(change for _label, _q, change, _sum
-                                in steps[last + 1:pos + 1]) if last < pos - 1 else Change(*change))
-            seen[key] = [*alike, (pos, d)]
+            d = digest(change if last == pos - 1 else
+                       composed(log for _label, _q, log, _sum in steps[last + 1:pos + 1]))
+            alike.append([pos, d])
             last = pos
         yield WitnessStep(q, label, d)
 
@@ -688,13 +679,20 @@ def _witness_steps(run: _Run, length: int) -> Iterator[WitnessStep]:
 def run_steps(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], c0: ComponentModel,
               n: int) -> Iterator[tuple[WitnessStep, ComponentModel]]:
     """The first ``n`` positions of the run from ``c0``, as far as the path
-    goes, each as a witness step with its configuration: the run is
-    recorded and digested as :func:`check` records and digests it, and each
-    configuration is the run's own newest model."""
-    run = _Run(a, ops, c0)
-    # each position is taken before its step is read off the records
-    for (_pos, c), step in zip(run.configurations(range(n)), _witness_steps(run, n)):
-        yield step, c
+    goes, each as a witness step with its configuration.  Each step is
+    digested from the changes the run's index logged for it, as a witness
+    is digested, but every position is digested, and nothing is kept."""
+    digest = model_digester()  # successive configurations share components
+    yield WitnessStep(0, "", digest(c0)), c0
+    transitions = run_path(a, ops, 0, c0)  # c0 holds the run's index from here on
+    index = c0._index
+    index.log = log = []
+    try:
+        for label, q, c in islice(transitions, n - 1):
+            yield WitnessStep(q, label, digest(composed([log]))), c
+            log.clear()
+    finally:
+        index.log = None
 
 
 def _fails(run: _Run, length: int, index: int, v: _Violation,

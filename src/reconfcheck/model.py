@@ -169,11 +169,11 @@ class ModelIndex:
     keeps hold none.  Readers that derive no model (erasure, quantifiers)
     use the index of a model that holds one, and scan any other.
 
-    ``log``, None until a reader opens one (:meth:`open_log`), is the set of
-    the ids that :meth:`add`, :meth:`remove` and :meth:`replace` touched
-    since it was opened, and of the bindings :func:`derive_model` cut or
-    made: what the run changed since the model that held the index then.  A
-    check's run reads it to record each step as a :class:`Change`.
+    ``log``, None unless a reader sets a list there, gets one
+    :data:`Derived` for each change :func:`derive_model` makes with the
+    index: a check's run sets one for each step it takes, and keeps it as
+    the step's record, and ``simulate`` reads one step by step (see
+    :func:`composed`).
     """
 
     stopped = links = parents = holders = classes = log = None
@@ -186,16 +186,9 @@ class ModelIndex:
             setattr(self, name, built)
         return built
 
-    def open_log(self) -> set[Union[str, Binding]]:
-        """A new, empty :attr:`log`, which replaces the one open before."""
-        self.log = set()
-        return self.log
-
     def add(self, c: Component) -> None:
         """Component ``c``, linked to nothing, joined the model under its id."""
         cid = c.id
-        if self.log is not None:
-            self.log.add(cid)
         if self.stopped is not None and c.state != STARTED:
             self.stopped.add(cid)
         if self.parents is not None and c.contains:
@@ -209,8 +202,6 @@ class ModelIndex:
         """Component ``c`` left the model, with its links; the other ends of
         its bindings are unlinked as the bindings are cut."""
         cid = c.id
-        if self.log is not None:
-            self.log.add(cid)
         for ids in (self.stopped, self.parents, self.holders):
             if ids is not None:
                 ids.discard(cid)
@@ -228,8 +219,6 @@ class ModelIndex:
         an id or a class in place, so only the set parts can move, and only
         where the field they test did."""
         cid = new.id
-        if self.log is not None:
-            self.log.add(cid)
         if old.state != new.state and self.stopped is not None:
             if new.state == STARTED:
                 self.stopped.discard(cid)
@@ -285,27 +274,24 @@ def component_sum(m: ComponentModel) -> int:
 def derive_model(m: ComponentModel, put: Collection[Component] = (),
                  taken: Collection[str] = (), cut: Collection[Binding] = (),
                  made: Collection[Binding] = (), uncoupled: Collection[Delegation] = (),
-                 index: Optional[ModelIndex] = None, total: Optional[int] = None) -> ComponentModel:
+                 index: Optional[ModelIndex] = None) -> ComponentModel:
     """``m`` changed as an operation states: the one place a model changes.
 
     ``put`` components replace the ones ``m`` holds under their ids, in
     place, or join at the end; ``taken`` ids leave, as do the ``cut``
     bindings and the ``uncoupled`` delegations, and the ``made`` bindings
     join.  What the change leaves alone is shared with ``m``.  The component
-    sum is ``total`` when the caller knows it (with no ``index`` only), and
-    is otherwise derived from ``m``'s, which is forced, so a run carries one
-    sum from its first model on.  ``index``, the one the operation took from
+    sum is derived from ``m``'s, which is forced, so a run carries one sum
+    from its first model on.  ``index``, the one the operation took from
     ``m``, has every built part updated and moves to the new model; its
-    open log, if any, gets the ``cut`` and ``made`` bindings.
+    log, if any, gets the change.
     """
     comps = m.components
-    s = component_sum(m) if total is None else total
-    if (put or taken) and total is not None and index is None:
-        comps = dict(comps)  # no sum or index to keep: the change alone
-        comps.update({c.id: c for c in put})
-        for cid in taken:
-            del comps[cid]
-    elif put or taken:
+    s = component_sum(m)
+    if index is not None and index.log is not None:
+        # as tuples: a collection the caller passes may be one the index keeps changing
+        index.log.append((tuple(put), tuple(taken), tuple(cut), tuple(made), tuple(uncoupled)))
+    if put or taken:
         comps = dict(comps)
         for c in put:
             old = comps.get(c.id)
@@ -323,10 +309,7 @@ def derive_model(m: ComponentModel, put: Collection[Component] = (),
             if index is not None:
                 index.remove(c)
     bindings = m.bindings
-    links, log = (None, None) if index is None else (index.links, index.log)
-    if log is not None:
-        log.update(cut)
-        log.update(made)
+    links = None if index is None else index.links
     if cut:
         bindings = bindings.difference(cut)
         if links is not None:
@@ -360,10 +343,9 @@ class Change:
     bindings: dict[Binding, bool]
     uncoupled: frozenset[Delegation]
 
-    def onto(self, m: ComponentModel, total: Optional[int] = None) -> ComponentModel:
-        """``m`` changed as this says, with one :func:`derive_model` given
-        the result's component sum ``total`` if known; an id that came and
-        went again is absent from ``m`` and stays so."""
+    def onto(self, m: ComponentModel) -> ComponentModel:
+        """``m`` changed as this says, with one :func:`derive_model`; an id
+        that came and went again is absent from ``m`` and stays so."""
         put, taken, comps = [], [], m.components
         for cid, c in self.components.items():
             if c is not None:
@@ -372,24 +354,32 @@ class Change:
                 taken.append(cid)
         links = self.bindings
         return derive_model(m, put, taken, [b for b in links if not links[b]],
-                            [b for b in links if links[b]], self.uncoupled, total=total)
+                            [b for b in links if links[b]], self.uncoupled)
 
 
-# the fields of a Change, as a run keeps one per step
-ChangeFields = tuple[dict[str, Optional[Component]], dict[Binding, bool], frozenset[Delegation]]
+# one change derive_model made, as a log keeps it: put, taken, cut, made, uncoupled
+Derived = tuple[tuple[Component, ...], tuple[str, ...], tuple[Binding, ...],
+                tuple[Binding, ...], tuple[Delegation, ...]]
 
 
-def composed(changes: Iterable[ChangeFields]) -> Change:
-    """The net change of ``changes`` made one after another."""
+def composed(steps: Iterable[Iterable[Derived]]) -> Change:
+    """The net change of ``steps``, taken one after another, each the
+    changes :func:`derive_model` made for it, in order."""
     comps: dict[str, Optional[Component]] = {}
     links: dict[Binding, bool] = {}
-    uncoupled: frozenset[Delegation] = frozenset()
-    for step_comps, step_links, step_uncoupled in changes:
-        comps.update(step_comps)
-        links.update(step_links)
-        if step_uncoupled:
-            uncoupled |= step_uncoupled
-    return Change(comps, links, uncoupled)
+    uncoupled: set[Delegation] = set()
+    for step in steps:
+        for put, taken, cut, made, gone in step:  # each holds a few items at most
+            for c in put:
+                comps[c.id] = c
+            for cid in taken:
+                comps[cid] = None
+            for b in cut:
+                links[b] = False
+            for b in made:
+                links[b] = True
+            uncoupled.update(gone)
+    return Change(comps, links, frozenset(uncoupled))
 
 
 def erase_param_values(m: ComponentModel) -> ComponentModel:

@@ -320,7 +320,7 @@ def run_path(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], q: int,
     transition, each applied only when asked for, ending at a terminal state.
     The newest configuration holds the index its operations keep (see
     :class:`~reconfcheck.model.ModelIndex`), ``c`` from this call on, so a
-    reader of ``c`` can open the index's log before the first transition."""
+    reader of ``c`` can set the index's log before the first transition."""
     hold_index(c)
     return _transitions(a, ops, q, c)
 

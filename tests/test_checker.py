@@ -470,8 +470,8 @@ def test_a_witness_digests_each_distinct_configuration_once(path, text, steps, d
     ("before DeleteFileServer normal always [not component(FileServer2)]", 10),
 ])
 def test_a_witness_leaves_the_initial_model_no_index(text, steps, http_model, http_ops):
-    # the replay hands the initial model the run's index, and the digester
-    # opens a log on it: a later run from the model must not log into it
+    # the check's run hands the initial model its index until a step changes
+    # it: a later run from the model must find none held
     c0 = ComponentModel(http_model.name, http_model.components, http_model.bindings,
                         http_model.delegations)  # a model no run has handed an index
     verdict = check(parse_formula(text), build_automaton(parse_path(SERVER_PATH)), c0, http_ops)
@@ -1266,6 +1266,29 @@ def test_positions_alike_but_for_one_value_or_binding_never_share_a_digest(
     # the positions alternate between two configurations, each digested once
     assert [s.digest for s in verdict.witness.steps] == [first, second] * 2 + [first]
     assert len(digested) == 2
+
+
+def test_a_long_witness_composes_each_step_a_bounded_number_of_times(monkeypatch):
+    # a's value toggles, so every configuration past the second repeats:
+    # each is compared with its latest position, two steps back, never
+    # with the first
+    c0 = parse_model("model M { component A { class K param a : int = 1 } }")
+    ops = parse_recipes("op T { set A.a := 3 - param(A.a) }").operation_table()
+    a = build_automaton(parse_path("(" + " ".join(["T"] * 60) + ")+"))
+    composed, plain = [], checker.composed
+
+    def counting(logs):
+        logs = list(logs)
+        composed.append(len(logs))
+        return plain(logs)
+
+    monkeypatch.setattr(checker, "composed", counting)
+    verdict = check(parse_formula("eventually [false]"), a, c0, ops)
+    n = len(verdict.witness.steps)
+    first, second = model_digest(c0), model_digest(apply_evolution(ops["T"], c0).result)
+    assert n >= 60 and [s.digest for s in verdict.witness.steps] == [first, second] * (n // 2) \
+        + [first] * (n % 2)
+    assert sum(composed) <= 4 * n, (n, sum(composed))
 
 
 def test_the_run_takes_a_step_only_from_its_newest_model(http_model, http_ops):

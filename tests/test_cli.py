@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import reconfcheck
-from reconfcheck import adl, build_automaton, parse_formula, parse_model, parse_path, \
-    print_model, print_path
+from reconfcheck import ComponentModel, build_automaton, checker, parse_formula, parse_model, \
+    parse_path, print_model, print_path
 from reconfcheck.adl import model_digest
 from reconfcheck.cli import run_cli
+from reconfcheck.model import Change
 from reconfcheck.reconfig import run_path
 
 FORMULA = ("after AddCacheHandler normal "
@@ -472,10 +473,16 @@ def test_simulate_prints_the_model_digest_of_every_configuration(samples_dir, tm
 ])
 def test_witnesses_and_simulate_patch_every_step_by_the_runs_log(samples_dir, tmp_path, capsys,
                                                                   monkeypatch, path, formula):
-    # the initial model holds the run's index before it is digested, so no
-    # step of the run is compared by identity, the first one included
-    scans, plain = [], adl.compress
-    monkeypatch.setattr(adl, "compress", lambda *args: scans.append(args) or plain(*args))
+    # each digester formats the initial model afresh and patches every
+    # later configuration from its recorded change, the first step included
+    fed, plain = [], checker.model_digester
+
+    def recording():
+        digest = plain()
+        fed.append([])
+        return lambda m: fed[-1].append(type(m)) or digest(m)
+
+    monkeypatch.setattr(checker, "model_digester", recording)
     if path is not None:
         (tmp_path / "p.rp").write_text(path)
     args = ["--model", str(samples_dir / "http.arch"), "--ops", str(samples_dir / "http.ops"),
@@ -484,7 +491,8 @@ def test_witnesses_and_simulate_patch_every_step_by_the_runs_log(samples_dir, tm
     assert len(json.loads(capsys.readouterr().out)["witness"]["steps"]) > 2
     assert run_cli(["simulate", *args, "--steps", "6", "--dump-dir", str(tmp_path / "d")]) == 0
     assert len(re.findall(r"^step \d+: ", capsys.readouterr().out, re.M)) == 7
-    assert scans == []
+    assert len(fed) == 2 and len(fed[0]) > 1 and len(fed[1]) == 7
+    assert all(types[0] is ComponentModel and set(types[1:]) == {Change} for types in fed)
 
 
 def test_simulate_stops_at_terminal(tmp_path, samples_dir, capsys):

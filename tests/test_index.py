@@ -36,7 +36,7 @@ from reconfcheck import (
     run_path,
 )
 from reconfcheck import model
-from reconfcheck.model import ForAll, VarClassIs, binding_key, compile_cp, hold_index
+from reconfcheck.model import ForAll, VarClassIs, binding_key, compile_cp, composed, hold_index
 from reconfcheck.reconfig import Composite
 
 import generators
@@ -158,7 +158,7 @@ def test_a_run_hands_one_index_on_and_builds_each_part_once(monkeypatch):
         assert all(n == 1 for n in built.values()), built
 
 
-def test_the_log_holds_every_id_the_run_changed_since_it_was_opened():
+def test_a_log_set_on_the_index_gets_every_change_the_run_made_since():
     rng = random.Random(5)
     for a, c0, ops in _lassos(60):
         c0 = _rebuilt(c0)
@@ -167,16 +167,13 @@ def test_the_log_holds_every_id_the_run_changed_since_it_was_opened():
         for _label, _q, c in islice(run_path(a, ops, 0, c0), laps):
             index = c._index
             if log is None:
-                assert index.log is None  # nothing is logged until a reader asks
+                assert index.log is None  # nothing is logged until a reader sets a list
             else:
-                then, now = opened.components, c.components
-                changed = {cid for cid in then.keys() | now.keys()
-                           if then.get(cid) is not now.get(cid)}
-                # and every binding cut or made since
-                assert changed | (opened.bindings ^ c.bindings) <= log
-            if rng.random() < 0.4:  # a digest: the model it read, and a log from there
-                opened, log = c, index.open_log()
-                assert index.log is log and not log
+                assert index.log is log
+                assert composed([log]).onto(opened) == c
+            if rng.random() < 0.4:  # a reader's step: the model it read, and a log from there
+                opened, log = c, []
+                index.log = log
 
 
 def test_readers_and_refused_operations_attach_no_index(http_model):
