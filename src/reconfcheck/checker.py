@@ -12,7 +12,8 @@ A path is deterministic, so every configuration a check needs is a
 position of one run from the initial configuration (``_Run``), extended
 once per position and recorded as the change each step made.  The walk
 extends it at its frontier; a nested instance that walks again positions
-the run holds applies their operations again, since no models are kept.
+the run holds rebuilds each from its record, so every operation a check
+applies is a step of its run.
 
 Soundness over the repeated cycle rests on an idempotence gate: the
 composed cycle F must satisfy F(F(e)) = F(e) at its entry configuration e
@@ -205,11 +206,10 @@ class _Refused(Exception):
 
 
 def _step(op: EvolutionOperation, m: ComponentModel) -> tuple[ComponentModel, list[Derived]]:
-    """``op`` applied to ``m``, the newest model of a run, with what
-    :func:`~reconfcheck.model.derive_model` changed for it, read off the
-    run's index as it goes: O(changed), and nothing for a step that changes
-    nothing."""
-    hold_index(m)  # the walk's unfoldings release the index of where they stop
+    """``op`` applied to ``m``, the newest model of a run, which holds the
+    run's index, with what :func:`~reconfcheck.model.derive_model` changed
+    for it, read off the index as it goes: O(changed), and nothing for a
+    step that changes nothing."""
     index = m._index
     index.log = log = []
     try:
@@ -224,44 +224,44 @@ class _Run:
     A path is deterministic, so every configuration a check reads is a
     position of this one run.  It keeps the initial model ``c0``, the
     newest model, which holds the run's
-    :class:`~reconfcheck.model.ModelIndex`, and in ``steps``, for each
-    position it reached, the label into it, its state, the changes
-    :func:`~reconfcheck.model.derive_model` made on the way from the
-    position before (:func:`_step`) and the component sum it kept
+    :class:`~reconfcheck.model.ModelIndex` from position 0 on, and in
+    ``steps``, for each position it reached, the label into it, its state,
+    the changes :func:`~reconfcheck.model.derive_model` made on the way
+    from the position before (:func:`_step`) and the component sum it kept
     (:func:`~reconfcheck.model.component_sum`): a version list of deltas
     (Driscoll, Sarnak, Sleator & Tarjan, "Making data structures
-    persistent", JCSS 1989).  Of the other models it keeps only ``once``,
-    F(e) for the gate: on a path with a cycle, the model of position
-    ``once_at``, P+|C|, from when it takes it until the gate reads it.
-    :meth:`configurations` rebuilds the rest.
+    persistent", JCSS 1989).  Every other position is rebuilt from the
+    records (:meth:`reach`, :meth:`configurations`).
+
+    Nothing else in a check derives from the newest model with its index:
+    a rebuild carries none (:meth:`~reconfcheck.model.Change.onto`), and
+    the oracle's own ``run_path`` starts from ``c0`` only once the check's
+    run is done.  So the index moves with each step, and each of its parts
+    is built at most once per check.
     """
 
     def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
                  c0: ComponentModel):
         self.a, self.ops, self.c0 = a, ops, c0
+        hold_index(c0)
         self.newest = c0
         self.steps: list[tuple[str, int, list[Derived], int]] = [("", 0, [], component_sum(c0))]
-        self.once_at = a.n_states if a.has_cycle else None
-        self.once: Optional[ComponentModel] = None
 
     def reach(self, label: str, q: int, c: ComponentModel, pos: int) -> ComponentModel:
         """The configuration at position ``pos``, reached over ``label`` into
-        state ``q`` from ``c``, the configuration at ``pos - 1``.  At the
-        frontier the run takes the step from its newest model and records it.
-        A nested operator instance walks again, with models of its own, the
-        positions the run holds: it reaches the frontier with a model equal
-        to the newest, and goes on with the run's.  Any other step is applied
-        to ``c`` and not recorded."""
-        if pos == len(self.steps) and (c is self.newest or c == self.newest):
-            return self._take(label, q)
-        return apply_evolution(self.ops[label], c).result
+        state ``q`` from ``c``, the configuration at ``pos - 1``.  A position
+        the run holds, which a nested operator instance walks again, is
+        rebuilt from its record onto ``c``, with one ``derive_model`` and no
+        operation; the frontier's step is taken from the newest model and
+        recorded."""
+        if pos < len(self.steps):
+            return composed([self.steps[pos][2]]).onto(c)
+        return self._take(label, q)
 
     def _take(self, label: str, q: int) -> ComponentModel:
         """The step over ``label`` into state ``q`` from the newest model, recorded."""
         new, log = _step(self.ops[label], self.newest)
         self.steps.append((label, q, log, component_sum(new)))
-        if len(self.steps) - 1 == self.once_at:
-            self.once = new
         self.newest = new
         return new
 
@@ -279,10 +279,10 @@ class _Run:
     def configurations(self, positions: Iterable[int]) -> Iterator[tuple[int, ComponentModel]]:
         """(position, configuration) for each of ``positions``, increasing,
         that the path reaches.  The frontier's is the newest model.  Any
-        other is rebuilt from the nearest configuration before it at hand
-        (``c0``, ``once``, or the one yielded last) by the changes since,
-        composed in the order they were made, with one ``derive_model``.  A
-        position past the frontier extends the run first."""
+        other is rebuilt from the one yielded last (``c0`` at first) by the
+        changes since, composed in the order they were made, with one
+        ``derive_model``.  A position past the frontier extends the run
+        first."""
         at, c, steps = 0, self.c0, self.steps
         for pos in positions:
             if not self.extend_to(pos):
@@ -290,10 +290,7 @@ class _Run:
             if pos == len(steps) - 1:
                 c = self.newest
             elif pos > at:
-                if self.once is not None and at < self.once_at <= pos:
-                    at, c = self.once_at, self.once
-                if pos > at:
-                    c = composed(log for _label, _q, log, _sum in steps[at + 1:pos + 1]).onto(c)
+                c = composed(log for _label, _q, log, _sum in steps[at + 1:pos + 1]).onto(c)
             at = pos
             yield pos, c
 
@@ -310,7 +307,6 @@ def _cycle_ends(run: _Run) -> tuple[ComponentModel, ComponentModel]:
     length, is the cycle's entry e."""
     a = run.a
     (_, once), (_, twice) = run.configurations((a.n_states, 2 * a.n_states - a.back_target))
-    run.once = None  # read: a later reader rebuilds it, and the check keeps one model less
     return once, twice
 
 

@@ -165,8 +165,8 @@ class ModelIndex:
     input's index, or a new one when the input holds none, builds the parts
     it looks up, and hands the index with its change to :func:`derive_model`,
     which updates every built part and moves the index to its output.  So a
-    run keeps one index, built part by part once, and the models a caller
-    keeps hold none.  Readers that derive no model (erasure, quantifiers)
+    run keeps one index, built part by part once, and the models it moved
+    past hold none.  Readers that derive no model (erasure, quantifiers)
     use the index of a model that holds one, and scan any other.
 
     ``log``, None unless a reader sets a list there, gets one
@@ -247,11 +247,6 @@ def hold_index(m: ComponentModel) -> None:
     """Give ``m`` an index of its own if it holds none: the start of a run."""
     if m._index is None:
         object.__setattr__(m, "_index", ModelIndex())
-
-
-def release_index(m: ComponentModel) -> None:
-    """Drop the index ``m`` holds: the run it is the newest model of has ended."""
-    object.__setattr__(m, "_index", None)
 
 
 _SUM_MASK = (1 << 64) - 1

@@ -25,7 +25,6 @@ from .model import (
     hold_index,
     model_index,
     parent_of,
-    release_index,
 )
 from .record import record
 
@@ -346,8 +345,7 @@ class Unfolding:
     the keys of the entries handed out: the configurations, or with
     ``erased`` their ``erase_param_values`` copies.  A model is its own
     dictionary key (see :class:`~reconfcheck.model.ComponentModel`), so one
-    lookup of (state, key) finds a repeat.  A run that ends leaves no index
-    on the models it hands out.
+    lookup of (state, key) finds a repeat.
     """
 
     def __init__(self, a: PathAutomaton, q: int, c: ComponentModel,
@@ -375,13 +373,11 @@ class Unfolding:
             j = entered.setdefault((q, k), len(self.keys))
             if j < len(self.keys):
                 self.period_start = j
-                release_index(c)
                 return
             self.keys.append(k)
             yield q, label, c
         # the stream looked q's successor up already: only a finite path's last state has none
         self.complete = a.back_target is None and q == a.q_max
-        release_index(c)
 
 
 def operation_table(recipes: Mapping[str, Sequence[Primitive]]) -> dict[str, EvolutionOperation]:

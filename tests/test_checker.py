@@ -244,14 +244,18 @@ def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, per
 def test_the_gated_walk_applies_each_transition_it_counts(text, max_steps, base_automaton,
                                                           cache_formula, http_recipes,
                                                           http_model, http_ops, monkeypatch):
-    # once each, and only after charging the budget: a budget of 3 allows 3;
-    # the gate takes the run on to P+2|C| itself
+    # one operation per position the walk takes at the run's frontier, and
+    # only after charging the budget: a budget of 3 allows 3; the gate takes
+    # the run on to P+2|C| itself
+    runs = _recorded_runs(monkeypatch)
     places = _applications(monkeypatch)
     f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
     verdict = check(f, base_automaton, http_model, http_ops, CheckOptions(max_steps=max_steps))
+    run, = runs
     assert verdict.reason != REASON_CYCLE
-    assert 0 < places.count("walk") == verdict.stats.transitions_applied
-    assert set(places) <= {"walk", "decide"}
+    assert 0 < places.count("walk") <= verdict.stats.transitions_applied
+    assert places == sorted(places, key=["walk", "decide"].index)
+    assert len(places) == len(run.steps) - 1
     if max_steps is not None:
         assert places.count("walk") <= max_steps
 
@@ -292,8 +296,10 @@ def test_the_gate_alone_decides_as_the_cycle_applied_twice_at_its_entry():
 
 
 def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
-    # the walk applies each transition it takes, the gate the run's positions
-    # from the walk's frontier to P+2|C|, once each, and a witness none
+    # the walk applies one operation per position it takes at the run's
+    # frontier, the gate the run's positions from there to P+2|C|, once
+    # each, and a witness none
+    runs = _recorded_runs(monkeypatch)
     frontiers = []
     decide = checker._Gate.decide
 
@@ -309,11 +315,12 @@ def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
         twice_at = 2 * a.n_states - a.back_target if a.has_cycle else 0  # P+2|C|
         for max_steps in (None, 1, a.n_states):
             places = _applications(monkeypatch)
-            frontiers.clear()
+            runs.clear(), frontiers.clear()
             try:
                 verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
             except CpEvalError:
                 continue
+            run, = runs
             if verdict.reason == REASON_CYCLE:
                 kinds["refused"] += 1
                 assert len(places) <= twice_at
@@ -323,7 +330,8 @@ def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
                 continue  # a gate-refused window
             rest = twice_at - frontiers[0] if frontiers else 0
             kinds["rest" if rest else "read"] += 1
-            assert places.count("walk") == verdict.stats.transitions_applied
+            walked = len(run.steps) - 1 - rest
+            assert places.count("walk") == walked <= verdict.stats.transitions_applied
             assert places.count("decide") == rest <= twice_at
             assert "_fails" not in places
     assert min(kinds.values()) > 20, kinds
@@ -1144,11 +1152,14 @@ def _recorded_runs(monkeypatch) -> list:
 
 @pytest.mark.parametrize("oracle_crosscheck", [False, True])
 def test_a_check_applies_each_run_position_once(oracle_crosscheck, monkeypatch):
-    # the run takes each position once, whoever asks for it; only a nested
-    # instance that walks again positions the run holds applies them again.
-    # A witness and its proof apply nothing, and a gate-refused window
-    # takes only the positions past the run's frontier
+    # the run takes each position once, whoever asks for it: a nested
+    # instance that walks again positions the run holds rebuilds them from
+    # its records, a witness and its proof apply nothing, and a
+    # gate-refused window takes only the positions past the run's frontier
     runs = _recorded_runs(monkeypatch)
+    again, reach = [], checker._Run.reach
+    monkeypatch.setattr(checker._Run, "reach", lambda run, label, q, c, pos: (
+        again.append(pos < len(run.steps)), reach(run, label, q, c, pos))[1])
     frontiers, unfold = [], checker._unfold
     monkeypatch.setattr(checker, "_unfold", lambda run, max_steps: (
         frontiers.append(len(run.steps) - 1), unfold(run, max_steps))[1])
@@ -1169,7 +1180,7 @@ def test_a_check_applies_each_run_position_once(oracle_crosscheck, monkeypatch):
     for seed in range(600):
         f, a, c0, ops = generators.gen_case(seed)
         for max_steps in (None, 2 * a.n_states):
-            runs.clear(), applied.clear(), frontiers.clear()
+            runs.clear(), applied.clear(), frontiers.clear(), again.clear()
             try:
                 verdict = check(f, a, c0, ops, CheckOptions(max_steps, oracle_crosscheck))
             except CpEvalError:
@@ -1177,13 +1188,13 @@ def test_a_check_applies_each_run_position_once(oracle_crosscheck, monkeypatch):
             run, = runs
             places = [place for place, _took in applied]
             assert "_fails" not in places
-            assert sum(took for _place, took in applied) == len(run.steps) - 1
-            assert all(took or place == "walk" for place, took in applied)
+            assert len(applied) == len(run.steps) - 1
+            assert all(took for _place, took in applied)
             if frontiers:
                 kinds["window"] += 1
                 assert places.count("_unfold") == len(run.steps) - 1 - frontiers[0]
             kinds["fails" if verdict.is_fails else "other"] += 1
-            kinds["walked again"] += not all(took for _place, took in applied)
+            kinds["walked again"] += any(again)
     assert min(kinds.values()) > 20, kinds
 
 
@@ -1291,24 +1302,31 @@ def test_a_long_witness_composes_each_step_a_bounded_number_of_times(monkeypatch
     assert sum(composed) <= 4 * n, (n, sum(composed))
 
 
-def test_the_run_takes_a_step_only_from_its_newest_model(http_model, http_ops):
+def test_the_run_takes_a_step_only_from_its_newest_model(http_model, http_ops, monkeypatch):
     c0 = ComponentModel(http_model.name, http_model.components, http_model.bindings,
                         http_model.delegations)  # a model no run has handed an index
-    run = checker._Run(build_automaton(parse_path("(RemoveCacheHandler AddCacheHandler)+")),
+    run = checker._Run(build_automaton(parse_path("(DeviationUp RemoveCacheHandler)+")),
                        http_ops, c0)
-    c1 = run.reach("RemoveCacheHandler", 1, c0, 1)
-    assert len(run.steps) == 2 and run.newest is c1
-    # a model unlike the run's at its frontier is applied to, and nothing is recorded
-    other = apply_evolution(http_ops["DeviationUp"], c1).result
-    assert other != c1
-    assert run.reach("AddCacheHandler", 0, other, 2) == \
-        apply_evolution(http_ops["AddCacheHandler"], other).result
-    assert len(run.steps) == 2 and run.newest is c1
-    # a position the run holds, walked again: applied, and nothing is recorded
-    again = run.reach("RemoveCacheHandler", 1, c0, 1)
-    assert again == c1 and again is not c1 and len(run.steps) == 2 and run.newest is c1
-    # an equal model the run did not build: the run takes the step from its own
+    assert c0._index is not None  # the run holds its index from position 0
+    applied = []
+    monkeypatch.setattr(checker, "apply_evolution",
+                        lambda op, c: applied.append(c) or apply_evolution(op, c))
+    c1 = run.reach("DeviationUp", 1, c0, 1)
+    assert len(run.steps) == 2 and run.newest is c1 and applied == [c0]
+    assert c1._index is not None and c0._index is None
+    # a position the run holds, walked again: rebuilt from its record onto
+    # the walk's configuration, with no operation applied and no index
+    again = run.reach("DeviationUp", 1, c0, 1)
+    assert again == c1 and again is not c1 and again._index is None
+    assert len(run.steps) == 2 and run.newest is c1 and applied == [c0]
+    # the frontier's step, reached from an equal model the run did not
+    # build: taken from the newest, which hands its index on
     twin = ComponentModel(c1.name, dict(c1.components), c1.bindings, c1.delegations)
-    c2 = run.reach("AddCacheHandler", 0, twin, 2)
-    assert len(run.steps) == 3 and run.newest is c2
+    c2 = run.reach("RemoveCacheHandler", 0, twin, 2)
+    assert len(run.steps) == 3 and run.newest is c2 and applied == [c0, c1]
+    assert c2._index is not None and c1._index is None and twin._index is None
+    # held positions walked again past the newest: each from the one before
+    assert run.reach("DeviationUp", 1, c0, 1) == c1 != c2
+    assert run.reach("RemoveCacheHandler", 0, again, 2) == c2 != c1
+    assert applied == [c0, c1] and run.newest is c2
     assert list(run.configurations(range(3))) == [(0, c0), (1, c1), (2, c2)]

@@ -20,8 +20,10 @@ from reconfcheck import (
     AddComponent,
     Bind,
     Binding,
+    CheckOptions,
     Component,
     ComponentModel,
+    CpEvalError,
     Delegation,
     Param,
     RemoveComponent,
@@ -29,7 +31,9 @@ from reconfcheck import (
     apply_evolution,
     apply_primitive,
     build_automaton,
+    check,
     erase_param_values,
+    parse_formula,
     parse_model,
     parse_path,
     print_model,
@@ -197,18 +201,25 @@ def test_readers_and_refused_operations_attach_no_index(http_model):
     assert apply_primitive(RemoveComponent("Nope"), held) is held and held._index is index
 
 
-def test_a_model_an_unfolding_keeps_holds_no_index():
+def test_only_the_newest_model_of_a_run_holds_an_index():
+    # the index moves with each step, and an unfolding leaves it where the
+    # run stopped: no model the run handed on holds one, nor any key
     checked = 0
     for a, c0, ops in _lassos(60):
         for erased in (False, True):
-            run = Unfolding(a, 0, c0, islice(run_path(a, ops, 0, _rebuilt(c0)), 400),
-                            erased=erased)
+            made = [_rebuilt(c0)]
+            transitions = ((label, q, made.append(c) or c)
+                           for label, q, c in run_path(a, ops, 0, made[0]))
+            run = Unfolding(a, 0, made[0], islice(transitions, 400), erased=erased)
             entries = list(run)
-            if run.period_start is None:
-                continue  # cut by the limit: its newest model is the run's newest
-            checked += 1
-            assert all(c._index is None for _q, _label, c in entries)
-            assert all(k._index is None for k in run.keys)
+            newest = made[-1]
+            assert newest._index is not None
+            _assert_fresh(newest)
+            # a step that changes nothing hands on the model it was given
+            assert all(c._index is None for c in made if c is not newest)
+            assert all(c._index is None for _q, _label, c in entries if c is not newest)
+            assert all(k._index is None for k in run.keys if k is not newest)
+            checked += run.period_start is not None
     assert checked > 50
 
 
@@ -223,6 +234,47 @@ def _chain_model(n: int) -> ComponentModel:
     bindings = frozenset(Binding(a, "o", b, "head" if b == "Hub" else "i")
                          for a, b in zip(ids, ids[1:]))
     return ComponentModel("Chain", comps, bindings)
+
+
+def test_a_check_builds_each_index_part_at_most_once(monkeypatch):
+    # with the oracle off, the check's run holds the one index from position
+    # 0 on, and a nested instance rebuilds the positions it walks again from
+    # the run's records, with none
+    built = Counter()
+
+    def counting(name, build):
+        def wrapped(m):
+            built[name] += 1
+            return build(m)
+        return wrapped
+
+    for name, build in list(model._BUILDERS.items()):
+        monkeypatch.setitem(model._BUILDERS, name, counting(name, build))
+    checked = 0
+    for seed in range(600):
+        f, a, c0, ops = generators.gen_case(seed)
+        for max_steps in (None, 2 * a.n_states):
+            built.clear()
+            try:
+                check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
+            except CpEvalError:
+                continue
+            assert all(n == 1 for n in built.values()), (seed, max_steps, built)
+            checked += bool(built)
+    assert checked > 500
+    # every occurrence of RmX starts an eventually that walks again
+    # positions the after walked, on a model large enough for a rebuilt
+    # part to show
+    extra = Component("X", "Extra", outputs={"feed": "TX"})
+    ops = {"AddX": Composite("AddX", (AddComponent(extra),
+                                      Bind(Binding("X", "feed", "Hub", "x")))),
+           "run": RUN, "RmX": Composite("RmX", (RemoveComponent("X"),))}
+    a = build_automaton(parse_path("run (AddX run RmX)+", known_ops=set(ops)))
+    f = parse_formula("after RmX terminates eventually "
+                      "[exists x in components (class(x) = Extra)]", known_ops=set(ops))
+    built.clear()
+    assert check(f, a, _chain_model(1600), ops).is_holds
+    assert built["links"] == 1 and all(n == 1 for n in built.values()), built
 
 
 def test_a_kept_model_costs_its_own_component_dict_and_binding_set():
