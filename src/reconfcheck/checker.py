@@ -45,7 +45,6 @@ raises :class:`OracleDisagreement`.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections import Counter
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -612,62 +611,43 @@ def _witness_steps(run: _Run, length: int) -> Iterator[WitnessStep]:
     their digests.  One digester takes ``c0`` and then, for each
     configuration not seen before, the changes since the last one it took.
 
-    Repeats are found from the records, with no model built.  Equal
-    configurations have equal component sums, which the run keeps, equal
-    sums of their bindings' hashes, kept here step by step, and equal
-    delegations gone, of which none comes back.  Among the distinct
-    configurations alike in these, each kept with the latest position it
-    was met at, position p repeats the one at position j exactly when
-    every id and binding the changes since j touched holds at p what it
-    held at j, compared with ``==`` and read off its own history of
-    changes.
+    Repeats are found from the records, with no model built.  ``drift``
+    holds each id whose component (or None, where it is absent) is not
+    ``c0``'s, and each binding whose presence is not, with its value at the
+    current position; an entry goes when its value returns to ``c0``'s.  No
+    delegation comes back once gone.  So two positions hold equal
+    configurations exactly when their drifts and their delegations gone are
+    equal under ``==``, and equal configurations have equal component sums,
+    which the run keeps: each distinct configuration is kept, with a copy
+    of its drift and its digest, under its sum and its delegations gone.
     """
     c0, steps = run.c0, run.steps
     components, bindings = c0.components, c0.bindings
-    # for each id or binding changed: the positions of its changes, and the
-    # component (or None) or presence each gave it
-    history: dict[Union[str, Binding], tuple[list[int], list]] = {}
-
-    def held(x: Union[str, Binding], pos: int):
-        """What id or binding ``x`` holds at position ``pos``."""
-        positions, values = history.get(x, ((), ()))
-        i = bisect_right(positions, pos)
-        if i:
-            return values[i - 1]
-        return components.get(x) if isinstance(x, str) else x in bindings
-
     digest = model_digester()  # successive configurations share components
-    binding_sum, gone = 0, frozenset()  # the drift from c0's, and the delegations gone
+    drift: dict[Union[str, Binding], object] = {}
+    gone = frozenset()
     d = digest(c0)
-    # [latest position, digest] of each distinct configuration, by what equal ones share
-    seen = {(steps[0][3], binding_sum, gone): [[0, d]]}
+    seen = {(steps[0][3], gone): [({}, d)]}  # (drift, digest) of each distinct configuration
     yield WitnessStep(0, "", d)
     last = 0  # the position the digester took last
     for pos in range(1, length):
         label, q, log, total = steps[pos]
         change = composed([log])
-        for b, came in change.bindings.items():
-            if came != held(b, pos - 1):
-                binding_sum += hash(b) if came else -hash(b)
         for x, value in chain(change.components.items(), change.bindings.items()):
-            kept = history.get(x)
-            if kept is None:
-                kept = history[x] = ([], [])
-            kept[0].append(pos)
-            kept[1].append(value)
+            if value == (components.get(x) if isinstance(x, str) else x in bindings):
+                drift.pop(x, None)
+            else:
+                drift[x] = value
         if change.uncoupled:
             gone |= change.uncoupled
-        alike = seen.setdefault((total, binding_sum, gone), [])
-        for met in alike:
-            since = composed(log for _label, _q, log, _sum in steps[met[0] + 1:pos + 1])
-            if all(value == held(x, met[0]) for x, value
-                   in chain(since.components.items(), since.bindings.items())):
-                met[0], d = pos, met[1]  # later repeats compare with this position
+        alike = seen.setdefault((total, gone), [])
+        for kept, d in alike:
+            if kept == drift:
                 break
         else:
             d = digest(change if last == pos - 1 else
                        composed(log for _label, _q, log, _sum in steps[last + 1:pos + 1]))
-            alike.append([pos, d])
+            alike.append((dict(drift), d))
             last = pos
         yield WitnessStep(q, label, d)
 

@@ -459,15 +459,18 @@ def validate_model(m: ComponentModel) -> list[str]:
                 errs.append(f"component '{child}' contained by both '{parent[child]}' and '{pid}'")
             else:
                 parent[child] = pid
+    rooted: set[str] = set()  # components whose parent chain ends at a root
     for cid in comps:
         seen = set()
-        cur: Optional[str] = cid
-        while cur is not None and cur in parent:
+        cur = cid
+        while cur in parent and cur not in rooted:
             if cur in seen:
                 errs.append(f"subcomponent cycle through '{cur}'")
                 break
             seen.add(cur)
-            cur = parent.get(cur)
+            cur = parent[cur]
+        else:
+            rooted |= seen
 
     in_endpoints: set[tuple[str, str]] = set()
     for b in m.bindings:

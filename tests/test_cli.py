@@ -127,6 +127,15 @@ _BEFORE_EVENTUALLY = "before AddFileServer normal eventually [component(FileServ
      "AddCacheHandler normal does not occur at position 4"),
     (_AFTER, lambda mp: _patch_proof(mp, afters=lambda p: (p.afters[0] - 1,)),
      "AddCacheHandler normal does not occur at position 2"),
+    (_AFTER, lambda mp: _patch_proof(mp, afters=lambda p: (0,)),
+     "the after occurrence at 0 does not follow position 0"),
+    (_ALWAYS, lambda mp: _patch_proof(mp, falsified=lambda p: range(p.falsified[0], 8)),
+     "range(6, 8) is not one position from 0 on"),
+    # an always has no occurrence
+    (_ALWAYS, lambda mp: _patch_proof(mp, occurrence=lambda p: 3),
+     "range(6, 7) is not one position from 0 on"),
+    (_BEFORE_ALWAYS, lambda mp: _patch_proof(mp, occurrence=lambda p: 0),
+     "the before occurrence at 0 does not follow position 0"),
     # FileServer2 is present at 6 and 7, then at 11 and 12, one lap later
     (_BEFORE_ALWAYS, lambda mp: _patch_proof(mp, occurrence=lambda p: p.falsified[0]),
      "DeleteFileServer normal does not occur at position 6"),

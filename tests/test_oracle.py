@@ -531,3 +531,38 @@ def test_windows_are_the_truncated_unfoldings(http_model, http_ops):
     windows = list(oracle._windows(a, http_model, http_ops, 64, False, looks))
     assert windows == [unfold_to_lasso(a, http_model, http_ops, max_rounds=laps)
                        for laps in (*looks, 64)]
+
+
+def _up_run(n):
+    """The run of ``Up``, which raises A.a by one, over its first ``n``
+    positions, as ``refutation_flaw`` takes them: (label, state, model)."""
+    c = parse_model("model M { component A { class K param a : int = 1 } }")
+    up = parse_recipes("op Up { set A.a := param(A.a) + 1 }").operation_table()["Up"]
+    steps = {0: ("", 0, c)}
+    for pos in range(1, n):
+        c = reconfig.apply_evolution(up, c).result
+        steps[pos] = ("Up", pos, c)
+    return steps
+
+
+@pytest.mark.parametrize("text, proof, index, shown, flaw", [
+    # the path ends at position 2: an occurrence or a falsified position
+    # past it is not a position of the run
+    ("after Up normal always [A.a < 3]", oracle.Refutation((5,), None, range(6, 7)), 6, 3,
+     "position 5 lies past the path's end"),
+    ("always [A.a < 3]", oracle.Refutation((), None, range(5, 6)), 5, 3,
+     "position 5 lies past the path's end"),
+    # no finite prefix proves an eventually false, nor one under an after
+    ("eventually [A.a > 5]", oracle.Refutation((), None, range(0)), 2, 3,
+     "no finite prefix refutes eventually"),
+    ("after Up normal eventually [A.a > 5]", oracle.Refutation((1,), None, range(0)), 2, 3,
+     "no finite prefix refutes eventually"),
+    # position 2 is falsified, but the witness of positions 0 and 1 holds
+    # neither its state nor its configuration
+    ("always [A.a < 3]", oracle.Refutation((), None, range(2, 3)), 1, 2,
+     "no witness position repeats position 2"),
+])
+def test_a_proof_the_run_or_the_formula_cannot_back_is_flawed(text, proof, index, shown, flaw):
+    # each flaw is found before the reported text is read
+    assert oracle.refutation_flaw(parse_formula(text), index, "", proof, _up_run(3), shown,
+                                  False) == flaw
