@@ -352,10 +352,12 @@ def _parse_endpoint_pair(ts: TokenStream) -> tuple[str, str, str, str]:
 # A well-formed ASCII model is read by the patterns below, which lex as the
 # lexer does: whitespace and comments between any two tokens, identifiers
 # and digit runs taken whole, and a keyword never followed by a word
-# character (\b after its last letter).  A declaration's body repeats the
-# item pattern with its groups made non-capturing, and its items are then
-# read with the capturing one: CPython's re raises SystemError for a
-# capturing group inside a possessive repeat.
+# character (\b after its last letter).  They see ASCII text only, where
+# re.ASCII leaves every character class as it is and matches faster.  A
+# declaration's body repeats the item pattern with its groups made
+# non-capturing, and its items are then read with the capturing one:
+# CPython's re raises SystemError for a capturing group inside a possessive
+# repeat.
 def _spaced(pattern: str) -> str:
     """``pattern`` with each space standing for whitespace and comments, and
     ID for an identifier."""
@@ -365,12 +367,17 @@ def _spaced(pattern: str) -> str:
 _ITEM = _spaced(r" (?:class\b (ID)|(input|output)\b (ID) : (ID)"
                 r"|param\b (ID) : (int|string|bool)\b = (?:(-?) (\d++)|(STRING)|(true|false)\b)"
                 r"|contains\b (ID)|state\b (started|stopped)\b)").replace("STRING", _STRING)
-_ITEM_RE = re.compile(_ITEM)
-_HEAD_RE = re.compile(_spaced(r" model\b (ID) \{"))
-_DECL_RE = re.compile(_spaced(r" (?:(?:component|composite)\b (ID) \{(BODY) \}"
-                              r"|(bind|delegate)\b (ID) \. (ID) -> (ID) \. (ID))")
-                      .replace("BODY", "(?:%s)*+" % re.sub(r"\((?!\?)", "(?:", _ITEM)))
-_END_RE = re.compile(_spaced(r" \} "))
+_ITEM_RE = re.compile(_ITEM, re.ASCII)
+_HEAD_RE = re.compile(_spaced(r" model\b (ID) \{"), re.ASCII)
+# one match per declaration, then the closing brace with nothing but
+# whitespace and comments after it, and any other character alone; so a
+# stray character is a match of its own.  Only where whitespace and
+# comments run to the end of the text does nothing match, and findall's
+# next match there, if any, is a stray slash of a comment
+_MODEL_RE = re.compile(_spaced(r" (?:(?:component|composite)\b (ID) \{(BODY) \}"
+                               r"|(bind|delegate)\b (ID) \. (ID) -> (ID) \. (ID)|(\}) \Z|(.))")
+                       .replace("BODY", "(?:%s)*+" % re.sub(r"\((?!\?)", "(?:", _ITEM)),
+                       re.ASCII | re.DOTALL)
 
 
 def _read_component(items: list[tuple[str, ...]]) -> Optional[tuple]:
@@ -415,37 +422,43 @@ def _read_component(items: list[tuple[str, ...]]) -> Optional[tuple]:
 
 def _read_model(text: str) -> Optional[ComponentModel]:
     """The model of a well-formed ASCII ``.arch`` text, read by compiled
-    patterns; None for any text they do not cover end to end and for any
-    model the token parser refuses, which :func:`parse_model` then reads
-    with the token parser, for its error.  Each distinct body text is read
-    once, and the components declared with it share its field objects."""
+    patterns in one pass; None for any text they do not cover end to end
+    and for any model the token parser refuses, which :func:`parse_model`
+    then reads with the token parser, for its error.  Each distinct body
+    text is read once, and the components declared with it share its field
+    objects."""
     head = _HEAD_RE.match(text) if text.isascii() else None
     if head is None:
+        return None
+    found = _MODEL_RE.findall(text, head.end())
+    # the closing brace must end the text, so only the last match can be it
+    if not found or not found[-1][7]:
         return None
     # shared safely: no operation changes a component's dicts in place
     bodies: dict[str, Optional[tuple]] = {}
     components: dict[str, Component] = {}
     bindings: set[Binding] = set()
     delegations: set[Delegation] = set()
-    pos = head.end()
-    while decl := _DECL_RE.match(text, pos):
-        pos = decl.end()
-        cid, body, word, *ends = decl.groups()
-        if cid is None:
-            links, link = ((bindings, Binding(*ends)) if word == "bind"
-                           else (delegations, Delegation(*ends)))
-            if link in links:
+    for cid, body, word, a, ap, b, bp, _end, stray in found:
+        if word == "bind":
+            n = len(bindings)
+            bindings.add(Binding(a, ap, b, bp))
+            if len(bindings) == n:
                 return None
-            links.add(link)
-            continue
-        fields = bodies.get(body)
-        if fields is None:
-            fields = bodies[body] = _read_component(_ITEM_RE.findall(body))
-        if fields is None or cid in components:
+        elif word:
+            n = len(delegations)
+            delegations.add(Delegation(a, ap, b, bp))
+            if len(delegations) == n:
+                return None
+        elif cid:
+            fields = bodies.get(body)
+            if fields is None:
+                fields = bodies[body] = _read_component(_ITEM_RE.findall(body))
+            if fields is None or cid in components:
+                return None
+            components[cid] = Component(cid, *fields)
+        elif stray:
             return None
-        components[cid] = Component(cid, *fields)
-    if _END_RE.fullmatch(text, pos) is None:
-        return None
     return ComponentModel(head.group(1), components, frozenset(bindings),
                           frozenset(delegations))
 

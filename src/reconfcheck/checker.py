@@ -20,10 +20,11 @@ composed cycle F must satisfy F(F(e)) = F(e) at its entry configuration e
 (parameter values erased when the formula never reads parameters).  F(e)
 and F(F(e)) are positions of the run, so the gate reads them off it
 (``_Gate``); only when the walk ends before reaching F(F(e)) does the gate
-extend the run itself.  A cycle failing the gate yields an ``unknown``
-verdict unless a step budget is set: the same walk then judges the window
-explored within the budget, as a lasso or as a cut path; the window takes
-the positions the run holds off its records.
+extend the run itself, and then only to F(e) when F(e) = e already.  A
+cycle failing the gate yields an ``unknown`` verdict unless a step budget
+is set: the same walk then judges the window explored within the budget,
+as a lasso or as a cut path; the window takes the positions the run holds
+off its records.
 
 The step budget is charged for the walk's transitions only, never for the
 gate's own applications, a window's or a proof's.
@@ -67,8 +68,8 @@ from .ftpl import (
 # the walk compiles properties and the unfolder erases parameter values; the
 # names stay importable because perfbench/tracer.py rebinds them in this module
 from .model import Binding, CompiledCp, ComponentModel, ConfigProperty, CpEvalError, Derived, \
-    compile_cp, component_sum, composed, erase_param_values, eval_cp, hold_index, \
-    validate_model  # noqa: F401
+    compile_cp, component_sum, composed, erase_component, erase_param_values, eval_cp, \
+    hold_index, validate_model  # noqa: F401
 # oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
 from .oracle import ConcreteLasso, LassoStep, Refutation, oracle_eval_detailed, \
     oracle_verdict, refutation_flaw  # noqa: F401
@@ -245,6 +246,8 @@ class _Run:
         hold_index(c0)
         self.newest = c0
         self.steps: list[tuple[str, int, list[Derived], int]] = [("", 0, [], component_sum(c0))]
+        # the cycle's entry e, kept from when the run reaches position P
+        self.entry: Optional[ComponentModel] = c0 if a.back_target == 0 else None
 
     def reach(self, label: str, q: int, c: ComponentModel, pos: int) -> ComponentModel:
         """The configuration at position ``pos``, reached over ``label`` into
@@ -260,6 +263,8 @@ class _Run:
     def _take(self, label: str, q: int) -> ComponentModel:
         """The step over ``label`` into state ``q`` from the newest model, recorded."""
         new, log = _step(self.ops[label], self.newest)
+        if len(self.steps) == self.a.back_target:
+            self.entry = new
         self.steps.append((label, q, log, component_sum(new)))
         self.newest = new
         return new
@@ -309,6 +314,33 @@ def _cycle_ends(run: _Run) -> tuple[ComponentModel, ComponentModel]:
     return once, twice
 
 
+def _lap_fixed(run: _Run, erased: bool) -> bool:
+    """Whether F(e) = e, with parameter values erased when ``erased``, on
+    ``run``, which holds position P+|C|: read off the records of the
+    cycle's first lap, composed, each id, binding and delegation it touched
+    against its value in the entry model, so in time proportional to what
+    the lap changed.
+
+    Either way F(F(e)) = F(e) follows.  Exactly, F(F(e)) = F(e) = e, as the
+    path is deterministic.  With values erased, F(e) and e differ at most in
+    parameter values, and the erased result of every operation depends only
+    on its erased input: no precondition reads a parameter value (a ``set``
+    compares the value it computes with the one it replaces, and either way
+    the erased results agree), and a ``set`` changes at most the value it
+    writes.  So F(F(e)) and F(e) differ at most in parameter values too.
+    """
+    a, e = run.a, run.entry
+    lap = composed(log for _label, _q, log, _sum in run.steps[a.back_target + 1:a.n_states + 1])
+    comps, bindings = e.components, e.bindings
+    for cid, c in lap.components.items():
+        was = comps.get(cid)
+        if c != was and (not erased or c is None or was is None
+                         or erase_component(c) != erase_component(was)):
+            return False
+    return (all((b in bindings) == present for b, present in lap.bindings.items())
+            and e.delegations.isdisjoint(lap.uncoupled))
+
+
 class _Gate:
     """The idempotence gate, read off the check's run: at P+2|C| it
     compares F(e) and F(F(e)) as ``reconfig.is_idempotent_sequence`` does,
@@ -321,9 +353,15 @@ class _Gate:
 
     def decide(self) -> bool:
         """Whether the gate admits the cycle.  A walk that ended before
-        P+2|C| leaves the run to extend that far here."""
+        P+2|C| leaves the run to extend here: to P+|C|, which admits when
+        F(e) = e (:func:`_lap_fixed`), and on to P+2|C| only when not."""
         if self.admits is None:
-            self.admits = _same(*_cycle_ends(self.run), self.erased)
+            run = self.run
+            if (len(run.steps) <= self.twice_at and run.extend_to(run.a.n_states)
+                    and _lap_fixed(run, self.erased)):
+                self.admits = True
+            else:
+                self.admits = _same(*_cycle_ends(run), self.erased)
         return self.admits
 
 

@@ -377,6 +377,14 @@ def composed(steps: Iterable[Iterable[Derived]]) -> Change:
     return Change(comps, links, frozenset(uncoupled))
 
 
+def erase_component(c: Component) -> Component:
+    """``c`` with every parameter value blanked (class kept); ``c`` itself
+    when it has no parameters."""
+    if not c.params:
+        return c
+    return c.evolve(params={p: Param(pv.cls, None) for p, pv in c.params.items()})
+
+
 def erase_param_values(m: ComponentModel) -> ComponentModel:
     """Copy of ``m`` with every parameter value blanked (class kept).
 
@@ -386,13 +394,9 @@ def erase_param_values(m: ComponentModel) -> ComponentModel:
     copy holds no index; ``m``'s, if it holds one, says which to blank.
     """
     comps, index = m.components, m._index
-    blanked = []
-    for cid in comps if index is None else index.part("holders", m):
-        c = comps[cid]
-        if c.params:
-            blanked.append(c.evolve(params={p: Param(pv.cls, None)
-                                            for p, pv in c.params.items()}))
-    return derive_model(m, blanked)
+    holders = comps if index is None else index.part("holders", m)
+    return derive_model(m, [erase_component(c) for c in map(comps.__getitem__, holders)
+                            if c.params])
 
 
 def parent_of(m: ComponentModel, cid: str, index: ModelIndex) -> Optional[str]:
@@ -459,18 +463,24 @@ def validate_model(m: ComponentModel) -> list[str]:
                 errs.append(f"component '{child}' contained by both '{parent[child]}' and '{pid}'")
             else:
                 parent[child] = pid
-    rooted: set[str] = set()  # components whose parent chain ends at a root
-    for cid in comps:
-        seen = set()
+    # of each component whose parent chain was walked, the first component the
+    # chain meets twice (the entry of the cycle it reaches, or itself on the
+    # cycle), or None where it ends at a root; a chain is walked only up to a
+    # component whose entry is known, so every component is walked once
+    entry: dict[str, Optional[str]] = {}
+    for cid in parent:
+        chain: dict[str, int] = {}  # position of each component on the chain
         cur = cid
-        while cur in parent and cur not in rooted:
-            if cur in seen:
-                errs.append(f"subcomponent cycle through '{cur}'")
-                break
-            seen.add(cur)
+        while cur in parent and cur not in entry and cur not in chain:
+            chain[cur] = len(chain)
             cur = parent[cur]
+        if cur in chain:  # a cycle no chain walked before reached
+            at = chain[cur]
+            entry.update((x, x if i >= at else cur) for x, i in chain.items())
         else:
-            rooted |= seen
+            entry.update(dict.fromkeys(chain, entry.get(cur)))
+    errs.extend(f"subcomponent cycle through '{entry[cid]}'" for cid in comps
+                if entry.get(cid) is not None)
 
     in_endpoints: set[tuple[str, str]] = set()
     for b in m.bindings:

@@ -295,21 +295,44 @@ def test_the_gate_alone_decides_as_the_cycle_applied_twice_at_its_entry():
     assert len(decided) == 4 and sum(decided.values()) > 4000, decided
 
 
+def test_the_gate_decides_as_the_two_laps_compare():
+    # a gate whose run stops short of P+2|C| admits at P+|C| when F(e) = e,
+    # read off the first lap's records; its verdict is still that of the
+    # comparison of F(e) with F(F(e)).  The run is taken to a frontier that
+    # varies with the seed, at P+2|C| and past it too
+    fired = Counter()
+    for seed in range(10_000):
+        _f, a, c0, ops = generators.gen_case(seed)
+        if not a.has_cycle:
+            continue
+        twice_at = 2 * a.n_states - a.back_target
+        for erased in (False, True):
+            run = checker._Run(a, ops, c0)
+            run.extend_to(seed % (twice_at + 2))
+            taken = len(run.steps)
+            admits = checker._Gate(run, erased).decide()
+            assert admits == checker._same(*checker._cycle_ends(checker._Run(a, ops, c0)),
+                                           erased), (seed, erased)
+            fired[erased] += taken <= twice_at and len(run.steps) <= max(taken, a.n_states + 1)
+    assert min(fired.values()) > 1000, fired
+
+
 def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
     # the walk applies one operation per position it takes at the run's
-    # frontier, the gate the run's positions from there to P+2|C|, once
-    # each, and a witness none
+    # frontier, and a witness none.  The gate, when the walk stopped short
+    # of P+2|C|, applies the run's positions from there to P+|C| if F(e)
+    # equals e, which decides, and else to P+2|C|, once each
     runs = _recorded_runs(monkeypatch)
     frontiers = []
     decide = checker._Gate.decide
 
     def deciding(gate):
         if gate.admits is None:
-            frontiers.append(len(gate.run.steps) - 1)
+            frontiers.append((len(gate.run.steps) - 1, gate.erased))
         return decide(gate)
 
     monkeypatch.setattr(checker._Gate, "decide", deciding)
-    kinds = dict.fromkeys(("refused", "read", "rest"), 0)
+    kinds = dict.fromkeys(("refused", "read", "rest", "fixed"), 0)
     for seed in range(300):
         f, a, c0, ops = generators.gen_case(seed)
         twice_at = 2 * a.n_states - a.back_target if a.has_cycle else 0  # P+2|C|
@@ -328,7 +351,13 @@ def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
                 continue
             if "window" in places:
                 continue  # a gate-refused window
-            rest = twice_at - frontiers[0] if frontiers else 0
+            rest = 0
+            if frontiers:
+                (frontier, erased), fixed_at = frontiers[0], a.n_states  # P+|C|
+                (_, e), (_, once) = run.configurations((a.back_target, fixed_at))
+                fixed = frontier < twice_at and checker._same(e, once, erased)
+                rest = max(fixed_at - frontier, 0) if fixed else twice_at - frontier
+                kinds["fixed"] += fixed
             kinds["rest" if rest else "read"] += 1
             walked = len(run.steps) - 1 - rest
             assert places.count("walk") == walked <= verdict.stats.transitions_applied
@@ -541,6 +570,18 @@ def test_a_witness_tells_apart_configurations_that_differ_only_in_a_delegation(
     digests = [s.digest for s in verdict.witness.steps]
     assert digests[3] != digests[0] and digests[4:] == digests[1:3]
     assert len(digested) == len(set(digests)) == 4
+
+
+@pytest.mark.parametrize("erased", [False, True])
+def test_a_lap_that_drops_a_delegation_moves_the_cycle_entry(erased, http_model):
+    # F(e) differs from e in the delegation alone, so the gate does not
+    # admit at P+|C|; the second lap drops nothing more, and it admits there
+    ops = parse_recipes(HTTP_SERVER_SWAP).operation_table()
+    a = build_automaton(parse_path("(RemoveHttpServer AddHttpServer run)+"))
+    run = checker._Run(a, ops, http_model)
+    gate = checker._Gate(run, erased)
+    assert gate.decide() and not checker._lap_fixed(run, erased)
+    assert len(run.steps) - 1 == gate.twice_at
 
 
 def test_a_witness_tells_apart_configurations_whose_drifts_differ_only_in_values():
@@ -1341,15 +1382,17 @@ def test_positions_alike_but_for_one_value_or_binding_never_share_a_digest(
 
 def test_a_long_witness_composes_each_step_a_bounded_number_of_times(monkeypatch):
     # a's value toggles, so every configuration past the second repeats:
-    # each step's change is composed once, and a repeat composes nothing
+    # each step's change is composed once, and a repeat composes nothing.
+    # The gate composes the cycle's first lap once more, to find F(e) = e
     c0 = parse_model("model M { component A { class K param a : int = 1 } }")
     ops = parse_recipes("op T { set A.a := 3 - param(A.a) }").operation_table()
     a = build_automaton(parse_path("(" + " ".join(["T"] * 60) + ")+"))
-    composed, plain = [], checker.composed
+    composed, gate, plain = [], [], checker.composed
 
     def counting(logs):
         logs = list(logs)
-        composed.append(len(logs))
+        by_gate = sys._getframe(1).f_code is checker._lap_fixed.__code__
+        (gate if by_gate else composed).append(len(logs))
         return plain(logs)
 
     monkeypatch.setattr(checker, "composed", counting)
@@ -1359,6 +1402,7 @@ def test_a_long_witness_composes_each_step_a_bounded_number_of_times(monkeypatch
     assert n >= 60 and [s.digest for s in verdict.witness.steps] == [first, second] * (n // 2) \
         + [first] * (n % 2)
     assert sum(composed) <= n, (n, sum(composed))
+    assert gate == [60]
 
 
 def test_the_run_takes_a_step_only_from_its_newest_model(http_model, http_ops, monkeypatch):

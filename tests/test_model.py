@@ -151,6 +151,20 @@ def test_a_deep_containment_chain_validates_in_linear_time():
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_containment_ring_validates_in_linear_time():
+    # every component is on the cycle and gets its own message; each parent
+    # chain is walked only up to a component walked before, and a ring of
+    # 4,000 took 1.6 s on a 2-core x86-64 machine (Python 3.11) when every
+    # chain was walked round the ring
+    n = 16_000
+    ids = [f"C{i:05d}" for i in range(n)]
+    m = _nested(*((cid, (ids[(i + 1) % n],)) for i, cid in enumerate(ids)))
+    start = time.perf_counter()
+    errs = validate_model(m)
+    assert time.perf_counter() - start < 1.0
+    assert errs == [f"subcomponent cycle through '{cid}'" for cid in ids]
+
+
 def test_components_read_from_one_ill_typed_body_each_get_their_message():
     m = parse_model("model M { component A { class K param p : int = 1 input p : T } "
                     "component B { class K param p : int = 1 input p : T } "

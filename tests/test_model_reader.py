@@ -59,7 +59,16 @@ def test_the_reader_reads_every_printed_model_as_the_token_parser_does(seed):
     assert repr(_read_model(text)) == repr(_parse_model_tokens(text))
 
 
-@pytest.mark.parametrize("text", [HTTP, KEYWORDS], ids=["http", "keywords"])
+# braces, quotes and slashes a comment or a string literal holds are not tokens
+QUOTED = ('model M { // } { "\n'
+          '  component C { class K param s : string = "} { // \\" \\\\" // "}\n'
+          '  } bind C.o -> C.i // }\n'
+          '}\n'
+          '// } {\n')
+
+
+@pytest.mark.parametrize("text", [HTTP, KEYWORDS, QUOTED, "model M { }", "model M{}"],
+                         ids=["http", "keywords", "quoted", "empty", "empty, unspaced"])
 def test_the_reader_reads_the_samples_as_the_token_parser_does(text):
     assert _read_model(text) is not None
     assert read(_read_model, text) == read(_parse_model_tokens, text)
@@ -141,6 +150,21 @@ DECLINED = {
                            + "9" * 5000 + " } }",
     "minus before an arrow": "model M { component C { class K param p : int = - > } }",
     "trailing input": "model M { } model N { }",
+    "stray after the head": "model M { @ component C { class K } }",
+    "stray between declarations": "model M { component C { class K } ; component D { class K } }",
+    "stray before the closing brace": "model M { component C { class K } # }",
+    "stray after the closing brace": "model M { component C { class K } } @",
+    "closing brace in a comment": "model M { component C { class K } // }",
+    "closing brace and a stray in a comment": "model M { component C { class K }\n// } @",
+    "duplicate id among others": "model M { component C { class K } bind C.o -> D.i "
+                                 "component D { class K } component C { class L } }",
+    "duplicate binding among others": "model M { bind A.o -> B.i delegate A.o -> B.i "
+                                      "bind A.p -> B.i bind A.o -> B.i }",
+    "duplicate delegation among others": "model M { delegate A.o -> B.i bind A.o -> B.i "
+                                         "delegate A.o -> B.j delegate A.o -> B.i }",
+    "form feed between tokens": "model M {\f component C { class K } }",
+    "vertical tab in a body": "model M { component C {\vclass K } }",
+    "form feed after the closing brace": "model M { component C { class K } }\f",
 }
 
 
