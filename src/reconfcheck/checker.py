@@ -4,34 +4,45 @@ The traversal mirrors a model checker's marking discipline: every operator
 instance owns a fresh mark map and walks the automaton in ``_Walk.run``,
 taking each transition at most twice (``unchecked -> again -> checked``), so
 any check takes at most 2|Q| transitions per instance; ``eventually`` and
-``before`` instances stop earlier, at their run's repeat.  Each transition
-reaches the configuration the walk is handed: a position of the check's
-run, or a window model.
+``before`` instances stop earlier, at their run's repeat.
 
 A path is deterministic, so every configuration a check needs is a
 position of one run from the initial configuration (``_Run``), extended
-once per position and recorded as the change each step made.  The walk
-extends it at its frontier; a nested instance that walks again positions
-the run holds rebuilds each from its record, so every operation a check
-applies is a step of its run.
+once per position and recorded as the change each step made.  Each
+position is classified from its record alone (``_Classes``): two positions
+get the same class id exactly when their configurations are equal, with
+parameter values erased when the gate erases them.  The walk reads
+classes, never models: an instance's repeat is a repeated (state, class),
+an event changed the configuration exactly when the classes around it
+differ, and each property's value is kept per class, so a configuration is
+built, from the run's records, only for a value the walk does not have
+yet.  A nested instance that walks positions the run holds reads their
+classes and applies nothing.
+
+The run is ultimately periodic (Markey & Schnoebelen, "Model checking a
+path", CONCUR 2003): once a position L from P+|C| on has the class of
+L-|C|, every later position has the class of the one a lap before.  The
+run looks for that fold up to P+2|C| as it takes each step; past it the
+walk reads each class off the lap before, and applies no operation and
+evaluates nothing new.  The run is extended for real only where a
+configuration itself is reported: a spent budget's ``reached``, a
+witness or a proof.
 
 Soundness over the repeated cycle rests on an idempotence gate: the
 composed cycle F must satisfy F(F(e)) = F(e) at its entry configuration e
-(parameter values erased when the formula never reads parameters).  F(e)
-and F(F(e)) are positions of the run, so the gate reads them off it
-(``_Gate``); only when the walk ends before reaching F(F(e)) does the gate
-extend the run itself, and then only to F(e) when F(e) = e already.  A
-cycle failing the gate yields an ``unknown`` verdict unless a step budget
-is set: the same walk then judges the window explored within the budget,
-as a lasso or as a cut path; the window takes the positions the run holds
-off its records.
+(parameter values erased when the formula never reads parameters), which
+holds exactly when the run folds by P+2|C| (``_Gate``); only when the walk
+ends before then does the gate extend the run itself.  A cycle failing the
+gate yields an ``unknown`` verdict unless a step budget is set: the same
+walk then judges the window explored within the budget, as a lasso or as a
+cut path, on the run's exact classes.
 
-The step budget is charged for the walk's transitions only, never for the
-gate's own applications, a window's or a proof's.
+The step budget is charged for the walk's transitions only, folded ones
+included, never for the gate's own applications, a window's or a report's.
 
 A ``fails`` witness is read off the run's records: its digests are
-patched from the changes, and no operation is applied for it.  With the
-oracle cross-check, a ``fails`` verdict that a finite prefix proves (an
+patched from the changes, one per exact class.  With the oracle
+cross-check, a ``fails`` verdict that a finite prefix proves (an
 ``always`` or a ``before``, under any ``after``s) is checked against its
 own proof where it is built, in ``_fails``: the walk keeps the run
 positions of each event occurrence it descended through and of each
@@ -65,14 +76,14 @@ from .ftpl import (
     formula_events,
     print_cp,
 )
-# the walk compiles properties and the unfolder erases parameter values; the
-# names stay importable because perfbench/tracer.py rebinds them in this module
-from .model import Binding, CompiledCp, ComponentModel, ConfigProperty, CpEvalError, Derived, \
-    compile_cp, component_sum, composed, erase_component, erase_param_values, eval_cp, \
+# eval_cp and erase_param_values, which nothing here calls, stay importable
+# because perfbench/tracer.py rebinds them in this module
+from .model import Binding, CompiledCp, Component, ComponentModel, ConfigProperty, CpEvalError, \
+    Derived, compile_cp, component_sum, composed, erase_component, erase_param_values, eval_cp, \
     hold_index, validate_model  # noqa: F401
 # oracle_eval_detailed stays importable because perfbench/tracer.py rebinds it here
-from .oracle import ConcreteLasso, LassoStep, Refutation, oracle_eval_detailed, \
-    oracle_verdict, refutation_flaw  # noqa: F401
+from .oracle import Refutation, oracle_eval_detailed, oracle_verdict, \
+    refutation_flaw  # noqa: F401
 from .pathspec import PathAutomaton, PathExpr, residual_from
 # apply_sequence and is_idempotent_sequence, which nothing here calls, stay
 # importable because perfbench/tracer.py rebinds them here
@@ -86,6 +97,8 @@ UNKNOWN = "unknown"
 
 REASON_BUDGET = "step-budget-exhausted"
 REASON_CYCLE = "non-idempotent-cycle"
+
+_SUM_MASK = (1 << 64) - 1  # component sums are kept modulo 2^64
 
 
 class CheckError(Exception):
@@ -195,10 +208,12 @@ class _Violation(Exception):
 
 
 class _Budget(Exception):
-    def __init__(self, state: int, model: ComponentModel):
+    """The step budget ran out at state ``state``, run position ``pos``."""
+
+    def __init__(self, state: int, pos: int):
         super().__init__("step budget exhausted")
         self.state = state
-        self.model = model
+        self.pos = pos
 
 
 class _Refused(Exception):
@@ -218,8 +233,163 @@ def _step(op: EvolutionOperation, m: ComponentModel) -> tuple[ComponentModel, li
         index.log = None  # nothing else the index does is this step's
 
 
+def _shift(c: Optional[Component]) -> int:
+    """What erasing ``c``'s parameter values adds to a sum of component hashes."""
+    return 0 if c is None or not c.params else hash(erase_component(c)) - hash(c)
+
+
+class _Classes:
+    """Configuration classes of the positions of a run: two positions have
+    the same id exactly when their configurations are equal, with parameter
+    values erased when ``erased``.  ``ids`` holds the id of each position
+    classified so far, and ``first`` the first position of each class.
+
+    A position is classified from its record alone, on first ask and in
+    order (:meth:`at`): no model is built or compared.  ``_drift`` holds
+    each id whose component (None where absent, erased when ``erased``)
+    differs from the base's at the current position, and each binding whose
+    presence does.  The base is ``c0`` for the prefix and the cycle's entry
+    e from position P on, so a cycle position's drift holds only what the
+    cycle changed.  No delegation comes back once gone, so two positions
+    hold equal configurations exactly when they have equal drifts from one
+    base and equal delegations gone.  Each class keeps a copy of its drift,
+    with its base, under a key that does not depend on the base: the
+    delegations gone, and the component sum the run keeps
+    (:func:`~reconfcheck.model.component_sum`), or erased, the sum of the
+    erased components' hashes, which differs from it only by the
+    :func:`_shift` of each component with parameters (kept in ``_shifts``
+    for the ids the run touched).  A cycle position whose key matches a
+    prefix class, and whose drift matches no class of the entry's, is
+    compared with the prefix class from ``c0`` on: if they are equal, it
+    keeps that class's id, which is kept from then on against the entry.
+    """
+
+    def __init__(self, steps: list, c0: ComponentModel, entry_at: Optional[int], erased: bool):
+        self.steps, self.c0, self.erased = steps, c0, erased
+        self.entry_at = entry_at or None  # a cycle entered at 0 is measured against c0
+        self.entry: Optional[ComponentModel] = None  # handed over when the run reaches P
+        self.ids, self.first = [0], [0]
+        self._base = c0
+        self._drift: dict[Union[str, Binding], object] = {}
+        self._gone = frozenset()
+        self._shifts: dict[str, int] = {}
+        self._delta = 0  # erased: the sum of the shifts, less c0's
+        self._blanked: dict[str, Optional[Component]] = {}  # erased: the base's components
+        self._table = {(self._total(0), self._gone): [(c0, {}, 0)]}
+
+    def at(self, pos: int) -> int:
+        """The id of run position ``pos``, which the run holds."""
+        ids = self.ids
+        while len(ids) <= pos:
+            self._classify(len(ids))
+        return ids[pos]
+
+    def _total(self, pos: int) -> int:
+        total = self.steps[pos][3]
+        return (total + self._delta) & _SUM_MASK if self.erased else total
+
+    def _value(self, base: ComponentModel, x: Union[str, Binding]) -> object:
+        if isinstance(x, str):
+            c = base.components.get(x)
+            return erase_component(c) if self.erased and c is not None else c
+        return x in base.bindings
+
+    def _erased(self, cid: str, c: Optional[Component]) -> Optional[Component]:
+        """``c``, now at ``cid``, erased, with its shift kept."""
+        shift = 0
+        if c is not None and c.params:
+            erased = erase_component(c)
+            shift, c = hash(erased) - hash(c), erased
+        shifts = self._shifts
+        old = shifts[cid] if cid in shifts else _shift(self.c0.components.get(cid))
+        if shift != old:
+            shifts[cid] = shift
+            self._delta += shift - old
+        return c
+
+    def _classify(self, pos: int) -> None:
+        drift, base, erased = self._drift, self._base, self.erased
+        comps, links = base.components, base.bindings
+        for put, taken, cut, made, uncoupled in self.steps[pos][2]:
+            for c in put:
+                cid = c.id
+                was = comps.get(cid)
+                if erased:
+                    c = self._erased(cid, c)
+                    if was is not None and was.params:
+                        blanked = self._blanked
+                        was = blanked.get(cid) or blanked.setdefault(cid, erase_component(was))
+                if c is was or c == was:
+                    drift.pop(cid, None)
+                else:
+                    drift[cid] = c
+            for cid in taken:
+                if erased:
+                    self._erased(cid, None)
+                if cid in comps:
+                    drift[cid] = None
+                else:
+                    drift.pop(cid, None)
+            for b in cut:
+                if b in links:
+                    drift[b] = False
+                else:
+                    drift.pop(b, None)
+            for b in made:
+                if b in links:
+                    drift.pop(b, None)
+                else:
+                    drift[b] = True
+            if uncoupled:
+                self._gone = self._gone.union(uncoupled)
+        bucket = self._table.setdefault((self._total(pos), self._gone), [])
+        for found, (kept_base, kept, _cid) in enumerate(bucket):
+            if kept_base is base and kept == drift:
+                break
+        else:
+            found = self._find_prefix_class(bucket) if base is not self.c0 else None
+        cid = None if found is None else bucket[found][2]
+        if pos == self.entry_at:  # from here on against the entry
+            self._base, self._drift, self._blanked = self.entry, {}, {}
+            if found is not None:
+                del bucket[found]
+                found = None
+        if cid is None:
+            cid = len(self.first)
+            self.first.append(pos)
+        if found is None:
+            bucket.append((self._base, dict(self._drift), cid))
+        self.ids.append(cid)
+
+    def _find_prefix_class(self, bucket: list) -> Optional[int]:
+        """The index in ``bucket`` of the prefix class, kept against ``c0``,
+        of the current cycle position, or None; the class is kept against
+        the entry from then on."""
+        base, from_c0 = self._base, None
+        for i, (kept_base, kept, cid) in enumerate(bucket):
+            if kept_base is not base:
+                if from_c0 is None:
+                    from_c0 = self._from_c0()
+                if kept == from_c0:
+                    bucket[i] = (base, dict(self._drift), cid)
+                    return i
+        return None
+
+    def _from_c0(self) -> dict:
+        """The current cycle position's drift from ``c0``: the prefix's
+        changes, composed from its records, under the drift from the entry."""
+        prefix = composed(log for _label, _q, log, _sum in self.steps[1:self.entry_at + 1])
+        now: dict = dict(prefix.components)
+        if self.erased:
+            now = {cid: None if c is None else erase_component(c) for cid, c in now.items()}
+        now.update(prefix.bindings)
+        now.update(self._drift)
+        return {x: v for x, v in now.items() if v != self._value(self.c0, x)}
+
+
 class _Run:
-    """The run of a check from the initial configuration, recorded as changes.
+    """The run of a check from the initial configuration, recorded as changes
+    and classified.
 
     A path is deterministic, so every configuration a check reads is a
     position of this one run.  It keeps the initial model ``c0``, the
@@ -230,8 +400,20 @@ class _Run:
     from the position before (:func:`_step`) and the component sum it kept
     (:func:`~reconfcheck.model.component_sum`): a version list of deltas
     (Driscoll, Sarnak, Sleator & Tarjan, "Making data structures
-    persistent", JCSS 1989).  Every other position is rebuilt from the
-    records (:meth:`reach`, :meth:`configurations`).
+    persistent", JCSS 1989).  Any other position is rebuilt from the
+    records (:meth:`model`, :meth:`configurations`).
+
+    ``keys`` classify each position as a check's walk reads it: with
+    parameter values erased when ``erased``, as the gate erases them, and
+    else exactly (:class:`_Classes`); ``exact`` classifies it exactly, for
+    a witness or a window.  Once a position L from P+|C| on has the key of
+    L-|C|, every later position has the key of the position |C| before it,
+    as the path is deterministic and the erased result of an operation
+    depends only on its erased input (see :class:`_Gate`).  The run looks
+    for that ``fold`` from P+|C| to P+2|C|: :meth:`key` reads every
+    position past it off the lap before, and the run takes no step past it
+    unless asked to by :meth:`extend_to`, for a configuration a verdict
+    reports.
 
     Nothing else in a check derives from the newest model with its index:
     a rebuild carries none (:meth:`~reconfcheck.model.Change.onto`), and
@@ -241,33 +423,55 @@ class _Run:
     """
 
     def __init__(self, a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
-                 c0: ComponentModel):
+                 c0: ComponentModel, erased: bool = False):
         self.a, self.ops, self.c0 = a, ops, c0
         hold_index(c0)
         self.newest = c0
         self.steps: list[tuple[str, int, list[Derived], int]] = [("", 0, [], component_sum(c0))]
         # the cycle's entry e, kept from when the run reaches position P
         self.entry: Optional[ComponentModel] = c0 if a.back_target == 0 else None
+        self.keys = _Classes(self.steps, c0, a.back_target, erased)
+        self._exact = None if erased else self.keys
+        # the lap length |C|, and the positions P+|C| and P+2|C|, where the run may fold
+        self.lap = a.n_states - a.back_target if a.has_cycle else 0
+        self.once_at, self.twice_at = a.n_states, a.n_states + self.lap
+        self.fold: Optional[int] = None
+        self._built = (0, c0)  # the position rebuilt last, and its configuration
 
-    def reach(self, label: str, q: int, c: ComponentModel, pos: int) -> ComponentModel:
-        """The configuration at position ``pos``, reached over ``label`` into
-        state ``q`` from ``c``, the configuration at ``pos - 1``.  A position
-        the run holds, which a nested operator instance walks again, is
-        rebuilt from its record onto ``c``, with one ``derive_model`` and no
-        operation; the frontier's step is taken from the newest model and
-        recorded."""
-        if pos < len(self.steps):
-            return composed([self.steps[pos][2]]).onto(c)
-        return self._take(label, q)
+    @property
+    def exact(self) -> _Classes:
+        """The exact classes, made on first use when the keys erase: only a
+        witness and a window read them."""
+        if self._exact is None:
+            self._exact = _Classes(self.steps, self.c0, self.a.back_target, False)
+            self._exact.entry = self.entry
+        return self._exact
 
-    def _take(self, label: str, q: int) -> ComponentModel:
-        """The step over ``label`` into state ``q`` from the newest model, recorded."""
+    def key(self, label: str, q: int, pos: int) -> int:
+        """The key of position ``pos``, reached over ``label`` into state
+        ``q``: read off the run where it holds the position or has folded,
+        and else from the step the frontier takes."""
+        fold = self.fold
+        if fold is not None and pos >= fold:
+            pos = fold - self.lap + (pos - fold) % self.lap
+        elif pos == len(self.steps):
+            self._take(label, q)
+        return self.keys.at(pos)
+
+    def _take(self, label: str, q: int) -> None:
+        """The step over ``label`` into state ``q`` from the newest model,
+        recorded; from P+|C| to P+2|C|, whether the run folds there."""
         new, log = _step(self.ops[label], self.newest)
-        if len(self.steps) == self.a.back_target:
-            self.entry = new
+        pos = len(self.steps)
         self.steps.append((label, q, log, component_sum(new)))
         self.newest = new
-        return new
+        if pos == self.a.back_target:
+            self.entry = self.keys.entry = new
+            if self._exact is not None:
+                self._exact.entry = new
+        elif (self.lap and self.fold is None and self.once_at <= pos <= self.twice_at
+              and self.keys.at(pos) == self.keys.at(pos - self.lap)):
+            self.fold = pos
 
     def extend_to(self, pos: int) -> bool:
         """Whether the run reaches position ``pos``, taking the steps it
@@ -280,88 +484,61 @@ class _Run:
             self._take(*nxt)
         return True
 
+    def model(self, pos: int) -> ComponentModel:
+        """The configuration at position ``pos``, which the run holds: the
+        newest model, or the one rebuilt last, or one rebuilt from it (from
+        ``c0`` if it lies past ``pos``) with one ``derive_model``, which
+        carries no index."""
+        steps = self.steps
+        if pos == len(steps) - 1:
+            return self.newest
+        at, c = self._built
+        if pos < at:
+            at, c = 0, self.c0
+        if pos != at:
+            c = composed(log for _label, _q, log, _sum in steps[at + 1:pos + 1]).onto(c)
+            self._built = (pos, c)
+        return c
+
     def configurations(self, positions: Iterable[int]) -> Iterator[tuple[int, ComponentModel]]:
         """(position, configuration) for each of ``positions``, increasing,
-        that the path reaches.  The frontier's is the newest model.  Any
-        other is rebuilt from the one yielded last (``c0`` at first) by the
-        changes since, composed in the order they were made, with one
-        ``derive_model``.  A position past the frontier extends the run
-        first."""
-        at, c, steps = 0, self.c0, self.steps
+        that the path reaches (:meth:`model`), extending the run first for a
+        position past its frontier."""
         for pos in positions:
             if not self.extend_to(pos):
                 return
-            if pos == len(steps) - 1:
-                c = self.newest
-            elif pos > at:
-                c = composed(log for _label, _q, log, _sum in steps[at + 1:pos + 1]).onto(c)
-            at = pos
-            yield pos, c
-
-
-def _same(once: ComponentModel, twice: ComponentModel, erased: bool) -> bool:
-    """Whether F(F(e)) = F(e), with parameter values erased when ``erased``."""
-    if erased:
-        once, twice = erase_param_values(once), erase_param_values(twice)
-    return once == twice
-
-
-def _cycle_ends(run: _Run) -> tuple[ComponentModel, ComponentModel]:
-    """F(e) and F(F(e)), run positions P+|C| and P+2|C|, where P, the prefix
-    length, is the cycle's entry e."""
-    a = run.a
-    (_, once), (_, twice) = run.configurations((a.n_states, 2 * a.n_states - a.back_target))
-    return once, twice
-
-
-def _lap_fixed(run: _Run, erased: bool) -> bool:
-    """Whether F(e) = e, with parameter values erased when ``erased``, on
-    ``run``, which holds position P+|C|: read off the records of the
-    cycle's first lap, composed, each id, binding and delegation it touched
-    against its value in the entry model, so in time proportional to what
-    the lap changed.
-
-    Either way F(F(e)) = F(e) follows.  Exactly, F(F(e)) = F(e) = e, as the
-    path is deterministic.  With values erased, F(e) and e differ at most in
-    parameter values, and the erased result of every operation depends only
-    on its erased input: no precondition reads a parameter value (a ``set``
-    compares the value it computes with the one it replaces, and either way
-    the erased results agree), and a ``set`` changes at most the value it
-    writes.  So F(F(e)) and F(e) differ at most in parameter values too.
-    """
-    a, e = run.a, run.entry
-    lap = composed(log for _label, _q, log, _sum in run.steps[a.back_target + 1:a.n_states + 1])
-    comps, bindings = e.components, e.bindings
-    for cid, c in lap.components.items():
-        was = comps.get(cid)
-        if c != was and (not erased or c is None or was is None
-                         or erase_component(c) != erase_component(was)):
-            return False
-    return (all((b in bindings) == present for b, present in lap.bindings.items())
-            and e.delegations.isdisjoint(lap.uncoupled))
+            yield pos, self.model(pos)
 
 
 class _Gate:
-    """The idempotence gate, read off the check's run: at P+2|C| it
-    compares F(e) and F(F(e)) as ``reconfig.is_idempotent_sequence`` does,
-    erased when ``erased``."""
+    """The idempotence gate, read off the check's run: F(F(e)) = F(e), with
+    parameter values erased when the run's keys are, exactly when the run
+    folds by P+2|C|, as ``reconfig.is_idempotent_sequence`` decides it.
 
-    def __init__(self, run: _Run, erased: bool):
-        self.run, self.erased = run, erased
-        self.twice_at = 2 * run.a.n_states - run.a.back_target  # P + 2|C|
+    A fold at L <= P+2|C| gives P+2|C| the key of P+|C|, so F(F(e)) =
+    F(e); and F(F(e)) = F(e) is itself a fold at P+2|C|, if none came
+    before.  A fold rests on the path being deterministic and, with values
+    erased, on the erased result of every operation depending only on its
+    erased input: no precondition reads a parameter value (a ``set``
+    compares the value it computes with the one it replaces, and either way
+    the erased results agree), and a ``set`` changes at most the value it
+    writes.
+    """
+
+    def __init__(self, run: _Run):
+        self.run = run
+        self.twice_at = run.twice_at  # P + 2|C|
         self.admits: Optional[bool] = None
 
     def decide(self) -> bool:
         """Whether the gate admits the cycle.  A walk that ended before
-        P+2|C| leaves the run to extend here: to P+|C|, which admits when
-        F(e) = e (:func:`_lap_fixed`), and on to P+2|C| only when not."""
+        P+2|C| leaves the run to extend here, until it folds or reaches
+        P+2|C|."""
         if self.admits is None:
-            run = self.run
-            if (len(run.steps) <= self.twice_at and run.extend_to(run.a.n_states)
-                    and _lap_fixed(run, self.erased)):
-                self.admits = True
-            else:
-                self.admits = _same(*_cycle_ends(run), self.erased)
+            run, steps = self.run, self.run.steps
+            while run.fold is None and len(steps) <= self.twice_at:
+                run.extend_to(len(steps))
+            self.admits = run.fold is not None
         return self.admits
 
 
@@ -379,32 +556,33 @@ def _fresh_marks(a: PathAutomaton) -> list[_Mark]:
 class _Walk:
     """Shared walk context: takes transitions, charges budgets and counters.
 
-    An erased ``gate`` switches stabilization detection (in the unfolding
-    operators) to parameter-erased comparison — the right notion when the
-    cycle was admitted through the erased idempotence gate, in which case
-    the formula cannot observe parameter values anyway.
-
-    Properties are compiled on first use and kept for the walk.  A compiled
-    property keeps nothing from one model to the next.
+    A walk reads configuration classes, never models: ``reach(label, q,
+    pos)`` is the class of the configuration a transition reaches, and
+    ``model_of(k)`` a configuration of class ``k``.  Two positions of one
+    class are alike to every property and event the walk reads, so an
+    instance's repeat, an event's change and a property's value are read
+    off the classes.  Each property is compiled on first use, and its value
+    is kept per class: a configuration is built only for a value the walk
+    does not have yet.
     """
 
-    def __init__(self, a: PathAutomaton, reach: Callable[[str, int, ComponentModel, int],
-                                                         ComponentModel],
+    def __init__(self, a: PathAutomaton, reach: Callable[[str, int, int], int],
+                 model_of: Callable[[int], ComponentModel],
                  max_steps: Optional[int], gate: Optional[_Gate] = None):
         self.a = a
         self.reach = reach
+        self.model_of = model_of
         self.remaining = max_steps
         self.gate = gate
-        self.erased = gate is not None and gate.erased
         self.transitions = 0
         self.cp_evals = 0
         self.max_instance = 0
-        self.compiled: dict[ConfigProperty, CompiledCp] = {}
+        self.values: dict[ConfigProperty, tuple[CompiledCp, dict[int, bool]]] = {}
 
-    def run(self, q: int, c: ComponentModel, pos: int) -> Iterator[tuple[str, int, ComponentModel]]:
-        """The transitions one operator instance takes from (q, c) at run
-        position ``pos``, as (label, target, configuration), the
-        configuration ``reach(label, target, c, pos + 1)`` from the one before.
+    def run(self, q: int, pos: int) -> Iterator[tuple[str, int, int]]:
+        """The transitions one operator instance takes from state ``q`` at
+        run position ``pos``, as (label, target, class), the class
+        ``reach(label, target, pos + 1)`` of the position after.
 
         Each state is marked ``unchecked -> again -> checked`` as it is left,
         so the run ends at a terminal state or at a state left twice: an
@@ -430,11 +608,11 @@ class _Walk:
             earlier[marks[q]] += 1  # as stored, so a lost write is seen
             if self.remaining is not None:
                 if self.remaining == 0:
-                    raise _Budget(q, c)
+                    raise _Budget(q, pos)
                 self.remaining -= 1
             label, q2 = nxt
             pos += 1
-            c = self.reach(label, q2, c, pos)
+            k = self.reach(label, q2, pos)
             if gate is not None and pos == gate.twice_at and not gate.decide():
                 raise _Refused()
             if q2 <= q:  # the back edge: recount once per lap
@@ -448,21 +626,28 @@ class _Walk:
             if taken > 2 * a.n_states:
                 raise AssertionError(f"operator instance applied {taken} transitions, "
                                      f"exceeding 2*|Q| = {2 * a.n_states}")
-            yield label, q, c
+            yield label, q, k
 
-    def unfold(self, q: int, c: ComponentModel, pos: int) -> Unfolding:
-        """The run from (q, c) at position ``pos`` as one operator instance walks it.  Its repeat
+    def unfold(self, q: int, k: int, pos: int) -> Unfolding:
+        """The run from state ``q`` and class ``k`` at position ``pos`` as one
+        operator instance walks it, keyed by (state, class).  Its repeat
         comes before the marks stop it: under the gate, the transition into
         two laps past the entry leaves a state for the second time, and on a
         window every configuration repeats one lap later."""
-        return Unfolding(self.a, q, c, self.run(q, c, pos), erased=self.erased)
+        return Unfolding(self.a, q, k, self.run(q, pos))
 
-    def eval_cp(self, cp: ConfigProperty, c: ComponentModel) -> bool:
+    def holds(self, cp: ConfigProperty, k: int) -> bool:
+        """The value of ``cp`` on class ``k``: counted as a read, and
+        evaluated only the first time."""
         self.cp_evals += 1
-        test = self.compiled.get(cp)
-        if test is None:
-            test = self.compiled[cp] = compile_cp(cp)
-        return test(c, {})
+        kept = self.values.get(cp)
+        if kept is None:
+            kept = self.values[cp] = (compile_cp(cp), {})
+        test, known = kept
+        value = known.get(k)
+        if value is None:
+            value = known[k] = test(self.model_of(k), {})
+        return value
 
     def stats(self) -> CheckStats:
         return CheckStats(self.transitions, self.cp_evals, self.max_instance)
@@ -484,35 +669,37 @@ def is_suffix_monotone(f: FtplFormula) -> bool:
     return True
 
 
-def _after_loop(f: After, walk: _Walk, q: int, c: ComponentModel, pos: int):
-    """Check ``f.inner`` after occurrences of ``f.event`` from (q, c).
+def _after_loop(f: After, walk: _Walk, q: int, k: int, pos: int):
+    """Check ``f.inner`` after occurrences of ``f.event`` from state ``q``
+    and class ``k`` at run position ``pos``.
 
     When ``f.inner`` is suffix-monotone the first occurrence decides (the
     classic first-occurrence rule); otherwise every occurrence met during
-    the marked run is checked.  ``pos`` is the run position of (q, c).
+    the marked run is checked.  An occurrence changed the configuration
+    exactly when the classes around it differ.
     """
     collect_all = not is_suffix_monotone(f.inner)
-    pending: list[tuple[int, ComponentModel, int]] = []
-    for pos, (label, q2, c2) in enumerate(walk.run(q, c, pos), pos + 1):
-        if event_holds(c, c2, label, f.event, pos):
-            pending.append((q2, c2, pos))
+    pending: list[tuple[int, int, int]] = []
+    for pos, (label, q2, k2) in enumerate(walk.run(q, pos), pos + 1):
+        if event_holds(k, k2, label, f.event, pos):
+            pending.append((q2, k2, pos))
             if not collect_all:
                 break
-        c = c2
+        k = k2
     # every occurrence kept must pass; none at all is vacuous truth
-    for q2, c2, pos2 in pending:
+    for q2, k2, pos2 in pending:
         try:
-            _eval_formula(f.inner, walk, q2, c2, pos2)
+            _eval_formula(f.inner, walk, q2, k2, pos2)
         except _Violation as v:
             v.afters = (pos2, *v.afters)
             raise
 
 
-def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos: int):
-    """Check ``cp`` on (q, c) and on every configuration of its marked run."""
-    run = (c2 for _label, _q, c2 in walk.run(q, c, pos))
-    for pos, c in enumerate(chain([c], run), pos):
-        if not walk.eval_cp(cp, c):
+def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, k: int, pos: int):
+    """Check ``cp`` on (q, k) and on every configuration of its marked run."""
+    run = (k2 for _label, _q, k2 in walk.run(q, pos))
+    for pos, k in enumerate(chain([k], run), pos):
+        if not walk.holds(cp, k):
             raise _Violation(pos, f"always [{print_cp(cp)}] violated",
                              falsified=range(pos, pos + 1))
 
@@ -523,23 +710,22 @@ def _assert_settled(run: Unfolding):
         raise AssertionError("instance unfolding ended with neither a period nor a terminal state")
 
 
-def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, c: ComponentModel, pos: int):
+def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, k: int, pos: int):
     """Passes as soon as one reachable configuration satisfies ``cp``.
 
-    Unfolds until the (state, model) pair repeats or the path ends; each
-    state is applied at most twice on the way.
+    Unfolds until the (state, class) pair repeats or the path ends; each
+    state is left at most twice on the way.
     """
-    run = walk.unfold(q, c, pos)
-    for i, (_q, _label, c) in enumerate(run):
-        if walk.eval_cp(cp, c):
+    run = walk.unfold(q, k, pos)
+    for i, (_q, _label, k) in enumerate(run):
+        if walk.holds(cp, k):
             return
     _assert_settled(run)
     how = "on the finite path" if run.complete else "(cycle stabilized)"
     raise _Violation(pos + i, f"eventually [{print_cp(cp)}] never satisfied {how}")
 
 
-def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
-                  c: ComponentModel, pos: int):
+def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int, k: int, pos: int):
     """Every occurrence of ``e`` must be preceded by a segment satisfying
     the trace property.
 
@@ -551,15 +737,15 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
     decides: ``always`` fails at the first falsifying configuration once
     an occurrence follows it, ``eventually`` holds from the first
     satisfying one on and fails at an occurrence that comes before it.
-    Each window configuration is evaluated at most once.  When the window
-    was cut on parameter-erased models, the changed/unchanged test of an
-    event compares erased models too, as a wrapped representative may
-    differ from the true configuration in its parameters.
+    Each window configuration is read at most once.  An event's change is
+    read off the classes of the window, so when the walk's classes erase
+    parameter values, a wrapped representative, which may differ from the
+    true configuration in its parameters, is still alike to it.
     """
-    run = walk.unfold(q, c, pos)
-    states, _labels, models = zip(*run)
+    run = walk.unfold(q, k, pos)
+    states, _labels, classes = zip(*run)
     _assert_settled(run)
-    keys, ps, n = run.keys, run.period_start, len(models)
+    ps, n = run.period_start, len(classes)
     t = 0 if ps is None else n - ps
     last = n - 1 if ps is None else n + 2 * t
     labels = walk.a.labels
@@ -571,11 +757,11 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
         if label != e.op_name:
             continue
         cur = i if i < n else ps + (i - ps) % t
-        if not event_holds(keys[prev], keys[cur], label, e, i):
+        if not event_holds(classes[prev], classes[cur], label, e, i):
             continue
         # the occurrence's segment is [0, i-1]; indices from n on repeat earlier ones
         while evaluated < min(i, n):
-            holds = walk.eval_cp(tr.cp, models[evaluated])
+            holds = walk.holds(tr.cp, classes[evaluated])
             if holds and not is_always:
                 return  # and so in every later segment
             if not holds and is_always:
@@ -595,17 +781,18 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int,
             return  # every configuration passed: so does every later segment
 
 
-def _eval_formula(f: FtplFormula, walk: _Walk, q: int, c: ComponentModel, pos: int):
-    """Check ``f`` at run position ``pos`` with a fresh mark map per operator
-    node; a violation raises :class:`_Violation`."""
+def _eval_formula(f: FtplFormula, walk: _Walk, q: int, k: int, pos: int):
+    """Check ``f`` from state ``q`` and class ``k`` at run position ``pos``
+    with a fresh mark map per operator node; a violation raises
+    :class:`_Violation`."""
     if isinstance(f, After):
-        _after_loop(f, walk, q, c, pos)
+        _after_loop(f, walk, q, k, pos)
     elif isinstance(f, Before):
-        _before_check(f.event, f.trace, walk, q, c, pos)
+        _before_check(f.event, f.trace, walk, q, k, pos)
     elif isinstance(f, Always):
-        _always_loop(f.cp, walk, q, c, pos)
+        _always_loop(f.cp, walk, q, k, pos)
     elif isinstance(f, Eventually):
-        _eventually_scan(f.cp, walk, q, c, pos)
+        _eventually_scan(f.cp, walk, q, k, pos)
     else:
         raise TypeError(f"not a formula node: {f!r}")
 
@@ -616,24 +803,54 @@ def gate_admits(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
                 c0: ComponentModel) -> tuple[bool, bool]:
     """Whether the idempotence gate admits the cycle of ``a``, which must have
     one, on the run from ``c0``: exactly, and with parameter values erased.
-    Both are decided on one run to P+2|C|, as :func:`check` reads either off
-    its run; an exact repeat is an erased one too."""
-    once, twice = _cycle_ends(_Run(a, ops, c0))
-    exact = once == twice
-    return exact, exact or _same(once, twice, erased=True)
+    Both are decided on one run to P+2|C|, whose positions are classified
+    both ways, by comparing the classes of F(e) and F(F(e)); an exact repeat
+    is an erased one too."""
+    run = _Run(a, ops, c0, erased=True)
+    run.extend_to(run.twice_at)
+    exact = run.exact.at(run.once_at) == run.exact.at(run.twice_at)
+    return exact, exact or run.keys.at(run.once_at) == run.keys.at(run.twice_at)
 
 
-def _unfold(run: _Run, max_steps: int) -> ConcreteLasso:
+@record
+class _Window:
+    """The window of a gate-refused lasso: (state, incoming label, exact
+    class) of each of the run's first positions, entry i at position i,
+    where it starts repeating, as a :class:`~reconfcheck.reconfig.Unfolding`
+    says, and the configuration of each position the window took past the
+    run's frontier."""
+
+    entries: tuple[tuple[int, Optional[str], int], ...]
+    period_start: Optional[int]
+    complete: bool
+    taken: dict[int, ComponentModel]
+
+    def model(self, run: _Run, k: int) -> ComponentModel:
+        """A configuration of exact class ``k``: one the window took, or
+        else one rebuilt from the run's records."""
+        pos = run.exact.first[k]
+        c = self.taken.get(pos)
+        return run.model(pos) if c is None else c
+
+
+def _unfold(run: _Run, max_steps: int) -> _Window:
     """The window of a lasso the gate refused: the first positions of
     ``run`` for at most ``max_steps`` transitions, cut short at the path's
-    end or before an exact (state, model) repeat.  Those the run holds are
-    rebuilt from its records, one ``derive_model`` each; the run is
-    extended past its frontier."""
-    steps = run.steps
-    reached = run.configurations(range(1, max_steps + 1))
-    window = Unfolding(run.a, 0, run.c0, (steps[pos][:2] + (c,) for pos, c in reached))
-    entries = tuple(LassoStep(q, c, label) for q, label, c in window)
-    return ConcreteLasso(run.a, entries, window.period_start, window.complete)
+    end or before an exact (state, class) repeat.  The run is extended past
+    its frontier, and the window keeps the configurations it took there,
+    which its walk reads after the run has moved on."""
+    steps, exact, taken = run.steps, run.exact, {}
+
+    def reached():
+        for pos in range(1, max_steps + 1):
+            if pos == len(steps):
+                if not run.extend_to(pos):
+                    return
+                taken[pos] = run.newest
+            yield steps[pos][0], steps[pos][1], exact.at(pos)
+
+    window = Unfolding(run.a, 0, exact.at(0), reached())
+    return _Window(tuple(window), window.period_start, window.complete, taken)
 
 
 def _witnessed(f: FtplFormula, holds: bool) -> bool:
@@ -645,47 +862,23 @@ def _witnessed(f: FtplFormula, holds: bool) -> bool:
 
 
 def _witness_steps(run: _Run, length: int) -> Iterator[WitnessStep]:
-    """The first ``length`` positions of ``run``, which holds them, with
-    their digests.  One digester takes ``c0`` and then, for each
-    configuration not seen before, the changes since the last one it took.
-
-    Repeats are found from the records, with no model built.  ``drift``
-    holds each id whose component (or None, where it is absent) is not
-    ``c0``'s, and each binding whose presence is not, with its value at the
-    current position; an entry goes when its value returns to ``c0``'s.  No
-    delegation comes back once gone.  So two positions hold equal
-    configurations exactly when their drifts and their delegations gone are
-    equal under ``==``, and equal configurations have equal component sums,
-    which the run keeps: each distinct configuration is kept, with a copy
-    of its drift and its digest, under its sum and its delegations gone.
-    """
-    c0, steps = run.c0, run.steps
-    components, bindings = c0.components, c0.bindings
+    """The first ``length`` positions of ``run``, extended to hold them,
+    with their digests.  One digester takes ``c0`` and then, for each
+    exact class not seen before, the changes since the last position it
+    took; a repeat reuses its class's digest, and no model is built."""
+    run.extend_to(length - 1)
+    steps, exact = run.steps, run.exact
     digest = model_digester()  # successive configurations share components
-    drift: dict[Union[str, Binding], object] = {}
-    gone = frozenset()
-    d = digest(c0)
-    seen = {(steps[0][3], gone): [({}, d)]}  # (drift, digest) of each distinct configuration
-    yield WitnessStep(0, "", d)
+    shown = {exact.at(0): digest(run.c0)}  # the digest of each class
+    yield WitnessStep(0, "", shown[exact.at(0)])
     last = 0  # the position the digester took last
     for pos in range(1, length):
-        label, q, log, total = steps[pos]
-        change = composed([log])
-        for x, value in chain(change.components.items(), change.bindings.items()):
-            if value == (components.get(x) if isinstance(x, str) else x in bindings):
-                drift.pop(x, None)
-            else:
-                drift[x] = value
-        if change.uncoupled:
-            gone |= change.uncoupled
-        alike = seen.setdefault((total, gone), [])
-        for kept, d in alike:
-            if kept == drift:
-                break
-        else:
-            d = digest(change if last == pos - 1 else
-                       composed(log for _label, _q, log, _sum in steps[last + 1:pos + 1]))
-            alike.append((dict(drift), d))
+        label, q, log, _sum = steps[pos]
+        k = exact.at(pos)
+        d = shown.get(k)
+        if d is None:
+            d = shown[k] = digest(composed([log]) if last == pos - 1 else
+                                  composed(log for _l, _q, log, _s in steps[last + 1:pos + 1]))
             last = pos
         yield WitnessStep(q, label, d)
 
@@ -712,13 +905,13 @@ def run_steps(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], c0: Compo
 def _fails(run: _Run, length: int, index: int, v: _Violation,
            proving: Optional[FtplFormula], erased: bool, stats: CheckStats) -> Verdict:
     """The fails verdict on violation ``v``, whose witness is the first
-    ``length`` positions of ``run``, reported at ``index``; no operation is
-    applied for them (:func:`_witness_steps`).  With ``proving``, the
-    formula ``v`` refutes, the verdict is checked here against ``v``'s proof
-    on the positions it reads, rebuilt from the run's records, and the run
-    is extended for any that lie past its frontier (parameter values erased
-    in comparisons when ``erased``); a flaw raises
-    :class:`OracleDisagreement`."""
+    ``length`` positions of ``run``, reported at ``index``; the run is
+    extended for any of them it did not take, and read off its records
+    (:func:`_witness_steps`).  With ``proving``, the formula ``v`` refutes,
+    the verdict is checked here against ``v``'s proof on the positions it
+    reads, rebuilt from the run's records, and the run is extended for any
+    that lie past its frontier (parameter values erased in comparisons when
+    ``erased``); a flaw raises :class:`OracleDisagreement`."""
     shown = tuple(_witness_steps(run, length))
     if proving is not None:
         proof, steps = v.proof(), run.steps
@@ -743,10 +936,12 @@ def _gated_verdict(f: FtplFormula, run: _Run, walk: _Walk, gate: Optional[_Gate]
     only once that instance has passed position P+2|C|, where the gate has
     decided and a refusal has stopped the walk.  So the walk's outcome (it
     holds, a violation, a spent budget or an evaluation error) is kept, the
-    gate decides once, and the outcome stands only if the gate admits.
+    gate decides once, and the outcome stands only if the gate admits.  A
+    spent budget reports the configuration where the walk stopped, the run
+    extended to it.
     """
     try:
-        _eval_formula(f, walk, 0, run.c0, 0)
+        _eval_formula(f, walk, 0, run.keys.at(0), 0)
         outcome = None
     except (_Violation, _Budget, CpEvalError, RecursionError) as e:
         outcome = e
@@ -758,12 +953,13 @@ def _gated_verdict(f: FtplFormula, run: _Run, walk: _Walk, gate: Optional[_Gate]
         if outcome is None:
             return Verdict(HOLDS, stats=walk.stats())
         if isinstance(outcome, _Violation):
-            return _fails(run, outcome.length, outcome.index, outcome, proving, walk.erased,
-                          walk.stats())
+            return _fails(run, outcome.length, outcome.index, outcome, proving,
+                          run.keys.erased, walk.stats())
         if isinstance(outcome, _Budget):
+            run.extend_to(outcome.pos)
             return Verdict(UNKNOWN, reason=REASON_BUDGET,
                            residual=residual_from(run.a, outcome.state),
-                           reached=outcome.model, stats=walk.stats())
+                           reached=run.model(outcome.pos), stats=walk.stats())
         raise outcome  # evaluating a property
     finally:
         del outcome  # its traceback holds this frame and the walk's: no cycle outlives the call
@@ -796,9 +992,9 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     # a formula that cannot observe parameter values (neither through
     # property leaves nor through events on parameter-updating operations)
     # may ignore parameter drift when judging cycle idempotence
-    run = _Run(a, ops, c0)
-    gate = _Gate(run, erasure_invariant(f, ops)) if a.has_cycle else None
-    walk = _Walk(a, run.reach, opts.max_steps, gate=gate)
+    run = _Run(a, ops, c0, a.has_cycle and erasure_invariant(f, ops))
+    gate = _Gate(run) if a.has_cycle else None
+    walk = _Walk(a, run.key, lambda k: run.model(run.keys.first[k]), opts.max_steps, gate=gate)
     # a finite prefix refutes f: under the cross-check a fails verdict proves itself
     proving = f if opts.oracle_crosscheck and _witnessed(f, False) else None
     verdict = _gated_verdict(f, run, walk, gate, proving)
@@ -808,23 +1004,23 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
                        reached=c0, stats=CheckStats(0, 0, 0))
     if verdict is None:
         # a non-idempotent cycle, bounded: the window repeats exactly or is cut by the budget
-        lasso = _unfold(run, opts.max_steps)
-        entries, ps, n = lasso.entries, lasso.period_start, len(lasso.entries)
-        labels = tuple(a.labels[s.state] for s in entries[:n if ps is not None else n - 1])
-        # state i is window position i, reached in _unfold; an exact repeat needs no gate
-        walk = _Walk(PathAutomaton(labels, n, ps), lambda _label, q, _c, _pos: entries[q].model,
-                     None)
+        window = _unfold(run, opts.max_steps)
+        entries, ps, n = window.entries, window.period_start, len(window.entries)
+        labels = tuple(a.labels[q] for q, _label, _k in entries[:n if ps is not None else n - 1])
+        # state i is window position i; an exact repeat needs no gate
+        walk = _Walk(PathAutomaton(labels, n, ps), lambda _label, q, _pos: entries[q][2],
+                     lambda k: window.model(run, k), None)
         try:
-            _eval_formula(f, walk, 0, c0, 0)
+            _eval_formula(f, walk, 0, entries[0][2], 0)
             v = None
         except _Violation as violation:
             # without its traceback, which holds this frame: v would keep the window
             # in a reference cycle until the cyclic collector runs
             v = violation.with_traceback(None)
-        stats, last = CheckStats(n - 1, walk.cp_evals, n - 1), entries[-1]
+        stats = CheckStats(n - 1, walk.cp_evals, n - 1)
         if ps is None and not _witnessed(f, v is None):
             verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
-                              residual=residual_from(a, last.state), reached=last.model,
+                              residual=residual_from(a, entries[-1][0]), reached=run.model(n - 1),
                               stats=stats)
         elif v is None:
             verdict = Verdict(HOLDS, stats=stats)

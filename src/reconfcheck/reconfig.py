@@ -336,7 +336,9 @@ class Unfolding:
     """A run of a path automaton from (q, c), cut where it starts repeating.
 
     ``transitions`` is the run's (label, target, configuration) stream, as
-    :func:`run_path` gives it.  Iterating the unfolding, once, yields the
+    :func:`run_path` gives it; a check's walk streams the class id of each
+    configuration in its place, which repeats exactly when the
+    configuration does.  Iterating the unfolding, once, yields the
     run's (state, incoming label, configuration) entries, the first with
     label None, taking a transition only when the next entry is asked for.
     The run ends just before a (state, key) pair repeats, setting

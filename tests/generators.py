@@ -34,6 +34,9 @@ from reconfcheck import (
     Stop,
     Unbind,
     build_automaton,
+    parse_model,
+    parse_path,
+    parse_recipes,
     validate_model,
 )
 from reconfcheck.adl import RecipeSet
@@ -300,3 +303,27 @@ def gen_ill_formed_case(seed: int):
     by a generator of their own, so the path, model and operations are kept."""
     f, a, c0, ops = gen_case(seed)
     return _with_ill_formed_leaves(random.Random(f"ill-formed {seed}"), f, c0), a, c0, ops
+
+
+def scaled_holds_lasso(n: int, k: int, bump: bool):
+    """A lasso in the shape of the benchmark's ``holds`` lassos: a ``Hub``
+    with one ``TX`` input per cycle slot and an int parameter ``level``, and
+    ``n`` workers chained by ``TW`` bindings, every tenth of them stopped.
+    The path is ``run (AddX0 run RmX0 ... AddX<k-1> run RmX<k-1>)+``; with
+    ``bump``, ``Bump`` (``level`` + 1) sits after the ``k // 2``-th triplet,
+    so only the erased gate admits the cycle."""
+    hub = "component Hub { class Hub param level : int = 0 input head : TW " + \
+        " ".join(f"input in{j} : TX" for j in range(k)) + " }"
+    workers = " ".join(f"component W{i} {{ class Worker input i : TW output o : TW "
+                       f"state {'stopped' if i % 10 == 0 else 'started'} }}" for i in range(n))
+    binds = " ".join(f"bind W{i}.o -> W{i + 1}.i" for i in range(n - 1))
+    model = parse_model(f"model Scaled {{ {hub} {workers} {binds} bind W{n - 1}.o -> Hub.head }}")
+    recipes = parse_recipes("op Bump { set Hub.level := param(Hub.level) + 1 } " + " ".join(
+        f"op AddX{j} {{ add component X{j} {{ class Extra output feed : TX }} "
+        f"bind X{j}.feed -> Hub.in{j} }} op RmX{j} {{ remove component X{j} }}"
+        for j in range(k)))
+    cycle = [label for j in range(k) for label in (f"AddX{j}", "run", f"RmX{j}")]
+    if bump:
+        cycle.insert(3 * (k // 2), "Bump")
+    a = build_automaton(parse_path(f"run ({' '.join(cycle)})+"))
+    return a, model, recipes.operation_table()

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 import weakref
 from pathlib import Path
@@ -27,6 +28,7 @@ from reconfcheck import (
     apply_sequence,
     build_automaton,
     check,
+    erase_param_values,
     erasure_invariant,
     is_idempotent_sequence,
     is_suffix_monotone,
@@ -40,7 +42,7 @@ from reconfcheck import (
     residual_from,
     unfold_to_lasso,
 )
-from reconfcheck import checker, oracle, reconfig
+from reconfcheck import checker, model, oracle, reconfig
 from reconfcheck.adl import model_digest
 from reconfcheck.checker import CheckError, CheckOptions, REASON_BUDGET, REASON_CYCLE
 from reconfcheck.cli import run_cli
@@ -267,14 +269,19 @@ def test_the_gated_walk_applies_each_transition_it_counts(text, max_steps, base_
 ])
 def test_the_gate_reads_the_run_a_top_instance_walks_past_its_decision(
         text, base_automaton, cache_formula, http_recipes, http_model, http_ops, monkeypatch):
-    # the walk reaches P+2|C|, where the gate compares two of its configurations
+    # the walk reaches P+2|C|, where the gate reads the classes of two of
+    # its positions; it applies operations up to the run's fold, which it
+    # found on its way there, and reads every later position off the lap before
+    runs = _recorded_runs(monkeypatch)
     places = _applications(monkeypatch)
     f = cache_formula if text is None else parse_formula(text, known_ops=http_recipes.names())
     verdict = check(f, base_automaton, http_model, http_ops)
     a = base_automaton
+    run, = runs
     assert verdict.is_holds
     assert set(places) == {"walk"}
-    assert len(places) == verdict.stats.transitions_applied >= 2 * a.n_states - a.back_target
+    assert verdict.stats.transitions_applied >= 2 * a.n_states - a.back_target
+    assert len(places) == run.fold < 2 * a.n_states - a.back_target
 
 
 def test_the_gate_alone_decides_as_the_cycle_applied_twice_at_its_entry():
@@ -295,11 +302,23 @@ def test_the_gate_alone_decides_as_the_cycle_applied_twice_at_its_entry():
     assert len(decided) == 4 and sum(decided.values()) > 4000, decided
 
 
+def _cycle_ends_compare(a, ops, c0, erased: bool) -> bool:
+    """The gate as it was decided on models: F(e) and F(F(e)), run positions
+    P+|C| and P+2|C|, rebuilt and compared, with parameter values erased
+    when ``erased``."""
+    run = checker._Run(a, ops, c0)
+    (_, once), (_, twice) = run.configurations((a.n_states, 2 * a.n_states - a.back_target))
+    if erased:
+        once, twice = erase_param_values(once), erase_param_values(twice)
+    return once == twice
+
+
 def test_the_gate_decides_as_the_two_laps_compare():
-    # a gate whose run stops short of P+2|C| admits at P+|C| when F(e) = e,
-    # read off the first lap's records; its verdict is still that of the
-    # comparison of F(e) with F(F(e)).  The run is taken to a frontier that
-    # varies with the seed, at P+2|C| and past it too
+    # the gate admits when the run folds by P+2|C| (a position L from P+|C|
+    # on has the class of L-|C|), which a run with F(e) = e does at P+|C|;
+    # its verdict is still that of the comparison of the models F(e) and
+    # F(F(e)).  The run is taken to a frontier that varies with the seed,
+    # at P+2|C| and past it too
     fired = Counter()
     for seed in range(10_000):
         _f, a, c0, ops = generators.gen_case(seed)
@@ -307,38 +326,54 @@ def test_the_gate_decides_as_the_two_laps_compare():
             continue
         twice_at = 2 * a.n_states - a.back_target
         for erased in (False, True):
-            run = checker._Run(a, ops, c0)
+            run = checker._Run(a, ops, c0, erased)
             run.extend_to(seed % (twice_at + 2))
             taken = len(run.steps)
-            admits = checker._Gate(run, erased).decide()
-            assert admits == checker._same(*checker._cycle_ends(checker._Run(a, ops, c0)),
-                                           erased), (seed, erased)
+            admits = checker._Gate(run).decide()
+            assert admits == _cycle_ends_compare(a, ops, c0, erased), (seed, erased)
             fired[erased] += taken <= twice_at and len(run.steps) <= max(taken, a.n_states + 1)
     assert min(fired.values()) > 1000, fired
 
 
 def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
     # the walk applies one operation per position it takes at the run's
-    # frontier, and a witness none.  The gate, when the walk stopped short
-    # of P+2|C|, applies the run's positions from there to P+|C| if F(e)
-    # equals e, which decides, and else to P+2|C|, once each
+    # frontier.  The gate, when the walk stopped short of P+2|C|, applies
+    # the run's positions from there to the first position L from P+|C| on
+    # whose configuration is that of L-|C| (parameter values erased if the
+    # gate erases), or to P+2|C| if there is none, once each.  A witness
+    # applies only the positions past the frontier of a run that folded
     runs = _recorded_runs(monkeypatch)
-    frontiers = []
-    decide = checker._Gate.decide
+    frontiers, witnessed = [], []
+    decide, fails = checker._Gate.decide, checker._fails
 
     def deciding(gate):
         if gate.admits is None:
-            frontiers.append((len(gate.run.steps) - 1, gate.erased))
+            frontiers.append((len(gate.run.steps) - 1, gate.run.keys.erased))
         return decide(gate)
 
+    def failing(run, length, *args):
+        witnessed.append(max(length - len(run.steps), 0))
+        return fails(run, length, *args)
+
+    def folds_at(a, c0, ops, erased):
+        # the gate's stop, found on the models run_path applies
+        models = [c0, *(c for _label, _q, c in itertools.islice(
+            reconfig.run_path(a, ops, 0, c0), 2 * a.n_states - a.back_target))]
+        if erased:
+            models = list(map(erase_param_values, models))
+        lap = a.n_states - a.back_target
+        return next((x for x in range(a.n_states, len(models))
+                     if models[x] == models[x - lap]), len(models) - 1)
+
     monkeypatch.setattr(checker._Gate, "decide", deciding)
-    kinds = dict.fromkeys(("refused", "read", "rest", "fixed"), 0)
+    monkeypatch.setattr(checker, "_fails", failing)
+    kinds = dict.fromkeys(("refused", "read", "rest", "fixed", "folded in the second lap"), 0)
     for seed in range(300):
         f, a, c0, ops = generators.gen_case(seed)
         twice_at = 2 * a.n_states - a.back_target if a.has_cycle else 0  # P+2|C|
         for max_steps in (None, 1, a.n_states):
             places = _applications(monkeypatch)
-            runs.clear(), frontiers.clear()
+            runs.clear(), frontiers.clear(), witnessed.clear()
             try:
                 verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
             except CpEvalError:
@@ -353,16 +388,18 @@ def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
                 continue  # a gate-refused window
             rest = 0
             if frontiers:
-                (frontier, erased), fixed_at = frontiers[0], a.n_states  # P+|C|
-                (_, e), (_, once) = run.configurations((a.back_target, fixed_at))
-                fixed = frontier < twice_at and checker._same(e, once, erased)
-                rest = max(fixed_at - frontier, 0) if fixed else twice_at - frontier
-                kinds["fixed"] += fixed
+                frontier, erased = frontiers[0]
+                stop = folds_at(a, c0, ops, erased)
+                rest = max(stop - frontier, 0)
+                kinds["fixed"] += rest > 0 and stop == a.n_states
+                kinds["folded in the second lap"] += rest > 0 and a.n_states < stop < twice_at
             kinds["rest" if rest else "read"] += 1
-            walked = len(run.steps) - 1 - rest
+            shown = sum(witnessed)
+            assert places.count("_fails") == shown
+            assert not shown or run.fold is not None
+            walked = len(run.steps) - 1 - rest - shown
             assert places.count("walk") == walked <= verdict.stats.transitions_applied
             assert places.count("decide") == rest <= twice_at
-            assert "_fails" not in places
     assert min(kinds.values()) > 20, kinds
 
 
@@ -574,14 +611,14 @@ def test_a_witness_tells_apart_configurations_that_differ_only_in_a_delegation(
 
 @pytest.mark.parametrize("erased", [False, True])
 def test_a_lap_that_drops_a_delegation_moves_the_cycle_entry(erased, http_model):
-    # F(e) differs from e in the delegation alone, so the gate does not
-    # admit at P+|C|; the second lap drops nothing more, and it admits there
+    # F(e) differs from e in the delegation alone, so the run does not fold
+    # at P+|C|; the second lap drops nothing more, and it folds in it
     ops = parse_recipes(HTTP_SERVER_SWAP).operation_table()
     a = build_automaton(parse_path("(RemoveHttpServer AddHttpServer run)+"))
-    run = checker._Run(a, ops, http_model)
-    gate = checker._Gate(run, erased)
-    assert gate.decide() and not checker._lap_fixed(run, erased)
-    assert len(run.steps) - 1 == gate.twice_at
+    run = checker._Run(a, ops, http_model, erased)
+    gate = checker._Gate(run)
+    assert gate.decide() and a.n_states < run.fold <= gate.twice_at
+    assert len(run.steps) - 1 == run.fold
 
 
 def test_a_witness_tells_apart_configurations_whose_drifts_differ_only_in_values():
@@ -1033,7 +1070,7 @@ _INVARIANT = ("mark-order invariant: an earlier state is unchecked, "
 _UNSETTLED = "instance unfolding ended with neither a period nor a terminal state"
 
 
-def _slice_run(walk, q, c, pos):
+def _slice_run(walk, q, pos):
     """``checker._Walk.run`` testing the invariant against ``marks[:q]``
     on every step: the reference for the counted form (unbudgeted)."""
     assert walk.remaining is None
@@ -1052,7 +1089,7 @@ def _slice_run(walk, q, c, pos):
             else checker._Mark.CHECKED
         label, q = nxt
         pos += 1
-        c = walk.reach(label, q, c, pos)
+        k = walk.reach(label, q, pos)
         if walk.gate is not None and pos == walk.gate.twice_at and not walk.gate.decide():
             raise checker._Refused()
         taken += 1
@@ -1061,7 +1098,7 @@ def _slice_run(walk, q, c, pos):
         if taken > 2 * a.n_states:
             raise AssertionError(f"operator instance applied {taken} transitions, "
                                  f"exceeding 2*|Q| = {2 * a.n_states}")
-        yield label, q, c
+        yield label, q, k
 
 
 def _corrupted_mark_lists(n):
@@ -1254,13 +1291,20 @@ def _recorded_runs(monkeypatch) -> list:
 @pytest.mark.parametrize("oracle_crosscheck", [False, True])
 def test_a_check_applies_each_run_position_once(oracle_crosscheck, monkeypatch):
     # the run takes each position once, whoever asks for it: a nested
-    # instance that walks again positions the run holds rebuilds them from
-    # its records, a witness and its proof apply nothing, and a
-    # gate-refused window takes only the positions past the run's frontier
+    # instance that walks again positions the run holds reads their
+    # classes, a walk past a fold reads the classes a lap before, a witness
+    # and its proof apply only positions past the frontier of a run that
+    # folded, and a gate-refused window takes only the positions past the
+    # run's frontier
     runs = _recorded_runs(monkeypatch)
-    again, reach = [], checker._Run.reach
-    monkeypatch.setattr(checker._Run, "reach", lambda run, label, q, c, pos: (
-        again.append(pos < len(run.steps)), reach(run, label, q, c, pos))[1])
+    again, key = [], checker._Run.key
+
+    def keyed(run, label, q, pos):
+        again.append("folded" if run.fold is not None and pos >= run.fold else
+                     "held" if pos < len(run.steps) else "taken")
+        return key(run, label, q, pos)
+
+    monkeypatch.setattr(checker._Run, "key", keyed)
     frontiers, unfold = [], checker._unfold
     monkeypatch.setattr(checker, "_unfold", lambda run, max_steps: (
         frontiers.append(len(run.steps) - 1), unfold(run, max_steps))[1])
@@ -1288,14 +1332,15 @@ def test_a_check_applies_each_run_position_once(oracle_crosscheck, monkeypatch):
                 continue
             run, = runs
             places = [place for place, _took in applied]
-            assert "_fails" not in places
+            assert "_fails" not in places or run.fold is not None
             assert len(applied) == len(run.steps) - 1
             assert all(took for _place, took in applied)
             if frontiers:
                 kinds["window"] += 1
                 assert places.count("_unfold") == len(run.steps) - 1 - frontiers[0]
             kinds["fails" if verdict.is_fails else "other"] += 1
-            kinds["walked again"] += any(again)
+            kinds["walked again"] += "held" in again
+            kinds["folded"] += "folded" in again
     assert min(kinds.values()) > 20, kinds
 
 
@@ -1382,17 +1427,17 @@ def test_positions_alike_but_for_one_value_or_binding_never_share_a_digest(
 
 def test_a_long_witness_composes_each_step_a_bounded_number_of_times(monkeypatch):
     # a's value toggles, so every configuration past the second repeats:
-    # each step's change is composed once, and a repeat composes nothing.
-    # The gate composes the cycle's first lap once more, to find F(e) = e
+    # the classes are read off the records without composing them, the
+    # witness composes the change of each class it has not digested yet,
+    # and the gate reads the classes of the lap ends
     c0 = parse_model("model M { component A { class K param a : int = 1 } }")
     ops = parse_recipes("op T { set A.a := 3 - param(A.a) }").operation_table()
     a = build_automaton(parse_path("(" + " ".join(["T"] * 60) + ")+"))
-    composed, gate, plain = [], [], checker.composed
+    composed, plain = [], checker.composed
 
     def counting(logs):
         logs = list(logs)
-        by_gate = sys._getframe(1).f_code is checker._lap_fixed.__code__
-        (gate if by_gate else composed).append(len(logs))
+        composed.append(len(logs))
         return plain(logs)
 
     monkeypatch.setattr(checker, "composed", counting)
@@ -1401,8 +1446,7 @@ def test_a_long_witness_composes_each_step_a_bounded_number_of_times(monkeypatch
     first, second = model_digest(c0), model_digest(apply_evolution(ops["T"], c0).result)
     assert n >= 60 and [s.digest for s in verdict.witness.steps] == [first, second] * (n // 2) \
         + [first] * (n % 2)
-    assert sum(composed) <= n, (n, sum(composed))
-    assert gate == [60]
+    assert composed == [1]
 
 
 def test_the_run_takes_a_step_only_from_its_newest_model(http_model, http_ops, monkeypatch):
@@ -1414,22 +1458,229 @@ def test_the_run_takes_a_step_only_from_its_newest_model(http_model, http_ops, m
     applied = []
     monkeypatch.setattr(checker, "apply_evolution",
                         lambda op, c: applied.append(c) or apply_evolution(op, c))
-    c1 = run.reach("DeviationUp", 1, c0, 1)
-    assert len(run.steps) == 2 and run.newest is c1 and applied == [c0]
+    assert run.key("DeviationUp", 1, 1) == 1
+    c1 = run.newest
+    assert len(run.steps) == 2 and applied == [c0]
     assert c1._index is not None and c0._index is None
-    # a position the run holds, walked again: rebuilt from its record onto
-    # the walk's configuration, with no operation applied and no index
-    again = run.reach("DeviationUp", 1, c0, 1)
+    # a position the run holds, read again: its class, with no operation
+    # applied; its configuration is rebuilt from its record, with no index
+    assert run.key("DeviationUp", 1, 1) == 1 and run.model(1) is c1
+    assert run.key("RemoveCacheHandler", 0, 2) == 2
+    c2 = run.newest
+    again = run.model(1)
     assert again == c1 and again is not c1 and again._index is None
-    assert len(run.steps) == 2 and run.newest is c1 and applied == [c0]
-    # the frontier's step, reached from an equal model the run did not
-    # build: taken from the newest, which hands its index on
-    twin = ComponentModel(c1.name, dict(c1.components), c1.bindings, c1.delegations)
-    c2 = run.reach("RemoveCacheHandler", 0, twin, 2)
-    assert len(run.steps) == 3 and run.newest is c2 and applied == [c0, c1]
-    assert c2._index is not None and c1._index is None and twin._index is None
-    # held positions walked again past the newest: each from the one before
-    assert run.reach("DeviationUp", 1, c0, 1) == c1 != c2
-    assert run.reach("RemoveCacheHandler", 0, again, 2) == c2 != c1
+    assert len(run.steps) == 3 and applied == [c0, c1]
+    assert c2._index is not None and c1._index is None
+    # held positions rebuilt past the newest: each from the one rebuilt before
+    assert run.model(0) is c0 and run.model(1) == c1 != c2 and run.model(2) is c2
     assert applied == [c0, c1] and run.newest is c2
     assert list(run.configurations(range(3))) == [(0, c0), (1, c1), (2, c2)]
+    assert run.exact.ids == [0, 1, 2] and run.exact.first == [0, 1, 2]
+
+
+# --- positions, not models: classes, values per class, and the fold -------------------
+
+# samples/server.rp: its cycle raises CacheHandler.memorySize and
+# validityDuration every lap, so only the erased gate admits it, and its
+# first lap starts the CacheHandler the prefix added, so the run folds two
+# positions into the second lap (P+|C| = 8, fold at 10)
+SERVER_FOLD = 10
+# the scaled holds lasso with Bump, N=200, K=10: P+|C| = 32, where it folds
+SCALED_FOLD = 32
+
+
+def _scaled_bump():
+    return generators.scaled_holds_lasso(200, 10, bump=True)
+
+
+def _lassos(http_model, http_ops, base_automaton):
+    """(automaton, initial model, operations, where the run folds) of
+    samples/server.rp and of a scaled holds lasso with Bump."""
+    return [(base_automaton, http_model, http_ops, SERVER_FOLD), (*_scaled_bump(), SCALED_FOLD)]
+
+
+def _counted_steps(monkeypatch) -> list:
+    applied = []
+    monkeypatch.setattr(checker, "apply_evolution",
+                        lambda op, c: applied.append(op) or apply_evolution(op, c))
+    return applied
+
+
+@pytest.mark.parametrize("which, text, stats", [
+    # CheckStats as the walk reported them before runs folded: transitions, reads,
+    # widest instance
+    (0, "always [component(RequestHandler)]", (13, 14, 13)),
+    (0, None, (13, 11, 10)),  # cacheconnected.ftpl
+    (0, "after AddFileServer normal eventually [component(FileServer2)]", (13, 2, 13)),
+    (0, "before DeleteFileServer normal always [component(FileServer1)]", (10, 10, 10)),
+    (1, "always [forall x in components (class(x) = Worker or class(x) = Hub or "
+        "class(x) = Extra)]", (63, 64, 63)),
+    (1, "after AddX5 normal always [forall x in components (not class(x) = Ghost) "
+        "and bound(W0.o, W1.i)]", (80, 63, 62)),
+    (1, "after RmX5 terminates eventually [exists x in components (class(x) = Extra)]",
+     (65, 4, 63)),
+    (1, "eventually [forall x in components (not class(x) = Ghost) and component(X9)]",
+     (30, 31, 30)),
+    (1, "before RmX9 normal always [forall x in bindings (present(x))]", (32, 32, 32)),
+])
+def test_a_folded_run_applies_nothing_past_its_fold(which, text, stats, http_model, http_ops,
+                                                      base_automaton, cache_formula,
+                                                      monkeypatch):
+    # every later position reads the class of the position one lap before:
+    # the walk takes as many transitions and reads as many values as before,
+    # and no operation is applied past the fold
+    a, c0, ops, fold = _lassos(http_model, http_ops, base_automaton)[which]
+    runs, applied = _recorded_runs(monkeypatch), _counted_steps(monkeypatch)
+    f = cache_formula if text is None else parse_formula(text)
+    verdict = check(f, a, c0, ops)
+    run, = runs
+    assert verdict.is_holds and verdict.stats == checker.CheckStats(*stats)
+    assert run.fold == fold == len(applied) == len(run.steps) - 1
+    assert fold <= run.twice_at and (which == 0 or fold == a.n_states)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_budget_stop_past_the_fold_reports_the_run_steps_configuration(
+        which, http_model, http_ops, base_automaton):
+    # the reached configuration is that of the run itself, taken for real
+    # past the fold: not the one a lap before, whose parameters differ
+    a, c0, ops, fold = _lassos(http_model, http_ops, base_automaton)[which]
+    f = parse_formula("always [component(RequestHandler)]" if which == 0 else
+                      "always [forall x in components (class(x) = Worker or class(x) = Hub "
+                      "or class(x) = Extra)]")
+    lap = a.n_states - a.back_target
+    replay = [c for _step, c in checker.run_steps(a, ops, c0, 2 * a.n_states + 1)]
+    walked = check(f, a, c0, ops).stats.transitions_applied
+    stopped = 0
+    for max_steps in range(fold + 1, walked):
+        verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
+        assert verdict.reason == REASON_BUDGET
+        assert verdict.reached == replay[max_steps]
+        stopped += verdict.reached != replay[max_steps - lap]
+    assert stopped > 0
+    if which == 0:
+        params = check(f, a, c0, ops, CheckOptions(max_steps=12)).reached \
+            .components["CacheHandler"].params
+        assert params["memorySize"].value == 120
+
+
+@pytest.mark.parametrize("which, text, length", [
+    (0, "after AddFileServer normal eventually [component(FileServer3)]", 11),
+    (0, "after AddFileServer normal after DeleteFileServer normal eventually "
+        "[component(FileServer3)]", 13),
+    (1, "after AddX5 normal eventually [component(Ghost)]", 49),
+])
+def test_a_witness_past_the_fold_carries_the_run_steps_digests(which, text, length, http_model,
+                                                                http_ops, base_automaton,
+                                                                monkeypatch):
+    a, c0, ops, fold = _lassos(http_model, http_ops, base_automaton)[which]
+    runs = _recorded_runs(monkeypatch)
+    verdict = check(parse_formula(text), a, c0, ops)
+    run, = runs
+    assert verdict.is_fails and len(verdict.witness.steps) == length > fold == run.fold
+    assert list(verdict.witness.steps) == [step for step, _c in
+                                           checker.run_steps(a, ops, c0, length)]
+
+
+def test_held_positions_walked_again_cost_nothing(monkeypatch):
+    # each run occurrence starts an eventually instance after the after's
+    # walk has taken the run to its fold.  An instance builds a
+    # configuration (one derive_model, and one scan for the quantifier's
+    # least ids, as a rebuilt model holds no index) only for a class no
+    # instance read before: a held position walked again costs nothing, and
+    # the instances past the fold read every value off the first lap
+    k = 10
+    a, c0, ops = generators.scaled_holds_lasso(200, k, bump=False)
+    f = parse_formula(f"after run normal eventually "
+                      f"[forall x in components (not class(x) = Ghost) and component(X{k - 1})]")
+    runs = _recorded_runs(monkeypatch)
+    derived, scans, steps = [], [], []
+    derive, least = model.derive_model, model._least_ids
+    monkeypatch.setattr(model, "derive_model",
+                        lambda *args, **kwargs: derived.append(1) or derive(*args, **kwargs))
+    monkeypatch.setattr(model, "_least_ids",
+                        lambda m: scans.append(m._index is None) or least(m))
+    monkeypatch.setattr(reconfig, "derive_model",
+                        lambda *args, **kwargs: steps.append(1) or derive(*args, **kwargs))
+    instances, scan = [], checker._eventually_scan
+
+    def counted(cp, walk, q, k, pos):
+        before = (len(derived), sum(scans), walk.transitions,
+                  len(walk.values[cp][1]) if cp in walk.values else 0)
+        scan(cp, walk, q, k, pos)
+        instances.append((pos, len(derived) - before[0], sum(scans) - before[1],
+                          walk.transitions - before[2], len(walk.values[cp][1]) - before[3]))
+
+    monkeypatch.setattr(checker, "_eventually_scan", counted)
+    verdict = check(f, a, c0, ops)
+    run, = runs
+    assert verdict.is_holds and run.fold == a.n_states == len(run.steps) - 1
+    assert len(instances) == 2 * (k + 1) - 1  # each run of two laps, less the prefix's second
+    for pos, rebuilt, scanned, walked, read_first in instances:
+        assert rebuilt == scanned == read_first  # one build per class read first
+        if pos >= run.fold:
+            assert rebuilt == 0
+    # instances that walk held positions and build nothing
+    assert sum(walked > 0 and rebuilt == 0 for _pos, rebuilt, _s, walked, _r in instances) > k
+    # the run's steps are the only operations applied; the rebuilds are one per class read
+    assert len(steps) == run.fold + k  # an AddX makes two changes
+    assert len(derived) == sum(r for _p, r, _s, _w, _r in instances) <= 2 * k + 1
+
+
+@pytest.mark.parametrize("erased", [False, True])
+def test_the_class_table_keeps_what_the_cycle_changes(erased):
+    # a class keeps its drift from the cycle's entry, not from c0, which the
+    # prefix's run moved by about a tenth of N: the table's bytes per class
+    # do not grow with N
+    per_class = []
+    for n in (200, 1600):
+        a, c0, ops = generators.scaled_holds_lasso(n, 10, bump=True)
+        run = checker._Run(a, ops, c0)
+        run.extend_to(2 * a.n_states)
+        classes = checker._Classes(run.steps, c0, a.back_target, erased)
+        classes.entry = run.entry
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            classes.at(len(run.steps) - 1)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        grown = after.compare_to(before, "filename")
+        kept = sum(stat.size_diff for stat in grown
+                   if stat.traceback[0].filename == checker.__file__)
+        per_class.append(kept / len(classes.first))
+    assert per_class[1] <= 1.5 * per_class[0], per_class
+
+
+@pytest.mark.parametrize("erased", [False, True])
+def test_equal_classes_are_equal_configurations(erased, http_model, http_ops):
+    # two positions of a run share a class exactly when their configurations
+    # are equal, parameter values erased if the classes erase them: prefix
+    # positions against c0, cycle positions against the entry, and a cycle
+    # position equal to a prefix position keeps that position's class
+    swap = parse_recipes(HTTP_SERVER_SWAP).operation_table()
+    cases = [(*generators.gen_case(seed)[1:],) for seed in range(600)] + [
+        (build_automaton(parse_path(SERVER_PATH)), http_model, http_ops),
+        (build_automaton(parse_path("RemoveHttpServer AddHttpServer run "
+                                    "(RemoveHttpServer AddHttpServer run)+")), http_model, swap),
+        # the cycle comes back to the prefix's configurations, values and all
+        (build_automaton(parse_path("DeviationUp DeviationReset (DeviationUp DeviationReset)+")),
+         http_model, http_ops),
+        generators.scaled_holds_lasso(30, 3, bump=True),
+    ]
+    shared = Counter()
+    for a, c0, ops in cases:
+        run = checker._Run(a, ops, c0, erased)
+        run.extend_to(2 * a.n_states + 2)
+        models = [c for _pos, c in run.configurations(range(len(run.steps)))]
+        if erased:
+            models = list(map(erase_param_values, models))
+        ids = [run.keys.at(pos) for pos in range(len(models))]
+        assert run.keys.first == sorted({ids.index(k) for k in ids})
+        for i, j in itertools.combinations(range(len(models)), 2):
+            assert (ids[i] == ids[j]) == (models[i] == models[j]), (a, i, j)
+            if ids[i] == ids[j] and a.has_cycle and i < (a.back_target or 0) <= j:
+                shared["a prefix position and a cycle position"] += 1
+            shared["two positions"] += ids[i] == ids[j]
+    assert min(shared.values()) > 20, shared

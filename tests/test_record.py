@@ -72,7 +72,7 @@ def _others(cls: type) -> tuple:
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 50
+    assert len(RECORDS) == 51
     assert {Binding, Component, ComponentModel, Param, CheckOptions} <= set(RECORDS)
 
 

@@ -224,11 +224,18 @@ def test_unfolder_agrees_with_the_loop_it_replaced(seed, erased, rounds, data):
                                 compare_erased=erased)
     assert _budgeted_unfold(a, c0, ops, limit, erased) == windowed
     if not erased:
-        # a check's window reads the positions its run already took off the
-        # run's records, and takes the rest
-        run = checker._Run(a, ops, c0)
+        # a check's window reads the classes of the positions its run already
+        # took, and takes the rest; its configurations are the run's
+        run = checker._Run(a, ops, c0, erased=rng.random() < 0.5)
         run.extend_to(data.draw(st.integers(min_value=0, max_value=2 * a.n_states)))
-        assert checker._unfold(run, limit) == windowed
+        window = checker._unfold(run, limit)
+        assert (window.period_start, window.complete) == (windowed.period_start,
+                                                          windowed.complete)
+        assert [(q, label) for q, label, _k in window.entries] == \
+            [(e.state, e.incoming_label) for e in windowed.entries]
+        n = len(window.entries)
+        assert [c for _pos, c in run.configurations(range(n))] == \
+            [e.model for e in windowed.entries]
 
 
 def _unfolded(seed, erased, cap):
