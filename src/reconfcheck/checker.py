@@ -30,12 +30,15 @@ witness or a proof.
 
 Soundness over the repeated cycle rests on an idempotence gate: the
 composed cycle F must satisfy F(F(e)) = F(e) at its entry configuration e
-(parameter values erased when the formula never reads parameters), which
-holds exactly when the run folds by P+2|C| (``_Gate``); only when the walk
-ends before then does the gate extend the run itself.  A cycle failing the
-gate yields an ``unknown`` verdict unless a step budget is set: the same
-walk then judges the window explored within the budget, as a lasso or as a
-cut path, on the run's exact classes.
+(parameter values erased when the formula never reads parameters).  That
+holds exactly when the run folds by P+2|C|, so the run is its own gate
+(``_Run.admits``): the walk finds the fold as it takes the run there, and
+only a walk that ends before then leaves the run to extend.  A cycle
+failing the gate yields an ``unknown`` verdict unless a step budget is
+set: the run's first positions within the budget, up to their first exact
+(state, class) repeat, are then a window (``_unfold``), walked as a
+lasso or as a cut path on the run's exact classes.  One function turns
+either walk's outcome into a verdict (``_verdict``).
 
 The step budget is charged for the walk's transitions only, folded ones
 included, never for the gate's own applications, a window's or a report's.
@@ -407,13 +410,22 @@ class _Run:
     parameter values erased when ``erased``, as the gate erases them, and
     else exactly (:class:`_Classes`); ``exact`` classifies it exactly, for
     a witness or a window.  Once a position L from P+|C| on has the key of
-    L-|C|, every later position has the key of the position |C| before it,
-    as the path is deterministic and the erased result of an operation
-    depends only on its erased input (see :class:`_Gate`).  The run looks
-    for that ``fold`` from P+|C| to P+2|C|: :meth:`key` reads every
-    position past it off the lap before, and the run takes no step past it
-    unless asked to by :meth:`extend_to`, for a configuration a verdict
-    reports.
+    L-|C|, every later position has the key of the position |C| before it.
+    That rests on the path being deterministic and, with values erased, on
+    the erased result of every operation depending only on its erased
+    input: no precondition reads a parameter value (a ``set`` compares the
+    value it computes with the one it replaces, and either way the erased
+    results agree), and a ``set`` changes at most the value it writes.  The
+    run looks for that ``fold`` from P+|C| to P+2|C|: :meth:`key` reads
+    every position past it off the lap before, and the run takes no step
+    past it unless asked to by :meth:`extend_to`, for a configuration a
+    verdict reports.
+
+    The fold is the idempotence gate (:meth:`admits`): F(F(e)) = F(e)
+    holds, with values erased when the keys are, exactly when the run
+    folds by P+2|C|, as ``reconfig.is_idempotent_sequence`` decides it.  A
+    fold at L <= P+2|C| gives P+2|C| the key of P+|C|, so F(F(e)) = F(e);
+    and F(F(e)) = F(e) is itself a fold at P+2|C|, if none came before.
 
     Nothing else in a check derives from the newest model with its index:
     a rebuild carries none (:meth:`~reconfcheck.model.Change.onto`), and
@@ -509,37 +521,15 @@ class _Run:
                 return
             yield pos, self.model(pos)
 
-
-class _Gate:
-    """The idempotence gate, read off the check's run: F(F(e)) = F(e), with
-    parameter values erased when the run's keys are, exactly when the run
-    folds by P+2|C|, as ``reconfig.is_idempotent_sequence`` decides it.
-
-    A fold at L <= P+2|C| gives P+2|C| the key of P+|C|, so F(F(e)) =
-    F(e); and F(F(e)) = F(e) is itself a fold at P+2|C|, if none came
-    before.  A fold rests on the path being deterministic and, with values
-    erased, on the erased result of every operation depending only on its
-    erased input: no precondition reads a parameter value (a ``set``
-    compares the value it computes with the one it replaces, and either way
-    the erased results agree), and a ``set`` changes at most the value it
-    writes.
-    """
-
-    def __init__(self, run: _Run):
-        self.run = run
-        self.twice_at = run.twice_at  # P + 2|C|
-        self.admits: Optional[bool] = None
-
-    def decide(self) -> bool:
-        """Whether the gate admits the cycle.  A walk that ended before
-        P+2|C| leaves the run to extend here, until it folds or reaches
-        P+2|C|."""
-        if self.admits is None:
-            run, steps = self.run, self.run.steps
-            while run.fold is None and len(steps) <= self.twice_at:
-                run.extend_to(len(steps))
-            self.admits = run.fold is not None
-        return self.admits
+    def admits(self) -> bool:
+        """Whether the idempotence gate admits the cycle, which the path
+        must have.  A walk that ended before P+2|C| leaves the run to extend
+        here, until it folds or reaches P+2|C|; asked again, it takes no
+        step."""
+        steps = self.steps
+        while self.fold is None and len(steps) <= self.twice_at:
+            self.extend_to(len(steps))
+        return self.fold is not None
 
 
 class _Mark(enum.Enum):
@@ -563,12 +553,13 @@ class _Walk:
     instance's repeat, an event's change and a property's value are read
     off the classes.  Each property is compiled on first use, and its value
     is kept per class: a configuration is built only for a value the walk
-    does not have yet.
+    does not have yet.  ``gate``, the run of a lasso, decides its cycle
+    where a transition reaches P+2|C| (:meth:`_Run.admits`).
     """
 
     def __init__(self, a: PathAutomaton, reach: Callable[[str, int, int], int],
                  model_of: Callable[[int], ComponentModel],
-                 max_steps: Optional[int], gate: Optional[_Gate] = None):
+                 max_steps: Optional[int], gate: Optional[_Run] = None):
         self.a = a
         self.reach = reach
         self.model_of = model_of
@@ -613,7 +604,7 @@ class _Walk:
             label, q2 = nxt
             pos += 1
             k = self.reach(label, q2, pos)
-            if gate is not None and pos == gate.twice_at and not gate.decide():
+            if gate is not None and pos == gate.twice_at and not gate.admits():
                 raise _Refused()
             if q2 <= q:  # the back edge: recount once per lap
                 earlier = Counter(marks[:q2])
@@ -814,15 +805,15 @@ def gate_admits(a: PathAutomaton, ops: Mapping[str, EvolutionOperation],
 
 @record
 class _Window:
-    """The window of a gate-refused lasso: (state, incoming label, exact
-    class) of each of the run's first positions, entry i at position i,
-    where it starts repeating, as a :class:`~reconfcheck.reconfig.Unfolding`
-    says, and the configuration of each position the window took past the
-    run's frontier."""
+    """The window of a gate-refused lasso: the exact class of each of the
+    run's first positions, entry i at position i; the window as a path
+    automaton whose state i is position i, with its back edge at the
+    first exact (state, class) repeat, if the window reaches one; and the
+    configuration of each position the window took past the run's
+    frontier."""
 
-    entries: tuple[tuple[int, Optional[str], int], ...]
-    period_start: Optional[int]
-    complete: bool
+    entries: tuple[int, ...]
+    automaton: PathAutomaton
     taken: dict[int, ComponentModel]
 
     def model(self, run: _Run, k: int) -> ComponentModel:
@@ -840,17 +831,22 @@ def _unfold(run: _Run, max_steps: int) -> _Window:
     its frontier, and the window keeps the configurations it took there,
     which its walk reads after the run has moved on."""
     steps, exact, taken = run.steps, run.exact, {}
-
-    def reached():
-        for pos in range(1, max_steps + 1):
-            if pos == len(steps):
-                if not run.extend_to(pos):
-                    return
-                taken[pos] = run.newest
-            yield steps[pos][0], steps[pos][1], exact.at(pos)
-
-    window = Unfolding(run.a, 0, exact.at(0), reached())
-    return _Window(tuple(window), window.period_start, window.complete, taken)
+    entries, back = [exact.at(0)], None
+    entered = {(0, entries[0]): 0}  # the position of each (state, class)
+    for pos in range(1, max_steps + 1):
+        if pos == len(steps):
+            if not run.extend_to(pos):
+                break
+            taken[pos] = run.newest
+        k = exact.at(pos)
+        first = entered.setdefault((steps[pos][1], k), pos)
+        if first < pos:
+            back = first
+            break
+        entries.append(k)
+    n = len(entries)
+    labels = tuple(label for label, _q, _log, _sum in steps[1:n + (back is not None)])
+    return _Window(tuple(entries), PathAutomaton(labels, n, back), taken)
 
 
 def _witnessed(f: FtplFormula, holds: bool) -> bool:
@@ -924,10 +920,11 @@ def _fails(run: _Run, length: int, index: int, v: _Violation,
     return Verdict(FAILS, witness=TraceWitness(shown, index, v.violated), stats=stats)
 
 
-def _gated_verdict(f: FtplFormula, run: _Run, walk: _Walk, gate: Optional[_Gate],
-                   proving: Optional[FtplFormula]) -> Optional[Verdict]:
-    """The walk's verdict from the initial state, or None if the gate
-    refuses.  With ``proving``, a ``fails`` verdict is proof-checked as
+def _verdict(f: FtplFormula, run: _Run, walk: _Walk, proving: Optional[FtplFormula],
+             window: Optional[_Window] = None) -> Optional[Verdict]:
+    """The verdict of ``walk``, on ``f`` from the initial state, on the run
+    or on its ``window``, or None if the gate refuses the run's cycle.
+    With ``proving``, a ``fails`` verdict is proof-checked as
     :func:`_fails` builds it.
 
     The walk judges before the gate decides, and that is sound: the walk
@@ -938,29 +935,42 @@ def _gated_verdict(f: FtplFormula, run: _Run, walk: _Walk, gate: Optional[_Gate]
     holds, a violation, a spent budget or an evaluation error) is kept, the
     gate decides once, and the outcome stands only if the gate admits.  A
     spent budget reports the configuration where the walk stopped, the run
-    extended to it.
+    extended to it.  A cut window is a spent budget at its last position,
+    unless the walk's verdict stands on a prefix (:func:`_witnessed`), and
+    a window's violation is reported at its position in the period, with
+    the whole window as witness.
     """
     try:
-        _eval_formula(f, walk, 0, run.keys.at(0), 0)
+        k = run.keys.at(0) if window is None else window.entries[0]
+        _eval_formula(f, walk, 0, k, 0)
         outcome = None
     except (_Violation, _Budget, CpEvalError, RecursionError) as e:
         outcome = e
     except _Refused:
         return None
     try:
-        if gate is not None and not gate.decide():
+        if walk.gate is not None and not walk.gate.admits():
             return None
+        if isinstance(outcome, (CpEvalError, RecursionError)):
+            raise outcome  # evaluating a property
+        stats, erased = walk.stats(), run.keys.erased
+        if window is not None:
+            # the window is the run's first n positions; a proof may read past it
+            n, ps = len(window.entries), window.automaton.back_target
+            stats, erased = CheckStats(n - 1, walk.cp_evals, n - 1), False
+            if ps is None and not _witnessed(f, outcome is None):
+                outcome = _Budget(run.steps[n - 1][1], n - 1)  # at the cut
+            elif outcome is not None:
+                outcome.length = n
+                if outcome.index >= n:
+                    outcome.index = ps + (outcome.index - ps) % (n - ps)
         if outcome is None:
-            return Verdict(HOLDS, stats=walk.stats())
+            return Verdict(HOLDS, stats=stats)
         if isinstance(outcome, _Violation):
-            return _fails(run, outcome.length, outcome.index, outcome, proving,
-                          run.keys.erased, walk.stats())
-        if isinstance(outcome, _Budget):
-            run.extend_to(outcome.pos)
-            return Verdict(UNKNOWN, reason=REASON_BUDGET,
-                           residual=residual_from(run.a, outcome.state),
-                           reached=run.model(outcome.pos), stats=walk.stats())
-        raise outcome  # evaluating a property
+            return _fails(run, outcome.length, outcome.index, outcome, proving, erased, stats)
+        run.extend_to(outcome.pos)
+        return Verdict(UNKNOWN, reason=REASON_BUDGET, residual=residual_from(run.a, outcome.state),
+                       reached=run.model(outcome.pos), stats=stats)
     finally:
         del outcome  # its traceback holds this frame and the walk's: no cycle outlives the call
 
@@ -993,11 +1003,11 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     # property leaves nor through events on parameter-updating operations)
     # may ignore parameter drift when judging cycle idempotence
     run = _Run(a, ops, c0, a.has_cycle and erasure_invariant(f, ops))
-    gate = _Gate(run) if a.has_cycle else None
-    walk = _Walk(a, run.key, lambda k: run.model(run.keys.first[k]), opts.max_steps, gate=gate)
+    walk = _Walk(a, run.key, lambda k: run.model(run.keys.first[k]), opts.max_steps,
+                 gate=run if a.has_cycle else None)
     # a finite prefix refutes f: under the cross-check a fails verdict proves itself
     proving = f if opts.oracle_crosscheck and _witnessed(f, False) else None
-    verdict = _gated_verdict(f, run, walk, gate, proving)
+    verdict = _verdict(f, run, walk, proving)
     if verdict is None and opts.max_steps is None:
         # nothing explored counts: the residual is the whole path
         return Verdict(UNKNOWN, reason=REASON_CYCLE, residual=residual_from(a, 0),
@@ -1005,29 +1015,11 @@ def check(f: FtplFormula, a: PathAutomaton, c0: ComponentModel,
     if verdict is None:
         # a non-idempotent cycle, bounded: the window repeats exactly or is cut by the budget
         window = _unfold(run, opts.max_steps)
-        entries, ps, n = window.entries, window.period_start, len(window.entries)
-        labels = tuple(a.labels[q] for q, _label, _k in entries[:n if ps is not None else n - 1])
+        entries = window.entries
         # state i is window position i; an exact repeat needs no gate
-        walk = _Walk(PathAutomaton(labels, n, ps), lambda _label, q, _pos: entries[q][2],
+        walk = _Walk(window.automaton, lambda _label, q, _pos: entries[q],
                      lambda k: window.model(run, k), None)
-        try:
-            _eval_formula(f, walk, 0, entries[0][2], 0)
-            v = None
-        except _Violation as violation:
-            # without its traceback, which holds this frame: v would keep the window
-            # in a reference cycle until the cyclic collector runs
-            v = violation.with_traceback(None)
-        stats = CheckStats(n - 1, walk.cp_evals, n - 1)
-        if ps is None and not _witnessed(f, v is None):
-            verdict = Verdict(UNKNOWN, reason=REASON_BUDGET,
-                              residual=residual_from(a, entries[-1][0]), reached=run.model(n - 1),
-                              stats=stats)
-        elif v is None:
-            verdict = Verdict(HOLDS, stats=stats)
-        else:
-            i = v.index if v.index < n else ps + (v.index - ps) % (n - ps)  # into the period
-            # the window is the run's first n positions; a proof may read past it
-            verdict = _fails(run, n, i, v, proving, False, stats)
+        verdict = _verdict(f, run, walk, proving, window)
 
     # a proving fails verdict was checked as it was built
     if not opts.oracle_crosscheck or verdict.is_unknown or verdict.is_fails and proving is not None:

@@ -24,6 +24,7 @@ from reconfcheck import (
     Param,
     STARTED,
     STOPPED,
+    Unfolding,
     apply_evolution,
     apply_sequence,
     build_automaton,
@@ -153,13 +154,13 @@ def test_after_over_a_non_monotone_inner_on_a_cut_window(crosscheck, http_model,
 
 
 def _applications(monkeypatch) -> list:
-    """Where check applies each operation, in order: in ``_Gate.decide``,
+    """Where check applies each operation, in order: in ``_Run.admits``,
     ``_unfold`` or ``_fails``, the innermost of them that is running, or
     else in a walk; ``"window"`` marks where a gate-refused window was
     unfolded, so that the window walk's own applications show after it.
     The oracle applies through ``reconfig`` and is not counted."""
     places, named = [], {fn.__code__: name for name, fn in (
-        ("decide", checker._Gate.decide), ("_unfold", checker._unfold),
+        ("decide", checker._Run.admits), ("_unfold", checker._unfold),
         ("_fails", checker._fails))}
 
     def apply(op, c):
@@ -226,7 +227,7 @@ def test_a_window_that_repeats_exactly_is_walked_as_a_lasso(seed, max_steps, per
     f, a, c0, ops = generators.gen_case(seed)
     assert check(f, a, c0, ops).reason == REASON_CYCLE
     window = checker._unfold(checker._Run(a, ops, c0), max_steps)
-    assert (len(window.entries), window.period_start) == (max_steps, period_start)
+    assert (len(window.entries), window.automaton.back_target) == (max_steps, period_start)
     places = _applications(monkeypatch)
     verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps, oracle_crosscheck=True))
     # the window walk applies nothing; the proof check takes the run past the window
@@ -329,10 +330,86 @@ def test_the_gate_decides_as_the_two_laps_compare():
             run = checker._Run(a, ops, c0, erased)
             run.extend_to(seed % (twice_at + 2))
             taken = len(run.steps)
-            admits = checker._Gate(run).decide()
+            admits = run.admits()
             assert admits == _cycle_ends_compare(a, ops, c0, erased), (seed, erased)
             fired[erased] += taken <= twice_at and len(run.steps) <= max(taken, a.n_states + 1)
     assert min(fired.values()) > 1000, fired
+
+
+def test_the_gate_asked_twice_does_nothing_more(monkeypatch):
+    # the run is its own gate and keeps no answer: asked again, it finds
+    # the fold it found, or the frontier past P+2|C| it reached, at once
+    applied = _counted_steps(monkeypatch)
+    decided = Counter()
+    for seed in range(3000):
+        _f, a, c0, ops = generators.gen_case(seed)
+        if not a.has_cycle:
+            continue
+        gated = checker.gate_admits(a, ops, c0)
+        for erased in (False, True):
+            run = checker._Run(a, ops, c0, erased)
+            admits = run.admits()
+            taken, calls = len(run.steps), len(applied)
+            assert run.admits() == admits == gated[erased], (seed, erased)
+            assert (len(run.steps), len(applied)) == (taken, calls), (seed, erased)
+            decided[erased, admits] += 1
+    # both gates admit and refuse
+    assert len(decided) == 4 and sum(decided.values()) > 4000, decided
+
+
+def _reference_window(run, max_steps: int):
+    """The window as it was built on ``reconfig.Unfolding``: the run streamed
+    as (label, state, exact class) for at most ``max_steps`` transitions,
+    cut before a (state, class) repeat, and the window automaton's labels
+    rebuilt from the path's.  Its exact class ids, labels and back edge."""
+    steps, exact = run.steps, run.exact
+
+    def reached():
+        for pos in range(1, max_steps + 1):
+            if pos == len(steps) and not run.extend_to(pos):
+                return
+            yield steps[pos][0], steps[pos][1], exact.at(pos)
+
+    window = Unfolding(run.a, 0, exact.at(0), reached())
+    entries = tuple(window)
+    ps, n = window.period_start, len(entries)
+    labels = tuple(run.a.labels[q] for q, _label, _k in entries[:n if ps is not None else n - 1])
+    return [k for _q, _label, k in entries], labels, ps
+
+
+def test_the_window_read_off_the_run_is_the_runs_unfolding(monkeypatch):
+    # on every gate-refused seed and every budget: the window's entries are
+    # the exact classes of the run's first positions, and its automaton is
+    # the one rebuilt from the unfolding of the run; from a frontier that
+    # varies with the budget, the window applies each position past it
+    # once, and keeps the configuration it took there
+    applied = _counted_steps(monkeypatch)
+    kinds = Counter()
+    for seed in range(3000):
+        f, a, c0, ops = generators.gen_case(seed)
+        if not a.has_cycle:
+            continue
+        erased = erasure_invariant(f, ops)
+        if checker.gate_admits(a, ops, c0)[erased]:
+            continue
+        twice_at = 2 * a.n_states - a.back_target
+        for max_steps in range(1, 2 * a.n_states + 3):
+            entries, labels, back = _reference_window(checker._Run(a, ops, c0, erased), max_steps)
+            run = checker._Run(a, ops, c0, erased)
+            run.extend_to((seed + max_steps) % (twice_at + 1))
+            frontier = len(run.steps)
+            applied.clear()
+            window = checker._unfold(run, max_steps)
+            n = len(window.entries)
+            assert list(window.entries) == [run.exact.at(i) for i in range(n)] == entries
+            assert (window.automaton.labels, window.automaton.back_target) == (labels, back)
+            assert window.automaton.n_states == n
+            past = range(frontier, len(run.steps))
+            assert len(applied) == len(past) and sorted(window.taken) == list(past)
+            kinds["repeats" if back is not None else "cut"] += 1
+            kinds["took"] += len(past) > 0
+            kinds["read"] += len(past) == 0
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
@@ -344,12 +421,14 @@ def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
     # applies only the positions past the frontier of a run that folded
     runs = _recorded_runs(monkeypatch)
     frontiers, witnessed = [], []
-    decide, fails = checker._Gate.decide, checker._fails
+    admits, fails = checker._Run.admits, checker._fails
+    asked = []  # each run whose gate was asked
 
-    def deciding(gate):
-        if gate.admits is None:
-            frontiers.append((len(gate.run.steps) - 1, gate.run.keys.erased))
-        return decide(gate)
+    def admitting(run):
+        if all(r is not run for r in asked):
+            asked.append(run)
+            frontiers.append((len(run.steps) - 1, run.keys.erased))
+        return admits(run)
 
     def failing(run, length, *args):
         witnessed.append(max(length - len(run.steps), 0))
@@ -365,7 +444,7 @@ def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
         return next((x for x in range(a.n_states, len(models))
                      if models[x] == models[x - lap]), len(models) - 1)
 
-    monkeypatch.setattr(checker._Gate, "decide", deciding)
+    monkeypatch.setattr(checker._Run, "admits", admitting)
     monkeypatch.setattr(checker, "_fails", failing)
     kinds = dict.fromkeys(("refused", "read", "rest", "fixed", "folded in the second lap"), 0)
     for seed in range(300):
@@ -373,7 +452,7 @@ def test_a_check_applies_its_walk_and_the_rest_of_the_gate(monkeypatch):
         twice_at = 2 * a.n_states - a.back_target if a.has_cycle else 0  # P+2|C|
         for max_steps in (None, 1, a.n_states):
             places = _applications(monkeypatch)
-            runs.clear(), frontiers.clear(), witnessed.clear()
+            runs.clear(), frontiers.clear(), witnessed.clear(), asked.clear()
             try:
                 verdict = check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
             except CpEvalError:
@@ -616,8 +695,7 @@ def test_a_lap_that_drops_a_delegation_moves_the_cycle_entry(erased, http_model)
     ops = parse_recipes(HTTP_SERVER_SWAP).operation_table()
     a = build_automaton(parse_path("(RemoveHttpServer AddHttpServer run)+"))
     run = checker._Run(a, ops, http_model, erased)
-    gate = checker._Gate(run)
-    assert gate.decide() and a.n_states < run.fold <= gate.twice_at
+    assert run.admits() and a.n_states < run.fold <= run.twice_at
     assert len(run.steps) - 1 == run.fold
 
 
@@ -1090,7 +1168,7 @@ def _slice_run(walk, q, pos):
         label, q = nxt
         pos += 1
         k = walk.reach(label, q, pos)
-        if walk.gate is not None and pos == walk.gate.twice_at and not walk.gate.decide():
+        if walk.gate is not None and pos == walk.gate.twice_at and not walk.gate.admits():
             raise checker._Refused()
         taken += 1
         walk.transitions += 1

@@ -229,11 +229,11 @@ def test_unfolder_agrees_with_the_loop_it_replaced(seed, erased, rounds, data):
         run = checker._Run(a, ops, c0, erased=rng.random() < 0.5)
         run.extend_to(data.draw(st.integers(min_value=0, max_value=2 * a.n_states)))
         window = checker._unfold(run, limit)
-        assert (window.period_start, window.complete) == (windowed.period_start,
-                                                          windowed.complete)
-        assert [(q, label) for q, label, _k in window.entries] == \
-            [(e.state, e.incoming_label) for e in windowed.entries]
-        n = len(window.entries)
+        n, back = len(window.entries), window.automaton.back_target
+        complete = back is None and a.succ(run.steps[n - 1][1]) is None
+        assert (back, complete) == (windowed.period_start, windowed.complete)
+        assert [(run.steps[i][1], window.automaton.labels[i - 1] if i else None)
+                for i in range(n)] == [(e.state, e.incoming_label) for e in windowed.entries]
         assert [c for _pos, c in run.configurations(range(n))] == \
             [e.model for e in windowed.entries]
 
