@@ -10,8 +10,11 @@ A path is deterministic, so every configuration a check needs is a
 position of one run from the initial configuration (``_Run``), extended
 once per position and recorded as the change each step made.  Each
 position is classified from its record alone (``_Classes``): two positions
-get the same class id exactly when their configurations are equal, with
-parameter values erased when the gate erases them.  The walk reads
+on one side of the cycle's entry P get the same class id exactly when their
+configurations are equal, with parameter values erased when the gate
+erases them.  P is on both sides, so a prefix position and a cycle position
+share an id only through P's class; the walk needs no more, since they
+never share a state, and neighbours share a side.  The walk reads
 classes, never models: an instance's repeat is a repeated (state, class),
 an event changed the configuration exactly when the classes around it
 differ, and each property's value is kept per class, so a configuration is
@@ -100,8 +103,6 @@ UNKNOWN = "unknown"
 
 REASON_BUDGET = "step-budget-exhausted"
 REASON_CYCLE = "non-idempotent-cycle"
-
-_SUM_MASK = (1 << 64) - 1  # component sums are kept modulo 2^64
 
 
 class CheckError(Exception):
@@ -236,49 +237,42 @@ def _step(op: EvolutionOperation, m: ComponentModel) -> tuple[ComponentModel, li
         index.log = None  # nothing else the index does is this step's
 
 
-def _shift(c: Optional[Component]) -> int:
-    """What erasing ``c``'s parameter values adds to a sum of component hashes."""
-    return 0 if c is None or not c.params else hash(erase_component(c)) - hash(c)
-
-
 class _Classes:
-    """Configuration classes of the positions of a run: two positions have
-    the same id exactly when their configurations are equal, with parameter
-    values erased when ``erased``.  ``ids`` holds the id of each position
+    """Configuration classes of the positions of a run: two positions on
+    one side of the cycle's entry P get the same id exactly when their
+    configurations are equal, with parameter values erased when
+    ``erased``; P is on both sides.  ``ids`` holds the id of each position
     classified so far, and ``first`` the first position of each class.
 
     A position is classified from its record alone, on first ask and in
     order (:meth:`at`): no model is built or compared.  ``_drift`` holds
     each id whose component (None where absent, erased when ``erased``)
     differs from the base's at the current position, and each binding whose
-    presence does.  The base is ``c0`` for the prefix and the cycle's entry
-    e from position P on, so a cycle position's drift holds only what the
-    cycle changed.  No delegation comes back once gone, so two positions
-    hold equal configurations exactly when they have equal drifts from one
-    base and equal delegations gone.  Each class keeps a copy of its drift,
-    with its base, under a key that does not depend on the base: the
-    delegations gone, and the component sum the run keeps
-    (:func:`~reconfcheck.model.component_sum`), or erased, the sum of the
-    erased components' hashes, which differs from it only by the
-    :func:`_shift` of each component with parameters (kept in ``_shifts``
-    for the ids the run touched).  A cycle position whose key matches a
-    prefix class, and whose drift matches no class of the entry's, is
-    compared with the prefix class from ``c0`` on: if they are equal, it
-    keeps that class's id, which is kept from then on against the entry.
+    presence does.  The base is ``c0`` up to P, and the entry e from then
+    on: P is classified in ``c0``'s table, which then starts again with P's
+    class alone and an empty drift, so no prefix class is searched again.
+    No delegation comes back once gone, so two positions on one side are
+    equal exactly when their drifts and their delegations gone are.  Each
+    class keeps a copy of its drift under a key: the delegations gone and
+    the sum of ``hash((x, token))`` over the drift's entries, the token a
+    binding's presence or a component's lifecycle state (None where
+    absent), each term kept in ``_hashes`` so that a changed entry takes
+    its old one out; exact keys add the run's component sum
+    (:func:`~reconfcheck.model.component_sum`), which tells parameter
+    values apart.
     """
 
     def __init__(self, steps: list, c0: ComponentModel, entry_at: Optional[int], erased: bool):
-        self.steps, self.c0, self.erased = steps, c0, erased
-        self.entry_at = entry_at or None  # a cycle entered at 0 is measured against c0
+        self.steps, self.entry_at, self.erased = steps, entry_at, erased
         self.entry: Optional[ComponentModel] = None  # handed over when the run reaches P
         self.ids, self.first = [0], [0]
         self._base = c0
         self._drift: dict[Union[str, Binding], object] = {}
+        self._hashes: dict[Union[str, Binding], int] = {}
+        self._sum = 0  # the sum of the terms in _hashes
         self._gone = frozenset()
-        self._shifts: dict[str, int] = {}
-        self._delta = 0  # erased: the sum of the shifts, less c0's
         self._blanked: dict[str, Optional[Component]] = {}  # erased: the base's components
-        self._table = {(self._total(0), self._gone): [(c0, {}, 0)]}
+        self._table = {self._key(0): [({}, 0)]}
 
     def at(self, pos: int) -> int:
         """The id of run position ``pos``, which the run holds."""
@@ -287,107 +281,71 @@ class _Classes:
             self._classify(len(ids))
         return ids[pos]
 
-    def _total(self, pos: int) -> int:
-        total = self.steps[pos][3]
-        return (total + self._delta) & _SUM_MASK if self.erased else total
+    def _key(self, pos: int) -> tuple[int, frozenset]:
+        return (self._sum if self.erased else self._sum + self.steps[pos][3]), self._gone
 
-    def _value(self, base: ComponentModel, x: Union[str, Binding]) -> object:
-        if isinstance(x, str):
-            c = base.components.get(x)
-            return erase_component(c) if self.erased and c is not None else c
-        return x in base.bindings
+    def _differs(self, x: Union[str, Binding], value: object) -> None:
+        """``x`` differs from the base at the current position: it is
+        ``value``, whose token is its lifecycle state if it is a component."""
+        self._drift[x] = value
+        term = hash((x, value.state if isinstance(value, Component) else value))
+        self._sum += term - self._hashes.get(x, 0)
+        self._hashes[x] = term
 
-    def _erased(self, cid: str, c: Optional[Component]) -> Optional[Component]:
-        """``c``, now at ``cid``, erased, with its shift kept."""
-        shift = 0
-        if c is not None and c.params:
-            erased = erase_component(c)
-            shift, c = hash(erased) - hash(c), erased
-        shifts = self._shifts
-        old = shifts[cid] if cid in shifts else _shift(self.c0.components.get(cid))
-        if shift != old:
-            shifts[cid] = shift
-            self._delta += shift - old
-        return c
+    def _agrees(self, x: Union[str, Binding]) -> None:
+        """``x`` is the base's at the current position."""
+        term = self._hashes.pop(x, None)
+        if term is not None:
+            del self._drift[x]
+            self._sum -= term
 
     def _classify(self, pos: int) -> None:
-        drift, base, erased = self._drift, self._base, self.erased
+        base, erased = self._base, self.erased
         comps, links = base.components, base.bindings
         for put, taken, cut, made, uncoupled in self.steps[pos][2]:
             for c in put:
                 cid = c.id
                 was = comps.get(cid)
                 if erased:
-                    c = self._erased(cid, c)
+                    c = erase_component(c)
                     if was is not None and was.params:
                         blanked = self._blanked
                         was = blanked.get(cid) or blanked.setdefault(cid, erase_component(was))
                 if c is was or c == was:
-                    drift.pop(cid, None)
+                    self._agrees(cid)
                 else:
-                    drift[cid] = c
+                    self._differs(cid, c)
             for cid in taken:
-                if erased:
-                    self._erased(cid, None)
                 if cid in comps:
-                    drift[cid] = None
+                    self._differs(cid, None)
                 else:
-                    drift.pop(cid, None)
+                    self._agrees(cid)
             for b in cut:
                 if b in links:
-                    drift[b] = False
+                    self._differs(b, False)
                 else:
-                    drift.pop(b, None)
+                    self._agrees(b)
             for b in made:
                 if b in links:
-                    drift.pop(b, None)
+                    self._agrees(b)
                 else:
-                    drift[b] = True
+                    self._differs(b, True)
             if uncoupled:
                 self._gone = self._gone.union(uncoupled)
-        bucket = self._table.setdefault((self._total(pos), self._gone), [])
-        for found, (kept_base, kept, _cid) in enumerate(bucket):
-            if kept_base is base and kept == drift:
+        drift = self._drift
+        bucket = self._table.setdefault(self._key(pos), [])
+        for kept, cid in bucket:
+            if kept == drift:
                 break
         else:
-            found = self._find_prefix_class(bucket) if base is not self.c0 else None
-        cid = None if found is None else bucket[found][2]
-        if pos == self.entry_at:  # from here on against the entry
-            self._base, self._drift, self._blanked = self.entry, {}, {}
-            if found is not None:
-                del bucket[found]
-                found = None
-        if cid is None:
             cid = len(self.first)
             self.first.append(pos)
-        if found is None:
-            bucket.append((self._base, dict(self._drift), cid))
+            bucket.append((dict(drift), cid))
+        if pos == self.entry_at:  # the table starts again, against the entry
+            self._base, self._drift, self._hashes, self._sum, self._blanked = \
+                self.entry, {}, {}, 0, {}
+            self._table = {self._key(pos): [({}, cid)]}
         self.ids.append(cid)
-
-    def _find_prefix_class(self, bucket: list) -> Optional[int]:
-        """The index in ``bucket`` of the prefix class, kept against ``c0``,
-        of the current cycle position, or None; the class is kept against
-        the entry from then on."""
-        base, from_c0 = self._base, None
-        for i, (kept_base, kept, cid) in enumerate(bucket):
-            if kept_base is not base:
-                if from_c0 is None:
-                    from_c0 = self._from_c0()
-                if kept == from_c0:
-                    bucket[i] = (base, dict(self._drift), cid)
-                    return i
-        return None
-
-    def _from_c0(self) -> dict:
-        """The current cycle position's drift from ``c0``: the prefix's
-        changes, composed from its records, under the drift from the entry."""
-        prefix = composed(log for _label, _q, log, _sum in self.steps[1:self.entry_at + 1])
-        now: dict = dict(prefix.components)
-        if self.erased:
-            now = {cid: None if c is None else erase_component(c) for cid, c in now.items()}
-        now.update(prefix.bindings)
-        now.update(self._drift)
-        return {x: v for x, v in now.items() if v != self._value(self.c0, x)}
 
 
 class _Run:

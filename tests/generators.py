@@ -327,3 +327,28 @@ def scaled_holds_lasso(n: int, k: int, bump: bool):
         cycle.insert(3 * (k // 2), "Bump")
     a = build_automaton(parse_path(f"run ({' '.join(cycle)})+"))
     return a, model, recipes.operation_table()
+
+
+def binding_lasso_texts(p: int, k: int) -> tuple[str, str, str]:
+    """The binding lasso B(p, k) as .arch, .ops and path text: a component
+    ``A`` with outputs ``o0`` to ``o<k>`` and a component ``B`` with inputs
+    ``i0`` to ``i<k>``; ``B<j>`` binds ``A.o<j> -> B.i<j>`` and ``U<j>``
+    unbinds it.  The path is ``B0 U0`` repeated ``p // 2`` times, then
+    ``(B1 U1 ... B<k> U<k>)+``, so the cycle's entry is the initial
+    configuration, and its positions differ from it, and from each other,
+    in one binding at most."""
+    model = "model M { component A { class KA " + \
+        " ".join(f"output o{j} : T" for j in range(k + 1)) + " } component B { class KB " + \
+        " ".join(f"input i{j} : T" for j in range(k + 1)) + " } }"
+    ops = "\n".join(f"op B{j} {{ bind A.o{j} -> B.i{j} }} op U{j} {{ unbind A.o{j} -> B.i{j} }}"
+                    for j in range(k + 1))
+    cycle = " ".join(f"B{j} U{j}" for j in range(1, k + 1))
+    return model, ops, "B0 U0 " * (p // 2) + f"({cycle})+"
+
+
+def binding_lasso(p: int, k: int):
+    """B(p, k) (:func:`binding_lasso_texts`) as an automaton, a model and
+    its operations."""
+    model, ops, path = binding_lasso_texts(p, k)
+    return build_automaton(parse_path(path)), parse_model(model), \
+        parse_recipes(ops).operation_table()

@@ -685,7 +685,10 @@ def test_a_witness_tells_apart_configurations_that_differ_only_in_a_delegation(
     assert component_sum(c3) == component_sum(c0) and c0.delegations and not c3.delegations
     digests = [s.digest for s in verdict.witness.steps]
     assert digests[3] != digests[0] and digests[4:] == digests[1:3]
-    assert len(digested) == len(set(digests)) == 4
+    # positions 4 and 5 repeat prefix positions 1 and 2, which differ from
+    # the cycle's entry at 3: past the entry they are classes of their own,
+    # each digested again, to the same digest
+    assert len(set(digests)) == 4 and len(digested) == 6
 
 
 @pytest.mark.parametrize("erased", [False, True])
@@ -1422,11 +1425,21 @@ def test_a_check_applies_each_run_position_once(oracle_crosscheck, monkeypatch):
     assert min(kinds.values()) > 20, kinds
 
 
+def _count_distinct(configurations) -> int:
+    """How many distinct configurations there are, found with ==."""
+    distinct = []
+    for c in configurations:
+        if c not in distinct:
+            distinct.append(c)
+    return len(distinct)
+
+
 def test_the_records_rebuild_the_run(monkeypatch):
     # on generated cases, gate-refused windows and nested afters among them:
     # the configurations rebuilt at any positions are run_path's, every
     # witness digest is the plain digest of one of them, and the digester
-    # takes each distinct configuration of a witness once
+    # takes each class of a witness once: each distinct configuration on
+    # each side of the cycle's entry P, P's own counted once
     runs = _recorded_runs(monkeypatch)
     digested, plain = [], checker.model_digester
 
@@ -1436,7 +1449,8 @@ def test_the_records_rebuild_the_run(monkeypatch):
 
     monkeypatch.setattr(checker, "model_digester", counting)
     rng = random.Random(37)
-    kinds = Counter()
+    # across: witnesses whose cycle repeats a prefix configuration other than P's
+    kinds, across = Counter(), 0
     for seed in range(600):
         f, a, c0, ops = generators.gen_case(seed)
         refused = None
@@ -1456,15 +1470,15 @@ def test_the_records_rebuild_the_run(monkeypatch):
             if verdict.is_fails:
                 shown = [expected[i][2] for i in range(len(verdict.witness.steps))]
                 assert [s.digest for s in verdict.witness.steps] == list(map(model_digest, shown))
-                distinct = []
-                for c in shown:
-                    if c not in distinct:  # found with ==
-                        distinct.append(c)
-                assert len(digested) == len(distinct)
+                entry = a.back_target if a.has_cycle else len(shown)
+                sides = shown[:entry + 1], shown[entry:]
+                classes = sum(map(_count_distinct, sides)) - (len(shown) > entry)
+                assert len(digested) == classes
                 kinds["window" if refused else "gated"] += 1
-                kinds["repeats"] += len(distinct) < len(shown)
+                kinds["repeats"] += classes < len(shown)
+                across += classes > _count_distinct(shown)
             kinds["nested after"] += isinstance(f, After) and isinstance(f.inner, After)
-    assert min(kinds.values()) > 20, kinds
+    assert min(kinds.values()) > 20 and across > 0, (kinds, across)
 
 
 @pytest.mark.parametrize("model_text, ops_text, path, components_collide", [
@@ -1732,11 +1746,50 @@ def test_the_class_table_keeps_what_the_cycle_changes(erased):
 
 
 @pytest.mark.parametrize("erased", [False, True])
+@pytest.mark.parametrize("p, k", [(40, 20), (0, 20)])
+def test_a_binding_lasso_is_classified_from_its_records_alone(erased, p, k, monkeypatch):
+    # the cycle's positions differ from each other in one binding: no change
+    # is composed to classify them, the prefix's included
+    def refused(logs):
+        raise AssertionError("a position was classified by composing changes")
+
+    a, c0, ops = generators.binding_lasso(p, k)
+    run = checker._Run(a, ops, c0, erased)
+    monkeypatch.setattr(checker, "composed", refused)
+    run.extend_to(run.twice_at)
+    assert run.keys.at(run.twice_at) == run.keys.at(run.once_at)
+    assert run.exact.at(run.twice_at) == run.exact.at(run.once_at)
+    assert len(run.exact.first) == (p > 0) + 1 + k  # c0's, and one for each binding made
+
+
+@pytest.mark.parametrize("erased", [False, True])
+@pytest.mark.parametrize("p, k", [(40, 20), (0, 20)])
+def test_a_class_table_holds_one_class_per_bucket_and_only_its_own_side(erased, p, k):
+    # a key tells apart drifts that differ in a binding alone, and from the
+    # cycle's entry P on the table holds P's class and the classes met after
+    # it: a prefix class is never searched again
+    a, c0, ops = generators.binding_lasso(p, k)
+    run = checker._Run(a, ops, c0)
+    run.extend_to(run.twice_at)
+    classes = checker._Classes(run.steps, c0, a.back_target, erased)
+    classes.entry = run.entry
+    for pos in range(run.twice_at + 1):
+        classes.at(pos)
+        table = classes._table.values()
+        assert max(map(len, table)) == 1, pos
+        if pos >= a.back_target:
+            kept = {cid for bucket in table for _drift, cid in bucket}
+            assert kept == {classes.ids[a.back_target]} | {
+                cid for cid, first in enumerate(classes.first) if first > a.back_target}, pos
+
+
+@pytest.mark.parametrize("erased", [False, True])
 def test_equal_classes_are_equal_configurations(erased, http_model, http_ops):
-    # two positions of a run share a class exactly when their configurations
-    # are equal, parameter values erased if the classes erase them: prefix
-    # positions against c0, cycle positions against the entry, and a cycle
-    # position equal to a prefix position keeps that position's class
+    # two positions on one side of the cycle's entry P share a class exactly
+    # when their configurations are equal, parameter values erased if the
+    # classes erase them: prefix positions against c0, cycle positions
+    # against the entry.  P is on both sides, so a prefix position and a
+    # cycle position share a class exactly when both are equal to P
     swap = parse_recipes(HTTP_SERVER_SWAP).operation_table()
     cases = [(*generators.gen_case(seed)[1:],) for seed in range(600)] + [
         (build_automaton(parse_path(SERVER_PATH)), http_model, http_ops),
@@ -1746,6 +1799,9 @@ def test_equal_classes_are_equal_configurations(erased, http_model, http_ops):
         (build_automaton(parse_path("DeviationUp DeviationReset (DeviationUp DeviationReset)+")),
          http_model, http_ops),
         generators.scaled_holds_lasso(30, 3, bump=True),
+        # classes that differ in bindings only, each side of an entry equal to c0
+        generators.binding_lasso(8, 6),
+        generators.binding_lasso(0, 6),
     ]
     shared = Counter()
     for a, c0, ops in cases:
@@ -1756,9 +1812,15 @@ def test_equal_classes_are_equal_configurations(erased, http_model, http_ops):
             models = list(map(erase_param_values, models))
         ids = [run.keys.at(pos) for pos in range(len(models))]
         assert run.keys.first == sorted({ids.index(k) for k in ids})
+        entry = a.back_target if a.has_cycle else len(models)
         for i, j in itertools.combinations(range(len(models)), 2):
-            assert (ids[i] == ids[j]) == (models[i] == models[j]), (a, i, j)
-            if ids[i] == ids[j] and a.has_cycle and i < (a.back_target or 0) <= j:
-                shared["a prefix position and a cycle position"] += 1
-            shared["two positions"] += ids[i] == ids[j]
+            if i < entry < j:
+                alike = models[i] == models[j] == models[entry]
+                shared["a prefix and a cycle position, through the entry"] += alike
+                shared["a prefix and a cycle position, equal but apart"] += \
+                    models[i] == models[j] != models[entry]
+            else:
+                alike = models[i] == models[j]
+                shared["two positions on one side"] += alike
+            assert (ids[i] == ids[j]) == alike, (a, i, j)
     assert min(shared.values()) > 20, shared
