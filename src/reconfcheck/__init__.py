@@ -89,7 +89,6 @@ from .reconfig import (
     Start,
     Stop,
     Unbind,
-    Unfolding,
     apply_evolution,
     apply_primitive,
     apply_sequence,

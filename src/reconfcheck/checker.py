@@ -4,7 +4,7 @@ The traversal mirrors a model checker's marking discipline: every operator
 instance owns a fresh mark map and walks the automaton in ``_Walk.run``,
 taking each transition at most twice (``unchecked -> again -> checked``), so
 any check takes at most 2|Q| transitions per instance; ``eventually`` and
-``before`` instances stop earlier, at their run's repeat.
+``before`` instances stop earlier, at their first repeat (below).
 
 A path is deterministic, so every configuration a check needs is a
 position of one run from the initial configuration (``_Run``), extended
@@ -15,19 +15,20 @@ configurations are equal, with parameter values erased when the gate
 erases them.  P is on both sides, so a prefix position and a cycle position
 share an id only through P's class; the walk needs no more, since they
 never share a state, and neighbours share a side.  The walk reads
-classes, never models: an instance's repeat is a repeated (state, class),
-an event changed the configuration exactly when the classes around it
-differ, and each property's value is kept per class, so a configuration is
-built, from the run's records, only for a value the walk does not have
-yet.  A nested instance that walks positions the run holds reads their
-classes and applies nothing.
+classes, never models: an event changed the configuration exactly when
+the classes around it differ, and each property's value is kept per
+class, so a configuration is built, from the run's records, only for a
+value the walk does not have yet.  A nested instance that walks
+positions the run holds reads their classes and applies nothing.
 
 The run is ultimately periodic (Markey & Schnoebelen, "Model checking a
 path", CONCUR 2003): once a position L from P+|C| on has the class of
 L-|C|, every later position has the class of the one a lap before.  The
 run looks for that fold up to P+2|C| as it takes each step; past it the
 walk reads each class off the lap before, and applies no operation and
-evaluates nothing new.  The run is extended for real only where a
+evaluates nothing new.  So an ``eventually`` or ``before`` instance from
+position s first repeats a (state, class) at max(fold, s+|C|), and stops
+there with no dict of its own.  The run is extended for real only where a
 configuration itself is reported: a spent budget's ``reached``, a
 witness or a proof.
 
@@ -39,9 +40,9 @@ holds exactly when the run folds by P+2|C|, so the run is its own gate
 only a walk that ends before then leaves the run to extend.  A cycle
 failing the gate yields an ``unknown`` verdict unless a step budget is
 set: the run's first positions within the budget, up to their first exact
-(state, class) repeat, are then a window (``_unfold``), walked as a
-lasso or as a cut path on the run's exact classes.  One function turns
-either walk's outcome into a verdict (``_verdict``).
+(state, class) repeat, are then a window (``_unfold``), walked on the
+run's exact classes as a cut path or as a lasso that folds at its end.
+One function turns either walk's outcome into a verdict (``_verdict``).
 
 The step budget is charged for the walk's transitions only, folded ones
 included, never for the gate's own applications, a window's or a report's.
@@ -93,7 +94,7 @@ from .oracle import Refutation, oracle_eval_detailed, oracle_verdict, \
 from .pathspec import PathAutomaton, PathExpr, residual_from
 # apply_sequence and is_idempotent_sequence, which nothing here calls, stay
 # importable because perfbench/tracer.py rebinds them here
-from .reconfig import EvolutionOperation, Unfolding, apply_evolution, apply_sequence, \
+from .reconfig import EvolutionOperation, apply_evolution, apply_sequence, \
     is_idempotent_sequence, run_path  # noqa: F401
 from .record import record
 
@@ -235,6 +236,11 @@ def _step(op: EvolutionOperation, m: ComponentModel) -> tuple[ComponentModel, li
         return apply_evolution(op, m).result, log
     finally:
         index.log = None  # nothing else the index does is this step's
+
+
+def _lap_back(pos: int, fold: int, lap: int) -> int:
+    """``pos``, or from ``fold`` on, the position it repeats in the lap before ``fold``."""
+    return pos if pos < fold else fold - lap + (pos - fold) % lap
 
 
 class _Classes:
@@ -422,8 +428,8 @@ class _Run:
         ``q``: read off the run where it holds the position or has folded,
         and else from the step the frontier takes."""
         fold = self.fold
-        if fold is not None and pos >= fold:
-            pos = fold - self.lap + (pos - fold) % self.lap
+        if fold is not None:
+            pos = _lap_back(pos, fold, self.lap)
         elif pos == len(self.steps):
             self._take(label, q)
         return self.keys.at(pos)
@@ -523,6 +529,7 @@ class _Walk:
         self.model_of = model_of
         self.remaining = max_steps
         self.gate = gate
+        self.lap = a.n_states - a.back_target if a.has_cycle else 0
         self.transitions = 0
         self.cp_evals = 0
         self.max_instance = 0
@@ -577,13 +584,28 @@ class _Walk:
                                      f"exceeding 2*|Q| = {2 * a.n_states}")
             yield label, q, k
 
-    def unfold(self, q: int, k: int, pos: int) -> Unfolding:
+    def unfold(self, q: int, k: int, pos: int) -> Iterator[tuple[int, int]]:
         """The run from state ``q`` and class ``k`` at position ``pos`` as one
-        operator instance walks it, keyed by (state, class).  Its repeat
-        comes before the marks stop it: under the gate, the transition into
-        two laps past the entry leaves a state for the second time, and on a
-        window every configuration repeats one lap later."""
-        return Unfolding(self.a, q, k, self.run(q, pos))
+        operator instance walks it, as (state, class), up to its first
+        repeat: position max(fold, pos + |C|), where it stops, the fold
+        being the gate's on a lasso and n on a window of length n (whose
+        lap is n - back); or a finite path's terminal state.  Past the fold
+        each position repeats the one a lap before.  Before it, two
+        positions share a state only whole laps apart on the cycle, and a
+        class only with equal configurations: one lap apart that is a fold,
+        and two or more, before a fold by P+2|C|, needs a position before
+        P.  The marks never stop an instance first: given the gate, its
+        transition into P+2|C| leaves a state for the second time."""
+        a, gate, lap, start = self.a, self.gate, self.lap, pos
+        yield q, k
+        for pos, (_label, q, k) in enumerate(self.run(q, pos), pos + 1):
+            fold = a.n_states if gate is None else gate.fold
+            if lap and fold is not None and pos >= max(fold, start + lap):
+                return
+            yield q, k
+        if lap or q != a.q_max:
+            raise AssertionError("instance unfolding ended with neither a period "
+                                 "nor a terminal state")
 
     def holds(self, cp: ConfigProperty, k: int) -> bool:
         """The value of ``cp`` on class ``k``: counted as a read, and
@@ -653,24 +675,16 @@ def _always_loop(cp: ConfigProperty, walk: _Walk, q: int, k: int, pos: int):
                              falsified=range(pos, pos + 1))
 
 
-def _assert_settled(run: Unfolding):
-    """An exhausted instance unfolding has a period or a terminal state (see _Walk.unfold)."""
-    if run.period_start is None and not run.complete:
-        raise AssertionError("instance unfolding ended with neither a period nor a terminal state")
-
-
 def _eventually_scan(cp: ConfigProperty, walk: _Walk, q: int, k: int, pos: int):
     """Passes as soon as one reachable configuration satisfies ``cp``.
 
     Unfolds until the (state, class) pair repeats or the path ends; each
     state is left at most twice on the way.
     """
-    run = walk.unfold(q, k, pos)
-    for i, (_q, _label, k) in enumerate(run):
+    for i, (_q, k) in enumerate(walk.unfold(q, k, pos)):
         if walk.holds(cp, k):
             return
-    _assert_settled(run)
-    how = "on the finite path" if run.complete else "(cycle stabilized)"
+    how = "(cycle stabilized)" if walk.lap else "on the finite path"
     raise _Violation(pos + i, f"eventually [{print_cp(cp)}] never satisfied {how}")
 
 
@@ -680,7 +694,7 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int, k: int, 
 
     Judged on the stabilized window of ``n`` configurations with
     wrap-around indexing: occurrences ``1..n-1`` on a finite path, and
-    ``1..n+2t`` past a period of length ``t``, beyond which every
+    ``1..n+2t`` past a period of the walk's lap ``t``, beyond which every
     segment's contents repeat an examined one.  The segments of successive
     occurrences are nested prefixes of the run, so one forward scan
     decides: ``always`` fails at the first falsifying configuration once
@@ -691,21 +705,18 @@ def _before_check(e: EventSpec, tr: TraceProperty, walk: _Walk, q: int, k: int, 
     parameter values, a wrapped representative, which may differ from the
     true configuration in its parameters, is still alike to it.
     """
-    run = walk.unfold(q, k, pos)
-    states, _labels, classes = zip(*run)
-    _assert_settled(run)
-    ps, n = run.period_start, len(classes)
-    t = 0 if ps is None else n - ps
-    last = n - 1 if ps is None else n + 2 * t
+    states, classes = zip(*walk.unfold(q, k, pos))
+    n, t = len(classes), walk.lap
+    last = n + 2 * t if t else n - 1
     labels = walk.a.labels
     is_always = isinstance(tr, Always)
     evaluated = 0  # configurations [0, evaluated) are known to pass
     for i in range(1, last + 1):
-        prev = i - 1 if i - 1 < n else ps + (i - 1 - ps) % t
+        prev = _lap_back(i - 1, n, t)
         label = labels[states[prev]]
         if label != e.op_name:
             continue
-        cur = i if i < n else ps + (i - ps) % t
+        cur = _lap_back(i, n, t)
         if not event_holds(classes[prev], classes[cur], label, e, i):
             continue
         # the occurrence's segment is [0, i-1]; indices from n on repeat earlier ones
@@ -886,9 +897,9 @@ def _verdict(f: FtplFormula, run: _Run, walk: _Walk, proving: Optional[FtplFormu
     :func:`_fails` builds it.
 
     The walk judges before the gate decides, and that is sound: the walk
-    never reads the gate's answer, and what rests on the gate (an instance
-    unfolding's repeat, ``_assert_settled``, the 2·|Q| bound) is reached
-    only once that instance has passed position P+2|C|, where the gate has
+    reads of the gate only a fold it found, which admits, and what rests
+    on the gate (an instance unfolding's stop, the 2·|Q| bound) is reached
+    only at that fold or past position P+2|C|, where the gate has
     decided and a refusal has stopped the walk.  So the walk's outcome (it
     holds, a violation, a spent budget or an evaluation error) is kept, the
     gate decides once, and the outcome stands only if the gate admits.  A
@@ -920,8 +931,8 @@ def _verdict(f: FtplFormula, run: _Run, walk: _Walk, proving: Optional[FtplFormu
                 outcome = _Budget(run.steps[n - 1][1], n - 1)  # at the cut
             elif outcome is not None:
                 outcome.length = n
-                if outcome.index >= n:
-                    outcome.index = ps + (outcome.index - ps) % (n - ps)
+                if outcome.index >= n:  # only a repeating window has positions past it
+                    outcome.index = _lap_back(outcome.index, n, n - ps)
         if outcome is None:
             return Verdict(HOLDS, stats=stats)
         if isinstance(outcome, _Violation):

@@ -216,24 +216,18 @@ class ModelIndex:
 
     def replace(self, old: Component, new: Component) -> None:
         """Component ``old`` became ``new`` under its id.  No operation changes
-        an id or a class in place, so only the set parts can move, and only
-        where the field they test did."""
+        an id, a class or the names of its parameters in place, and only a
+        remove changes children, taking the removed one out of its parent:
+        so ``stopped`` moves where the state did, and ``parents`` loses a
+        parent whose last child went."""
         cid = new.id
         if old.state != new.state and self.stopped is not None:
             if new.state == STARTED:
                 self.stopped.discard(cid)
             else:
                 self.stopped.add(cid)
-        if (not old.contains) != (not new.contains) and self.parents is not None:
-            if new.contains:
-                self.parents.add(cid)
-            else:
-                self.parents.discard(cid)
-        if (not old.params) != (not new.params) and self.holders is not None:
-            if new.params:
-                self.holders.add(cid)
-            else:
-                self.holders.discard(cid)
+        if old.contains and not new.contains and self.parents is not None:
+            self.parents.discard(cid)
 
 
 def model_index(m: ComponentModel) -> ModelIndex:
@@ -279,7 +273,8 @@ def derive_model(m: ComponentModel, put: Collection[Component] = (),
     sum is derived from ``m``'s, which is forced, so a run carries one sum
     from its first model on.  ``index``, the one the operation took from
     ``m``, has every built part updated and moves to the new model; its
-    log, if any, gets the change.
+    log, if any, gets the change.  A component put in place of another
+    changes what an operation can change (:meth:`ModelIndex.replace`).
     """
     comps = m.components
     s = component_sum(m)

@@ -13,8 +13,9 @@ laps too, and stops at the first that settles it: a truncated window
 settles only through a violation or a witness it contains, and every longer
 window contains them too.  Each configuration property is evaluated, and
 each event tested, at most once per position of an unfolding; every window
-of it reads the same values.  Deliberately naive; being obviously correct
-is its entire job.
+of it reads the same values.  A repeat is found by a dict of the oracle's
+own, which shares nothing with the checker's repeat tests.  Deliberately
+naive; being obviously correct is its entire job.
 
 One shortcut keeps it affordable on large models.  A quantifier outside
 every other quantifier whose body reads the model only through its
@@ -45,7 +46,7 @@ by :func:`oracle_verdict`.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import is_
 from typing import Iterator, Mapping, Optional
 
@@ -55,7 +56,7 @@ from .model import QUANTIFIER_DOMAINS, And, ComponentModel, ConfigProperty, Exis
     ForAll, Implies, Not, Or, TrueAtom, VarClassIs, VarPresent, erase_param_values, eval_cp
 from .pathspec import PathAutomaton
 # apply_evolution stays importable because perfbench/tracer.py rebinds it here
-from .reconfig import EvolutionOperation, Unfolding, apply_evolution, run_path  # noqa: F401
+from .reconfig import EvolutionOperation, apply_evolution, run_path  # noqa: F401
 from .record import record
 
 
@@ -109,11 +110,18 @@ def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOp
              looks: tuple[int, ...] = ()) -> Iterator[ConcreteLasso]:
     """The unfolding from the initial state as windows of one lazy run: the
     first ``r`` laps for each ``r`` in ``looks`` the run lasts, then the
-    whole of it, as :func:`unfold_to_lasso` returns it."""
-    unfolding = Unfolding(a, 0, c0, run_path(a, ops, 0, c0), erased=compare_erased)
+    whole of it, as :func:`unfold_to_lasso` returns it.  A model is its own
+    dictionary key (:class:`~reconfcheck.model.ComponentModel`), so one
+    lookup of (state, model), erased when ``compare_erased``, finds a
+    repeat; the dict settles every hash hit with ==."""
     entries: list[LassoStep] = []
-    rounds = 0
-    for q, label, c in unfolding:
+    entered: dict[tuple[int, ComponentModel], int] = {}  # the index of each (state, model)
+    period_start, complete, rounds = None, False, 0
+    for label, q, c in chain([(None, 0, c0)], run_path(a, ops, 0, c0)):
+        j = entered.setdefault((q, erase_param_values(c) if compare_erased else c), len(entries))
+        if j < len(entries):
+            period_start = j
+            break
         lap = bool(entries) and entries[-1].state == a.q_max  # in over the back edge
         if lap:
             rounds += 1
@@ -122,8 +130,9 @@ def _windows(a: PathAutomaton, c0: ComponentModel, ops: Mapping[str, EvolutionOp
             break
         if lap and rounds in looks:
             yield ConcreteLasso(a, tuple(entries), None, False, compare_erased)
-    yield ConcreteLasso(a, tuple(entries), unfolding.period_start, unfolding.complete,
-                        compare_erased)
+    else:
+        complete = True  # run_path ends only at a finite path's terminal state
+    yield ConcreteLasso(a, tuple(entries), period_start, complete, compare_erased)
 
 
 def unfold_to_lasso(a: PathAutomaton, c0: ComponentModel,

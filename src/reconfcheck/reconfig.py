@@ -5,6 +5,7 @@ input model it behaves like the identity function and returns its input.
 There is no error channel by design — a failed reconfiguration *is* the
 identity reconfiguration.  A consequence is that the topological
 primitives (component/binding addition and removal) are idempotent.
+``run_path`` steps a path's run; each reader finds its repeat on its own.
 """
 
 from __future__ import annotations
@@ -330,56 +331,6 @@ def _transitions(a: PathAutomaton, ops: Mapping[str, EvolutionOperation], q: int
         label, q = nxt
         c = apply_evolution(ops[label], c).result
         yield label, q, c
-
-
-class Unfolding:
-    """A run of a path automaton from (q, c), cut where it starts repeating.
-
-    ``transitions`` is the run's (label, target, configuration) stream, as
-    :func:`run_path` gives it; a check's walk streams the class id of each
-    configuration in its place, which repeats exactly when the
-    configuration does.  Iterating the unfolding, once, yields the
-    run's (state, incoming label, configuration) entries, the first with
-    label None, taking a transition only when the next entry is asked for.
-    The run ends just before a (state, key) pair repeats, setting
-    ``period_start`` to the index of the earlier entry, or where the stream
-    does, setting ``complete`` if that is a terminal state.  ``keys`` holds
-    the keys of the entries handed out: the configurations, or with
-    ``erased`` their ``erase_param_values`` copies.  A model is its own
-    dictionary key (see :class:`~reconfcheck.model.ComponentModel`), so one
-    lookup of (state, key) finds a repeat.
-    """
-
-    def __init__(self, a: PathAutomaton, q: int, c: ComponentModel,
-                 transitions: Iterator[tuple[str, int, ComponentModel]], erased: bool = False):
-        self.keys: list[ComponentModel] = []
-        self.period_start: Optional[int] = None
-        self.complete = False
-        self._run = self._unfold(a, q, c, transitions, erased)
-
-    def __iter__(self) -> Iterator[tuple[int, Optional[str], ComponentModel]]:
-        # handed out once: the generator refers to self, so keeping it here would
-        # hold an abandoned run's models until the cyclic collector runs
-        run, self._run = self._run, iter(())
-        return run
-
-    def _unfold(self, a: PathAutomaton, q: int, c: ComponentModel, transitions, erased: bool):
-        yield q, None, c
-        k = erase_param_values(c) if erased else c
-        # the index of the entry at each (state, key); the dict settles every
-        # hash hit with ==, so only an equal key is a repeat
-        entered = {(q, k): 0}
-        self.keys.append(k)
-        for label, q, c in transitions:
-            k = erase_param_values(c) if erased else c
-            j = entered.setdefault((q, k), len(self.keys))
-            if j < len(self.keys):
-                self.period_start = j
-                return
-            self.keys.append(k)
-            yield q, label, c
-        # the stream looked q's successor up already: only a finite path's last state has none
-        self.complete = a.back_target is None and q == a.q_max
 
 
 def operation_table(recipes: Mapping[str, Sequence[Primitive]]) -> dict[str, EvolutionOperation]:

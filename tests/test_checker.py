@@ -24,7 +24,6 @@ from reconfcheck import (
     Param,
     STARTED,
     STOPPED,
-    Unfolding,
     apply_evolution,
     apply_sequence,
     build_automaton,
@@ -358,23 +357,25 @@ def test_the_gate_asked_twice_does_nothing_more(monkeypatch):
 
 
 def _reference_window(run, max_steps: int):
-    """The window as it was built on ``reconfig.Unfolding``: the run streamed
-    as (label, state, exact class) for at most ``max_steps`` transitions,
-    cut before a (state, class) repeat, and the window automaton's labels
-    rebuilt from the path's.  Its exact class ids, labels and back edge."""
+    """The window as a (state, class) dict finds it: the run's first
+    positions, for at most ``max_steps`` transitions, as (state, exact
+    class), cut before the first repeated pair, and the window automaton's
+    labels rebuilt from the path's.  Its exact class ids, labels and back
+    edge."""
     steps, exact = run.steps, run.exact
-
-    def reached():
-        for pos in range(1, max_steps + 1):
-            if pos == len(steps) and not run.extend_to(pos):
-                return
-            yield steps[pos][0], steps[pos][1], exact.at(pos)
-
-    window = Unfolding(run.a, 0, exact.at(0), reached())
-    entries = tuple(window)
-    ps, n = window.period_start, len(entries)
-    labels = tuple(run.a.labels[q] for q, _label, _k in entries[:n if ps is not None else n - 1])
-    return [k for _q, _label, k in entries], labels, ps
+    entries, entered, back = [], {}, None
+    for pos in range(max_steps + 1):
+        if pos == len(steps) and not run.extend_to(pos):
+            break
+        pair = (steps[pos][1], exact.at(pos))
+        if pair in entered:
+            back = entered[pair]
+            break
+        entered[pair] = pos
+        entries.append(pair)
+    n = len(entries)
+    labels = tuple(run.a.labels[q] for q, _k in entries[:n if back is not None else n - 1])
+    return [k for _q, k in entries], labels, back
 
 
 def test_the_window_read_off_the_run_is_the_runs_unfolding(monkeypatch):
@@ -522,32 +523,54 @@ def test_the_walk_looks_up_one_successor_per_transition(path, text, status, base
         assert stepped == 0  # no gate
 
 
-def test_every_exhausted_instance_unfolding_ends_settled(monkeypatch):
-    # the repeat always comes before the marks stop an eventually or before
-    # run: on gated lassos, and on the windows of gate-refused ones
-    exhausted = {"gated": [], "window": []}
-    kind = "gated"
-    settled = checker._assert_settled
+def test_every_eventually_and_before_instance_stops_at_its_first_repeat(monkeypatch):
+    # an instance's unfolding stops at max(fold, start + lap) with no dict of
+    # its own: it must stop exactly where a (state, class) dict over the
+    # same instance's transitions finds its first repeat, and an instance
+    # that ends otherwise (at a terminal state, a spent budget, a refusal,
+    # or a scan that is done) must have met no repeat on the way.  On gated
+    # lassos, classes erased and exact, and on repeating and cut windows
+    unfold, run = checker._Walk.unfold, checker._Walk.run
+    wrong, kinds = [], Counter()
 
-    def watched(run):
-        exhausted[kind].append((run.period_start, run.complete))
-        settled(run)
+    def traced(walk, q, k, pos):
+        taken = []  # the (state, class) of each position after the first the instance took
+        walk.run = lambda q, pos: (taken.append((q2, k2)) or (label, q2, k2)
+                                   for label, q2, k2 in run(walk, q, pos))
+        handed, ended = 0, False
+        try:
+            for pair in unfold(walk, q, k, pos):
+                handed += 1
+                yield pair
+            ended = True
+        finally:
+            del walk.run
+            entered = {(q, k): 0}
+            repeat = next((i for i, pair in enumerate(taken, 1)
+                           if entered.setdefault(pair, i) < i), None)
+            stopped = ended and handed == len(taken)
+            if walk.gate is not None:
+                kind = "gated, erased" if walk.gate.keys.erased else "gated, exact"
+            elif walk.a is a:  # the case's own path
+                kind = "finite path"
+            else:
+                kind = "window, repeating" if walk.lap else "window, cut"
+            kinds[kind, "stopped" if stopped else "ended" if ended else "left"] += 1
+            if repeat != (len(taken) if stopped else None):
+                wrong.append((kind, pos, len(taken), handed, ended, repeat))
 
-    monkeypatch.setattr(checker, "_assert_settled", watched)
+    monkeypatch.setattr(checker._Walk, "unfold", traced)
     for seed in range(400):
         f, a, c0, ops = generators.gen_case(seed)
-        try:
-            kind = "gated"
-            refused = check(f, a, c0, ops).reason == REASON_CYCLE
-            kind = "window" if refused else "gated"
-            for max_steps in range(1, 2 * a.n_states + 3):
+        for max_steps in (None, *range(1, 2 * a.n_states + 3)):
+            try:
                 check(f, a, c0, ops, CheckOptions(max_steps=max_steps))
-        except CpEvalError:
-            continue
-    for runs in exhausted.values():
-        assert len(runs) > 100
-        assert all(ps is not None or complete for ps, complete in runs)
-    assert any(ps is not None for ps, _ in exhausted["window"])
+            except CpEvalError:
+                continue
+    assert wrong == []
+    assert kinds["gated, erased", "stopped"] > 200 and kinds["gated, exact", "stopped"] > 200
+    assert kinds["window, repeating", "stopped"] > 10
+    assert kinds["window, cut", "ended"] > 100 and kinds["finite path", "ended"] > 100
 
 
 FLIP_MODEL = "model M { component A { class X param p : int = 0 } }"

@@ -11,7 +11,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +27,6 @@ from reconfcheck import (
     Delegation,
     Param,
     RemoveComponent,
-    Unfolding,
     apply_evolution,
     apply_primitive,
     build_automaton,
@@ -139,6 +138,34 @@ def _lassos(count: int):
             yield a, c0, ops
 
 
+def test_an_operation_replaces_a_component_in_its_state_values_or_children_only(monkeypatch):
+    # ModelIndex.replace keeps only stopped, and parents where a remove took
+    # a parent's last child: no operation changes a component's id, class or
+    # parameter names in place, or gives it a child
+    seen = Counter()
+    replace = model.ModelIndex.replace
+
+    def watched(index, old, new):
+        assert (new.id, new.cls, new.params.keys()) == (old.id, old.cls, old.params.keys())
+        assert new.contains <= old.contains
+        seen["state"] += old.state != new.state
+        seen["values"] += old.params != new.params
+        seen["child removed"] += old.contains != new.contains
+        seen["last child removed"] += bool(old.contains) and not new.contains
+        replace(index, old, new)
+
+    monkeypatch.setattr(model.ModelIndex, "replace", watched)
+    for seed in range(300):
+        _f, a, c0, ops = generators.gen_case(seed)
+        m = c0 = _rebuilt(c0)
+        for _label, _q, m in islice(run_path(a, ops, 0, c0), 3 * a.n_states):
+            pass
+        for step in _extra_steps(random.Random(seed), c0):
+            m = apply_primitive(step, m)
+        _assert_fresh(m)
+    assert min(seen.values()) > 20, seen
+
+
 def test_a_run_hands_one_index_on_and_builds_each_part_once(monkeypatch):
     built = Counter()
 
@@ -207,19 +234,24 @@ def test_only_the_newest_model_of_a_run_holds_an_index():
     checked = 0
     for a, c0, ops in _lassos(60):
         for erased in (False, True):
-            made = [_rebuilt(c0)]
-            transitions = ((label, q, made.append(c) or c)
-                           for label, q, c in run_path(a, ops, 0, made[0]))
-            run = Unfolding(a, 0, made[0], islice(transitions, 400), erased=erased)
-            entries = list(run)
+            start = _rebuilt(c0)
+            # the run up to its first repeated (state, key), as the oracle unfolds it
+            made, models, keys, entered = [], [], [], {}
+            for _label, q, c in chain([("", 0, start)], islice(run_path(a, ops, 0, start), 400)):
+                made.append(c)
+                k = erase_param_values(c) if erased else c
+                if entered.setdefault((q, k), len(keys)) < len(keys):
+                    checked += 1
+                    break
+                models.append(c)
+                keys.append(k)
             newest = made[-1]
             assert newest._index is not None
             _assert_fresh(newest)
             # a step that changes nothing hands on the model it was given
             assert all(c._index is None for c in made if c is not newest)
-            assert all(c._index is None for _q, _label, c in entries if c is not newest)
-            assert all(k._index is None for k in run.keys if k is not newest)
-            checked += run.period_start is not None
+            assert all(c._index is None for c in models if c is not newest)
+            assert all(k._index is None for k in keys if k is not newest)
     assert checked > 50
 
 
@@ -326,9 +358,9 @@ def test_one_change_updates_every_part_the_way_a_fresh_build_does():
         index.part(name, m)
     new = Component("N", "Box", params={"x": Param("int", 3)}, contains=frozenset({"D"}),
                     state="stopped")
-    # stopped, childless and holding a parameter: a flip of three parts
-    replaced = comps["P"].evolve(params={"q": Param("int", 4)}, contains=frozenset(),
-                                 state="stopped")
+    # stopped and childless, as a stop and the removal of its last child
+    # leave it: a flip of both parts an operation can move in place
+    replaced = comps["P"].evolve(contains=frozenset(), state="stopped")
     out = model.derive_model(m, (new, replaced), ("C",), cut=cut, made=made,
                              uncoupled=(delegation,), index=index)
     assert list(out.components) == ["P", "B", "D", "N"]
